@@ -276,8 +276,6 @@ int main(int argc, char** argv) {
     far[i] = rng.NextUniform(0.0, 1.0) < 0.3 ? -1.0
                                              : rng.NextUniform(0.0, 250.0);
   }
-  std::vector<double> dists(row.begin(), row.begin() + kN);
-  std::sort(dists.begin(), dists.end());
 
   const std::vector<KernelWorkload> workloads = {
       {"max_plus_reduce", 16 * kN,
@@ -310,11 +308,6 @@ int main(int argc, char** argv) {
        }},
       {"dot_product", 16 * kN,
        [&] { return simd::DotProduct(row.data(), far.data(), kN); }},
-      {"best_candidate", 8 * kN,
-       [&] {
-         return simd::BestCandidate(dists.data(), kN, 100.0, 50.0, 1 << 20)
-             .cost;
-       }},
   };
 
   const simd::Backend best_backend = simd::BestBackend();

@@ -12,10 +12,13 @@
 # AddressSanitizer+UBSan. A bench_oracle smoke proves a 100k-client solve
 # through the rows backend stays inside a hard RSS budget, and a
 # filter-and-refine smoke proves bound pruning on the landmark backend
-# changes nothing but the wall clock (objective stable, tiles pruned).
+# changes nothing but the wall clock (objective stable, tiles pruned) on
+# both the tiled and the materialized client block.
 # A churn control-plane smoke re-optimizes 10k clients across 50 churn
 # epochs (plus a server crash) under a hard migration cap, and the churn
-# suite (`churn` label) runs again under both sanitizers.
+# suite (`churn` label) runs again under both sanitizers. The repository
+# benchmark runs at smoke scale, which cross-checks the tiled and
+# resident cloud fingerprints.
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,6 +26,13 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+
+# The repository benchmark at smoke scale (benchmark_smoke, ~4 s): every
+# workload runs untraced and traced, and the orchestrator requires the
+# cloud-tiled and cloud-resident plans to carry identical fingerprints.
+cmake -S benchmark -B build/benchmark -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build build/benchmark -j --target diaca_benchmark
+ctest --test-dir build/benchmark --output-on-failure
 
 # A real bench must emit parseable observability artifacts (small
 # instance; the JSON check uses CMake's own parser — no new deps).
@@ -64,32 +74,43 @@ cmake -DJSON_FILE="$obs_dir/bench_oracle_smoke.json" \
   > "$obs_dir/cloud_tiled.log"
 
 # Filter-and-refine smoke: the 100k-client cloud on the landmark-sketch
-# backend, solved with bound pruning on and off. Pruning must be a pure
-# accelerator: the objective must not move, and the pruned run must
-# actually skip work (tiles pruned > 0). The bench_oracle smoke above
-# additionally verifies the pruned-vs-unpruned assignment and objective
-# bitwise (unformatted doubles) on the rows backend.
-prune_cmd=(./build/tools/diaca cloud --nodes=2000 --clients=100000
-  --servers=16 --block=tiled --oracle=landmarks:landmarks=16)
-"${prune_cmd[@]}" --prune=on > "$obs_dir/cloud_prune_on.log"
-"${prune_cmd[@]}" --prune=off > "$obs_dir/cloud_prune_off.log"
-d_on=$(grep 'max interaction path' "$obs_dir/cloud_prune_on.log")
-d_off=$(grep 'max interaction path' "$obs_dir/cloud_prune_off.log")
-if [ "$d_on" != "$d_off" ]; then
-  echo "FAIL: bound pruning changed the objective: '$d_on' vs '$d_off'" >&2
-  exit 1
-fi
-pruned=$(grep 'tiles pruned' "$obs_dir/cloud_prune_on.log" | awk '{print $NF}')
-if [ "${pruned:-0}" -eq 0 ]; then
-  echo "FAIL: bound pruning never engaged (tiles pruned == 0)" >&2
-  exit 1
-fi
-unpruned=$(grep 'tiles pruned' "$obs_dir/cloud_prune_off.log" \
-  | awk '{print $NF}')
-if [ "${unpruned:-0}" -ne 0 ]; then
-  echo "FAIL: --prune=off still reports pruned tiles ($unpruned)" >&2
-  exit 1
-fi
+# backend, solved with bound pruning on and off, on the tiled and on the
+# materialized client block (greedy runs one bucket-refined path on
+# both). Pruning must be a pure accelerator: the objective must not move,
+# and the pruned run must actually skip work (tiles pruned > 0). The
+# bench_oracle smoke above additionally verifies the pruned-vs-unpruned
+# assignment and objective bitwise (unformatted doubles) on the rows
+# backend.
+prune_smoke() {
+  local block=$1
+  local cmd=(./build/tools/diaca cloud --nodes=2000 --clients=100000
+    --servers=16 --block="$block" --oracle=landmarks:landmarks=16)
+  local on="$obs_dir/cloud_${block}_prune_on.log"
+  local off="$obs_dir/cloud_${block}_prune_off.log"
+  "${cmd[@]}" --prune=on > "$on"
+  "${cmd[@]}" --prune=off > "$off"
+  local d_on d_off pruned unpruned
+  d_on=$(grep 'max interaction path' "$on")
+  d_off=$(grep 'max interaction path' "$off")
+  if [ "$d_on" != "$d_off" ]; then
+    echo "FAIL ($block): bound pruning changed the objective:" \
+      "'$d_on' vs '$d_off'" >&2
+    exit 1
+  fi
+  pruned=$(grep 'tiles pruned' "$on" | awk '{print $NF}')
+  if [ "${pruned:-0}" -eq 0 ]; then
+    echo "FAIL ($block): bound pruning never engaged (tiles pruned == 0)" >&2
+    exit 1
+  fi
+  unpruned=$(grep 'tiles pruned' "$off" | awk '{print $NF}')
+  if [ "${unpruned:-0}" -ne 0 ]; then
+    echo "FAIL ($block): --prune=off still reports pruned tiles" \
+      "($unpruned)" >&2
+    exit 1
+  fi
+}
+prune_smoke tiled
+prune_smoke materialized
 
 # Churn control-plane smoke at real scale: 10k clients over 50 epochs of
 # arrivals/departures/mobility plus a mid-run server crash, re-optimized

@@ -155,73 +155,18 @@ void BroadcastAddScalar(double* out, const double* row, double add,
   for (std::size_t i = 0; i < n; ++i) out[i] = add + row[i];
 }
 
-// One gathered lane of the oracle-view column paths (kernels.h
-// GatherPlus / BestCandidateGather): the indirection chain
-// ids -> rows -> col with the optional access add, in the exact operand
-// order access + leg the view's scalar loops used.
-inline double GatherPlusLane(const double* col, const std::int32_t* rows,
-                             const double* access, const std::int32_t* ids,
-                             std::size_t i) {
-  const std::size_t c =
-      ids != nullptr ? static_cast<std::size_t>(ids[i]) : i;
-  const double leg = col[static_cast<std::size_t>(rows[c])];
-  return access != nullptr ? access[c] + leg : leg;
-}
-
+// The oracle-view column gather: the indirection chain ids -> rows -> col
+// with the optional access add, in the exact operand order access + leg
+// the view's scalar loops used.
 void GatherPlusScalar(double* out, const double* col,
                       const std::int32_t* rows, const double* access,
                       const std::int32_t* ids, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = GatherPlusLane(col, rows, access, ids, i);
+    const std::size_t c =
+        ids != nullptr ? static_cast<std::size_t>(ids[i]) : i;
+    const double leg = col[static_cast<std::size_t>(rows[c])];
+    out[i] = access != nullptr ? access[c] + leg : leg;
   }
-}
-
-CandidateResult BestCandidateScalar(const double* dists, std::size_t n,
-                                    double reach, double max_len,
-                                    std::int32_t room, double cutoff) {
-  const double room_d = static_cast<double>(room);
-  CandidateResult best;
-  best.cost = cutoff;
-  best.lb = kInf;
-  for (std::size_t p = 0; p < n; ++p) {
-    const double d = dists[p];
-    const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-    const double dn = std::min(static_cast<double>(p) + 1.0, room_d);
-    const double cost = (len - max_len) / dn;
-    best.lb = std::min(best.lb, cost);
-    if (cost < best.cost) {
-      best.cost = cost;
-      best.len = len;
-      best.pos = static_cast<std::int64_t>(p);
-    }
-  }
-  return best;
-}
-
-CandidateResult BestCandidateGatherScalar(const double* col,
-                                          const std::int32_t* rows,
-                                          const double* access,
-                                          const std::int32_t* ids,
-                                          std::size_t n, double reach,
-                                          double max_len, std::int32_t room,
-                                          double cutoff) {
-  const double room_d = static_cast<double>(room);
-  CandidateResult best;
-  best.cost = cutoff;
-  best.lb = kInf;
-  for (std::size_t p = 0; p < n; ++p) {
-    const double d = GatherPlusLane(col, rows, access, ids, p);
-    const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-    const double dn = std::min(static_cast<double>(p) + 1.0, room_d);
-    const double cost = (len - max_len) / dn;
-    best.lb = std::min(best.lb, cost);
-    if (cost < best.cost) {
-      best.cost = cost;
-      best.len = len;
-      best.pos = static_cast<std::int64_t>(p);
-    }
-  }
-  return best;
 }
 
 // ---------------------------------------------------------------------------
@@ -324,98 +269,6 @@ double DotProductPortable(const double* a, const double* b, std::size_t n) {
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-// Block size of the pruned BestCandidate scans. Small enough that the
-// per-block bound stays tight, large enough to amortize the bound's one
-// division over many skipped elements.
-constexpr std::size_t kCandidateBlock = 512;
-
-// Lower bound on every cost in [p0, p1): delta(p) is non-decreasing for
-// ascending dists (kernels.h precondition) and dn(p) <= min(p1, room), so
-// cost(p) = rnd(delta(p) / dn(p)) >= rnd(delta(p0) / min(p1, room)) by
-// monotonicity of correctly-rounded division in both arguments.
-inline double CandidateBlockBound(const double* dists, std::size_t p0,
-                                  std::size_t p1, double reach,
-                                  double max_len, double room_d) {
-  const double d0 = dists[p0];
-  const double delta0 =
-      std::max(std::max(2.0 * d0, d0 + reach), max_len) - max_len;
-  return delta0 / std::min(static_cast<double>(p1), room_d);
-}
-
-// Blocks covering [p0, n) — what a bound-certified break leaves untouched.
-inline std::int64_t BlocksFrom(std::size_t p0, std::size_t n) {
-  return static_cast<std::int64_t>((n - p0 + kCandidateBlock - 1) /
-                                   kCandidateBlock);
-}
-
-CandidateResult BestCandidatePortable(const double* dists, std::size_t n,
-                                      double reach, double max_len,
-                                      std::int32_t room, double cutoff) {
-  const double room_d = static_cast<double>(room);
-  double best_cost = cutoff;
-  double lbmin = kInf;
-  std::int64_t pruned = 0;
-  for (std::size_t p0 = 0; p0 < n; p0 += kCandidateBlock) {
-    const std::size_t p1 = std::min(n, p0 + kCandidateBlock);
-    const double bound =
-        CandidateBlockBound(dists, p0, p1, reach, max_len, room_d);
-    // Every cost in the block is >= its bound, so the running min of the
-    // block bounds certifies CandidateResult::lb over the whole list.
-    lbmin = std::min(lbmin, bound);
-    if (bound >= best_cost) {
-      // No strict improvement possible in this block. Once dn is capped at
-      // room, costs are non-decreasing from here on, so nothing later can
-      // improve either — and for the same reason this block's bound also
-      // lower-bounds the untouched suffix, keeping lbmin certified.
-      if (static_cast<double>(p0) + 1.0 >= room_d) {
-        pruned += BlocksFrom(p0, n);
-        break;
-      }
-      ++pruned;
-      continue;
-    }
-    double blk = kInf;
-#pragma omp simd reduction(min : blk)
-    for (std::size_t p = p0; p < p1; ++p) {
-      const double d = dists[p];
-      const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-      const double dn = std::min(static_cast<double>(p) + 1.0, room_d);
-      blk = std::min(blk, (len - max_len) / dn);
-    }
-    best_cost = std::min(best_cost, blk);
-  }
-  CandidateResult best;
-  best.cost = cutoff;
-  best.blocks_pruned = pruned;
-  best.lb = lbmin;
-  // best_cost == cutoff means no candidate beat the seed (an update is
-  // always a strict decrease), so the rescan would match the cutoff
-  // value itself — return the no-find result instead.
-  if (n == 0 || !(best_cost < cutoff)) return best;
-  // First-index rescan; a block whose bound exceeds best_cost strictly
-  // cannot contain the (exact) match.
-  for (std::size_t p0 = 0; p0 < n; p0 += kCandidateBlock) {
-    const std::size_t p1 = std::min(n, p0 + kCandidateBlock);
-    if (CandidateBlockBound(dists, p0, p1, reach, max_len, room_d) >
-        best_cost) {
-      if (static_cast<double>(p0) + 1.0 >= room_d) break;
-      continue;
-    }
-    for (std::size_t p = p0; p < p1; ++p) {
-      const double d = dists[p];
-      const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-      const double dn = std::min(static_cast<double>(p) + 1.0, room_d);
-      if ((len - max_len) / dn == best_cost) {
-        best.cost = best_cost;
-        best.len = len;
-        best.pos = static_cast<std::int64_t>(p);
-        return best;
-      }
-    }
-  }
-  return best;
-}
-
 void BroadcastAddPortable(double* out, const double* row, double add,
                           std::size_t n) {
 #pragma omp simd
@@ -455,90 +308,6 @@ void GatherPlusPortable(double* out, const double* col,
     const std::size_t c = static_cast<std::size_t>(ids[i]);
     out[i] = access[c] + col[static_cast<std::size_t>(rows[c])];
   }
-}
-
-CandidateResult BestCandidateGatherPortable(
-    const double* col, const std::int32_t* rows, const double* access,
-    const std::int32_t* ids, std::size_t n, double reach, double max_len,
-    std::int32_t room, double cutoff) {
-  const double room_d = static_cast<double>(room);
-  // The per-block stack buffer keeps the gathered block cache-resident for
-  // the vector min pass; pruned blocks are never gathered at all. The
-  // bound only needs the block's first (smallest) distance.
-  alignas(64) double buf[kCandidateBlock];
-  double best_cost = cutoff;
-  double lbmin = kInf;
-  std::int64_t pruned = 0;
-  for (std::size_t p0 = 0; p0 < n; p0 += kCandidateBlock) {
-    const std::size_t p1 = std::min(n, p0 + kCandidateBlock);
-    const double d0 = GatherPlusLane(col, rows, access, ids, p0);
-    const double delta0 =
-        std::max(std::max(2.0 * d0, d0 + reach), max_len) - max_len;
-    const double bound =
-        delta0 / std::min(static_cast<double>(p1), room_d);
-    // See BestCandidatePortable: block bounds certify lb, including over
-    // the suffix a room-capped break leaves untouched.
-    lbmin = std::min(lbmin, bound);
-    if (bound >= best_cost) {
-      if (static_cast<double>(p0) + 1.0 >= room_d) {
-        pruned += BlocksFrom(p0, n);
-        break;
-      }
-      ++pruned;
-      continue;
-    }
-    const std::size_t len_blk = p1 - p0;
-    if (ids != nullptr) {
-      GatherPlusPortable(buf, col, rows, access, ids + p0, len_blk);
-    } else {
-      GatherPlusPortable(buf, col, rows + p0,
-                         access != nullptr ? access + p0 : nullptr, nullptr,
-                         len_blk);
-    }
-    double blk = kInf;
-#pragma omp simd reduction(min : blk)
-    for (std::size_t i = 0; i < len_blk; ++i) {
-      const double d = buf[i];
-      const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-      const double dn =
-          std::min(static_cast<double>(p0 + i) + 1.0, room_d);
-      blk = std::min(blk, (len - max_len) / dn);
-    }
-    best_cost = std::min(best_cost, blk);
-  }
-  CandidateResult best;
-  best.cost = cutoff;
-  best.blocks_pruned = pruned;
-  best.lb = lbmin;
-  // See BestCandidatePortable: best_cost == cutoff means nothing beat
-  // the seeded incumbent.
-  if (n == 0 || !(best_cost < cutoff)) return best;
-  // First-index rescan; a block whose bound exceeds best_cost strictly
-  // cannot contain the (exact) match.
-  for (std::size_t p0 = 0; p0 < n; p0 += kCandidateBlock) {
-    const std::size_t p1 = std::min(n, p0 + kCandidateBlock);
-    const double d0 = GatherPlusLane(col, rows, access, ids, p0);
-    const double delta0 =
-        std::max(std::max(2.0 * d0, d0 + reach), max_len) - max_len;
-    const double bound =
-        delta0 / std::min(static_cast<double>(p1), room_d);
-    if (bound > best_cost) {
-      if (static_cast<double>(p0) + 1.0 >= room_d) break;
-      continue;
-    }
-    for (std::size_t p = p0; p < p1; ++p) {
-      const double d = GatherPlusLane(col, rows, access, ids, p);
-      const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-      const double dn = std::min(static_cast<double>(p) + 1.0, room_d);
-      if ((len - max_len) / dn == best_cost) {
-        best.cost = best_cost;
-        best.len = len;
-        best.pos = static_cast<std::int64_t>(p);
-        return best;
-      }
-    }
-  }
-  return best;
 }
 
 void MinPlusTileUpdatePortable(double* c, std::size_t c_stride,
@@ -683,16 +452,6 @@ double DotProduct(const double* a, const double* b, std::size_t n) {
                       avx2::DotProduct(a, b, n));
 }
 
-CandidateResult BestCandidate(const double* dists, std::size_t n,
-                              double reach, double max_len,
-                              std::int32_t room, double cutoff) {
-  CountScan(8 * n);
-  DIACA_SIMD_DISPATCH(
-      BestCandidateScalar(dists, n, reach, max_len, room, cutoff),
-      BestCandidatePortable(dists, n, reach, max_len, room, cutoff),
-      avx2::BestCandidate(dists, n, reach, max_len, room, cutoff));
-}
-
 void MinPlusTileUpdate(double* c, std::size_t c_stride, const double* a,
                        std::size_t a_stride, const double* b,
                        std::size_t b_stride, std::size_t rows,
@@ -722,22 +481,6 @@ void GatherPlus(double* out, const double* col, const std::int32_t* rows,
                       avx2::GatherPlus(out, col, rows, access, ids, n));
 }
 
-CandidateResult BestCandidateGather(const double* col,
-                                    const std::int32_t* rows,
-                                    const double* access,
-                                    const std::int32_t* ids, std::size_t n,
-                                    double reach, double max_len,
-                                    std::int32_t room, double cutoff) {
-  CountScan(24 * n);
-  DIACA_SIMD_DISPATCH(
-      BestCandidateGatherScalar(col, rows, access, ids, n, reach, max_len,
-                                room, cutoff),
-      BestCandidateGatherPortable(col, rows, access, ids, n, reach, max_len,
-                                  room, cutoff),
-      avx2::BestCandidateGather(col, rows, access, ids, n, reach, max_len,
-                                room, cutoff));
-}
-
 #undef DIACA_SIMD_DISPATCH
 
 void MaxAbsorbScatter(double* far, const std::int32_t* assign,
@@ -757,6 +500,29 @@ void MaxAbsorbScatter(double* far, const std::int32_t* assign,
 
 void RadixSortDistIndex(double* dist, std::int32_t* idx, std::size_t n) {
   if (n < 2) return;
+  // Short runs (greedy refines buckets of ~32 entries) skip the radix
+  // passes' fixed 256-bin cost: a stable insertion sort on the same u64
+  // bit-pattern keys yields the identical order.
+  if (n <= 64) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const double d = dist[i];
+      const std::int32_t v = idx[i];
+      std::uint64_t k;
+      std::memcpy(&k, &d, sizeof(k));
+      std::size_t j = i;
+      for (; j > 0; --j) {
+        std::uint64_t kj;
+        std::memcpy(&kj, &dist[j - 1], sizeof(kj));
+        if (kj <= k) break;
+        dist[j] = dist[j - 1];
+        idx[j] = idx[j - 1];
+      }
+      dist[j] = d;
+      idx[j] = v;
+    }
+    CountScan(16 * n);
+    return;
+  }
   // 16-byte entries keep key and payload on one cache line through the
   // scatter passes. No floating-point arithmetic happens here, so the
   // result is exact on every backend by construction. The ping/pong
@@ -806,153 +572,6 @@ void RadixSortDistIndex(double* dist, std::int32_t* idx, std::size_t n) {
     idx[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(src[i].val));
   }
   CountScan((16 + 16 + 32 * passes_run) * n);
-}
-
-void ArgsortDistIndex(const double* dist, std::int32_t* idx, std::size_t n) {
-  if (n < 2) return;
-  // Two-level sort: a 4-pass LSD radix over the monotone float32
-  // narrowing of each key (8-byte entries — half the traffic and half
-  // the passes of the 64-bit sort above), then an exact fix-up that
-  // re-sorts every run of equal float32 keys by the full double and the
-  // index. double->float is monotone non-decreasing and the radix is
-  // stable, so runs are contiguous and the final order is exactly the
-  // lexicographic (dist, index) order RadixSortDistIndex produces.
-  struct Entry {
-    std::uint32_t key;
-    std::uint32_t val;
-  };
-  thread_local std::vector<Entry> ping;
-  thread_local std::vector<Entry> pong;
-  ping.resize(n);
-  pong.resize(n);
-  std::uint32_t hist[4][256] = {};
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto v = static_cast<std::uint32_t>(idx[i]);
-    const auto f = static_cast<float>(dist[v]);
-    std::uint32_t k;
-    std::memcpy(&k, &f, sizeof(k));
-    ping[i] = {k, v};
-    for (int p = 0; p < 4; ++p) ++hist[p][(k >> (8 * p)) & 0xff];
-  }
-  Entry* src = ping.data();
-  Entry* dst = pong.data();
-  std::size_t passes_run = 0;
-  for (int p = 0; p < 4; ++p) {
-    const std::uint32_t* h = hist[p];
-    if (h[(src[0].key >> (8 * p)) & 0xff] == n) continue;
-    ++passes_run;
-    std::uint32_t offsets[256];
-    std::uint32_t sum = 0;
-    for (int d = 0; d < 256; ++d) {
-      offsets[d] = sum;
-      sum += h[d];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i].key >> (8 * p)) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  std::size_t run = 0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    if (i < n && src[i].key == src[run].key) continue;
-    if (i - run > 1) {
-      std::sort(src + run, src + i, [&](const Entry& a, const Entry& b) {
-        const double da = dist[a.val];
-        const double db = dist[b.val];
-        if (da != db) return da < db;
-        return a.val < b.val;
-      });
-    }
-    run = i;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    idx[i] = static_cast<std::int32_t>(src[i].val);
-  }
-  CountScan((8 + 8 + 16 * passes_run) * n);
-}
-
-void ArgsortGatherDistIndex(const double* col, const std::int32_t* rows,
-                            const double* access, std::int32_t* idx,
-                            std::size_t n) {
-  if (n == 0) return;
-  if (n == 1) {
-    idx[0] = 0;
-    return;
-  }
-  // Pass A: gather each key once (col is node-indexed and substrate-sized,
-  // so the random reads stay cache-resident) and record the exact range.
-  // The gathered doubles park in a client-indexed scratch so the later
-  // passes and the tie fix-up never re-walk the indirection chain.
-  thread_local std::vector<double> dvals;
-  dvals.resize(n);
-  if (access != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      dvals[i] = access[i] + col[static_cast<std::size_t>(rows[i])];
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      dvals[i] = col[static_cast<std::size_t>(rows[i])];
-    }
-  }
-  // Same two-level scheme as ArgsortDistIndex: a 4-pass LSD radix over
-  // the monotone float32 narrowing of each key (nonnegative distances,
-  // so the raw float bits sort ascending as unsigned), then an exact
-  // fix-up re-sorting each run of equal float32 keys by (double, index).
-  // The 256-bin passes keep the scatter's write streams cache-resident,
-  // which a coarser quantized key with wider histograms does not.
-  struct Entry {
-    std::uint32_t key;
-    std::uint32_t val;
-  };
-  thread_local std::vector<Entry> ping;
-  thread_local std::vector<Entry> pong;
-  ping.resize(n);
-  pong.resize(n);
-  std::uint32_t hist[4][256] = {};
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto f = static_cast<float>(dvals[i]);
-    std::uint32_t k;
-    std::memcpy(&k, &f, sizeof(k));
-    ping[i] = {k, static_cast<std::uint32_t>(i)};
-    for (int p = 0; p < 4; ++p) ++hist[p][(k >> (8 * p)) & 0xff];
-  }
-  Entry* src = ping.data();
-  Entry* dst = pong.data();
-  std::size_t passes_run = 0;
-  for (int p = 0; p < 4; ++p) {
-    const std::uint32_t* h = hist[p];
-    if (h[(src[0].key >> (8 * p)) & 0xff] == n) continue;  // identity pass
-    ++passes_run;
-    std::uint32_t offsets[256];
-    std::uint32_t sum = 0;
-    for (int d = 0; d < 256; ++d) {
-      offsets[d] = sum;
-      sum += h[d];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i].key >> (8 * p)) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  // Exact fix-up: the radix is stable and vals entered ascending, so an
-  // equal-key run only needs re-sorting when its doubles actually differ.
-  std::size_t run = 0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    if (i < n && src[i].key == src[run].key) continue;
-    if (i - run > 1) {
-      std::sort(src + run, src + i, [&](const Entry& a, const Entry& b) {
-        const double da = dvals[a.val];
-        const double db = dvals[b.val];
-        if (da != db) return da < db;
-        return a.val < b.val;
-      });
-    }
-    run = i;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    idx[i] = static_cast<std::int32_t>(src[i].val);
-  }
-  CountScan((16 + 8 + 16 * passes_run) * n);
 }
 
 }  // namespace diaca::simd

@@ -1,5 +1,5 @@
 // Vectorized max-plus / min-plus distance kernels for the assignment hot
-// paths (greedy candidate scan, server reach, eccentricity folds, pairwise
+// paths (greedy reach cache and bucket sort, eccentricity folds, pairwise
 // lower bound, mean-path pair sum).
 //
 // Determinism contract: every kernel computes a FIXED re-association of
@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "common/simd/simd.h"
 
@@ -35,30 +34,6 @@ namespace diaca::simd {
 struct ArgResult {
   double value = 0.0;
   std::int64_t index = -1;
-};
-
-/// Result of the fused greedy candidate scan (see BestCandidate).
-struct CandidateResult {
-  double cost = 0.0;  // == the caller's cutoff when pos == -1
-  double len = 0.0;
-  std::int64_t pos = -1;
-  /// 512-entry candidate blocks the bound certified-skipped without
-  /// touching (gathering) their lanes. Advisory telemetry for the
-  /// filter-and-refine counters: the scalar reference backend scans
-  /// element-wise and always reports 0, so unlike cost/len/pos this field
-  /// is NOT part of the cross-backend determinism contract.
-  std::int64_t blocks_pruned = 0;
-  /// Certified lower bound on the exact minimum cost over ALL n lanes,
-  /// independent of the cutoff: the min over every block's bound (each
-  /// bound is <= every cost in its block — the same fl-monotonicity
-  /// argument the pruning relies on; the scalar reference reports the
-  /// exact minimum itself). On a miss this can sit far ABOVE the cutoff
-  /// — e.g. a server nowhere near the incumbent — and callers may
-  /// memoize it to skip future scans entirely. Like blocks_pruned, its
-  /// VALUE is backend-dependent (tightness varies); only its soundness
-  /// is contractual, so it must never feed the solution itself, only
-  /// control-flow that is already order-independent.
-  double lb = 0.0;
 };
 
 /// max over i in [0, n) with far[i] >= 0 of (base + row[i]) + far[i];
@@ -100,35 +75,6 @@ ArgResult ArgMaxPlusFirst(const double* row, const double* far, std::size_t n,
 /// Identical pattern in every backend. Feeds MeanInteractionPathLength.
 double DotProduct(const double* a, const double* b, std::size_t n);
 
-/// Fused greedy candidate scan over a server's compacted, ascending,
-/// contiguous distance list (core::GreedyAssign). For each position p:
-///   len(p)  = max(max(2*d[p], d[p] + reach), max_len)
-///   cost(p) = (len(p) - max_len) / min(p + 1, room)
-/// Returns the first position minimizing cost (serial ascending scan with
-/// strict <), its cost and len. Pass reach = -infinity to drop the reach
-/// term (first round: no server used yet). room >= 1.
-///
-/// `cutoff` seeds the scan's incumbent: only candidates with
-/// cost < cutoff compete, and pos == -1 (cost == cutoff, len == 0) means
-/// no candidate beat it. When pos >= 0 the result is exactly the
-/// first-position minimum of the full list — bit-identical at every
-/// cutoff that the winner beats — because the seed only removes
-/// never-winning candidates. A caller holding a cross-server incumbent
-/// passes it here so the block pruning below fires from the FIRST block
-/// instead of only after the scan's own incumbent has tightened; the
-/// default +infinity cutoff is the original scan-everything behavior.
-///
-/// The ascending order is a real precondition, not just a hint: the
-/// vectorized backends prune whole blocks via the bound
-/// cost(p) >= rnd(delta(p0) / dn_max) — valid because delta(p) is
-/// non-decreasing in p for sorted dists and correctly-rounded division is
-/// monotone in both arguments, so skipped blocks provably contain no
-/// strict improvement (and in the first-index rescan, no exact match).
-CandidateResult BestCandidate(
-    const double* dists, std::size_t n, double reach, double max_len,
-    std::int32_t room,
-    double cutoff = std::numeric_limits<double>::infinity());
-
 /// Broadcast-add, the tile-synthesis kernel of core::OracleTileView:
 /// out[i] = add + row[i] for i in [0, n) — one attached-node server row
 /// streamed with the client's access delay broadcast across the lanes.
@@ -146,23 +92,6 @@ void BroadcastAdd(double* out, const double* row, double add, std::size_t n);
 /// backends are bit-identical.
 void GatherPlus(double* out, const double* col, const std::int32_t* rows,
                 const double* access, const std::int32_t* ids, std::size_t n);
-
-/// BestCandidate fused with the oracle-view gather: bit-identical to
-/// gathering d[i] = access[ids[i]] + col[rows[ids[i]]] (null access: the
-/// raw col leg) into a contiguous array and calling
-/// BestCandidate(d, n, reach, max_len, room, cutoff), but the vector
-/// backends materialize at most one 512-entry block at a time on the
-/// stack (cache-resident) and skip the gathers entirely for blocks the
-/// bound prunes — the candidate list is reduced while hot instead of
-/// being written to a |survivors| scratch and re-read. With a finite
-/// cutoff a losing server's scan touches only one gathered lane per
-/// block (the bound lane). Precondition: the gathered distances ascend
-/// (ids is a distance-sorted candidate list).
-CandidateResult BestCandidateGather(
-    const double* col, const std::int32_t* rows, const double* access,
-    const std::int32_t* ids, std::size_t n, double reach, double max_len,
-    std::int32_t room,
-    double cutoff = std::numeric_limits<double>::infinity());
 
 /// Blocked min-plus (tropical) tile update, the inner kernel of the
 /// cache-blocked Floyd–Warshall engine (net::ApspEngine):
@@ -199,39 +128,10 @@ void MaxAbsorbScatter(double* far, const std::int32_t* assign,
 /// (distance, index) order std::sort would produce when idx arrives
 /// ascending. LSD radix passes over the IEEE bit patterns (exact: for
 /// non-negative finite doubles the u64 bit order IS the numeric order),
-/// with single-digit passes skipped — the greedy preprocessing sort, where
-/// comparison sorting dominated the solve. Precondition: every dist[i] is
+/// with single-digit passes skipped; runs of at most 64 entries use a
+/// stable insertion sort on the same keys instead — greedy's bucket
+/// refinement sort. Precondition: every dist[i] is
 /// a non-negative finite double (the latency-matrix invariant).
 void RadixSortDistIndex(double* dist, std::int32_t* idx, std::size_t n);
-
-/// Argsort companion to RadixSortDistIndex: permutes idx so that
-/// (dist[idx[i]], idx[i]) ascends lexicographically, leaving dist
-/// untouched — for callers (the streamed greedy path) that only need the
-/// order, not the sorted copies. Internally a 4-pass radix over the
-/// monotone float32 narrowing of each key plus an exact double fix-up on
-/// equal-float runs, so the resulting order is bit-for-bit the one
-/// RadixSortDistIndex would produce on the gathered distances — at about
-/// a third of the memory traffic. Preconditions: dist entries indexed by
-/// idx are non-negative finite doubles, and idx arrives ascending within
-/// equal distances (e.g. the identity permutation).
-void ArgsortDistIndex(const double* dist, std::int32_t* idx, std::size_t n);
-
-/// Fused gather + argsort for the streamed greedy preprocessing: writes
-/// into idx the permutation of [0, n) that sorts the oracle-view column
-///   d(i) = access[i] + col[rows[i]]     (null access: the raw col leg)
-/// ascending, ties by index — bit-for-bit the order ArgsortDistIndex
-/// produces on the gathered column, without ever materializing it. idx is
-/// output-only (no identity pre-fill needed). Internally a 2-pass 11-bit
-/// LSD radix over a monotone quantization of each key — the quantization
-/// scale is derived from the column's exact min/max, so the mapping (a
-/// correctly-rounded subtract + multiply of non-negative finite doubles)
-/// is monotone non-decreasing and ties are repaired by an exact
-/// (double, index) re-sort of equal-key runs. Integer permutation work
-/// plus monotone key maps only: one implementation, every backend and
-/// thread count bit-identical. Preconditions: gathered distances are
-/// non-negative finite doubles (the latency-matrix invariant).
-void ArgsortGatherDistIndex(const double* col, const std::int32_t* rows,
-                            const double* access, std::int32_t* idx,
-                            std::size_t n);
 
 }  // namespace diaca::simd

@@ -186,118 +186,6 @@ double DotProduct(const double* a, const double* b, std::size_t n) {
 
 namespace {
 
-// Block size of the pruned BestCandidate scans; matches the portable
-// backend (the pruning decisions are value-identical either way, the
-// shared size just keeps the two paths easy to reason about together).
-constexpr std::size_t kCandidateBlock = 512;
-
-// Lower bound on every cost in [p0, p1) — see CandidateBlockBound in
-// kernels.cc: delta is non-decreasing over an ascending distance list and
-// correctly-rounded division is monotone in both arguments.
-inline double BlockBound(const double* dists, std::size_t p0, std::size_t p1,
-                         double reach, double max_len, double room_d) {
-  const double d0 = dists[p0];
-  const double delta0 =
-      std::max(std::max(2.0 * d0, d0 + reach), max_len) - max_len;
-  return delta0 / std::min(static_cast<double>(p1), room_d);
-}
-
-// Blocks covering [p0, n) — what a bound-certified break leaves untouched.
-inline std::int64_t BlocksFrom(std::size_t p0, std::size_t n) {
-  return static_cast<std::int64_t>((n - p0 + kCandidateBlock - 1) /
-                                   kCandidateBlock);
-}
-
-}  // namespace
-
-CandidateResult BestCandidate(const double* dists, std::size_t n,
-                              double reach, double max_len,
-                              std::int32_t room, double cutoff) {
-  const double room_d = static_cast<double>(room);
-  const __m256d vreach = _mm256_set1_pd(reach);
-  const __m256d vmax_len = _mm256_set1_pd(max_len);
-  const __m256d vroom = _mm256_set1_pd(room_d);
-  const __m256d vtwo = _mm256_set1_pd(2.0);
-  const __m256d vfour = _mm256_set1_pd(4.0);
-  const __m256d vlane1 = _mm256_set_pd(4.0, 3.0, 2.0, 1.0);
-  double best_cost = cutoff;
-  double lbmin = kInf;
-  std::int64_t pruned = 0;
-  for (std::size_t p0 = 0; p0 < n; p0 += kCandidateBlock) {
-    const std::size_t p1 = std::min(n, p0 + kCandidateBlock);
-    const double bound = BlockBound(dists, p0, p1, reach, max_len, room_d);
-    // Every cost in the block is >= its bound, so the running min of the
-    // block bounds certifies CandidateResult::lb (a room-capped break's
-    // untouched suffix is covered by the same monotonicity).
-    lbmin = std::min(lbmin, bound);
-    if (bound >= best_cost) {
-      // Nothing in this block can strictly improve; once dn is capped at
-      // room, costs are non-decreasing, so later blocks cannot either.
-      if (static_cast<double>(p0) + 1.0 >= room_d) {
-        pruned += BlocksFrom(p0, n);
-        break;
-      }
-      ++pruned;
-      continue;
-    }
-    // dn lanes start at p + 1 = [p0+1, p0+2, p0+3, p0+4] (exact integer
-    // adds in double).
-    __m256d vpos1 =
-        _mm256_add_pd(vlane1, _mm256_set1_pd(static_cast<double>(p0)));
-    __m256d vbest = _mm256_set1_pd(kInf);
-    std::size_t p = p0;
-    for (; p + 4 <= p1; p += 4) {
-      const __m256d d = _mm256_loadu_pd(dists + p);
-      const __m256d len = _mm256_max_pd(
-          _mm256_max_pd(_mm256_mul_pd(vtwo, d), _mm256_add_pd(d, vreach)),
-          vmax_len);
-      const __m256d dn = _mm256_min_pd(vpos1, vroom);
-      const __m256d cost = _mm256_div_pd(_mm256_sub_pd(len, vmax_len), dn);
-      vbest = _mm256_min_pd(vbest, cost);
-      vpos1 = _mm256_add_pd(vpos1, vfour);
-    }
-    double blk = HorizontalMin(vbest);
-    for (; p < p1; ++p) {
-      const double d = dists[p];
-      const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-      const double dn = std::min(static_cast<double>(p) + 1.0, room_d);
-      blk = std::min(blk, (len - max_len) / dn);
-    }
-    best_cost = std::min(best_cost, blk);
-  }
-  CandidateResult best;
-  best.cost = cutoff;
-  best.blocks_pruned = pruned;
-  best.lb = lbmin;
-  // best_cost == cutoff means no candidate beat the seeded incumbent
-  // (updates are strict decreases) — return the no-find result.
-  if (n == 0 || !(best_cost < cutoff)) return best;
-  // First-index rescan: the serial-divide pass that used to dominate this
-  // kernel; a block whose bound strictly exceeds best_cost cannot contain
-  // the match, so almost all of it is skipped.
-  for (std::size_t p0 = 0; p0 < n; p0 += kCandidateBlock) {
-    const std::size_t p1 = std::min(n, p0 + kCandidateBlock);
-    if (BlockBound(dists, p0, p1, reach, max_len, room_d) > best_cost) {
-      if (static_cast<double>(p0) + 1.0 >= room_d) break;
-      continue;
-    }
-    for (std::size_t p = p0; p < p1; ++p) {
-      const double d = dists[p];
-      const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-      const double dn = std::min(static_cast<double>(p) + 1.0, room_d);
-      if ((len - max_len) / dn == best_cost) {
-        best.cost = best_cost;
-        best.len = len;
-        best.pos = static_cast<std::int64_t>(p);
-        return best;
-      }
-    }
-  }
-  return best;
-}
-
-namespace {
-
 // One (k, i) row of the min-plus tile update: crow[j] = min(crow[j],
 // aik + brow[j]). Elementwise, so crow == brow (the i == k row of an
 // aliased tile) is safe. The +inf skip is value-preserving for the
@@ -445,129 +333,6 @@ void GatherPlus(double* out, const double* col, const std::int32_t* rows,
     const std::size_t c = static_cast<std::size_t>(ids[i]);
     out[i] = access[c] + col[static_cast<std::size_t>(rows[c])];
   }
-}
-
-namespace {
-
-// One gathered lane of the candidate chain (see kernels.h GatherPlus);
-// identical expression to the scalar reference.
-inline double GatherLane(const double* col, const std::int32_t* rows,
-                         const double* access, const std::int32_t* ids,
-                         std::size_t i) {
-  const std::size_t c =
-      ids != nullptr ? static_cast<std::size_t>(ids[i]) : i;
-  const double leg = col[static_cast<std::size_t>(rows[c])];
-  return access != nullptr ? access[c] + leg : leg;
-}
-
-// Lanes [p0, p0 + len) of the gathered candidate list into buf.
-inline void GatherBlock(double* buf, const double* col,
-                        const std::int32_t* rows, const double* access,
-                        const std::int32_t* ids, std::size_t p0,
-                        std::size_t len) {
-  if (ids != nullptr) {
-    GatherPlus(buf, col, rows, access, ids + p0, len);
-  } else {
-    GatherPlus(buf, col, rows + p0,
-               access != nullptr ? access + p0 : nullptr, nullptr, len);
-  }
-}
-
-}  // namespace
-
-CandidateResult BestCandidateGather(const double* col,
-                                    const std::int32_t* rows,
-                                    const double* access,
-                                    const std::int32_t* ids, std::size_t n,
-                                    double reach, double max_len,
-                                    std::int32_t room, double cutoff) {
-  const double room_d = static_cast<double>(room);
-  const __m256d vreach = _mm256_set1_pd(reach);
-  const __m256d vmax_len = _mm256_set1_pd(max_len);
-  const __m256d vroom = _mm256_set1_pd(room_d);
-  const __m256d vtwo = _mm256_set1_pd(2.0);
-  const __m256d vfour = _mm256_set1_pd(4.0);
-  const __m256d vlane1 = _mm256_set_pd(4.0, 3.0, 2.0, 1.0);
-  // One cache-resident block of gathered distances at a time; pruned
-  // blocks never gather at all (the bound needs only the first lane).
-  alignas(64) double buf[kCandidateBlock];
-  double best_cost = cutoff;
-  double lbmin = kInf;
-  std::int64_t pruned = 0;
-  for (std::size_t p0 = 0; p0 < n; p0 += kCandidateBlock) {
-    const std::size_t p1 = std::min(n, p0 + kCandidateBlock);
-    const double d0 = GatherLane(col, rows, access, ids, p0);
-    const double delta0 =
-        std::max(std::max(2.0 * d0, d0 + reach), max_len) - max_len;
-    const double bound = delta0 / std::min(static_cast<double>(p1), room_d);
-    // See BestCandidate above: block bounds certify lb, including the
-    // suffix a room-capped break leaves untouched.
-    lbmin = std::min(lbmin, bound);
-    if (bound >= best_cost) {
-      if (static_cast<double>(p0) + 1.0 >= room_d) {
-        pruned += BlocksFrom(p0, n);
-        break;
-      }
-      ++pruned;
-      continue;
-    }
-    const std::size_t len_blk = p1 - p0;
-    GatherBlock(buf, col, rows, access, ids, p0, len_blk);
-    __m256d vpos1 =
-        _mm256_add_pd(vlane1, _mm256_set1_pd(static_cast<double>(p0)));
-    __m256d vbest = _mm256_set1_pd(kInf);
-    std::size_t i = 0;
-    for (; i + 4 <= len_blk; i += 4) {
-      const __m256d d = _mm256_loadu_pd(buf + i);
-      const __m256d len = _mm256_max_pd(
-          _mm256_max_pd(_mm256_mul_pd(vtwo, d), _mm256_add_pd(d, vreach)),
-          vmax_len);
-      const __m256d dn = _mm256_min_pd(vpos1, vroom);
-      const __m256d cost = _mm256_div_pd(_mm256_sub_pd(len, vmax_len), dn);
-      vbest = _mm256_min_pd(vbest, cost);
-      vpos1 = _mm256_add_pd(vpos1, vfour);
-    }
-    double blk = HorizontalMin(vbest);
-    for (; i < len_blk; ++i) {
-      const double d = buf[i];
-      const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-      const double dn =
-          std::min(static_cast<double>(p0 + i) + 1.0, room_d);
-      blk = std::min(blk, (len - max_len) / dn);
-    }
-    best_cost = std::min(best_cost, blk);
-  }
-  CandidateResult best;
-  best.cost = cutoff;
-  best.blocks_pruned = pruned;
-  best.lb = lbmin;
-  // best_cost == cutoff means no candidate beat the seeded incumbent
-  // (updates are strict decreases) — return the no-find result.
-  if (n == 0 || !(best_cost < cutoff)) return best;
-  // First-index rescan; scalar gathers, but almost every block's bound
-  // strictly exceeds best_cost and is skipped after its first lane.
-  for (std::size_t p0 = 0; p0 < n; p0 += kCandidateBlock) {
-    const std::size_t p1 = std::min(n, p0 + kCandidateBlock);
-    const double d0 = GatherLane(col, rows, access, ids, p0);
-    const double delta0 =
-        std::max(std::max(2.0 * d0, d0 + reach), max_len) - max_len;
-    if (delta0 / std::min(static_cast<double>(p1), room_d) > best_cost) {
-      if (static_cast<double>(p0) + 1.0 >= room_d) break;
-      continue;
-    }
-    for (std::size_t p = p0; p < p1; ++p) {
-      const double d = GatherLane(col, rows, access, ids, p);
-      const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-      const double dn = std::min(static_cast<double>(p) + 1.0, room_d);
-      if ((len - max_len) / dn == best_cost) {
-        best.cost = best_cost;
-        best.len = len;
-        best.pos = static_cast<std::int64_t>(p);
-        return best;
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace diaca::simd::avx2

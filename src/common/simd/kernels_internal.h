@@ -22,9 +22,6 @@ ArgResult ArgMinPlusFirst(const double* a, const double* b, std::size_t n);
 ArgResult ArgMaxPlusFirst(const double* row, const double* far, std::size_t n,
                           double base);
 double DotProduct(const double* a, const double* b, std::size_t n);
-CandidateResult BestCandidate(const double* dists, std::size_t n,
-                              double reach, double max_len,
-                              std::int32_t room, double cutoff);
 void MinPlusTileUpdate(double* c, std::size_t c_stride, const double* a,
                        std::size_t a_stride, const double* b,
                        std::size_t b_stride, std::size_t rows,
@@ -32,11 +29,5 @@ void MinPlusTileUpdate(double* c, std::size_t c_stride, const double* a,
 void BroadcastAdd(double* out, const double* row, double add, std::size_t n);
 void GatherPlus(double* out, const double* col, const std::int32_t* rows,
                 const double* access, const std::int32_t* ids, std::size_t n);
-CandidateResult BestCandidateGather(const double* col,
-                                    const std::int32_t* rows,
-                                    const double* access,
-                                    const std::int32_t* ids, std::size_t n,
-                                    double reach, double max_len,
-                                    std::int32_t room, double cutoff);
 
 }  // namespace diaca::simd::avx2

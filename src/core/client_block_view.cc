@@ -65,27 +65,40 @@ void ClientBlockView::FillColumn(ServerIndex s, double* out) const {
   columns_gathered_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ClientBlockView::SortColumnIds(ServerIndex s, ClientIndex* ids) const {
-  SortColumnIdsSlow(s, ids);
-  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ClientBlockView::SortColumnIdsSlow(ServerIndex s,
-                                        ClientIndex* ids) const {
-  thread_local std::vector<double> scratch;
-  scratch.resize(static_cast<std::size_t>(num_clients_));
-  if (raw_block_ != nullptr) {
-    const double* p = raw_block_ + static_cast<std::size_t>(s);
-    for (std::int32_t c = 0; c < num_clients_; ++c) {
-      scratch[static_cast<std::size_t>(c)] =
-          p[static_cast<std::size_t>(c) * server_stride_];
+void ClientBlockView::ForEachColumn(
+    const std::function<void(ServerIndex, const double*)>& fn) const {
+  const auto n = static_cast<std::size_t>(num_clients_);
+  // Servers per task: one cache line of every resident row (a column
+  // group starting at a multiple of kPadWidth never crosses the padded
+  // stride), or a single column synthesized by the lazy backend.
+  const std::int32_t width =
+      raw_block_ != nullptr ? static_cast<std::int32_t>(simd::kPadWidth) : 1;
+  const std::int64_t groups = (num_servers_ + width - 1) / width;
+  GlobalPool().ParallelFor(0, groups, 1, [&](std::int64_t gb,
+                                             std::int64_t ge) {
+    thread_local std::vector<double> cols;
+    cols.resize(static_cast<std::size_t>(width) * n);
+    for (std::int64_t g = gb; g < ge; ++g) {
+      const auto s0 = static_cast<ServerIndex>(g * width);
+      const ServerIndex s1 = std::min(num_servers_, s0 + width);
+      if (raw_block_ != nullptr) {
+        // Transpose one 64-byte line per row; pad lanes land in columns
+        // nobody reads.
+        const double* row = raw_block_ + static_cast<std::size_t>(s0);
+        for (std::size_t c = 0; c < n; ++c, row += server_stride_) {
+          for (std::size_t j = 0; j < simd::kPadWidth; ++j) {
+            cols[j * n + c] = row[j];
+          }
+        }
+      } else {
+        FillColumnSlow(s0, cols.data());
+      }
+      columns_gathered_.fetch_add(s1 - s0, std::memory_order_relaxed);
+      for (ServerIndex s = s0; s < s1; ++s) {
+        fn(s, cols.data() + static_cast<std::size_t>(s - s0) * n);
+      }
     }
-  } else {
-    FillColumnSlow(s, scratch.data());
-  }
-  for (std::int32_t c = 0; c < num_clients_; ++c) ids[c] = c;
-  simd::ArgsortDistIndex(scratch.data(), ids,
-                         static_cast<std::size_t>(num_clients_));
+  });
 }
 
 void ClientBlockView::BumpTileBytesPeak(std::int64_t live_bytes) const {
@@ -226,47 +239,6 @@ void ClientBlockView::ForEachTile(
     }
     live.fetch_sub(tile_bytes, std::memory_order_relaxed);
   });
-}
-
-simd::CandidateResult ClientBlockView::ScanCandidates(
-    ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-    double max_len, std::int32_t room, double cutoff) const {
-  // Pruning off: drop the caller's incumbent seed so the scan does the
-  // full exact work (the kernel's own certified tightening remains — that
-  // is baseline behavior, not the filter layer).
-  if (!tile_.bound_pruning) cutoff = std::numeric_limits<double>::infinity();
-  simd::CandidateResult r;
-  if (raw_block_ != nullptr) {
-    thread_local std::vector<double> scratch;
-    scratch.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      scratch[i] =
-          raw_block_[static_cast<std::size_t>(ids[i]) * server_stride_ +
-                     static_cast<std::size_t>(s)];
-    }
-    r = simd::BestCandidate(scratch.data(), count, reach, max_len, room,
-                            cutoff);
-  } else {
-    r = ScanCandidatesSlow(s, ids, count, reach, max_len, room, cutoff);
-    // Blocks the bound rejected were never gathered — synthesis avoided.
-    // Materialized scans avoid nothing (data is resident), so only lazy
-    // backends count.
-    if (tile_.bound_pruning && r.blocks_pruned > 0) {
-      tiles_pruned_.fetch_add(r.blocks_pruned, std::memory_order_relaxed);
-    }
-  }
-  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
-  return r;
-}
-
-simd::CandidateResult ClientBlockView::ScanCandidatesSlow(
-    ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-    double max_len, std::int32_t room, double cutoff) const {
-  thread_local std::vector<double> scratch;
-  scratch.resize(count);
-  GatherColumnSlow(s, ids, count, scratch.data());
-  return simd::BestCandidate(scratch.data(), count, reach, max_len, room,
-                             cutoff);
 }
 
 void ClientBlockView::CountPrunedTiles(std::int64_t n) const {
@@ -684,18 +656,6 @@ void OracleTileView::FillColumnSlow(ServerIndex s, double* out) const {
                    static_cast<std::size_t>(num_clients_));
 }
 
-simd::CandidateResult OracleTileView::ScanCandidatesSlow(
-    ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-    double max_len, std::int32_t room, double cutoff) const {
-  // Fused gather + pruned scan: candidate blocks the bound rejects are
-  // never even gathered (see simd::BestCandidateGather).
-  return simd::BestCandidateGather(
-      server_cols_.data() +
-          static_cast<std::size_t>(s) * static_cast<std::size_t>(num_rows_),
-      base_row_.data(), access_.empty() ? nullptr : access_.data(), ids,
-      count, reach, max_len, room, cutoff);
-}
-
 void OracleTileView::FillTileSlow(ClientIndex begin, ClientIndex end,
                                   double* out) const {
   for (ClientIndex c = begin; c < end; ++c) {
@@ -795,14 +755,6 @@ void OracleTileView::FoldAssignedMaxSlow(const ServerIndex* assign,
     }
   }
   if (pruned > 0) CountPrunedTiles(pruned);
-}
-
-void OracleTileView::SortColumnIdsSlow(ServerIndex s, ClientIndex* ids) const {
-  simd::ArgsortGatherDistIndex(
-      server_cols_.data() +
-          static_cast<std::size_t>(s) * static_cast<std::size_t>(num_rows_),
-      base_row_.data(), access_.empty() ? nullptr : access_.data(), ids,
-      static_cast<std::size_t>(num_clients_));
 }
 
 void OracleTileView::BuildNearestIndex() const {

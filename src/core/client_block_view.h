@@ -12,9 +12,9 @@
 //                              heuristic is built from);
 //   * cs(c, s) / FillRow(c)  — random access for spot lookups and
 //                              row-at-a-time consumers;
-//   * GatherColumn / FillColumn — column access for the server-major
-//                              passes (greedy candidate lists, LFB batch
-//                              scans).
+//   * GatherColumn / FillColumn / ForEachColumn — column access for the
+//                              server-major passes (greedy candidate
+//                              lists, LFB batch scans).
 //
 // Two backends implement it:
 //
@@ -86,14 +86,13 @@ struct ClientBlockStats {
   /// High-water bytes of live tile-pool buffers across all traversals
   /// (0 on MaterializedView). The memory the tiling actually costs.
   std::int64_t tile_bytes_peak = 0;
-  /// Synthesis units a certified bound skipped without touching their
-  /// exact values: whole tiles rejected by a ForEachTileBounded /
-  /// FoldAssignedMax predicate plus 512-entry candidate blocks the
-  /// cutoff-seeded ScanCandidates never gathered. Always 0 on
-  /// MaterializedView (its data is resident — nothing is avoided) and
-  /// under the scalar SIMD backend (which scans element-wise); unlike the
-  /// solver outputs this counter is telemetry, not part of the
-  /// bit-determinism contract.
+  /// Work units a certified bound skipped without touching their exact
+  /// values: whole tiles rejected by a ForEachTileBounded /
+  /// FoldAssignedMax predicate (lazy backends only — a resident block
+  /// has nothing to synthesize) plus 512-entry candidate blocks the
+  /// greedy scans retired without gathering (every backend, credited
+  /// through CountPrunedTiles). Unlike the solver outputs this counter is
+  /// telemetry, not part of the bit-determinism contract.
   std::int64_t tiles_pruned = 0;
 };
 
@@ -182,12 +181,17 @@ class ClientBlockView {
   /// batch collection.
   void FillColumn(ServerIndex s, double* out) const;
 
-  /// Writes into ids[0..num_clients()) the permutation of all clients
-  /// sorted ascending by (cs(c, s), c) — bit-for-bit the order
-  /// simd::RadixSortDistIndex produces on the full column, but lazy
-  /// backends fuse the gather into the sort (simd::ArgsortGatherDistIndex)
-  /// and never materialize the column. The greedy preprocessing order.
-  void SortColumnIds(ServerIndex s, ClientIndex* ids) const;
+  /// Hand every column to fn(s, col) exactly once, with col[c] = cs(c, s)
+  /// for every client (valid only during fn) — the server-major pass of
+  /// the greedy preprocessing. Columns fan out across the global pool,
+  /// so fn runs CONCURRENTLY for distinct servers and must only write
+  /// per-server state. The view picks the traversal its layout favors: a
+  /// resident block fills simd::kPadWidth columns (one cache line of
+  /// every row) per row-major pass instead of striding the whole block
+  /// once per server; lazy backends fill one column at a time into a
+  /// single per-thread buffer. Either way the doubles are FillColumn's.
+  void ForEachColumn(
+      const std::function<void(ServerIndex, const double*)>& fn) const;
 
   /// Visit ascending, disjoint tiles covering every client exactly once.
   /// MaterializedView emits one zero-copy tile; lazy backends synthesize
@@ -268,20 +272,6 @@ class ClientBlockView {
   /// O(n x |S| + |C|) work.
   void FillNearest(ServerIndex* server_out, double* dist_out) const;
 
-  /// Fused greedy candidate scan over ids[0..count) — bit-identical to
-  /// GatherColumn into a scratch array followed by simd::BestCandidate,
-  /// but lazy backends reduce the candidate distances while they are
-  /// cache-resident (OracleTileView prunes whole 512-entry blocks before
-  /// gathering them at all). `cutoff` seeds the kernel's incumbent (see
-  /// simd::BestCandidate): callers holding a cross-server incumbent pass
-  /// it so losing scans prune from the first block. Precondition: the ids
-  /// are sorted so their distances to s ascend (the greedy preprocessing
-  /// order).
-  simd::CandidateResult ScanCandidates(
-      ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-      double max_len, std::int32_t room,
-      double cutoff = std::numeric_limits<double>::infinity()) const;
-
   /// The full padded block as a fresh vector (|C| rows of
   /// server_stride()). The escape hatch for consumers that genuinely need
   /// random row access over the whole block (the exact solver's
@@ -291,11 +281,11 @@ class ClientBlockView {
 
   ClientBlockStats stats() const;
 
-  /// Credit `n` 512-entry candidate blocks as pruned-without-synthesis.
-  /// Solvers call this when a certified bound retires a whole would-be
-  /// exact scan before any kernel ran (the greedy dense filter): the
-  /// scan's blocks never existed, so only the caller knows how many were
-  /// avoided. Telemetry only — feeds ClientBlockStats::tiles_pruned.
+  /// Credit `n` 512-entry candidate blocks as pruned. Solvers call this
+  /// when a certified bound retires candidate lanes before they are
+  /// gathered (greedy's bucket scans): the lanes were never requested, so
+  /// only the caller knows how many were avoided. Telemetry only — feeds
+  /// ClientBlockStats::tiles_pruned.
   void CountPrunedTiles(std::int64_t n) const;
 
  protected:
@@ -313,13 +303,6 @@ class ClientBlockView {
   /// pads included).
   virtual void FillTileSlow(ClientIndex begin, ClientIndex end,
                             double* out) const = 0;
-  /// Candidate scan without a resident block. The default gathers through
-  /// GatherColumnSlow into a thread-local scratch and runs BestCandidate;
-  /// backends with structure to exploit (OracleTileView) override with a
-  /// fused kernel. Must return bits identical to the default.
-  virtual simd::CandidateResult ScanCandidatesSlow(
-      ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-      double max_len, std::int32_t room, double cutoff) const;
   /// Column aggregate without backend structure: one FillColumn pass.
   virtual ColumnAggregate ColumnBoundsSlow(ServerIndex s) const;
   /// Exact access-delay range of logical tile t; the default (no access
@@ -335,8 +318,6 @@ class ClientBlockView {
   /// Nearest-server scan; default is FillRow + simd::ArgMinFirst per row.
   virtual void FillNearestSlow(ServerIndex* server_out,
                                double* dist_out) const;
-  /// Sorted-column permutation; default is FillColumn + ArgsortDistIndex.
-  virtual void SortColumnIdsSlow(ServerIndex s, ClientIndex* ids) const;
 
   bool bound_pruning() const { return tile_.bound_pruning; }
 
@@ -418,9 +399,6 @@ class OracleTileView final : public ClientBlockView {
   void FillColumnSlow(ServerIndex s, double* out) const override;
   void FillTileSlow(ClientIndex begin, ClientIndex end,
                     double* out) const override;
-  simd::CandidateResult ScanCandidatesSlow(
-      ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-      double max_len, std::int32_t room, double cutoff) const override;
   ColumnAggregate ColumnBoundsSlow(ServerIndex s) const override;
   void TileAccessRange(std::size_t t, double* lo, double* hi) const override;
   void GatherAssignedSlow(const ServerIndex* assign,
@@ -429,7 +407,6 @@ class OracleTileView final : public ClientBlockView {
                            double* far) const override;
   void FillNearestSlow(ServerIndex* server_out,
                        double* dist_out) const override;
-  void SortColumnIdsSlow(ServerIndex s, ClientIndex* ids) const override;
 
  private:
   OracleTileView(std::int32_t num_clients, std::int32_t num_servers,

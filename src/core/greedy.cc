@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -9,7 +10,6 @@
 
 #include "common/error.h"
 #include "common/simd/kernels.h"
-#include "common/thread_pool.h"
 #include "core/capacity.h"
 #include "core/metrics.h"
 #include "obs/obs.h"
@@ -36,12 +36,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // snapshots only loosen the bound, never break it). Correctly-rounded
 // division is monotone in both arguments, so the fl() evaluation of the
 // right-hand side is itself a valid lower bound — the same argument as
-// the scan kernel's block bound. One further relaxation also holds,
-// which the bucket seeding below leans on: replacing any e_j by a LOWER
-// bound on the distance at snapshot rank r_j keeps the bracket
-// classification conservative (a candidate's bracket can only move
-// down, where delta is smaller), so the bound stays certified — just
-// looser.
+// the scan's bucket bound. One further relaxation also holds, which the
+// bucket seeding below leans on: replacing any e_j by a LOWER bound on
+// the distance at snapshot rank r_j keeps the bracket classification
+// conservative (a candidate's bracket can only move down, where delta is
+// smaller), so the bound stays certified — just looser.
 struct Ladder {
   std::int32_t count = 0;                // number of (rank, dist) points
   std::array<std::int32_t, 24> rank{};   // rank[count] = stale length
@@ -60,16 +59,16 @@ void RebuildLadderRanks(Ladder& ladder, std::size_t len) {
       static_cast<std::int32_t>(len);
 }
 
-// ---- Bucket-refined candidate lists (streamed backends) ---------------
+// ---- Bucket-refined candidate lists -----------------------------------
 //
 // Fully sorting every server's column up front costs ~20ms per
-// 1M-client column even through the fused radix kernel — the dominant
-// share of a large streamed solve — yet measured runs show only a few
-// dozen servers ever win a round; the other ~95% of the sorted order
-// serves nothing but bound proofs. The streamed path therefore never
-// sorts a whole column. One O(|C|) counting pass groups each server's
-// clients into kBuckets distance-monotone buckets (value-linear between
-// the column's min and max) and records each bucket's EXACT distance
+// 1M-client column even through a radix kernel — the dominant share of
+// a large solve — yet measured runs show only a few dozen servers ever
+// win a round; the other ~95% of the sorted order serves nothing but
+// bound proofs. Greedy therefore never sorts a whole column, on any
+// client-block view. One O(|C|) counting pass groups each server's
+// clients into distance-monotone buckets (value-linear between the
+// column's min and max) and records each bucket's EXACT distance
 // minimum and boundary ranks. That structure alone certifies everything
 // the round loop needs from a loser:
 //
@@ -79,9 +78,9 @@ void RebuildLadderRanks(Ladder& ladder, std::size_t len) {
 //     global (distance, client) sort. Bucket boundaries are exact
 //     ranks; a bucket's min bounds every distance inside it.
 //   * A scan prunes a whole bucket when delta(bucket_min) / min(end
-//     rank, room) cannot beat the running incumbent — the same
-//     fl-monotone argument as the kernel's 512-lane block bound, at
-//     bucket granularity, without gathering a single lane.
+//     rank, room) cannot beat the running incumbent — the
+//     fl-monotonicity argument of the Ladder above, at bucket
+//     granularity, without gathering a single lane.
 //
 // Only a bucket the bound cannot retire is *refined*: its lanes are
 // gathered and radix-sorted by (distance, client) in place — exact
@@ -91,20 +90,49 @@ void RebuildLadderRanks(Ladder& ladder, std::size_t len) {
 // order (the counting scatter is stable), which is exactly the
 // stability the radix sort needs to land the lexicographic tie-break.
 //
-// Selection stays bit-identical to the flat sorted list because every
+// Selection stays bit-identical to a flat sorted list because every
 // skip is justified by a certified lower bound against the running
 // strict-< incumbent (positions in later buckets lose cost ties by
 // construction), and every lane that can matter is evaluated with its
-// exact rank and the kernel's exact per-lane expressions.
-constexpr std::int32_t kBuckets = 8192;
+// exact rank and the exact per-lane cost expression. None of this
+// depends on the view's backend: GatherColumn, FillColumn and cs return
+// the same doubles on every view.
+//
+// The bucket count follows the input: about 32 clients per bucket,
+// clamped to [64, 8192] and a power of two so super-groups tile it
+// evenly. Large blocks keep the full 8192; small ones (the paper's
+// 2000-client sweeps) do not pay for thousands of empty buckets in
+// every scan and compaction.
+constexpr std::int32_t kMinBuckets = 64;
+constexpr std::int32_t kMaxBuckets = 8192;
 constexpr std::int32_t kSuper = 64;  // buckets per super-group
+
+std::int32_t NumBuckets(std::int32_t num_clients) {
+  const auto target =
+      std::bit_ceil(static_cast<std::uint32_t>(num_clients) / 32u);
+  return static_cast<std::int32_t>(std::clamp<std::uint32_t>(
+      target, kMinBuckets, kMaxBuckets));
+}
 
 struct BucketList {
   std::vector<ClientIndex> perm;    // bucket-grouped ids (see bsorted)
-  std::vector<std::int32_t> boff;   // kBuckets + 1 bucket offsets
+  std::vector<std::int32_t> boff;   // num_buckets + 1 bucket offsets
   std::vector<double> bmin;         // certified per-bucket distance min
   std::vector<double> smin;         // per super-group min of bmin
   std::vector<char> bsorted;        // bucket refined to exact order?
+};
+
+// One server's candidate scan: the first position minimizing
+//   cost(p) = (max(max(2 d_p, d_p + reach), max_len) - max_len)
+//             / min(p + 1, room)
+// among costs below the caller's cutoff (pos == -1: none beat it), and
+// lb, a certified lower bound on the server's exact minimum cost that
+// holds independently of the cutoff.
+struct ScanResult {
+  double cost = 0.0;  // == the cutoff when pos == -1
+  double len = 0.0;
+  std::int64_t pos = -1;
+  double lb = 0.0;
 };
 
 }  // namespace
@@ -115,27 +143,18 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   const std::int32_t num_clients = problem.num_clients();
   const std::int32_t num_servers = problem.num_servers();
   CheckCapacityFeasible(problem, options);
-  ThreadPool& pool = GlobalPool();
+  // Per server only the client-index permutation persists (4 bytes per
+  // entry, never a copy of the block); the rounds gather distances
+  // through the view for the few buckets they touch.
   const ClientBlockView& view = problem.client_block();
-  // On a streamed block the resident per-server distance arrays would
-  // re-materialize |S| copies of the very block the view avoids, so only
-  // client-index permutations persist (4 bytes/entry instead of 12) and
-  // the rounds gather distances through the view while cache-resident.
-  // The gathered doubles are the same values the resident arrays would
-  // hold, so the evaluations are bit-identical.
-  const bool streamed = !view.materialized();
+  const std::int32_t num_buckets = NumBuckets(num_clients);
+  const std::int32_t num_super = num_buckets / kSuper;
 
   Assignment a(static_cast<std::size_t>(num_clients));
   std::vector<std::size_t> head(static_cast<std::size_t>(num_servers), 0);
-  std::vector<std::int32_t> hbucket(
-      streamed ? static_cast<std::size_t>(num_servers) : 0, 0);
+  std::vector<std::int32_t> hbucket(static_cast<std::size_t>(num_servers), 0);
   std::vector<double> head_dist(static_cast<std::size_t>(num_servers), 0.0);
-  std::vector<std::vector<ClientIndex>> lists(
-      streamed ? 0 : static_cast<std::size_t>(num_servers));
-  std::vector<std::vector<double>> dist_lists(
-      streamed ? 0 : static_cast<std::size_t>(num_servers));
-  std::vector<BucketList> bucket_lists(
-      streamed ? static_cast<std::size_t>(num_servers) : 0);
+  std::vector<BucketList> bucket_lists(static_cast<std::size_t>(num_servers));
   std::vector<Ladder> ladders(static_cast<std::size_t>(num_servers));
   std::vector<double> lane_scratch;  // phase-2 gather scratch (serial)
   const bool prune = options.bound_pruning;
@@ -165,43 +184,43 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   };
 
   // Bucket-level candidate scan: bit-identical to gathering the whole
-  // bucket-ordered list and running simd::BestCandidate over positions
-  // [h, end). The cost curve's minimum usually sits DEEP in the list
-  // (large denominators), so a position-order walk keeps its incumbent
-  // loose across the entire prefix and refines everything on the way —
-  // the traversal is best-first instead: all super-group bounds are
-  // computed up front, the most promising group (then bucket) is
-  // evaluated first, and the incumbent is near-exact after one bucket,
-  // retiring the rest on their bounds without touching a lane.
+  // bucket-ordered list and scanning positions [h, end) in order with a
+  // strict-< incumbent. The cost curve's minimum usually sits DEEP in
+  // the list (large denominators), so a position-order walk keeps its
+  // incumbent loose across the entire prefix and refines everything on
+  // the way — the traversal is best-first instead: all super-group
+  // bounds are computed up front, the most promising group (then
+  // bucket) is evaluated first, and the incumbent is near-exact after
+  // one bucket, retiring the rest on their bounds without touching a
+  // lane.
   //
-  // Best-first evaluation order changes nothing the flat kernel would
-  // return: lane updates keep (cost, position) lexicographic minima
-  // (strictly better cost, or equal cost at a smaller position), and a
-  // region is skipped only when its certified bound proves it holds
-  // neither — which is exactly the first minimizer the position-order
-  // kernel keeps. Refining the bucket that holds the head can move h
-  // (see sort_bucket), which shifts every position; the scan restarts,
-  // and restarts are bounded by the monotone sorted flags.
-  std::array<double, kBuckets / kSuper> super_bound;
+  // Best-first evaluation order changes nothing the position-order scan
+  // would return: lane updates keep (cost, position) lexicographic
+  // minima (strictly better cost, or equal cost at a smaller position),
+  // and a region is skipped only when its certified bound proves it
+  // holds neither — which is exactly the first minimizer the
+  // position-order scan keeps. Refining the bucket that holds the head
+  // can move h (see sort_bucket), which shifts every position; the scan
+  // restarts, and restarts are bounded by the monotone sorted flags.
+  std::array<double, kMaxBuckets / kSuper> super_bound;
   std::array<double, kSuper> bucket_bound;
   const auto scan_buckets = [&](ServerIndex s, BucketList& bl, std::size_t& h,
                                 std::int32_t& hb, double reach_s, double mlen,
                                 std::int32_t room, double cutoff) {
-    constexpr std::int32_t kNumSuper = kBuckets / kSuper;
     const double room_d = static_cast<double>(room);
     const auto bound_of = [&](double e, double dn_ub) {
       const double len = std::max(std::max(2.0 * e, e + reach_s), mlen);
       return (len - mlen) / std::min(dn_ub, room_d);
     };
-    simd::CandidateResult best;
+    ScanResult best;
     for (bool rescan = true; rescan;) {
       rescan = false;
-      best = simd::CandidateResult{};
+      best = ScanResult{};
       best.cost = cutoff;
       best.lb = kInf;
       const auto hh = static_cast<std::int32_t>(h);
       std::int64_t evaluated = 0;
-      for (std::int32_t g = 0; g < kNumSuper; ++g) {
+      for (std::int32_t g = 0; g < num_super; ++g) {
         const std::int32_t gend =
             bl.boff[static_cast<std::size_t>(g + 1) * kSuper];
         const std::int32_t gbeg =
@@ -221,7 +240,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
         // incumbent, or exactly tie it from a smaller position.
         std::int32_t g = -1;
         double gb = kInf;
-        for (std::int32_t j = 0; j < kNumSuper; ++j) {
+        for (std::int32_t j = 0; j < num_super; ++j) {
           if (super_bound[static_cast<std::size_t>(j)] < gb) {
             gb = super_bound[static_cast<std::size_t>(j)];
             g = j;
@@ -316,14 +335,12 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
         bl.smin[static_cast<std::size_t>(g)] = sm;
         super_bound[static_cast<std::size_t>(g)] = kInf;
       }
-      if (!rescan) {
-        const std::int64_t window =
-            bl.boff[kBuckets] - hh;
-        const std::int64_t pruned = window - evaluated;
-        if (pruned > 0) {
-          best.blocks_pruned = (pruned + 511) / 512;
-          if (prune) view.CountPrunedTiles(best.blocks_pruned);
-        }
+      if (!rescan && prune) {
+        // Lanes retired on a bound were never gathered; credit them to
+        // the view's filter-and-refine telemetry in 512-lane units.
+        const std::int64_t pruned =
+            bl.boff[static_cast<std::size_t>(num_buckets)] - hh - evaluated;
+        if (pruned > 0) view.CountPrunedTiles((pruned + 511) / 512);
       }
     }
     return best;
@@ -336,7 +353,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   const auto compact_buckets = [&](BucketList& bl, std::size_t& h,
                                    std::int32_t& hb) {
     std::size_t write = 0;
-    for (std::int32_t b = 0; b < kBuckets; ++b) {
+    for (std::int32_t b = 0; b < num_buckets; ++b) {
       const auto lo = static_cast<std::size_t>(bl.boff[static_cast<std::size_t>(b)]);
       const auto hi =
           static_cast<std::size_t>(bl.boff[static_cast<std::size_t>(b) + 1]);
@@ -346,7 +363,8 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
         if (a[c] == kUnassigned) bl.perm[write++] = c;
       }
     }
-    bl.boff[kBuckets] = static_cast<std::int32_t>(write);
+    bl.boff[static_cast<std::size_t>(num_buckets)] =
+        static_cast<std::int32_t>(write);
     bl.perm.resize(write);
     h = 0;
     hb = 0;
@@ -370,96 +388,57 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     }
   };
 
-  // Preprocessing. The resident path sorts every column once (radix over
-  // the owned distance array) and keeps distances compacted in lockstep.
-  // The streamed path builds the bucket structure instead — one column
-  // pass per server, no sort (see the bucket note above).
-  pool.ParallelFor(0, num_servers, 1, [&](std::int64_t b, std::int64_t e) {
-    static thread_local std::vector<double> col;
+  // Preprocessing: one column pass per server builds its bucket list —
+  // no sort (see the bucket note above). The view runs the columns
+  // across the pool in the traversal its layout favors.
+  view.ForEachColumn([&](ServerIndex s, const double* col) {
     static thread_local std::vector<std::uint16_t> bins;
     static thread_local std::vector<std::int32_t> cursor;
-    for (std::int64_t si = b; si < e; ++si) {
-      const auto s = static_cast<ServerIndex>(si);
-      Ladder& ladder = ladders[static_cast<std::size_t>(si)];
-      if (streamed) {
-        BucketList& bl = bucket_lists[static_cast<std::size_t>(si)];
-        const auto n = static_cast<std::size_t>(num_clients);
-        col.resize(n);
-        view.FillColumn(s, col.data());
-        double dmin = kInf, dmax = -kInf;
-        for (std::size_t i = 0; i < n; ++i) {
-          dmin = std::min(dmin, col[i]);
-          dmax = std::max(dmax, col[i]);
-        }
-        const double range = dmax - dmin;
-        const double inv = range > 0.0 && std::isfinite(range)
-                               ? static_cast<double>(kBuckets) / range
-                               : 0.0;
-        bins.resize(n);
-        bl.boff.assign(kBuckets + 1, 0);
-        bl.bmin.assign(kBuckets, kInf);
-        for (std::size_t i = 0; i < n; ++i) {
-          // fl((d - dmin) * inv) is non-decreasing in d, so the clamp
-          // keeps buckets distance-monotone with equal values always
-          // co-located — the property the exactness argument needs.
-          auto q = static_cast<std::int64_t>((col[i] - dmin) * inv);
-          q = std::clamp<std::int64_t>(q, 0, kBuckets - 1);
-          bins[i] = static_cast<std::uint16_t>(q);
-          ++bl.boff[static_cast<std::size_t>(q) + 1];
-          bl.bmin[static_cast<std::size_t>(q)] =
-              std::min(bl.bmin[static_cast<std::size_t>(q)], col[i]);
-        }
-        for (std::size_t j = 1; j <= kBuckets; ++j) {
-          bl.boff[j] += bl.boff[j - 1];
-        }
-        bl.perm.resize(n);
-        cursor.assign(bl.boff.begin(), bl.boff.begin() + kBuckets);
-        for (std::size_t i = 0; i < n; ++i) {
-          bl.perm[static_cast<std::size_t>(
-              cursor[bins[i]]++)] = static_cast<ClientIndex>(i);
-        }
-        bl.bsorted.assign(kBuckets, 0);
-        bl.smin.assign(kBuckets / kSuper, kInf);
-        for (std::int32_t j = 0; j < kBuckets; ++j) {
-          auto& sm = bl.smin[static_cast<std::size_t>(j / kSuper)];
-          sm = std::min(sm, bl.bmin[static_cast<std::size_t>(j)]);
-        }
-        // Ladder off the fresh buckets (nothing refined yet, so every
-        // point reads a bucket minimum) and the exact column minimum as
-        // the standing head bound.
-        RebuildLadderRanks(ladder, n);
-        std::int32_t j = 0;
-        for (std::int32_t k = 0; k < ladder.count; ++k) {
-          const std::int32_t r = ladder.rank[static_cast<std::size_t>(k)];
-          while (bl.boff[static_cast<std::size_t>(j) + 1] <= r) ++j;
-          ladder.dist_at[static_cast<std::size_t>(k)] =
-              bl.bmin[static_cast<std::size_t>(j)];
-        }
-        head_dist[static_cast<std::size_t>(si)] = dmin;
-      } else {
-        auto& list = lists[static_cast<std::size_t>(si)];
-        list.resize(static_cast<std::size_t>(num_clients));
-        for (ClientIndex c = 0; c < num_clients; ++c) {
-          list[static_cast<std::size_t>(c)] = c;
-        }
-        auto& owned = dist_lists[static_cast<std::size_t>(si)];
-        owned.resize(static_cast<std::size_t>(num_clients));
-        double* dist = owned.data();
-        view.FillColumn(s, dist);
-        // Stable radix sort with idx arriving ascending == lexicographic
-        // (distance, client index): the exact tie-break of the former
-        // comparator-on-indices sort, without the comparison-sort cost
-        // that used to dominate the whole solve.
-        simd::RadixSortDistIndex(dist, list.data(),
-                                 static_cast<std::size_t>(num_clients));
-        RebuildLadderRanks(ladder, static_cast<std::size_t>(num_clients));
-        for (std::int32_t k = 0; k < ladder.count; ++k) {
-          ladder.dist_at[static_cast<std::size_t>(k)] =
-              dist[static_cast<std::size_t>(
-                  ladder.rank[static_cast<std::size_t>(k)])];
-        }
-      }
+    const auto si = static_cast<std::size_t>(s);
+    const auto n = static_cast<std::size_t>(num_clients);
+    const auto nb = static_cast<std::size_t>(num_buckets);
+    BucketList& bl = bucket_lists[si];
+    double dmin = kInf, dmax = -kInf;
+    for (std::size_t i = 0; i < n; ++i) {
+      dmin = std::min(dmin, col[i]);
+      dmax = std::max(dmax, col[i]);
     }
+    const double range = dmax - dmin;
+    const double inv = range > 0.0 && std::isfinite(range)
+                           ? static_cast<double>(num_buckets) / range
+                           : 0.0;
+    bins.resize(n);
+    bl.boff.assign(nb + 1, 0);
+    bl.bmin.assign(nb, kInf);
+    for (std::size_t i = 0; i < n; ++i) {
+      // fl((d - dmin) * inv) is non-decreasing in d, so the clamp keeps
+      // buckets distance-monotone with equal values always co-located —
+      // the property the exactness argument needs.
+      auto q = static_cast<std::int64_t>((col[i] - dmin) * inv);
+      q = std::clamp<std::int64_t>(q, 0, num_buckets - 1);
+      bins[i] = static_cast<std::uint16_t>(q);
+      ++bl.boff[static_cast<std::size_t>(q) + 1];
+      bl.bmin[static_cast<std::size_t>(q)] =
+          std::min(bl.bmin[static_cast<std::size_t>(q)], col[i]);
+    }
+    for (std::size_t j = 1; j <= nb; ++j) bl.boff[j] += bl.boff[j - 1];
+    bl.perm.resize(n);
+    cursor.assign(bl.boff.begin(), bl.boff.begin() + num_buckets);
+    for (std::size_t i = 0; i < n; ++i) {
+      bl.perm[static_cast<std::size_t>(cursor[bins[i]]++)] =
+          static_cast<ClientIndex>(i);
+    }
+    bl.bsorted.assign(nb, 0);
+    bl.smin.assign(static_cast<std::size_t>(num_super), kInf);
+    for (std::size_t j = 0; j < nb; ++j) {
+      auto& sm = bl.smin[j / kSuper];
+      sm = std::min(sm, bl.bmin[j]);
+    }
+    // Ladder off the fresh buckets (nothing refined yet, so every point
+    // reads a bucket minimum) and the exact column minimum as the
+    // standing head bound.
+    seed_ladder_buckets(s, ladders[si], bl);
+    head_dist[si] = dmin;
   });
 
   std::vector<double> far(static_cast<std::size_t>(num_servers), -1.0);
@@ -505,7 +484,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   };
   std::vector<BoundEntry> order;
   order.reserve(static_cast<std::size_t>(num_servers));
-  std::vector<double> batch_dist;  // caller-side gather for streamed batches
+  std::vector<double> batch_dist;  // the winning batch's gathered distances
   double max_len = 0.0;
   std::int32_t num_assigned = 0;
 
@@ -522,29 +501,22 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       const std::int32_t room = remaining[si];
       if (room <= 0) continue;
       std::size_t& h = head[si];
-      double d_head;
-      if (streamed) {
-        BucketList& bl = bucket_lists[si];
-        // Every unassigned client appears in every list, so the head
-        // always lands on one before running off the end.
-        while (a[bl.perm[h]] != kUnassigned) ++h;
-        std::int32_t& hb = hbucket[si];
-        while (bl.boff[static_cast<std::size_t>(hb) + 1] <=
-               static_cast<std::int32_t>(h)) {
-          ++hb;
-        }
-        // Inside a refined bucket the head's distance is exact (and the
-        // true global head's — earlier buckets are exhausted, later ones
-        // only hold larger distances); otherwise the bucket minimum is
-        // the certified stand-in.
-        d_head = bl.bsorted[static_cast<std::size_t>(hb)]
-                     ? view.cs(bl.perm[h], s)
-                     : bl.bmin[static_cast<std::size_t>(hb)];
-      } else {
-        auto& list = lists[si];
-        while (a[list[h]] != kUnassigned) ++h;
-        d_head = dist_lists[si][h];
+      BucketList& bl = bucket_lists[si];
+      // Every unassigned client appears in every list, so the head
+      // always lands on one before running off the end.
+      while (a[bl.perm[h]] != kUnassigned) ++h;
+      std::int32_t& hb = hbucket[si];
+      while (bl.boff[static_cast<std::size_t>(hb) + 1] <=
+             static_cast<std::int32_t>(h)) {
+        ++hb;
       }
+      // Inside a refined bucket the head's distance is exact (and the
+      // true global head's — earlier buckets are exhausted, later ones
+      // only hold larger distances); otherwise the bucket minimum is the
+      // certified stand-in.
+      const double d_head = bl.bsorted[static_cast<std::size_t>(hb)]
+                                ? view.cs(bl.perm[h], s)
+                                : bl.bmin[static_cast<std::size_t>(hb)];
       head_dist[si] = d_head;
       const double server_reach = num_assigned > 0 ? reach[si] : -kInf;
       const double room_d = static_cast<double>(room);
@@ -593,7 +565,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     // seeded cutoff the scan retires all but a handful of buckets on
     // their bounds. Only a server whose stale scan DOES beat the cutoff
     // compacts and rescans exactly.
-    simd::CandidateResult best;
+    ScanResult best;
     best.cost = kInf;
     ServerIndex best_server = -1;
     double zero_d = 0.0;
@@ -611,31 +583,27 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       }
       const std::int32_t room = remaining[si];
       std::size_t& h = head[si];
+      std::int32_t& hb = hbucket[si];
+      BucketList& bl = bucket_lists[si];
       const double server_reach = num_assigned > 0 ? reach[si] : -kInf;
       double d_head = head_dist[si];
       double delta_head =
           std::max(std::max(2.0 * d_head, d_head + server_reach), max_len) -
           max_len;
-      if (streamed && delta_head == 0.0) {
-        // The head bound can sit below the true head distance while the
-        // head's bucket is unrefined — a zero there is only a hint.
-        // Refine until the head lands in a sorted bucket (so d_head is
-        // the true head's exact distance) or the zero disappears; the
-        // sorted flags make this terminate.
-        BucketList& bl = bucket_lists[si];
-        std::int32_t& hb = hbucket[si];
-        while (delta_head == 0.0 &&
-               !bl.bsorted[static_cast<std::size_t>(hb)]) {
-          sort_bucket(s, bl, hb, h, hb);
-          d_head = bl.bsorted[static_cast<std::size_t>(hb)]
-                       ? view.cs(bl.perm[h], s)
-                       : bl.bmin[static_cast<std::size_t>(hb)];
-          head_dist[si] = d_head;
-          delta_head = std::max(
-                           std::max(2.0 * d_head, d_head + server_reach),
-                           max_len) -
-                       max_len;
-        }
+      // The head bound can sit below the true head distance while the
+      // head's bucket is unrefined — a zero there is only a hint. Refine
+      // until the head lands in a sorted bucket (so d_head is the true
+      // head's exact distance) or the zero disappears; the sorted flags
+      // make this terminate.
+      while (delta_head == 0.0 && !bl.bsorted[static_cast<std::size_t>(hb)]) {
+        sort_bucket(s, bl, hb, h, hb);
+        d_head = bl.bsorted[static_cast<std::size_t>(hb)]
+                     ? view.cs(bl.perm[h], s)
+                     : bl.bmin[static_cast<std::size_t>(hb)];
+        head_dist[si] = d_head;
+        delta_head =
+            std::max(std::max(2.0 * d_head, d_head + server_reach), max_len) -
+            max_len;
       }
       if (delta_head == 0.0) {
         // Zero fast-path: cost(0) = 0/dn = 0 exactly, the global minimum
@@ -664,65 +632,25 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
               ? kInf
               : (s < best_server ? std::nextafter(best.cost, kInf)
                                  : best.cost);
-      simd::CandidateResult r;
-      if (streamed) {
-        r = scan_buckets(s, bucket_lists[si], h, hbucket[si], server_reach,
-                         max_len, room, cutoff);
-      } else {
-        r = simd::BestCandidate(dist_lists[si].data() + h,
-                                lists[si].size() - h, server_reach, max_len,
-                                room, cutoff);
+      ScanResult r =
+          scan_buckets(s, bl, h, hb, server_reach, max_len, room, cutoff);
+      if (r.pos >= 0) {
+        // The stale suffix held something below the cutoff — compact,
+        // dropping clients assigned in earlier rounds, rescan exactly,
+        // and re-seed the ladder so the next rounds' bounds start tight.
+        compact_buckets(bl, h, hb);
+        r = scan_buckets(s, bl, h, hb, server_reach, max_len, room, cutoff);
+        seed_ladder_buckets(s, ladders[si], bl);
       }
       if (r.pos < 0) {
         // Proven: exact minimum >= max(cutoff, scan lb). The certified
         // bucket-bound minimum can sit far above the cutoff for a server
         // nowhere near the incumbent — memoizing it keeps such servers
-        // out of phase 2 until max_len growth erodes the proof.
+        // out of phase 2 until max_len growth erodes the proof. (After a
+        // compaction the stale bound was optimistic, but the miss is the
+        // same proof.)
         if (prune) {
-          proven_cost[si] =
-              cutoff == kInf ? r.lb : std::max(cutoff, r.lb);
-          proven_mlen[si] = max_len;
-        }
-        continue;
-      }
-      // The stale suffix held something below the cutoff — compact,
-      // dropping clients assigned in earlier rounds, and rescan exactly.
-      if (streamed) {
-        compact_buckets(bucket_lists[si], h, hbucket[si]);
-        r = scan_buckets(s, bucket_lists[si], h, hbucket[si], server_reach,
-                         max_len, room, cutoff);
-        seed_ladder_buckets(s, ladders[si], bucket_lists[si]);
-      } else {
-        auto& list = lists[si];
-        auto& dist = dist_lists[si];
-        std::size_t write = 0;
-        for (std::size_t pos = h; pos < list.size(); ++pos) {
-          const ClientIndex c = list[pos];
-          if (a[c] == kUnassigned) {
-            dist[write] = dist[pos];
-            list[write++] = c;
-          }
-        }
-        list.resize(write);
-        dist.resize(write);
-        h = 0;
-        r = simd::BestCandidate(dist.data(), write, server_reach, max_len,
-                                room, cutoff);
-        // The compaction refreshed the list; re-seed the ladder from it
-        // so the next rounds' bounds start tight again.
-        Ladder& ladder = ladders[si];
-        RebuildLadderRanks(ladder, write);
-        for (std::int32_t k = 0; k < ladder.count; ++k) {
-          const auto rk = static_cast<std::size_t>(
-              ladder.rank[static_cast<std::size_t>(k)]);
-          ladder.dist_at[static_cast<std::size_t>(k)] = dist[rk];
-        }
-      }
-      if (r.pos < 0) {
-        // The stale bound was optimistic, but the miss is the same proof.
-        if (prune) {
-          proven_cost[si] =
-              cutoff == kInf ? r.lb : std::max(cutoff, r.lb);
+          proven_cost[si] = cutoff == kInf ? r.lb : std::max(cutoff, r.lb);
           proven_mlen[si] = max_len;
         }
         continue;
@@ -750,14 +678,13 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     // members under capacity. The zero fast-path winner skipped
     // compaction, but its batch is the single head client.
     const auto bsi = static_cast<std::size_t>(best_server);
+    BucketList& bl = bucket_lists[bsi];
     auto& room = remaining[bsi];
     double& far_b = far[bsi];
     std::size_t take = 1;
     if (zero_path) {
       std::size_t& h = head[bsi];
-      const ClientIndex c =
-          streamed ? bucket_lists[bsi].perm[h] : lists[bsi][h];
-      a[c] = best_server;
+      a[bl.perm[h]] = best_server;
       ++h;
       far_b = std::max(far_b, zero_d);
       ++num_assigned;
@@ -768,41 +695,29 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
           std::min<std::size_t>(batch_size, static_cast<std::size_t>(room));
       DIACA_CHECK(take >= 1);
       const std::size_t lo_r = batch_size - take;
-      const ClientIndex* batch_ids;
-      const double* dist;
-      std::size_t dist_offset = lo_r;
-      if (streamed) {
-        BucketList& bl = bucket_lists[bsi];
-        // Capacity truncation can cut into a bucket; the window's upper
-        // end is inside the winner's bucket, which the scan refined. If
-        // the lower end splits an unrefined bucket, refine it so the
-        // boundary falls on exact ranks — the window's interior buckets
-        // need no order (the batch assigns a set; far takes a max).
-        std::int32_t b = 0;
-        while (bl.boff[static_cast<std::size_t>(b) + 1] <=
-               static_cast<std::int32_t>(lo_r)) {
-          ++b;
-        }
-        if (static_cast<std::size_t>(
-                bl.boff[static_cast<std::size_t>(b)]) < lo_r &&
-            !bl.bsorted[static_cast<std::size_t>(b)]) {
-          sort_bucket(best_server, bl, b, head[bsi], hbucket[bsi]);
-        }
-        batch_ids = bl.perm.data();
-        // The scan reduced in place without materializing the distances;
-        // re-gather just the batch window here.
-        batch_dist.resize(take);
-        view.GatherColumn(best_server, bl.perm.data() + lo_r, take,
-                          batch_dist.data());
-        dist = batch_dist.data();
-        dist_offset = 0;
-      } else {
-        batch_ids = lists[bsi].data();
-        dist = dist_lists[bsi].data();
+      // Capacity truncation can cut into a bucket; the window's upper
+      // end is inside the winner's bucket, which the scan refined. If
+      // the lower end splits an unrefined bucket, refine it so the
+      // boundary falls on exact ranks — the window's interior buckets
+      // need no order (the batch assigns a set; far takes a max).
+      std::int32_t b = 0;
+      while (bl.boff[static_cast<std::size_t>(b) + 1] <=
+             static_cast<std::int32_t>(lo_r)) {
+        ++b;
       }
+      if (static_cast<std::size_t>(bl.boff[static_cast<std::size_t>(b)]) <
+              lo_r &&
+          !bl.bsorted[static_cast<std::size_t>(b)]) {
+        sort_bucket(best_server, bl, b, head[bsi], hbucket[bsi]);
+      }
+      // The scan reduced in place without keeping the distances;
+      // re-gather just the batch window here.
+      batch_dist.resize(take);
+      view.GatherColumn(best_server, bl.perm.data() + lo_r, take,
+                        batch_dist.data());
       for (std::size_t i = 0; i < take; ++i) {
-        a[batch_ids[lo_r + i]] = best_server;
-        far_b = std::max(far_b, dist[dist_offset + i]);
+        a[bl.perm[lo_r + i]] = best_server;
+        far_b = std::max(far_b, batch_dist[i]);
         ++num_assigned;
       }
       if (options.capacitated()) room -= static_cast<std::int32_t>(take);

@@ -32,7 +32,6 @@ Assignment NearestServerAssign(const Problem& problem,
   CheckCapacityFeasible(problem, options);
   Assignment a(static_cast<std::size_t>(problem.num_clients()));
   const ClientBlockView& view = problem.client_block();
-  const auto num_servers = static_cast<std::size_t>(problem.num_servers());
 
   if (!options.capacitated()) {
     // The view's factorized nearest scan: bit-identical to ArgMinFirst

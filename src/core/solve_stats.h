@@ -30,11 +30,11 @@ struct SolveStats {
   /// High-water bytes of live tile-pool buffers on the problem's client
   /// block (0 when materialized) — what streaming actually cost in memory.
   std::int64_t tile_bytes_peak = 0;
-  /// Synthesis units (tiles + 512-entry candidate blocks) the certified
+  /// Work units (tiles + 512-entry candidate blocks) the certified
   /// filter-and-refine bounds skipped without computing their exact
-  /// values. Telemetry, not part of the determinism contract: 0 on a
-  /// materialized block and under the scalar SIMD backend. Snapshotted
-  /// from ClientBlockStats by SolverRegistry.
+  /// values. Telemetry, not part of the determinism contract (see
+  /// ClientBlockStats::tiles_pruned). Snapshotted from ClientBlockStats
+  /// by SolverRegistry.
   std::int64_t tiles_pruned = 0;
   /// Clients moved off a healthy server (repair's bounded-migration
   /// phase, the churn control plane's capped re-optimization). Orphan

@@ -1,6 +1,7 @@
 #include "data/streaming.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "common/error.h"
@@ -74,17 +75,20 @@ ClientCloud BuildClientCloud(const ClientCloudParams& params,
         }
       });
 
-  // Client block: d(c, s) = access(c) + row_s[attach(c)]. Each chunk owns
-  // its client rows, so the fill is embarrassingly parallel and the
-  // single addition per cell is association-free.
-  std::vector<double> d_cs(num_clients * num_servers);
+  // Client block: d(c, s) = access(c) + row_s[attach(c)], written straight
+  // into the padded layout the view adopts (pad lanes stay 0.0), so the
+  // block is held exactly once. Each chunk owns its client rows, so the
+  // fill is embarrassingly parallel and the single addition per cell is
+  // association-free.
+  const std::size_t stride = simd::PaddedStride(num_servers);
+  std::vector<double> block(num_clients * stride, 0.0);
   GlobalPool().ParallelFor(
       0, params.num_clients, 4096, [&](std::int64_t cb, std::int64_t ce) {
         for (std::int64_t c = cb; c < ce; ++c) {
           const auto ci = static_cast<std::size_t>(c);
           const auto at = static_cast<std::size_t>(attach[ci]);
           const double access = access_ms[ci];
-          double* out = d_cs.data() + ci * num_servers;
+          double* out = block.data() + ci * stride;
           for (std::size_t s = 0; s < num_servers; ++s) {
             out[s] = access + server_rows[s][at];
           }
@@ -101,12 +105,15 @@ ClientCloud BuildClientCloud(const ClientCloudParams& params,
   }
 
   // Virtual client ids: substrate nodes keep their ids, client i becomes
-  // node n + i. The ids are labels only (FromBlocks never indexes a
+  // node n + i. The ids are labels only (the problem never indexes a
   // matrix with them).
   std::vector<net::NodeIndex> client_ids(num_clients);
   std::iota(client_ids.begin(), client_ids.end(), n);
-  core::Problem problem =
-      core::Problem::FromBlocks(servers, std::move(client_ids), d_cs, d_ss);
+  auto view = std::make_shared<core::MaterializedView>(
+      static_cast<std::int32_t>(num_clients),
+      static_cast<std::int32_t>(num_servers), std::move(block));
+  core::Problem problem = core::Problem::FromView(
+      std::move(view), servers, std::move(client_ids), d_ss);
   return ClientCloud{std::move(servers), std::move(attach),
                      std::move(access_ms), std::move(problem)};
 }

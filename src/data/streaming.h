@@ -16,8 +16,9 @@
 //     Vivaldi "height" term), so
 //       d(c, s) = access(c) + d_substrate(attach(c), server_node(s));
 //   * clients are virtual nodes (id = substrate size + client index) that
-//     exist only as rows of the |C| x |S| block handed to
-//     core::Problem::FromBlocks.
+//     exist only as rows of the |C| x |S| client block — filled once,
+//     straight into a core::MaterializedView's padded layout, or streamed
+//     by a core::OracleTileView.
 //
 // Everything is deterministic in (params, seed): one Rng stream drives
 // attachment points and access delays in client order, and the substrate
@@ -70,7 +71,7 @@ struct ClientCloud {
 
 /// Build the cloud: sample attachments/access delays from `seed`, pull the
 /// |S| server rows from `oracle` (must cover the substrate graph; rows or
-/// dense backend for exact legs), and assemble the Problem via FromBlocks.
+/// dense backend for exact legs), and assemble the Problem via FromView.
 /// Peak transient memory is O(|S| * n + |C| * |S|); nothing O(n^2) or
 /// O(|C|^2) is ever allocated. Throws diaca::Error if `server_nodes` is
 /// empty or outside the substrate.

@@ -107,24 +107,6 @@ ArgResult RefArgMaxPlusFirst(const std::vector<double>& row,
   return best;
 }
 
-CandidateResult RefBestCandidate(const std::vector<double>& dists,
-                                 double reach, double max_len,
-                                 std::int32_t room) {
-  CandidateResult best;
-  best.cost = kInf;
-  for (std::size_t p = 0; p < dists.size(); ++p) {
-    const double d = dists[p];
-    const double len = std::max(std::max(2.0 * d, d + reach), max_len);
-    const double dn =
-        std::min(static_cast<double>(p) + 1.0, static_cast<double>(room));
-    const double cost = (len - max_len) / dn;
-    if (cost < best.cost) {
-      best = {cost, len, static_cast<std::int64_t>(p)};
-    }
-  }
-  return best;
-}
-
 // -------------------------------------------------------------------------
 
 TEST(KernelsTest, MaxPlusReduceMatchesReferenceOnEveryBackend) {
@@ -285,124 +267,6 @@ TEST(KernelsTest, DotProductIsIdenticalAcrossBackends) {
   }
 }
 
-TEST(KernelsTest, BestCandidateMatchesReferenceOnEveryBackend) {
-  Rng rng(41);
-  for (const std::size_t n : kSizes) {
-    auto dists = RandomLatencies(rng, n);
-    std::sort(dists.begin(), dists.end());  // greedy feeds ascending lists
-    if (n >= 5) dists[1] = dists[0];        // duplicate distance tie
-    for (const double reach : {-kInf, 0.0, 42.5}) {
-      for (const std::int32_t room :
-           {1, 3, std::numeric_limits<std::int32_t>::max()}) {
-        const double max_len = 55.0;
-        const CandidateResult want =
-            RefBestCandidate(dists, reach, max_len, room);
-        for (const Backend b : TestableBackends()) {
-          BackendGuard guard(b);
-          const CandidateResult got =
-              BestCandidate(dists.data(), n, reach, max_len, room);
-          EXPECT_EQ(got.pos, want.pos)
-              << "n=" << n << " reach=" << reach << " room=" << room
-              << " backend=" << BackendName(b);
-          if (want.pos >= 0) {
-            EXPECT_EQ(got.cost, want.cost);
-            EXPECT_EQ(got.len, want.len);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, BestCandidateCutoffSeedsIncumbentExactly) {
-  // A cutoff the true minimum beats must not change the answer at all; a
-  // cutoff at or below it must return the no-find result (pos == -1,
-  // cost == cutoff, len == 0) on every backend.
-  Rng rng(83);
-  for (const std::size_t n : {std::size_t{5}, std::size_t{131},
-                              std::size_t{513}, std::size_t{1031}}) {
-    auto dists = RandomLatencies(rng, n);
-    std::sort(dists.begin(), dists.end());
-    for (const double reach : {-kInf, 42.5}) {
-      for (const std::int32_t room :
-           {3, std::numeric_limits<std::int32_t>::max()}) {
-        const double max_len = 55.0;
-        const CandidateResult want =
-            RefBestCandidate(dists, reach, max_len, room);
-        ASSERT_GE(want.pos, 0);
-        const double above = std::nextafter(want.cost, kInf);
-        for (const Backend b : TestableBackends()) {
-          BackendGuard guard(b);
-          const CandidateResult hit =
-              BestCandidate(dists.data(), n, reach, max_len, room, above);
-          EXPECT_EQ(hit.pos, want.pos) << "backend=" << BackendName(b);
-          EXPECT_EQ(hit.cost, want.cost);
-          EXPECT_EQ(hit.len, want.len);
-          for (const double miss_cutoff : {want.cost, want.cost * 0.5}) {
-            const CandidateResult miss = BestCandidate(
-                dists.data(), n, reach, max_len, room, miss_cutoff);
-            EXPECT_EQ(miss.pos, -1) << "backend=" << BackendName(b);
-            EXPECT_EQ(miss.cost, miss_cutoff);
-            EXPECT_EQ(miss.len, 0.0);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, BestCandidateGatherCutoffMatchesContiguousScan) {
-  // The fused gather variant under a cutoff: identical results to the
-  // contiguous-kernel call at the same cutoff, found or not.
-  Rng rng(89);
-  for (const std::size_t n : {std::size_t{131}, std::size_t{1031}}) {
-    const std::size_t num_nodes = n + 7;
-    const auto col = RandomLatencies(rng, num_nodes);
-    std::vector<std::int32_t> rows(n);
-    for (auto& r : rows) {
-      r = static_cast<std::int32_t>(rng.NextBounded(num_nodes));
-    }
-    std::vector<double> lane(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      lane[c] = col[static_cast<std::size_t>(rows[c])];
-    }
-    std::vector<std::int32_t> ids(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ids[i] = static_cast<std::int32_t>(i);
-    }
-    std::stable_sort(ids.begin(), ids.end(),
-                     [&](std::int32_t a, std::int32_t b) {
-                       return lane[static_cast<std::size_t>(a)] <
-                              lane[static_cast<std::size_t>(b)];
-                     });
-    std::vector<double> dists(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      dists[i] = lane[static_cast<std::size_t>(ids[i])];
-    }
-    const double reach = 10.0;
-    const double max_len = 55.0;
-    const std::int32_t room = std::numeric_limits<std::int32_t>::max();
-    const CandidateResult want = RefBestCandidate(dists, reach, max_len, room);
-    ASSERT_GE(want.pos, 0);
-    for (const double cutoff :
-         {kInf, std::nextafter(want.cost, kInf), want.cost, want.cost * 0.5}) {
-      for (const Backend b : TestableBackends()) {
-        BackendGuard guard(b);
-        const CandidateResult direct =
-            BestCandidate(dists.data(), n, reach, max_len, room, cutoff);
-        const CandidateResult fused =
-            BestCandidateGather(col.data(), rows.data(), nullptr, ids.data(),
-                                n, reach, max_len, room, cutoff);
-        EXPECT_EQ(fused.pos, direct.pos)
-            << "n=" << n << " cutoff=" << cutoff
-            << " backend=" << BackendName(b);
-        EXPECT_EQ(fused.cost, direct.cost);
-        EXPECT_EQ(fused.len, direct.len);
-      }
-    }
-  }
-}
-
 // The contract's literal loop order, written independently: k outermost,
 // a[i][k] hoisted once per (k, i), j elementwise.
 void RefMinPlusTile(double* c, std::size_t cs, const double* a, std::size_t as,
@@ -528,50 +392,6 @@ TEST(KernelsTest, MinPlusTileUpdatePreservesInfinitePadColumns) {
   }
 }
 
-TEST(KernelsTest, BestCandidatePruningBoundaries) {
-  // The vectorized backends prune 512-candidate blocks via a lower bound;
-  // exercise minima and ties exactly at the block edges, plateaus that
-  // span blocks, and room values on either side of a block boundary.
-  Rng rng(59);
-  for (const std::size_t n : {511ul, 512ul, 513ul, 1031ul}) {
-    for (const int shape : {0, 1, 2}) {
-      std::vector<double> dists(n);
-      if (shape == 0) {
-        for (double& d : dists) d = 100.0;  // global plateau: all tie
-      } else if (shape == 1) {
-        // Ascending with a long flat shelf crossing the first block edge.
-        for (std::size_t i = 0; i < n; ++i) {
-          dists[i] = i < 500 ? static_cast<double>(i) * 0.1
-                             : (i < 530 ? 50.0 : 50.0 + (i - 530.0) * 0.5);
-        }
-      } else {
-        dists = RandomLatencies(rng, n);
-        std::sort(dists.begin(), dists.end());
-      }
-      for (const double reach : {-kInf, 30.0}) {
-        for (const std::int32_t room :
-             {1, 511, 512, 513, std::numeric_limits<std::int32_t>::max()}) {
-          const double max_len = 90.0;
-          const CandidateResult want =
-              RefBestCandidate(dists, reach, max_len, room);
-          for (const Backend b : TestableBackends()) {
-            BackendGuard guard(b);
-            const CandidateResult got =
-                BestCandidate(dists.data(), n, reach, max_len, room);
-            EXPECT_EQ(got.pos, want.pos)
-                << "n=" << n << " shape=" << shape << " reach=" << reach
-                << " room=" << room << " backend=" << BackendName(b);
-            if (want.pos >= 0) {
-              EXPECT_EQ(got.cost, want.cost);
-              EXPECT_EQ(got.len, want.len);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelsTest, BroadcastAddMatchesReferenceOnEveryBackend) {
   Rng rng(61);
   for (const std::size_t n : kSizes) {
@@ -633,87 +453,6 @@ TEST(KernelsTest, GatherPlusMatchesReferenceOnEveryNullCombination) {
         EXPECT_EQ(got, want)
             << "n=" << n << " combo=" << combo.name
             << " backend=" << BackendName(b);
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, BestCandidateGatherBitIdenticalToGatherThenScan) {
-  // Contract: identical bits to gathering the lanes into a contiguous
-  // array and calling BestCandidate. The precondition is an ascending
-  // gathered sequence (greedy's lists are distance-sorted), so ids is an
-  // argsort of the lane values; block-boundary sizes exercise pruning.
-  Rng rng(71);
-  std::vector<std::size_t> sizes = kSizes;
-  sizes.insert(sizes.end(), {511, 512, 513, 1031});
-  for (const std::size_t n : sizes) {
-    const std::size_t num_nodes = n + 7;
-    const auto col = RandomLatencies(rng, num_nodes);
-    const auto access = RandomLatencies(rng, n);
-    std::vector<std::int32_t> rows(n);
-    for (auto& r : rows) {
-      r = static_cast<std::int32_t>(rng.NextBounded(num_nodes));
-    }
-    for (const bool with_access : {true, false}) {
-      const double* acc = with_access ? access.data() : nullptr;
-      // Lane values and a stable distance-argsort to satisfy the
-      // ascending precondition (ordering differs per access variant).
-      std::vector<double> lane(n);
-      for (std::size_t c = 0; c < n; ++c) {
-        const double leg = col[static_cast<std::size_t>(rows[c])];
-        lane[c] = acc != nullptr ? access[c] + leg : leg;
-      }
-      std::vector<std::int32_t> ids(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ids[i] = static_cast<std::int32_t>(i);
-      }
-      std::stable_sort(ids.begin(), ids.end(),
-                       [&](std::int32_t a, std::int32_t b) {
-                         return lane[static_cast<std::size_t>(a)] <
-                                lane[static_cast<std::size_t>(b)];
-                       });
-      std::vector<double> dists(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        dists[i] = lane[static_cast<std::size_t>(ids[i])];
-      }
-      // ids == nullptr variant: the same lanes pre-sorted in place.
-      std::vector<std::int32_t> rows_sorted(n);
-      std::vector<double> access_sorted(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        rows_sorted[i] = rows[static_cast<std::size_t>(ids[i])];
-        access_sorted[i] = access[static_cast<std::size_t>(ids[i])];
-      }
-      const double* acc_sorted = with_access ? access_sorted.data() : nullptr;
-      for (const double reach : {-kInf, 0.0, 42.5}) {
-        for (const std::int32_t room :
-             {1, 3, std::numeric_limits<std::int32_t>::max()}) {
-          const double max_len = 55.0;
-          const CandidateResult want =
-              RefBestCandidate(dists, reach, max_len, room);
-          for (const Backend b : TestableBackends()) {
-            BackendGuard guard(b);
-            const CandidateResult got = BestCandidateGather(
-                col.data(), rows.data(), acc, ids.data(), n, reach, max_len,
-                room);
-            const CandidateResult got_noids = BestCandidateGather(
-                col.data(), rows_sorted.data(), acc_sorted, nullptr, n,
-                reach, max_len, room);
-            EXPECT_EQ(got.pos, want.pos)
-                << "n=" << n << " access=" << with_access
-                << " reach=" << reach << " room=" << room
-                << " backend=" << BackendName(b);
-            EXPECT_EQ(got_noids.pos, want.pos)
-                << "n=" << n << " access=" << with_access
-                << " reach=" << reach << " room=" << room
-                << " backend=" << BackendName(b) << " (ids=nullptr)";
-            if (want.pos >= 0) {
-              EXPECT_EQ(got.cost, want.cost);
-              EXPECT_EQ(got.len, want.len);
-              EXPECT_EQ(got_noids.cost, want.cost);
-              EXPECT_EQ(got_noids.len, want.len);
-            }
-          }
-        }
       }
     }
   }
@@ -783,56 +522,6 @@ TEST(KernelsTest, RadixSortDistIndexHandlesConstantAndTinyInputs) {
   EXPECT_EQ(one, 4.0);
   EXPECT_EQ(ione, 7);
   RadixSortDistIndex(nullptr, nullptr, 0);
-}
-
-TEST(KernelsTest, ArgsortDistIndexOrderMatchesRadixSort) {
-  // The order-only companion must produce bit-for-bit the permutation
-  // RadixSortDistIndex yields, including where the float32 narrowing
-  // collides: doubles differing only below float precision land in one
-  // radix run and must be separated by the exact double fix-up, while
-  // true duplicates must keep ascending index order.
-  Rng rng(91);
-  std::vector<std::size_t> sizes{0, 1, 2, 3, 5, 16, 17, 131, 1031};
-  for (const std::size_t n : sizes) {
-    auto dist = RandomLatencies(rng, n);
-    if (n >= 8) {
-      dist[3] = dist[7];                           // exact duplicate
-      dist[5] = dist[7] + dist[7] * 0x1.0p-40;     // float32 collision
-      dist[0] = 0.0;
-      dist[n - 1] = 0.0;                           // duplicate zeros
-      dist[2] = dist[7] - dist[7] * 0x1.0p-41;     // collision, below
-    }
-    std::vector<std::int32_t> got(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      got[i] = static_cast<std::int32_t>(i);
-    }
-    ArgsortDistIndex(dist.data(), got.data(), n);
-    auto sorted = dist;  // RadixSortDistIndex mutates the keys
-    std::vector<std::int32_t> want(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      want[i] = static_cast<std::int32_t>(i);
-    }
-    RadixSortDistIndex(sorted.data(), want.data(), n);
-    EXPECT_EQ(got, want) << "n=" << n;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(dist[static_cast<std::size_t>(got[i])], sorted[i])
-          << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(KernelsTest, ArgsortDistIndexAllEqualKeepsOrder) {
-  // Every float32 key identical: all radix passes skip and one fix-up run
-  // covers the whole array; ascending input indices must come out intact.
-  std::vector<double> dist(100, 33.25);
-  std::vector<std::int32_t> idx(100);
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    idx[i] = static_cast<std::int32_t>(i);
-  }
-  const auto idx0 = idx;
-  ArgsortDistIndex(dist.data(), idx.data(), dist.size());
-  EXPECT_EQ(idx, idx0);
-  ArgsortDistIndex(nullptr, nullptr, 0);
 }
 
 TEST(KernelsTest, PaddedStrideContract) {

@@ -321,14 +321,22 @@ TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
       SolverRegistry::Default().Solve("greedy", dense, SolveOptions{});
   EXPECT_EQ(rd.stats.tiles_loaded, 0);
   EXPECT_EQ(rd.stats.tile_bytes_peak, 0);
-  EXPECT_EQ(rd.stats.tiles_pruned, 0);  // resident data: nothing avoided
+  // The resident solve runs the same bucket-refined scans, so its bounds
+  // retire real gathers; with pruning off nothing is credited.
+  EXPECT_GT(rd.stats.tiles_pruned, 0);
+  SolveOptions unpruned;
+  unpruned.assign.bound_pruning = false;
+  const SolveResult rd_off =
+      SolverRegistry::Default().Solve("greedy", dense, unpruned);
+  EXPECT_EQ(rd_off.stats.tiles_pruned, 0);
+  EXPECT_EQ(rd_off.assignment.server_of, rd.assignment.server_of);
   const ClientBlockStats before = tiled.client_block().stats();
   const SolveResult rt =
       SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
   // The bounds-first greedy never synthesizes a tile on a lazy backend:
-  // preprocessing sorts through the fused gather argsort, the rounds scan
-  // through ScanCandidates, batches re-gather single columns, and the
-  // objective fold reads only the assigned diagonal.
+  // preprocessing fills one column per server, the rounds gather only the
+  // buckets their bounds cannot retire, batches re-gather single columns,
+  // and the objective fold reads only the assigned diagonal.
   EXPECT_EQ(rt.stats.tiles_loaded, 0);
   EXPECT_EQ(rt.stats.tile_bytes_peak, 0);
   const ClientBlockStats after = tiled.client_block().stats();

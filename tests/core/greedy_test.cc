@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/simd/simd.h"
+#include "common/thread_pool.h"
 #include "core/metrics.h"
 #include "core/nearest_server.h"
+#include "data/streaming.h"
+#include "net/distance_oracle.h"
 #include "../testutil.h"
 
 namespace diaca::core {
@@ -152,6 +162,218 @@ TEST(GreedyTest, CapacitatedNoWorseThanTwiceUncapacitatedWhenLoose) {
   AssignOptions loose;
   loose.capacity = p.num_clients();
   EXPECT_EQ(GreedyAssign(p, loose), GreedyAssign(p));
+}
+
+// Scalar reference greedy, written independently of greedy.cc in the
+// shape of the pre-kernel solver: every server's list is fully sorted by
+// (distance, client) once, and every round compacts and scans every list
+// in full. The first strict-< minimum over (server, position) order is
+// the lexicographic (cost, server, position) winner. No bounds, buckets
+// or caches, so it shares none of the solver's pruning machinery.
+//
+// One shortcut keeps it affordable at 10^5 clients, where most rounds
+// assign a single client at zero cost: costs are non-negative and delta
+// is non-decreasing along a sorted list, so a server has a zero-cost
+// position iff its first unassigned entry does — and the first such
+// server in index order wins the round with that entry, no scan needed.
+Assignment ReferenceGreedy(const Problem& p, const AssignOptions& options) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const ClientBlockView& view = p.client_block();
+  const std::int32_t num_clients = p.num_clients();
+  const std::int32_t num_servers = p.num_servers();
+  std::vector<std::vector<ClientIndex>> lists(
+      static_cast<std::size_t>(num_servers));
+  std::vector<std::int32_t> room(static_cast<std::size_t>(num_servers));
+  for (ServerIndex s = 0; s < num_servers; ++s) {
+    auto& list = lists[static_cast<std::size_t>(s)];
+    list.resize(static_cast<std::size_t>(num_clients));
+    std::iota(list.begin(), list.end(), 0);
+    std::sort(list.begin(), list.end(), [&](ClientIndex x, ClientIndex y) {
+      const double dx = view.cs(x, s);
+      const double dy = view.cs(y, s);
+      return dx != dy ? dx < dy : x < y;
+    });
+    room[static_cast<std::size_t>(s)] =
+        options.capacitated() ? options.CapacityOf(s)
+                              : std::numeric_limits<std::int32_t>::max();
+  }
+  Assignment a(static_cast<std::size_t>(num_clients));
+  std::vector<std::size_t> head(static_cast<std::size_t>(num_servers), 0);
+  std::vector<double> far(static_cast<std::size_t>(num_servers), -1.0);
+  std::vector<double> reach(static_cast<std::size_t>(num_servers), 0.0);
+  double max_len = 0.0;
+  std::int32_t assigned = 0;
+  while (assigned < num_clients) {
+    double best_cost = kInf;
+    double best_len = max_len;
+    ServerIndex best_s = -1;
+    std::size_t best_pos = 0;
+    bool zero = false;
+    for (ServerIndex s = 0; s < num_servers && !zero; ++s) {
+      const auto si = static_cast<std::size_t>(s);
+      if (room[si] <= 0) continue;
+      std::size_t& h = head[si];
+      while (a[lists[si][h]] != kUnassigned) ++h;
+      const double d = view.cs(lists[si][h], s);
+      const double r = assigned > 0 ? reach[si] : -kInf;
+      if (std::max(std::max(2.0 * d, d + r), max_len) == max_len) {
+        zero = true;
+        best_s = s;
+        best_pos = h;
+      }
+    }
+    for (ServerIndex s = 0; s < num_servers && !zero; ++s) {
+      const auto si = static_cast<std::size_t>(s);
+      if (room[si] <= 0) continue;
+      head[si] = 0;
+      auto& list = lists[si];
+      list.erase(std::remove_if(list.begin(), list.end(),
+                                [&](ClientIndex c) {
+                                  return a[c] != kUnassigned;
+                                }),
+                 list.end());
+      const double r = assigned > 0 ? reach[si] : -kInf;
+      for (std::size_t pos = 0; pos < list.size(); ++pos) {
+        const double d = view.cs(list[pos], s);
+        const double len = std::max(std::max(2.0 * d, d + r), max_len);
+        const double dn = std::min(static_cast<double>(pos) + 1.0,
+                                   static_cast<double>(room[si]));
+        const double cost = (len - max_len) / dn;
+        if (cost < best_cost) {
+          best_cost = cost;
+          best_len = len;
+          best_s = s;
+          best_pos = pos;
+        }
+      }
+    }
+    const auto bsi = static_cast<std::size_t>(best_s);
+    const std::size_t batch = best_pos + 1;
+    // A zero-cost winner's batch is its head entry alone; capacity
+    // truncates any other batch to its farthest `room` members.
+    const std::size_t take =
+        zero ? 1 : std::min(batch, static_cast<std::size_t>(room[bsi]));
+    for (std::size_t i = batch - take; i < batch; ++i) {
+      const ClientIndex c = lists[bsi][i];
+      a[c] = best_s;
+      far[bsi] = std::max(far[bsi], view.cs(c, best_s));
+    }
+    assigned += static_cast<std::int32_t>(take);
+    if (options.capacitated()) room[bsi] -= static_cast<std::int32_t>(take);
+    max_len = std::max(max_len, best_len);
+    for (ServerIndex t = 0; t < num_servers; ++t) {
+      reach[static_cast<std::size_t>(t)] = std::max(
+          reach[static_cast<std::size_t>(t)], p.ss(best_s, t) + far[bsi]);
+    }
+  }
+  return a;
+}
+
+// GreedyAssign against the scalar reference, bit for bit, on both views
+// of one instance: capacitated and not, pruning on and off, 1 and 4
+// threads.
+void ExpectMatchesReference(const Problem& resident, const Problem& tiled,
+                            std::uint64_t seed) {
+  ASSERT_TRUE(resident.client_block().materialized());
+  ASSERT_FALSE(tiled.client_block().materialized());
+  for (const bool capacitated : {false, true}) {
+    AssignOptions base;
+    if (capacitated) {
+      base.capacity = resident.num_clients() * 5 / 4 / resident.num_servers();
+    }
+    const Assignment want = ReferenceGreedy(resident, base);
+    for (const Problem* problem : {&resident, &tiled}) {
+      for (const bool prune : {true, false}) {
+        for (const int threads : {1, 4}) {
+          SetGlobalThreads(threads);
+          AssignOptions options = base;
+          options.bound_pruning = prune;
+          ASSERT_EQ(GreedyAssign(*problem, options).server_of,
+                    want.server_of)
+              << "clients=" << resident.num_clients() << " seed=" << seed
+              << " capacitated=" << capacitated << " materialized="
+              << problem->client_block().materialized()
+              << " prune=" << prune << " threads=" << threads;
+        }
+      }
+    }
+  }
+  SetGlobalThreads(0);
+}
+
+// A resident and a tiled client cloud over one Waxman substrate. A raised
+// access floor makes about half the clients share their attachment
+// node's exact distances, so the (distance, client) tie-break is
+// exercised throughout.
+void ExpectCloudMatchesReference(std::int64_t clients, std::uint64_t seed) {
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 120;
+  params.num_clients = clients;
+  params.min_access_ms = 3.0;
+  const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, seed);
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::DistanceOracle oracle = net::DistanceOracle::FromGraph(graph, opt);
+  std::vector<net::NodeIndex> servers;
+  for (net::NodeIndex s = 0; s < 120; s += 10) servers.push_back(s);
+  const data::ClientCloud resident =
+      data::BuildClientCloud(params, seed, oracle, servers);
+  params.materialize_block = false;
+  const data::ClientCloud tiled =
+      data::BuildClientCloud(params, seed, oracle, servers);
+  ExpectMatchesReference(resident.problem, tiled.problem, seed);
+}
+
+// Client counts that put the bucket count at the floor of its clamp
+// (700 clients -> 64 buckets), between (20000 -> 1024) and at the
+// ceiling (140000 -> 8192).
+TEST(GreedyReferenceTest, BitIdenticalToScalarReferenceAcrossGrid) {
+  struct Case {
+    std::int64_t clients;
+    std::uint64_t seed;
+  };
+  for (const Case& k : {Case{700, 3}, Case{700, 11}, Case{20000, 5},
+                        Case{20000, 13}, Case{140000, 7}}) {
+    ExpectCloudMatchesReference(k.clients, k.seed);
+  }
+}
+
+// The scalar reference calls no kernel, so every SIMD backend must land
+// on its assignment bit for bit.
+TEST(GreedyReferenceTest, BitIdenticalToScalarReferenceOnEverySimdBackend) {
+  std::vector<simd::Backend> backends{simd::Backend::kScalar,
+                                      simd::Backend::kPortable};
+  if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
+  for (const simd::Backend backend : backends) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    simd::SetBackend(backend);
+    ExpectCloudMatchesReference(700, 17);
+    ExpectCloudMatchesReference(20000, 19);
+  }
+  simd::SetBackend(simd::BestBackend());
+}
+
+// Latencies drawn from {1, ..., 6}: exact cost ties between servers are
+// common, so the cross-server (cost, server) tie rule decides rounds.
+TEST(GreedyReferenceTest, BitIdenticalOnTieHeavyIntegerLatencies) {
+  constexpr std::int32_t kNodes = 400;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    net::LatencyMatrix m(kNodes);
+    for (net::NodeIndex u = 0; u < kNodes; ++u) {
+      for (net::NodeIndex v = u + 1; v < kNodes; ++v) {
+        m.Set(u, v, static_cast<double>(1 + rng.NextBounded(6)));
+      }
+    }
+    std::vector<net::NodeIndex> servers(12);
+    std::iota(servers.begin(), servers.end(), 0);
+    std::vector<net::NodeIndex> clients(kNodes);
+    std::iota(clients.begin(), clients.end(), 0);
+    const Problem resident(m, servers, clients);
+    const Problem tiled = Problem::FromOracleTiled(
+        net::DistanceOracle::FromMatrix(m), servers, clients);
+    ExpectMatchesReference(resident, tiled, seed);
+  }
 }
 
 }  // namespace

@@ -561,9 +561,9 @@ int CmdCloud(const Flags& flags) {
   table.Row().Cell(algorithm + " solve (ms)").Cell(solve_ms);
   table.Row().Cell("max interaction path (ms)").Cell(result.stats.max_len);
   table.Row().Cell("oracle row builds").Cell(stats.row_builds);
+  table.Row().Cell("tiles pruned").Cell(result.stats.tiles_pruned);
   if (!params.materialize_block) {
     table.Row().Cell("tiles loaded").Cell(result.stats.tiles_loaded);
-    table.Row().Cell("tiles pruned").Cell(result.stats.tiles_pruned);
     table.Row().Cell("tile pool peak (MB)").Cell(
         static_cast<double>(result.stats.tile_bytes_peak) / (1024.0 * 1024.0));
     table.Row().Cell("client block equivalent (MB)").Cell(
