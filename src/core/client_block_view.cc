@@ -193,142 +193,27 @@ void ClientBlockView::ForEachTile(
   }
 }
 
-void ClientBlockView::ForEachTile(
-    const std::function<void(const ClientTile&, std::size_t)>& fn) const {
-  const std::int32_t tile_clients =
-      std::clamp(tile_.tile_clients, 1, num_clients_);
-  const auto total = static_cast<std::int64_t>(NumTiles());
-  if (raw_block_ != nullptr) {
-    // Zero-copy partition of the resident block; each slot owns its rows.
-    GlobalPool().ParallelFor(0, total, 1, [&](std::int64_t tb,
-                                              std::int64_t te) {
-      for (std::int64_t t = tb; t < te; ++t) {
-        const auto begin = static_cast<std::int32_t>(
-            t * static_cast<std::int64_t>(tile_clients));
-        const std::int32_t end = std::min(num_clients_, begin + tile_clients);
-        fn(ClientTile{begin, end,
-                      raw_block_ +
-                          static_cast<std::size_t>(begin) * server_stride_,
-                      server_stride_},
-           static_cast<std::size_t>(t));
-      }
-    });
-    return;
-  }
-  DIACA_OBS_SPAN("core.view.tiles");
-  const std::size_t tile_doubles =
-      static_cast<std::size_t>(tile_clients) * server_stride_;
-  const auto tile_bytes =
-      static_cast<std::int64_t>(tile_doubles * sizeof(double));
-  // One synthesis buffer per concurrent chunk, charged against the pool
-  // peak while live.
-  std::atomic<std::int64_t> live{0};
-  GlobalPool().ParallelFor(0, total, 1, [&](std::int64_t tb,
-                                            std::int64_t te) {
-    std::vector<double> buf(tile_doubles);
-    BumpTileBytesPeak(live.fetch_add(tile_bytes, std::memory_order_relaxed) +
-                      tile_bytes);
-    for (std::int64_t t = tb; t < te; ++t) {
-      const auto begin = static_cast<std::int32_t>(
-          t * static_cast<std::int64_t>(tile_clients));
-      const std::int32_t end = std::min(num_clients_, begin + tile_clients);
-      FillTileSlow(begin, end, buf.data());
-      tiles_loaded_.fetch_add(1, std::memory_order_relaxed);
-      fn(ClientTile{begin, end, buf.data(), server_stride_},
-         static_cast<std::size_t>(t));
-    }
-    live.fetch_sub(tile_bytes, std::memory_order_relaxed);
-  });
-}
-
 void ClientBlockView::CountPrunedTiles(std::int64_t n) const {
   tiles_pruned_.fetch_add(n, std::memory_order_relaxed);
 }
 
-void ClientBlockView::ForEachTileBounded(
-    const std::function<bool(const TileBounds&)>& pred,
-    const std::function<void(const ClientTile&)>& fn) const {
-  // Nothing to avoid on a resident block, and pruning-off must do the
-  // full exact work: both ignore pred entirely.
-  if (raw_block_ != nullptr || !tile_.bound_pruning) {
-    ForEachTile(fn);
-    return;
-  }
-  DIACA_OBS_SPAN("core.view.tiles");
-  const std::int32_t tile_clients =
-      std::clamp(tile_.tile_clients, 1, num_clients_);
-  const std::size_t total = NumTiles();
-  const std::size_t tile_doubles =
-      static_cast<std::size_t>(tile_clients) * server_stride_;
-  std::vector<double> buf;  // allocated on first surviving tile
-  for (std::size_t t = 0; t < total; ++t) {
-    const TileBounds tb = TileBoundsOf(t);
-    if (!pred(tb)) {
-      tiles_pruned_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (buf.empty()) {
-      buf.resize(tile_doubles);
-      BumpTileBytesPeak(
-          static_cast<std::int64_t>(tile_doubles * sizeof(double)));
-    }
-    FillTileSlow(tb.begin, tb.end, buf.data());
-    tiles_loaded_.fetch_add(1, std::memory_order_relaxed);
-    fn(ClientTile{tb.begin, tb.end, buf.data(), server_stride_});
-  }
+void ClientBlockView::FillColumnMax(double* out) const {
+  FillColumnMaxSlow(out);
 }
 
-ClientBlockView::ColumnAggregate ClientBlockView::ColumnBounds(
-    ServerIndex s) const {
-  std::call_once(col_bounds_once_, [&] {
-    col_bounds_.resize(static_cast<std::size_t>(num_servers_));
-    for (ServerIndex i = 0; i < num_servers_; ++i) {
-      col_bounds_[static_cast<std::size_t>(i)] = ColumnBoundsSlow(i);
+void ClientBlockView::FillColumnMaxSlow(double* out) const {
+  // No backend structure: one exact row-major pass (the resident block is
+  // a single zero-copy tile).
+  const auto servers = static_cast<std::size_t>(num_servers_);
+  std::fill(out, out + servers, -std::numeric_limits<double>::infinity());
+  ForEachTile([&](const ClientTile& tile) {
+    for (ClientIndex c = tile.begin; c < tile.end; ++c) {
+      const double* row = tile.row(c);
+      for (std::size_t s = 0; s < servers; ++s) {
+        out[s] = std::max(out[s], row[s]);
+      }
     }
   });
-  return col_bounds_[static_cast<std::size_t>(s)];
-}
-
-ClientBlockView::ColumnAggregate ClientBlockView::ColumnBoundsSlow(
-    ServerIndex s) const {
-  // No backend structure: one exact column pass. Backends with an access
-  // leg override (here the aggregates would double-count it against
-  // TileAccessRange); the default's TileAccessRange is {0, 0}, so
-  // fl(0 + lower) == lower keeps the sandwich exact.
-  thread_local std::vector<double> scratch;
-  scratch.resize(static_cast<std::size_t>(num_clients_));
-  if (raw_block_ != nullptr) {
-    const double* p = raw_block_ + static_cast<std::size_t>(s);
-    for (std::int32_t c = 0; c < num_clients_; ++c) {
-      scratch[static_cast<std::size_t>(c)] =
-          p[static_cast<std::size_t>(c) * server_stride_];
-    }
-  } else {
-    FillColumnSlow(s, scratch.data());
-  }
-  ColumnAggregate agg{scratch[0], scratch[0]};
-  for (std::int32_t c = 1; c < num_clients_; ++c) {
-    const double d = scratch[static_cast<std::size_t>(c)];
-    agg.lower = std::min(agg.lower, d);
-    agg.upper = std::max(agg.upper, d);
-  }
-  return agg;
-}
-
-void ClientBlockView::TileAccessRange(std::size_t /*t*/, double* lo,
-                                      double* hi) const {
-  *lo = 0.0;
-  *hi = 0.0;
-}
-
-TileBounds ClientBlockView::TileBoundsOf(std::size_t t) const {
-  const std::int32_t tile_clients =
-      std::clamp(tile_.tile_clients, 1, num_clients_);
-  TileBounds tb;
-  tb.begin = static_cast<ClientIndex>(t * static_cast<std::size_t>(tile_clients));
-  tb.end = std::min(num_clients_, tb.begin + tile_clients);
-  TileAccessRange(t, &tb.access_min, &tb.access_max);
-  return tb;
 }
 
 void ClientBlockView::GatherAssigned(const ServerIndex* assign,
@@ -385,9 +270,13 @@ void ClientBlockView::FillNearestSlow(ServerIndex* server_out,
     dist_out[c] = r.value;
   };
   if (raw_block_ != nullptr) {
-    for (std::int32_t c = 0; c < num_clients_; ++c) {
-      scan(raw_block_ + static_cast<std::size_t>(c) * server_stride_, c);
-    }
+    // Per-client writes: any chunking is bit-identical to the serial scan.
+    GlobalPool().ParallelFor(0, num_clients_, 4096, [&](std::int64_t cb,
+                                                         std::int64_t ce) {
+      for (auto c = static_cast<std::int32_t>(cb); c < ce; ++c) {
+        scan(raw_block_ + static_cast<std::size_t>(c) * server_stride_, c);
+      }
+    });
     return;
   }
   thread_local std::vector<double> row;
@@ -545,8 +434,10 @@ std::shared_ptr<OracleTileView> OracleTileView::Build(
   const auto rows = static_cast<std::size_t>(view->num_rows_);
   view->node_rows_.assign(rows * stride, 0.0);
   view->server_cols_.assign(static_cast<std::size_t>(num_servers) * rows, 0.0);
-  view->col_min_.assign(static_cast<std::size_t>(num_servers), 0.0);
-  view->col_max_.assign(static_cast<std::size_t>(num_servers), 0.0);
+  view->leg_max_.assign(static_cast<std::size_t>(num_servers), 0.0);
+  for (const double a : view->access_) {
+    view->access_max_ = std::max(view->access_max_, a);
+  }
   view->ss_block_.assign(
       static_cast<std::size_t>(num_servers) * static_cast<std::size_t>(num_servers),
       0.0);
@@ -560,17 +451,14 @@ std::shared_ptr<OracleTileView> OracleTileView::Build(
           const auto si = static_cast<std::size_t>(s);
           oracle.FillRow(server_nodes[si], row);
           double* col = view->server_cols_.data() + si * rows;
-          double cmin = std::numeric_limits<double>::infinity();
           double cmax = -std::numeric_limits<double>::infinity();
           for (std::size_t r = 0; r < rows; ++r) {
             const double d = row[static_cast<std::size_t>(node_of_row[r])];
             col[r] = d;
             view->node_rows_[r * stride + si] = d;
-            cmin = std::min(cmin, d);
             cmax = std::max(cmax, d);
           }
-          view->col_min_[si] = cmin;
-          view->col_max_[si] = cmax;
+          view->leg_max_[si] = cmax;
           double* ss = view->ss_block_.data() +
                        si * static_cast<std::size_t>(num_servers);
           for (std::int32_t b = 0; b < num_servers; ++b) {
@@ -582,29 +470,6 @@ std::shared_ptr<OracleTileView> OracleTileView::Build(
         }
       });
 
-  // Exact access range per logical tile (the TileBounds sandwich); one
-  // O(|C|) pass, skipped entirely on the no-access (matrix) shape.
-  if (!view->access_.empty()) {
-    const std::size_t total = view->NumTiles();
-    view->tile_access_min_.resize(total);
-    view->tile_access_max_.resize(total);
-    const std::int32_t tile_clients =
-        std::clamp(tile.tile_clients, 1, num_clients);
-    for (std::size_t t = 0; t < total; ++t) {
-      const auto begin =
-          static_cast<std::size_t>(t) * static_cast<std::size_t>(tile_clients);
-      const auto end = std::min(static_cast<std::size_t>(num_clients),
-                                begin + static_cast<std::size_t>(tile_clients));
-      double lo = view->access_[begin];
-      double hi = lo;
-      for (std::size_t c = begin + 1; c < end; ++c) {
-        lo = std::min(lo, view->access_[c]);
-        hi = std::max(hi, view->access_[c]);
-      }
-      view->tile_access_min_[t] = lo;
-      view->tile_access_max_[t] = hi;
-    }
-  }
   return view;
 }
 
@@ -663,23 +528,12 @@ void OracleTileView::FillTileSlow(ClientIndex begin, ClientIndex end,
   }
 }
 
-ClientBlockView::ColumnAggregate OracleTileView::ColumnBoundsSlow(
-    ServerIndex s) const {
-  // Exact substrate-leg aggregates from the build; composed with the tile
-  // access range by one monotone IEEE add each.
-  return ColumnAggregate{col_min_[static_cast<std::size_t>(s)],
-                         col_max_[static_cast<std::size_t>(s)]};
-}
-
-void OracleTileView::TileAccessRange(std::size_t t, double* lo,
-                                     double* hi) const {
-  if (tile_access_min_.empty()) {
-    *lo = 0.0;
-    *hi = 0.0;
-    return;
+void OracleTileView::FillColumnMaxSlow(double* out) const {
+  // Exact substrate-leg maxima from the build, lifted by the largest
+  // access delay with one monotone IEEE add each.
+  for (std::size_t s = 0; s < leg_max_.size(); ++s) {
+    out[s] = access_.empty() ? leg_max_[s] : access_max_ + leg_max_[s];
   }
-  *lo = tile_access_min_[t];
-  *hi = tile_access_max_[t];
 }
 
 void OracleTileView::GatherAssignedSlow(const ServerIndex* assign,
@@ -709,11 +563,11 @@ void OracleTileView::FoldAssignedMaxSlow(const ServerIndex* assign,
                                          double* far) const {
   // Bounds-first fold over the logical tile grid. A tile is skippable
   // when every assigned client already satisfies
-  //   fl(access(c) + col_max[a_c]) <= far[a_c]:
+  //   fl(access(c) + leg_max[a_c]) <= far[a_c]:
   // then d(c, a_c) <= that bound <= far[a_c], and since far only grows
   // during the fold the max is a no-op for the whole tile — skipping is
   // bit-identical. The test touches only cache-resident arrays (access,
-  // assign, col_max, far); surviving tiles refine through the direct
+  // assign, leg_max, far); surviving tiles refine through the direct
   // assigned gather, so no tile is ever synthesized here.
   const std::int32_t tile_clients =
       std::clamp(tile_.tile_clients, 1, num_clients_);
@@ -731,9 +585,9 @@ void OracleTileView::FoldAssignedMaxSlow(const ServerIndex* assign,
         if (s < 0) continue;
         const double hi =
             access_.empty()
-                ? col_max_[static_cast<std::size_t>(s)]
+                ? leg_max_[static_cast<std::size_t>(s)]
                 : access_[static_cast<std::size_t>(c)] +
-                      col_max_[static_cast<std::size_t>(s)];
+                      leg_max_[static_cast<std::size_t>(s)];
         if (!(hi <= far[s])) {
           skip = false;
           break;
@@ -773,15 +627,13 @@ void OracleTileView::BuildNearestIndex() const {
   node_argmin_.resize(rows);
   cand_begin_.assign(rows + 1, 0);
   cand_list_.clear();
-  double amax = 0.0;
-  for (const double a : access_) amax = std::max(amax, a);
   for (std::size_t r = 0; r < rows; ++r) {
     const double* row = node_rows_.data() + r * server_stride_;
     const simd::ArgResult m = simd::ArgMinFirst(row, servers);
     node_min_[r] = m.value;
     node_argmin_[r] = static_cast<ServerIndex>(m.index);
     if (!access_.empty()) {
-      const double vmax = amax + m.value;
+      const double vmax = access_max_ + m.value;
       const double w = 2.0 * (std::nextafter(vmax, kInf) - vmax);
       const double threshold = std::nextafter(m.value + w, kInf);
       for (std::size_t s = 0; s < servers; ++s) {

@@ -36,10 +36,8 @@
 //
 // Thread safety: views are shared const (Problem copies alias one view).
 // All accessors are safe to call concurrently; the usage counters are
-// relaxed atomics. The sequential ForEachTile is a single-consumer
-// traversal delivering ascending tiles on the calling thread; the fused
-// overload (fn(tile, slot)) fans tiles out across the pool for in-place
-// per-tile reductions — see its contract for the determinism rules.
+// relaxed atomics. ForEachTile is a single-consumer traversal
+// delivering ascending tiles on the calling thread.
 #pragma once
 
 #include <atomic>
@@ -87,12 +85,12 @@ struct ClientBlockStats {
   /// (0 on MaterializedView). The memory the tiling actually costs.
   std::int64_t tile_bytes_peak = 0;
   /// Work units a certified bound skipped without touching their exact
-  /// values: whole tiles rejected by a ForEachTileBounded /
-  /// FoldAssignedMax predicate (lazy backends only — a resident block
-  /// has nothing to synthesize) plus 512-entry candidate blocks the
-  /// greedy scans retired without gathering (every backend, credited
-  /// through CountPrunedTiles). Unlike the solver outputs this counter is
-  /// telemetry, not part of the bit-determinism contract.
+  /// values: whole tiles rejected by the FoldAssignedMax predicate (lazy
+  /// backends only — a resident block has nothing to synthesize) plus
+  /// 512-entry candidate blocks the greedy scans retired without
+  /// gathering (every backend, credited through CountPrunedTiles). Unlike
+  /// the solver outputs this counter is telemetry, not part of the
+  /// bit-determinism contract.
   std::int64_t tiles_pruned = 0;
 };
 
@@ -113,28 +111,12 @@ struct TileOptions {
   /// [0, pool_tiles - 1]; 0 — or a threadless pool — degrades to
   /// synchronous generation. Results are bit-identical at every depth.
   std::int32_t prefetch_depth = 2;
-  /// Master switch for the certified filter-and-refine paths (bounded
-  /// tile traversal skips, cutoff-seeded candidate scans, assigned-fold
-  /// tile rejection). Off forces every bound-gated path to do the full
-  /// exact work — slower, bit-identical output — which is how the tier-1
-  /// smoke validates the certification.
+  /// Master switch for the certified filter-and-refine paths
+  /// (cutoff-seeded candidate scans, assigned-fold tile rejection). Off
+  /// forces every bound-gated path to do the full exact work — slower,
+  /// bit-identical output — which is how the tier-1 smoke validates the
+  /// certification.
   bool bound_pruning = true;
-};
-
-/// Cheap certified aggregates of one logical tile, handed to
-/// ForEachTileBounded predicates BEFORE the tile is synthesized. Combined
-/// with ColumnBounds they sandwich every cell exactly:
-///   fl(access_min + ColumnBounds(s).lower) <= d(c, s)
-///                                          <= fl(access_max + ColumnBounds(s).upper)
-/// for every client c in [begin, end) — monotone IEEE adds of exact
-/// aggregates, so the sandwich holds bitwise with no slack term.
-struct TileBounds {
-  ClientIndex begin = 0;
-  ClientIndex end = 0;
-  /// Exact min/max access delay over the tile's clients; both 0.0 when
-  /// clients sit directly on substrate nodes (no access leg is added).
-  double access_min = 0.0;
-  double access_max = 0.0;
 };
 
 class ClientBlockView {
@@ -201,51 +183,16 @@ class ClientBlockView {
   /// thread, and tiles arrive in ascending order regardless of depth.
   void ForEachTile(const std::function<void(const ClientTile&)>& fn) const;
 
-  /// Fused traversal: every tile is handed to fn exactly once together
-  /// with its slot index in [0, NumTiles()), but tiles may arrive
-  /// CONCURRENTLY and OUT OF ORDER when the pool has workers — fn reduces
-  /// each tile while it is cache-resident instead of staging results for
-  /// a second pass. Callers keep determinism by writing per-client slots
-  /// (disjoint) or folding into per-slot state merged in ascending slot
-  /// order after the call (exact for max/min folds). Order-sensitive
-  /// consumers (float accumulation) must use the sequential overload.
-  /// MaterializedView partitions the resident block into zero-copy tiles.
-  void ForEachTile(
-      const std::function<void(const ClientTile&, std::size_t)>& fn) const;
-
-  /// Tiles the fused traversal delivers: ceil(|C| / clamped tile_clients).
+  /// Tiles ForEachTile delivers on a lazy backend:
+  /// ceil(|C| / clamped tile_clients).
   std::size_t NumTiles() const;
 
-  /// Bounds-first sequential traversal (filter-and-refine): before tile t
-  /// is synthesized, pred(TileBounds of t) decides whether its exact
-  /// values can matter — false skips synthesis entirely (counted in
-  /// ClientBlockStats::tiles_pruned), true refines by synthesizing the
-  /// tile and handing it to fn like ForEachTile. The caller's predicate
-  /// must be CERTIFIED: it may only reject a tile when the TileBounds
-  /// sandwich proves fn's result cannot change, so the traversal output
-  /// is bit-identical to ForEachTile at every pruning rate. A
-  /// MaterializedView — whose tiles are zero-copy, nothing to avoid — and
-  /// a view with bound_pruning disabled ignore pred and visit every tile.
-  void ForEachTileBounded(
-      const std::function<bool(const TileBounds&)>& pred,
-      const std::function<void(const ClientTile&)>& fn) const;
-
-  /// Exact min/max of column s over the clients' attachment structure:
-  /// every cs(c, s) satisfies
-  ///   fl(access(c) + lower) <= cs(c, s) <= fl(access(c) + upper)
-  /// (equality-tight when clients sit on nodes). OracleTileView
-  /// precomputes these per server at build; MaterializedView derives them
-  /// from the resident block on first use (cached). The doubles are exact
-  /// column aggregates — no estimation slack — so bounds composed from
-  /// them by monotone IEEE ops are certified.
-  struct ColumnAggregate {
-    double lower = 0.0;
-    double upper = 0.0;
-  };
-  ColumnAggregate ColumnBounds(ServerIndex s) const;
-
-  /// TileBounds of logical tile t (the grid NumTiles() defines).
-  TileBounds TileBoundsOf(std::size_t t) const;
+  /// Certified column maxima: cs(c, s) <= out[s] for every client c and
+  /// server s in [0, num_servers()). Exact on a resident block (one
+  /// row-major pass); OracleTileView writes fl(max access delay + the
+  /// column's exact maximum substrate leg), a monotone IEEE add of exact
+  /// aggregates, so the bound holds bitwise with no slack term.
+  void FillColumnMax(double* out) const;
 
   /// out[c] = cs(c, assign[c]) for every client with assign[c] >= 0
   /// (out[c] = -1.0 otherwise — the repo-wide "unused" sentinel). The
@@ -257,8 +204,8 @@ class ClientBlockView {
   /// every client with assign[c] == s, bit-identical to the full
   /// MaxAbsorbScatter pass at any pruning rate (max is exact, and a
   /// skipped tile is certified to leave every far[s] unchanged:
-  /// fl(access(c) + ColumnBounds(a_c).upper) <= far[a_c] held for each of
-  /// its clients, and far only grows). Pruned tile ranges count into
+  /// fl(access(c) + max substrate leg of a_c) <= far[a_c] held for each
+  /// of its clients, and far only grows). Pruned tile ranges count into
   /// tiles_pruned; surviving tiles refine through the sparse assigned
   /// gather, never tile synthesis.
   void FoldAssignedMax(const ServerIndex* assign, double* far) const;
@@ -303,19 +250,17 @@ class ClientBlockView {
   /// pads included).
   virtual void FillTileSlow(ClientIndex begin, ClientIndex end,
                             double* out) const = 0;
-  /// Column aggregate without backend structure: one FillColumn pass.
-  virtual ColumnAggregate ColumnBoundsSlow(ServerIndex s) const;
-  /// Exact access-delay range of logical tile t; the default (no access
-  /// structure) reports {0, 0}, which keeps TileBounds conservative only
-  /// on backends that never prune anyway.
-  virtual void TileAccessRange(std::size_t t, double* lo, double* hi) const;
+  /// Column maxima; the default is one exact row-major pass over the
+  /// tiles.
+  virtual void FillColumnMaxSlow(double* out) const;
   /// Assigned-diagonal gather; default walks cs().
   virtual void GatherAssignedSlow(const ServerIndex* assign,
                                   double* out) const;
   /// Eccentricity fold; default is the unpruned sparse gather + max pass.
   virtual void FoldAssignedMaxSlow(const ServerIndex* assign,
                                    double* far) const;
-  /// Nearest-server scan; default is FillRow + simd::ArgMinFirst per row.
+  /// Nearest-server scan; default is simd::ArgMinFirst per row (resident
+  /// rows fan out over the global pool in client chunks).
   virtual void FillNearestSlow(ServerIndex* server_out,
                                double* dist_out) const;
 
@@ -336,8 +281,6 @@ class ClientBlockView {
   mutable std::atomic<std::int64_t> columns_gathered_{0};
   mutable std::atomic<std::int64_t> tile_bytes_peak_{0};
   mutable std::atomic<std::int64_t> tiles_pruned_{0};
-  mutable std::once_flag col_bounds_once_;
-  mutable std::vector<ColumnAggregate> col_bounds_;
 };
 
 /// The historical backend: owns the padded |C| x server_stride block.
@@ -399,8 +342,7 @@ class OracleTileView final : public ClientBlockView {
   void FillColumnSlow(ServerIndex s, double* out) const override;
   void FillTileSlow(ClientIndex begin, ClientIndex end,
                     double* out) const override;
-  ColumnAggregate ColumnBoundsSlow(ServerIndex s) const override;
-  void TileAccessRange(std::size_t t, double* lo, double* hi) const override;
+  void FillColumnMaxSlow(double* out) const override;
   void GatherAssignedSlow(const ServerIndex* assign,
                           double* out) const override;
   void FoldAssignedMaxSlow(const ServerIndex* assign,
@@ -433,14 +375,11 @@ class OracleTileView final : public ClientBlockView {
   std::vector<double> ss_block_;
   std::int32_t num_rows_ = 0;  ///< distinct attachment nodes
 
-  /// Exact per-server column aggregates over the attachment nodes
-  /// (ColumnBounds numerators), computed once at build.
-  std::vector<double> col_min_;
-  std::vector<double> col_max_;
-  /// Exact per-logical-tile access-delay range (empty when clients sit on
-  /// substrate nodes), computed once at build on the NumTiles() grid.
-  std::vector<double> tile_access_min_;
-  std::vector<double> tile_access_max_;
+  /// Exact per-server maximum substrate leg over the attachment nodes,
+  /// computed once at build, and the largest access delay (0.0 when
+  /// clients sit on substrate nodes).
+  std::vector<double> leg_max_;
+  double access_max_ = 0.0;
 
   /// Factorized nearest-server structure (FillNearest), built lazily on
   /// first use: per attachment node, its column minimum, and the

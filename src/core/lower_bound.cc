@@ -1,12 +1,15 @@
 #include "core/lower_bound.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/simd/kernels.h"
+#include "common/thread_pool.h"
+#include "obs/obs.h"
 
 namespace diaca::core {
 
@@ -24,120 +27,102 @@ const double* RowOf(const ClientBlockView& view, ClientIndex c,
   return scratch.data();
 }
 
+// The pairwise bound as one certified filter-and-refine pass, the same
+// on every client-block view.
+//
+// Refine: pair (c, c2), c <= c2, reduces m row c against block row c2,
+//   best(c, c2) = min_{s'} fl(m[c][s'] + d(c2, s')),
+//   m[c][s']    = min_s fl(d(c, s) + d(s, s')),
+// and LB is the max over pairs, witnessed by the lexicographically
+// smallest pair attaining it. The orientation is fixed: the transposed
+// sum can differ in the last ulp, so it is never evaluated.
+//
+// Filter: d(s, s) = 0 and latencies are non-negative, so m[c][near(c)]
+// equals d(c, near(c)) bit for bit and is the minimum of row c. Hence
+//   best(c, c2) <= fl(d(c, near(c)) + d(c2, near(c)))        (one lane)
+//               <= fl(d(c, near(c)) + col_max(near(c)))      (whole row)
+// with zero slack. Rows and pairs are skipped only on a STRICT loss to
+// an incumbent that refined values alone raise, so every pair attaining
+// the max is refined and the value and witness are bit-identical at any
+// pruning rate and thread count. The incumbent is shared across pool
+// lanes as a pruning hint only; each chunk keeps its own best pair.
 LowerBoundDetail ComputePairwise(const Problem& problem) {
+  DIACA_OBS_SPAN("core.lower_bound.pairwise");
   const std::int32_t num_clients = problem.num_clients();
   const std::int32_t num_servers = problem.num_servers();
   const auto sc = static_cast<std::size_t>(num_clients);
   const auto ss = static_cast<std::size_t>(num_servers);
+  const std::size_t stride = problem.server_stride();
   const ClientBlockView& view = problem.client_block();
 
-  // m[c][s'] = min_s d(c,s) + d(s,s'): cheapest way for client c's
-  // operation to reach server s' through some ingress server s. Rows use
-  // the problem's padded server stride so the min-plus kernels stream
-  // aligned spans; the pad lanes keep their +infinity fill (the kernels
-  // run over the |S| valid lanes only — a relaxed pad lane would hold
-  // stale finite junk and could win the reduce below). The m matrix is
-  // the bound's own O(|C| x |S|) state, so the pairwise bound remains a
-  // resident-scale computation on every backend.
-  // The fill runs through the fused traversal: each tile is relaxed on a
-  // pool lane while cache-resident, and every client owns its m row, so
-  // the writes are disjoint and the result is schedule-independent.
-  const std::size_t stride = problem.server_stride();
-  std::vector<double> m(sc * stride, std::numeric_limits<double>::infinity());
-  view.ForEachTile([&](const ClientTile& tile, std::size_t) {
-    for (ClientIndex c = tile.begin; c < tile.end; ++c) {
-      const double* cs_row = tile.row(c);
-      double* m_row = m.data() + static_cast<std::size_t>(c) * stride;
-      for (ServerIndex s = 0; s < num_servers; ++s) {
-        simd::MinPlusAccumulate(m_row, problem.ss_row(s), cs_row[s], ss);
+  std::vector<ServerIndex> near(sc);
+  std::vector<double> near_dist(sc);
+  view.FillNearest(near.data(), near_dist.data());
+  std::vector<double> col_max(ss);
+  view.FillColumnMax(col_max.data());
+  std::vector<double> row_bound(sc);
+  for (std::size_t c = 0; c < sc; ++c) {
+    row_bound[c] = near_dist[c] + col_max[static_cast<std::size_t>(near[c])];
+  }
+
+  constexpr std::int64_t kRowsPerChunk = 64;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::int64_t chunks =
+      (num_clients + kRowsPerChunk - 1) / kRowsPerChunk;
+  std::vector<LowerBoundDetail> chunk_best(static_cast<std::size_t>(chunks),
+                                           LowerBoundDetail{-kInf, 0, 0});
+  std::atomic<double> incumbent{0.0};
+  GlobalPool().ParallelFor(0, num_clients, kRowsPerChunk, [&](std::int64_t cb,
+                                                              std::int64_t ce) {
+    LowerBoundDetail& best =
+        chunk_best[static_cast<std::size_t>(cb / kRowsPerChunk)];
+    // The m row keeps its +infinity pad lanes: the kernels run over the
+    // |S| valid lanes only, and a relaxed pad lane could win the reduce.
+    std::vector<double> m_row(stride, kInf);
+    std::vector<double> row_c, row_c2;  // lazy views fill rows here
+    std::int64_t rows_refined = 0;
+    std::int64_t pairs_refined = 0;
+    for (auto c = static_cast<ClientIndex>(cb); c < ce; ++c) {
+      const auto ci = static_cast<std::size_t>(c);
+      double bar = incumbent.load();
+      if (row_bound[ci] < bar) continue;
+      const ServerIndex s0 = near[ci];
+      bool built = false;
+      for (ClientIndex c2 = c; c2 < num_clients; ++c2) {
+        if (near_dist[ci] + view.cs(c2, s0) < bar) continue;
+        if (!built) {
+          const double* cs_row = RowOf(view, c, row_c);
+          std::fill_n(m_row.begin(), ss, kInf);
+          for (ServerIndex s = 0; s < num_servers; ++s) {
+            simd::MinPlusAccumulate(m_row.data(), problem.ss_row(s),
+                                    cs_row[s], ss);
+          }
+          built = true;
+          ++rows_refined;
+        }
+        const double value =
+            simd::MinPlusReduce(m_row.data(), RowOf(view, c2, row_c2), ss);
+        ++pairs_refined;
+        // Pairs arrive in lexicographic order within the chunk, so the
+        // strict `>` keeps the smallest pair attaining the chunk's max.
+        if (value > best.value) best = LowerBoundDetail{value, c, c2};
+        double seen = incumbent.load();
+        while (value > seen &&
+               !incumbent.compare_exchange_weak(seen, value)) {
+        }
+        bar = std::max(seen, value);
       }
     }
+    DIACA_OBS_COUNT("core.lower_bound.rows_refined", rows_refined);
+    DIACA_OBS_COUNT("core.lower_bound.pairs_refined", pairs_refined);
   });
 
-  // LB = max_{c,c'} min_{s'} m[c][s'] + d(s',c'). The pair function is
-  // symmetric in (c, c'), so only ordered pairs c <= c' are scanned.
+  // Chunks cover ascending client ranges, so merging in chunk order with
+  // a strict `>` reproduces the serial c-major scan's witness.
   LowerBoundDetail detail;
-  if (const double* raw = view.raw_block()) {
-    for (ClientIndex c = 0; c < num_clients; ++c) {
-      const double* m_row = m.data() + static_cast<std::size_t>(c) * stride;
-      for (ClientIndex c2 = c; c2 < num_clients; ++c2) {
-        const double best = simd::MinPlusReduce(
-            m_row, raw + static_cast<std::size_t>(c2) * stride, ss);
-        if (best > detail.value) {
-          detail.value = best;
-          detail.first = c;
-          detail.second = c2;
-        }
-      }
-    }
-    return detail;
+  for (const LowerBoundDetail& best : chunk_best) {
+    if (best.value > detail.value) detail = best;
   }
-  // Streamed block: iterate c2 tile-major so each client row is
-  // synthesized once, c inner. The strict `>` of the c-major loop keeps
-  // the lexicographically smallest pair attaining the max; the explicit
-  // lex tie-break below reproduces exactly that pair under the swapped
-  // iteration order, so both backends report identical witnesses.
-  //
-  // Filter-and-refine over the pair grid. Each m row's minimum lane gives
-  // a certified per-pair upper bound with zero slack:
-  //   best(c, c2) = min_{s'} fl(m[c][s'] + cs2[s'])
-  //               <= fl(m_min[c] + cs2[s_star[c]])   (that very lane)
-  // so a pair whose bound loses to the incumbent — or exactly ties it
-  // from a lex-greater pair, which the update below would reject anyway —
-  // skips the |S|-lane reduce for two loads and an add. Lifting cs2 to
-  // the TileBounds sandwich (cs2[s] <= fl(access_max + col_upper[s]))
-  // turns the same bound into a whole-tile rejection test evaluated
-  // BEFORE the tile is synthesized; tiles are only skipped on a strict
-  // loss, so the surviving traversal reports bit-identical value AND
-  // witness at any pruning rate.
-  std::vector<double> m_min(sc);
-  std::vector<ServerIndex> m_star(sc);
-  for (std::size_t c = 0; c < sc; ++c) {
-    const simd::ArgResult r = simd::ArgMinFirst(m.data() + c * stride, ss);
-    m_min[c] = r.value;
-    m_star[c] = static_cast<ServerIndex>(r.index);
-  }
-  view.ForEachTileBounded(
-      [&](const TileBounds& tb) {
-        for (ClientIndex c = 0; c < tb.end; ++c) {
-          const double up =
-              tb.access_max +
-              view.ColumnBounds(m_star[static_cast<std::size_t>(c)]).upper;
-          // Strict loss only: a bound-tying pair could still take the
-          // witness from a lex-greater incumbent.
-          if (m_min[static_cast<std::size_t>(c)] + up >= detail.value) {
-            return true;  // some pair in this tile could still win
-          }
-        }
-        return false;
-      },
-      [&](const ClientTile& tile) {
-        for (ClientIndex c2 = tile.begin; c2 < tile.end; ++c2) {
-          const double* cs2 = tile.row(c2);
-          for (ClientIndex c = 0; c <= c2; ++c) {
-            const double ub =
-                m_min[static_cast<std::size_t>(c)] +
-                cs2[static_cast<std::size_t>(
-                    m_star[static_cast<std::size_t>(c)])];
-            if (ub < detail.value) continue;
-            if (ub == detail.value &&
-                !(c < detail.first ||
-                  (c == detail.first && c2 < detail.second))) {
-              continue;
-            }
-            const double best = simd::MinPlusReduce(
-                m.data() + static_cast<std::size_t>(c) * stride, cs2, ss);
-            if (best > detail.value ||
-                (best == detail.value &&
-                 (c < detail.first ||
-                  (c == detail.first && c2 < detail.second)))) {
-              detail.value = best;
-              detail.first = c;
-              detail.second = c2;
-            }
-          }
-        }
-      });
   return detail;
 }
 

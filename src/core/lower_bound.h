@@ -12,8 +12,12 @@
 
 namespace diaca::core {
 
-/// Compute the lower bound in O(|C||S|^2 + |C|^2|S|) time and O(|C||S|)
-/// memory.
+/// Compute the lower bound by certified filter-and-refine, identically on
+/// every client-block view. Cost: one nearest-server scan, one add and
+/// compare per pair the row filter keeps, O(|S|) per refined pair, and
+/// O(|S|^2) per client that keeps a refined pair; the worst case is
+/// unchanged at O(|C||S|^2 + |C|^2|S|). Memory: O(|C|) plus O(|S|) per
+/// pool lane; no |C| x |S| matrix is built.
 double InteractivityLowerBound(const Problem& problem);
 
 struct LowerBoundDetail {

@@ -200,7 +200,9 @@ TEST(KernelsTest, ArgMinFirstMatchesReferenceIncludingTies) {
       const ArgResult got = ArgMinFirst(v.data(), n);
       EXPECT_EQ(got.index, want.index)
           << "n=" << n << " backend=" << BackendName(b);
-      if (want.index >= 0) EXPECT_EQ(got.value, want.value);
+      if (want.index >= 0) {
+        EXPECT_EQ(got.value, want.value);
+      }
     }
   }
 }
@@ -217,7 +219,9 @@ TEST(KernelsTest, ArgMinPlusFirstHonoursSaturationMask) {
       const ArgResult got = ArgMinPlusFirst(dist.data(), avail.data(), n);
       EXPECT_EQ(got.index, want.index)
           << "n=" << n << " backend=" << BackendName(b);
-      if (want.index >= 0) EXPECT_EQ(got.value, want.value);
+      if (want.index >= 0) {
+        EXPECT_EQ(got.value, want.value);
+      }
     }
   }
 }
@@ -241,7 +245,9 @@ TEST(KernelsTest, ArgMaxPlusFirstMatchesReferenceIncludingTies) {
         EXPECT_EQ(got.index, want.index)
             << "n=" << n << " base=" << base
             << " backend=" << BackendName(b);
-        if (want.index >= 0) EXPECT_EQ(got.value, want.value);
+        if (want.index >= 0) {
+          EXPECT_EQ(got.value, want.value);
+        }
       }
     }
   }

@@ -116,7 +116,7 @@ TEST(ClientBlockViewTest, DenseOracleBackendStreamsIdenticalBits) {
                 via_rows.client_block().cs(c, s));
     }
   }
-  for (const std::string& name : {"greedy", "lfb", "dg"}) {
+  for (const char* name : {"greedy", "lfb", "dg"}) {
     const SolveResult want =
         SolverRegistry::Default().Solve(name, materialized, SolveOptions{});
     const SolveResult got_dense =
@@ -175,7 +175,7 @@ TEST(ClientBlockViewTest, CapacitatedSolversBitIdenticalAcrossBackends) {
     tile.tile_clients = tile_clients;
     const Problem tiled =
         Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
-    for (const std::string& name : {"nearest", "lfb", "greedy"}) {
+    for (const char* name : {"nearest", "lfb", "greedy"}) {
       const SolveResult want = SolverRegistry::Default().Solve(
           name, dense, options);
       const SolveResult got = SolverRegistry::Default().Solve(
@@ -219,7 +219,7 @@ TEST(ClientBlockViewTest, SolversBitIdenticalAcrossThreadCounts) {
   tile.tile_clients = static_cast<std::int32_t>(simd::kPadWidth);
   const Problem tiled =
       Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
-  for (const std::string& name : {"nearest", "lfb", "greedy", "dg"}) {
+  for (const char* name : {"nearest", "lfb", "greedy", "dg"}) {
     SetGlobalThreads(1);
     const SolveResult serial =
         SolverRegistry::Default().Solve(name, tiled, SolveOptions{});
@@ -420,7 +420,7 @@ TEST(ClientBlockViewTest, GatherColumnDuringForEachTileStaysExact) {
   std::iota(ids.begin(), ids.end(), 0);
 
   std::atomic<std::int64_t> mismatches{0};
-  view.ForEachTile([&](const ClientTile& t, std::size_t) {
+  view.ForEachTile([&](const ClientTile& t) {
     std::vector<double> col(static_cast<std::size_t>(kNodes));
     view.GatherColumn(0, ids.data(), ids.size(), col.data());
     for (std::size_t i = 0; i < col.size(); ++i) {
@@ -471,7 +471,7 @@ TEST(ClientBlockViewTest, CloudBuildsIdenticalProblemWithoutMaterializing) {
       ASSERT_EQ(mat.problem.ss(a, b), streamed.problem.ss(a, b));
     }
   }
-  for (const std::string& name : {"nearest", "lfb", "greedy"}) {
+  for (const char* name : {"nearest", "lfb", "greedy"}) {
     const SolveResult want =
         SolverRegistry::Default().Solve(name, mat.problem, SolveOptions{});
     const SolveResult got = SolverRegistry::Default().Solve(
@@ -479,6 +479,56 @@ TEST(ClientBlockViewTest, CloudBuildsIdenticalProblemWithoutMaterializing) {
     ASSERT_EQ(want.assignment.server_of, got.assignment.server_of) << name;
     ASSERT_EQ(want.stats.max_len, got.stats.max_len) << name;
   }
+}
+
+// FillNearest against a serial first-minimum scan of every exact row, on
+// both views and at several thread counts. 10000 clients span several
+// of the resident scan's pool chunks; the access floor puts many
+// clients on identical rows.
+TEST(ClientBlockViewTest, FillNearestMatchesSerialScanAcrossViewsAndThreads) {
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 50;
+  params.num_clients = 10000;
+  params.min_access_ms = 3.0;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 21);
+  const net::DistanceOracle oracle =
+      net::DistanceOracle::FromGraph(graph, opt);
+  const std::vector<net::NodeIndex> servers = {2, 9, 17, 23, 31, 44};
+  const data::ClientCloud mat =
+      data::BuildClientCloud(params, 21, oracle, servers);
+  params.materialize_block = false;
+  const data::ClientCloud streamed =
+      data::BuildClientCloud(params, 21, oracle, servers);
+
+  const ClientBlockView& ref_view = mat.problem.client_block();
+  const auto n = static_cast<std::size_t>(ref_view.num_clients());
+  std::vector<ServerIndex> want_server(n);
+  std::vector<double> want_dist(n);
+  for (ClientIndex c = 0; c < ref_view.num_clients(); ++c) {
+    ServerIndex best = 0;
+    for (ServerIndex s = 1; s < ref_view.num_servers(); ++s) {
+      if (ref_view.cs(c, s) < ref_view.cs(c, best)) best = s;
+    }
+    want_server[static_cast<std::size_t>(c)] = best;
+    want_dist[static_cast<std::size_t>(c)] = ref_view.cs(c, best);
+  }
+  for (const Problem* p : {&mat.problem, &streamed.problem}) {
+    for (const int threads : {1, 2, 4}) {
+      SetGlobalThreads(threads);
+      std::vector<ServerIndex> server(n);
+      std::vector<double> dist(n);
+      p->client_block().FillNearest(server.data(), dist.data());
+      ASSERT_EQ(server, want_server)
+          << "materialized=" << p->client_block().materialized()
+          << " threads=" << threads;
+      ASSERT_EQ(dist, want_dist)
+          << "materialized=" << p->client_block().materialized()
+          << " threads=" << threads;
+    }
+  }
+  SetGlobalThreads(0);
 }
 
 TEST(ClientBlockViewTest, FromBlocksRejectsAsymmetricServerBlock) {

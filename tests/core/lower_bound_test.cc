@@ -1,13 +1,21 @@
 #include "core/lower_bound.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/exact.h"
 #include "core/metrics.h"
+#include "data/streaming.h"
+#include "data/waxman.h"
+#include "net/distance_oracle.h"
 #include "../testutil.h"
 
 namespace diaca::core {
@@ -96,6 +104,141 @@ TEST(LowerBoundTest, CanBeStrictlyBelowOptimal) {
   const double lb = InteractivityLowerBound(p);
   const double opt = test::BruteForceOptimal(p);
   EXPECT_LT(lb, opt - 1e-9);
+}
+
+// The filter-and-refine bound against the scalar reference
+// (test::ReferencePairwiseLowerBound: full m matrix, c-major scan, strict
+// `>`): value and witness bit for bit, on both client-block views, at
+// several thread counts. `resident` and `tiled` hold the same latencies.
+void ExpectMatchesReference(const Problem& resident, const Problem& tiled) {
+  const LowerBoundDetail want = test::ReferencePairwiseLowerBound(resident);
+  for (const Problem* p : {&resident, &tiled}) {
+    for (const int threads : {1, 2, 4}) {
+      SetGlobalThreads(threads);
+      const LowerBoundDetail got = InteractivityLowerBoundDetailed(*p);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value),
+                std::bit_cast<std::uint64_t>(want.value))
+          << "value " << got.value << " vs " << want.value
+          << " materialized=" << p->client_block().materialized()
+          << " threads=" << threads;
+      ASSERT_EQ(got.first, want.first) << "threads=" << threads;
+      ASSERT_EQ(got.second, want.second) << "threads=" << threads;
+    }
+  }
+  SetGlobalThreads(0);
+}
+
+// Attached clouds with access delays over a Waxman substrate: the tile
+// size 7 divides none of the client counts but 1, and the raised access
+// floor makes many clients share exact distances.
+TEST(LowerBoundReferenceTest, BitIdenticalOnCloudsAcrossViews) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    data::ClientCloudParams params;
+    params.substrate.num_nodes = 60;
+    params.min_access_ms = 3.0;
+    params.tile.tile_clients = 7;
+    const net::Graph graph =
+        data::GenerateWaxmanTopology(params.substrate, seed);
+    net::OracleOptions opt;
+    opt.backend = net::OracleBackend::kRows;
+    const net::DistanceOracle oracle =
+        net::DistanceOracle::FromGraph(graph, opt);
+    for (const std::int32_t servers : {1, 3, 12, 40}) {
+      std::vector<net::NodeIndex> server_nodes(
+          static_cast<std::size_t>(servers));
+      for (std::int32_t i = 0; i < servers; ++i) {
+        server_nodes[static_cast<std::size_t>(i)] = (i * 37 + 5) % 60;
+      }
+      for (const std::int64_t clients : {1, 2, 17, 64, 65, 129, 300}) {
+        SCOPED_TRACE(::testing::Message() << "seed=" << seed
+                                          << " servers=" << servers
+                                          << " clients=" << clients);
+        params.num_clients = clients;
+        params.materialize_block = true;
+        const data::ClientCloud resident =
+            data::BuildClientCloud(params, seed, oracle, server_nodes);
+        params.materialize_block = false;
+        const data::ClientCloud tiled =
+            data::BuildClientCloud(params, seed, oracle, server_nodes);
+        ExpectMatchesReference(resident.problem, tiled.problem);
+      }
+    }
+  }
+}
+
+// Non-metric matrices with clients on substrate nodes (servers among
+// them): real-valued entries, and integers in {1, ..., 4} where exact
+// pair-value ties are everywhere, so the witness tie rule decides.
+TEST(LowerBoundReferenceTest, BitIdenticalOnRealAndTieHeavyMatrices) {
+  constexpr std::int32_t kNodes = 300;
+  for (const std::uint64_t seed : {4u, 5u, 6u}) {
+    for (const bool integer : {false, true}) {
+      Rng rng(seed);
+      net::LatencyMatrix m = integer ? net::LatencyMatrix(kNodes)
+                                     : test::RandomMatrix(kNodes, rng);
+      if (integer) {
+        for (net::NodeIndex u = 0; u < kNodes; ++u) {
+          for (net::NodeIndex v = u + 1; v < kNodes; ++v) {
+            m.Set(u, v, static_cast<double>(1 + rng.NextBounded(4)));
+          }
+        }
+      }
+      const net::DistanceOracle oracle = net::DistanceOracle::FromMatrix(m);
+      TileOptions tile;
+      tile.tile_clients = 7;
+      for (const std::int32_t servers : {1, 2, 9, 40}) {
+        std::vector<net::NodeIndex> server_nodes(
+            static_cast<std::size_t>(servers));
+        std::iota(server_nodes.begin(), server_nodes.end(), 0);
+        for (const std::int32_t clients : {1, 3, 50, 300}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed=" << seed << " integer=" << integer
+                       << " servers=" << servers << " clients=" << clients);
+          // Clients from the top of the node range down, so small
+          // populations sit off the servers and large ones cover them.
+          std::vector<net::NodeIndex> client_nodes(
+              static_cast<std::size_t>(clients));
+          std::iota(client_nodes.begin(), client_nodes.end(),
+                    kNodes - clients);
+          const Problem resident(m, server_nodes, client_nodes);
+          const Problem tiled = Problem::FromOracleTiled(
+              oracle, server_nodes, client_nodes, tile);
+          ExpectMatchesReference(resident, tiled);
+        }
+      }
+    }
+  }
+}
+
+// One server, so every pair's filter bound equals its exact value. The
+// maximum is attained by (63, 63), (63, 64) and (64, 64): the first sits
+// at the end of the first 64-client chunk, the last opens the second
+// chunk. Distances rise within each chunk, so the first chunk scans
+// every row before it reaches row 63, and a second pool lane usually
+// sets the incumbent from (64, 64) by then. The incumbent then equals
+// the witness pair's bound, and only a strict `<` keeps that pair from
+// being pruned.
+TEST(LowerBoundReferenceTest, IncumbentFromALaterChunkKeepsTheSmallestWitness) {
+  constexpr std::int32_t kClients = 20000;
+  std::vector<double> d_cs(static_cast<std::size_t>(kClients));
+  for (std::int32_t c = 0; c < kClients; ++c) {
+    d_cs[static_cast<std::size_t>(c)] = 1.0 + (c % 64) / 64.0;
+  }
+  d_cs[63] = d_cs[64] = 50.0;
+  std::vector<net::NodeIndex> client_nodes(static_cast<std::size_t>(kClients));
+  std::iota(client_nodes.begin(), client_nodes.end(), 1);
+  const std::vector<double> d_ss = {0.0};
+  const Problem p = Problem::FromBlocks({0}, client_nodes, d_cs, d_ss);
+  for (const int threads : {2, 4}) {
+    SetGlobalThreads(threads);
+    for (int rep = 0; rep < 20; ++rep) {
+      const LowerBoundDetail got = InteractivityLowerBoundDetailed(p);
+      ASSERT_EQ(got.value, 100.0);
+      ASSERT_EQ(got.first, 63) << "threads=" << threads << " rep=" << rep;
+      ASSERT_EQ(got.second, 63) << "threads=" << threads << " rep=" << rep;
+    }
+  }
+  SetGlobalThreads(0);
 }
 
 TEST(NormalizedInteractivityTest, Basics) {

@@ -12,6 +12,7 @@
 #include "core/distributed_greedy.h"
 #include "core/greedy.h"
 #include "core/longest_first_batch.h"
+#include "core/lower_bound.h"
 #include "core/metrics.h"
 #include "core/nearest_server.h"
 #include "core/problem.h"
@@ -19,6 +20,7 @@
 #include "data/waxman.h"
 #include "net/apsp.h"
 #include "placement/placement.h"
+#include "../testutil.h"
 
 namespace diaca::core {
 namespace {
@@ -138,6 +140,9 @@ TEST_P(ParallelDeterminismTest, BackendsMatchScalarReferenceAtEveryThreadCount) 
   const Assignment nsa_ref = NearestServerAssign(p, options);
   const DgResult dg_ref = DistributedGreedyAssign(p, options);
   const double max_ref = MaxInteractionPathLength(p, greedy_ref);
+  // The pairwise bound's shared pruning incumbent runs here under TSan.
+  const LowerBoundDetail lb_ref = test::ReferencePairwiseLowerBound(p);
+  const double lb3_ref = TripleEnhancedLowerBound(p);
   for (const simd::Backend backend : TestableBackends()) {
     for (const int threads : {1, 2, 8}) {
       SetGlobalThreads(threads);
@@ -155,6 +160,15 @@ TEST_P(ParallelDeterminismTest, BackendsMatchScalarReferenceAtEveryThreadCount) 
       EXPECT_EQ(dg.max_len, dg_ref.max_len)
           << "backend=" << ctx << " threads=" << threads;
       EXPECT_EQ(MaxInteractionPathLength(p, greedy_ref), max_ref)
+          << "backend=" << ctx << " threads=" << threads;
+      const LowerBoundDetail lb = InteractivityLowerBoundDetailed(p);
+      EXPECT_EQ(lb.value, lb_ref.value)
+          << "backend=" << ctx << " threads=" << threads;
+      EXPECT_EQ(lb.first, lb_ref.first)
+          << "backend=" << ctx << " threads=" << threads;
+      EXPECT_EQ(lb.second, lb_ref.second)
+          << "backend=" << ctx << " threads=" << threads;
+      EXPECT_EQ(TripleEnhancedLowerBound(p), lb3_ref)
           << "backend=" << ctx << " threads=" << threads;
     }
   }

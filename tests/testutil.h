@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/lower_bound.h"
 #include "core/metrics.h"
 #include "core/problem.h"
 #include "core/types.h"
@@ -86,6 +87,50 @@ inline double BruteForceOptimal(const core::Problem& p,
     if (pos == num_clients) break;
   }
   return best;
+}
+
+/// Scalar reference for the pairwise lower bound (§V): the full |C| x |S|
+/// min-plus matrix m[c][t] = min_s d(c, s) + d(s, t), then a c-major scan
+/// of the pairs c <= c2 with a strict `>`, so the witness is the
+/// lexicographically smallest pair attaining the max. Calls no kernel and
+/// reads the client block only through cs(); each term is one rounded
+/// add in the library's operand order and min is exact, so the library's
+/// bound must match it bit for bit.
+inline core::LowerBoundDetail ReferencePairwiseLowerBound(
+    const core::Problem& p) {
+  const auto n = static_cast<std::size_t>(p.num_clients());
+  const auto k = static_cast<std::size_t>(p.num_servers());
+  const core::ClientBlockView& view = p.client_block();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> m(n * k, kInf);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t s = 0; s < k; ++s) {
+      const double d = view.cs(static_cast<core::ClientIndex>(c),
+                               static_cast<core::ServerIndex>(s));
+      for (std::size_t t = 0; t < k; ++t) {
+        m[c * k + t] = std::min(
+            m[c * k + t], p.ss(static_cast<core::ServerIndex>(s),
+                               static_cast<core::ServerIndex>(t)) + d);
+      }
+    }
+  }
+  core::LowerBoundDetail detail;
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t c2 = c; c2 < n; ++c2) {
+      double best = kInf;
+      for (std::size_t t = 0; t < k; ++t) {
+        best = std::min(best, m[c * k + t] +
+                                  view.cs(static_cast<core::ClientIndex>(c2),
+                                          static_cast<core::ServerIndex>(t)));
+      }
+      if (best > detail.value) {
+        detail.value = best;
+        detail.first = static_cast<core::ClientIndex>(c);
+        detail.second = static_cast<core::ClientIndex>(c2);
+      }
+    }
+  }
+  return detail;
 }
 
 }  // namespace diaca::test

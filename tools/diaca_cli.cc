@@ -3,13 +3,13 @@
 // Subcommands compose into the paper's pipeline over plain text files:
 //
 //   diaca generate --dataset=meridian --seed=1 --out=world.txt
-//   diaca place    --matrix=world.txt --method=kcenter-b --servers=80 \
+//   diaca place    --matrix=world.txt --method=kcenter-b --servers=80
 //                  --out=servers.txt
-//   diaca assign   --matrix=world.txt --servers=servers.txt \
+//   diaca assign   --matrix=world.txt --servers=servers.txt
 //                  --algorithm=greedy [--capacity=N] --out=assignment.txt
-//   diaca evaluate --matrix=world.txt --servers=servers.txt \
+//   diaca evaluate --matrix=world.txt --servers=servers.txt
 //                  --assignment=assignment.txt
-//   diaca schedule --matrix=world.txt --servers=servers.txt \
+//   diaca schedule --matrix=world.txt --servers=servers.txt
 //                  --assignment=assignment.txt
 //
 // Matrices use the dense format of data/loader.h; a server file lists the
