@@ -66,11 +66,12 @@ void ClientBlockView::FillColumn(ServerIndex s, double* out) const {
 }
 
 void ClientBlockView::ForEachColumn(
+    std::span<const ClientIndex> ids,
     const std::function<void(ServerIndex, const double*)>& fn) const {
-  const auto n = static_cast<std::size_t>(num_clients_);
-  // Servers per task: one cache line of every resident row (a column
-  // group starting at a multiple of kPadWidth never crosses the padded
-  // stride), or a single column synthesized by the lazy backend.
+  const std::size_t n = ids.size();
+  // Servers per task: one cache line of every listed resident row (a
+  // column group starting at a multiple of kPadWidth never crosses the
+  // padded stride), or a single column gathered by the lazy backend.
   const std::int32_t width =
       raw_block_ != nullptr ? static_cast<std::int32_t>(simd::kPadWidth) : 1;
   const std::int64_t groups = (num_servers_ + width - 1) / width;
@@ -82,16 +83,18 @@ void ClientBlockView::ForEachColumn(
       const auto s0 = static_cast<ServerIndex>(g * width);
       const ServerIndex s1 = std::min(num_servers_, s0 + width);
       if (raw_block_ != nullptr) {
-        // Transpose one 64-byte line per row; pad lanes land in columns
-        // nobody reads.
-        const double* row = raw_block_ + static_cast<std::size_t>(s0);
-        for (std::size_t c = 0; c < n; ++c, row += server_stride_) {
+        // Transpose one 64-byte line per listed row; pad lanes land in
+        // columns nobody reads.
+        const double* base = raw_block_ + static_cast<std::size_t>(s0);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double* row =
+              base + static_cast<std::size_t>(ids[i]) * server_stride_;
           for (std::size_t j = 0; j < simd::kPadWidth; ++j) {
-            cols[j * n + c] = row[j];
+            cols[j * n + i] = row[j];
           }
         }
       } else {
-        FillColumnSlow(s0, cols.data());
+        GatherColumnSlow(s0, ids.data(), n, cols.data());
       }
       columns_gathered_.fetch_add(s1 - s0, std::memory_order_relaxed);
       for (ServerIndex s = s0; s < s1; ++s) {

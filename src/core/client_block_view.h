@@ -163,16 +163,21 @@ class ClientBlockView {
   /// batch collection.
   void FillColumn(ServerIndex s, double* out) const;
 
-  /// Hand every column to fn(s, col) exactly once, with col[c] = cs(c, s)
-  /// for every client (valid only during fn) — the server-major pass of
-  /// the greedy preprocessing. Columns fan out across the global pool,
-  /// so fn runs CONCURRENTLY for distinct servers and must only write
-  /// per-server state. The view picks the traversal its layout favors: a
-  /// resident block fills simd::kPadWidth columns (one cache line of
-  /// every row) per row-major pass instead of striding the whole block
-  /// once per server; lazy backends fill one column at a time into a
-  /// single per-thread buffer. Either way the doubles are FillColumn's.
+  /// Hand every column, restricted to the clients in `ids`, to fn(s, col)
+  /// exactly once, with col[i] = cs(ids[i], s) for i in [0, ids.size())
+  /// (valid only during fn) — the server-major pass that builds greedy's
+  /// candidate lists. Passing every client yields full columns; passing
+  /// a subset (greedy's still-unassigned clients) costs O(|ids|) per
+  /// column, so a pass over survivors shrinks with them. Columns fan out
+  /// across the global pool, so fn runs CONCURRENTLY for distinct servers
+  /// and must only write per-server state. The view picks the traversal
+  /// its layout favors: a resident block fills simd::kPadWidth columns
+  /// (one cache line of each listed row) per row-major pass instead of
+  /// striding the block once per server; lazy backends gather one column
+  /// at a time (GatherColumn's kernel) into a single per-thread buffer.
+  /// Either way the doubles are GatherColumn's.
   void ForEachColumn(
+      std::span<const ClientIndex> ids,
       const std::function<void(ServerIndex, const double*)>& fn) const;
 
   /// Visit ascending, disjoint tiles covering every client exactly once.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/error.h"
@@ -21,7 +22,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Geometric (rank, distance) snapshot of a server's sorted candidate
-// list, taken at its last compaction (or at preprocessing). Ranks are
+// list, taken at its last compaction (or at its last build). Ranks are
 // 0, 1, 3, 7, ... 2^k-1 plus a one-past-the-end sentinel, so a 1M-entry
 // list needs 21 points. The snapshot turns the old one-point head bound
 // into a bracket-wise lower bound on the server's whole cost curve:
@@ -66,11 +67,12 @@ void RebuildLadderRanks(Ladder& ladder, std::size_t len) {
 // a large solve — yet measured runs show only a few dozen servers ever
 // win a round; the other ~95% of the sorted order serves nothing but
 // bound proofs. Greedy therefore never sorts a whole column, on any
-// client-block view. One O(|C|) counting pass groups each server's
-// clients into distance-monotone buckets (value-linear between the
-// column's min and max) and records each bucket's EXACT distance
-// minimum and boundary ranks. That structure alone certifies everything
-// the round loop needs from a loser:
+// client-block view. One O(n) counting pass over the n clients a list
+// is built over groups each server's clients into distance-monotone
+// buckets (value-linear between the column's min and max) and records
+// each bucket's EXACT distance minimum and boundary ranks. That
+// structure alone certifies everything the round loop needs from a
+// loser:
 //
 //   * fl((d - dmin) * inv) is non-decreasing in d, and equal distances
 //     always share a bucket — so concatenating buckets in order, with
@@ -98,18 +100,30 @@ void RebuildLadderRanks(Ladder& ladder, std::size_t len) {
 // depends on the view's backend: GatherColumn, FillColumn and cs return
 // the same doubles on every view.
 //
-// The bucket count follows the input: about 32 clients per bucket,
+// The lists follow the unassigned clients (§IV-C picks each batch from
+// the clients still unassigned). The first build covers every client;
+// whenever half the clients the lists were last built over have been
+// assigned, every server with room is rebuilt by the same pass over the
+// survivors alone, in ascending id order. A rebuilt list is exactly
+// what compaction would leave — distance-monotone buckets, ascending ids
+// inside unsorted ones, exact minima — so positions stay exact ranks
+// among the unassigned and every scan returns the same winner. Between
+// rebuilds, compaction drops assigned entries lazily as before. Build
+// sizes halve, so all rebuilds together cost at most one first build,
+// and the scans never drag a mostly-assigned list around.
+//
+// The bucket count follows the build: about 32 clients per bucket,
 // clamped to [64, 8192] and a power of two so super-groups tile it
 // evenly. Large blocks keep the full 8192; small ones (the paper's
-// 2000-client sweeps) do not pay for thousands of empty buckets in
-// every scan and compaction.
+// 2000-client sweeps, late rebuilds) do not pay for thousands of empty
+// buckets in every scan and compaction.
 constexpr std::int32_t kMinBuckets = 64;
 constexpr std::int32_t kMaxBuckets = 8192;
 constexpr std::int32_t kSuper = 64;  // buckets per super-group
 
-std::int32_t NumBuckets(std::int32_t num_clients) {
+std::int32_t NumBuckets(std::int32_t list_size) {
   const auto target =
-      std::bit_ceil(static_cast<std::uint32_t>(num_clients) / 32u);
+      std::bit_ceil(static_cast<std::uint32_t>(list_size) / 32u);
   return static_cast<std::int32_t>(std::clamp<std::uint32_t>(
       target, kMinBuckets, kMaxBuckets));
 }
@@ -147,8 +161,9 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   // entry, never a copy of the block); the rounds gather distances
   // through the view for the few buckets they touch.
   const ClientBlockView& view = problem.client_block();
-  const std::int32_t num_buckets = NumBuckets(num_clients);
-  const std::int32_t num_super = num_buckets / kSuper;
+  // Set by every build (see build_lists below).
+  std::int32_t num_buckets = 0;
+  std::int32_t num_super = 0;
 
   Assignment a(static_cast<std::size_t>(num_clients));
   std::vector<std::size_t> head(static_cast<std::size_t>(num_servers), 0);
@@ -388,14 +403,22 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     }
   };
 
-  // Preprocessing: one column pass per server builds its bucket list —
-  // no sort (see the bucket note above). The view runs the columns
-  // across the pool in the traversal its layout favors.
-  view.ForEachColumn([&](ServerIndex s, const double* col) {
+  std::vector<std::int32_t> remaining(static_cast<std::size_t>(num_servers));
+  for (ServerIndex s = 0; s < num_servers; ++s) {
+    remaining[static_cast<std::size_t>(s)] =
+        options.capacitated() ? options.CapacityOf(s)
+                              : std::numeric_limits<std::int32_t>::max();
+  }
+
+  // Build server s's candidate list: one column pass buckets its column
+  // over the clients ids[0..n), col[i] = cs(ids[i], s) — no sort (see
+  // the bucket note above). ids ascend, so the stable counting scatter
+  // leaves every bucket in ascending client order.
+  const auto build = [&](ServerIndex s, const double* col,
+                         const ClientIndex* ids, std::size_t n) {
     static thread_local std::vector<std::uint16_t> bins;
     static thread_local std::vector<std::int32_t> cursor;
     const auto si = static_cast<std::size_t>(s);
-    const auto n = static_cast<std::size_t>(num_clients);
     const auto nb = static_cast<std::size_t>(num_buckets);
     BucketList& bl = bucket_lists[si];
     double dmin = kInf, dmax = -kInf;
@@ -425,8 +448,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     bl.perm.resize(n);
     cursor.assign(bl.boff.begin(), bl.boff.begin() + num_buckets);
     for (std::size_t i = 0; i < n; ++i) {
-      bl.perm[static_cast<std::size_t>(cursor[bins[i]]++)] =
-          static_cast<ClientIndex>(i);
+      bl.perm[static_cast<std::size_t>(cursor[bins[i]]++)] = ids[i];
     }
     bl.bsorted.assign(nb, 0);
     bl.smin.assign(static_cast<std::size_t>(num_super), kInf);
@@ -438,16 +460,31 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     // reads a bucket minimum) and the exact column minimum as the
     // standing head bound.
     seed_ladder_buckets(s, ladders[si], bl);
+    head[si] = 0;
+    hbucket[si] = 0;
     head_dist[si] = dmin;
-  });
+  };
+
+  // Build every list over the clients in `ids` (ascending): all of them
+  // first, the survivors at each rebuild. The view runs the columns
+  // across the pool in the traversal its layout favors. A saturated
+  // server never reaches a scan again, so its stale list is left alone.
+  std::vector<ClientIndex> ids(static_cast<std::size_t>(num_clients));
+  std::iota(ids.begin(), ids.end(), 0);
+  std::int32_t built_over = 0;
+  const auto build_lists = [&] {
+    DIACA_OBS_SPAN("core.greedy.build");
+    built_over = static_cast<std::int32_t>(ids.size());
+    num_buckets = NumBuckets(built_over);
+    num_super = num_buckets / kSuper;
+    view.ForEachColumn(ids, [&](ServerIndex s, const double* col) {
+      if (remaining[static_cast<std::size_t>(s)] <= 0) return;
+      build(s, col, ids.data(), ids.size());
+    });
+  };
+  build_lists();
 
   std::vector<double> far(static_cast<std::size_t>(num_servers), -1.0);
-  std::vector<std::int32_t> remaining(static_cast<std::size_t>(num_servers));
-  for (ServerIndex s = 0; s < num_servers; ++s) {
-    remaining[static_cast<std::size_t>(s)] =
-        options.capacitated() ? options.CapacityOf(s)
-                              : std::numeric_limits<std::int32_t>::max();
-  }
   // Cached reach[s] = MaxServerReach(problem, far, s). Eccentricities only
   // grow (clients are only ever added), so after a batch lands on server b
   // the whole cache refreshes with one max per server — O(|S|) per round
@@ -489,8 +526,19 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   std::int32_t num_assigned = 0;
 
   while (num_assigned < num_clients) {
-    DIACA_OBS_SPAN("core.greedy.iteration");
     const std::int32_t unassigned_total = num_clients - num_assigned;
+    if (unassigned_total <= built_over / 2) {
+      // Half the clients the lists were last built over are assigned:
+      // rebuild them over the survivors (see the bucket note above),
+      // filtered from that build's ids so they stay ascending. reach,
+      // far, max_len, room and the proven-cost memo carry over — the
+      // memo bounds a server's exact minimum cost, which does not depend
+      // on how its list is stored.
+      std::erase_if(ids, [&](ClientIndex c) { return a[c] != kUnassigned; });
+      build_lists();
+      DIACA_OBS_COUNT("core.greedy.rebuilds", 1);
+    }
+    DIACA_OBS_SPAN("core.greedy.iteration");
     const double unassigned_d = static_cast<double>(unassigned_total);
     // Phase 1: advance heads and evaluate every eligible server's ladder
     // bound. In the first round no server is used yet, so the reach term
@@ -554,7 +602,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     // Phase 2: scan survivors in ascending bound order, seeding every
     // scan with the incumbent as its cutoff. Each server is first
     // scanned over its STALE suffix — the bucket list as of its last
-    // compaction, minus the advanced head, with already-assigned entries
+    // build or compaction, minus the advanced head, with assigned entries
     // still present. That scan is a valid lower bound on the server's
     // true (compacted) minimum: every current candidate sits at a stale
     // position >= its true rank (entries only disappear), so its stale

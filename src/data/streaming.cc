@@ -1,6 +1,8 @@
 #include "data/streaming.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -27,6 +29,13 @@ ClientCloud BuildClientCloud(const ClientCloudParams& params,
                     "server node " << s << " outside substrate of size " << n);
   }
   DIACA_CHECK_MSG(params.num_clients > 0, "need at least one client");
+  // Clients are indexed by int32 ClientIndex and labeled n, n + 1, ... in
+  // the int32 NodeIndex space, so both must fit.
+  DIACA_CHECK_MSG(
+      params.num_clients <= std::numeric_limits<std::int32_t>::max() - n,
+      "cloud of " << params.num_clients << " clients on a " << n
+                  << "-node substrate overflows 32-bit client and node "
+                     "indices");
 
   std::vector<net::NodeIndex> servers(server_nodes.begin(),
                                       server_nodes.end());

@@ -27,7 +27,7 @@ namespace diaca::net {
 
 namespace {
 
-// Process default, kDense until overridden (CLI --distances / benches).
+// Process default, kDense until overridden (the CLI's --oracle, benches).
 std::atomic<int> g_default_oracle{static_cast<int>(OracleBackend::kDense)};
 
 using RowProvider = std::function<std::vector<double>(NodeIndex)>;

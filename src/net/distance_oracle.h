@@ -95,7 +95,7 @@ const char* OracleBackendName(OracleBackend backend);
 OracleBackend ParseOracleBackend(const std::string& name);
 
 /// Process-wide default consumed by oracle-aware front ends (the CLI's
-/// --distances flag, benches). kDense until overridden, mirroring the
+/// --oracle flag, benches). kDense until overridden, mirroring the
 /// SetDefaultApspBackend pattern.
 OracleBackend DefaultOracleBackend();
 void SetDefaultOracleBackend(OracleBackend backend);

@@ -27,6 +27,8 @@
 #include "data/waxman.h"
 #include "net/distance_oracle.h"
 #include "net/graph.h"
+#include "obs/obs.h"
+#include "../testutil.h"
 
 namespace diaca::core {
 namespace {
@@ -351,13 +353,22 @@ TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
 // produce the identical greedy assignment, bit-identical objective, and
 // bit-identical eccentricity fold. The pipeline only reorders WHEN tiles
 // are synthesized, never WHAT they contain, so nothing downstream may
-// move.
+// move. Every solve rebuilds its candidate lists over the survivors the
+// same number of times, so the 4-thread runs put the rebuild's
+// concurrent per-server writes under the oracle label's sanitizer lanes.
 TEST(ClientBlockViewTest, PipelineGridBitIdenticalAcrossDepthPoolThreadsShards) {
   const Substrate sub = MakeSubstrate();
   const Problem dense =
       Problem::WithClientsEverywhere(sub.oracle, sub.servers);
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  std::int64_t before = test::GreedyRebuilds();
   const SolveResult want =
       SolverRegistry::Default().Solve("greedy", dense, SolveOptions{});
+  const std::int64_t want_rebuilds = test::GreedyRebuilds() - before;
+#if DIACA_OBS
+  EXPECT_GE(want_rebuilds, 1);
+#endif
   const std::vector<double> want_ecc =
       ServerEccentricities(dense, want.assignment);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
@@ -377,8 +388,12 @@ TEST(ClientBlockViewTest, PipelineGridBitIdenticalAcrossDepthPoolThreadsShards) 
           tile.prefetch_depth = depth;
           const Problem tiled = Problem::FromOracleTiled(
               oracle, sub.servers, sub.clients, tile);
+          before = test::GreedyRebuilds();
           const SolveResult got =
               SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
+          EXPECT_EQ(test::GreedyRebuilds() - before, want_rebuilds)
+              << "shards=" << shards << " pool=" << pool_tiles
+              << " depth=" << depth << " threads=" << threads;
           ASSERT_EQ(want.assignment.server_of, got.assignment.server_of)
               << "shards=" << shards << " pool=" << pool_tiles
               << " depth=" << depth << " threads=" << threads;
@@ -392,6 +407,7 @@ TEST(ClientBlockViewTest, PipelineGridBitIdenticalAcrossDepthPoolThreadsShards) 
       }
     }
   }
+  obs::SetMetricsEnabled(metrics_were_on);
   SetGlobalThreads(0);
 }
 
@@ -526,6 +542,69 @@ TEST(ClientBlockViewTest, FillNearestMatchesSerialScanAcrossViewsAndThreads) {
       ASSERT_EQ(dist, want_dist)
           << "materialized=" << p->client_block().materialized()
           << " threads=" << threads;
+    }
+  }
+  SetGlobalThreads(0);
+}
+
+// ForEachColumn over a client subset hands every server exactly once a
+// column with col[i] == cs(ids[i], s) bit for bit, on both views (13
+// servers: one full resident 8-column group and a partial one; a tile
+// size that does not divide |C|; access delays), at 1 and 4 threads,
+// for a single client, an ascending strided subset and every client.
+TEST(ClientBlockViewTest, ForEachColumnSubsetMatchesCellsAcrossViewsAndThreads) {
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 50;
+  params.num_clients = 1000;
+  params.tile.tile_clients = 7;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 23);
+  const net::DistanceOracle oracle =
+      net::DistanceOracle::FromGraph(graph, opt);
+  std::vector<net::NodeIndex> servers;
+  for (net::NodeIndex s = 1; s < 50; s += 4) servers.push_back(s);
+  ASSERT_EQ(servers.size(), 13u);
+  const data::ClientCloud mat =
+      data::BuildClientCloud(params, 23, oracle, servers);
+  params.materialize_block = false;
+  const data::ClientCloud streamed =
+      data::BuildClientCloud(params, 23, oracle, servers);
+
+  std::vector<ClientIndex> strided;
+  for (ClientIndex c = 3; c < 1000; c += 7) strided.push_back(c);
+  std::vector<ClientIndex> every(1000);
+  std::iota(every.begin(), every.end(), 0);
+  const std::vector<std::vector<ClientIndex>> subsets = {
+      {999}, strided, every};
+  for (const Problem* p : {&mat.problem, &streamed.problem}) {
+    const ClientBlockView& view = p->client_block();
+    const auto num_servers = static_cast<std::size_t>(view.num_servers());
+    for (const int threads : {1, 4}) {
+      SetGlobalThreads(threads);
+      for (const std::vector<ClientIndex>& ids : subsets) {
+        // fn runs concurrently for distinct servers: each writes its own
+        // slot.
+        std::vector<std::vector<double>> got(num_servers);
+        std::vector<int> visits(num_servers, 0);
+        const std::int64_t gathered_before = view.stats().columns_gathered;
+        view.ForEachColumn(ids, [&](ServerIndex s, const double* col) {
+          ++visits[static_cast<std::size_t>(s)];
+          got[static_cast<std::size_t>(s)].assign(col, col + ids.size());
+        });
+        EXPECT_EQ(view.stats().columns_gathered - gathered_before,
+                  static_cast<std::int64_t>(num_servers));
+        for (ServerIndex s = 0; s < view.num_servers(); ++s) {
+          const auto si = static_cast<std::size_t>(s);
+          ASSERT_EQ(visits[si], 1) << "s=" << s;
+          for (std::size_t i = 0; i < ids.size(); ++i) {
+            ASSERT_EQ(got[si][i], mat.problem.client_block().cs(ids[i], s))
+                << "materialized=" << view.materialized()
+                << " threads=" << threads << " subset=" << ids.size()
+                << " s=" << s << " i=" << i;
+          }
+        }
+      }
     }
   }
   SetGlobalThreads(0);

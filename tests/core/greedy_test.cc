@@ -176,7 +176,12 @@ TEST(GreedyTest, CapacitatedNoWorseThanTwiceUncapacitatedWhenLoose) {
 // is non-decreasing along a sorted list, so a server has a zero-cost
 // position iff its first unassigned entry does — and the first such
 // server in index order wins the round with that entry, no scan needed.
-Assignment ReferenceGreedy(const Problem& p, const AssignOptions& options) {
+//
+// When `unassigned_at_first_fill` is given it receives the unassigned
+// count at the start of the round in which a server first ran out of
+// room (-1 if none did).
+Assignment ReferenceGreedy(const Problem& p, const AssignOptions& options,
+                           std::int32_t* unassigned_at_first_fill = nullptr) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const ClientBlockView& view = p.client_block();
   const std::int32_t num_clients = p.num_clients();
@@ -203,6 +208,7 @@ Assignment ReferenceGreedy(const Problem& p, const AssignOptions& options) {
   std::vector<double> reach(static_cast<std::size_t>(num_servers), 0.0);
   double max_len = 0.0;
   std::int32_t assigned = 0;
+  if (unassigned_at_first_fill != nullptr) *unassigned_at_first_fill = -1;
   while (assigned < num_clients) {
     double best_cost = kInf;
     double best_len = max_len;
@@ -258,6 +264,11 @@ Assignment ReferenceGreedy(const Problem& p, const AssignOptions& options) {
       a[c] = best_s;
       far[bsi] = std::max(far[bsi], view.cs(c, best_s));
     }
+    if (unassigned_at_first_fill != nullptr &&
+        *unassigned_at_first_fill < 0 && options.capacitated() &&
+        room[bsi] == static_cast<std::int32_t>(take)) {
+      *unassigned_at_first_fill = num_clients - assigned;
+    }
     assigned += static_cast<std::int32_t>(take);
     if (options.capacitated()) room[bsi] -= static_cast<std::int32_t>(take);
     max_len = std::max(max_len, best_len);
@@ -270,42 +281,69 @@ Assignment ReferenceGreedy(const Problem& p, const AssignOptions& options) {
 }
 
 // GreedyAssign against the scalar reference, bit for bit, on both views
-// of one instance: capacitated and not, pruning on and off, 1 and 4
-// threads.
-void ExpectMatchesReference(const Problem& resident, const Problem& tiled,
-                            std::uint64_t seed) {
+// of one instance under `base`: pruning on and off, 1 and 4 threads.
+// The rebuild count depends only on batch sizes, so it must repeat in
+// every run of the grid; *rebuilds receives it (0 when observability is
+// compiled out).
+void ExpectMatchesReferenceUnder(const Problem& resident, const Problem& tiled,
+                                 const AssignOptions& base,
+                                 std::uint64_t seed, std::int64_t* rebuilds) {
   ASSERT_TRUE(resident.client_block().materialized());
   ASSERT_FALSE(tiled.client_block().materialized());
-  for (const bool capacitated : {false, true}) {
-    AssignOptions base;
-    if (capacitated) {
-      base.capacity = resident.num_clients() * 5 / 4 / resident.num_servers();
-    }
-    const Assignment want = ReferenceGreedy(resident, base);
-    for (const Problem* problem : {&resident, &tiled}) {
-      for (const bool prune : {true, false}) {
-        for (const int threads : {1, 4}) {
-          SetGlobalThreads(threads);
-          AssignOptions options = base;
-          options.bound_pruning = prune;
-          ASSERT_EQ(GreedyAssign(*problem, options).server_of,
-                    want.server_of)
-              << "clients=" << resident.num_clients() << " seed=" << seed
-              << " capacitated=" << capacitated << " materialized="
-              << problem->client_block().materialized()
-              << " prune=" << prune << " threads=" << threads;
-        }
+  const Assignment want = ReferenceGreedy(resident, base);
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  *rebuilds = -1;
+  for (const Problem* problem : {&resident, &tiled}) {
+    for (const bool prune : {true, false}) {
+      for (const int threads : {1, 4}) {
+        SetGlobalThreads(threads);
+        AssignOptions options = base;
+        options.bound_pruning = prune;
+        const std::int64_t before = test::GreedyRebuilds();
+        const Assignment got = GreedyAssign(*problem, options);
+        const std::int64_t ran = test::GreedyRebuilds() - before;
+        if (*rebuilds < 0) *rebuilds = ran;
+        EXPECT_EQ(ran, *rebuilds)
+            << "clients=" << resident.num_clients() << " seed=" << seed
+            << " materialized=" << problem->client_block().materialized()
+            << " prune=" << prune << " threads=" << threads;
+        ASSERT_EQ(got.server_of, want.server_of)
+            << "clients=" << resident.num_clients() << " seed=" << seed
+            << " capacitated=" << base.capacitated() << " materialized="
+            << problem->client_block().materialized()
+            << " prune=" << prune << " threads=" << threads;
       }
     }
   }
+  obs::SetMetricsEnabled(metrics_were_on);
   SetGlobalThreads(0);
+}
+
+// The grid above, uncapacitated and capacitated (a quarter of slack over
+// an even split); returns the uncapacitated rebuild count.
+std::int64_t ExpectMatchesReference(const Problem& resident,
+                                    const Problem& tiled, std::uint64_t seed) {
+  std::int64_t rebuilds = 0;
+  AssignOptions capacitated;
+  capacitated.capacity =
+      resident.num_clients() * 5 / 4 / resident.num_servers();
+  ExpectMatchesReferenceUnder(resident, tiled, capacitated, seed, &rebuilds);
+  ExpectMatchesReferenceUnder(resident, tiled, AssignOptions{}, seed,
+                              &rebuilds);
+  return rebuilds;
 }
 
 // A resident and a tiled client cloud over one Waxman substrate. A raised
 // access floor makes about half the clients share their attachment
 // node's exact distances, so the (distance, client) tie-break is
 // exercised throughout.
-void ExpectCloudMatchesReference(std::int64_t clients, std::uint64_t seed) {
+struct CloudPair {
+  data::ClientCloud resident;
+  data::ClientCloud tiled;
+};
+
+CloudPair MakeCloudPair(std::int64_t clients, std::uint64_t seed) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = 120;
   params.num_clients = clients;
@@ -316,12 +354,19 @@ void ExpectCloudMatchesReference(std::int64_t clients, std::uint64_t seed) {
   const net::DistanceOracle oracle = net::DistanceOracle::FromGraph(graph, opt);
   std::vector<net::NodeIndex> servers;
   for (net::NodeIndex s = 0; s < 120; s += 10) servers.push_back(s);
-  const data::ClientCloud resident =
+  data::ClientCloud resident =
       data::BuildClientCloud(params, seed, oracle, servers);
   params.materialize_block = false;
-  const data::ClientCloud tiled =
+  data::ClientCloud tiled =
       data::BuildClientCloud(params, seed, oracle, servers);
-  ExpectMatchesReference(resident.problem, tiled.problem, seed);
+  return CloudPair{std::move(resident), std::move(tiled)};
+}
+
+std::int64_t ExpectCloudMatchesReference(std::int64_t clients,
+                                         std::uint64_t seed) {
+  const CloudPair cloud = MakeCloudPair(clients, seed);
+  return ExpectMatchesReference(cloud.resident.problem, cloud.tiled.problem,
+                                seed);
 }
 
 // Client counts that put the bucket count at the floor of its clamp
@@ -334,8 +379,39 @@ TEST(GreedyReferenceTest, BitIdenticalToScalarReferenceAcrossGrid) {
   };
   for (const Case& k : {Case{700, 3}, Case{700, 11}, Case{20000, 5},
                         Case{20000, 13}, Case{140000, 7}}) {
-    ExpectCloudMatchesReference(k.clients, k.seed);
+    const std::int64_t rebuilds =
+        ExpectCloudMatchesReference(k.clients, k.seed);
+#if DIACA_OBS
+    // The lists follow the unassigned clients: a 20000-client solve
+    // assigns half of them long before its last round.
+    if (k.clients == 20000) {
+      EXPECT_GE(rebuilds, 1) << "seed=" << k.seed;
+    }
+#else
+    static_cast<void>(rebuilds);
+#endif
   }
+}
+
+// Capacity tight enough that the first batch fills its server while more
+// than half the clients are unassigned: that server is full at the
+// first rebuild, which must leave its list alone.
+TEST(GreedyReferenceTest, BitIdenticalWhenAServerFillsBeforeTheFirstRebuild) {
+  const CloudPair cloud = MakeCloudPair(2000, 29);
+  const Problem& resident = cloud.resident.problem;
+  AssignOptions options;
+  options.capacity = resident.num_clients() / resident.num_servers() + 8;
+  std::int32_t unassigned_at_fill = -1;
+  ReferenceGreedy(resident, options, &unassigned_at_fill);
+  ASSERT_GT(unassigned_at_fill, resident.num_clients() / 2);
+  std::int64_t rebuilds = 0;
+  ExpectMatchesReferenceUnder(resident, cloud.tiled.problem, options, 29,
+                              &rebuilds);
+#if DIACA_OBS
+  EXPECT_GE(rebuilds, 1);
+#else
+  static_cast<void>(rebuilds);
+#endif
 }
 
 // The scalar reference calls no kernel, so every SIMD backend must land

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.h"
@@ -124,6 +126,20 @@ TEST(StreamingTest, RejectsBadConfigurations) {
   no_clients.num_clients = 0;
   const std::vector<net::NodeIndex> servers = {0, 5};
   EXPECT_THROW(BuildClientCloud(no_clients, 1, oracle, servers), Error);
+  // Virtual client ids run n, n + 1, ... in int32: one client past the
+  // last id that fits is rejected before anything is allocated, as is a
+  // count that would truncate the int32 client index outright.
+  for (const std::int64_t too_many :
+       {std::int64_t{std::numeric_limits<std::int32_t>::max()} - 30 + 1,
+        std::int64_t{1} << 32}) {
+    ClientCloudParams overflow = params;
+    overflow.num_clients = too_many;
+    for (const bool materialize : {true, false}) {
+      overflow.materialize_block = materialize;
+      EXPECT_THROW(BuildClientCloud(overflow, 1, oracle, servers), Error)
+          << too_many;
+    }
+  }
 }
 
 TEST(StreamingTest, DenseEquivalentGrowsQuadratically) {

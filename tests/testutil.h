@@ -15,8 +15,20 @@
 #include "core/problem.h"
 #include "core/types.h"
 #include "net/latency_matrix.h"
+#include "obs/obs.h"
 
 namespace diaca::test {
+
+/// Greedy candidate-list rebuilds recorded so far: the
+/// core.greedy.rebuilds counter, which advances only while metrics are
+/// enabled (always 0 when observability is compiled out).
+inline std::int64_t GreedyRebuilds() {
+#if DIACA_OBS
+  return obs::Registry::Default().GetCounter("core.greedy.rebuilds").Value();
+#else
+  return 0;
+#endif
+}
 
 /// Matrix from a row-major initializer (must be symmetric, zero diagonal).
 inline net::LatencyMatrix MatrixFrom(std::int32_t n,

@@ -96,6 +96,24 @@ if(NOT "${out}${err}" MATCHES "nearest")
   message(FATAL_ERROR "algorithm error does not list the valid set:\n${err}")
 endif()
 
+# The legacy spellings that predate --oracle are gone: each must fail as
+# an unknown flag.
+foreach(legacy --distances=rows --row-cache=64 --landmarks=8)
+  execute_process(COMMAND ${DIACA_BIN} assign --matrix=world.txt
+                          --servers=servers.txt --out=x.txt ${legacy}
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(code EQUAL 0)
+    message(FATAL_ERROR "removed flag ${legacy} unexpectedly succeeded")
+  endif()
+  if(NOT "${err}" MATCHES "unknown flag")
+    message(FATAL_ERROR
+            "removed flag ${legacy} not rejected as unknown:\n${err}")
+  endif()
+endforeach()
+
 # Simulate the session end to end from the produced files.
 run_step(${DIACA_BIN} simulate --matrix=world.txt --servers=servers.txt
          --assignment=assignment.txt --duration-ms=1500)

@@ -95,9 +95,7 @@ int Usage() {
       "  path length). Each backend takes only its own keys: cache=N,\n"
       "  shards=N (rows), landmarks=K, rsamples=N, rq=N (landmarks),\n"
       "  beacons=N, rounds=N, dims=N (coords), k=N, rsamples=N, rq=N\n"
-      "  (hublabels), seed=N (all; grammar in docs/CLI.md; the legacy\n"
-      "  --distances/--row-cache/--landmarks spellings still work for\n"
-      "  one release and warn).\n"
+      "  (hublabels), seed=N (all; grammar in docs/CLI.md).\n"
       "  assign/evaluate/cloud accept --block=materialized|tiled\n"
       "  (tiled streams the client block through the oracle instead of\n"
       "  materializing |C|x|S|; assignments are bit-identical),\n"
@@ -116,46 +114,27 @@ int Usage() {
   return 2;
 }
 
-// True when the user picked an oracle backend on the command line (either
-// spelling); commands with a different built-in default (cloud) only
-// override when they did not.
+// True when the user picked an oracle backend on the command line;
+// commands with a different built-in default (cloud) only override when
+// they did not.
 bool OracleConfiguredExplicitly(const Flags& flags) {
-  return flags.Has("oracle") || flags.Has("distances");
+  return flags.Has("oracle");
 }
 
-// Oracle configuration: the structured --oracle BACKEND[:key=val,...]
-// spec wins; the legacy --distances/--row-cache/--landmarks spellings
-// still resolve for one release, with a deprecation warning.
+// Oracle configuration from --oracle BACKEND[:key=val,...]. Without it:
+// the process-default backend with the OracleOptions defaults for every
+// key. The sketch seed follows --seed unless the spec pins its own.
 net::OracleOptions OracleOptionsFromFlags(const Flags& flags) {
-  const bool has_spec = flags.Has("oracle");
-  const bool has_legacy = flags.Has("distances") || flags.Has("row-cache") ||
-                          flags.Has("landmarks");
-  if (has_spec && has_legacy) {
-    throw Error(
-        "--oracle and the legacy --distances/--row-cache/--landmarks flags "
-        "are mutually exclusive; fold everything into "
-        "--oracle BACKEND[:cache=N,landmarks=K,...]");
-  }
-  if (has_spec) {
-    const std::string spec = flags.GetString("oracle", "dense");
-    net::OracleOptions opt = net::ParseOracleSpec(spec);
-    // The sketch seed follows --seed unless the spec pins its own.
-    if (spec.find("seed=") == std::string::npos) {
-      opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
-    }
-    return opt;
-  }
-  if (has_legacy) {
-    std::cerr << "warning: --distances/--row-cache/--landmarks are "
-                 "deprecated; use --oracle BACKEND[:cache=N,landmarks=K,...] "
-                 "(see docs/CLI.md)\n";
-  }
+  const std::string spec = flags.GetString("oracle", "");
   net::OracleOptions opt;
-  opt.backend = net::DefaultOracleBackend();
-  opt.row_cache_capacity =
-      static_cast<std::size_t>(flags.GetInt("row-cache", 128));
-  opt.num_landmarks = static_cast<std::int32_t>(flags.GetInt("landmarks", 16));
-  opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
+  if (flags.Has("oracle")) {
+    opt = net::ParseOracleSpec(spec);
+  } else {
+    opt.backend = net::DefaultOracleBackend();
+  }
+  if (spec.find("seed=") == std::string::npos) {
+    opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
+  }
   return opt;
 }
 
@@ -526,7 +505,7 @@ int CmdCloud(const Flags& flags) {
       data::GenerateWaxmanTopology(params.substrate, seed);
   // The cloud pipeline exists for the sublinear path, so it defaults to
   // rows even though the process default is dense; an explicit --oracle
-  // (or legacy --distances) still wins.
+  // still wins.
   net::OracleOptions opt = OracleOptionsFromFlags(flags);
   if (!OracleConfiguredExplicitly(flags)) {
     opt.backend = net::OracleBackend::kRows;
@@ -725,18 +704,17 @@ int main(int argc, char** argv) {
                       {"out", "dataset", "nodes", "clusters", "seed", "matrix",
                        "servers", "method", "algorithm", "capacity",
                        "assignment", "duration-ms", "ops-per-second", "apsp",
-                       "failover", "distances", "graph", "clients",
-                       "row-cache", "landmarks", "oracle", "block",
+                       "failover", "graph", "clients", "oracle", "block",
                        "tile-clients", "tile-depth", "prune",
                        "rss-budget-mb", "epochs", "epoch-ms", "churn",
                        "migration-cap", "hysteresis", "hysteresis-eps",
                        "deadline-evals", "oracle-every", "json-out"});
     net::SetDefaultApspBackend(
         net::ParseApspBackend(flags.GetString("apsp", "auto")));
-    net::SetDefaultOracleBackend(
-        flags.Has("oracle")
-            ? net::ParseOracleSpec(flags.GetString("oracle", "dense")).backend
-            : net::ParseOracleBackend(flags.GetString("distances", "dense")));
+    if (flags.Has("oracle")) {
+      net::SetDefaultOracleBackend(
+          net::ParseOracleSpec(flags.GetString("oracle", "dense")).backend);
+    }
     if (command == "generate") return CmdGenerate(flags);
     if (command == "place") return CmdPlace(flags);
     if (command == "assign") return CmdAssign(flags);
