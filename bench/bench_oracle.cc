@@ -251,14 +251,13 @@ struct TiledResult {
   double mat_rss_mb = 0.0;
   double runtime_ratio = 0.0;   // tiled greedy / materialized greedy
   double block_equiv_mb = 0.0;  // the |C| x stride block tiling avoided
-  std::int64_t tiles_loaded = 0;
-  std::int64_t tile_bytes_peak = 0;
-  double tile_pool_peak_mb = 0.0;
   // Bound-driven filter-and-refine telemetry: the pruned streamed solve
   // vs an unpruned streamed control. Pruning must be a pure
   // accelerator — identical assignment, bitwise objective — and must
-  // actually engage (tiles_pruned > 0).
+  // actually engage (tiles_pruned > 0). columns_gathered is the column
+  // work the pruned greedy solve still did.
   std::int64_t tiles_pruned = 0;
+  std::int64_t columns_gathered = 0;
   double unpruned_greedy_ms = 0.0;
   double prune_speedup = 0.0;  // unpruned greedy / pruned greedy
   bool prune_identical = false;
@@ -304,16 +303,16 @@ TiledResult RunTiled(std::int32_t substrate_nodes, std::int64_t clients,
         static_cast<double>(clients) *
         static_cast<double>(cloud.problem.client_block().server_stride()) *
         sizeof(double) / (1024.0 * 1024.0);
+    const std::int64_t gathered_before =
+        cloud.problem.client_block().stats().columns_gathered;
     Timer t;
     tiled_a = core::GreedyAssign(cloud.problem);
     r.tiled_greedy_ms = t.ElapsedMillis();
+    r.columns_gathered =
+        cloud.problem.client_block().stats().columns_gathered -
+        gathered_before;
     tiled_d = core::MaxInteractionPathLength(cloud.problem, tiled_a);
-    const core::ClientBlockStats stats = cloud.problem.client_block().stats();
-    r.tiles_loaded = stats.tiles_loaded;
-    r.tiles_pruned = stats.tiles_pruned;
-    r.tile_bytes_peak = stats.tile_bytes_peak;
-    r.tile_pool_peak_mb =
-        static_cast<double>(stats.tile_bytes_peak) / (1024.0 * 1024.0);
+    r.tiles_pruned = cloud.problem.client_block().stats().tiles_pruned;
     // The tiled stage's own per-shard row-cache traffic, with the
     // placement phase's warmup subtracted out.
     const net::OracleStats after = oracle.stats();
@@ -462,11 +461,8 @@ void WriteJson(const std::string& path, std::uint64_t seed,
   AppendJsonNumber(os, tiled.runtime_ratio);
   os << ", \"block_equiv_mb\": ";
   AppendJsonNumber(os, tiled.block_equiv_mb);
-  os << ", \"tiles_loaded\": " << tiled.tiles_loaded
-     << ", \"tile_bytes_peak\": " << tiled.tile_bytes_peak
-     << ", \"tile_pool_peak_mb\": ";
-  AppendJsonNumber(os, tiled.tile_pool_peak_mb);
   os << ",\n   \"tiles_pruned\": " << tiled.tiles_pruned
+     << ", \"columns_gathered\": " << tiled.columns_gathered
      << ", \"unpruned_greedy_ms\": ";
   AppendJsonNumber(os, tiled.unpruned_greedy_ms);
   os << ", \"prune_speedup\": ";
@@ -732,10 +728,10 @@ int main(int argc, char** argv) {
   ttable.Print(std::cout);
   std::cout << "  runtime ratio " << FormatDouble(tiled.runtime_ratio, 2)
             << "x, block equivalent " << FormatDouble(tiled.block_equiv_mb, 0)
-            << " MB avoided, " << tiled.tiles_loaded << " tiles ("
-            << FormatDouble(tiled.tile_pool_peak_mb, 1) << " MB pool peak)\n";
+            << " MB avoided\n";
   std::cout << "  filter-and-refine: " << tiled.tiles_pruned
-            << " tiles pruned, unpruned control "
+            << " tiles pruned, " << tiled.columns_gathered
+            << " columns gathered, unpruned control "
             << FormatDouble(tiled.unpruned_greedy_ms / 1e3, 2) << " s ("
             << FormatDouble(tiled.prune_speedup, 2) << "x speedup), results "
             << (tiled.prune_identical ? "identical" : "DIFFER") << "\n";

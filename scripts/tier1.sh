@@ -67,10 +67,8 @@ cmake -DJSON_FILE="$obs_dir/bench_oracle_smoke.json" \
 # --rss-budget-mb gate pins peak RSS strictly below that block size, so
 # the streamed view provably costs less memory than the block it
 # replaces (measured ~330 MB; the CLI exits non-zero on breach).
-# --tile-depth=4 runs the deep prefetch pipeline (5 pool buffers) to
-# prove the extra in-flight tiles still fit the same budget.
 ./build/tools/diaca cloud --nodes=2000 --clients=1000000 --servers=64 \
-  --block=tiled --tile-depth=4 --rss-budget-mb=440 \
+  --block=tiled --rss-budget-mb=440 \
   > "$obs_dir/cloud_tiled.log"
 
 # Filter-and-refine smoke: the 100k-client cloud on the landmark-sketch

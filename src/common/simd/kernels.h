@@ -75,12 +75,12 @@ ArgResult ArgMaxPlusFirst(const double* row, const double* far, std::size_t n,
 /// Identical pattern in every backend. Feeds MeanInteractionPathLength.
 double DotProduct(const double* a, const double* b, std::size_t n);
 
-/// Broadcast-add, the tile-synthesis kernel of core::OracleTileView:
+/// Broadcast-add, the row-synthesis kernel of core::OracleTileView:
 /// out[i] = add + row[i] for i in [0, n) — one attached-node server row
 /// streamed with the client's access delay broadcast across the lanes.
 /// A single rounded add per lane in the fixed operand order add + row[i]
-/// (the order the materialized build used), so every backend, tile
-/// geometry and prefetch depth synthesizes identical bits.
+/// (the order the materialized build used), so every backend
+/// synthesizes identical bits.
 void BroadcastAdd(double* out, const double* row, double add, std::size_t n);
 
 /// Indexed gather-add, the column paths of core::OracleTileView:

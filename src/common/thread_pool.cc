@@ -12,15 +12,12 @@ namespace diaca {
 // A ParallelFor in flight: a bag of chunks claimed via an atomic cursor.
 // Workers that pick the job up from the queue and the calling thread all
 // drain the same bag; the caller then waits for the last chunk to finish.
-// Submit() jobs own their body (the caller returns before it runs), so
-// `owned_body` keeps it alive and `body` points at it.
 struct ThreadPool::Job {
   std::int64_t begin = 0;
   std::int64_t grain = 1;
   std::int64_t num_chunks = 0;
   std::int64_t total = 0;  // end - begin
   const std::function<void(std::int64_t, std::int64_t)>* body = nullptr;
-  std::function<void(std::int64_t, std::int64_t)> owned_body;
 
   std::atomic<std::int64_t> next_chunk{0};
   std::atomic<std::int64_t> done_chunks{0};
@@ -159,32 +156,6 @@ void ThreadPool::ParallelFor(
     }
   }
   if (job->first_exception) std::rethrow_exception(job->first_exception);
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> future = task->get_future();
-  if (num_threads_ == 1) {
-    // No workers: run inline (the packaged task routes any exception into
-    // the future, matching the asynchronous path).
-    (*task)();
-    return future;
-  }
-  auto job = std::make_shared<Job>();
-  job->begin = 0;
-  job->grain = 1;
-  job->total = 1;
-  job->num_chunks = 1;
-  job->owned_body = [task](std::int64_t, std::int64_t) { (*task)(); };
-  job->body = &job->owned_body;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(job));
-    DIACA_OBS_GAUGE_SET("pool.queue_depth",
-                        static_cast<std::int64_t>(queue_.size()));
-  }
-  cv_.notify_one();
-  return future;
 }
 
 ThreadPool::Extremum ThreadPool::ParallelMinReduce(

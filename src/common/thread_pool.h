@@ -13,9 +13,11 @@
 //     per-index (never accumulated across indices), so floating-point
 //     results cannot depend on the chunking.
 //
-// The calling thread always participates in the work, so a ParallelFor
-// issued from inside a pool task completes even if every worker is busy
-// (no nested-submit deadlock). A pool of size 1 has no workers at all and
+// Every primitive is fork-join: it returns only after its last chunk has
+// run, so bodies may borrow the caller's stack and no queued job ever
+// outlives its caller. The calling thread always participates in the
+// work, so a ParallelFor issued from inside a pool task completes even if
+// every worker is busy (no nested-submit deadlock). A pool of size 1 has no workers at all and
 // runs everything inline — the exact legacy serial path. The first
 // exception thrown by a body/scorer cancels the remaining chunks and is
 // rethrown on the calling thread.
@@ -25,7 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -73,18 +74,6 @@ class ThreadPool {
   Extremum ParallelMaxReduce(std::int64_t begin, std::int64_t end,
                              std::int64_t grain,
                              const std::function<double(std::int64_t)>& score);
-
-  /// Run `fn` as a standalone one-shot job on a pool worker and return a
-  /// future that becomes ready when it finishes (rethrowing fn's
-  /// exception on get()). On a pool of size 1 — no workers — fn runs
-  /// inline before Submit returns, so callers overlapping a Submit with
-  /// their own work degrade to the serial order instead of deadlocking.
-  /// Used by the tile pipeline (core::ClientBlockView::ForEachTile), which
-  /// keeps prefetch_depth jobs in flight and must never let a
-  /// queued-but-never-run job stall a traversal; jobs submitted first are
-  /// dequeued first, so a depth-D pipeline's oldest tile is always the
-  /// next one a worker picks up.
-  std::future<void> Submit(std::function<void()> fn);
 
  private:
   struct Job;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <deque>
-#include <future>
 #include <limits>
 #include <unordered_map>
 
@@ -104,98 +102,6 @@ void ClientBlockView::ForEachColumn(
   });
 }
 
-void ClientBlockView::BumpTileBytesPeak(std::int64_t live_bytes) const {
-  std::int64_t seen = tile_bytes_peak_.load(std::memory_order_relaxed);
-  while (live_bytes > seen &&
-         !tile_bytes_peak_.compare_exchange_weak(seen, live_bytes,
-                                                 std::memory_order_relaxed)) {
-  }
-}
-
-std::size_t ClientBlockView::NumTiles() const {
-  const std::int32_t tile_clients =
-      std::clamp(tile_.tile_clients, 1, num_clients_);
-  return (static_cast<std::size_t>(num_clients_) +
-          static_cast<std::size_t>(tile_clients) - 1) /
-         static_cast<std::size_t>(tile_clients);
-}
-
-void ClientBlockView::ForEachTile(
-    const std::function<void(const ClientTile&)>& fn) const {
-  if (raw_block_ != nullptr) {
-    // Zero-copy: the resident block IS the one tile.
-    fn(ClientTile{0, num_clients_, raw_block_, server_stride_});
-    return;
-  }
-  DIACA_OBS_SPAN("core.view.tiles");
-  const std::int32_t tile_clients =
-      std::clamp(tile_.tile_clients, 1, num_clients_);
-  const auto total = static_cast<std::int64_t>(NumTiles());
-  ThreadPool& pool = GlobalPool();
-  const std::int32_t pool_tiles = std::max(tile_.pool_tiles, 1);
-  const std::int32_t depth =
-      std::clamp(tile_.prefetch_depth, 0, pool_tiles - 1);
-  // A threadless pool (or depth 0, or a single tile) degrades to
-  // synchronous generation into one buffer.
-  const bool prefetch = depth >= 1 && pool.num_threads() > 1 && total > 1;
-  const std::size_t tile_doubles =
-      static_cast<std::size_t>(tile_clients) * server_stride_;
-  const auto buffers = static_cast<std::size_t>(
-      prefetch ? std::min<std::int64_t>(pool_tiles, total) : 1);
-  std::vector<std::vector<double>> ring(buffers);
-  for (auto& buf : ring) buf.resize(tile_doubles);
-  BumpTileBytesPeak(
-      static_cast<std::int64_t>(buffers * tile_doubles * sizeof(double)));
-
-  const auto fill = [&](std::int64_t t, double* buf) -> ClientTile {
-    const auto begin = static_cast<std::int32_t>(
-        t * static_cast<std::int64_t>(tile_clients));
-    const std::int32_t end = std::min(num_clients_, begin + tile_clients);
-    FillTileSlow(begin, end, buf);
-    tiles_loaded_.fetch_add(1, std::memory_order_relaxed);
-    return ClientTile{begin, end, buf, server_stride_};
-  };
-
-  if (!prefetch) {
-    for (std::int64_t t = 0; t < total; ++t) {
-      fn(fill(t, ring[0].data()));
-    }
-    return;
-  }
-
-  // Depth-D pipeline: while fn scans tile t, tiles (t, t + depth] are in
-  // flight on the pool. Buffers rotate t % buffers with
-  // depth <= buffers - 1, so no in-flight synthesis ever aliases the tile
-  // being consumed; tile t + 1 + depth is only submitted after fn(t)
-  // returns, freeing t's buffer. If fn or a fill throws, the guard waits
-  // out every in-flight job (they hold pointers into `ring`/`slot`)
-  // before the stack unwinds; the future's get() rethrows fill failures.
-  std::vector<ClientTile> slot(buffers);
-  std::deque<std::future<void>> inflight;
-  struct PrefetchGuard {
-    std::deque<std::future<void>>* pending;
-    ~PrefetchGuard() {
-      for (auto& f : *pending) {
-        if (f.valid()) f.wait();
-      }
-    }
-  } guard{&inflight};
-  std::int64_t submitted = 0;
-  const auto submit_next = [&] {
-    const std::int64_t t = submitted++;
-    double* buf = ring[static_cast<std::size_t>(t) % buffers].data();
-    ClientTile* out = &slot[static_cast<std::size_t>(t) % buffers];
-    inflight.push_back(
-        pool.Submit([out, t, buf, &fill] { *out = fill(t, buf); }));
-  };
-  for (std::int64_t t = 0; t < total; ++t) {
-    while (submitted < total && submitted <= t + depth) submit_next();
-    inflight.front().get();
-    inflight.pop_front();
-    fn(slot[static_cast<std::size_t>(t) % buffers]);
-  }
-}
-
 void ClientBlockView::CountPrunedTiles(std::int64_t n) const {
   tiles_pruned_.fetch_add(n, std::memory_order_relaxed);
 }
@@ -205,18 +111,15 @@ void ClientBlockView::FillColumnMax(double* out) const {
 }
 
 void ClientBlockView::FillColumnMaxSlow(double* out) const {
-  // No backend structure: one exact row-major pass (the resident block is
-  // a single zero-copy tile).
+  // No backend structure: one exact row-major pass over the resident rows.
   const auto servers = static_cast<std::size_t>(num_servers_);
   std::fill(out, out + servers, -std::numeric_limits<double>::infinity());
-  ForEachTile([&](const ClientTile& tile) {
-    for (ClientIndex c = tile.begin; c < tile.end; ++c) {
-      const double* row = tile.row(c);
-      for (std::size_t s = 0; s < servers; ++s) {
-        out[s] = std::max(out[s], row[s]);
-      }
+  for (std::int32_t c = 0; c < num_clients_; ++c) {
+    const double* row = raw_block_ + static_cast<std::size_t>(c) * server_stride_;
+    for (std::size_t s = 0; s < servers; ++s) {
+      out[s] = std::max(out[s], row[s]);
     }
-  });
+  }
 }
 
 void ClientBlockView::GatherAssigned(const ServerIndex* assign,
@@ -293,26 +196,16 @@ void ClientBlockView::FillNearestSlow(ServerIndex* server_out,
 std::vector<double> ClientBlockView::MaterializeBlock() const {
   std::vector<double> block(static_cast<std::size_t>(num_clients_) *
                             server_stride_);
-  if (raw_block_ != nullptr) {
-    std::memcpy(block.data(), raw_block_, block.size() * sizeof(double));
-    return block;
+  for (std::int32_t c = 0; c < num_clients_; ++c) {
+    FillRow(c, block.data() + static_cast<std::size_t>(c) * server_stride_);
   }
-  ForEachTile([&](const ClientTile& tile) {
-    std::memcpy(block.data() +
-                    static_cast<std::size_t>(tile.begin) * server_stride_,
-                tile.data,
-                static_cast<std::size_t>(tile.end - tile.begin) *
-                    server_stride_ * sizeof(double));
-  });
   return block;
 }
 
 ClientBlockStats ClientBlockView::stats() const {
   ClientBlockStats s;
-  s.tiles_loaded = tiles_loaded_.load(std::memory_order_relaxed);
   s.rows_filled = rows_filled_.load(std::memory_order_relaxed);
   s.columns_gathered = columns_gathered_.load(std::memory_order_relaxed);
-  s.tile_bytes_peak = tile_bytes_peak_.load(std::memory_order_relaxed);
   s.tiles_pruned = tiles_pruned_.load(std::memory_order_relaxed);
   return s;
 }
@@ -358,13 +251,6 @@ void MaterializedView::FillColumnSlow(ServerIndex s, double* out) const {
   for (std::int32_t c = 0; c < num_clients_; ++c) {
     out[c] = p[static_cast<std::size_t>(c) * server_stride_];
   }
-}
-
-void MaterializedView::FillTileSlow(ClientIndex begin, ClientIndex end,
-                                    double* out) const {
-  std::memcpy(out, block_.data() + static_cast<std::size_t>(begin) * server_stride_,
-              static_cast<std::size_t>(end - begin) * server_stride_ *
-                  sizeof(double));
 }
 
 // ---------------------------------------------------------------------------
@@ -524,13 +410,6 @@ void OracleTileView::FillColumnSlow(ServerIndex s, double* out) const {
                    static_cast<std::size_t>(num_clients_));
 }
 
-void OracleTileView::FillTileSlow(ClientIndex begin, ClientIndex end,
-                                  double* out) const {
-  for (ClientIndex c = begin; c < end; ++c) {
-    FillRowSlow(c, out + static_cast<std::size_t>(c - begin) * server_stride_);
-  }
-}
-
 void OracleTileView::FillColumnMaxSlow(double* out) const {
   // Exact substrate-leg maxima from the build, lifted by the largest
   // access delay with one monotone IEEE add each.
@@ -564,14 +443,14 @@ void OracleTileView::GatherAssignedSlow(const ServerIndex* assign,
 
 void OracleTileView::FoldAssignedMaxSlow(const ServerIndex* assign,
                                          double* far) const {
-  // Bounds-first fold over the logical tile grid. A tile is skippable
-  // when every assigned client already satisfies
+  // Bounds-first fold over blocks of tile_clients clients. A block is
+  // skippable when every assigned client already satisfies
   //   fl(access(c) + leg_max[a_c]) <= far[a_c]:
   // then d(c, a_c) <= that bound <= far[a_c], and since far only grows
-  // during the fold the max is a no-op for the whole tile — skipping is
+  // during the fold the max is a no-op for the whole block — skipping is
   // bit-identical. The test touches only cache-resident arrays (access,
-  // assign, leg_max, far); surviving tiles refine through the direct
-  // assigned gather, so no tile is ever synthesized here.
+  // assign, leg_max, far); surviving blocks refine through the direct
+  // assigned gather.
   const std::int32_t tile_clients =
       std::clamp(tile_.tile_clients, 1, num_clients_);
   const auto rows = static_cast<std::size_t>(num_rows_);

@@ -1,43 +1,45 @@
-// Tiled client-block view: the solver-facing contract for the |C| x |S|
+// Client-block view: the solver-facing contract for the |C| x |S|
 // client-to-server latency block.
 //
-// PR 6 broke the O(n^2) substrate wall with net::DistanceOracle, but
-// Problem still materialized the full client block, so at 1M clients x
-// 1k servers the assignment step itself retained the ~8 GB the oracle
-// was built to avoid. ClientBlockView redesigns that contract: solvers no
-// longer assume a resident block; they consume the data through
+// net::DistanceOracle broke the O(n^2) substrate wall, but Problem
+// still materialized the full client block, so at 1M clients x 1k
+// servers the assignment step itself retained the ~8 GB the oracle was
+// built to avoid. ClientBlockView redesigns that contract: solvers
+// no longer assume a resident block; they consume the data through
 //
-//   * ForEachTile(fn)        — sequential, ascending tiles of padded
-//                              client rows (the row-major pass every
-//                              heuristic is built from);
 //   * cs(c, s) / FillRow(c)  — random access for spot lookups and
-//                              row-at-a-time consumers;
+//                              row-at-a-time consumers (capacitated
+//                              nearest, the exact solver's block copy);
 //   * GatherColumn / FillColumn / ForEachColumn — column access for the
 //                              server-major passes (greedy candidate
-//                              lists, LFB batch scans).
+//                              lists, LFB batch scans);
+//   * GatherAssigned / FoldAssignedMax — the assigned diagonal
+//                              d(c, a_c), O(|C|) values: everything the
+//                              eccentricity folds, distributed greedy and
+//                              the incremental evaluator read;
+//   * FillNearest / FillColumnMax — per-client nearest servers and
+//                              certified column maxima (the pairwise
+//                              lower bound's filters).
 //
 // Two backends implement it:
 //
 //   * MaterializedView — wraps the padded d_cs block Problem has always
 //     carried. Every accessor resolves to the same loads the solvers used
 //     to issue against Problem::cs_row, so results are bit-identical to
-//     the historical path and ForEachTile emits one zero-copy tile.
+//     the historical path.
 //   * OracleTileView — never holds the block. It retains only the |S|
 //     substrate server rows (gathered once from a net::DistanceOracle,
 //     O((n + |C|) + n * |S|) state, independent of |C| x |S|) and
-//     synthesizes client rows on demand: tiles are generated into a small
-//     reusable buffer pool by the SIMD broadcast-add kernel, and while a
-//     solver scans the current tile up to prefetch_depth later tiles
-//     synthesize on the thread pool. Because every synthesized double is
-//     computed from the same operands the materialized build used
-//     (d(c,s) = access(c) + row_s[attach(c)], a single IEEE addition),
-//     assignments are bit-identical across the two backends at every tile
-//     size, pool size, prefetch depth, and thread count.
+//     synthesizes the values a caller asks for on demand: rows by the
+//     SIMD broadcast-add kernel, columns by the gather-add kernel.
+//     Because every synthesized double is computed from the same operands
+//     the materialized build used (d(c,s) = access(c) + row_s[attach(c)],
+//     a single IEEE addition), assignments are bit-identical across the
+//     two backends at every tile size and thread count.
 //
 // Thread safety: views are shared const (Problem copies alias one view).
 // All accessors are safe to call concurrently; the usage counters are
-// relaxed atomics. ForEachTile is a single-consumer traversal
-// delivering ascending tiles on the calling thread.
+// relaxed atomics.
 #pragma once
 
 #include <atomic>
@@ -56,63 +58,38 @@
 
 namespace diaca::core {
 
-/// One contiguous run of client rows, padded exactly like the
-/// materialized block: stride >= num_servers, pad lanes 0.0.
-struct ClientTile {
-  ClientIndex begin = 0;
-  ClientIndex end = 0;
-  const double* data = nullptr;  ///< (end - begin) rows of `stride` doubles
-  std::size_t stride = 0;
-
-  /// Row of client c (absolute index; begin <= c < end).
-  const double* row(ClientIndex c) const {
-    return data + static_cast<std::size_t>(c - begin) * stride;
-  }
-};
-
 /// Monotonic usage counters, snapshotted by SolverRegistry::Solve into
-/// SolveStats (tiles_loaded / tile_bytes_peak deltas per solve).
+/// SolveStats (the tiles_pruned delta per solve).
 struct ClientBlockStats {
-  /// Tiles synthesized by a lazy backend (0 on MaterializedView: its
-  /// tiles are zero-copy aliases, not loads).
+  /// Always 0 (no accessor synthesizes tiles); kept only because the
+  /// repository benchmark reads it.
   std::int64_t tiles_loaded = 0;
-  /// Client rows synthesized outside tile traversals (FillRow on a lazy
-  /// backend).
+  /// FillRow calls on a lazy backend.
   std::int64_t rows_filled = 0;
-  /// Column accesses served (GatherColumn + FillColumn, both backends).
+  /// Column accesses served (GatherColumn, FillColumn, ForEachColumn,
+  /// GatherAssigned, FillNearest; both backends).
   std::int64_t columns_gathered = 0;
-  /// High-water bytes of live tile-pool buffers across all traversals
-  /// (0 on MaterializedView). The memory the tiling actually costs.
+  /// Always 0, like tiles_loaded, and kept for the same reader.
   std::int64_t tile_bytes_peak = 0;
   /// Work units a certified bound skipped without touching their exact
-  /// values: whole tiles rejected by the FoldAssignedMax predicate (lazy
-  /// backends only — a resident block has nothing to synthesize) plus
-  /// 512-entry candidate blocks the greedy scans retired without
-  /// gathering (every backend, credited through CountPrunedTiles). Unlike
-  /// the solver outputs this counter is telemetry, not part of the
-  /// bit-determinism contract.
+  /// values: whole tile_clients-sized client ranges rejected by the
+  /// FoldAssignedMax predicate (lazy backends only — a resident block has
+  /// nothing to synthesize) plus 512-entry candidate blocks the greedy
+  /// scans retired without gathering (every backend, credited through
+  /// CountPrunedTiles). Unlike the solver outputs this counter is
+  /// telemetry, not part of the bit-determinism contract.
   std::int64_t tiles_pruned = 0;
 };
 
-/// Tile sizing for lazy backends (MaterializedView ignores it for the
-/// sequential traversal: its one tile is the whole block, zero-copy).
+/// Options for lazy backends (MaterializedView ignores them).
 struct TileOptions {
-  /// Client rows per tile. Clamped to [1, |C|]. The default keeps a tile
-  /// around 4 MB at 64 servers — big enough to amortize the per-tile
-  /// fan-out, small enough to stay cache- and budget-friendly (see
-  /// docs/performance.md).
+  /// Clients per certified skip block of FoldAssignedMax on
+  /// OracleTileView, clamped to [1, |C|]: the fold rejects a whole block
+  /// when none of its clients can raise its server's running maximum.
+  /// Results never depend on the value.
   std::int32_t tile_clients = 8192;
-  /// Buffers in the reusable tile pool of the sequential traversal.
-  /// 1 disables prefetch; prefetch_depth is clamped to pool_tiles - 1, so
-  /// the default (3 buffers, depth 2) keeps two tiles synthesizing on the
-  /// thread pool while the consumer scans a third.
-  std::int32_t pool_tiles = 3;
-  /// Tiles synthesized ahead of the consumer in ForEachTile. Clamped to
-  /// [0, pool_tiles - 1]; 0 — or a threadless pool — degrades to
-  /// synchronous generation. Results are bit-identical at every depth.
-  std::int32_t prefetch_depth = 2;
   /// Master switch for the certified filter-and-refine paths
-  /// (cutoff-seeded candidate scans, assigned-fold tile rejection). Off
+  /// (cutoff-seeded candidate scans, assigned-fold block rejection). Off
   /// forces every bound-gated path to do the full exact work — slower,
   /// bit-identical output — which is how the tier-1 smoke validates the
   /// certification.
@@ -137,7 +114,7 @@ class ClientBlockView {
 
   /// The resident padded block, or nullptr on lazy backends. Fast paths
   /// that need contiguous multi-row access branch on this once and fall
-  /// back to tiles.
+  /// back to the accessors below.
   const double* raw_block() const { return raw_block_; }
 
   /// Client-to-server latency d(c, s). O(1) on both backends (lazy
@@ -180,18 +157,6 @@ class ClientBlockView {
       std::span<const ClientIndex> ids,
       const std::function<void(ServerIndex, const double*)>& fn) const;
 
-  /// Visit ascending, disjoint tiles covering every client exactly once.
-  /// MaterializedView emits one zero-copy tile; lazy backends synthesize
-  /// TileOptions-sized tiles through the buffer pool, keeping up to
-  /// prefetch_depth tiles in flight on the global pool when it has
-  /// workers. Tile data is valid only during fn; fn runs on the calling
-  /// thread, and tiles arrive in ascending order regardless of depth.
-  void ForEachTile(const std::function<void(const ClientTile&)>& fn) const;
-
-  /// Tiles ForEachTile delivers on a lazy backend:
-  /// ceil(|C| / clamped tile_clients).
-  std::size_t NumTiles() const;
-
   /// Certified column maxima: cs(c, s) <= out[s] for every client c and
   /// server s in [0, num_servers()). Exact on a resident block (one
   /// row-major pass); OracleTileView writes fl(max access delay + the
@@ -201,18 +166,18 @@ class ClientBlockView {
 
   /// out[c] = cs(c, assign[c]) for every client with assign[c] >= 0
   /// (out[c] = -1.0 otherwise — the repo-wide "unused" sentinel). The
-  /// sparse exact gather of the assigned diagonal: O(|C|) loads instead
-  /// of synthesizing O(|C| x |S|) tiles.
+  /// sparse exact gather of the assigned diagonal: O(|C|) loads, never a
+  /// synthesized row.
   void GatherAssigned(const ServerIndex* assign, double* out) const;
 
   /// Eccentricity fold, bounds-first: far[s] = max(far[s], cs(c, s)) over
   /// every client with assign[c] == s, bit-identical to the full
   /// MaxAbsorbScatter pass at any pruning rate (max is exact, and a
-  /// skipped tile is certified to leave every far[s] unchanged:
-  /// fl(access(c) + max substrate leg of a_c) <= far[a_c] held for each
-  /// of its clients, and far only grows). Pruned tile ranges count into
-  /// tiles_pruned; surviving tiles refine through the sparse assigned
-  /// gather, never tile synthesis.
+  /// skipped block of tile_clients clients is certified to leave every
+  /// far[s] unchanged: fl(access(c) + max substrate leg of a_c) <=
+  /// far[a_c] held for each of its clients, and far only grows). Pruned
+  /// blocks count into tiles_pruned; surviving blocks refine through the
+  /// sparse assigned gather.
   void FoldAssignedMax(const ServerIndex* assign, double* far) const;
 
   /// Per-client nearest server, bit-identical to running
@@ -251,12 +216,8 @@ class ClientBlockView {
                                 std::size_t count, double* out) const = 0;
   /// Full column without an id list (out[c] = cs(c, s) for all clients).
   virtual void FillColumnSlow(ServerIndex s, double* out) const = 0;
-  /// Fill rows [begin, end) into `out` ((end - begin) * stride doubles,
-  /// pads included).
-  virtual void FillTileSlow(ClientIndex begin, ClientIndex end,
-                            double* out) const = 0;
   /// Column maxima; the default is one exact row-major pass over the
-  /// tiles.
+  /// resident rows (only MaterializedView reaches it).
   virtual void FillColumnMaxSlow(double* out) const;
   /// Assigned-diagonal gather; default walks cs().
   virtual void GatherAssignedSlow(const ServerIndex* assign,
@@ -279,12 +240,8 @@ class ClientBlockView {
   const double* raw_block_ = nullptr;
 
  private:
-  void BumpTileBytesPeak(std::int64_t live_bytes) const;
-
-  mutable std::atomic<std::int64_t> tiles_loaded_{0};
   mutable std::atomic<std::int64_t> rows_filled_{0};
   mutable std::atomic<std::int64_t> columns_gathered_{0};
-  mutable std::atomic<std::int64_t> tile_bytes_peak_{0};
   mutable std::atomic<std::int64_t> tiles_pruned_{0};
 };
 
@@ -302,8 +259,6 @@ class MaterializedView final : public ClientBlockView {
   void GatherColumnSlow(ServerIndex s, const ClientIndex* ids,
                         std::size_t count, double* out) const override;
   void FillColumnSlow(ServerIndex s, double* out) const override;
-  void FillTileSlow(ClientIndex begin, ClientIndex end,
-                    double* out) const override;
 
  private:
   std::vector<double> block_;
@@ -345,8 +300,6 @@ class OracleTileView final : public ClientBlockView {
   void GatherColumnSlow(ServerIndex s, const ClientIndex* ids,
                         std::size_t count, double* out) const override;
   void FillColumnSlow(ServerIndex s, double* out) const override;
-  void FillTileSlow(ClientIndex begin, ClientIndex end,
-                    double* out) const override;
   void FillColumnMaxSlow(double* out) const override;
   void GatherAssignedSlow(const ServerIndex* assign,
                           double* out) const override;
@@ -371,7 +324,7 @@ class OracleTileView final : public ClientBlockView {
   /// (no addition is performed, preserving the matrix path's bits).
   std::vector<double> access_;
   /// Node-major server distances: one padded row (server_stride doubles,
-  /// pads 0.0) per distinct attachment node — row/tile fills stream it.
+  /// pads 0.0) per distinct attachment node — row fills stream it.
   std::vector<double> node_rows_;
   /// Server-major mirror: |S| rows of num_rows_ doubles — column gathers
   /// stay inside one compact row instead of striding node_rows_.

@@ -20,38 +20,12 @@ constexpr double kEps = 1e-9;
 std::vector<double> EccentricitiesExcluding(const Problem& problem,
                                             const Assignment& a,
                                             ClientIndex exclude) {
-  std::vector<double> far(static_cast<std::size_t>(problem.num_servers()), -1.0);
-  // The eccentricity fold, split around the excluded client.
-  const ClientBlockView& view = problem.client_block();
-  if (const double* cs = view.raw_block()) {
-    const std::size_t stride = problem.server_stride();
-    simd::MaxAbsorbScatter(far.data(), a.server_of.data(), cs, stride, 0,
-                           exclude);
-    simd::MaxAbsorbScatter(far.data(), a.server_of.data(), cs, stride,
-                           static_cast<std::int64_t>(exclude) + 1,
-                           problem.num_clients());
-    return far;
-  }
-  // Streamed block: same split, tile by tile, with ranges relative to the
-  // tile base (the kernel indexes rows from its cs pointer).
-  view.ForEachTile([&](const ClientTile& tile) {
-    const std::int64_t tb = tile.begin;
-    const std::int64_t len = tile.end - tile.begin;
-    const auto* assign = a.server_of.data() + static_cast<std::size_t>(tb);
-    const std::int64_t lo_end =
-        std::min<std::int64_t>(tile.end, exclude) - tb;
-    if (lo_end > 0) {
-      simd::MaxAbsorbScatter(far.data(), assign, tile.data, tile.stride, 0,
-                             lo_end);
-    }
-    const std::int64_t hi_begin =
-        std::max<std::int64_t>(tb, static_cast<std::int64_t>(exclude) + 1) - tb;
-    if (hi_begin < len) {
-      simd::MaxAbsorbScatter(far.data(), assign, tile.data, tile.stride,
-                             hi_begin, len);
-    }
-  });
-  return far;
+  // The eccentricity fold skips unassigned clients, and max is exact, so
+  // unassigning `exclude` in a copy gives the same bits as folding around
+  // it — through the view's assigned-diagonal fold, never a row.
+  Assignment rest = a;
+  rest[exclude] = kUnassigned;
+  return ServerEccentricities(problem, rest);
 }
 
 double PathLengthIfMoved(const Problem& problem, ClientIndex c,

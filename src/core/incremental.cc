@@ -22,14 +22,17 @@ IncrementalEvaluator::IncrementalEvaluator(const Problem& problem,
                                            AllowPartial)
     : problem_(problem), assignment_(initial) {
   distances_.resize(static_cast<std::size_t>(problem.num_servers()));
-  problem.client_block().ForEachTile([&](const ClientTile& tile) {
-    for (ClientIndex c = tile.begin; c < tile.end; ++c) {
-      const ServerIndex s = assignment_[c];
-      if (s == kUnassigned) continue;  // inactive until AddClient
-      distances_[static_cast<std::size_t>(s)].insert(tile.row(c)[s]);
-      ++active_;
-    }
-  });
+  // Only the assigned diagonal d(c, a_c) enters the multisets.
+  std::vector<double> diag(static_cast<std::size_t>(problem.num_clients()));
+  problem.client_block().GatherAssigned(assignment_.server_of.data(),
+                                        diag.data());
+  for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
+    const ServerIndex s = assignment_[c];
+    if (s == kUnassigned) continue;  // inactive until AddClient
+    distances_[static_cast<std::size_t>(s)].insert(
+        diag[static_cast<std::size_t>(c)]);
+    ++active_;
+  }
   // Initial scan with a no-op "move" (from == to short-circuits
   // EffectiveFar to the plain multiset eccentricities).
   max_pair_ = ScanAllPairs(/*c=*/0, kUnassigned, kUnassigned);

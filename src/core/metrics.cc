@@ -58,8 +58,8 @@ std::vector<double> ServerEccentricities(const Problem& problem,
   const double* cs = view.raw_block();
   if (cs == nullptr) {
     // Streamed block: the view's bounds-first fold reads only the
-    // assigned diagonal (one value per client, never a synthesized tile)
-    // and certified-skips whole tile ranges once the running maxima
+    // assigned diagonal (one value per client, never a synthesized row)
+    // and certified-skips whole client blocks once the running maxima
     // dominate them — bit-identical to the full scatter because max is
     // exact and skipped clients provably cannot raise it.
     view.FoldAssignedMax(a.server_of.data(), far.data());

@@ -36,7 +36,7 @@ Assignment NearestServerAssign(const Problem& problem,
   if (!options.capacitated()) {
     // The view's factorized nearest scan: bit-identical to ArgMinFirst
     // over every exact row, but a lazy backend answers per attachment
-    // node instead of synthesizing O(|C| x |S|) tiles.
+    // node instead of synthesizing O(|C| x |S|) rows.
     std::vector<double> dist(static_cast<std::size_t>(problem.num_clients()));
     view.FillNearest(a.server_of.data(), dist.data());
     return a;
@@ -44,25 +44,25 @@ Assignment NearestServerAssign(const Problem& problem,
 
   std::vector<std::int32_t> load(static_cast<std::size_t>(problem.num_servers()), 0);
   std::vector<ServerIndex> order(static_cast<std::size_t>(problem.num_servers()));
-  // Tiles ascend, so the greedy client-index order is preserved.
-  view.ForEachTile([&](const ClientTile& tile) {
-    for (ClientIndex c = tile.begin; c < tile.end; ++c) {
-      // Rank servers by distance from c; take the nearest unsaturated one.
-      const double* row = tile.row(c);
-      std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(), [row](ServerIndex x, ServerIndex y) {
-        return row[x] != row[y] ? row[x] < row[y] : x < y;
-      });
-      for (ServerIndex s : order) {
-        if (load[static_cast<std::size_t>(s)] < options.CapacityOf(s)) {
-          a[c] = s;
-          ++load[static_cast<std::size_t>(s)];
-          break;
-        }
+  std::vector<double> row(view.server_stride());
+  // Clients claim servers in ascending index order.
+  for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
+    // Rank servers by distance from c; take the nearest unsaturated one.
+    view.FillRow(c, row.data());
+    const double* d = row.data();
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [d](ServerIndex x, ServerIndex y) {
+      return d[x] != d[y] ? d[x] < d[y] : x < y;
+    });
+    for (ServerIndex s : order) {
+      if (load[static_cast<std::size_t>(s)] < options.CapacityOf(s)) {
+        a[c] = s;
+        ++load[static_cast<std::size_t>(s)];
+        break;
       }
-      DIACA_CHECK_MSG(a[c] != kUnassigned, "no unsaturated server for client " << c);
     }
-  });
+    DIACA_CHECK_MSG(a[c] != kUnassigned, "no unsaturated server for client " << c);
+  }
   return a;
 }
 

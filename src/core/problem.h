@@ -5,9 +5,10 @@
 // evaluation where a client sits at every node). The server-to-server
 // block (|S| x |S|) is always resident; the client-to-server block
 // (|C| x |S|) lives behind a core::ClientBlockView — materialized (the
-// historical padded block, bit-identical) or streamed in tiles from a
-// distance oracle (core/client_block_view.h). All client-block access —
-// element, row, column, tile — goes through client_block(); Problem
+// historical padded block, bit-identical) or synthesized on demand from
+// a distance oracle's server rows (core/client_block_view.h). All
+// client-block access — element, row, column, assigned diagonal — goes
+// through client_block(); Problem
 // itself only exposes the resident server-to-server block.
 #pragma once
 
@@ -55,8 +56,8 @@ class Problem {
   /// non-negative latency data (see common/simd/simd.h).
   std::size_t server_stride() const { return server_stride_; }
 
-  /// The client-to-server block. Solvers iterate its tiles / rows /
-  /// columns instead of assuming resident storage; see
+  /// The client-to-server block. Solvers read its rows / columns /
+  /// assigned diagonal instead of assuming resident storage; see
   /// core/client_block_view.h for the access vocabulary.
   const ClientBlockView& client_block() const { return *client_block_; }
 
@@ -123,8 +124,8 @@ class Problem {
                           std::vector<net::NodeIndex> client_nodes,
                           std::span<const double> d_ss);
 
-  /// Oracle-backed problem whose client block streams in tiles instead of
-  /// materializing |C| x |S| (the tiled sibling of the oracle
+  /// Oracle-backed problem whose client block is synthesized on demand
+  /// instead of materializing |C| x |S| (the tiled sibling of the oracle
   /// constructor; assignments are bit-identical to it on exact backends).
   static Problem FromOracleTiled(const net::DistanceOracle& oracle,
                                  std::span<const net::NodeIndex> server_nodes,

@@ -23,14 +23,7 @@ struct SolveStats {
   std::int32_t modifications = 0;
   /// Branch-and-bound search nodes (exact solver).
   std::int64_t nodes_explored = 0;
-  /// Client-block tiles synthesized during the solve, including the final
-  /// objective evaluation (0 on a materialized block, whose tiles are
-  /// zero-copy). Snapshotted from ClientBlockStats by SolverRegistry.
-  std::int64_t tiles_loaded = 0;
-  /// High-water bytes of live tile-pool buffers on the problem's client
-  /// block (0 when materialized) — what streaming actually cost in memory.
-  std::int64_t tile_bytes_peak = 0;
-  /// Work units (tiles + 512-entry candidate blocks) the certified
+  /// Work units (client blocks + 512-entry candidate blocks) the certified
   /// filter-and-refine bounds skipped without computing their exact
   /// values. Telemetry, not part of the determinism contract (see
   /// ClientBlockStats::tiles_pruned). Snapshotted from ClientBlockStats

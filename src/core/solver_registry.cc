@@ -128,12 +128,9 @@ SolveResult SolverRegistry::Solve(const std::string& name,
   const ClientBlockStats block_before = problem.client_block().stats();
   SolveResult result = it->second.fn(problem, options);
   result.stats.max_len = MaxInteractionPathLength(problem, result.assignment);
-  // Tile usage attributable to this solve (counters are monotonic and the
-  // view may be shared across Problem copies, hence the delta); the bytes
-  // peak is a high-water mark, so it is reported absolute.
+  // Pruning attributable to this solve (the counter is monotonic and the
+  // view may be shared across Problem copies, hence the delta).
   const ClientBlockStats block_after = problem.client_block().stats();
-  result.stats.tiles_loaded = block_after.tiles_loaded - block_before.tiles_loaded;
-  result.stats.tile_bytes_peak = block_after.tile_bytes_peak;
   result.stats.tiles_pruned =
       block_after.tiles_pruned - block_before.tiles_pruned;
 #if DIACA_OBS
@@ -162,12 +159,6 @@ SolveResult SolverRegistry::Solve(const std::string& name,
     if (result.stats.orphans_rehomed > 0) {
       target->GetCounter(prefix + ".orphans_rehomed")
           .Add(result.stats.orphans_rehomed);
-    }
-    if (result.stats.tiles_loaded > 0) {
-      target->GetCounter(prefix + ".tiles_loaded")
-          .Add(result.stats.tiles_loaded);
-      target->GetGauge(prefix + ".tile_bytes_peak")
-          .Set(result.stats.tile_bytes_peak);
     }
     if (result.stats.tiles_pruned > 0) {
       target->GetCounter(prefix + ".tiles_pruned")

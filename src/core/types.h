@@ -56,8 +56,8 @@ struct AssignOptions {
   static constexpr std::int32_t kUnlimitedCapacity = -1;
 
   /// Enables the certified bound-driven pruning inside the solvers
-  /// (cutoff-seeded candidate scans, proven-cost memos, bounds-first tile
-  /// rejection). Off forces every bound-gated path to do the full exact
+  /// (cutoff-seeded candidate scans, proven-cost memos, bounds-first
+  /// block rejection). Off forces every bound-gated path to do the full exact
   /// work — slower, bit-identical assignments — which is how the tier-1
   /// smoke validates the certification.
   bool bound_pruning = true;

@@ -49,12 +49,12 @@ struct ClientCloudParams {
   double min_access_ms = 0.2;
   /// When false the |C| x |S| client block is never materialized: the
   /// problem's client block is a core::OracleTileView that synthesizes
-  /// tiles on demand from the |S| substrate server rows, bit-identical to
-  /// the materialized build (d(c,s) = access(c) + row, one IEEE addition
-  /// either way). Peak retained memory drops from O(|C| * |S|) to
-  /// O(n * |S|) plus one tile pool.
+  /// values on demand from the |S| substrate server rows, bit-identical
+  /// to the materialized build (d(c,s) = access(c) + row, one IEEE
+  /// addition either way). Peak retained memory drops from O(|C| * |S|)
+  /// to O(n * |S|).
   bool materialize_block = true;
-  /// Tile sizing for the streamed block (ignored when materializing).
+  /// Options for the streamed block (ignored when materializing).
   core::TileOptions tile;
 };
 

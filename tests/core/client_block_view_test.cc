@@ -1,24 +1,26 @@
-// Tile-boundary property suite for the client-block view API: the
-// streamed OracleTileView must be bit-identical to the materialized
-// block at every tile size (including degenerate and off-by-one ones),
-// pool size, LRU capacity, and thread count, for every solver that
-// consumes the view. Also covers the view's traversal contract
-// (partition, padding, usage counters), the FromBlocks/FromView
-// validation, and the --oracle spec grammar.
+// Property suite for the client-block view API: the streamed
+// OracleTileView must be bit-identical to the materialized block at
+// every tile size (including degenerate and off-by-one ones), LRU
+// capacity, and thread count, for every solver that consumes the view.
+// Also covers the view's accessors (rows with zero pads, column subsets,
+// nearest servers, the assigned-diagonal consumers), the FromBlocks/
+// FromView validation, and the --oracle spec grammar.
 #include "core/client_block_view.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/simd/simd.h"
 #include "common/thread_pool.h"
+#include "core/distributed_greedy.h"
+#include "core/incremental.h"
 #include "core/lower_bound.h"
 #include "core/metrics.h"
 #include "core/problem.h"
@@ -134,8 +136,7 @@ TEST(ClientBlockViewTest, DenseOracleBackendStreamsIdenticalBits) {
 
 // The core property: every solver lands on the identical assignment (and
 // bit-identical objective) whether the client block is materialized or
-// streamed, across tile sizes straddling every boundary and both pool
-// configurations (prefetch on and off).
+// streamed, across tile sizes straddling every boundary.
 TEST(ClientBlockViewTest, SolversBitIdenticalAcrossBackendsAndTileSizes) {
   const Substrate sub = MakeSubstrate();
   const Problem dense =
@@ -148,20 +149,15 @@ TEST(ClientBlockViewTest, SolversBitIdenticalAcrossBackendsAndTileSizes) {
     baseline.push_back(registry.Solve(name, dense, SolveOptions{}));
   }
   for (const std::int32_t tile_clients : BoundaryTileSizes(kNodes)) {
-    for (const std::int32_t pool_tiles : {1, 2}) {
-      TileOptions tile;
-      tile.tile_clients = tile_clients;
-      tile.pool_tiles = pool_tiles;
-      const Problem tiled =
-          Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
-      for (std::size_t i = 0; i < solvers.size(); ++i) {
-        const SolveResult got =
-            registry.Solve(solvers[i], tiled, SolveOptions{});
-        ASSERT_EQ(baseline[i].assignment.server_of, got.assignment.server_of)
-            << solvers[i] << " tile=" << tile_clients
-            << " pool=" << pool_tiles;
-        ASSERT_EQ(baseline[i].stats.max_len, got.stats.max_len) << solvers[i];
-      }
+    TileOptions tile;
+    tile.tile_clients = tile_clients;
+    const Problem tiled =
+        Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
+    for (std::size_t i = 0; i < solvers.size(); ++i) {
+      const SolveResult got = registry.Solve(solvers[i], tiled, SolveOptions{});
+      ASSERT_EQ(baseline[i].assignment.server_of, got.assignment.server_of)
+          << solvers[i] << " tile=" << tile_clients;
+      ASSERT_EQ(baseline[i].stats.max_len, got.stats.max_len) << solvers[i];
     }
   }
 }
@@ -236,8 +232,8 @@ TEST(ClientBlockViewTest, SolversBitIdenticalAcrossThreadCounts) {
 }
 
 // The exact solver and both lower bounds consume the view through
-// different access paths (MaterializeBlock, tile scans); all must agree
-// with the dense problem exactly.
+// different access paths (MaterializeBlock, nearest servers, column
+// maxima); all must agree with the dense problem exactly.
 TEST(ClientBlockViewTest, ExactAndBoundsMatchAcrossBackends) {
   data::WaxmanParams wp;
   wp.num_nodes = 12;
@@ -281,33 +277,65 @@ TEST(ClientBlockViewTest, ExactAndBoundsMatchAcrossBackends) {
   EXPECT_EQ(crit_dense, crit_tiled);
 }
 
-TEST(ClientBlockViewTest, ForEachTilePartitionsClientsWithZeroPads) {
-  const Substrate sub = MakeSubstrate();
-  for (const std::int32_t tile_clients : BoundaryTileSizes(kNodes)) {
-    TileOptions tile;
-    tile.tile_clients = tile_clients;
-    const Problem tiled =
-        Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
-    const ClientBlockView& view = tiled.client_block();
-    ClientIndex next = 0;
-    view.ForEachTile([&](const ClientTile& t) {
-      ASSERT_EQ(t.begin, next);
-      ASSERT_GT(t.end, t.begin);
-      ASSERT_LE(t.end - t.begin, std::max(tile_clients, 1));
-      ASSERT_EQ(t.stride, view.server_stride());
-      for (ClientIndex c = t.begin; c < t.end; ++c) {
-        const double* row = t.row(c);
-        for (ServerIndex s = 0; s < view.num_servers(); ++s) {
-          ASSERT_EQ(row[s], view.cs(c, s));
-        }
-        for (std::size_t p = static_cast<std::size_t>(view.num_servers());
-             p < t.stride; ++p) {
-          ASSERT_EQ(row[p], 0.0) << "pad lane " << p << " not zeroed";
-        }
-      }
-      next = t.end;
-    });
-    EXPECT_EQ(next, kNodes);
+// FillRow and MaterializeBlock write every padded row: the server lanes
+// bit for bit equal to cs(), the pad lanes 0.0 (the lazy backend's
+// broadcast-add covers the server lanes only and re-zeroes the pads,
+// which only access delays can pollute), on both views. 13 servers
+// leave three pad lanes; the row buffer starts as NaN so a pad lane
+// FillRow skips cannot pass. rows_filled counts FillRow on the lazy
+// backend only, MaterializeBlock's rows included.
+TEST(ClientBlockViewTest, FillRowAndMaterializeBlockMatchCellsWithZeroPads) {
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 50;
+  params.num_clients = 500;
+  params.tile.tile_clients = 7;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 29);
+  const net::DistanceOracle oracle =
+      net::DistanceOracle::FromGraph(graph, opt);
+  std::vector<net::NodeIndex> servers;
+  for (net::NodeIndex s = 1; s < 50; s += 4) servers.push_back(s);
+  ASSERT_EQ(servers.size(), 13u);
+  const data::ClientCloud mat =
+      data::BuildClientCloud(params, 29, oracle, servers);
+  params.materialize_block = false;
+  const data::ClientCloud streamed =
+      data::BuildClientCloud(params, 29, oracle, servers);
+  const ClientBlockView& ref = mat.problem.client_block();
+  const std::size_t stride = ref.server_stride();
+  ASSERT_GT(stride, servers.size());
+
+  const auto expect_row = [&](const double* row, ClientIndex c,
+                              bool materialized, const char* what) {
+    for (ServerIndex s = 0; s < ref.num_servers(); ++s) {
+      ASSERT_EQ(row[s], ref.cs(c, s))
+          << what << " materialized=" << materialized << " c=" << c
+          << " s=" << s;
+    }
+    for (std::size_t p = servers.size(); p < stride; ++p) {
+      ASSERT_EQ(row[p], 0.0) << what << " materialized=" << materialized
+                             << " c=" << c << " pad lane " << p;
+    }
+  };
+  for (const Problem* p : {&mat.problem, &streamed.problem}) {
+    const ClientBlockView& view = p->client_block();
+    const std::int64_t filled_before = view.stats().rows_filled;
+    std::vector<double> row(stride);
+    for (ClientIndex c = 0; c < view.num_clients(); ++c) {
+      std::fill(row.begin(), row.end(), std::nan(""));
+      view.FillRow(c, row.data());
+      expect_row(row.data(), c, view.materialized(), "FillRow");
+    }
+    const std::vector<double> block = view.MaterializeBlock();
+    ASSERT_EQ(block.size(),
+              static_cast<std::size_t>(view.num_clients()) * stride);
+    for (ClientIndex c = 0; c < view.num_clients(); ++c) {
+      expect_row(block.data() + static_cast<std::size_t>(c) * stride, c,
+                 view.materialized(), "MaterializeBlock");
+    }
+    EXPECT_EQ(view.stats().rows_filled - filled_before,
+              view.materialized() ? 0 : 2 * std::int64_t{view.num_clients()});
   }
 }
 
@@ -321,8 +349,6 @@ TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
       Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
   const SolveResult rd =
       SolverRegistry::Default().Solve("greedy", dense, SolveOptions{});
-  EXPECT_EQ(rd.stats.tiles_loaded, 0);
-  EXPECT_EQ(rd.stats.tile_bytes_peak, 0);
   // The resident solve runs the same bucket-refined scans, so its bounds
   // retire real gathers; with pruning off nothing is credited.
   EXPECT_GT(rd.stats.tiles_pruned, 0);
@@ -335,28 +361,25 @@ TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
   const ClientBlockStats before = tiled.client_block().stats();
   const SolveResult rt =
       SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
-  // The bounds-first greedy never synthesizes a tile on a lazy backend:
+  // The bounds-first greedy never synthesizes a row on a lazy backend:
   // preprocessing fills one column per server, the rounds gather only the
   // buckets their bounds cannot retire, batches re-gather single columns,
   // and the objective fold reads only the assigned diagonal.
-  EXPECT_EQ(rt.stats.tiles_loaded, 0);
-  EXPECT_EQ(rt.stats.tile_bytes_peak, 0);
   const ClientBlockStats after = tiled.client_block().stats();
+  EXPECT_EQ(after.rows_filled, before.rows_filled);
   EXPECT_GT(after.columns_gathered, before.columns_gathered);
   // Identical output is the other half of the contract.
   EXPECT_EQ(rt.assignment.server_of, rd.assignment.server_of);
   EXPECT_EQ(rt.stats.max_len, rd.stats.max_len);
 }
 
-// The tile-pipeline determinism grid: every combination of prefetch
-// depth, buffer-pool size, thread count, and row-cache shard count must
-// produce the identical greedy assignment, bit-identical objective, and
-// bit-identical eccentricity fold. The pipeline only reorders WHEN tiles
-// are synthesized, never WHAT they contain, so nothing downstream may
-// move. Every solve rebuilds its candidate lists over the survivors the
-// same number of times, so the 4-thread runs put the rebuild's
-// concurrent per-server writes under the oracle label's sanitizer lanes.
-TEST(ClientBlockViewTest, PipelineGridBitIdenticalAcrossDepthPoolThreadsShards) {
+// The greedy determinism grid: every combination of thread count and
+// row-cache shard count must produce the identical greedy assignment,
+// bit-identical objective, and bit-identical eccentricity fold. Every
+// solve rebuilds its candidate lists over the survivors the same number
+// of times, so the 4-thread runs put the rebuild's concurrent per-server
+// writes under the oracle label's sanitizer lanes.
+TEST(ClientBlockViewTest, GreedyGridBitIdenticalAcrossThreadsAndShards) {
   const Substrate sub = MakeSubstrate();
   const Problem dense =
       Problem::WithClientsEverywhere(sub.oracle, sub.servers);
@@ -378,78 +401,27 @@ TEST(ClientBlockViewTest, PipelineGridBitIdenticalAcrossDepthPoolThreadsShards) 
     opt.row_cache_shards = shards;
     const net::DistanceOracle oracle =
         net::DistanceOracle::FromGraph(sub.graph, opt);
-    for (const std::int32_t pool_tiles : {1, 2, 4}) {
-      for (const std::int32_t depth : {0, 1, 3}) {
-        for (const int threads : {1, 4}) {
-          SetGlobalThreads(threads);
-          TileOptions tile;
-          tile.tile_clients = 9;  // does not divide |C|
-          tile.pool_tiles = pool_tiles;
-          tile.prefetch_depth = depth;
-          const Problem tiled = Problem::FromOracleTiled(
-              oracle, sub.servers, sub.clients, tile);
-          before = test::GreedyRebuilds();
-          const SolveResult got =
-              SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
-          EXPECT_EQ(test::GreedyRebuilds() - before, want_rebuilds)
-              << "shards=" << shards << " pool=" << pool_tiles
-              << " depth=" << depth << " threads=" << threads;
-          ASSERT_EQ(want.assignment.server_of, got.assignment.server_of)
-              << "shards=" << shards << " pool=" << pool_tiles
-              << " depth=" << depth << " threads=" << threads;
-          ASSERT_EQ(want.stats.max_len, got.stats.max_len)
-              << "shards=" << shards << " pool=" << pool_tiles
-              << " depth=" << depth << " threads=" << threads;
-          ASSERT_EQ(want_ecc, ServerEccentricities(tiled, got.assignment))
-              << "shards=" << shards << " pool=" << pool_tiles
-              << " depth=" << depth << " threads=" << threads;
-        }
-      }
+    for (const int threads : {1, 4}) {
+      SetGlobalThreads(threads);
+      TileOptions tile;
+      tile.tile_clients = 9;  // does not divide |C|
+      const Problem tiled =
+          Problem::FromOracleTiled(oracle, sub.servers, sub.clients, tile);
+      before = test::GreedyRebuilds();
+      const SolveResult got =
+          SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
+      EXPECT_EQ(test::GreedyRebuilds() - before, want_rebuilds)
+          << "shards=" << shards << " threads=" << threads;
+      ASSERT_EQ(want.assignment.server_of, got.assignment.server_of)
+          << "shards=" << shards << " threads=" << threads;
+      ASSERT_EQ(want.stats.max_len, got.stats.max_len)
+          << "shards=" << shards << " threads=" << threads;
+      ASSERT_EQ(want_ecc, ServerEccentricities(tiled, got.assignment))
+          << "shards=" << shards << " threads=" << threads;
     }
   }
   obs::SetMetricsEnabled(metrics_were_on);
   SetGlobalThreads(0);
-}
-
-// Re-entrant view use while a prefetching traversal is in flight: a
-// GatherColumn issued from inside the visitor (the exact shape of the
-// greedy batch re-gather) must return the same bits the materialized
-// block holds, while the traversal's own tiles stay exact. Runs under
-// the oracle label's TSan lane, so a racy pipeline fails loudly here.
-TEST(ClientBlockViewTest, GatherColumnDuringForEachTileStaysExact) {
-  const Substrate sub = MakeSubstrate(5, 2);  // tiny cache: rows churn
-  const Problem dense =
-      Problem::WithClientsEverywhere(sub.oracle, sub.servers);
-  TileOptions tile;
-  tile.tile_clients = 8;
-  tile.pool_tiles = 3;
-  tile.prefetch_depth = 2;
-  const Problem tiled =
-      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
-  const ClientBlockView& view = tiled.client_block();
-
-  std::vector<double> want_col(static_cast<std::size_t>(kNodes));
-  for (ClientIndex c = 0; c < kNodes; ++c) {
-    want_col[static_cast<std::size_t>(c)] = dense.client_block().cs(c, 0);
-  }
-  std::vector<ClientIndex> ids(static_cast<std::size_t>(kNodes));
-  std::iota(ids.begin(), ids.end(), 0);
-
-  std::atomic<std::int64_t> mismatches{0};
-  view.ForEachTile([&](const ClientTile& t) {
-    std::vector<double> col(static_cast<std::size_t>(kNodes));
-    view.GatherColumn(0, ids.data(), ids.size(), col.data());
-    for (std::size_t i = 0; i < col.size(); ++i) {
-      if (col[i] != want_col[i]) mismatches.fetch_add(1);
-    }
-    for (ClientIndex c = t.begin; c < t.end; ++c) {
-      const double* row = t.row(c);
-      for (ServerIndex s = 0; s < view.num_servers(); ++s) {
-        if (row[s] != dense.client_block().cs(c, s)) mismatches.fetch_add(1);
-      }
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ClientBlockViewTest, CloudBuildsIdenticalProblemWithoutMaterializing) {
@@ -608,6 +580,159 @@ TEST(ClientBlockViewTest, ForEachColumnSubsetMatchesCellsAcrossViewsAndThreads) 
     }
   }
   SetGlobalThreads(0);
+}
+
+// One assigned server per client, spread over servers [0, servers) by a
+// multiplicative hash (no correlation with attachment or access delay).
+Assignment HashAssignment(std::int32_t clients, std::int32_t servers) {
+  Assignment a(static_cast<std::size_t>(clients));
+  for (ClientIndex c = 0; c < clients; ++c) {
+    a[c] = static_cast<ServerIndex>(
+        (static_cast<std::uint32_t>(c) * 2654435761u >> 7) %
+        static_cast<std::uint32_t>(servers));
+  }
+  return a;
+}
+
+// EccentricitiesExcluding against a scalar reference (far[s] = max of
+// cs(c', s) over c' != c assigned to s, starting at -1.0), bit for bit,
+// on both views at 1 and 4 threads. 5000 clients with access delays put
+// the resident fold on its chunked path at 4 threads; the 7-client skip
+// blocks (7 does not divide |C|) let the streamed fold's certified skip
+// fire. The last server holds a single client, whose exclusion must
+// leave that server at -1.0.
+TEST(ClientBlockViewTest, EccentricitiesExcludingMatchesScalarReference) {
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 50;
+  params.num_clients = 5000;
+  params.tile.tile_clients = 7;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 31);
+  const net::DistanceOracle oracle =
+      net::DistanceOracle::FromGraph(graph, opt);
+  const std::vector<net::NodeIndex> servers = {1, 8, 15, 22, 29, 36, 43, 48};
+  const data::ClientCloud mat =
+      data::BuildClientCloud(params, 31, oracle, servers);
+  params.materialize_block = false;
+  const data::ClientCloud streamed =
+      data::BuildClientCloud(params, 31, oracle, servers);
+  const ClientBlockView& ref = mat.problem.client_block();
+  const std::int32_t num_servers = ref.num_servers();
+  const ServerIndex lone_server = num_servers - 1;
+  Assignment a = HashAssignment(ref.num_clients(), num_servers - 1);
+  const ClientIndex lone = 2345;
+  a[lone] = lone_server;
+
+  std::vector<ClientIndex> excluded;
+  for (ClientIndex c = 0; c < ref.num_clients(); c += 97) excluded.push_back(c);
+  excluded.push_back(lone);
+  const auto reference = [&](ClientIndex exclude) {
+    std::vector<double> far(static_cast<std::size_t>(num_servers), -1.0);
+    for (ClientIndex c = 0; c < ref.num_clients(); ++c) {
+      if (c == exclude) continue;
+      const auto s = static_cast<std::size_t>(a[c]);
+      far[s] = std::max(far[s], ref.cs(c, a[c]));
+    }
+    return far;
+  };
+  std::vector<std::vector<double>> want;
+  for (const ClientIndex exclude : excluded) want.push_back(reference(exclude));
+  ASSERT_EQ(want.back()[static_cast<std::size_t>(lone_server)], -1.0);
+  const std::int64_t pruned_before =
+      streamed.problem.client_block().stats().tiles_pruned;
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    for (std::size_t i = 0; i < excluded.size(); ++i) {
+      for (const Problem* p : {&mat.problem, &streamed.problem}) {
+        ASSERT_EQ(EccentricitiesExcluding(*p, a, excluded[i]), want[i])
+            << "materialized=" << p->client_block().materialized()
+            << " threads=" << threads << " exclude=" << excluded[i];
+      }
+    }
+  }
+  SetGlobalThreads(0);
+  EXPECT_GT(streamed.problem.client_block().stats().tiles_pruned,
+            pruned_before);
+}
+
+// An IncrementalEvaluator built on the streamed view agrees bit for bit
+// with one built on the materialized view: the constructor reads the
+// assigned diagonal, every later step single cells. Checked from a
+// complete assignment (moves) and from a partial one (AllowPartial:
+// attachments, detachments and moves mixed).
+TEST(ClientBlockViewTest, IncrementalEvaluatorBitIdenticalAcrossViews) {
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 50;
+  params.num_clients = 2000;
+  params.tile.tile_clients = 7;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 37);
+  const net::DistanceOracle oracle =
+      net::DistanceOracle::FromGraph(graph, opt);
+  const std::vector<net::NodeIndex> servers = {0, 7, 14, 21, 28, 35, 42};
+  const data::ClientCloud mat =
+      data::BuildClientCloud(params, 37, oracle, servers);
+  params.materialize_block = false;
+  const data::ClientCloud streamed =
+      data::BuildClientCloud(params, 37, oracle, servers);
+  const std::int32_t num_clients = mat.problem.num_clients();
+  const std::int32_t num_servers = mat.problem.num_servers();
+
+  {
+    const Assignment a = HashAssignment(num_clients, num_servers);
+    IncrementalEvaluator want(mat.problem, a);
+    IncrementalEvaluator got(streamed.problem, a);
+    ASSERT_EQ(want.CurrentMax(), got.CurrentMax());
+    Rng rng(41);
+    for (int step = 0; step < 300; ++step) {
+      const auto c = static_cast<ClientIndex>(rng.NextBounded(
+          static_cast<std::uint64_t>(num_clients)));
+      const auto to = static_cast<ServerIndex>(rng.NextBounded(
+          static_cast<std::uint64_t>(num_servers)));
+      ASSERT_EQ(want.EvaluateMove(c, to), got.EvaluateMove(c, to))
+          << "step " << step;
+      if (step % 2 == 0) {
+        ASSERT_EQ(want.ApplyMove(c, to), got.ApplyMove(c, to))
+            << "step " << step;
+      }
+      ASSERT_EQ(want.CurrentMax(), got.CurrentMax()) << "step " << step;
+    }
+    ASSERT_EQ(want.assignment(), got.assignment());
+  }
+
+  Assignment partial = HashAssignment(num_clients, num_servers);
+  for (ClientIndex c = 0; c < num_clients; c += 3) partial[c] = kUnassigned;
+  IncrementalEvaluator want(mat.problem, partial,
+                            IncrementalEvaluator::AllowPartial{});
+  IncrementalEvaluator got(streamed.problem, partial,
+                           IncrementalEvaluator::AllowPartial{});
+  ASSERT_EQ(want.num_active(), got.num_active());
+  ASSERT_EQ(want.CurrentMax(), got.CurrentMax());
+  Rng rng(43);
+  for (int step = 0; step < 600; ++step) {
+    const auto c = static_cast<ClientIndex>(
+        rng.NextBounded(static_cast<std::uint64_t>(num_clients)));
+    const auto to = static_cast<ServerIndex>(
+        rng.NextBounded(static_cast<std::uint64_t>(num_servers)));
+    if (!want.IsActive(c)) {
+      ASSERT_EQ(want.EvaluateAdd(c, to), got.EvaluateAdd(c, to))
+          << "step " << step;
+      ASSERT_EQ(want.AddClient(c, to), got.AddClient(c, to))
+          << "step " << step;
+    } else if (step % 3 == 0) {
+      ASSERT_EQ(want.RemoveClient(c), got.RemoveClient(c)) << "step " << step;
+    } else {
+      ASSERT_EQ(want.EvaluateMove(c, to), got.EvaluateMove(c, to))
+          << "step " << step;
+      ASSERT_EQ(want.ApplyMove(c, to), got.ApplyMove(c, to))
+          << "step " << step;
+    }
+    ASSERT_EQ(want.CurrentMax(), got.CurrentMax()) << "step " << step;
+    ASSERT_EQ(want.num_active(), got.num_active()) << "step " << step;
+  }
+  ASSERT_EQ(want.assignment(), got.assignment());
 }
 
 TEST(ClientBlockViewTest, FromBlocksRejectsAsymmetricServerBlock) {

@@ -96,9 +96,9 @@ if(NOT "${out}${err}" MATCHES "nearest")
   message(FATAL_ERROR "algorithm error does not list the valid set:\n${err}")
 endif()
 
-# The legacy spellings that predate --oracle are gone: each must fail as
-# an unknown flag.
-foreach(legacy --distances=rows --row-cache=64 --landmarks=8)
+# The legacy spellings that predate --oracle, and the retired tile
+# prefetch depth, are gone: each must fail as an unknown flag.
+foreach(legacy --distances=rows --row-cache=64 --landmarks=8 --tile-depth=2)
   execute_process(COMMAND ${DIACA_BIN} assign --matrix=world.txt
                           --servers=servers.txt --out=x.txt ${legacy}
                   WORKING_DIRECTORY ${WORK_DIR}

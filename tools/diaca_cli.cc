@@ -99,11 +99,11 @@ int Usage() {
       "  assign/evaluate/cloud accept --block=materialized|tiled\n"
       "  (tiled streams the client block through the oracle instead of\n"
       "  materializing |C|x|S|; assignments are bit-identical),\n"
-      "  --tile-clients=N (rows per streamed tile), --tile-depth=N\n"
-      "  (tile builds kept in flight ahead of the consumer; 0 disables\n"
-      "  prefetch), and --prune=on|off (bound-driven filter-and-refine\n"
-      "  in the solvers; results are bit-identical either way, off only\n"
-      "  disables the accelerator — see docs/performance.md).\n"
+      "  --tile-clients=N (clients per certified skip block of the\n"
+      "  streamed eccentricity fold), and --prune=on|off (bound-driven\n"
+      "  filter-and-refine in the solvers; results are bit-identical\n"
+      "  either way, off only disables the accelerator — see\n"
+      "  docs/performance.md).\n"
       "  every command also accepts --threads=N,\n"
       "  --apsp=auto|dijkstra|blocked (all-pairs shortest-path backend\n"
       "  for graph substrates), --faults=SPEC (inject server crashes,\n"
@@ -139,7 +139,7 @@ net::OracleOptions OracleOptionsFromFlags(const Flags& flags) {
 }
 
 // --block=materialized|tiled (with --tile-clients sizing the streamed
-// tiles); returns true for tiled.
+// view's skip blocks); returns true for tiled.
 bool TiledBlockRequested(const Flags& flags, core::TileOptions* tile) {
   const std::string block = flags.GetString("block", "materialized");
   if (block == "materialized") return false;
@@ -151,14 +151,6 @@ bool TiledBlockRequested(const Flags& flags, core::TileOptions* tile) {
       static_cast<std::int32_t>(flags.GetInt("tile-clients", 8192));
   DIACA_CHECK_MSG(tile->tile_clients >= 1,
                   "--tile-clients must be >= 1, got " << tile->tile_clients);
-  // --tile-depth=N keeps N tile builds in flight ahead of the consumer
-  // (pool of N + 1 buffers); 0 disables prefetch. Results are identical
-  // at every depth — the knob only trades memory for overlap.
-  const auto depth =
-      static_cast<std::int32_t>(flags.GetInt("tile-depth", 2));
-  DIACA_CHECK_MSG(depth >= 0, "--tile-depth must be >= 0, got " << depth);
-  tile->prefetch_depth = depth;
-  tile->pool_tiles = depth + 1;
   tile->bound_pruning = flags.GetString("prune", "on") != "off";
   return true;
 }
@@ -542,9 +534,6 @@ int CmdCloud(const Flags& flags) {
   table.Row().Cell("oracle row builds").Cell(stats.row_builds);
   table.Row().Cell("tiles pruned").Cell(result.stats.tiles_pruned);
   if (!params.materialize_block) {
-    table.Row().Cell("tiles loaded").Cell(result.stats.tiles_loaded);
-    table.Row().Cell("tile pool peak (MB)").Cell(
-        static_cast<double>(result.stats.tile_bytes_peak) / (1024.0 * 1024.0));
     table.Row().Cell("client block equivalent (MB)").Cell(
         static_cast<double>(params.num_clients) *
         static_cast<double>(cloud.problem.client_block().server_stride()) *
@@ -705,7 +694,7 @@ int main(int argc, char** argv) {
                        "servers", "method", "algorithm", "capacity",
                        "assignment", "duration-ms", "ops-per-second", "apsp",
                        "failover", "graph", "clients", "oracle", "block",
-                       "tile-clients", "tile-depth", "prune",
+                       "tile-clients", "prune",
                        "rss-budget-mb", "epochs", "epoch-ms", "churn",
                        "migration-cap", "hysteresis", "hysteresis-eps",
                        "deadline-evals", "oracle-every", "json-out"});
