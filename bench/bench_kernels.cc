@@ -1,10 +1,11 @@
-// Kernel-layer throughput report: per-kernel effective GB/s for the
-// scalar reference vs the active vectorized backend, plus the end-to-end
-// single-thread greedy speedup against the pre-kernel scalar solver (a
-// faithful copy of the gather-based implementation kept below), on one
-// deterministic Meridian-like instance.
+// Kernel-layer report: per-kernel nanoseconds per call for the scalar
+// reference vs the portable vector backend at the sizes the solvers call
+// with, plus the end-to-end single-thread greedy speedup against the
+// pre-kernel scalar solver (a faithful copy of the gather-based
+// implementation kept below), on one deterministic Meridian-like
+// instance.
 //
-//   bench_kernels [--nodes=1796] [--servers=50] [--reps=3] [--seed=2011]
+//   bench_kernels [--nodes=1796] [--servers=50] [--reps=7] [--seed=2011]
 //                 [--json-out=path]
 //
 // The legacy and kernel greedy assignments are checked element-wise
@@ -159,27 +160,37 @@ core::Assignment LegacyGreedyAssign(const core::Problem& problem,
 }
 
 // ---------------------------------------------------------------------------
-// Per-kernel throughput: each workload runs one kernel over a padded
-// buffer of `n` doubles, `bytes` matching the byte accounting of the
+// Per-kernel timing at solver sizes: every row kernel over n = 16, 80 and
+// 256 lanes (the server counts the workloads span), the client-block
+// view's column gathers (32 survivor ids, one 200k-client column) and one
+// 64^3 blocked-APSP tile. `bytes` matches the byte accounting of the
 // kernels' own simd.kernels.bytes_scanned counter.
 // ---------------------------------------------------------------------------
 
 struct KernelWorkload {
   const char* name;
+  std::size_t n;                       // lanes (the tile's edge) per call
   std::size_t bytes;                   // per invocation
   std::function<double()> run;         // returns a value to keep live
 };
 
 struct KernelRow {
   const char* name = "";
-  double scalar_gbps = 0.0;
-  double simd_gbps = 0.0;
+  std::size_t n = 0;
+  double scalar_ns = 0.0;
+  double simd_ns = 0.0;
   double speedup = 1.0;
 };
 
-double TimeGbps(const KernelWorkload& w, std::int64_t reps, double* sink) {
+// Nanoseconds per call under the scalar and the portable backend. The
+// samples alternate between the two backends, so drift on a shared host
+// hits both sides alike; each side keeps its best of `reps` samples of
+// ~5 ms.
+void TimeBothBackends(const KernelWorkload& w, std::int64_t reps,
+                      double* sink, KernelRow* row) {
   // Calibrate an inner count so each timed sample is ~5ms even for the
-  // cheap kernels, then keep the best of `reps` samples.
+  // cheap kernels.
+  simd::SetBackend(simd::Backend::kScalar);
   std::int64_t inner = 1;
   for (;;) {
     Timer probe;
@@ -190,16 +201,23 @@ double TimeGbps(const KernelWorkload& w, std::int64_t reps, double* sink) {
     if (s >= 5e-3 || inner >= (1 << 22)) break;
     inner *= 4;
   }
-  double best_s = std::numeric_limits<double>::infinity();
-  for (std::int64_t rep = 0; rep < reps; ++rep) {
+  const auto sample_ns = [&](simd::Backend backend) {
+    simd::SetBackend(backend);
     Timer timer;
     double acc = 0.0;
     for (std::int64_t i = 0; i < inner; ++i) acc += w.run();
     *sink += acc;
-    best_s = std::min(best_s, timer.ElapsedSeconds());
+    return timer.ElapsedSeconds() / static_cast<double>(inner) * 1e9;
+  };
+  row->scalar_ns = std::numeric_limits<double>::infinity();
+  row->simd_ns = std::numeric_limits<double>::infinity();
+  for (std::int64_t rep = 0; rep < reps; ++rep) {
+    row->scalar_ns =
+        std::min(row->scalar_ns, sample_ns(simd::Backend::kScalar));
+    row->simd_ns =
+        std::min(row->simd_ns, sample_ns(simd::Backend::kPortable));
   }
-  return static_cast<double>(w.bytes) * static_cast<double>(inner) /
-         best_s / 1e9;
+  row->speedup = row->scalar_ns / row->simd_ns;
 }
 
 double TimeBestOfMs(std::int64_t reps, core::Assignment* out,
@@ -229,10 +247,10 @@ void WriteJson(const std::string& path, std::int32_t nodes,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     os << "    {\"name\": ";
     AppendJsonString(os, rows[i].name);
-    os << ", \"scalar_gbps\": ";
-    AppendJsonNumber(os, rows[i].scalar_gbps);
-    os << ", \"simd_gbps\": ";
-    AppendJsonNumber(os, rows[i].simd_gbps);
+    os << ", \"n\": " << rows[i].n << ", \"scalar_ns\": ";
+    AppendJsonNumber(os, rows[i].scalar_ns);
+    os << ", \"simd_ns\": ";
+    AppendJsonNumber(os, rows[i].simd_ns);
     os << ", \"speedup\": ";
     AppendJsonNumber(os, rows[i].speedup);
     os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -256,83 +274,118 @@ int main(int argc, char** argv) {
                                  "json-out"});
   const auto nodes = static_cast<std::int32_t>(flags.GetInt("nodes", 1796));
   const auto servers = static_cast<std::int32_t>(flags.GetInt("servers", 50));
-  const std::int64_t reps = flags.GetInt("reps", 3);
+  const std::int64_t reps = flags.GetInt("reps", 7);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 2011));
   const std::string json_out = flags.GetString("json-out", "");
   // The target of this report is single-core throughput: the kernel layer
   // composes with (and is orthogonal to) the PR 1 thread pool.
   SetGlobalThreads(1);
 
-  // --- Per-kernel GB/s on a padded working set sized like a metrics
-  // fold over the full matrix row (L2-resident, beyond any row cache).
-  const std::size_t kN = std::size_t{1} << 15;
-  const std::size_t padded = simd::PaddedStride(kN);
+  // --- Per-kernel ns per call at solver sizes. Row buffers are padded
+  // like a client-block row; the gathers read one substrate column of a
+  // 2000-node graph through 200k client attachments.
+  constexpr std::size_t kRowSizes[] = {16, 80, 256};
+  constexpr std::size_t kMaxRow = 256;
+  constexpr std::size_t kClients = 200000;
+  constexpr std::size_t kSubstrateNodes = 2000;
+  constexpr std::size_t kIdGather = 32;
+  constexpr std::size_t kTile = 64;
   Rng rng(seed);
+  const std::size_t padded = simd::PaddedStride(kMaxRow);
   std::vector<double> row(padded, 0.0);
   std::vector<double> far(padded, 0.0);
   std::vector<double> acc(padded, 0.0);
-  for (std::size_t i = 0; i < kN; ++i) {
+  std::vector<double> out(padded, 0.0);
+  for (std::size_t i = 0; i < kMaxRow; ++i) {
     row[i] = rng.NextUniform(0.0, 250.0);
     far[i] = rng.NextUniform(0.0, 1.0) < 0.3 ? -1.0
                                              : rng.NextUniform(0.0, 250.0);
+    acc[i] = rng.NextUniform(0.0, 250.0);
+  }
+  std::vector<double> col(kSubstrateNodes);
+  for (double& x : col) x = rng.NextUniform(0.0, 250.0);
+  std::vector<std::int32_t> attach(kClients);
+  std::vector<double> access(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    attach[c] = static_cast<std::int32_t>(rng.NextBounded(kSubstrateNodes));
+    access[c] = rng.NextUniform(0.0, 20.0);
+  }
+  std::vector<std::int32_t> ids(kIdGather);
+  for (std::int32_t& id : ids) {
+    id = static_cast<std::int32_t>(rng.NextBounded(kClients));
+  }
+  std::sort(ids.begin(), ids.end());
+  std::vector<double> column(kClients);
+  std::vector<double> tile_c(kTile * kTile);
+  std::vector<double> tile_a(kTile * kTile);
+  std::vector<double> tile_b(kTile * kTile);
+  for (std::size_t i = 0; i < kTile * kTile; ++i) {
+    tile_c[i] = rng.NextUniform(0.0, 500.0);
+    tile_a[i] = rng.NextUniform(0.0, 250.0);
+    tile_b[i] = rng.NextUniform(0.0, 250.0);
   }
 
-  const std::vector<KernelWorkload> workloads = {
-      {"max_plus_reduce", 16 * kN,
-       [&] { return simd::MaxPlusReduce(row.data(), far.data(), kN, 1.0); }},
-      {"max_accumulate_plus", 24 * kN,
-       [&] {
-         simd::MaxAccumulatePlus(acc.data(), row.data(), 1.0, kN);
-         return acc[0];
-       }},
-      {"min_plus_accumulate", 24 * kN,
-       [&] {
-         simd::MinPlusAccumulate(acc.data(), row.data(), 1.0, kN);
-         return acc[0];
-       }},
-      {"min_plus_reduce", 16 * kN,
-       [&] { return simd::MinPlusReduce(row.data(), acc.data(), kN); }},
-      {"arg_min_first", 8 * kN,
-       [&] {
-         return static_cast<double>(simd::ArgMinFirst(row.data(), kN).index);
-       }},
-      {"arg_min_plus_first", 16 * kN,
-       [&] {
-         return static_cast<double>(
-             simd::ArgMinPlusFirst(row.data(), acc.data(), kN).index);
-       }},
-      {"arg_max_plus_first", 16 * kN,
-       [&] {
-         return static_cast<double>(
-             simd::ArgMaxPlusFirst(row.data(), far.data(), kN, 1.0).index);
-       }},
-      {"dot_product", 16 * kN,
-       [&] { return simd::DotProduct(row.data(), far.data(), kN); }},
-  };
+  std::vector<KernelWorkload> workloads;
+  for (const std::size_t n : kRowSizes) {
+    workloads.push_back({"max_plus_reduce", n, 16 * n, [&, n] {
+      return simd::MaxPlusReduce(row.data(), far.data(), n, 1.0);
+    }});
+    workloads.push_back({"max_accumulate_plus", n, 24 * n, [&, n] {
+      simd::MaxAccumulatePlus(acc.data(), row.data(), 1.0, n);
+      return acc[0];
+    }});
+    workloads.push_back({"min_plus_accumulate", n, 24 * n, [&, n] {
+      simd::MinPlusAccumulate(acc.data(), row.data(), 1.0, n);
+      return acc[0];
+    }});
+    workloads.push_back({"min_plus_reduce", n, 16 * n, [&, n] {
+      return simd::MinPlusReduce(row.data(), acc.data(), n);
+    }});
+    workloads.push_back({"dot_product", n, 16 * n, [&, n] {
+      return simd::DotProduct(row.data(), far.data(), n);
+    }});
+    workloads.push_back({"broadcast_add", n, 16 * n, [&, n] {
+      simd::BroadcastAdd(out.data(), row.data(), 1.0, n);
+      return out[0];
+    }});
+  }
+  workloads.push_back({"gather_plus_ids", kIdGather, 24 * kIdGather, [&] {
+    simd::GatherPlus(column.data(), col.data(), attach.data(), access.data(),
+                     ids.data(), kIdGather);
+    return column[0];
+  }});
+  workloads.push_back({"gather_plus_column", kClients, 24 * kClients, [&] {
+    simd::GatherPlus(column.data(), col.data(), attach.data(), access.data(),
+                     nullptr, kClients);
+    return column[0];
+  }});
+  workloads.push_back(
+      {"min_plus_tile_update", kTile, 24 * kTile * kTile * kTile, [&] {
+         simd::MinPlusTileUpdate(tile_c.data(), kTile, tile_a.data(), kTile,
+                                 tile_b.data(), kTile, kTile, kTile, kTile);
+         return tile_c[0];
+       }});
 
-  const simd::Backend best_backend = simd::BestBackend();
   std::vector<KernelRow> rows;
   double sink = 0.0;
-  Table kernel_table({"kernel", "scalar-GB/s", "simd-GB/s", "speedup"});
+  Table kernel_table({"kernel", "n", "scalar-ns", "simd-ns", "speedup"});
   double simd_gbps_sum = 0.0;
   for (const KernelWorkload& w : workloads) {
     KernelRow r;
     r.name = w.name;
-    simd::SetBackend(simd::Backend::kScalar);
-    r.scalar_gbps = TimeGbps(w, reps, &sink);
-    simd::SetBackend(best_backend);
-    r.simd_gbps = TimeGbps(w, reps, &sink);
-    r.speedup = r.simd_gbps / r.scalar_gbps;
-    simd_gbps_sum += r.simd_gbps;
+    r.n = w.n;
+    TimeBothBackends(w, reps, &sink, &r);
+    simd_gbps_sum += static_cast<double>(w.bytes) / r.simd_ns;
     rows.push_back(r);
     kernel_table.Row()
         .Cell(r.name)
-        .Cell(FormatDouble(r.scalar_gbps, 2))
-        .Cell(FormatDouble(r.simd_gbps, 2))
+        .Cell(std::to_string(r.n))
+        .Cell(FormatDouble(r.scalar_ns, 1))
+        .Cell(FormatDouble(r.simd_ns, 1))
         .Cell(FormatDouble(r.speedup, 2));
   }
-  std::cout << "kernel throughput on " << kN << " doubles ("
-            << simd::BackendName(best_backend) << " backend):\n";
+  std::cout << "kernel ns per call at solver sizes (scalar vs "
+            << simd::BackendName(simd::Backend::kPortable) << " backend):\n";
   kernel_table.Print(std::cout);
   DIACA_OBS_GAUGE_SET(
       "simd.kernels.effective_gbps",

@@ -2,9 +2,10 @@
 # Tier-1 verification: full build + test suite (portable-SIMD kernels), an
 # observability-artifact smoke (one bench run with
 # --metrics-out/--trace-out, outputs validated as JSON), the kernel
-# property suite + determinism grid again under the AVX2 build with a
-# bench_kernels smoke (JSON-validated), then the concurrency tests (thread
-# pool + parallel determinism grid) again under ThreadSanitizer, and
+# property suite, the APSP engine suite and the determinism grid again
+# under a -march=native build with a bench_kernels smoke
+# (JSON-validated), then the concurrency tests (thread pool + parallel
+# determinism grid) again under ThreadSanitizer, and
 # finally the fault-tolerance suite (`resilience` label: fault plans,
 # repair solver, resilient sessions, malformed-corpus loaders) and the
 # distance-oracle suite (`oracle` label: lazy-row bit parity, LRU cache,
@@ -125,20 +126,20 @@ if ! grep -q 'migration cap honored' "$obs_dir/churn_smoke.log"; then
   exit 1
 fi
 
-# Vectorized build: the kernel property suite, the APSP engine suite, and
-# the backend/thread determinism grid must also pass with the AVX2 code
-# paths compiled in (they auto-fall back to portable when the CPU lacks
-# AVX2), and bench_kernels must emit a parseable JSON report.
-cmake -B build-avx2 -S . -DDIACA_AVX2=ON -DDIACA_NATIVE=ON
-cmake --build build-avx2 -j --target kernels_test parallel_test \
+# Native lane: the kernel property suite, the APSP engine suite, and the
+# backend/thread determinism grid must also pass with the portable
+# kernels widened to the build machine's ISA (-march=native), and
+# bench_kernels must emit a parseable JSON report.
+cmake -B build-native -S . -DDIACA_NATIVE=ON
+cmake --build build-native -j --target kernels_test parallel_test \
   apsp_test bench_apsp bench_kernels
-ctest --test-dir build-avx2 -L simd --output-on-failure
-ctest --test-dir build-avx2 -L apsp --output-on-failure
-ctest --test-dir build-avx2 -L tsan -R Determinism --output-on-failure
-./build-avx2/bench/bench_kernels --nodes=150 --servers=10 --reps=1 \
-  --json-out=build-avx2/bench_kernels_smoke.json \
-  > build-avx2/bench_kernels_smoke.log
-cmake -DJSON_FILE=build-avx2/bench_kernels_smoke.json \
+ctest --test-dir build-native -L simd --output-on-failure
+ctest --test-dir build-native -L apsp --output-on-failure
+ctest --test-dir build-native -L tsan -R Determinism --output-on-failure
+./build-native/bench/bench_kernels --nodes=150 --servers=10 --reps=1 \
+  --json-out=build-native/bench_kernels_smoke.json \
+  > build-native/bench_kernels_smoke.log
+cmake -DJSON_FILE=build-native/bench_kernels_smoke.json \
   -P scripts/check_json.cmake
 
 skip_tsan=false

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/simd/kernels_internal.h"
 #include "obs/obs.h"
 
 // The portable backend relies on `#pragma omp simd` (activated by
@@ -24,26 +23,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// -1 = unresolved; resolved lazily to BestBackend() on first use so the
-// value never depends on static-initialization order.
-std::atomic<int> g_backend{-1};
+// Constant-initialised, so the default never depends on
+// static-initialization order; SetBackend is the only writer.
+std::atomic<Backend> g_backend{Backend::kPortable};
 
-constexpr bool Avx2Compiled() {
-#if DIACA_KERNELS_AVX2
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool CpuHasAvx2() {
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
+Backend Resolve() { return g_backend.load(std::memory_order_relaxed); }
 
 void CountScan(std::size_t bytes) {
   DIACA_OBS_COUNT("simd.kernels.calls", 1);
@@ -81,38 +65,6 @@ void MinPlusAccumulateScalar(double* acc, const double* row, double add,
 double MinPlusReduceScalar(const double* a, const double* b, std::size_t n) {
   double best = kInf;
   for (std::size_t i = 0; i < n; ++i) best = std::min(best, a[i] + b[i]);
-  return best;
-}
-
-ArgResult ArgMinFirstScalar(const double* v, std::size_t n) {
-  ArgResult best{kInf, -1};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (v[i] < best.value || best.index < 0) {
-      best = {v[i], static_cast<std::int64_t>(i)};
-    }
-  }
-  if (best.index >= 0 && best.value == kInf) best = {kInf, -1};
-  return best;
-}
-
-ArgResult ArgMinPlusFirstScalar(const double* a, const double* b,
-                                std::size_t n) {
-  ArgResult best{kInf, -1};
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = a[i] + b[i];
-    if (t < best.value) best = {t, static_cast<std::int64_t>(i)};
-  }
-  return best;
-}
-
-ArgResult ArgMaxPlusFirstScalar(const double* row, const double* far,
-                                std::size_t n, double base) {
-  ArgResult best{-kInf, -1};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (far[i] < 0.0) continue;
-    const double t = (base + row[i]) + far[i];
-    if (t > best.value) best = {t, static_cast<std::int64_t>(i)};
-  }
   return best;
 }
 
@@ -171,11 +123,10 @@ void GatherPlusScalar(double* out, const double* col,
 
 // ---------------------------------------------------------------------------
 // Portable vector backend: pragma-omp-simd loops the compiler can widen to
-// whatever the target ISA offers. Arg-reductions run in two passes — an
-// exact vector min/max of the per-lane values, then a scalar scan for the
-// first index attaining it. The per-lane term is the same IEEE expression
-// in both passes (no accumulation, no fused multiply-add candidates), so
-// the equality in pass two is exact.
+// whatever the target ISA offers. The element-wise min/max loops spell
+// std::min/std::max as a select on values with the same comparison
+// (std::min(x, t) == (t < x ? t : x)): GCC does not if-convert the
+// reference-returning std::min/std::max, so those loops would stay scalar.
 
 double MaxPlusReducePortable(const double* row, const double* far,
                              std::size_t n, double base) {
@@ -192,7 +143,8 @@ void MaxAccumulatePlusPortable(double* acc, const double* row, double add,
                                std::size_t n) {
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i) {
-    acc[i] = std::max(acc[i], row[i] + add);
+    const double t = row[i] + add;
+    acc[i] = acc[i] < t ? t : acc[i];
   }
 }
 
@@ -200,7 +152,8 @@ void MinPlusAccumulatePortable(double* acc, const double* row, double add,
                                std::size_t n) {
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i) {
-    acc[i] = std::min(acc[i], row[i] + add);
+    const double t = row[i] + add;
+    acc[i] = t < acc[i] ? t : acc[i];
   }
 }
 
@@ -212,45 +165,6 @@ double MinPlusReducePortable(const double* a, const double* b,
     best = std::min(best, a[i] + b[i]);
   }
   return best;
-}
-
-ArgResult ArgMinFirstPortable(const double* v, std::size_t n) {
-  double best = kInf;
-#pragma omp simd reduction(min : best)
-  for (std::size_t i = 0; i < n; ++i) best = std::min(best, v[i]);
-  if (best == kInf) return {kInf, -1};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (v[i] == best) return {best, static_cast<std::int64_t>(i)};
-  }
-  return {kInf, -1};
-}
-
-ArgResult ArgMinPlusFirstPortable(const double* a, const double* b,
-                                  std::size_t n) {
-  double best = kInf;
-#pragma omp simd reduction(min : best)
-  for (std::size_t i = 0; i < n; ++i) best = std::min(best, a[i] + b[i]);
-  if (best == kInf) return {kInf, -1};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i] + b[i] == best) return {best, static_cast<std::int64_t>(i)};
-  }
-  return {kInf, -1};
-}
-
-ArgResult ArgMaxPlusFirstPortable(const double* row, const double* far,
-                                  std::size_t n, double base) {
-  double best = -kInf;
-#pragma omp simd reduction(max : best)
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = far[i] < 0.0 ? -kInf : (base + row[i]) + far[i];
-    best = std::max(best, t);
-  }
-  if (best == -kInf) return {-kInf, -1};
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = far[i] < 0.0 ? -kInf : (base + row[i]) + far[i];
-    if (t == best) return {best, static_cast<std::int64_t>(i)};
-  }
-  return {-kInf, -1};
 }
 
 double DotProductPortable(const double* a, const double* b, std::size_t n) {
@@ -323,19 +237,11 @@ void MinPlusTileUpdatePortable(double* c, std::size_t c_stride,
       double* crow = c + i * c_stride;
 #pragma omp simd
       for (std::size_t j = 0; j < cols; ++j) {
-        crow[j] = std::min(crow[j], aik + brow[j]);
+        const double t = aik + brow[j];
+        crow[j] = t < crow[j] ? t : crow[j];
       }
     }
   }
-}
-
-Backend Resolve() {
-  int b = g_backend.load(std::memory_order_relaxed);
-  if (b < 0) {
-    b = static_cast<int>(BestBackend());
-    g_backend.store(b, std::memory_order_relaxed);
-  }
-  return static_cast<Backend>(b);
 }
 
 }  // namespace
@@ -343,17 +249,8 @@ Backend Resolve() {
 Backend ActiveBackend() { return Resolve(); }
 
 void SetBackend(Backend backend) {
-  if (backend == Backend::kAvx2 && !Avx2Available()) {
-    backend = Backend::kPortable;
-  }
-  g_backend.store(static_cast<int>(backend), std::memory_order_relaxed);
+  g_backend.store(backend, std::memory_order_relaxed);
 }
-
-Backend BestBackend() {
-  return Avx2Available() ? Backend::kAvx2 : Backend::kPortable;
-}
-
-bool Avx2Available() { return Avx2Compiled() && CpuHasAvx2(); }
 
 const char* BackendName(Backend backend) {
   switch (backend) {
@@ -361,95 +258,47 @@ const char* BackendName(Backend backend) {
       return "scalar";
     case Backend::kPortable:
       return "portable";
-    case Backend::kAvx2:
-      return "avx2";
   }
   return "unknown";
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch. The AVX2 calls only exist when the intrinsics TU is compiled
-// in (DIACA_KERNELS_AVX2); SetBackend never hands out kAvx2 otherwise.
+// Dispatch: kScalar runs the reference loop, kPortable the vector loop.
 
-#if DIACA_KERNELS_AVX2
-#define DIACA_SIMD_DISPATCH(call_scalar, call_portable, call_avx2) \
-  switch (Resolve()) {                                             \
-    case Backend::kScalar:                                         \
-      return call_scalar;                                          \
-    case Backend::kAvx2:                                           \
-      return call_avx2;                                            \
-    case Backend::kPortable:                                       \
-    default:                                                       \
-      return call_portable;                                        \
-  }
-#else
-#define DIACA_SIMD_DISPATCH(call_scalar, call_portable, call_avx2) \
-  switch (Resolve()) {                                             \
-    case Backend::kScalar:                                         \
-      return call_scalar;                                          \
-    case Backend::kAvx2:                                           \
-    case Backend::kPortable:                                       \
-    default:                                                       \
-      return call_portable;                                        \
-  }
-#endif
+#define DIACA_SIMD_DISPATCH(call_scalar, call_portable) \
+  if (Resolve() == Backend::kScalar) return call_scalar; \
+  return call_portable
 
 double MaxPlusReduce(const double* row, const double* far, std::size_t n,
                      double base) {
   CountScan(16 * n);
   DIACA_SIMD_DISPATCH(MaxPlusReduceScalar(row, far, n, base),
-                      MaxPlusReducePortable(row, far, n, base),
-                      avx2::MaxPlusReduce(row, far, n, base));
+                      MaxPlusReducePortable(row, far, n, base));
 }
 
 void MaxAccumulatePlus(double* acc, const double* row, double add,
                        std::size_t n) {
   CountScan(24 * n);
   DIACA_SIMD_DISPATCH(MaxAccumulatePlusScalar(acc, row, add, n),
-                      MaxAccumulatePlusPortable(acc, row, add, n),
-                      avx2::MaxAccumulatePlus(acc, row, add, n));
+                      MaxAccumulatePlusPortable(acc, row, add, n));
 }
 
 void MinPlusAccumulate(double* acc, const double* row, double add,
                        std::size_t n) {
   CountScan(24 * n);
   DIACA_SIMD_DISPATCH(MinPlusAccumulateScalar(acc, row, add, n),
-                      MinPlusAccumulatePortable(acc, row, add, n),
-                      avx2::MinPlusAccumulate(acc, row, add, n));
+                      MinPlusAccumulatePortable(acc, row, add, n));
 }
 
 double MinPlusReduce(const double* a, const double* b, std::size_t n) {
   CountScan(16 * n);
   DIACA_SIMD_DISPATCH(MinPlusReduceScalar(a, b, n),
-                      MinPlusReducePortable(a, b, n),
-                      avx2::MinPlusReduce(a, b, n));
-}
-
-ArgResult ArgMinFirst(const double* v, std::size_t n) {
-  CountScan(8 * n);
-  DIACA_SIMD_DISPATCH(ArgMinFirstScalar(v, n), ArgMinFirstPortable(v, n),
-                      avx2::ArgMinFirst(v, n));
-}
-
-ArgResult ArgMinPlusFirst(const double* a, const double* b, std::size_t n) {
-  CountScan(16 * n);
-  DIACA_SIMD_DISPATCH(ArgMinPlusFirstScalar(a, b, n),
-                      ArgMinPlusFirstPortable(a, b, n),
-                      avx2::ArgMinPlusFirst(a, b, n));
-}
-
-ArgResult ArgMaxPlusFirst(const double* row, const double* far, std::size_t n,
-                          double base) {
-  CountScan(16 * n);
-  DIACA_SIMD_DISPATCH(ArgMaxPlusFirstScalar(row, far, n, base),
-                      ArgMaxPlusFirstPortable(row, far, n, base),
-                      avx2::ArgMaxPlusFirst(row, far, n, base));
+                      MinPlusReducePortable(a, b, n));
 }
 
 double DotProduct(const double* a, const double* b, std::size_t n) {
   CountScan(16 * n);
-  DIACA_SIMD_DISPATCH(DotProductScalar(a, b, n), DotProductPortable(a, b, n),
-                      avx2::DotProduct(a, b, n));
+  DIACA_SIMD_DISPATCH(DotProductScalar(a, b, n), DotProductPortable(a, b, n));
 }
 
 void MinPlusTileUpdate(double* c, std::size_t c_stride, const double* a,
@@ -461,27 +310,61 @@ void MinPlusTileUpdate(double* c, std::size_t c_stride, const double* a,
       MinPlusTileUpdateScalar(c, c_stride, a, a_stride, b, b_stride, rows,
                               cols, depth),
       MinPlusTileUpdatePortable(c, c_stride, a, a_stride, b, b_stride, rows,
-                                cols, depth),
-      avx2::MinPlusTileUpdate(c, c_stride, a, a_stride, b, b_stride, rows,
-                              cols, depth));
+                                cols, depth));
 }
 
 void BroadcastAdd(double* out, const double* row, double add, std::size_t n) {
   CountScan(16 * n);
   DIACA_SIMD_DISPATCH(BroadcastAddScalar(out, row, add, n),
-                      BroadcastAddPortable(out, row, add, n),
-                      avx2::BroadcastAdd(out, row, add, n));
+                      BroadcastAddPortable(out, row, add, n));
 }
 
 void GatherPlus(double* out, const double* col, const std::int32_t* rows,
                 const double* access, const std::int32_t* ids, std::size_t n) {
   CountScan(24 * n);
   DIACA_SIMD_DISPATCH(GatherPlusScalar(out, col, rows, access, ids, n),
-                      GatherPlusPortable(out, col, rows, access, ids, n),
-                      avx2::GatherPlus(out, col, rows, access, ids, n));
+                      GatherPlusPortable(out, col, rows, access, ids, n));
 }
 
 #undef DIACA_SIMD_DISPATCH
+
+// ---------------------------------------------------------------------------
+// Arg-reductions: one ascending serial loop with a strict comparison, so
+// ties go to the lowest index; every backend runs it (kernels.h).
+
+ArgResult ArgMinFirst(const double* v, std::size_t n) {
+  CountScan(8 * n);
+  ArgResult best{kInf, -1};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (v[i] < best.value || best.index < 0) {
+      best = {v[i], static_cast<std::int64_t>(i)};
+    }
+  }
+  if (best.index >= 0 && best.value == kInf) best = {kInf, -1};
+  return best;
+}
+
+ArgResult ArgMinPlusFirst(const double* a, const double* b, std::size_t n) {
+  CountScan(16 * n);
+  ArgResult best{kInf, -1};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = a[i] + b[i];
+    if (t < best.value) best = {t, static_cast<std::int64_t>(i)};
+  }
+  return best;
+}
+
+ArgResult ArgMaxPlusFirst(const double* row, const double* far, std::size_t n,
+                          double base) {
+  CountScan(16 * n);
+  ArgResult best{-kInf, -1};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (far[i] < 0.0) continue;
+    const double t = (base + row[i]) + far[i];
+    if (t > best.value) best = {t, static_cast<std::int64_t>(i)};
+  }
+  return best;
+}
 
 void MaxAbsorbScatter(double* far, const std::int32_t* assign,
                       const double* cs, std::size_t cs_stride,

@@ -2,9 +2,16 @@
 // paths (greedy reach cache and bucket sort, eccentricity folds, pairwise
 // lower bound, mean-path pair sum).
 //
+// Two backends (simd.h): the scalar reference loops and the portable
+// pragma-omp-simd loops. The three arg-reductions (ArgMinFirst,
+// ArgMinPlusFirst, ArgMaxPlusFirst) have one implementation, a one-pass
+// serial loop that every backend runs: at the |S| <= 256 widths the
+// solvers scan, a vector min/max followed by a second pass for the first
+// index measured slower than that loop (docs/performance.md).
+//
 // Determinism contract: every kernel computes a FIXED re-association of
-// IEEE double operations, identical across the scalar, portable and AVX2
-// backends and across thread counts:
+// IEEE double operations, identical across both backends and across
+// thread counts:
 //   * max/min reductions are exact under any association, so the vector
 //     paths are bit-identical to the scalar reference by construction;
 //   * per-element terms keep the source association of the serial solver
@@ -13,7 +20,7 @@
 //   * arg-reductions resolve value ties to the LOWEST index, exactly what
 //     a serial ascending scan with a strict comparison produces;
 //   * the one summation kernel (DotProduct) uses a fixed 4-accumulator
-//     pattern in all three backends (it feeds metrics, not assignments).
+//     pattern in both backends (it feeds metrics, not assignments).
 // Together with the thread pool's deterministic reductions this keeps
 // assignments byte-identical at every (backend, thread count) pair.
 //

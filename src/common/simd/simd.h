@@ -20,8 +20,9 @@
 
 namespace diaca::simd {
 
-/// Doubles per padded row quantum: one 64-byte cache line, two AVX2
-/// vectors. Every padded row stride is a multiple of this.
+/// Doubles per padded row quantum: one 64-byte cache line, a whole
+/// number of vectors at every x86 width. Every padded row stride is a
+/// multiple of this.
 inline constexpr std::size_t kPadWidth = 8;
 
 /// Smallest multiple of kPadWidth that is >= n (n = 0 maps to 0), skipping
@@ -42,30 +43,19 @@ constexpr std::size_t PaddedStride(std::size_t n) {
 
 /// Kernel implementation selected at runtime. kScalar is the reference
 /// the vector paths are tested against; kPortable is the
-/// autovectorizable pragma-omp-simd path; kAvx2 the intrinsics path
-/// (available only when compiled in — see DIACA_AVX2 in CMakeLists.txt —
-/// and the CPU supports AVX2).
-enum class Backend { kScalar = 0, kPortable = 1, kAvx2 = 2 };
+/// autovectorizable pragma-omp-simd path, widened to whatever ISA the
+/// build targets (DIACA_NATIVE in CMakeLists.txt) and the default.
+enum class Backend { kScalar = 0, kPortable = 1 };
 
-/// The backend new kernel calls dispatch to. Defaults to the best
-/// compiled-and-supported backend; see SetBackend.
+/// The backend new kernel calls dispatch to: kPortable until SetBackend.
 Backend ActiveBackend();
 
 /// Override the dispatch backend (tests and benches use this to compare
-/// the scalar reference against the vector paths in-process). Requesting
-/// kAvx2 when it is not available falls back to kPortable. Call from one
-/// thread while no kernels are in flight.
+/// the scalar reference against the vector paths in-process). Call from
+/// one thread while no kernels are in flight.
 void SetBackend(Backend backend);
 
-/// Best backend this binary can run here: kAvx2 when the AVX2 translation
-/// unit was compiled in (DIACA_AVX2=ON) and the CPU supports it, else
-/// kPortable.
-Backend BestBackend();
-
-/// True when the AVX2 kernels are compiled in and the CPU supports AVX2.
-bool Avx2Available();
-
-/// Human-readable backend name ("scalar" | "portable" | "avx2").
+/// Human-readable backend name ("scalar" | "portable").
 const char* BackendName(Backend backend);
 
 }  // namespace diaca::simd

@@ -26,11 +26,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 std::atomic<int> g_default_backend{static_cast<int>(ApspBackend::kAuto)};
 
 // Measured cost of one Dijkstra heap/relaxation step relative to one
-// blocked-FW tile update (AVX2 build, 1 thread: 4.2 at 1024 nodes, 2.1
-// at 2048, 3.0 at 5000 — see docs/performance.md). The conservative end
-// of that range biases kAuto toward Dijkstra near the crossover. Only
-// the kAuto decision depends on it — both backends are correct at any
-// size — so a miscalibration costs time, never results.
+// blocked-FW relaxation (default build, 1 thread, BENCH_apsp.json: 1.3
+// on the dense 1000-node case, 1.1 on the dense 5000-node case, 2.8 on
+// the sparse 10000-node case — see docs/performance.md). 2.0 sits above
+// the dense measurements, so near the crossover kAuto leans toward the
+// blocked engine. Only the kAuto decision depends on it — both backends
+// are correct at any size — so a miscalibration costs time, never
+// results.
 constexpr double kDijkstraStepCostRatio = 2.0;
 
 // Reusable per-chunk Dijkstra state: the generation stamp makes dist[]

@@ -23,23 +23,20 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// n = 1, vector-width +/- 1 (AVX2 holds 4 doubles, kPadWidth is 8),
-// primes, and a couple of large sizes spanning many vectors plus a tail.
+// n = 1, vector widths +/- 1 (2, 4 and 8 doubles per vector; kPadWidth
+// is 8), primes, and a couple of large sizes spanning many vectors plus a
+// tail.
 const std::vector<std::size_t> kSizes{0, 1,  2,  3,  4,  5,  7,  8,
                                       9, 13, 16, 17, 31, 61, 128, 131};
 
-std::vector<Backend> TestableBackends() {
-  std::vector<Backend> backends{Backend::kScalar, Backend::kPortable};
-  if (Avx2Available()) backends.push_back(Backend::kAvx2);
-  return backends;
-}
+constexpr Backend kBackends[] = {Backend::kScalar, Backend::kPortable};
 
-// Scoped backend override; restores the best backend on destruction so
+// Scoped backend override; restores the default backend on destruction so
 // test order never leaks a scalar override into other suites.
 class BackendGuard {
  public:
   explicit BackendGuard(Backend b) { SetBackend(b); }
-  ~BackendGuard() { SetBackend(BestBackend()); }
+  ~BackendGuard() { SetBackend(Backend::kPortable); }
 };
 
 std::vector<double> RandomLatencies(Rng& rng, std::size_t n) {
@@ -116,7 +113,7 @@ TEST(KernelsTest, MaxPlusReduceMatchesReferenceOnEveryBackend) {
     const auto far = RandomFar(rng, n);
     for (const double base : {0.0, 12.5, 87.25}) {
       const double want = RefMaxPlusReduce(row, far, base);
-      for (const Backend b : TestableBackends()) {
+      for (const Backend b : kBackends) {
         BackendGuard guard(b);
         EXPECT_EQ(MaxPlusReduce(row.data(), far.data(), n, base), want)
             << "n=" << n << " base=" << base << " backend=" << BackendName(b);
@@ -128,7 +125,7 @@ TEST(KernelsTest, MaxPlusReduceMatchesReferenceOnEveryBackend) {
 TEST(KernelsTest, MaxPlusReduceSkipsAllUnusedLanes) {
   const std::vector<double> row{1.0, 2.0, 3.0, 4.0, 5.0};
   const std::vector<double> far(row.size(), -1.0);
-  for (const Backend b : TestableBackends()) {
+  for (const Backend b : kBackends) {
     BackendGuard guard(b);
     EXPECT_EQ(MaxPlusReduce(row.data(), far.data(), row.size()), -kInf)
         << BackendName(b);
@@ -145,7 +142,7 @@ TEST(KernelsTest, MaxAccumulatePlusMatchesReferenceOnEveryBackend) {
     for (std::size_t i = 0; i < n; ++i) {
       want[i] = std::max(want[i], row[i] + add);
     }
-    for (const Backend b : TestableBackends()) {
+    for (const Backend b : kBackends) {
       BackendGuard guard(b);
       std::vector<double> acc = acc0;
       MaxAccumulatePlus(acc.data(), row.data(), add, n);
@@ -165,7 +162,7 @@ TEST(KernelsTest, MinPlusAccumulateMatchesReferenceOnEveryBackend) {
     for (std::size_t i = 0; i < n; ++i) {
       want[i] = std::min(want[i], row[i] + add);
     }
-    for (const Backend b : TestableBackends()) {
+    for (const Backend b : kBackends) {
       BackendGuard guard(b);
       std::vector<double> acc = acc0;
       MinPlusAccumulate(acc.data(), row.data(), add, n);
@@ -180,7 +177,7 @@ TEST(KernelsTest, MinPlusReduceMatchesReferenceOnEveryBackend) {
     const auto a = RandomLatencies(rng, n);
     const auto b2 = RandomLatencies(rng, n);
     const double want = RefMinPlusReduce(a, b2);
-    for (const Backend b : TestableBackends()) {
+    for (const Backend b : kBackends) {
       BackendGuard guard(b);
       EXPECT_EQ(MinPlusReduce(a.data(), b2.data(), n), want)
           << "n=" << n << " backend=" << BackendName(b);
@@ -195,7 +192,7 @@ TEST(KernelsTest, ArgMinFirstMatchesReferenceIncludingTies) {
     // Force duplicated minima so the first-index tie-break is exercised.
     if (n >= 6) v[n - 1] = v[2] = v[1] = 0.125;
     const ArgResult want = RefArgMinFirst(v);
-    for (const Backend b : TestableBackends()) {
+    for (const Backend b : kBackends) {
       BackendGuard guard(b);
       const ArgResult got = ArgMinFirst(v.data(), n);
       EXPECT_EQ(got.index, want.index)
@@ -214,7 +211,7 @@ TEST(KernelsTest, ArgMinPlusFirstHonoursSaturationMask) {
     std::vector<double> avail(n);
     for (double& x : avail) x = rng.NextBernoulli(0.4) ? kInf : 0.0;
     const ArgResult want = RefArgMinPlusFirst(dist, avail);
-    for (const Backend b : TestableBackends()) {
+    for (const Backend b : kBackends) {
       BackendGuard guard(b);
       const ArgResult got = ArgMinPlusFirst(dist.data(), avail.data(), n);
       EXPECT_EQ(got.index, want.index)
@@ -238,7 +235,7 @@ TEST(KernelsTest, ArgMaxPlusFirstMatchesReferenceIncludingTies) {
     }
     for (const double base : {0.0, 33.75}) {
       const ArgResult want = RefArgMaxPlusFirst(row, far, base);
-      for (const Backend b : TestableBackends()) {
+      for (const Backend b : kBackends) {
         BackendGuard guard(b);
         const ArgResult got =
             ArgMaxPlusFirst(row.data(), far.data(), n, base);
@@ -261,7 +258,7 @@ TEST(KernelsTest, DotProductIsIdenticalAcrossBackends) {
     BackendGuard guard(Backend::kScalar);
     const double want = DotProduct(a.data(), b2.data(), n);
     // Fixed 4-accumulator association: bit-identical, not merely close.
-    for (const Backend b : TestableBackends()) {
+    for (const Backend b : kBackends) {
       SetBackend(b);
       EXPECT_EQ(DotProduct(a.data(), b2.data(), n), want)
           << "n=" << n << " backend=" << BackendName(b);
@@ -313,7 +310,7 @@ TEST(KernelsTest, MinPlusTileUpdateMatchesReferenceOnEveryBackend) {
       std::vector<double> want = c0;
       RefMinPlusTile(want.data(), cs, a.data(), as, b.data(), bs, rows, cols,
                      depth);
-      for (const Backend bk : TestableBackends()) {
+      for (const Backend bk : kBackends) {
         BackendGuard guard(bk);
         std::vector<double> c = c0;
         MinPlusTileUpdate(c.data(), cs, a.data(), as, b.data(), bs, rows,
@@ -353,7 +350,7 @@ TEST(KernelsTest, MinPlusTileUpdateAliasedIsIdenticalAcrossBackends) {
           RefMinPlusTile(want.data(), stride, want.data(), stride,
                          other.data(), stride, n, n, n);
         }
-        for (const Backend bk : TestableBackends()) {
+        for (const Backend bk : kBackends) {
           BackendGuard guard(bk);
           std::vector<double> t = t0;
           if (mode == 0) {
@@ -387,7 +384,7 @@ TEST(KernelsTest, MinPlusTileUpdatePreservesInfinitePadColumns) {
     c[(n - 1) * n + i] = kInf;  // pad row (b side)
   }
   c[(n - 1) * n + (n - 1)] = 0.0;
-  for (const Backend bk : TestableBackends()) {
+  for (const Backend bk : kBackends) {
     BackendGuard guard(bk);
     auto t = c;
     MinPlusTileUpdate(t.data(), n, t.data(), n, t.data(), n, n, n, n);
@@ -405,7 +402,7 @@ TEST(KernelsTest, BroadcastAddMatchesReferenceOnEveryBackend) {
     for (const double add : {0.0, 7.25, 133.125}) {
       std::vector<double> want(n);
       for (std::size_t i = 0; i < n; ++i) want[i] = add + row[i];
-      for (const Backend b : TestableBackends()) {
+      for (const Backend b : kBackends) {
         BackendGuard guard(b);
         std::vector<double> got(n, -1.0);
         BroadcastAdd(got.data(), row.data(), add, n);
@@ -451,7 +448,7 @@ TEST(KernelsTest, GatherPlusMatchesReferenceOnEveryNullCombination) {
         const double leg = col[static_cast<std::size_t>(rows[c])];
         want[i] = combo.access != nullptr ? combo.access[c] + leg : leg;
       }
-      for (const Backend b : TestableBackends()) {
+      for (const Backend b : kBackends) {
         BackendGuard guard(b);
         std::vector<double> got(n, -1.0);
         GatherPlus(got.data(), col.data(), rows.data(), combo.access,
@@ -556,14 +553,14 @@ TEST(KernelsTest, PaddedStrideContract) {
   }
 }
 
-TEST(KernelsTest, SetBackendFallsBackWhenAvx2Unavailable) {
-  SetBackend(Backend::kAvx2);
-  if (Avx2Available()) {
-    EXPECT_EQ(ActiveBackend(), Backend::kAvx2);
-  } else {
-    EXPECT_EQ(ActiveBackend(), Backend::kPortable);
+TEST(KernelsTest, DefaultBackendIsPortableAndSetBackendRoundTrips) {
+  EXPECT_EQ(ActiveBackend(), Backend::kPortable);
+  for (const Backend b : kBackends) {
+    SetBackend(b);
+    EXPECT_EQ(ActiveBackend(), b);
   }
-  SetBackend(BestBackend());
+  EXPECT_STREQ(BackendName(Backend::kScalar), "scalar");
+  EXPECT_STREQ(BackendName(Backend::kPortable), "portable");
 }
 
 }  // namespace

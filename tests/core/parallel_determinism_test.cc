@@ -32,18 +32,14 @@ struct GridCase {
   std::uint64_t seed;
 };
 
-std::vector<simd::Backend> TestableBackends() {
-  std::vector<simd::Backend> backends{simd::Backend::kScalar,
-                                      simd::Backend::kPortable};
-  if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
-  return backends;
-}
+constexpr simd::Backend kBackends[] = {simd::Backend::kScalar,
+                                       simd::Backend::kPortable};
 
 class ParallelDeterminismTest : public ::testing::TestWithParam<GridCase> {
  protected:
   void TearDown() override {
     SetGlobalThreads(1);
-    simd::SetBackend(simd::BestBackend());
+    simd::SetBackend(simd::Backend::kPortable);
   }
 };
 
@@ -143,7 +139,7 @@ TEST_P(ParallelDeterminismTest, BackendsMatchScalarReferenceAtEveryThreadCount) 
   // The pairwise bound's shared pruning incumbent runs here under TSan.
   const LowerBoundDetail lb_ref = test::ReferencePairwiseLowerBound(p);
   const double lb3_ref = TripleEnhancedLowerBound(p);
-  for (const simd::Backend backend : TestableBackends()) {
+  for (const simd::Backend backend : kBackends) {
     for (const int threads : {1, 2, 8}) {
       SetGlobalThreads(threads);
       simd::SetBackend(backend);
@@ -199,7 +195,7 @@ TEST_P(ParallelDeterminismTest, ApspEnginesDeterministicAcrossGrid) {
           << "cross-engine (" << u << "," << v << ")";
     }
   }
-  for (const simd::Backend backend : TestableBackends()) {
+  for (const simd::Backend backend : kBackends) {
     for (const int threads : {1, 2, 8}) {
       SetGlobalThreads(threads);
       simd::SetBackend(backend);

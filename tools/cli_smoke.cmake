@@ -114,6 +114,27 @@ foreach(legacy --distances=rows --row-cache=64 --landmarks=8 --tile-depth=2)
   endif()
 endforeach()
 
+# Integer flags are range-checked, not wrapped to 32 bits (a bare cast
+# would solve --servers=4294967300 with 4 servers and read
+# --tile-clients=4294967297 as 1): each run must fail, naming the flag.
+function(expect_flag_rejected flag)
+  execute_process(COMMAND ${DIACA_BIN} ${ARGN}
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(code EQUAL 0)
+    message(FATAL_ERROR "out-of-range ${flag} unexpectedly succeeded")
+  endif()
+  if(NOT "${err}" MATCHES "${flag} must be in")
+    message(FATAL_ERROR "out-of-range ${flag} not rejected by name:\n${err}")
+  endif()
+endfunction()
+expect_flag_rejected(--servers cloud --nodes=300 --clients=2000
+                     --servers=4294967300)
+expect_flag_rejected(--tile-clients cloud --nodes=300 --clients=2000
+                     --block=tiled --tile-clients=4294967297)
+
 # Simulate the session end to end from the produced files.
 run_step(${DIACA_BIN} simulate --matrix=world.txt --servers=servers.txt
          --assignment=assignment.txt --duration-ms=1500)

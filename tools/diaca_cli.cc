@@ -17,6 +17,7 @@
 // pair per line. Clients sit at every node (the paper's §V setup).
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <string>
@@ -114,6 +115,20 @@ int Usage() {
   return 2;
 }
 
+// --name as an int32 in [lo, INT32_MAX]. Flags::GetInt parses an int64,
+// so a bare cast would wrap an out-of-range value (4294967300 -> 4)
+// instead of rejecting it.
+std::int32_t GetInt32(const Flags& flags, const std::string& name,
+                      std::int32_t default_value, std::int32_t lo) {
+  constexpr std::int32_t hi = std::numeric_limits<std::int32_t>::max();
+  const std::int64_t value = flags.GetInt(name, default_value);
+  if (value < lo || value > hi) {
+    throw Error("--" + name + " must be in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "], got " + std::to_string(value));
+  }
+  return static_cast<std::int32_t>(value);
+}
+
 // True when the user picked an oracle backend on the command line;
 // commands with a different built-in default (cloud) only override when
 // they did not.
@@ -147,10 +162,7 @@ bool TiledBlockRequested(const Flags& flags, core::TileOptions* tile) {
     throw Error("unknown --block mode '" + block +
                 "' (expected materialized|tiled)");
   }
-  tile->tile_clients =
-      static_cast<std::int32_t>(flags.GetInt("tile-clients", 8192));
-  DIACA_CHECK_MSG(tile->tile_clients >= 1,
-                  "--tile-clients must be >= 1, got " << tile->tile_clients);
+  tile->tile_clients = GetInt32(flags, "tile-clients", 8192, 1);
   tile->bound_pruning = flags.GetString("prune", "on") != "off";
   return true;
 }
@@ -219,9 +231,8 @@ int CmdGenerate(const Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   if (flags.Has("nodes")) {
     data::SyntheticParams params;
-    params.num_nodes = static_cast<std::int32_t>(flags.GetInt("nodes", 300));
-    params.num_clusters =
-        static_cast<std::int32_t>(flags.GetInt("clusters", 10));
+    params.num_nodes = GetInt32(flags, "nodes", 300, 2);
+    params.num_clusters = GetInt32(flags, "clusters", 10, 1);
     matrix = data::GenerateSyntheticInternet(params, seed);
   } else {
     matrix = data::MakeNamedDataset(flags.GetString("dataset", "small"), seed);
@@ -234,7 +245,7 @@ int CmdGenerate(const Flags& flags) {
 int CmdPlace(const Flags& flags) {
   const net::LatencyMatrix matrix =
       data::LoadDenseMatrix(flags.GetString("matrix", ""));
-  const auto k = static_cast<std::int32_t>(flags.GetInt("servers", 10));
+  const std::int32_t k = GetInt32(flags, "servers", 10, 1);
   const std::string method = flags.GetString("method", "kcenter-b");
   const std::string out = flags.GetString("out", "");
   DIACA_CHECK_MSG(!out.empty(), "--out is required");
@@ -308,8 +319,9 @@ int CmdAssign(const Flags& flags) {
   DIACA_CHECK_MSG(!out.empty(), "--out is required");
   const core::Problem problem = LoadProblemForSolve(flags);
   core::SolveOptions options;
-  options.assign.capacity = static_cast<std::int32_t>(flags.GetInt(
-      "capacity", core::AssignOptions::kUnlimitedCapacity));
+  options.assign.capacity =
+      GetInt32(flags, "capacity", core::AssignOptions::kUnlimitedCapacity,
+               core::AssignOptions::kUnlimitedCapacity);
   options.assign.bound_pruning = PruneRequested(flags);
 
   const core::SolveResult result = registry.Solve(algorithm, problem, options);
@@ -485,11 +497,10 @@ int CmdCloud(const Flags& flags) {
                 registry.NamesJoined() + ")");
   }
   data::ClientCloudParams params;
-  params.substrate.num_nodes =
-      static_cast<std::int32_t>(flags.GetInt("nodes", 2000));
+  params.substrate.num_nodes = GetInt32(flags, "nodes", 2000, 2);
   params.num_clients = flags.GetInt("clients", 100000);
   params.materialize_block = !TiledBlockRequested(flags, &params.tile);
-  const auto k = static_cast<std::int32_t>(flags.GetInt("servers", 16));
+  const std::int32_t k = GetInt32(flags, "servers", 16, 1);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
 
   Timer build;
@@ -566,15 +577,14 @@ int CmdChurn(const Flags& flags) {
   if (flags.Has("churn")) {
     churn = data::ParseChurnSpec(flags.GetString("churn", ""));
   }
-  churn.epochs = static_cast<std::int32_t>(
-      flags.GetInt("epochs", churn.epochs));
-  const auto initial = static_cast<std::int32_t>(flags.GetInt("clients", 10000));
-  const auto k = static_cast<std::int32_t>(flags.GetInt("servers", 16));
+  churn.epochs = GetInt32(flags, "epochs", churn.epochs, 1);
+  const std::int32_t initial = GetInt32(flags, "clients", 10000, 1);
+  const std::int32_t k = GetInt32(flags, "servers", 16, 1);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
 
   Timer build;
   data::WaxmanParams substrate;
-  substrate.num_nodes = static_cast<std::int32_t>(flags.GetInt("nodes", 2000));
+  substrate.num_nodes = GetInt32(flags, "nodes", 2000, 2);
   const net::Graph graph = data::GenerateWaxmanTopology(substrate, seed);
   // Sublinear path by default, like cloud; an explicit --oracle wins.
   net::OracleOptions opt = OracleOptionsFromFlags(flags);
@@ -590,17 +600,15 @@ int CmdChurn(const Flags& flags) {
   const double build_ms = build.ElapsedMillis();
 
   dia::ControlPlaneParams params;
-  params.assign.capacity = static_cast<std::int32_t>(flags.GetInt(
-      "capacity", core::AssignOptions::kUnlimitedCapacity));
-  params.migration_cap =
-      static_cast<std::int32_t>(flags.GetInt("migration-cap", 16));
-  params.hysteresis_epochs =
-      static_cast<std::int32_t>(flags.GetInt("hysteresis", 2));
+  params.assign.capacity =
+      GetInt32(flags, "capacity", core::AssignOptions::kUnlimitedCapacity,
+               core::AssignOptions::kUnlimitedCapacity);
+  params.migration_cap = GetInt32(flags, "migration-cap", 16, 0);
+  params.hysteresis_epochs = GetInt32(flags, "hysteresis", 2, 1);
   params.hysteresis_eps = flags.GetDouble("hysteresis-eps", 1e-6);
   params.deadline_evals = flags.GetInt("deadline-evals", -1);
   params.epoch_ms = flags.GetDouble("epoch-ms", 1000.0);
-  params.oracle_every =
-      static_cast<std::int32_t>(flags.GetInt("oracle-every", 0));
+  params.oracle_every = GetInt32(flags, "oracle-every", 0, 0);
   params.faults = sim::GlobalFaultPlan();
 
   Timer run;
