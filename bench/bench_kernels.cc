@@ -341,9 +341,6 @@ int main(int argc, char** argv) {
     workloads.push_back({"min_plus_reduce", n, 16 * n, [&, n] {
       return simd::MinPlusReduce(row.data(), acc.data(), n);
     }});
-    workloads.push_back({"dot_product", n, 16 * n, [&, n] {
-      return simd::DotProduct(row.data(), far.data(), n);
-    }});
     workloads.push_back({"broadcast_add", n, 16 * n, [&, n] {
       simd::BroadcastAdd(out.data(), row.data(), 1.0, n);
       return out[0];

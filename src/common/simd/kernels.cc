@@ -68,21 +68,6 @@ double MinPlusReduceScalar(const double* a, const double* b, std::size_t n) {
   return best;
 }
 
-double DotProductScalar(const double* a, const double* b, std::size_t n) {
-  // Fixed 4-accumulator association (see kernels.h): lane j sums the
-  // elements with i ≡ j (mod 4), combined as (l0 + l1) + (l2 + l3).
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc[0] += a[i] * b[i];
-    acc[1] += a[i + 1] * b[i + 1];
-    acc[2] += a[i + 2] * b[i + 2];
-    acc[3] += a[i + 3] * b[i + 3];
-  }
-  for (; i < n; ++i) acc[i % 4] += a[i] * b[i];
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
 void MinPlusTileUpdateScalar(double* c, std::size_t c_stride, const double* a,
                              std::size_t a_stride, const double* b,
                              std::size_t b_stride, std::size_t rows,
@@ -165,22 +150,6 @@ double MinPlusReducePortable(const double* a, const double* b,
     best = std::min(best, a[i] + b[i]);
   }
   return best;
-}
-
-double DotProductPortable(const double* a, const double* b, std::size_t n) {
-  // Same fixed pattern as the scalar reference; the explicit 4-lane body
-  // is what the vectorizer widens, keeping the per-lane add sequences.
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 += a[i] * b[i];
-    acc1 += a[i + 1] * b[i + 1];
-    acc2 += a[i + 2] * b[i + 2];
-    acc3 += a[i + 3] * b[i + 3];
-  }
-  double acc[4] = {acc0, acc1, acc2, acc3};
-  for (; i < n; ++i) acc[i % 4] += a[i] * b[i];
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
 void BroadcastAddPortable(double* out, const double* row, double add,
@@ -296,11 +265,6 @@ double MinPlusReduce(const double* a, const double* b, std::size_t n) {
                       MinPlusReducePortable(a, b, n));
 }
 
-double DotProduct(const double* a, const double* b, std::size_t n) {
-  CountScan(16 * n);
-  DIACA_SIMD_DISPATCH(DotProductScalar(a, b, n), DotProductPortable(a, b, n));
-}
-
 void MinPlusTileUpdate(double* c, std::size_t c_stride, const double* a,
                        std::size_t a_stride, const double* b,
                        std::size_t b_stride, std::size_t rows,
@@ -364,6 +328,23 @@ ArgResult ArgMaxPlusFirst(const double* row, const double* far, std::size_t n,
     if (t > best.value) best = {t, static_cast<std::int64_t>(i)};
   }
   return best;
+}
+
+// Fixed 4-accumulator association (kernels.h), one loop for every
+// backend: lane j sums the elements with i ≡ j (mod 4), combined as
+// (l0 + l1) + (l2 + l3).
+double DotProduct(const double* a, const double* b, std::size_t n) {
+  CountScan(16 * n);
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    acc[0] += a[i] * b[i];
+    acc[1] += a[i + 1] * b[i + 1];
+    acc[2] += a[i + 2] * b[i + 2];
+    acc[3] += a[i + 3] * b[i + 3];
+  }
+  for (; i < n; ++i) acc[i % 4] += a[i] * b[i];
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
 void MaxAbsorbScatter(double* far, const std::int32_t* assign,

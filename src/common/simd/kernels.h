@@ -3,11 +3,13 @@
 // lower bound, mean-path pair sum).
 //
 // Two backends (simd.h): the scalar reference loops and the portable
-// pragma-omp-simd loops. The three arg-reductions (ArgMinFirst,
-// ArgMinPlusFirst, ArgMaxPlusFirst) have one implementation, a one-pass
-// serial loop that every backend runs: at the |S| <= 256 widths the
-// solvers scan, a vector min/max followed by a second pass for the first
-// index measured slower than that loop (docs/performance.md).
+// pragma-omp-simd loops. Four kernels have one implementation that every
+// backend runs, because a vector variant measured no faster at the
+// |S| <= 256 widths the solvers scan (docs/performance.md): the three
+// arg-reductions (ArgMinFirst, ArgMinPlusFirst, ArgMaxPlusFirst), a
+// one-pass serial loop, where a vector min/max followed by a second pass
+// for the first index was slower; and DotProduct, a 4-accumulator loop,
+// whose vectorized spelling ran at about 1x.
 //
 // Determinism contract: every kernel computes a FIXED re-association of
 // IEEE double operations, identical across both backends and across
@@ -20,7 +22,8 @@
 //   * arg-reductions resolve value ties to the LOWEST index, exactly what
 //     a serial ascending scan with a strict comparison produces;
 //   * the one summation kernel (DotProduct) uses a fixed 4-accumulator
-//     pattern in both backends (it feeds metrics, not assignments).
+//     pattern, one loop for both backends (it feeds metrics, not
+//     assignments).
 // Together with the thread pool's deterministic reductions this keeps
 // assignments byte-identical at every (backend, thread count) pair.
 //
@@ -79,7 +82,7 @@ ArgResult ArgMaxPlusFirst(const double* row, const double* far, std::size_t n,
 
 /// Sum over i of a[i] * b[i] in a fixed 4-accumulator association:
 /// lane j accumulates i ≡ j (mod 4), combined as ((l0+l1)+(l2+l3)).
-/// Identical pattern in every backend. Feeds MeanInteractionPathLength.
+/// One loop that every backend runs. Feeds MeanInteractionPathLength.
 double DotProduct(const double* a, const double* b, std::size_t n);
 
 /// Broadcast-add, the row-synthesis kernel of core::OracleTileView:

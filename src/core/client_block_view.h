@@ -132,7 +132,9 @@ class ClientBlockView {
   void FillRow(ClientIndex c, double* out) const;
 
   /// out[i] = cs(ids[i], s) for i in [0, count) — the server-major gather
-  /// the greedy candidate lists stream.
+  /// the greedy candidate lists stream: a bucket's lanes, a batch window,
+  /// and, at a list's first read, the whole column over the clients the
+  /// first build counted it over (the doubles ForEachColumn handed it).
   void GatherColumn(ServerIndex s, const ClientIndex* ids, std::size_t count,
                     double* out) const;
 
@@ -142,10 +144,11 @@ class ClientBlockView {
 
   /// Hand every column, restricted to the clients in `ids`, to fn(s, col)
   /// exactly once, with col[i] = cs(ids[i], s) for i in [0, ids.size())
-  /// (valid only during fn) — the server-major pass that builds greedy's
-  /// candidate lists. Passing every client yields full columns; passing
-  /// a subset (greedy's still-unassigned clients) costs O(|ids|) per
-  /// column, so a pass over survivors shrinks with them. Columns fan out
+  /// (valid only during fn) — the server-major pass of greedy's list
+  /// builds: over every client the first build only counts each column
+  /// into buckets; over a subset (greedy's still-unassigned clients) a
+  /// rebuild counts and scatters it. A subset costs O(|ids|) per column,
+  /// so a pass over survivors shrinks with them. Columns fan out
   /// across the global pool, so fn runs CONCURRENTLY for distinct servers
   /// and must only write per-server state. The view picks the traversal
   /// its layout favors: a resident block fills simd::kPadWidth columns

@@ -112,6 +112,19 @@ void RebuildLadderRanks(Ladder& ladder, std::size_t len) {
 // sizes halve, so all rebuilds together cost at most one first build,
 // and the scans never drag a mostly-assigned list around.
 //
+// A build is two parts. The counting pass — offsets, minima, ladder,
+// and the bucketing origin and scale — is all any server's bounds read.
+// The id scatter is needed only by a list a scan actually reads, and
+// the first epoch reads few (a couple of the 256 on a 200k-client
+// cloud, whose first batch takes ~90% of the clients). So the first
+// build only counts; a list's ids are scattered the first time a scan
+// reads them, by re-gathering its column over the build's ids and
+// recomputing every bucket with the count's own expression — the same
+// stable scatter, byte-identical lists. Rebuilds scatter eagerly inside
+// their parallel column pass: a deferred scatter is serial and, on a
+// resident block, strides the whole block, and after round 1 the scans
+// read many lists.
+//
 // The bucket count follows the build: about 32 clients per bucket,
 // clamped to [64, 8192] and a power of two so super-groups tile it
 // evenly. Large blocks keep the full 8192; small ones (the paper's
@@ -128,12 +141,26 @@ std::int32_t NumBuckets(std::int32_t list_size) {
       target, kMinBuckets, kMaxBuckets));
 }
 
+// The bucket of distance d under a build's origin lo and scale inv:
+// fl((d - lo) * inv) is non-decreasing in d, so the clamp keeps buckets
+// distance-monotone with equal values always co-located — the property
+// the exactness argument needs. The counting pass and the scatter both
+// call it, so they always agree.
+std::int32_t BucketOf(double d, double lo, double inv, std::int32_t nb) {
+  const auto q = static_cast<std::int64_t>((d - lo) * inv);
+  return static_cast<std::int32_t>(std::clamp<std::int64_t>(q, 0, nb - 1));
+}
+
 struct BucketList {
-  std::vector<ClientIndex> perm;    // bucket-grouped ids (see bsorted)
+  // Bucket-grouped ids (see bsorted). Empty until scattered: every list
+  // is built over at least one client.
+  std::vector<ClientIndex> perm;
   std::vector<std::int32_t> boff;   // num_buckets + 1 bucket offsets
   std::vector<double> bmin;         // certified per-bucket distance min
   std::vector<double> smin;         // per super-group min of bmin
   std::vector<char> bsorted;        // bucket refined to exact order?
+  double lo = 0.0;                  // bucketing origin (column minimum)
+  double inv = 0.0;                 // bucketing scale
 };
 
 // One server's candidate scan: the first position minimizing
@@ -157,9 +184,10 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   const std::int32_t num_clients = problem.num_clients();
   const std::int32_t num_servers = problem.num_servers();
   CheckCapacityFeasible(problem, options);
-  // Per server only the client-index permutation persists (4 bytes per
-  // entry, never a copy of the block); the rounds gather distances
-  // through the view for the few buckets they touch.
+  // Per server only the bucket structure persists, plus the client-index
+  // permutation (4 bytes per entry, never a copy of the block) once a
+  // scan has read the list; the rounds gather distances through the
+  // view for the few buckets they touch.
   const ClientBlockView& view = problem.client_block();
   // Set by every build (see build_lists below).
   std::int32_t num_buckets = 0;
@@ -173,6 +201,28 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   std::vector<Ladder> ladders(static_cast<std::size_t>(num_servers));
   std::vector<double> lane_scratch;  // phase-2 gather scratch (serial)
   const bool prune = options.bound_pruning;
+  // The clients the lists were last built over, ascending: all of them
+  // first, the survivors at each rebuild.
+  std::vector<ClientIndex> ids(static_cast<std::size_t>(num_clients));
+  std::iota(ids.begin(), ids.end(), 0);
+
+  // Scatter a counted list's ids into bucket order, given the column it
+  // was counted over: col[i] = cs(list_ids[i], s), i in [0, n). Each
+  // id's bucket is recomputed with the count's expression, and the
+  // counting scatter is stable, so ascending ids stay ascending inside
+  // every bucket.
+  const auto scatter = [](BucketList& bl, const double* col,
+                          const ClientIndex* list_ids, std::size_t n) {
+    static thread_local std::vector<std::int32_t> cursor;
+    const auto nb = static_cast<std::int32_t>(bl.bmin.size());
+    cursor.assign(bl.boff.begin(), bl.boff.end() - 1);
+    bl.perm.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto q =
+          static_cast<std::size_t>(BucketOf(col[i], bl.lo, bl.inv, nb));
+      bl.perm[static_cast<std::size_t>(cursor[q]++)] = list_ids[i];
+    }
+  };
 
   // Refine bucket b of server s to exact (distance, client) order. If
   // the head sat inside the bucket, the shuffle may have moved assigned
@@ -180,6 +230,19 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   // position before the bucket is already assigned).
   const auto sort_bucket = [&](ServerIndex s, BucketList& bl, std::int32_t b,
                                std::size_t& h, std::int32_t& hb) {
+    if (bl.perm.empty()) {
+      // Every first read of a list's ids — a scan's lanes, the zero
+      // path's head — comes through a refine, so a list the first build
+      // only counted is scattered here: re-gather its column over the
+      // build's ids (GatherColumn returns the doubles the build's column
+      // pass did). A list counted over other ids — a server saturated
+      // at a rebuild keeps its first-build list — is never scanned again.
+      DIACA_CHECK(static_cast<std::size_t>(bl.boff.back()) == ids.size());
+      lane_scratch.resize(ids.size());
+      view.GatherColumn(s, ids.data(), ids.size(), lane_scratch.data());
+      scatter(bl, lane_scratch.data(), ids.data(), ids.size());
+      DIACA_OBS_COUNT("core.greedy.deferred_scatters", 1);
+    }
     const auto lo = static_cast<std::size_t>(bl.boff[static_cast<std::size_t>(b)]);
     const auto hi =
         static_cast<std::size_t>(bl.boff[static_cast<std::size_t>(b) + 1]);
@@ -304,6 +367,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
               break;
             }
           }
+          // b is refined, so sort_bucket has scattered this list's ids.
           const std::int32_t e1 = bl.boff[static_cast<std::size_t>(b) + 1];
           const auto cnt = static_cast<std::size_t>(e1 - b0);
           lane_scratch.resize(cnt);
@@ -367,6 +431,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   // raise the true minimum, so the stale value remains certified.
   const auto compact_buckets = [&](BucketList& bl, std::size_t& h,
                                    std::int32_t& hb) {
+    DIACA_CHECK(!bl.perm.empty());  // only a hit compacts: its lanes read ids
     std::size_t write = 0;
     for (std::int32_t b = 0; b < num_buckets; ++b) {
       const auto lo = static_cast<std::size_t>(bl.boff[static_cast<std::size_t>(b)]);
@@ -391,7 +456,8 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   // argument allows).
   const auto seed_ladder_buckets = [&](ServerIndex s, Ladder& ladder,
                                        const BucketList& bl) {
-    RebuildLadderRanks(ladder, bl.perm.size());
+    // boff, not perm: a counted list has no ids yet.
+    RebuildLadderRanks(ladder, static_cast<std::size_t>(bl.boff.back()));
     std::int32_t j = 0;
     for (std::int32_t k = 0; k < ladder.count; ++k) {
       const std::int32_t r = ladder.rank[static_cast<std::size_t>(k)];
@@ -410,14 +476,12 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
                               : std::numeric_limits<std::int32_t>::max();
   }
 
-  // Build server s's candidate list: one column pass buckets its column
+  // Count server s's candidate list: one column pass buckets its column
   // over the clients ids[0..n), col[i] = cs(ids[i], s) — no sort (see
-  // the bucket note above). ids ascend, so the stable counting scatter
-  // leaves every bucket in ascending client order.
-  const auto build = [&](ServerIndex s, const double* col,
-                         const ClientIndex* ids, std::size_t n) {
-    static thread_local std::vector<std::uint16_t> bins;
-    static thread_local std::vector<std::int32_t> cursor;
+  // the bucket note above) and no ids yet: the caller scatters them now
+  // or at first read.
+  const auto count_buckets = [&](ServerIndex s, const double* col,
+                                 std::size_t n) {
     const auto si = static_cast<std::size_t>(s);
     const auto nb = static_cast<std::size_t>(num_buckets);
     BucketList& bl = bucket_lists[si];
@@ -427,29 +491,20 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       dmax = std::max(dmax, col[i]);
     }
     const double range = dmax - dmin;
-    const double inv = range > 0.0 && std::isfinite(range)
-                           ? static_cast<double>(num_buckets) / range
-                           : 0.0;
-    bins.resize(n);
+    bl.lo = dmin;
+    bl.inv = range > 0.0 && std::isfinite(range)
+                 ? static_cast<double>(num_buckets) / range
+                 : 0.0;
     bl.boff.assign(nb + 1, 0);
     bl.bmin.assign(nb, kInf);
     for (std::size_t i = 0; i < n; ++i) {
-      // fl((d - dmin) * inv) is non-decreasing in d, so the clamp keeps
-      // buckets distance-monotone with equal values always co-located —
-      // the property the exactness argument needs.
-      auto q = static_cast<std::int64_t>((col[i] - dmin) * inv);
-      q = std::clamp<std::int64_t>(q, 0, num_buckets - 1);
-      bins[i] = static_cast<std::uint16_t>(q);
-      ++bl.boff[static_cast<std::size_t>(q) + 1];
-      bl.bmin[static_cast<std::size_t>(q)] =
-          std::min(bl.bmin[static_cast<std::size_t>(q)], col[i]);
+      const auto q = static_cast<std::size_t>(
+          BucketOf(col[i], bl.lo, bl.inv, num_buckets));
+      ++bl.boff[q + 1];
+      bl.bmin[q] = std::min(bl.bmin[q], col[i]);
     }
     for (std::size_t j = 1; j <= nb; ++j) bl.boff[j] += bl.boff[j - 1];
-    bl.perm.resize(n);
-    cursor.assign(bl.boff.begin(), bl.boff.begin() + num_buckets);
-    for (std::size_t i = 0; i < n; ++i) {
-      bl.perm[static_cast<std::size_t>(cursor[bins[i]]++)] = ids[i];
-    }
+    bl.perm.clear();
     bl.bsorted.assign(nb, 0);
     bl.smin.assign(static_cast<std::size_t>(num_super), kInf);
     for (std::size_t j = 0; j < nb; ++j) {
@@ -465,24 +520,27 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     head_dist[si] = dmin;
   };
 
-  // Build every list over the clients in `ids` (ascending): all of them
-  // first, the survivors at each rebuild. The view runs the columns
-  // across the pool in the traversal its layout favors. A saturated
-  // server never reaches a scan again, so its stale list is left alone.
-  std::vector<ClientIndex> ids(static_cast<std::size_t>(num_clients));
-  std::iota(ids.begin(), ids.end(), 0);
+  // Build every list over the clients in `ids`. The view runs the
+  // columns across the pool in the traversal its layout favors. The
+  // first build only counts (see the bucket note above); a rebuild
+  // scatters each column while it holds it. A saturated server never
+  // reaches a scan again, so its stale list is left alone.
   std::int32_t built_over = 0;
-  const auto build_lists = [&] {
+  const auto build_lists = [&](bool scatter_now) {
     DIACA_OBS_SPAN("core.greedy.build");
     built_over = static_cast<std::int32_t>(ids.size());
     num_buckets = NumBuckets(built_over);
     num_super = num_buckets / kSuper;
     view.ForEachColumn(ids, [&](ServerIndex s, const double* col) {
       if (remaining[static_cast<std::size_t>(s)] <= 0) return;
-      build(s, col, ids.data(), ids.size());
+      count_buckets(s, col, ids.size());
+      if (scatter_now) {
+        scatter(bucket_lists[static_cast<std::size_t>(s)], col, ids.data(),
+                ids.size());
+      }
     });
   };
-  build_lists();
+  build_lists(false);
 
   std::vector<double> far(static_cast<std::size_t>(num_servers), -1.0);
   // Cached reach[s] = MaxServerReach(problem, far, s). Eccentricities only
@@ -535,7 +593,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       // memo bounds a server's exact minimum cost, which does not depend
       // on how its list is stored.
       std::erase_if(ids, [&](ClientIndex c) { return a[c] != kUnassigned; });
-      build_lists();
+      build_lists(true);
       DIACA_OBS_COUNT("core.greedy.rebuilds", 1);
     }
     DIACA_OBS_SPAN("core.greedy.iteration");
@@ -551,8 +609,13 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       std::size_t& h = head[si];
       BucketList& bl = bucket_lists[si];
       // Every unassigned client appears in every list, so the head
-      // always lands on one before running off the end.
-      while (a[bl.perm[h]] != kUnassigned) ++h;
+      // always lands on one before running off the end. A list with no
+      // ids yet keeps head 0 — a valid stale head (every earlier
+      // position is assigned, vacuously) — and hb lands on its first
+      // non-empty bucket, whose minimum is the certified head bound.
+      if (!bl.perm.empty()) {
+        while (a[bl.perm[h]] != kUnassigned) ++h;
+      }
       std::int32_t& hb = hbucket[si];
       while (bl.boff[static_cast<std::size_t>(hb) + 1] <=
              static_cast<std::int32_t>(h)) {
@@ -724,9 +787,11 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     // Batch: the compacted prefix ending at the chosen client — all
     // unassigned by construction; truncated to the farthest `take`
     // members under capacity. The zero fast-path winner skipped
-    // compaction, but its batch is the single head client.
+    // compaction, but its batch is the single head client. Either way
+    // the winner's scan or head refine read its ids.
     const auto bsi = static_cast<std::size_t>(best_server);
     BucketList& bl = bucket_lists[bsi];
+    DIACA_CHECK(!bl.perm.empty());
     auto& room = remaining[bsi];
     double& far_b = far[bsi];
     std::size_t take = 1;

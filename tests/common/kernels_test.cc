@@ -3,8 +3,9 @@
 // tolerance) across sizes that exercise full vectors, remainder lanes and
 // the empty range — the determinism contract of common/simd/kernels.h.
 // DotProduct is the one exception: its contract is a fixed 4-accumulator
-// association (identical across backends), not equality with a serial
-// left-to-right sum, so it is compared across backends instead.
+// association (one loop that every backend runs), not equality with a
+// serial left-to-right sum, so it is compared across backends and only
+// checked close to the serial sum.
 #include "common/simd/kernels.h"
 
 #include <algorithm>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -280,58 +281,72 @@ Assignment ReferenceGreedy(const Problem& p, const AssignOptions& options,
   return a;
 }
 
+// Counter deltas of one greedy solve that must repeat across a grid
+// (all 0 when observability is compiled out).
+struct GreedyCounts {
+  // Depends only on batch sizes: repeats in every run of the grid.
+  std::int64_t rebuilds = -1;
+  // Depends on which lists the serial scans read: repeats across views
+  // and thread counts at one pruning setting ([0] on, [1] off).
+  std::array<std::int64_t, 2> deferred_scatters{-1, -1};
+};
+
 // GreedyAssign against the scalar reference, bit for bit, on both views
 // of one instance under `base`: pruning on and off, 1 and 4 threads.
-// The rebuild count depends only on batch sizes, so it must repeat in
-// every run of the grid; *rebuilds receives it (0 when observability is
-// compiled out).
-void ExpectMatchesReferenceUnder(const Problem& resident, const Problem& tiled,
-                                 const AssignOptions& base,
-                                 std::uint64_t seed, std::int64_t* rebuilds) {
-  ASSERT_TRUE(resident.client_block().materialized());
-  ASSERT_FALSE(tiled.client_block().materialized());
+// Returns the counter deltas, checked to repeat across the grid.
+GreedyCounts ExpectMatchesReferenceUnder(const Problem& resident,
+                                         const Problem& tiled,
+                                         const AssignOptions& base,
+                                         std::uint64_t seed) {
+  GreedyCounts counts;
+  EXPECT_TRUE(resident.client_block().materialized());
+  EXPECT_FALSE(tiled.client_block().materialized());
   const Assignment want = ReferenceGreedy(resident, base);
   const bool metrics_were_on = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
-  *rebuilds = -1;
   for (const Problem* problem : {&resident, &tiled}) {
     for (const bool prune : {true, false}) {
       for (const int threads : {1, 4}) {
         SetGlobalThreads(threads);
         AssignOptions options = base;
         options.bound_pruning = prune;
-        const std::int64_t before = test::GreedyRebuilds();
+        const std::int64_t rebuilds_before = test::GreedyRebuilds();
+        const std::int64_t scatters_before = test::GreedyDeferredScatters();
         const Assignment got = GreedyAssign(*problem, options);
-        const std::int64_t ran = test::GreedyRebuilds() - before;
-        if (*rebuilds < 0) *rebuilds = ran;
-        EXPECT_EQ(ran, *rebuilds)
-            << "clients=" << resident.num_clients() << " seed=" << seed
-            << " materialized=" << problem->client_block().materialized()
-            << " prune=" << prune << " threads=" << threads;
-        ASSERT_EQ(got.server_of, want.server_of)
-            << "clients=" << resident.num_clients() << " seed=" << seed
-            << " capacitated=" << base.capacitated() << " materialized="
-            << problem->client_block().materialized()
-            << " prune=" << prune << " threads=" << threads;
+        const std::int64_t rebuilds =
+            test::GreedyRebuilds() - rebuilds_before;
+        const std::int64_t scatters =
+            test::GreedyDeferredScatters() - scatters_before;
+        std::int64_t& want_scatters = counts.deferred_scatters[prune ? 0 : 1];
+        if (counts.rebuilds < 0) counts.rebuilds = rebuilds;
+        if (want_scatters < 0) want_scatters = scatters;
+        const auto where = [&] {
+          return ::testing::Message()
+                 << "clients=" << resident.num_clients() << " seed=" << seed
+                 << " capacitated=" << base.capacitated() << " materialized="
+                 << problem->client_block().materialized()
+                 << " prune=" << prune << " threads=" << threads;
+        };
+        EXPECT_EQ(rebuilds, counts.rebuilds) << where();
+        EXPECT_EQ(scatters, want_scatters) << where();
+        EXPECT_EQ(got.server_of, want.server_of) << where();
       }
     }
   }
   obs::SetMetricsEnabled(metrics_were_on);
   SetGlobalThreads(0);
+  return counts;
 }
 
-// The grid above, uncapacitated and capacitated (a quarter of slack over
-// an even split); returns the uncapacitated rebuild count.
-std::int64_t ExpectMatchesReference(const Problem& resident,
+// The grid above, capacitated (a quarter of slack over an even split)
+// and uncapacitated; returns the uncapacitated counts.
+GreedyCounts ExpectMatchesReference(const Problem& resident,
                                     const Problem& tiled, std::uint64_t seed) {
-  std::int64_t rebuilds = 0;
   AssignOptions capacitated;
   capacitated.capacity =
       resident.num_clients() * 5 / 4 / resident.num_servers();
-  ExpectMatchesReferenceUnder(resident, tiled, capacitated, seed, &rebuilds);
-  ExpectMatchesReferenceUnder(resident, tiled, AssignOptions{}, seed,
-                              &rebuilds);
-  return rebuilds;
+  ExpectMatchesReferenceUnder(resident, tiled, capacitated, seed);
+  return ExpectMatchesReferenceUnder(resident, tiled, AssignOptions{}, seed);
 }
 
 // A resident and a tiled client cloud over one Waxman substrate. A raised
@@ -362,11 +377,9 @@ CloudPair MakeCloudPair(std::int64_t clients, std::uint64_t seed) {
   return CloudPair{std::move(resident), std::move(tiled)};
 }
 
-std::int64_t ExpectCloudMatchesReference(std::int64_t clients,
-                                         std::uint64_t seed) {
+void ExpectCloudMatchesReference(std::int64_t clients, std::uint64_t seed) {
   const CloudPair cloud = MakeCloudPair(clients, seed);
-  return ExpectMatchesReference(cloud.resident.problem, cloud.tiled.problem,
-                                seed);
+  ExpectMatchesReference(cloud.resident.problem, cloud.tiled.problem, seed);
 }
 
 // Client counts that put the bucket count at the floor of its clamp
@@ -379,16 +392,23 @@ TEST(GreedyReferenceTest, BitIdenticalToScalarReferenceAcrossGrid) {
   };
   for (const Case& k : {Case{700, 3}, Case{700, 11}, Case{20000, 5},
                         Case{20000, 13}, Case{140000, 7}}) {
-    const std::int64_t rebuilds =
-        ExpectCloudMatchesReference(k.clients, k.seed);
+    const CloudPair cloud = MakeCloudPair(k.clients, k.seed);
+    const GreedyCounts counts = ExpectMatchesReference(
+        cloud.resident.problem, cloud.tiled.problem, k.seed);
 #if DIACA_OBS
-    // The lists follow the unassigned clients: a 20000-client solve
-    // assigns half of them long before its last round.
     if (k.clients == 20000) {
-      EXPECT_GE(rebuilds, 1) << "seed=" << k.seed;
+      // The lists follow the unassigned clients: a 20000-client solve
+      // assigns half of them long before its last round.
+      EXPECT_GE(counts.rebuilds, 1) << "seed=" << k.seed;
+      // The first build only counts: the pruned scans of the first
+      // epoch read, and so scatter, some of the lists but not all.
+      EXPECT_GE(counts.deferred_scatters[0], 1) << "seed=" << k.seed;
+      EXPECT_LT(counts.deferred_scatters[0],
+                cloud.resident.problem.num_servers())
+          << "seed=" << k.seed;
     }
 #else
-    static_cast<void>(rebuilds);
+    static_cast<void>(counts);
 #endif
   }
 }
@@ -404,13 +424,12 @@ TEST(GreedyReferenceTest, BitIdenticalWhenAServerFillsBeforeTheFirstRebuild) {
   std::int32_t unassigned_at_fill = -1;
   ReferenceGreedy(resident, options, &unassigned_at_fill);
   ASSERT_GT(unassigned_at_fill, resident.num_clients() / 2);
-  std::int64_t rebuilds = 0;
-  ExpectMatchesReferenceUnder(resident, cloud.tiled.problem, options, 29,
-                              &rebuilds);
+  const GreedyCounts counts = ExpectMatchesReferenceUnder(
+      resident, cloud.tiled.problem, options, 29);
 #if DIACA_OBS
-  EXPECT_GE(rebuilds, 1);
+  EXPECT_GE(counts.rebuilds, 1);
 #else
-  static_cast<void>(rebuilds);
+  static_cast<void>(counts);
 #endif
 }
 

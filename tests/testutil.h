@@ -30,6 +30,19 @@ inline std::int64_t GreedyRebuilds() {
 #endif
 }
 
+/// Greedy candidate lists scattered at their first read so far: the
+/// core.greedy.deferred_scatters counter, under the same rules as
+/// GreedyRebuilds.
+inline std::int64_t GreedyDeferredScatters() {
+#if DIACA_OBS
+  return obs::Registry::Default()
+      .GetCounter("core.greedy.deferred_scatters")
+      .Value();
+#else
+  return 0;
+#endif
+}
+
 /// Matrix from a row-major initializer (must be symmetric, zero diagonal).
 inline net::LatencyMatrix MatrixFrom(std::int32_t n,
                                      std::initializer_list<double> values) {
