@@ -36,8 +36,10 @@
 //      certifies bound pruning as a pure accelerator (identical
 //      assignment, bitwise objective, tiles_pruned > 0, prune_speedup
 //      reported). The assignments must be identical; the report records
-//      the runtime ratio, the tiled stage's peak RSS, and the block
-//      footprint the streamed run avoided. This phase runs
+//      the runtime ratio, the tiled stage's peak RSS, the block
+//      footprint the streamed run avoided, and the pruned solve's work
+//      counters (columns gathered, lists counted in round 1, buckets
+//      refined). This phase runs
 //      LAST — peak RSS is process-monotonic, and the materialized
 //      control's multi-GB block would poison every scale-phase RSS
 //      reading that came after it; the scale footprints (hundreds of
@@ -71,6 +73,7 @@
 #include "net/distance_oracle.h"
 #include "net/graph.h"
 #include "obs/json.h"
+#include "obs/obs.h"
 #include "placement/placement.h"
 
 namespace {
@@ -255,9 +258,14 @@ struct TiledResult {
   // vs an unpruned streamed control. Pruning must be a pure
   // accelerator — identical assignment, bitwise objective — and must
   // actually engage (tiles_pruned > 0). columns_gathered is the column
-  // work the pruned greedy solve still did.
+  // work the pruned greedy solve still did; round1_counts the lists its
+  // round 1 counted on attachment-row floors, and bucket_refines the
+  // buckets it sorted (core.greedy.* counters, recorded around that
+  // solve alone).
   std::int64_t tiles_pruned = 0;
   std::int64_t columns_gathered = 0;
+  std::int64_t round1_counts = 0;
+  std::int64_t bucket_refines = 0;
   double unpruned_greedy_ms = 0.0;
   double prune_speedup = 0.0;  // unpruned greedy / pruned greedy
   bool prune_identical = false;
@@ -305,12 +313,23 @@ TiledResult RunTiled(std::int32_t substrate_nodes, std::int64_t clients,
         sizeof(double) / (1024.0 * 1024.0);
     const std::int64_t gathered_before =
         cloud.problem.client_block().stats().columns_gathered;
+    const bool metrics_were_on = obs::MetricsEnabled();
+    obs::SetMetricsEnabled(true);
+    obs::Counter& round1 =
+        obs::Registry::Default().GetCounter("core.greedy.round1_counts");
+    obs::Counter& refines =
+        obs::Registry::Default().GetCounter("core.greedy.bucket_refines");
+    const std::int64_t round1_before = round1.Value();
+    const std::int64_t refines_before = refines.Value();
     Timer t;
     tiled_a = core::GreedyAssign(cloud.problem);
     r.tiled_greedy_ms = t.ElapsedMillis();
     r.columns_gathered =
         cloud.problem.client_block().stats().columns_gathered -
         gathered_before;
+    r.round1_counts = round1.Value() - round1_before;
+    r.bucket_refines = refines.Value() - refines_before;
+    obs::SetMetricsEnabled(metrics_were_on);
     tiled_d = core::MaxInteractionPathLength(cloud.problem, tiled_a);
     r.tiles_pruned = cloud.problem.client_block().stats().tiles_pruned;
     // The tiled stage's own per-shard row-cache traffic, with the
@@ -462,8 +481,15 @@ void WriteJson(const std::string& path, std::uint64_t seed,
   os << ", \"block_equiv_mb\": ";
   AppendJsonNumber(os, tiled.block_equiv_mb);
   os << ",\n   \"tiles_pruned\": " << tiled.tiles_pruned
-     << ", \"columns_gathered\": " << tiled.columns_gathered
-     << ", \"unpruned_greedy_ms\": ";
+     << ", \"columns_gathered\": " << tiled.columns_gathered;
+  // Counters compiled out (DIACA_OBS=0) never advance: no measurement.
+#if DIACA_OBS
+  os << ", \"round1_counts\": " << tiled.round1_counts
+     << ", \"bucket_refines\": " << tiled.bucket_refines;
+#else
+  os << ", \"round1_counts\": null, \"bucket_refines\": null";
+#endif
+  os << ", \"unpruned_greedy_ms\": ";
   AppendJsonNumber(os, tiled.unpruned_greedy_ms);
   os << ", \"prune_speedup\": ";
   AppendJsonNumber(os, tiled.prune_speedup);
@@ -731,7 +757,9 @@ int main(int argc, char** argv) {
             << " MB avoided\n";
   std::cout << "  filter-and-refine: " << tiled.tiles_pruned
             << " tiles pruned, " << tiled.columns_gathered
-            << " columns gathered, unpruned control "
+            << " columns gathered, " << tiled.round1_counts
+            << " lists counted in round 1, " << tiled.bucket_refines
+            << " buckets refined, unpruned control "
             << FormatDouble(tiled.unpruned_greedy_ms / 1e3, 2) << " s ("
             << FormatDouble(tiled.prune_speedup, 2) << "x speedup), results "
             << (tiled.prune_identical ? "identical" : "DIFFER") << "\n";

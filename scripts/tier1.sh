@@ -67,8 +67,10 @@ cmake -DJSON_FILE="$obs_dir/bench_oracle_smoke.json" \
 # greedily without ever materializing the |C|x|S| block (488 MB). The
 # --rss-budget-mb gate pins peak RSS strictly below that block size, so
 # the streamed view provably costs less memory than the block it
-# replaces (measured ~133 MB, since greedy's first list build scatters
-# no client ids; the CLI exits non-zero on breach).
+# replaces (measured ~99 MB, since greedy's round 1 runs on the 2000
+# attachment nodes' floors and counts only the lists it reaches, whose
+# client ids are scattered only when a scan reads them; the CLI exits
+# non-zero on breach).
 ./build/tools/diaca cloud --nodes=2000 --clients=1000000 --servers=64 \
   --block=tiled --rss-budget-mb=440 \
   > "$obs_dir/cloud_tiled.log"

@@ -102,6 +102,18 @@ void ClientBlockView::ForEachColumn(
   });
 }
 
+bool ClientBlockView::ForEachColumnFloors(std::span<const ClientIndex> ids,
+                                          std::size_t max_rows,
+                                          const ColumnFloorsFn& fn) const {
+  return ForEachColumnFloorsSlow(ids, max_rows, fn);
+}
+
+bool ClientBlockView::ForEachColumnFloorsSlow(std::span<const ClientIndex>,
+                                              std::size_t,
+                                              const ColumnFloorsFn&) const {
+  return false;  // a resident block has no attachment rows
+}
+
 void ClientBlockView::CountPrunedTiles(std::int64_t n) const {
   tiles_pruned_.fetch_add(n, std::memory_order_relaxed);
 }
@@ -491,6 +503,55 @@ void OracleTileView::FoldAssignedMaxSlow(const ServerIndex* assign,
     }
   }
   if (pruned > 0) CountPrunedTiles(pruned);
+}
+
+bool OracleTileView::ForEachColumnFloorsSlow(std::span<const ClientIndex> ids,
+                                             std::size_t max_rows,
+                                             const ColumnFloorsFn& fn) const {
+  // Group the clients by row: each row's client count and, with access
+  // delays, its smallest one.
+  const auto rows = static_cast<std::size_t>(num_rows_);
+  const bool has_access = !access_.empty();
+  std::vector<std::int32_t> row_count(rows, 0);
+  std::vector<double> row_access(has_access ? rows : 0,
+                                 std::numeric_limits<double>::infinity());
+  for (const ClientIndex c : ids) {
+    const auto r =
+        static_cast<std::size_t>(base_row_[static_cast<std::size_t>(c)]);
+    ++row_count[r];
+    if (has_access) {
+      row_access[r] =
+          std::min(row_access[r], access_[static_cast<std::size_t>(c)]);
+    }
+  }
+  // Compact to the occupied rows, in row order.
+  std::vector<std::int32_t> occupied;
+  std::vector<std::int32_t> counts;
+  std::vector<double> access_floor;
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (row_count[r] == 0) continue;
+    if (occupied.size() == max_rows) return false;
+    occupied.push_back(static_cast<std::int32_t>(r));
+    counts.push_back(row_count[r]);
+    if (has_access) access_floor.push_back(row_access[r]);
+  }
+  const std::size_t m = occupied.size();
+  GlobalPool().ParallelFor(0, num_servers_, 1, [&](std::int64_t sb,
+                                                   std::int64_t se) {
+    thread_local std::vector<double> floors;
+    floors.resize(m);
+    for (std::int64_t s = sb; s < se; ++s) {
+      const double* col =
+          server_cols_.data() + static_cast<std::size_t>(s) * rows;
+      for (std::size_t k = 0; k < m; ++k) {
+        const double leg = col[static_cast<std::size_t>(occupied[k])];
+        // CsSlow's operands in CsSlow's order.
+        floors[k] = has_access ? access_floor[k] + leg : leg;
+      }
+      fn(static_cast<ServerIndex>(s), floors.data(), counts.data(), m);
+    }
+  });
+  return true;
 }
 
 void OracleTileView::BuildNearestIndex() const {

@@ -19,7 +19,10 @@
 //                              the incremental evaluator read;
 //   * FillNearest / FillColumnMax — per-client nearest servers and
 //                              certified column maxima (the pairwise
-//                              lower bound's filters).
+//                              lower bound's filters);
+//   * ForEachColumnFloors   — per attachment row, each column's exact
+//                              minimum and client count (greedy's
+//                              round-1 bound; lazy backends only).
 //
 // Two backends implement it:
 //
@@ -145,9 +148,10 @@ class ClientBlockView {
   /// Hand every column, restricted to the clients in `ids`, to fn(s, col)
   /// exactly once, with col[i] = cs(ids[i], s) for i in [0, ids.size())
   /// (valid only during fn) — the server-major pass of greedy's list
-  /// builds: over every client the first build only counts each column
-  /// into buckets; over a subset (greedy's still-unassigned clients) a
-  /// rebuild counts and scatters it. A subset costs O(|ids|) per column,
+  /// builds: over every client a first build only counts each column
+  /// into buckets (unless round 1 runs on ForEachColumnFloors); over a
+  /// subset (greedy's still-unassigned clients) a rebuild counts and
+  /// scatters it. A subset costs O(|ids|) per column,
   /// so a pass over survivors shrinks with them. Columns fan out
   /// across the global pool, so fn runs CONCURRENTLY for distinct servers
   /// and must only write per-server state. The view picks the traversal
@@ -159,6 +163,29 @@ class ClientBlockView {
   void ForEachColumn(
       std::span<const ClientIndex> ids,
       const std::function<void(ServerIndex, const double*)>& fn) const;
+
+  /// fn(s, floors, counts, m) of ForEachColumnFloors.
+  using ColumnFloorsFn = std::function<void(
+      ServerIndex, const double*, const std::int32_t*, std::size_t)>;
+
+  /// Column floors per attachment row — the bound greedy's round 1 reads
+  /// instead of counting every column. The clients in `ids` are grouped
+  /// by the substrate node a lazy backend synthesizes them from; with m
+  /// occupied rows, taken in the order their nodes first appear among
+  /// all clients, fn(s, floors, counts, m) runs once per server, with
+  /// counts[k] the clients of `ids` on row k (they sum to ids.size())
+  /// and floors[k] the minimum of cs(c, s) over them, bit for bit: it is
+  /// fl(the row's smallest access delay + its substrate leg), cs's
+  /// operands in cs's order, and IEEE addition is monotone. Costs one
+  /// O(|ids|) grouping pass, then O(m) per server — never a column.
+  /// Returns false without calling fn when the view has no rows (a
+  /// resident block) or more than max_rows of them are occupied. Servers
+  /// fan out across the global pool, so fn runs CONCURRENTLY for distinct
+  /// servers and must only write per-server state; floors and counts are
+  /// valid only during fn.
+  bool ForEachColumnFloors(std::span<const ClientIndex> ids,
+                           std::size_t max_rows,
+                           const ColumnFloorsFn& fn) const;
 
   /// Certified column maxima: cs(c, s) <= out[s] for every client c and
   /// server s in [0, num_servers()). Exact on a resident block (one
@@ -232,6 +259,10 @@ class ClientBlockView {
   /// rows fan out over the global pool in client chunks).
   virtual void FillNearestSlow(ServerIndex* server_out,
                                double* dist_out) const;
+  /// Attachment-row floors; the default offers none (returns false).
+  virtual bool ForEachColumnFloorsSlow(std::span<const ClientIndex> ids,
+                                       std::size_t max_rows,
+                                       const ColumnFloorsFn& fn) const;
 
   bool bound_pruning() const { return tile_.bound_pruning; }
 
@@ -310,6 +341,9 @@ class OracleTileView final : public ClientBlockView {
                            double* far) const override;
   void FillNearestSlow(ServerIndex* server_out,
                        double* dist_out) const override;
+  bool ForEachColumnFloorsSlow(std::span<const ClientIndex> ids,
+                               std::size_t max_rows,
+                               const ColumnFloorsFn& fn) const override;
 
  private:
   OracleTileView(std::int32_t num_clients, std::int32_t num_servers,

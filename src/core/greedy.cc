@@ -125,6 +125,35 @@ void RebuildLadderRanks(Ladder& ladder, std::size_t len) {
 // resident block, strides the whole block, and after round 1 the scans
 // read many lists.
 //
+// Round 1 can skip even most counts. Its batch is the largest; on that
+// 200k-client cloud it leaves under half the clients, so a rebuild
+// replaces every list at round 2, and a first build counting every
+// client against every server serves a single round. When pruning is
+// on and the view groups the clients onto at most half as many
+// attachment rows (ForEachColumnFloors), round 1 reads a bound off the
+// rows instead. Per server, the rows' floors — each the exact
+// minimum distance over its clients — are bucketed with BucketOf over
+// their own min and max; with F[k] the smallest floor in bucket k and
+// C[k] the clients in buckets <= k,
+//
+//   bound = min over non-empty k of delta(F[k]) / min(C[k], room, unassigned)
+//
+// under phase 1's round-1 expressions. Take a client at exact position p
+// with distance d. Its own row's floor is <= d, so there is a last
+// non-empty bucket k* with F[k*] <= d. Every client ahead of it has a
+// distance <= d, so a floor <= d, so a bucket <= k*: p + 1 <= C[k*]. As
+// d >= F[k*], delta is non-decreasing and rounded division is
+// monotone, cost(p) >= the k* term >= bound. Neither sorted floors nor
+// monotone buckets are needed. Phase 1 orders the servers by these
+// bounds, and phase 2 counts a list — the first build's count over the
+// same ids, byte-identical — only when the traversal reaches it. At
+// round 2 either the rebuild replaces every list or the postponed first
+// build counts the ones round 1 left uncounted. With pruning off the
+// first build counts every list, as bound_pruning promises, which keeps
+// a full-count control for the floors; a view with more rows keeps it
+// too, since near one client per row the floors cost about as much as
+// the count and retire nothing.
+//
 // The bucket count follows the build: about 32 clients per bucket,
 // clamped to [64, 8192] and a power of two so super-groups tile it
 // evenly. Large blocks keep the full 8192; small ones (the paper's
@@ -149,6 +178,15 @@ std::int32_t NumBuckets(std::int32_t list_size) {
 std::int32_t BucketOf(double d, double lo, double inv, std::int32_t nb) {
   const auto q = static_cast<std::int64_t>((d - lo) * inv);
   return static_cast<std::int32_t>(std::clamp<std::int64_t>(q, 0, nb - 1));
+}
+
+// The scale with which BucketOf spreads values in [lo, hi] over nb
+// buckets: 0 when they are all equal or their range overflows, which
+// puts every value in bucket 0.
+double BucketScale(double lo, double hi, std::int32_t nb) {
+  const double range = hi - lo;
+  return range > 0.0 && std::isfinite(range) ? static_cast<double>(nb) / range
+                                             : 0.0;
 }
 
 struct BucketList {
@@ -251,6 +289,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     simd::RadixSortDistIndex(lane_scratch.data(), bl.perm.data() + lo,
                              hi - lo);
     bl.bsorted[static_cast<std::size_t>(b)] = 1;
+    DIACA_OBS_COUNT("core.greedy.bucket_refines", 1);
     if (h >= lo && h < hi) {
       h = lo;
       while (a[bl.perm[h]] != kUnassigned) ++h;
@@ -479,7 +518,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   // Count server s's candidate list: one column pass buckets its column
   // over the clients ids[0..n), col[i] = cs(ids[i], s) — no sort (see
   // the bucket note above) and no ids yet: the caller scatters them now
-  // or at first read.
+  // or at first read. Until then boff is empty: the list is uncounted.
   const auto count_buckets = [&](ServerIndex s, const double* col,
                                  std::size_t n) {
     const auto si = static_cast<std::size_t>(s);
@@ -490,11 +529,8 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       dmin = std::min(dmin, col[i]);
       dmax = std::max(dmax, col[i]);
     }
-    const double range = dmax - dmin;
     bl.lo = dmin;
-    bl.inv = range > 0.0 && std::isfinite(range)
-                 ? static_cast<double>(num_buckets) / range
-                 : 0.0;
+    bl.inv = BucketScale(dmin, dmax, num_buckets);
     bl.boff.assign(nb + 1, 0);
     bl.bmin.assign(nb, kInf);
     for (std::size_t i = 0; i < n; ++i) {
@@ -520,27 +556,85 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     head_dist[si] = dmin;
   };
 
-  // Build every list over the clients in `ids`. The view runs the
-  // columns across the pool in the traversal its layout favors. The
-  // first build only counts (see the bucket note above); a rebuild
-  // scatters each column while it holds it. A saturated server never
-  // reaches a scan again, so its stale list is left alone.
+  // Size the lists for the clients in `ids`.
   std::int32_t built_over = 0;
-  const auto build_lists = [&](bool scatter_now) {
-    DIACA_OBS_SPAN("core.greedy.build");
+  const auto size_lists = [&] {
     built_over = static_cast<std::int32_t>(ids.size());
     num_buckets = NumBuckets(built_over);
     num_super = num_buckets / kSuper;
+  };
+
+  // Build every list over the clients in `ids`. The view runs the
+  // columns across the pool in the traversal its layout favors. The
+  // first build only counts (see the bucket note above), and a first
+  // build postponed past round 1 keeps the lists round 1 counted; a
+  // rebuild scatters each column while it holds it. A saturated server
+  // never reaches a scan again, so its stale list is left alone.
+  const auto build_lists = [&](bool scatter_now) {
+    DIACA_OBS_SPAN("core.greedy.build");
     view.ForEachColumn(ids, [&](ServerIndex s, const double* col) {
-      if (remaining[static_cast<std::size_t>(s)] <= 0) return;
-      count_buckets(s, col, ids.size());
-      if (scatter_now) {
-        scatter(bucket_lists[static_cast<std::size_t>(s)], col, ids.data(),
-                ids.size());
+      BucketList& bl = bucket_lists[static_cast<std::size_t>(s)];
+      if (remaining[static_cast<std::size_t>(s)] <= 0 ||
+          (!scatter_now && !bl.boff.empty())) {
+        return;
       }
+      count_buckets(s, col, ids.size());
+      if (scatter_now) scatter(bl, col, ids.data(), ids.size());
     });
   };
-  build_lists(false);
+
+  // Round 1's bound per server off the view's attachment-row floors (see
+  // the bucket note above); phase 1 reads it while a list is uncounted.
+  std::vector<double> floor_bound(static_cast<std::size_t>(num_servers),
+                                  kInf);
+  const auto bound_floors = [&](ServerIndex s, const double* floors,
+                                const std::int32_t* counts, std::size_t m) {
+    const auto si = static_cast<std::size_t>(s);
+    if (remaining[si] <= 0) return;
+    const std::int32_t nb = NumBuckets(static_cast<std::int32_t>(m));
+    double lo = kInf, hi = -kInf;
+    for (std::size_t k = 0; k < m; ++k) {
+      lo = std::min(lo, floors[k]);
+      hi = std::max(hi, floors[k]);
+    }
+    const double inv = BucketScale(lo, hi, nb);
+    thread_local std::vector<double> fmin;
+    thread_local std::vector<std::int64_t> fcount;
+    fmin.assign(static_cast<std::size_t>(nb), kInf);
+    fcount.assign(static_cast<std::size_t>(nb), 0);
+    for (std::size_t k = 0; k < m; ++k) {
+      const auto q = static_cast<std::size_t>(BucketOf(floors[k], lo, inv, nb));
+      fmin[q] = std::min(fmin[q], floors[k]);
+      fcount[q] += counts[k];
+    }
+    // Phase 1's delta and dn in round 1: no server is used yet and
+    // max_len is still 0.
+    constexpr double reach0 = -kInf;
+    constexpr double mlen0 = 0.0;
+    const double room_d = static_cast<double>(remaining[si]);
+    const double unassigned_d = static_cast<double>(num_clients);
+    double bound = kInf;
+    std::int64_t ahead = 0;
+    for (std::size_t q = 0; q < fmin.size(); ++q) {
+      if (fcount[q] == 0) continue;
+      ahead += fcount[q];
+      const double e = fmin[q];
+      const double delta =
+          std::max(std::max(2.0 * e, e + reach0), mlen0) - mlen0;
+      const double dn = std::min(static_cast<double>(ahead),
+                                 std::min(room_d, unassigned_d));
+      bound = std::min(bound, delta / dn);
+    }
+    floor_bound[si] = bound;
+  };
+
+  size_lists();
+  bool on_floors = false;  // round 1 left lists uncounted
+  if (prune) {
+    DIACA_OBS_SPAN("core.greedy.floors");
+    on_floors = view.ForEachColumnFloors(ids, ids.size() / 2, bound_floors);
+  }
+  if (!on_floors) build_lists(false);
 
   std::vector<double> far(static_cast<std::size_t>(num_servers), -1.0);
   // Cached reach[s] = MaxServerReach(problem, far, s). Eccentricities only
@@ -593,21 +687,40 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       // memo bounds a server's exact minimum cost, which does not depend
       // on how its list is stored.
       std::erase_if(ids, [&](ClientIndex c) { return a[c] != kUnassigned; });
+      size_lists();
       build_lists(true);
+      on_floors = false;
       DIACA_OBS_COUNT("core.greedy.rebuilds", 1);
+    } else if (on_floors && num_assigned > 0) {
+      // Round 1 ran on floors and took fewer than half the clients: the
+      // postponed first build counts every list it left uncounted, over
+      // the unchanged ids.
+      build_lists(false);
+      on_floors = false;
+      for (ServerIndex s = 0; s < num_servers; ++s) {
+        DIACA_CHECK(remaining[static_cast<std::size_t>(s)] <= 0 ||
+                    !bucket_lists[static_cast<std::size_t>(s)].boff.empty());
+      }
     }
     DIACA_OBS_SPAN("core.greedy.iteration");
     const double unassigned_d = static_cast<double>(unassigned_total);
     // Phase 1: advance heads and evaluate every eligible server's ladder
     // bound. In the first round no server is used yet, so the reach term
-    // is dropped via reach = -infinity (2*d >= 0 always wins).
+    // is dropped via reach = -infinity (2*d >= 0 always wins). A list
+    // round 1 left uncounted has no head, buckets or ladder yet: its
+    // floor bound stands in (see the bucket note above).
     order.clear();
     for (ServerIndex s = 0; s < num_servers; ++s) {
       const auto si = static_cast<std::size_t>(s);
       const std::int32_t room = remaining[si];
       if (room <= 0) continue;
-      std::size_t& h = head[si];
       BucketList& bl = bucket_lists[si];
+      if (bl.boff.empty()) {
+        DIACA_CHECK(num_assigned == 0);
+        order.push_back({floor_bound[si], s});
+        continue;
+      }
+      std::size_t& h = head[si];
       // Every unassigned client appears in every list, so the head
       // always lands on one before running off the end. A list with no
       // ids yet keeps head 0 — a valid stale head (every earlier
@@ -696,6 +809,17 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       std::size_t& h = head[si];
       std::int32_t& hb = hbucket[si];
       BucketList& bl = bucket_lists[si];
+      if (bl.boff.empty()) {
+        // Round 1 reached a list it left uncounted: count it now over the
+        // build's ids, as the first build would have (its ids are still
+        // scattered at first read). The count puts the head at 0 and hb
+        // on bucket 0, which holds the column minimum, and head_dist is
+        // that minimum — where phase 1 would have placed them.
+        lane_scratch.resize(ids.size());
+        view.GatherColumn(s, ids.data(), ids.size(), lane_scratch.data());
+        count_buckets(s, lane_scratch.data(), ids.size());
+        DIACA_OBS_COUNT("core.greedy.round1_counts", 1);
+      }
       const double server_reach = num_assigned > 0 ? reach[si] : -kInf;
       double d_head = head_dist[si];
       double delta_head =

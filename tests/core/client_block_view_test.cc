@@ -582,6 +582,134 @@ TEST(ClientBlockViewTest, ForEachColumnSubsetMatchesCellsAcrossViewsAndThreads) 
   SetGlobalThreads(0);
 }
 
+// ForEachColumnFloors groups the clients of `ids` by attachment node:
+// the occupied rows come in the order their nodes first appear among all
+// clients, the counts sum to |ids|, and each server's floor for a row is
+// the minimum of cs(c, s) over the row's clients in `ids`, bit for bit.
+// Checked on a FromAttachments view (access delays, with a floor that
+// makes many of them equal) and a FromOracle view (several clients per
+// node), over every client and a strided subset, at 1 and 4 threads. A
+// cap below the occupied rows declines, and a resident block offers no
+// floors.
+TEST(ClientBlockViewTest, ForEachColumnFloorsAreRowMinimaOfCells) {
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 50;
+  params.num_clients = 1000;
+  params.min_access_ms = 3.0;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 27);
+  const net::DistanceOracle oracle =
+      net::DistanceOracle::FromGraph(graph, opt);
+  std::vector<net::NodeIndex> servers;
+  for (net::NodeIndex s = 2; s < 50; s += 5) servers.push_back(s);
+  const data::ClientCloud mat =
+      data::BuildClientCloud(params, 27, oracle, servers);
+  params.materialize_block = false;
+  const data::ClientCloud streamed =
+      data::BuildClientCloud(params, 27, oracle, servers);
+  std::vector<net::NodeIndex> on_nodes(300);
+  for (std::size_t c = 0; c < on_nodes.size(); ++c) {
+    on_nodes[c] = static_cast<net::NodeIndex>((c * 7 + c / 40) % 50);
+  }
+  const auto node_view = OracleTileView::FromOracle(oracle, servers, on_nodes);
+
+  struct Case {
+    const ClientBlockView* view;
+    const std::vector<net::NodeIndex>* nodes;
+  };
+  for (const Case& k :
+       {Case{&streamed.problem.client_block(), &streamed.attach},
+        Case{node_view.get(), &on_nodes}}) {
+    const ClientBlockView& view = *k.view;
+    const auto num_servers = static_cast<std::size_t>(view.num_servers());
+    // Row of each client: its node's rank in first-appearance order.
+    std::vector<std::int32_t> row_of_node(50, -1);
+    std::vector<std::int32_t> row_of(k.nodes->size());
+    std::int32_t rows = 0;
+    for (std::size_t c = 0; c < k.nodes->size(); ++c) {
+      std::int32_t& r = row_of_node[static_cast<std::size_t>((*k.nodes)[c])];
+      if (r < 0) r = rows++;
+      row_of[c] = r;
+    }
+    ASSERT_LT(static_cast<std::size_t>(rows), k.nodes->size());
+    std::vector<ClientIndex> every(k.nodes->size());
+    std::iota(every.begin(), every.end(), 0);
+    std::vector<ClientIndex> strided;
+    for (std::size_t c = 5; c < every.size(); c += 9) {
+      strided.push_back(static_cast<ClientIndex>(c));
+    }
+    for (const std::vector<ClientIndex>* ids : {&every, &strided}) {
+      // The reference: occupied rows ascending, counts and exact minima.
+      std::vector<std::int32_t> count(static_cast<std::size_t>(rows), 0);
+      std::vector<double> lowest(static_cast<std::size_t>(rows) * num_servers,
+                                 std::numeric_limits<double>::infinity());
+      for (const ClientIndex c : *ids) {
+        const auto r =
+            static_cast<std::size_t>(row_of[static_cast<std::size_t>(c)]);
+        ++count[r];
+        for (ServerIndex s = 0; s < view.num_servers(); ++s) {
+          double& lo = lowest[r * num_servers + static_cast<std::size_t>(s)];
+          lo = std::min(lo, view.cs(c, s));
+        }
+      }
+      std::vector<std::size_t> occupied;
+      for (std::size_t r = 0; r < count.size(); ++r) {
+        if (count[r] > 0) occupied.push_back(r);
+      }
+      for (const int threads : {1, 4}) {
+        SetGlobalThreads(threads);
+        // fn runs concurrently for distinct servers: each writes its own
+        // slot.
+        std::vector<std::vector<double>> floors(num_servers);
+        std::vector<std::vector<std::int32_t>> counts(num_servers);
+        std::vector<int> visits(num_servers, 0);
+        ASSERT_TRUE(view.ForEachColumnFloors(
+            *ids, occupied.size(),
+            [&](ServerIndex s, const double* f, const std::int32_t* n,
+                std::size_t m) {
+              const auto si = static_cast<std::size_t>(s);
+              ++visits[si];
+              floors[si].assign(f, f + m);
+              counts[si].assign(n, n + m);
+            }));
+        for (std::size_t s = 0; s < num_servers; ++s) {
+          const auto where = [&] {
+            return ::testing::Message()
+                   << "attached=" << (k.nodes == &streamed.attach)
+                   << " subset=" << ids->size() << " threads=" << threads
+                   << " s=" << s;
+          };
+          ASSERT_EQ(visits[s], 1) << where();
+          ASSERT_EQ(floors[s].size(), occupied.size()) << where();
+          std::int64_t total = 0;
+          for (std::size_t j = 0; j < occupied.size(); ++j) {
+            const std::size_t r = occupied[j];
+            EXPECT_EQ(counts[s][j], count[r]) << where() << " row=" << r;
+            EXPECT_EQ(floors[s][j], lowest[r * num_servers + s])
+                << where() << " row=" << r;
+            total += counts[s][j];
+          }
+          EXPECT_EQ(total, static_cast<std::int64_t>(ids->size())) << where();
+        }
+      }
+      EXPECT_FALSE(view.ForEachColumnFloors(
+          *ids, occupied.size() - 1,
+          [](ServerIndex, const double*, const std::int32_t*, std::size_t) {
+            ADD_FAILURE() << "declined floors called fn";
+          }));
+    }
+  }
+  SetGlobalThreads(0);
+  std::vector<ClientIndex> every(1000);
+  std::iota(every.begin(), every.end(), 0);
+  EXPECT_FALSE(mat.problem.client_block().ForEachColumnFloors(
+      every, every.size(),
+      [](ServerIndex, const double*, const std::int32_t*, std::size_t) {
+        ADD_FAILURE() << "a resident block offered floors";
+      }));
+}
+
 // One assigned server per client, spread over servers [0, servers) by a
 // multiplicative hash (no correlation with attachment or access delay).
 Assignment HashAssignment(std::int32_t clients, std::int32_t servers) {

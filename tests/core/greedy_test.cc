@@ -16,6 +16,7 @@
 #include "core/metrics.h"
 #include "core/nearest_server.h"
 #include "data/streaming.h"
+#include "data/waxman.h"
 #include "net/distance_oracle.h"
 #include "../testutil.h"
 
@@ -286,9 +287,14 @@ Assignment ReferenceGreedy(const Problem& p, const AssignOptions& options,
 struct GreedyCounts {
   // Depends only on batch sizes: repeats in every run of the grid.
   std::int64_t rebuilds = -1;
-  // Depends on which lists the serial scans read: repeats across views
-  // and thread counts at one pruning setting ([0] on, [1] off).
-  std::array<std::int64_t, 2> deferred_scatters{-1, -1};
+  // Depend on which lists the serial traversal reads: each repeats across
+  // thread counts on one view at one pruning setting, indexed [view]
+  // [pruning] ([0] resident or on, [1] tiled or off). The tiled round 1
+  // reads floors and so other lists with pruning on; with pruning off
+  // both views count every list first and repeat each other.
+  using PerView = std::array<std::array<std::int64_t, 2>, 2>;
+  PerView deferred_scatters{{{-1, -1}, {-1, -1}}};
+  PerView round1_counts{{{-1, -1}, {-1, -1}}};
 };
 
 // GreedyAssign against the scalar reference, bit for bit, on both views
@@ -305,6 +311,7 @@ GreedyCounts ExpectMatchesReferenceUnder(const Problem& resident,
   const bool metrics_were_on = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
   for (const Problem* problem : {&resident, &tiled}) {
+    const std::size_t view = problem == &tiled ? 1 : 0;
     for (const bool prune : {true, false}) {
       for (const int threads : {1, 4}) {
         SetGlobalThreads(threads);
@@ -312,14 +319,20 @@ GreedyCounts ExpectMatchesReferenceUnder(const Problem& resident,
         options.bound_pruning = prune;
         const std::int64_t rebuilds_before = test::GreedyRebuilds();
         const std::int64_t scatters_before = test::GreedyDeferredScatters();
+        const std::int64_t round1_before = test::GreedyRound1Counts();
         const Assignment got = GreedyAssign(*problem, options);
         const std::int64_t rebuilds =
             test::GreedyRebuilds() - rebuilds_before;
         const std::int64_t scatters =
             test::GreedyDeferredScatters() - scatters_before;
-        std::int64_t& want_scatters = counts.deferred_scatters[prune ? 0 : 1];
+        const std::int64_t round1 =
+            test::GreedyRound1Counts() - round1_before;
+        std::int64_t& want_scatters =
+            counts.deferred_scatters[view][prune ? 0 : 1];
+        std::int64_t& want_round1 = counts.round1_counts[view][prune ? 0 : 1];
         if (counts.rebuilds < 0) counts.rebuilds = rebuilds;
         if (want_scatters < 0) want_scatters = scatters;
+        if (want_round1 < 0) want_round1 = round1;
         const auto where = [&] {
           return ::testing::Message()
                  << "clients=" << resident.num_clients() << " seed=" << seed
@@ -329,10 +342,19 @@ GreedyCounts ExpectMatchesReferenceUnder(const Problem& resident,
         };
         EXPECT_EQ(rebuilds, counts.rebuilds) << where();
         EXPECT_EQ(scatters, want_scatters) << where();
+        EXPECT_EQ(round1, want_round1) << where();
+        // Only a pruned solve on a view with attachment rows runs round 1
+        // on floors.
+        if (view == 0 || !prune) {
+          EXPECT_EQ(round1, 0) << where();
+        }
         EXPECT_EQ(got.server_of, want.server_of) << where();
       }
     }
   }
+  EXPECT_EQ(counts.deferred_scatters[0][1], counts.deferred_scatters[1][1])
+      << "clients=" << resident.num_clients() << " seed=" << seed
+      << " capacitated=" << base.capacitated();
   obs::SetMetricsEnabled(metrics_were_on);
   SetGlobalThreads(0);
   return counts;
@@ -397,15 +419,20 @@ TEST(GreedyReferenceTest, BitIdenticalToScalarReferenceAcrossGrid) {
         cloud.resident.problem, cloud.tiled.problem, k.seed);
 #if DIACA_OBS
     if (k.clients == 20000) {
+      const std::int32_t num_servers = cloud.resident.problem.num_servers();
       // The lists follow the unassigned clients: a 20000-client solve
       // assigns half of them long before its last round.
       EXPECT_GE(counts.rebuilds, 1) << "seed=" << k.seed;
       // The first build only counts: the pruned scans of the first
       // epoch read, and so scatter, some of the lists but not all.
-      EXPECT_GE(counts.deferred_scatters[0], 1) << "seed=" << k.seed;
-      EXPECT_LT(counts.deferred_scatters[0],
-                cloud.resident.problem.num_servers())
-          << "seed=" << k.seed;
+      for (const auto& view : counts.deferred_scatters) {
+        EXPECT_GE(view[0], 1) << "seed=" << k.seed;
+        EXPECT_LT(view[0], num_servers) << "seed=" << k.seed;
+      }
+      // 20000 clients on 120 attachment nodes: the pruned tiled round 1
+      // runs on floors and counts the lists it reaches, not all of them.
+      EXPECT_GE(counts.round1_counts[1][0], 1) << "seed=" << k.seed;
+      EXPECT_LT(counts.round1_counts[1][0], num_servers) << "seed=" << k.seed;
     }
 #else
     static_cast<void>(counts);
@@ -413,9 +440,66 @@ TEST(GreedyReferenceTest, BitIdenticalToScalarReferenceAcrossGrid) {
   }
 }
 
+// Round 1 on floors against the full first build, on random small
+// clouds: 20–79-node substrates, 200–2199 clients (so every tiled view
+// has at most half as many attachment rows as clients), 2–13 servers,
+// two access floors, capacitated and not. The tiled solve runs round 1
+// on floors; the resident one counts every list first and is pinned to
+// the scalar reference by the grids above. A floor bound that is not
+// certified — one that counted only the clients in buckets before k —
+// changed the winner on about a quarter of these solves.
+TEST(GreedyReferenceTest, FloorsRoundOneMatchesFullFirstBuildOnRandomClouds) {
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    Rng rng(seed * 7919);
+    data::ClientCloudParams params;
+    params.substrate.num_nodes =
+        20 + static_cast<std::int32_t>(rng.NextBounded(60));
+    params.num_clients = 200 + static_cast<std::int64_t>(rng.NextBounded(2000));
+    params.min_access_ms = rng.NextBounded(2) != 0 ? 3.0 : 0.2;
+    const net::Graph graph =
+        data::GenerateWaxmanTopology(params.substrate, seed);
+    net::OracleOptions opt;
+    opt.backend = net::OracleBackend::kRows;
+    const net::DistanceOracle oracle =
+        net::DistanceOracle::FromGraph(graph, opt);
+    const auto k = 2 + static_cast<std::int32_t>(rng.NextBounded(12));
+    std::vector<net::NodeIndex> servers;
+    for (std::int32_t s = 0; s < k; ++s) {
+      servers.push_back(s * params.substrate.num_nodes / k);
+    }
+    const data::ClientCloud resident =
+        data::BuildClientCloud(params, seed, oracle, servers);
+    params.materialize_block = false;
+    const data::ClientCloud tiled =
+        data::BuildClientCloud(params, seed, oracle, servers);
+    for (const bool capacitated : {false, true}) {
+      AssignOptions options;
+      if (capacitated) {
+        options.capacity =
+            static_cast<std::int32_t>(params.num_clients * 5 / 4 / k + 1);
+      }
+      const std::int64_t round1_before = test::GreedyRound1Counts();
+      const Assignment got = GreedyAssign(tiled.problem, options);
+#if DIACA_OBS
+      EXPECT_GE(test::GreedyRound1Counts() - round1_before, 1)
+          << "seed=" << seed;
+#else
+      static_cast<void>(round1_before);
+#endif
+      ASSERT_EQ(got.server_of,
+                GreedyAssign(resident.problem, options).server_of)
+          << "seed=" << seed << " capacitated=" << capacitated;
+    }
+  }
+  obs::SetMetricsEnabled(metrics_were_on);
+}
+
 // Capacity tight enough that the first batch fills its server while more
 // than half the clients are unassigned: that server is full at the
-// first rebuild, which must leave its list alone.
+// first rebuild, which must leave its list alone. On the tiled view
+// round 1 runs on floors, so round 2 runs the postponed first build.
 TEST(GreedyReferenceTest, BitIdenticalWhenAServerFillsBeforeTheFirstRebuild) {
   const CloudPair cloud = MakeCloudPair(2000, 29);
   const Problem& resident = cloud.resident.problem;
@@ -428,6 +512,7 @@ TEST(GreedyReferenceTest, BitIdenticalWhenAServerFillsBeforeTheFirstRebuild) {
       resident, cloud.tiled.problem, options, 29);
 #if DIACA_OBS
   EXPECT_GE(counts.rebuilds, 1);
+  EXPECT_GE(counts.round1_counts[1][0], 1);
 #else
   static_cast<void>(counts);
 #endif
@@ -448,6 +533,8 @@ TEST(GreedyReferenceTest, BitIdenticalToScalarReferenceOnEverySimdBackend) {
 
 // Latencies drawn from {1, ..., 6}: exact cost ties between servers are
 // common, so the cross-server (cost, server) tie rule decides rounds.
+// Every client sits on its own node, so the tiled view has one client
+// per attachment row and round 1 keeps the full first build.
 TEST(GreedyReferenceTest, BitIdenticalOnTieHeavyIntegerLatencies) {
   constexpr std::int32_t kNodes = 400;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
@@ -465,7 +552,8 @@ TEST(GreedyReferenceTest, BitIdenticalOnTieHeavyIntegerLatencies) {
     const Problem resident(m, servers, clients);
     const Problem tiled = Problem::FromOracleTiled(
         net::DistanceOracle::FromMatrix(m), servers, clients);
-    ExpectMatchesReference(resident, tiled, seed);
+    const GreedyCounts counts = ExpectMatchesReference(resident, tiled, seed);
+    EXPECT_EQ(counts.round1_counts[1][0], 0) << "seed=" << seed;
   }
 }
 

@@ -43,6 +43,19 @@ inline std::int64_t GreedyDeferredScatters() {
 #endif
 }
 
+/// Candidate lists greedy's round 1 counted on demand, having run on
+/// attachment-row floors: the core.greedy.round1_counts counter, under
+/// the same rules as GreedyRebuilds.
+inline std::int64_t GreedyRound1Counts() {
+#if DIACA_OBS
+  return obs::Registry::Default()
+      .GetCounter("core.greedy.round1_counts")
+      .Value();
+#else
+  return 0;
+#endif
+}
+
 /// Matrix from a row-major initializer (must be symmetric, zero diagonal).
 inline net::LatencyMatrix MatrixFrom(std::int32_t n,
                                      std::initializer_list<double> values) {
