@@ -117,11 +117,12 @@ prune_smoke materialized
 # Churn control-plane smoke at real scale: 10k clients over 50 epochs of
 # arrivals/departures/mobility plus a mid-run server crash, re-optimized
 # under a hard migration cap. The CLI exits non-zero if the cap is ever
-# exceeded; the epoch-timeline JSON must parse.
+# exceeded or peak RSS breaks the budget (measured 22-25 MB, so 64 MB
+# leaves headroom); the epoch-timeline JSON must parse.
 ./build/tools/diaca churn --nodes=2000 --clients=10000 --servers=16 \
   --epochs=50 --churn="arrive@60; depart@0.004; move@0.002" \
   --migration-cap=16 --hysteresis=2 --oracle-every=10 \
-  --faults="crash@12500-20500:n3" \
+  --faults="crash@12500-20500:n3" --rss-budget-mb=64 \
   --json-out="$obs_dir/churn_smoke.json" > "$obs_dir/churn_smoke.log"
 cmake -DJSON_FILE="$obs_dir/churn_smoke.json" -P scripts/check_json.cmake
 if ! grep -q 'migration cap honored' "$obs_dir/churn_smoke.log"; then

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -205,13 +206,39 @@ void ClientBlockView::FillNearestSlow(ServerIndex* server_out,
   }
 }
 
-std::vector<double> ClientBlockView::MaterializeBlock() const {
-  std::vector<double> block(static_cast<std::size_t>(num_clients_) *
-                            server_stride_);
-  for (std::int32_t c = 0; c < num_clients_; ++c) {
-    FillRow(c, block.data() + static_cast<std::size_t>(c) * server_stride_);
-  }
+std::vector<double> ClientBlockView::MaterializeBlock(
+    std::span<const ClientIndex> ids) const {
+  const std::size_t stride = server_stride_;
+  std::vector<double> block(ids.size() * stride);
+  // Each chunk owns its output rows; a lazy backend's rows count once per
+  // chunk, since per-row atomics from every lane contend.
+  GlobalPool().ParallelFor(
+      0, static_cast<std::int64_t>(ids.size()), 4096,
+      [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) {
+          const ClientIndex c = ids[static_cast<std::size_t>(i)];
+          DIACA_CHECK_MSG(c >= 0 && c < num_clients_,
+                          "client " << c << " outside a block of "
+                                    << num_clients_ << " clients");
+          double* out = block.data() + static_cast<std::size_t>(i) * stride;
+          if (raw_block_ != nullptr) {
+            std::memcpy(out, raw_block_ + static_cast<std::size_t>(c) * stride,
+                        stride * sizeof(double));
+          } else {
+            FillRowSlow(c, out);
+          }
+        }
+        if (raw_block_ == nullptr) {
+          rows_filled_.fetch_add(e - b, std::memory_order_relaxed);
+        }
+      });
   return block;
+}
+
+std::vector<double> ClientBlockView::MaterializeBlock() const {
+  std::vector<ClientIndex> all(static_cast<std::size_t>(num_clients_));
+  std::iota(all.begin(), all.end(), 0);
+  return MaterializeBlock(all);
 }
 
 ClientBlockStats ClientBlockView::stats() const {
@@ -288,6 +315,11 @@ std::shared_ptr<OracleTileView> OracleTileView::FromAttachments(
   DIACA_CHECK_MSG(attach.size() == access_ms.size(),
                   "attach list has " << attach.size() << " clients but "
                                      << access_ms.size() << " access delays");
+  for (std::size_t c = 0; c < access_ms.size(); ++c) {
+    DIACA_CHECK_MSG(access_ms[c] >= 0.0,
+                    "client " << c << " has access delay " << access_ms[c]
+                              << " ms (must be a non-negative number)");
+  }
   return Build(oracle, server_nodes, attach, access_ms, tile);
 }
 

@@ -9,7 +9,11 @@
 //
 //   * cs(c, s) / FillRow(c)  — random access for spot lookups and
 //                              row-at-a-time consumers (capacitated
-//                              nearest, the exact solver's block copy);
+//                              nearest);
+//   * MaterializeBlock(ids)  — the resident block (or a sub-block over
+//                              a client list), cut row by row: every
+//                              resident block built from an oracle is
+//                              an OracleTileView's rows;
 //   * GatherColumn / FillColumn / ForEachColumn — column access for the
 //                              server-major passes (greedy candidate
 //                              lists, LFB batch scans);
@@ -34,11 +38,12 @@
 //     substrate server rows (gathered once from a net::DistanceOracle,
 //     O((n + |C|) + n * |S|) state, independent of |C| x |S|) and
 //     synthesizes the values a caller asks for on demand: rows by the
-//     SIMD broadcast-add kernel, columns by the gather-add kernel.
-//     Because every synthesized double is computed from the same operands
-//     the materialized build used (d(c,s) = access(c) + row_s[attach(c)],
-//     a single IEEE addition), assignments are bit-identical across the
-//     two backends at every tile size and thread count.
+//     SIMD broadcast-add kernel, columns by the gather-add kernel. It is
+//     the only code that turns oracle server rows into client distances
+//     (d(c,s) = access(c) + row_s[attach(c)], a single IEEE addition):
+//     every oracle-built resident block is its MaterializeBlock, so
+//     assignments are bit-identical across the two backends by
+//     construction, at every tile size and thread count.
 //
 // Thread safety: views are shared const (Problem copies alias one view).
 // All accessors are safe to call concurrently; the usage counters are
@@ -67,7 +72,8 @@ struct ClientBlockStats {
   /// Always 0 (no accessor synthesizes tiles); kept only because the
   /// repository benchmark reads it.
   std::int64_t tiles_loaded = 0;
-  /// FillRow calls on a lazy backend.
+  /// Rows synthesized on a lazy backend (FillRow calls plus
+  /// MaterializeBlock rows).
   std::int64_t rows_filled = 0;
   /// Column accesses served (GatherColumn, FillColumn, ForEachColumn,
   /// GatherAssigned, FillNearest; both backends).
@@ -219,11 +225,21 @@ class ClientBlockView {
   /// O(n x |S| + |C|) work.
   void FillNearest(ServerIndex* server_out, double* dist_out) const;
 
-  /// The full padded block as a fresh vector (|C| rows of
-  /// server_stride()). The escape hatch for consumers that genuinely need
-  /// random row access over the whole block (the exact solver's
-  /// branch-and-bound); O(|C| x |S|) memory by definition — callers own
-  /// that trade.
+  /// The padded rows of the clients in `ids`, in that order, as a fresh
+  /// vector: row i (server_stride() doubles) is FillRow(ids[i])'s, pad
+  /// lanes 0.0, so it is a MaterializedView's block over those clients.
+  /// The one builder of resident blocks from oracle rows: Problem's
+  /// oracle constructor, the materialized client cloud and the churn
+  /// problem cut their block from an OracleTileView's rows, the control
+  /// plane's fresh greedy its members' sub-block, the exact solver its
+  /// search copy. Rows fill in 4096-row chunks across the global pool,
+  /// each chunk owning its rows; a lazy backend counts every row into
+  /// rows_filled (once per chunk).
+  /// O(|ids| x |S|) memory by definition — callers own that trade.
+  /// Throws diaca::Error when an id lies outside [0, num_clients()).
+  std::vector<double> MaterializeBlock(std::span<const ClientIndex> ids) const;
+
+  /// MaterializeBlock over every client, in index order.
   std::vector<double> MaterializeBlock() const;
 
   ClientBlockStats stats() const;
@@ -313,10 +329,11 @@ class OracleTileView final : public ClientBlockView {
       std::span<const net::NodeIndex> client_nodes,
       const TileOptions& tile = {});
 
-  /// Attached clients (the streaming-cloud shape, data/streaming.h):
+  /// Attached clients (the streaming-cloud and churn shape,
+  /// data/streaming.h, data/churn.h):
   /// d(c, s) = access_ms[c] + d_substrate(attach[c], server_nodes[s]).
-  /// The addition uses the same operand order as the materialized cloud
-  /// build, so the synthesized block is bit-identical to it.
+  /// Throws diaca::Error naming the client when an access delay is
+  /// negative or NaN (oracle legs are >= 0, so every cell is then >= 0).
   static std::shared_ptr<OracleTileView> FromAttachments(
       const net::DistanceOracle& oracle,
       std::span<const net::NodeIndex> server_nodes,

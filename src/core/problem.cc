@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace diaca::core {
 
@@ -107,58 +106,11 @@ Problem::Problem(const net::DistanceOracle& oracle,
     *this = Problem(*m, server_nodes, client_nodes);
     return;
   }
-  CheckNodes(server_nodes, oracle.size(), "server");
-  CheckNodes(client_nodes, oracle.size(), "client");
-  num_servers_ = static_cast<std::int32_t>(server_nodes.size());
-  num_clients_ = static_cast<std::int32_t>(client_nodes.size());
-  server_stride_ = simd::PaddedStride(static_cast<std::size_t>(num_servers_));
-  server_nodes_.assign(server_nodes.begin(), server_nodes.end());
-  client_nodes_.assign(client_nodes.begin(), client_nodes.end());
-
-  // Phase 1: the |S| server rows, each an independent oracle query
-  // (Dijkstra build on the rows backend). This is the only transient
-  // super-block state: O(|S| * n) doubles, freed before returning.
-  const auto n = static_cast<std::size_t>(oracle.size());
-  std::vector<std::vector<double>> server_rows(
-      static_cast<std::size_t>(num_servers_));
-  GlobalPool().ParallelFor(
-      0, num_servers_, 1, [&](std::int64_t sb, std::int64_t se) {
-        for (std::int64_t s = sb; s < se; ++s) {
-          auto& row = server_rows[static_cast<std::size_t>(s)];
-          row.resize(n);
-          oracle.FillRow(server_nodes_[static_cast<std::size_t>(s)], row);
-        }
-      });
-
-  // Phase 2: gather the retained blocks out of the server rows. Each
-  // chunk writes only its own d_cs rows, so the loop is trivially
-  // parallel and the output is independent of chunking.
-  std::vector<double> d_cs(
-      static_cast<std::size_t>(num_clients_) * server_stride_, 0.0);
-  GlobalPool().ParallelFor(
-      0, num_clients_, 1024, [&](std::int64_t cb, std::int64_t ce) {
-        for (std::int64_t c = cb; c < ce; ++c) {
-          const auto node = static_cast<std::size_t>(
-              client_nodes_[static_cast<std::size_t>(c)]);
-          double* out = d_cs.data() + static_cast<std::size_t>(c) * server_stride_;
-          for (ServerIndex s = 0; s < num_servers_; ++s) {
-            out[s] = server_rows[static_cast<std::size_t>(s)][node];
-          }
-        }
-      });
-  client_block_ = std::make_shared<MaterializedView>(num_clients_, num_servers_,
-                                                     std::move(d_cs));
-
-  d_ss_.assign(static_cast<std::size_t>(num_servers_) * server_stride_, 0.0);
-  for (ServerIndex a = 0; a < num_servers_; ++a) {
-    double* out = d_ss_.data() + static_cast<std::size_t>(a) * server_stride_;
-    const auto& row = server_rows[static_cast<std::size_t>(a)];
-    for (ServerIndex b = 0; b < num_servers_; ++b) {
-      out[b] = a == b ? 0.0
-                      : row[static_cast<std::size_t>(
-                            server_nodes_[static_cast<std::size_t>(b)])];
-    }
-  }
+  // The block is cut from the streamed view's rows, so the materialized
+  // and the tiled problem hold the same bits by construction.
+  *this = FromOracleTiled(oracle, server_nodes, client_nodes);
+  client_block_ = std::make_shared<MaterializedView>(
+      num_clients_, num_servers_, client_block_->MaterializeBlock());
 }
 
 Problem Problem::WithClientsEverywhere(

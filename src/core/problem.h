@@ -35,14 +35,17 @@ class Problem {
           std::span<const net::NodeIndex> client_nodes);
 
   /// Build from a distance oracle without ever materializing an O(n^2)
-  /// matrix: only the |S| server rows are queried (each client-to-server
-  /// and server-to-server distance lives on some server row), so the
-  /// transient footprint is O(|S| * n) and the retained blocks are
-  /// O((|C| + |S|) * |S|) exactly as with the matrix constructor. A
-  /// dense-backed oracle delegates to the matrix constructor, so results
-  /// are bit-identical to the historical path; a rows-backed oracle
-  /// produces the same bits via canonical Dijkstra rows. The client block
-  /// is materialized; use FromOracleTiled to stream it instead.
+  /// matrix. A dense-backed oracle delegates to the matrix constructor,
+  /// so results are bit-identical to the historical path. Any other
+  /// backend builds FromOracleTiled's view (the |S| server rows, each
+  /// queried once) and replaces it by a MaterializedView of its
+  /// MaterializeBlock: the resident block is the streamed one's rows,
+  /// and a rows-backed oracle produces the dense bits via canonical
+  /// Dijkstra rows. The retained blocks are O((|C| + |S|) * |S|) as with
+  /// the matrix constructor; the transient peak adds the view's
+  /// node-major rows and server-major mirror, O(n * |S|) each. d_ss is
+  /// validated as FromView validates it. Use FromOracleTiled to keep the
+  /// block streamed instead.
   Problem(const net::DistanceOracle& oracle,
           std::span<const net::NodeIndex> server_nodes,
           std::span<const net::NodeIndex> client_nodes);
@@ -102,7 +105,8 @@ class Problem {
       std::span<const net::NodeIndex> server_nodes);
 
   /// Assemble a problem directly from pre-computed latency blocks, for
-  /// streaming builders that never hold a full matrix (data/streaming.h).
+  /// callers that already hold them (the library's own builders cut their
+  /// blocks from a view and call FromView instead).
   /// `d_cs` is |C| x |S| row-major (client-to-server), `d_ss` is |S| x |S|
   /// row-major (server-to-server). d_ss must be symmetric with a zero
   /// diagonal and all latencies non-negative — violations throw
@@ -114,11 +118,12 @@ class Problem {
                             std::span<const double> d_cs,
                             std::span<const double> d_ss);
 
-  /// Assemble a problem around an existing client-block view (the
-  /// no-materialize path: data::BuildClientCloud hands solvers an
-  /// OracleTileView directly). `d_ss` is |S| x |S| dense row-major and
-  /// validated like FromBlocks. The view's client/server counts must
-  /// match the node lists.
+  /// Assemble a problem around an existing client-block view: an
+  /// OracleTileView that streams the block, or a MaterializedView of
+  /// some view's MaterializeBlock (every oracle-built problem, the cloud
+  /// and churn builders, the control plane's member sub-problems).
+  /// `d_ss` is |S| x |S| dense row-major and validated like FromBlocks.
+  /// The view's client/server counts must match the node lists.
   static Problem FromView(std::shared_ptr<const ClientBlockView> view,
                           std::vector<net::NodeIndex> server_nodes,
                           std::vector<net::NodeIndex> client_nodes,

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <string_view>
 #include <utility>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "obs/obs.h"
 
 namespace diaca::data {
@@ -349,59 +349,28 @@ ChurnProblem BuildChurnProblem(const ChurnTrace& trace,
                                const net::DistanceOracle& oracle,
                                std::span<const net::NodeIndex> server_nodes) {
   DIACA_OBS_SPAN("data.churn.build");
-  const net::NodeIndex n = oracle.size();
-  DIACA_CHECK_MSG(!server_nodes.empty(), "server list must not be empty");
-  for (const net::NodeIndex s : server_nodes) {
-    DIACA_CHECK_MSG(s >= 0 && s < n,
-                    "server node " << s << " outside substrate of size " << n);
-  }
   DIACA_CHECK_MSG(!trace.instances.empty(), "churn trace has no instances");
-
+  const std::size_t num_instances = trace.instances.size();
+  std::vector<net::NodeIndex> attach(num_instances);
+  std::vector<double> access_ms(num_instances);
+  for (std::size_t c = 0; c < num_instances; ++c) {
+    attach[c] = trace.instances[c].attach;
+    access_ms[c] = trace.instances[c].access_ms;
+  }
+  // The view validates the servers and access delays, pulls the |S|
+  // substrate server rows (the only shortest-path work) and computes
+  // d(instance, s) = access + row_s[attach]; the block is its rows, held
+  // once.
+  const auto view = core::OracleTileView::FromAttachments(
+      oracle, server_nodes, attach, access_ms);
   std::vector<net::NodeIndex> servers(server_nodes.begin(),
                                       server_nodes.end());
-  const std::size_t num_servers = servers.size();
-  const std::size_t num_instances = trace.instances.size();
-
-  // The |S| substrate server rows — the only shortest-path work.
-  std::vector<std::vector<double>> server_rows(num_servers);
-  GlobalPool().ParallelFor(
-      0, static_cast<std::int64_t>(num_servers), 1,
-      [&](std::int64_t sb, std::int64_t se) {
-        for (std::int64_t s = sb; s < se; ++s) {
-          auto& row = server_rows[static_cast<std::size_t>(s)];
-          row.resize(static_cast<std::size_t>(n));
-          oracle.FillRow(servers[static_cast<std::size_t>(s)], row);
-        }
-      });
-
-  // d(instance, s) = access + row_s[attach], as in BuildClientCloud.
-  std::vector<double> d_cs(num_instances * num_servers);
-  GlobalPool().ParallelFor(
-      0, static_cast<std::int64_t>(num_instances), 4096,
-      [&](std::int64_t cb, std::int64_t ce) {
-        for (std::int64_t c = cb; c < ce; ++c) {
-          const auto& inst = trace.instances[static_cast<std::size_t>(c)];
-          const auto at = static_cast<std::size_t>(inst.attach);
-          double* out = d_cs.data() + static_cast<std::size_t>(c) * num_servers;
-          for (std::size_t s = 0; s < num_servers; ++s) {
-            out[s] = inst.access_ms + server_rows[s][at];
-          }
-        }
-      });
-
-  std::vector<double> d_ss(num_servers * num_servers);
-  for (std::size_t a = 0; a < num_servers; ++a) {
-    for (std::size_t b = 0; b < num_servers; ++b) {
-      d_ss[a * num_servers + b] =
-          a == b ? 0.0
-                 : server_rows[a][static_cast<std::size_t>(servers[b])];
-    }
-  }
-
   std::vector<net::NodeIndex> client_ids(num_instances);
-  std::iota(client_ids.begin(), client_ids.end(), n);
-  core::Problem problem =
-      core::Problem::FromBlocks(servers, std::move(client_ids), d_cs, d_ss);
+  std::iota(client_ids.begin(), client_ids.end(), oracle.size());
+  core::Problem problem = core::Problem::FromView(
+      std::make_shared<core::MaterializedView>(
+          view->num_clients(), view->num_servers(), view->MaterializeBlock()),
+      servers, std::move(client_ids), view->server_block());
   return ChurnProblem{std::move(servers), std::move(problem)};
 }
 

@@ -124,9 +124,13 @@ struct ChurnProblem {
   core::Problem problem;
 };
 
-/// Materialize the |instances| x |S| block from the oracle's |S| server
-/// rows, exactly like BuildClientCloud: d(c, s) = access(c) +
-/// row_s[attach(c)]. Peak memory is O(|S| * n + |instances| * |S|).
+/// Materialize the |instances| x |S| block exactly like a materialized
+/// BuildClientCloud: an OracleTileView over the instances' (attach,
+/// access) pairs pulls the |S| server rows once, and its MaterializeBlock
+/// (d(c, s) = access(c) + row_s[attach(c)]) is the problem's resident
+/// block, held once. Peak memory is O(|S| * n + |instances| * |S|).
+/// Throws diaca::Error on an empty trace, bad server nodes, or a
+/// negative or NaN access delay.
 ChurnProblem BuildChurnProblem(const ChurnTrace& trace,
                                const net::DistanceOracle& oracle,
                                std::span<const net::NodeIndex> server_nodes);

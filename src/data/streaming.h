@@ -16,9 +16,10 @@
 //     Vivaldi "height" term), so
 //       d(c, s) = access(c) + d_substrate(attach(c), server_node(s));
 //   * clients are virtual nodes (id = substrate size + client index) that
-//     exist only as rows of the |C| x |S| client block — filled once,
-//     straight into a core::MaterializedView's padded layout, or streamed
-//     by a core::OracleTileView.
+//     exist only as rows of the |C| x |S| client block. A
+//     core::OracleTileView over the (attach, access) pairs always owns
+//     the block: it streams it, or its MaterializeBlock cuts the padded
+//     rows a core::MaterializedView adopts.
 //
 // Everything is deterministic in (params, seed): one Rng stream drives
 // attachment points and access delays in client order, and the substrate
@@ -47,12 +48,13 @@ struct ClientCloudParams {
   double access_mu = 1.1;
   double access_sigma = 0.6;
   double min_access_ms = 0.2;
-  /// When false the |C| x |S| client block is never materialized: the
-  /// problem's client block is a core::OracleTileView that synthesizes
-  /// values on demand from the |S| substrate server rows, bit-identical
-  /// to the materialized build (d(c,s) = access(c) + row, one IEEE
-  /// addition either way). Peak retained memory drops from O(|C| * |S|)
-  /// to O(n * |S|).
+  /// When true the problem's client block is a core::MaterializedView of
+  /// the view's rows (MaterializeBlock); when false the
+  /// core::OracleTileView itself, which synthesizes values on demand from
+  /// the |S| substrate server rows. Both hold the same bits by
+  /// construction (d(c,s) = access(c) + row, one IEEE addition, computed
+  /// by the view either way). Peak retained memory drops from
+  /// O(|C| * |S|) to O(n * |S|) when false.
   bool materialize_block = true;
   /// Options for the streamed block (ignored when materializing).
   core::TileOptions tile;
@@ -60,8 +62,10 @@ struct ClientCloudParams {
 
 /// A fully built cloud instance. `problem` uses virtual client node ids
 /// (substrate size + i) — labels only, valid for assignment and metrics
-/// but not for oracle lookups; true interaction paths are evaluated by
-/// recomposing access + substrate legs (see EvaluateCloudExact).
+/// but not for oracle lookups (core::MaxInteractionPathLengthExact needs
+/// substrate ids). On an exact oracle the blocks already hold the true
+/// distances; a true path is access_ms[c] plus the substrate leg from
+/// attach[c].
 struct ClientCloud {
   std::vector<net::NodeIndex> server_nodes;  ///< substrate ids hosting servers
   std::vector<net::NodeIndex> attach;        ///< per-client attachment node
@@ -69,10 +73,12 @@ struct ClientCloud {
   core::Problem problem;
 };
 
-/// Build the cloud: sample attachments/access delays from `seed`, pull the
-/// |S| server rows from `oracle` (must cover the substrate graph; rows or
-/// dense backend for exact legs), and assemble the Problem via FromView.
-/// Peak transient memory is O(|S| * n + |C| * |S|); nothing O(n^2) or
+/// Build the cloud: sample attachments/access delays from `seed`, build
+/// an OracleTileView over them (the |S| server rows, each queried once
+/// from `oracle`, which must cover the substrate graph; rows or dense
+/// backend for exact legs), and assemble the Problem via FromView. The
+/// view's state is O(n * |S| + |C|); a materialized block adds
+/// |C| x PaddedStride(|S|) doubles, held once. Nothing O(n^2) or
 /// O(|C|^2) is ever allocated. Throws diaca::Error if `server_nodes` is
 /// empty or outside the substrate.
 ClientCloud BuildClientCloud(const ClientCloudParams& params,

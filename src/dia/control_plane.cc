@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -62,7 +63,6 @@ ControlPlaneReport ControlPlane::Run() const {
   std::vector<char> member(static_cast<std::size_t>(num_clients), 0);
   std::vector<char> stranded(static_cast<std::size_t>(num_clients), 0);
   std::vector<char> down(static_cast<std::size_t>(num_servers), 0);
-  std::vector<char> prev_down(static_cast<std::size_t>(num_servers), 0);
   std::vector<double> row(view.server_stride());
   // Hysteresis streaks: (client, target) -> consecutive epochs proposed.
   // std::map for deterministic iteration; entries not re-proposed drop
@@ -358,7 +358,6 @@ ControlPlaneReport ControlPlane::Run() const {
     report.max_migrations_per_epoch =
         std::max(report.max_migrations_per_epoch, rep.migrations);
     if (rep.migrations > params_.migration_cap) report.cap_ever_exceeded = true;
-    prev_down = down;
     report.epochs.push_back(rep);
   }
 
@@ -412,18 +411,12 @@ core::Assignment FreshGreedyAssignment(
   DIACA_CHECK_MSG(!members.empty(), "fresh greedy: no members");
   const std::int32_t num_servers = problem.num_servers();
   const auto ns = static_cast<std::size_t>(num_servers);
-  const core::ClientBlockView& view = problem.client_block();
 
-  // Gather the member rows into a dense sub-problem (node ids are labels
-  // carried through for debuggability; FromBlocks never indexes by them).
-  std::vector<double> d_cs(members.size() * ns);
-  std::vector<double> row(view.server_stride());
+  // The member rows, cut straight into a resident sub-block (node ids are
+  // labels carried through for debuggability; nothing indexes by them).
   std::vector<net::NodeIndex> client_nodes(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    const core::ClientIndex m = members[i];
-    view.FillRow(m, row.data());
-    std::copy_n(row.data(), ns, d_cs.data() + i * ns);
-    client_nodes[i] = problem.client_node(m);
+    client_nodes[i] = problem.client_node(members[i]);
   }
   std::vector<double> d_ss(ns * ns);
   for (core::ServerIndex a = 0; a < num_servers; ++a) {
@@ -432,10 +425,12 @@ core::Assignment FreshGreedyAssignment(
           problem.ss(a, b);
     }
   }
-  std::vector<net::NodeIndex> server_nodes(problem.server_nodes().begin(),
-                                           problem.server_nodes().end());
-  const core::Problem sub = core::Problem::FromBlocks(
-      std::move(server_nodes), std::move(client_nodes), d_cs, d_ss);
+  const core::Problem sub = core::Problem::FromView(
+      std::make_shared<core::MaterializedView>(
+          static_cast<std::int32_t>(members.size()), num_servers,
+          problem.client_block().MaterializeBlock(members)),
+      {problem.server_nodes().begin(), problem.server_nodes().end()},
+      std::move(client_nodes), d_ss);
 
   core::SolveStats stats;
   const core::Assignment sub_assignment = core::GreedyAssign(sub, assign, &stats);

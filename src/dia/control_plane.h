@@ -150,8 +150,9 @@ class ControlPlane {
   ControlPlaneParams params_;
 };
 
-/// Fresh full-greedy solve over just `members`: gathers the member rows
-/// into a sub-problem, solves, and scatters back into a full-width
+/// Fresh full-greedy solve over just `members`: cuts the member rows
+/// into a resident sub-problem (ClientBlockView::MaterializeBlock, in
+/// the order given), solves, and scatters back into a full-width
 /// partial assignment (kUnassigned elsewhere). The control plane's
 /// oracle baseline; also the "repeated full greedy" strategy of
 /// bench_churn. `max_len_out`, when non-null, receives the sub-problem

@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -282,12 +284,15 @@ TEST(ClientBlockViewTest, ExactAndBoundsMatchAcrossBackends) {
 // broadcast-add covers the server lanes only and re-zeroes the pads,
 // which only access delays can pollute), on both views. 13 servers
 // leave three pad lanes; the row buffer starts as NaN so a pad lane
-// FillRow skips cannot pass. rows_filled counts FillRow on the lazy
-// backend only, MaterializeBlock's rows included.
+// FillRow skips cannot pass. The subset overload takes a descending
+// stride-7 client list; its rows must be FillRow's bits in list order.
+// 30000 clients make both blocks span several 4096-row chunks, filled
+// concurrently at 4 threads. rows_filled counts every synthesized row on
+// the lazy backend only, MaterializeBlock's rows included.
 TEST(ClientBlockViewTest, FillRowAndMaterializeBlockMatchCellsWithZeroPads) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = 50;
-  params.num_clients = 500;
+  params.num_clients = 30000;
   params.tile.tile_clients = 7;
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
@@ -305,6 +310,11 @@ TEST(ClientBlockViewTest, FillRowAndMaterializeBlockMatchCellsWithZeroPads) {
   const ClientBlockView& ref = mat.problem.client_block();
   const std::size_t stride = ref.server_stride();
   ASSERT_GT(stride, servers.size());
+  std::vector<ClientIndex> subset;
+  for (ClientIndex c = ref.num_clients() - 1; c >= 0; c -= 7) {
+    subset.push_back(c);
+  }
+  ASSERT_GT(subset.size(), 4096u);
 
   const auto expect_row = [&](const double* row, ClientIndex c,
                               bool materialized, const char* what) {
@@ -327,15 +337,39 @@ TEST(ClientBlockViewTest, FillRowAndMaterializeBlockMatchCellsWithZeroPads) {
       view.FillRow(c, row.data());
       expect_row(row.data(), c, view.materialized(), "FillRow");
     }
-    const std::vector<double> block = view.MaterializeBlock();
-    ASSERT_EQ(block.size(),
-              static_cast<std::size_t>(view.num_clients()) * stride);
-    for (ClientIndex c = 0; c < view.num_clients(); ++c) {
-      expect_row(block.data() + static_cast<std::size_t>(c) * stride, c,
-                 view.materialized(), "MaterializeBlock");
+    for (const int threads : {1, 4}) {
+      SetGlobalThreads(threads);
+      const std::vector<double> block = view.MaterializeBlock();
+      ASSERT_EQ(block.size(),
+                static_cast<std::size_t>(view.num_clients()) * stride);
+      for (ClientIndex c = 0; c < view.num_clients(); ++c) {
+        expect_row(block.data() + static_cast<std::size_t>(c) * stride, c,
+                   view.materialized(), "MaterializeBlock");
+      }
+      const std::vector<double> sub = view.MaterializeBlock(subset);
+      ASSERT_EQ(sub.size(), subset.size() * stride);
+      for (std::size_t i = 0; i < subset.size(); ++i) {
+        view.FillRow(subset[i], row.data());
+        ASSERT_EQ(std::memcmp(sub.data() + i * stride, row.data(),
+                              stride * sizeof(double)),
+                  0)
+            << "threads=" << threads << " materialized=" << view.materialized()
+            << " subset row " << i << " (client " << subset[i] << ")";
+      }
+      EXPECT_TRUE(
+          view.MaterializeBlock(std::span<const ClientIndex>{}).empty());
+      for (const ClientIndex bad : {-1, view.num_clients()}) {
+        const std::vector<ClientIndex> ids = {0, bad};
+        EXPECT_THROW(view.MaterializeBlock(ids), Error) << bad;
+      }
     }
+    SetGlobalThreads(0);
+    // Lazy backend: the FillRow pass, then per thread count the full
+    // block, the subset block and the subset's FillRow comparisons.
+    const auto n = std::int64_t{view.num_clients()};
+    const auto k = static_cast<std::int64_t>(subset.size());
     EXPECT_EQ(view.stats().rows_filled - filled_before,
-              view.materialized() ? 0 : 2 * std::int64_t{view.num_clients()});
+              view.materialized() ? 0 : n + 2 * (n + 2 * k));
   }
 }
 
@@ -882,6 +916,26 @@ TEST(ClientBlockViewTest, FromBlocksRejectsAsymmetricServerBlock) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("self-distance"), std::string::npos)
         << e.what();
+  }
+}
+
+// Access delays enter the block only through FromAttachments, so it is
+// where a negative or NaN delay is rejected (the substrate legs are >= 0,
+// so every cell of an accepted view is >= 0); the error names the client.
+TEST(ClientBlockViewTest, FromAttachmentsRejectsNegativeOrNanAccessDelays) {
+  const Substrate sub = MakeSubstrate();
+  const std::vector<net::NodeIndex> attach = {3, 7, 11};
+  EXPECT_NO_THROW(OracleTileView::FromAttachments(
+      sub.oracle, sub.servers, attach, std::vector<double>{0.0, 1.5, 2.0}));
+  for (const double bad : {-0.25, std::nan("")}) {
+    try {
+      OracleTileView::FromAttachments(sub.oracle, sub.servers, attach,
+                                      std::vector<double>{1.0, 2.0, bad});
+      FAIL() << "access delay " << bad << " must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("client 2"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -62,28 +62,34 @@ TEST(StreamingTest, CloudShapeAndVirtualClientIds) {
   }
 }
 
-// Every streamed distance block must equal a brute-force recomputation
-// from the dense matrix, bitwise: d(c,s) = access(c) + dense(attach(c), s)
-// and d(s,s') = dense(s, s').
+// Every streamed distance block, resident or streamed, must equal a
+// brute-force recomputation from the dense matrix, bitwise:
+// d(c,s) = access(c) + dense(attach(c), s) and d(s,s') = dense(s, s').
 TEST(StreamingTest, BlocksMatchDenseBruteForce) {
-  const ClientCloudParams params = SmallParams(50, 400);
-  const Built b = Build(params, 6, 7);
-  const net::LatencyMatrix dense = b.graph.AllPairsShortestPaths();
-  const core::Problem& p = b.cloud.problem;
-  for (core::ClientIndex c = 0; c < p.num_clients(); ++c) {
-    const auto at = b.cloud.attach[static_cast<std::size_t>(c)];
-    const double access = b.cloud.access_ms[static_cast<std::size_t>(c)];
-    for (core::ServerIndex s = 0; s < p.num_servers(); ++s) {
-      ASSERT_EQ(p.client_block().cs(c, s),
-                access + dense(at, b.servers[static_cast<std::size_t>(s)]));
+  for (const bool materialize : {true, false}) {
+    ClientCloudParams params = SmallParams(50, 400);
+    params.materialize_block = materialize;
+    const Built b = Build(params, 6, 7);
+    const net::LatencyMatrix dense = b.graph.AllPairsShortestPaths();
+    const core::Problem& p = b.cloud.problem;
+    ASSERT_EQ(p.client_block().materialized(), materialize);
+    for (core::ClientIndex c = 0; c < p.num_clients(); ++c) {
+      const auto at = b.cloud.attach[static_cast<std::size_t>(c)];
+      const double access = b.cloud.access_ms[static_cast<std::size_t>(c)];
+      for (core::ServerIndex s = 0; s < p.num_servers(); ++s) {
+        ASSERT_EQ(p.client_block().cs(c, s),
+                  access + dense(at, b.servers[static_cast<std::size_t>(s)]))
+            << "materialize=" << materialize << " c=" << c << " s=" << s;
+      }
     }
-  }
-  for (core::ServerIndex x = 0; x < p.num_servers(); ++x) {
-    for (core::ServerIndex y = 0; y < p.num_servers(); ++y) {
-      ASSERT_EQ(p.ss(x, y),
-                x == y ? 0.0
-                       : dense(b.servers[static_cast<std::size_t>(x)],
-                               b.servers[static_cast<std::size_t>(y)]));
+    for (core::ServerIndex x = 0; x < p.num_servers(); ++x) {
+      for (core::ServerIndex y = 0; y < p.num_servers(); ++y) {
+        ASSERT_EQ(p.ss(x, y),
+                  x == y ? 0.0
+                         : dense(b.servers[static_cast<std::size_t>(x)],
+                                 b.servers[static_cast<std::size_t>(y)]))
+            << "materialize=" << materialize;
+      }
     }
   }
 }

@@ -14,6 +14,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/greedy.h"
 #include "core/incremental.h"
 #include "core/metrics.h"
 #include "data/churn.h"
@@ -338,6 +339,72 @@ TEST(FreshGreedyAssignmentTest, ScattersOntoMembersOnly) {
                                         core::IncrementalEvaluator::AllowPartial{});
   EXPECT_DOUBLE_EQ(eval.CurrentMax(), max_len);
   EXPECT_EQ(eval.num_active(), static_cast<std::int32_t>(members.size()));
+}
+
+// FreshGreedyAssignment cuts its sub-problem with MaterializeBlock over
+// the members; the result must equal GreedyAssign on a sub-problem the
+// test builds itself from one FillRow per member, bit for bit, with the
+// members in a non-monotone order, capacitated or not, at 1 and 4
+// threads. Over 4096 members, the cut spans several pool chunks.
+TEST(FreshGreedyAssignmentTest, MatchesGreedyOnMemberRows) {
+  const ChurnSetup setup = MakeSetup(BusyChurn(3), 10000, 60, 5, 13);
+  const core::Problem& p = setup.built.problem;
+  const core::ClientBlockView& view = p.client_block();
+  const auto ns = static_cast<std::size_t>(p.num_servers());
+  std::vector<core::ClientIndex> members;
+  for (core::ClientIndex c = 1; c < p.num_clients(); c += 2) {
+    members.push_back(c);
+  }
+  ASSERT_GT(members.size(), 4096u);
+  // Descending first half, ascending second half.
+  const auto half = static_cast<std::ptrdiff_t>(members.size() / 2);
+  std::reverse(members.begin(), members.begin() + half);
+
+  std::vector<double> d_cs(members.size() * ns);
+  std::vector<double> row(view.server_stride());
+  std::vector<net::NodeIndex> client_nodes;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    view.FillRow(members[i], row.data());
+    std::copy_n(row.data(), ns, d_cs.data() + i * ns);
+    client_nodes.push_back(p.client_node(members[i]));
+  }
+  std::vector<double> d_ss(ns * ns);
+  for (core::ServerIndex a = 0; a < p.num_servers(); ++a) {
+    for (core::ServerIndex b = 0; b < p.num_servers(); ++b) {
+      d_ss[static_cast<std::size_t>(a) * ns + static_cast<std::size_t>(b)] =
+          p.ss(a, b);
+    }
+  }
+  const core::Problem ref = core::Problem::FromBlocks(
+      {p.server_nodes().begin(), p.server_nodes().end()},
+      std::move(client_nodes), d_cs, d_ss);
+
+  const auto tight = static_cast<std::int32_t>(members.size() / ns) + 20;
+  for (const std::int32_t capacity :
+       {core::AssignOptions::kUnlimitedCapacity, tight}) {
+    core::AssignOptions assign;
+    assign.capacity = capacity;
+    const core::Assignment want = core::GreedyAssign(ref, assign);
+    const double want_len = core::MaxInteractionPathLength(ref, want);
+    for (const int threads : {1, 4}) {
+      SetGlobalThreads(threads);
+      double got_len = -1.0;
+      const core::Assignment got =
+          FreshGreedyAssignment(p, members, assign, &got_len);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        ASSERT_EQ(got[members[i]], want[static_cast<core::ClientIndex>(i)])
+            << "capacity=" << capacity << " threads=" << threads
+            << " member " << i;
+      }
+      std::int64_t assigned = 0;
+      for (core::ClientIndex c = 0; c < p.num_clients(); ++c) {
+        assigned += got[c] != core::kUnassigned ? 1 : 0;
+      }
+      EXPECT_EQ(assigned, static_cast<std::int64_t>(members.size()));
+      EXPECT_EQ(got_len, want_len) << "capacity=" << capacity;
+    }
+  }
+  SetGlobalThreads(0);
 }
 
 TEST(ChurnMembershipEventsTest, BridgesLeavesBeforeJoinsPerBoundary) {

@@ -114,26 +114,40 @@ foreach(legacy --distances=rows --row-cache=64 --landmarks=8 --tile-depth=2)
   endif()
 endforeach()
 
-# Integer flags are range-checked, not wrapped to 32 bits (a bare cast
-# would solve --servers=4294967300 with 4 servers and read
-# --tile-clients=4294967297 as 1): each run must fail, naming the flag.
-function(expect_flag_rejected flag)
+# Each run must fail with an error that matches `pattern`.
+function(expect_failure_naming pattern)
   execute_process(COMMAND ${DIACA_BIN} ${ARGN}
                   WORKING_DIRECTORY ${WORK_DIR}
                   RESULT_VARIABLE code
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
   if(code EQUAL 0)
-    message(FATAL_ERROR "out-of-range ${flag} unexpectedly succeeded")
+    message(FATAL_ERROR "unexpectedly succeeded: ${ARGN}")
   endif()
-  if(NOT "${err}" MATCHES "${flag} must be in")
-    message(FATAL_ERROR "out-of-range ${flag} not rejected by name:\n${err}")
+  if(NOT "${err}" MATCHES "${pattern}")
+    message(FATAL_ERROR "error does not name ${pattern}: ${ARGN}\n${err}")
   endif()
 endfunction()
-expect_flag_rejected(--servers cloud --nodes=300 --clients=2000
-                     --servers=4294967300)
-expect_flag_rejected(--tile-clients cloud --nodes=300 --clients=2000
-                     --block=tiled --tile-clients=4294967297)
+
+# Integer flags are range-checked, not wrapped to 32 bits (a bare cast
+# would solve --servers=4294967300 with 4 servers and read
+# --tile-clients=4294967297 as 1): each run must fail, naming the flag.
+expect_failure_naming("--servers must be in" cloud --nodes=300
+                      --clients=2000 --servers=4294967300)
+expect_failure_naming("--tile-clients must be in" cloud --nodes=300
+                      --clients=2000 --block=tiled
+                      --tile-clients=4294967297)
+
+# A bad --prune fails before the build or load it gates, naming the flag
+# (not the client-index overflow, not the missing matrix).
+expect_failure_naming(--prune cloud --nodes=300 --clients=3000000000
+                      --prune=maybe)
+expect_failure_naming(--prune assign --matrix=missing.txt
+                      --servers=servers.txt --out=x.txt --prune=maybe)
+
+# churn enforces --rss-budget-mb as a hard error naming the budget.
+expect_failure_naming(--rss-budget-mb churn --nodes=300 --clients=500
+                      --servers=4 --epochs=2 --rss-budget-mb=1)
 
 # Simulate the session end to end from the produced files.
 run_step(${DIACA_BIN} simulate --matrix=world.txt --servers=servers.txt

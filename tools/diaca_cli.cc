@@ -20,6 +20,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,9 +80,10 @@ int Usage() {
       "           [--epochs=E] [--epoch-ms=T] [--churn=SPEC]\n"
       "           [--migration-cap=N] [--hysteresis=K] [--hysteresis-eps=E]\n"
       "           [--deadline-evals=N] [--oracle-every=E] [--capacity=N]\n"
-      "           [--json-out=FILE] — online control plane: epoch loop\n"
-      "           over a seeded churn trace with capped migrations,\n"
-      "           hysteresis, and graceful degradation (docs/CLI.md;\n"
+      "           [--rss-budget-mb=MB] [--json-out=FILE] — online control\n"
+      "           plane: epoch loop over a seeded churn trace with capped\n"
+      "           migrations, hysteresis, and graceful degradation\n"
+      "           (docs/CLI.md;\n"
       "           --churn items: arrive@R; depart@P; move@P;\n"
       "           flash@E-E:xF; wave@P:aF; until@E — --faults crash\n"
       "           node indices name server slots here)\n"
@@ -154,8 +156,10 @@ net::OracleOptions OracleOptionsFromFlags(const Flags& flags) {
 }
 
 // --block=materialized|tiled (with --tile-clients sizing the streamed
-// view's skip blocks); returns true for tiled.
-bool TiledBlockRequested(const Flags& flags, core::TileOptions* tile) {
+// view's skip blocks and `prune` its bound pruning); returns true for
+// tiled.
+bool TiledBlockRequested(const Flags& flags, bool prune,
+                         core::TileOptions* tile) {
   const std::string block = flags.GetString("block", "materialized");
   if (block == "materialized") return false;
   if (block != "tiled") {
@@ -163,18 +167,40 @@ bool TiledBlockRequested(const Flags& flags, core::TileOptions* tile) {
                 "' (expected materialized|tiled)");
   }
   tile->tile_clients = GetInt32(flags, "tile-clients", 8192, 1);
-  tile->bound_pruning = flags.GetString("prune", "on") != "off";
+  tile->bound_pruning = prune;
   return true;
 }
 
 // --prune=on|off (default on): bound-driven filter-and-refine in the
 // solvers and the tile view. A pure accelerator — results are
-// bit-identical either way.
+// bit-identical either way. Commands parse it once, before any load or
+// build, so a typo fails fast.
 bool PruneRequested(const Flags& flags) {
   const std::string prune = flags.GetString("prune", "on");
   if (prune == "on") return true;
   if (prune == "off") return false;
   throw Error("unknown --prune mode '" + prune + "' (expected on|off)");
+}
+
+// --rss-budget-mb=MB, parsed before the run it gates (nullopt when unset).
+std::optional<double> RssBudgetMb(const Flags& flags) {
+  if (!flags.Has("rss-budget-mb")) return std::nullopt;
+  return flags.GetDouble("rss-budget-mb", 0.0);
+}
+
+// The --rss-budget-mb gate of cloud and churn, checked against the peak
+// RSS their report tables print: a breach is a hard error that names the
+// budget. Returns the exit status (1 on a breach).
+int CheckRssBudget(std::optional<double> budget_mb, double rss_mb) {
+  if (!budget_mb) return 0;
+  if (rss_mb > *budget_mb) {
+    std::cerr << "error: peak RSS " << rss_mb << " MB exceeds --rss-budget-mb "
+              << *budget_mb << " MB\n";
+    return 1;
+  }
+  std::cout << "peak RSS within budget (" << rss_mb << " <= " << *budget_mb
+            << " MB)\n";
+  return 0;
 }
 
 std::vector<net::NodeIndex> LoadNodeList(const std::string& path,
@@ -275,9 +301,9 @@ int CmdPlace(const Flags& flags) {
 // never materializes the O(n^2) closure). --block=tiled additionally
 // skips the |C| x |S| client block: the problem streams tiles from the
 // oracle's server rows instead (bit-identical assignments).
-core::Problem LoadProblemForSolve(const Flags& flags) {
+core::Problem LoadProblemForSolve(const Flags& flags, bool prune) {
   core::TileOptions tile;
-  const bool tiled = TiledBlockRequested(flags, &tile);
+  const bool tiled = TiledBlockRequested(flags, prune, &tile);
   const std::string graph_path = flags.GetString("graph", "");
   if (!graph_path.empty()) {
     DIACA_CHECK_MSG(flags.GetString("matrix", "").empty(),
@@ -315,14 +341,15 @@ int CmdAssign(const Flags& flags) {
     throw Error("unknown algorithm '" + algorithm + "' (expected " +
                 registry.NamesJoined() + ")");
   }
+  const bool prune = PruneRequested(flags);
   const std::string out = flags.GetString("out", "");
   DIACA_CHECK_MSG(!out.empty(), "--out is required");
-  const core::Problem problem = LoadProblemForSolve(flags);
+  const core::Problem problem = LoadProblemForSolve(flags, prune);
   core::SolveOptions options;
   options.assign.capacity =
       GetInt32(flags, "capacity", core::AssignOptions::kUnlimitedCapacity,
                core::AssignOptions::kUnlimitedCapacity);
-  options.assign.bound_pruning = PruneRequested(flags);
+  options.assign.bound_pruning = prune;
 
   const core::SolveResult result = registry.Solve(algorithm, problem, options);
   SaveAssignment(out, problem, result.assignment);
@@ -332,7 +359,8 @@ int CmdAssign(const Flags& flags) {
 }
 
 int CmdEvaluate(const Flags& flags) {
-  const core::Problem problem = LoadProblemForSolve(flags);
+  const core::Problem problem =
+      LoadProblemForSolve(flags, PruneRequested(flags));
   const core::Assignment a =
       LoadAssignment(flags.GetString("assignment", ""), problem);
   const double d = core::MaxInteractionPathLength(problem, a);
@@ -496,10 +524,12 @@ int CmdCloud(const Flags& flags) {
     throw Error("unknown algorithm '" + algorithm + "' (expected " +
                 registry.NamesJoined() + ")");
   }
+  const bool prune = PruneRequested(flags);
+  const std::optional<double> rss_budget = RssBudgetMb(flags);
   data::ClientCloudParams params;
   params.substrate.num_nodes = GetInt32(flags, "nodes", 2000, 2);
   params.num_clients = flags.GetInt("clients", 100000);
-  params.materialize_block = !TiledBlockRequested(flags, &params.tile);
+  params.materialize_block = !TiledBlockRequested(flags, prune, &params.tile);
   const std::int32_t k = GetInt32(flags, "servers", 16, 1);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
 
@@ -521,7 +551,7 @@ int CmdCloud(const Flags& flags) {
 
   Timer solve;
   core::SolveOptions solve_options;
-  solve_options.assign.bound_pruning = PruneRequested(flags);
+  solve_options.assign.bound_pruning = prune;
   const core::SolveResult result =
       registry.Solve(algorithm, cloud.problem, solve_options);
   const double solve_ms = solve.ElapsedMillis();
@@ -554,17 +584,7 @@ int CmdCloud(const Flags& flags) {
   table.Row().Cell("dense-equivalent matrix (MB)").Cell(dense_mb);
   table.Row().Cell("RSS / dense equivalent").Cell(rss_mb / dense_mb);
   table.Print(std::cout);
-  if (flags.Has("rss-budget-mb")) {
-    const double budget = flags.GetDouble("rss-budget-mb", 0.0);
-    if (rss_mb > budget) {
-      std::cerr << "error: peak RSS " << rss_mb << " MB exceeds --rss-budget-mb "
-                << budget << " MB\n";
-      return 1;
-    }
-    std::cout << "peak RSS within budget (" << rss_mb << " <= " << budget
-              << " MB)\n";
-  }
-  return 0;
+  return CheckRssBudget(rss_budget, rss_mb);
 }
 
 // Online control plane: Waxman substrate, K-center servers, a seeded
@@ -581,6 +601,7 @@ int CmdChurn(const Flags& flags) {
   const std::int32_t initial = GetInt32(flags, "clients", 10000, 1);
   const std::int32_t k = GetInt32(flags, "servers", 16, 1);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
+  const std::optional<double> rss_budget = RssBudgetMb(flags);
 
   Timer build;
   data::WaxmanParams substrate;
@@ -644,11 +665,14 @@ int CmdChurn(const Flags& flags) {
   table.Row().Cell("final objective (ms)").Cell(last.objective);
   table.Row().Cell("build (ms)").Cell(build_ms);
   table.Row().Cell("run (ms)").Cell(run_ms);
+  const double rss_mb = benchutil::PeakRssMb();
+  table.Row().Cell("peak RSS (MB)").Cell(rss_mb);
   table.Print(std::cout);
   std::cout << (report.cap_ever_exceeded ? "migration cap EXCEEDED\n"
                                          : "migration cap honored\n")
             << (report.converged ? "assignment converged\n"
                                  : "assignment NOT converged\n");
+  const int rss_status = CheckRssBudget(rss_budget, rss_mb);
 
   const std::string json_out = flags.GetString("json-out", "");
   if (!json_out.empty()) {
@@ -688,7 +712,7 @@ int CmdChurn(const Flags& flags) {
     out << "  ]\n}\n";
     std::cout << "wrote epoch timeline to " << json_out << "\n";
   }
-  return report.cap_ever_exceeded ? 1 : 0;
+  return report.cap_ever_exceeded ? 1 : rss_status;
 }
 
 }  // namespace
