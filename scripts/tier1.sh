@@ -17,7 +17,8 @@
 # both the tiled and the materialized client block.
 # A churn control-plane smoke re-optimizes 10k clients across 50 churn
 # epochs (plus a server crash) under a hard migration cap, and the churn
-# suite (`churn` label) runs again under both sanitizers. The repository
+# suite (`churn` label: traces, the incremental evaluator, the control
+# plane) runs again under both sanitizers. The repository
 # benchmark runs at smoke scale, which cross-checks the tiled and
 # resident cloud fingerprints.
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan]
@@ -169,8 +170,9 @@ if ! $skip_tsan; then
   # race-free and bit-deterministic.
   ctest --test-dir build-tsan -L oracle -E smoke_ --output-on-failure
   # The churn suite under TSan: the control plane runs the parallel
-  # evaluators epoch after epoch; the thread-count determinism contract
-  # must hold without races.
+  # evaluators epoch after epoch, and the evaluator's own tests run its
+  # pool-parallel pair scans; the thread-count determinism contract must
+  # hold without races.
   ctest --test-dir build-tsan -L churn -E smoke_ --output-on-failure
 fi
 
@@ -185,8 +187,9 @@ if ! $skip_asan; then
   # The oracle suite under ASan+UBSan: row buffers, cache eviction, and
   # the streaming problem builders are where lifetime bugs would hide.
   ctest --test-dir build-asan -L oracle -E smoke_ --output-on-failure
-  # The churn suite under ASan+UBSan: membership add/remove churns the
-  # partial evaluator's index structures every epoch — use-after-free
-  # territory if the lifecycle is wrong.
+  # The churn suite under ASan+UBSan: membership add/remove inserts into
+  # and erases from the evaluator's farthest-first runs every epoch, and
+  # the evaluator's own tests drive random add/remove/move sequences —
+  # out-of-bounds territory if a run's bookkeeping is wrong.
   ctest --test-dir build-asan -L churn -E smoke_ --output-on-failure
 fi

@@ -68,7 +68,48 @@ class Search {
 
   bool Run() {
     aborted_ = false;
-    Recurse(0, 0.0);
+    // Depth-first from an explicit frame stack, so the depth (one level
+    // per client) is not bounded by the call stack. A frame's client holds
+    // a branch while current_ maps it to a server; coming back to the
+    // frame undoes that branch before the next server is tried.
+    Visit(0, 0.0);
+    while (!aborted_ && !stack_.empty()) {
+      Frame& f = stack_.back();
+      const ClientIndex c = order_[f.depth];
+      if (const ServerIndex s = current_[c]; s != kUnassigned) {
+        current_[c] = kUnassigned;
+        --load_[static_cast<std::size_t>(s)];
+        far_[static_cast<std::size_t>(s)] = f.saved_far;
+      }
+      const double* row = block_ + static_cast<std::size_t>(c) * stride_;
+      double len = 0.0;
+      for (; f.next < problem_.num_servers(); ++f.next) {
+        const ServerIndex s = f.next;
+        if (options_.assign.capacitated() &&
+            load_[static_cast<std::size_t>(s)] >=
+                options_.assign.CapacityOf(s)) {
+          continue;
+        }
+        const double d = row[s];
+        // Objective if c joins s: its self path plus its paths to every
+        // already-assigned client (through far()).
+        len = std::max(f.partial_len, 2.0 * d);
+        if (len < best_len_) {
+          len = std::max(len, d + MaxServerReach(problem_, far_, s));
+        }
+        if (len < best_len_) break;
+      }
+      if (f.next == problem_.num_servers()) {
+        stack_.pop_back();
+        continue;
+      }
+      const ServerIndex s = f.next++;
+      f.saved_far = far_[static_cast<std::size_t>(s)];
+      far_[static_cast<std::size_t>(s)] = std::max(f.saved_far, row[s]);
+      ++load_[static_cast<std::size_t>(s)];
+      current_[c] = s;
+      Visit(f.depth + 1, len);
+    }
     return !aborted_;
   }
 
@@ -77,8 +118,18 @@ class Search {
   }
 
  private:
-  void Recurse(std::size_t depth, double partial_len) {
-    if (aborted_) return;
+  // A node on the search path: its depth, the next server to branch its
+  // client on, far() of the current branch's server before the branch,
+  // and the objective over the clients above it.
+  struct Frame {
+    std::size_t depth;
+    ServerIndex next;
+    double saved_far;
+    double partial_len;
+  };
+
+  // Count a node; settle it if it is a leaf or pruned, else push it.
+  void Visit(std::size_t depth, double partial_len) {
     if (++nodes_ > options_.node_limit) {
       aborted_ = true;
       return;
@@ -91,32 +142,7 @@ class Search {
       return;
     }
     if (std::max(partial_len, suffix_bound_[depth]) >= best_len_) return;
-
-    const ClientIndex c = order_[depth];
-    const double* row = block_ + static_cast<std::size_t>(c) * stride_;
-    for (ServerIndex s = 0; s < problem_.num_servers(); ++s) {
-      if (options_.assign.capacitated() &&
-          load_[static_cast<std::size_t>(s)] >= options_.assign.CapacityOf(s)) {
-        continue;
-      }
-      const double d = row[s];
-      // Objective if c joins s: its self path plus its paths to every
-      // already-assigned client (through far()).
-      double len = std::max(partial_len, 2.0 * d);
-      if (len < best_len_) {
-        len = std::max(len, d + MaxServerReach(problem_, far_, s));
-      }
-      if (len >= best_len_) continue;
-
-      const double saved_far = far_[static_cast<std::size_t>(s)];
-      far_[static_cast<std::size_t>(s)] = std::max(saved_far, d);
-      ++load_[static_cast<std::size_t>(s)];
-      current_[c] = s;
-      Recurse(depth + 1, len);
-      current_[c] = kUnassigned;
-      --load_[static_cast<std::size_t>(s)];
-      far_[static_cast<std::size_t>(s)] = saved_far;
-    }
+    stack_.push_back({depth, 0, 0.0, partial_len});
   }
 
   const Problem& problem_;
@@ -129,6 +155,7 @@ class Search {
   std::vector<double> suffix_bound_;
   std::vector<double> far_;
   std::vector<std::int32_t> load_;
+  std::vector<Frame> stack_;
   Assignment current_;
   Assignment best_assignment_;
   double best_len_ = std::numeric_limits<double>::infinity();

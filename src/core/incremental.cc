@@ -10,6 +10,17 @@
 
 namespace diaca::core {
 
+namespace {
+
+// A run's order: farthest first, the lowest client first on equal
+// distances.
+bool FartherFirst(const IncrementalEvaluator::FarEntry& x,
+                  const IncrementalEvaluator::FarEntry& y) {
+  return x.first != y.first ? x.first > y.first : x.second < y.second;
+}
+
+}  // namespace
+
 IncrementalEvaluator::IncrementalEvaluator(const Problem& problem,
                                            const Assignment& initial)
     : IncrementalEvaluator(problem, initial, AllowPartial{}) {
@@ -21,21 +32,38 @@ IncrementalEvaluator::IncrementalEvaluator(const Problem& problem,
                                            const Assignment& initial,
                                            AllowPartial)
     : problem_(problem), assignment_(initial) {
-  distances_.resize(static_cast<std::size_t>(problem.num_servers()));
-  // Only the assigned diagonal d(c, a_c) enters the multisets.
+  runs_.resize(static_cast<std::size_t>(problem.num_servers()));
+  // Only the assigned diagonal d(c, a_c) enters the runs: appended in
+  // client order, then each run sorted once.
   std::vector<double> diag(static_cast<std::size_t>(problem.num_clients()));
   problem.client_block().GatherAssigned(assignment_.server_of.data(),
                                         diag.data());
   for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
     const ServerIndex s = assignment_[c];
     if (s == kUnassigned) continue;  // inactive until AddClient
-    distances_[static_cast<std::size_t>(s)].insert(
-        diag[static_cast<std::size_t>(c)]);
+    runs_[static_cast<std::size_t>(s)].emplace_back(
+        diag[static_cast<std::size_t>(c)], c);
     ++active_;
   }
+  for (auto& run : runs_) std::sort(run.begin(), run.end(), FartherFirst);
   // Initial scan with a no-op "move" (from == to short-circuits
-  // EffectiveFar to the plain multiset eccentricities).
+  // EffectiveFar to the plain run heads).
   max_pair_ = ScanAllPairs(/*c=*/0, kUnassigned, kUnassigned);
+}
+
+void IncrementalEvaluator::InsertInRun(ServerIndex s, ClientIndex c) {
+  auto& run = runs_[static_cast<std::size_t>(s)];
+  const FarEntry entry{problem_.client_block().cs(c, s), c};
+  run.insert(std::lower_bound(run.begin(), run.end(), entry, FartherFirst),
+             entry);
+}
+
+void IncrementalEvaluator::EraseFromRun(ServerIndex s, ClientIndex c) {
+  auto& run = runs_[static_cast<std::size_t>(s)];
+  const FarEntry entry{problem_.client_block().cs(c, s), c};
+  const auto it = std::lower_bound(run.begin(), run.end(), entry, FartherFirst);
+  DIACA_CHECK(it != run.end() && it->second == c);
+  run.erase(it);
 }
 
 double IncrementalEvaluator::EffectiveFar(ServerIndex s, ClientIndex c,
@@ -43,15 +71,10 @@ double IncrementalEvaluator::EffectiveFar(ServerIndex s, ClientIndex c,
                                           ServerIndex to) const {
   if (from == to) return Far(s);  // no-op move
   if (s == from) {
-    const auto& set = distances_[static_cast<std::size_t>(from)];
-    const double d = problem_.client_block().cs(c, from);
-    // c leaves: if it holds the maximum, the survivor max is next.
-    if (d >= *set.rbegin()) {
-      auto it = set.rbegin();
-      ++it;
-      return it == set.rend() ? -1.0 : *it;
-    }
-    return *set.rbegin();
+    // c leaves: if it is the head, the survivor max is the next entry.
+    const auto& run = runs_[static_cast<std::size_t>(from)];
+    if (run.front().second != c) return run.front().first;
+    return run.size() > 1 ? run[1].first : -1.0;
   }
   if (s == to) return std::max(Far(to), problem_.client_block().cs(c, to));
   return Far(s);
@@ -153,12 +176,8 @@ double IncrementalEvaluator::ApplyMove(ClientIndex c, ServerIndex to) {
   const ServerIndex from = assignment_[c];
   if (to == from) return max_pair_.value;
   const PairMax new_max = Evaluate(c, to, nullptr);
-  auto& from_set = distances_[static_cast<std::size_t>(from)];
-  const auto it = from_set.find(problem_.client_block().cs(c, from));
-  DIACA_CHECK(it != from_set.end());
-  from_set.erase(it);
-  distances_[static_cast<std::size_t>(to)].insert(
-      problem_.client_block().cs(c, to));
+  EraseFromRun(from, c);
+  InsertInRun(to, c);
   assignment_[c] = to;
   max_pair_ = new_max;
   return max_pair_.value;
@@ -184,8 +203,7 @@ double IncrementalEvaluator::AddClient(ClientIndex c, ServerIndex to) {
   if (max_pair_.a == kUnassigned || touching.value > max_pair_.value) {
     max_pair_ = touching;
   }
-  distances_[static_cast<std::size_t>(to)].insert(
-      problem_.client_block().cs(c, to));
+  InsertInRun(to, c);
   assignment_[c] = to;
   ++active_;
   return max_pair_.value;
@@ -204,10 +222,7 @@ double IncrementalEvaluator::RemoveClient(ClientIndex c) {
   }
   // Otherwise pairs avoiding `from` are untouched and pairs touching it
   // only fall, so the cached maximum stands exactly.
-  auto& from_set = distances_[static_cast<std::size_t>(from)];
-  const auto it = from_set.find(problem_.client_block().cs(c, from));
-  DIACA_CHECK(it != from_set.end());
-  from_set.erase(it);
+  EraseFromRun(from, c);
   assignment_[c] = kUnassigned;
   --active_;
   return max_pair_.value;

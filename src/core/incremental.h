@@ -4,9 +4,12 @@
 // Local search methods (steepest descent, simulated annealing) evaluate
 // huge numbers of candidate moves; recomputing
 // D = max_{s1,s2} far(s1) + d(s1,s2) + far(s2) from scratch costs
-// O(|C| + |U|^2) each time. IncrementalEvaluator keeps a per-server
-// multiset of client distances plus the argmax server pair. A move changes
-// only far(from) and far(to), so:
+// O(|C| + |U|^2) each time. IncrementalEvaluator keeps each server's
+// clients as one flat run of (distance, client) entries, farthest first
+// and lowest client first on equal distances, plus the argmax server
+// pair. far(s) is the head of s's run, and the head is also the
+// bottleneck witness the repair solver and the re-optimizer move. A move
+// changes only far(from) and far(to), so:
 //   * if the cached argmax pair avoids both changed servers, the new
 //     objective is max(old maximum, best pair touching a changed server)
 //     — O(|S|);
@@ -15,8 +18,8 @@
 // in the common case (measured in the evaluator microbenchmark).
 #pragma once
 
-#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/problem.h"
@@ -28,6 +31,9 @@ class IncrementalEvaluator {
  public:
   /// Tag selecting the partial-assignment constructor below.
   struct AllowPartial {};
+
+  /// One entry of a server's run: a client and its distance to the server.
+  using FarEntry = std::pair<double, ClientIndex>;
 
   /// Build from a complete assignment. O(|C| log |C| + |U|^2).
   IncrementalEvaluator(const Problem& problem, const Assignment& initial);
@@ -73,13 +79,18 @@ class IncrementalEvaluator {
 
   ServerIndex ServerOf(ClientIndex c) const { return assignment_[c]; }
   /// Endpoint servers of the cached argmax interaction pair (kUnassigned
-  /// when no server holds a client). The bounded-migration phase of the
-  /// repair solver relocates these servers' witness clients.
+  /// when no server holds a client). The repair solver and the
+  /// re-optimizer relocate these servers' witness clients.
   ServerIndex MaxPairFirst() const { return max_pair_.a; }
   ServerIndex MaxPairSecond() const { return max_pair_.b; }
   std::int32_t LoadOf(ServerIndex s) const {
-    return static_cast<std::int32_t>(
-        distances_[static_cast<std::size_t>(s)].size());
+    return static_cast<std::int32_t>(runs_[static_cast<std::size_t>(s)].size());
+  }
+  /// Server s's active clients with their distances d(c, s), farthest
+  /// first and lowest client first on equal distances. The head is far(s)
+  /// and its witness. Valid until the next state change.
+  std::span<const FarEntry> FarthestFirst(ServerIndex s) const {
+    return runs_[static_cast<std::size_t>(s)];
   }
   /// Full O(|U|^2) rescans triggered so far (perf introspection).
   std::int64_t full_rescans() const { return full_rescans_; }
@@ -91,11 +102,16 @@ class IncrementalEvaluator {
     ServerIndex b = kUnassigned;
   };
 
-  /// far(s) from the distance multiset (-1 when empty).
+  /// far(s): the head of s's run (-1 when empty).
   double Far(ServerIndex s) const {
-    const auto& set = distances_[static_cast<std::size_t>(s)];
-    return set.empty() ? -1.0 : *set.rbegin();
+    const auto& run = runs_[static_cast<std::size_t>(s)];
+    return run.empty() ? -1.0 : run.front().first;
   }
+
+  /// Insert c into, or erase it from, server s's run: a binary search on
+  /// (d(c, s), c), then an O(load(s)) shift.
+  void InsertInRun(ServerIndex s, ClientIndex c);
+  void EraseFromRun(ServerIndex s, ClientIndex c);
 
   /// Eccentricity with the move (c: from -> to) applied virtually.
   double EffectiveFar(ServerIndex s, ClientIndex c, ServerIndex from,
@@ -103,7 +119,7 @@ class IncrementalEvaluator {
 
   /// Fill eff_buf_ with EffectiveFar(s, ...) for every server and return
   /// it: the pair scans then fold contiguous doubles instead of paying a
-  /// multiset lookup per (s1, s2) pair.
+  /// run lookup per (s1, s2) pair.
   std::span<const double> MaterializeEffectiveFar(ClientIndex c,
                                                   ServerIndex from,
                                                   ServerIndex to) const;
@@ -120,9 +136,9 @@ class IncrementalEvaluator {
 
   const Problem& problem_;
   Assignment assignment_;
-  /// Per-server multiset of client distances (supports removing one
-  /// occurrence when a client leaves).
-  std::vector<std::multiset<double>> distances_;
+  /// Per-server run of (d(c, s), c), farthest first, lowest client first
+  /// on equal distances. Flat, so copying the evaluator is |S| copies.
+  std::vector<std::vector<FarEntry>> runs_;
   /// Scratch for MaterializeEffectiveFar, reused across evaluations (the
   /// evaluator is single-caller by contract, like the rest of its state).
   mutable std::vector<double> eff_buf_;

@@ -8,6 +8,9 @@
 // index order.
 #pragma once
 
+#include <limits>
+#include <vector>
+
 #include "core/problem.h"
 #include "core/types.h"
 
@@ -20,5 +23,26 @@ Assignment NearestServerAssign(const Problem& problem,
 
 /// Index of the server nearest to client c (lowest index wins ties).
 ServerIndex NearestServerOf(const Problem& problem, ClientIndex c);
+
+/// Client c's nearest server among those `eligible(s)` admits (lowest
+/// index wins ties) and its distance, from one row fill; {kUnassigned,
+/// +inf} when no server is eligible.
+struct NearestPick {
+  ServerIndex server = kUnassigned;
+  double distance = std::numeric_limits<double>::infinity();
+};
+template <typename Eligible>
+NearestPick NearestEligibleServer(const Problem& problem, ClientIndex c,
+                                  Eligible&& eligible) {
+  thread_local std::vector<double> row;
+  row.resize(problem.client_block().server_stride());
+  problem.client_block().FillRow(c, row.data());
+  NearestPick best;
+  for (ServerIndex s = 0; s < problem.num_servers(); ++s) {
+    const double d = row[static_cast<std::size_t>(s)];
+    if (eligible(s) && d < best.distance) best = {s, d};
+  }
+  return best;
+}
 
 }  // namespace diaca::core

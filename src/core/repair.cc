@@ -1,12 +1,13 @@
 #include "core/repair.h"
 
 #include <algorithm>
-#include <limits>
+#include <span>
 #include <utility>
 
 #include "common/error.h"
 #include "core/incremental.h"
 #include "core/metrics.h"
+#include "core/nearest_server.h"
 #include "obs/obs.h"
 
 namespace diaca::core {
@@ -15,6 +16,77 @@ namespace {
 
 // Strict-improvement threshold, matching the session's epoch comparisons.
 constexpr double kEps = 1e-9;
+
+// How RepairAssign's two phases and ProposeReoptimization differ.
+struct DescentRules {
+  std::span<const char> witnesses;  ///< per client; empty: any active client
+  std::span<const char> closed;     ///< per server, never a target; empty: none
+  double margin = kEps;             ///< a move must beat CurrentMax() - margin
+  std::int64_t eval_budget = -1;    ///< evaluations allowed (< 0: unlimited)
+};
+
+// The move step of §IV-D's distributed greedy. Moving a client off server
+// s can only lower the objective when s is an endpoint of the argmax pair
+// and the client is s's farthest, so each round scores one witness per
+// anchor (pair_a, then pair_b when it differs): the first client of the
+// anchor's farthest-first run that `rules.witnesses` admits, against every
+// open target with room, in ascending order. The round's best move is
+// applied and passed to on_move(client, from, to, gain), which returns
+// whether to go on. The descent ends at the first round without a move
+// below the margin (every applied move strictly lowers the objective, so
+// it terminates), or returns true when the budget runs out mid-round; that
+// round's partial best is discarded, since a half-scanned round could
+// differ from the full scan's choice.
+template <typename OnMove>
+bool DescendBottleneck(const Problem& problem, const AssignOptions& assign,
+                       const DescentRules& rules, IncrementalEvaluator& eval,
+                       std::int64_t& evaluations, OnMove&& on_move) {
+  auto may_take = [&](ServerIndex s) {
+    const bool open = rules.closed.empty() ||
+                      rules.closed[static_cast<std::size_t>(s)] == 0;
+    return open &&
+           (!assign.capacitated() || eval.LoadOf(s) < assign.CapacityOf(s));
+  };
+  auto may_witness = [&](const IncrementalEvaluator::FarEntry& entry) {
+    return rules.witnesses.empty() ||
+           rules.witnesses[static_cast<std::size_t>(entry.second)] != 0;
+  };
+  while (true) {
+    const ServerIndex pair_a = eval.MaxPairFirst();
+    if (pair_a == kUnassigned) return false;
+    const ServerIndex pair_b = eval.MaxPairSecond();
+    ClientIndex best_client = -1;
+    ServerIndex best_target = kUnassigned;
+    double best_value = eval.CurrentMax() - rules.margin;
+    const ServerIndex anchors[] = {pair_a, pair_b};
+    const std::size_t num_anchors =
+        pair_b != pair_a && pair_b != kUnassigned ? 2 : 1;
+    for (const ServerIndex anchor : std::span(anchors, num_anchors)) {
+      const auto run = eval.FarthestFirst(anchor);
+      const auto head = std::find_if(run.begin(), run.end(), may_witness);
+      if (head == run.end()) continue;
+      const ClientIndex witness = head->second;
+      for (ServerIndex s = 0; s < problem.num_servers(); ++s) {
+        if (s == anchor || !may_take(s)) continue;
+        if (rules.eval_budget >= 0 && evaluations >= rules.eval_budget) {
+          return true;
+        }
+        ++evaluations;
+        const double value = eval.EvaluateMove(witness, s);
+        if (value < best_value) {
+          best_value = value;
+          best_client = witness;
+          best_target = s;
+        }
+      }
+    }
+    if (best_client < 0) return false;
+    const ServerIndex from = eval.ServerOf(best_client);
+    const double before = eval.CurrentMax();
+    const double after = eval.ApplyMove(best_client, best_target);
+    if (!on_move(best_client, from, best_target, before - after)) return false;
+  }
+}
 
 }  // namespace
 
@@ -28,7 +100,6 @@ RepairResult RepairAssign(const Problem& problem, const Assignment& current,
   DIACA_CHECK_MSG(current.IsComplete(),
                   "repair: current assignment must be complete");
 
-  const ClientBlockView& view = problem.client_block();
   std::vector<char> is_failed(static_cast<std::size_t>(num_servers), 0);
   for (const ServerIndex s : options.failed) {
     DIACA_CHECK_MSG(s >= 0 && s < num_servers,
@@ -73,9 +144,8 @@ RepairResult RepairAssign(const Problem& problem, const Assignment& current,
                   std::to_string(num_clients) + " clients");
     }
   }
-  auto has_room = [&](ServerIndex s) {
-    return !capacitated ||
-           load[static_cast<std::size_t>(s)] < options.assign.CapacityOf(s);
+  auto survives = [&](ServerIndex s) {
+    return is_failed[static_cast<std::size_t>(s)] == 0;
   };
 
   std::vector<char> is_orphan(static_cast<std::size_t>(num_clients), 0);
@@ -85,19 +155,11 @@ RepairResult RepairAssign(const Problem& problem, const Assignment& current,
   // lower client index, so the order — and everything downstream — is
   // deterministic.
   std::vector<std::pair<double, ClientIndex>> orphan_order;
-  std::vector<double> row(view.server_stride());
   for (ClientIndex c = 0; c < num_clients; ++c) {
-    if (is_failed[static_cast<std::size_t>(current[c])] == 0) continue;
+    if (survives(current[c])) continue;
     is_orphan[static_cast<std::size_t>(c)] = 1;
-    // One row fill per orphan: the masked min then runs over a resident
-    // row instead of |S| virtual spot lookups.
-    view.FillRow(c, row.data());
-    double nearest = std::numeric_limits<double>::infinity();
-    for (ServerIndex s = 0; s < num_servers; ++s) {
-      if (is_failed[static_cast<std::size_t>(s)] != 0) continue;
-      nearest = std::min(nearest, row[static_cast<std::size_t>(s)]);
-    }
-    orphan_order.emplace_back(nearest, c);
+    orphan_order.emplace_back(
+        NearestEligibleServer(problem, c, survives).distance, c);
   }
   std::sort(orphan_order.begin(), orphan_order.end(),
             [](const auto& a, const auto& b) {
@@ -119,17 +181,12 @@ RepairResult RepairAssign(const Problem& problem, const Assignment& current,
   // exists: surviving capacity covers all clients).
   Assignment seeded = current;
   for (const auto& [unused, c] : orphan_order) {
-    ServerIndex best = kUnassigned;
-    double best_d = std::numeric_limits<double>::infinity();
-    view.FillRow(c, row.data());
-    for (ServerIndex s = 0; s < num_servers; ++s) {
-      if (is_failed[static_cast<std::size_t>(s)] != 0 || !has_room(s)) continue;
-      const double d = row[static_cast<std::size_t>(s)];
-      if (d < best_d) {
-        best_d = d;
-        best = s;
-      }
-    }
+    const ServerIndex best =
+        NearestEligibleServer(problem, c, [&](ServerIndex s) {
+          return survives(s) &&
+                 (!capacitated || load[static_cast<std::size_t>(s)] <
+                                      options.assign.CapacityOf(s));
+        }).server;
     DIACA_CHECK(best != kUnassigned);
     seeded[c] = best;
     ++load[static_cast<std::size_t>(best)];
@@ -139,113 +196,38 @@ RepairResult RepairAssign(const Problem& problem, const Assignment& current,
   // scans (far < 0 lanes are skipped) score the survivor-only objective.
   IncrementalEvaluator eval(problem, seeded);
 
-  // Bottleneck-driven improvement over the orphans. Moving a client off
-  // server s can only lower the objective when s is an endpoint of the
-  // current argmax pair AND the client is that server's farthest — so a
-  // scan over every (orphan, survivor) pair evaluates O(orphans * |U|)
-  // moves that provably cannot improve. Instead, repeatedly relocate the
-  // argmax endpoints' farthest orphans while that strictly lowers the
-  // objective; when neither endpoint's orphan move improves, no orphan
-  // move can. Every applied move strictly improves, so the loop
-  // terminates. This phase ignores the budget, keeping the result a
+  // Bottleneck-driven improvement over the orphans: the descent moves the
+  // anchors' farthest orphans. If an anchor's true witness is an
+  // unaffected client, its orphan's move cannot reduce far(anchor) and the
+  // exact evaluation rejects it; when no anchor's orphan move improves, no
+  // orphan move can. This phase ignores the budget, keeping the result a
   // deterministic prefix of any budgeted run (budget never hurts).
-  while (true) {
-    const ServerIndex pair_a = eval.MaxPairFirst();
-    if (pair_a == kUnassigned) break;
-    const ServerIndex pair_b = eval.MaxPairSecond();
-    ClientIndex best_client = -1;
-    ServerIndex best_target = kUnassigned;
-    double best_value = eval.CurrentMax() - kEps;
-    std::vector<ServerIndex> anchors{pair_a};
-    if (pair_b != pair_a && pair_b != kUnassigned) anchors.push_back(pair_b);
-    for (const ServerIndex anchor : anchors) {
-      // The anchor's farthest orphan (hardest-first order on ties). If
-      // the anchor's true witness is an unaffected client, this orphan's
-      // move cannot reduce far(anchor) and the exact evaluation below
-      // rejects it.
-      ClientIndex witness = -1;
-      double witness_d = -1.0;
-      for (const auto& [unused, c] : orphan_order) {
-        if (eval.ServerOf(c) != anchor) continue;
-        const double d = view.cs(c, anchor);
-        if (d > witness_d) {
-          witness_d = d;
-          witness = c;
-        }
-      }
-      if (witness < 0) continue;
-      for (ServerIndex s = 0; s < num_servers; ++s) {
-        if (s == anchor || is_failed[static_cast<std::size_t>(s)] != 0 ||
-            !has_room(s)) {
-          continue;
-        }
-        ++result.repair.evaluations;
-        const double value = eval.EvaluateMove(witness, s);
-        if (value < best_value) {
-          best_value = value;
-          best_client = witness;
-          best_target = s;
-        }
-      }
-    }
-    if (best_client < 0) break;
-    --load[static_cast<std::size_t>(eval.ServerOf(best_client))];
-    ++load[static_cast<std::size_t>(best_target)];
-    eval.ApplyMove(best_client, best_target);
-    ++result.repair.orphan_improvements;
-  }
+  DescentRules rules;
+  rules.witnesses = is_orphan;
+  rules.closed = is_failed;
+  DescendBottleneck(problem, options.assign, rules, eval,
+                    result.repair.evaluations,
+                    [&](ClientIndex, ServerIndex, ServerIndex, double) {
+                      ++result.repair.orphan_improvements;
+                      return true;
+                    });
 
-  // Bounded-migration mode: relocate the bottleneck pair's witness
-  // clients while that strictly improves the objective. Moves of orphans
-  // are free; moves of unaffected clients consume the budget. Every
-  // applied move strictly lowers the objective, so the loop terminates.
+  // Bounded-migration mode: the descent over every client. Moves of
+  // orphans are free; moves of unaffected clients consume the budget.
   std::int32_t budget = options.migration_budget;
-  while (budget > 0) {
-    const ServerIndex pair_a = eval.MaxPairFirst();
-    if (pair_a == kUnassigned) break;
-    const ServerIndex pair_b = eval.MaxPairSecond();
-    ClientIndex best_client = -1;
-    ServerIndex best_target = kUnassigned;
-    double best_value = eval.CurrentMax() - kEps;
-    std::vector<ServerIndex> anchors{pair_a};
-    if (pair_b != pair_a && pair_b != kUnassigned) anchors.push_back(pair_b);
-    for (const ServerIndex anchor : anchors) {
-      // The anchor's witness: its farthest client (first on ties).
-      ClientIndex witness = -1;
-      double witness_d = -1.0;
-      for (ClientIndex c = 0; c < num_clients; ++c) {
-        if (eval.ServerOf(c) != anchor) continue;
-        const double d = view.cs(c, anchor);
-        if (d > witness_d) {
-          witness_d = d;
-          witness = c;
-        }
-      }
-      if (witness < 0) continue;
-      for (ServerIndex s = 0; s < num_servers; ++s) {
-        if (s == anchor || is_failed[static_cast<std::size_t>(s)] != 0 ||
-            !has_room(s)) {
-          continue;
-        }
-        ++result.repair.evaluations;
-        const double value = eval.EvaluateMove(witness, s);
-        if (value < best_value) {
-          best_value = value;
-          best_client = witness;
-          best_target = s;
-        }
-      }
-    }
-    if (best_client < 0) break;
-    --load[static_cast<std::size_t>(eval.ServerOf(best_client))];
-    ++load[static_cast<std::size_t>(best_target)];
-    eval.ApplyMove(best_client, best_target);
-    if (is_orphan[static_cast<std::size_t>(best_client)] != 0) {
-      ++result.repair.orphan_improvements;
-    } else {
-      ++result.repair.migrations;
-      --budget;
-    }
+  if (budget > 0) {
+    rules.witnesses = {};
+    DescendBottleneck(problem, options.assign, rules, eval,
+                      result.repair.evaluations,
+                      [&](ClientIndex c, ServerIndex, ServerIndex, double) {
+                        if (is_orphan[static_cast<std::size_t>(c)] != 0) {
+                          ++result.repair.orphan_improvements;
+                        } else {
+                          ++result.repair.migrations;
+                          --budget;
+                        }
+                        return budget > 0;
+                      });
   }
   DIACA_OBS_COUNT("repair.migrations", result.repair.migrations);
   DIACA_OBS_COUNT("repair.evaluations", result.repair.evaluations);
@@ -265,7 +247,6 @@ ReoptimizeResult ProposeReoptimization(const Problem& problem,
                                        const IncrementalEvaluator& eval,
                                        const ReoptimizeOptions& options) {
   DIACA_OBS_SPAN("core.reoptimize");
-  const std::int32_t num_clients = problem.num_clients();
   const std::int32_t num_servers = problem.num_servers();
   DIACA_CHECK_MSG(options.down.empty() ||
                       options.down.size() ==
@@ -275,9 +256,6 @@ ReoptimizeResult ProposeReoptimization(const Problem& problem,
                                                 << " servers");
   DIACA_CHECK_MSG(options.min_gain > 0.0,
                   "reoptimize: min_gain must be positive");
-  auto is_down = [&](ServerIndex s) {
-    return !options.down.empty() && options.down[static_cast<std::size_t>(s)];
-  };
 
   ReoptimizeResult result;
   result.projected_max_len = eval.CurrentMax();
@@ -285,84 +263,22 @@ ReoptimizeResult ProposeReoptimization(const Problem& problem,
 
   // All proposals are scored and applied on a scratch copy, so move k's
   // gain is exact given moves 0..k-1; the caller's evaluator is untouched
-  // (hysteresis may decide not to apply anything).
+  // (hysteresis may decide not to apply anything). Every candidate
+  // evaluation is charged against eval_budget: serving a worse-vetted move
+  // under deadline pressure is exactly what graceful degradation exists
+  // to avoid.
   IncrementalEvaluator scratch(eval);
-  const ClientBlockView& view = problem.client_block();
-  const bool capacitated = options.assign.capacitated();
-  std::vector<std::int32_t> load(static_cast<std::size_t>(num_servers), 0);
-  if (capacitated) {
-    for (ClientIndex c = 0; c < num_clients; ++c) {
-      if (scratch.IsActive(c)) {
-        ++load[static_cast<std::size_t>(scratch.ServerOf(c))];
-      }
-    }
-  }
-  auto has_room = [&](ServerIndex s) {
-    return !capacitated ||
-           load[static_cast<std::size_t>(s)] < options.assign.CapacityOf(s);
-  };
-
-  // The bottleneck loop of RepairAssign's bounded-migration phase, with
-  // two deadline twists: every candidate evaluation is charged against
-  // eval_budget, and exhaustion aborts the round without applying its
-  // partial best (a half-scanned round could differ from the full scan's
-  // choice, and serving a worse-vetted move under deadline pressure is
-  // exactly what graceful degradation exists to avoid).
-  while (static_cast<std::int32_t>(result.moves.size()) < options.max_moves) {
-    const ServerIndex pair_a = scratch.MaxPairFirst();
-    if (pair_a == kUnassigned) break;
-    const ServerIndex pair_b = scratch.MaxPairSecond();
-    ClientIndex best_client = -1;
-    ServerIndex best_target = kUnassigned;
-    double best_value = scratch.CurrentMax() - options.min_gain;
-    bool out_of_budget = false;
-    std::vector<ServerIndex> anchors{pair_a};
-    if (pair_b != pair_a && pair_b != kUnassigned) anchors.push_back(pair_b);
-    for (const ServerIndex anchor : anchors) {
-      // The anchor's witness: its farthest active client (first on ties).
-      ClientIndex witness = -1;
-      double witness_d = -1.0;
-      for (ClientIndex c = 0; c < num_clients; ++c) {
-        if (!scratch.IsActive(c) || scratch.ServerOf(c) != anchor) continue;
-        const double d = view.cs(c, anchor);
-        if (d > witness_d) {
-          witness_d = d;
-          witness = c;
-        }
-      }
-      if (witness < 0) continue;
-      for (ServerIndex s = 0; s < num_servers; ++s) {
-        if (s == anchor || is_down(s) || !has_room(s)) continue;
-        if (options.eval_budget >= 0 &&
-            result.evaluations >= options.eval_budget) {
-          out_of_budget = true;
-          break;
-        }
-        ++result.evaluations;
-        const double value = scratch.EvaluateMove(witness, s);
-        if (value < best_value) {
-          best_value = value;
-          best_client = witness;
-          best_target = s;
-        }
-      }
-      if (out_of_budget) break;
-    }
-    if (out_of_budget) {
-      result.budget_exhausted = true;
-      break;
-    }
-    if (best_client < 0) break;  // local optimum under min_gain
-    const ServerIndex from = scratch.ServerOf(best_client);
-    const double before = scratch.CurrentMax();
-    const double after = scratch.ApplyMove(best_client, best_target);
-    if (capacitated) {
-      --load[static_cast<std::size_t>(from)];
-      ++load[static_cast<std::size_t>(best_target)];
-    }
-    result.moves.push_back(
-        MoveProposal{best_client, from, best_target, before - after});
-  }
+  DescentRules rules;
+  rules.closed = options.down;
+  rules.margin = options.min_gain;
+  rules.eval_budget = options.eval_budget;
+  result.budget_exhausted = DescendBottleneck(
+      problem, options.assign, rules, scratch, result.evaluations,
+      [&](ClientIndex c, ServerIndex from, ServerIndex to, double gain) {
+        result.moves.push_back(MoveProposal{c, from, to, gain});
+        return static_cast<std::int32_t>(result.moves.size()) <
+               options.max_moves;
+      });
   result.projected_max_len = scratch.CurrentMax();
   DIACA_OBS_COUNT("reoptimize.proposals",
                   static_cast<std::int64_t>(result.moves.size()));

@@ -4,19 +4,20 @@
 // need a new home immediately; re-solving the whole instance from scratch
 // both costs full-solve time and gratuitously moves clients the failure
 // never touched. RepairAssign takes the pre-failure assignment and the
-// failed-server set, and greedily re-homes the orphans — hardest first —
-// using an IncrementalEvaluator over the surviving servers, so each
-// candidate placement is scored against the true objective
-// (max interaction path length) in O(|S|) per evaluation in the common
-// case. Capacities, when set, are respected throughout: a placement is
-// only considered on survivors with remaining room, and survivor-only
+// failed-server set, seeds the orphans — hardest first — at their nearest
+// survivors, then improves them by bottleneck descent on an
+// IncrementalEvaluator over the surviving servers: while the objective
+// (max interaction path length) falls, an endpoint of the argmax pair
+// moves its farthest orphan, read off the evaluator's farthest-first run.
+// Capacities, when set, are respected throughout: a placement is only
+// considered on survivors with remaining room, and survivor-only
 // feasibility is checked up front.
 //
-// An optional bounded-migration mode then spends `migration_budget` moves
-// of *unaffected* clients on the post-repair bottleneck: the argmax
-// interaction pair's witness clients are relocated while each move
-// strictly improves the objective. Budget 0 (the default) means the
-// failure's blast radius is exactly the orphan set.
+// An optional bounded-migration mode then runs the same descent over
+// every client, spending `migration_budget` moves of *unaffected* clients
+// on the post-repair bottleneck. Budget 0 (the default) means the
+// failure's blast radius is exactly the orphan set. ProposeReoptimization
+// is that descent again, on a copy of a live evaluator.
 //
 // Registered in core::SolverRegistry as "repair" (options.initial = the
 // pre-failure assignment, options.failed_servers = the crash set).
@@ -109,10 +110,11 @@ struct ReoptimizeResult {
 /// Propose up to `options.max_moves` single-client migrations that each
 /// strictly lower the maximum interaction path length by at least
 /// `options.min_gain`, spending the budget on the clients with the
-/// largest projected interactivity gain (the argmax-pair witnesses, as in
-/// RepairAssign's bounded-migration phase). `eval` is copied; the
-/// caller's evaluator is not modified. Deterministic in (problem, eval
-/// state, options) at every thread count.
+/// largest projected interactivity gain (the argmax-pair witnesses: the
+/// bottleneck descent of RepairAssign's bounded-migration phase, with
+/// min_gain as its margin). `eval` is copied; the caller's evaluator is
+/// not modified. Deterministic in (problem, eval state, options) at every
+/// thread count.
 ReoptimizeResult ProposeReoptimization(const Problem& problem,
                                        const IncrementalEvaluator& eval,
                                        const ReoptimizeOptions& options);

@@ -10,6 +10,7 @@
 #include "core/greedy.h"
 #include "core/incremental.h"
 #include "core/metrics.h"
+#include "core/nearest_server.h"
 #include "core/repair.h"
 #include "obs/obs.h"
 
@@ -55,7 +56,6 @@ ControlPlaneReport ControlPlane::Run() const {
   DIACA_OBS_SPAN("dia.control.run");
   const std::int32_t num_servers = problem_.num_servers();
   const std::int32_t num_clients = problem_.num_clients();
-  const core::ClientBlockView& view = problem_.client_block();
   const sim::FaultPlan* plan = params_.faults;
   const bool capacitated = params_.assign.capacitated();
 
@@ -63,7 +63,6 @@ ControlPlaneReport ControlPlane::Run() const {
   std::vector<char> member(static_cast<std::size_t>(num_clients), 0);
   std::vector<char> stranded(static_cast<std::size_t>(num_clients), 0);
   std::vector<char> down(static_cast<std::size_t>(num_servers), 0);
-  std::vector<double> row(view.server_stride());
   // Hysteresis streaks: (client, target) -> consecutive epochs proposed.
   // std::map for deterministic iteration; entries not re-proposed drop
   // out, which is exactly the "K *consecutive* epochs" semantics.
@@ -91,18 +90,9 @@ ControlPlaneReport ControlPlane::Run() const {
   /// ties); kUnassigned when none qualifies. The emergency path —
   /// mirrors the repair solver's nearest-survivor floor.
   auto nearest_up = [&](core::ClientIndex c) {
-    view.FillRow(c, row.data());
-    core::ServerIndex best = core::kUnassigned;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (core::ServerIndex s = 0; s < num_servers; ++s) {
-      if (down[static_cast<std::size_t>(s)] != 0 || !has_room(s)) continue;
-      const double d = row[static_cast<std::size_t>(s)];
-      if (d < best_d) {
-        best_d = d;
-        best = s;
-      }
-    }
-    return best;
+    return core::NearestEligibleServer(problem_, c, [&](core::ServerIndex s) {
+             return down[static_cast<std::size_t>(s)] == 0 && has_room(s);
+           }).server;
   };
 
   const auto total_epochs =
@@ -145,6 +135,7 @@ ControlPlaneReport ControlPlane::Run() const {
     // --- membership: departures and mobility-leaves first --------------
     std::vector<core::ClientIndex> joins;
     if (e > 0) {
+      DIACA_OBS_SPAN("dia.control.membership");
       const data::ChurnEpochEvents& events =
           trace_.epochs[static_cast<std::size_t>(e - 1)];
       rep.arrivals = static_cast<std::int32_t>(events.arrivals.size());
@@ -171,93 +162,99 @@ ControlPlaneReport ControlPlane::Run() const {
     // Mandatory moves, deliberately outside the migration cap: capping
     // them would trade liveness for the SLO. Nearest-healthy placement
     // (not best-add) — the emergency path must stay cheap and boring.
-    if (servers_up > 0) {
-      for (core::ClientIndex c = 0; c < num_clients; ++c) {
-        if (member[static_cast<std::size_t>(c)] == 0) continue;
-        if (stranded[static_cast<std::size_t>(c)] != 0) {
-          // A previous outage left this member homeless; re-attach now
-          // that servers are back.
+    {
+      DIACA_OBS_SPAN("dia.control.liveness");
+      if (servers_up > 0) {
+        for (core::ClientIndex c = 0; c < num_clients; ++c) {
+          if (member[static_cast<std::size_t>(c)] == 0) continue;
+          if (stranded[static_cast<std::size_t>(c)] != 0) {
+            // A previous outage left this member homeless; re-attach now
+            // that servers are back.
+            const core::ServerIndex target = nearest_up(c);
+            if (target == core::kUnassigned) {
+              degrade(DegradedReason::kInfeasible);
+              continue;
+            }
+            eval.AddClient(c, target);
+            stranded[static_cast<std::size_t>(c)] = 0;
+            ++rep.forced_moves;
+            continue;
+          }
+          const core::ServerIndex home = eval.ServerOf(c);
+          if (home == core::kUnassigned ||
+              down[static_cast<std::size_t>(home)] == 0) {
+            continue;
+          }
+          eval.RemoveClient(c);
           const core::ServerIndex target = nearest_up(c);
           if (target == core::kUnassigned) {
+            stranded[static_cast<std::size_t>(c)] = 1;
             degrade(DegradedReason::kInfeasible);
             continue;
           }
           eval.AddClient(c, target);
-          stranded[static_cast<std::size_t>(c)] = 0;
           ++rep.forced_moves;
-          continue;
         }
-        const core::ServerIndex home = eval.ServerOf(c);
-        if (home == core::kUnassigned ||
-            down[static_cast<std::size_t>(home)] == 0) {
-          continue;
-        }
-        eval.RemoveClient(c);
-        const core::ServerIndex target = nearest_up(c);
-        if (target == core::kUnassigned) {
+      } else {
+        // Nothing to serve onto: strand every attached member and wait for
+        // recovery. Degraded already recorded above.
+        for (core::ClientIndex c = 0; c < num_clients; ++c) {
+          if (member[static_cast<std::size_t>(c)] == 0 ||
+              stranded[static_cast<std::size_t>(c)] != 0) {
+            continue;
+          }
+          eval.RemoveClient(c);
           stranded[static_cast<std::size_t>(c)] = 1;
-          degrade(DegradedReason::kInfeasible);
-          continue;
         }
-        eval.AddClient(c, target);
-        ++rep.forced_moves;
-      }
-    } else {
-      // Nothing to serve onto: strand every attached member and wait for
-      // recovery. Degraded already recorded above.
-      for (core::ClientIndex c = 0; c < num_clients; ++c) {
-        if (member[static_cast<std::size_t>(c)] == 0 ||
-            stranded[static_cast<std::size_t>(c)] != 0) {
-          continue;
-        }
-        eval.RemoveClient(c);
-        stranded[static_cast<std::size_t>(c)] = 1;
       }
     }
 
     // --- arrivals (and mobility-joins) ---------------------------------
-    for (const core::ClientIndex c : joins) {
-      member[static_cast<std::size_t>(c)] = 1;
-      if (servers_up == 0) {
-        stranded[static_cast<std::size_t>(c)] = 1;
-        continue;
-      }
-      if (!rep.degraded && params_.deadline_evals >= 0 &&
-          rep.evaluations + num_servers > params_.deadline_evals) {
-        // Not enough budget left to place this arrival properly: degrade
-        // and fall through to the greedy-attach floor.
-        degrade(DegradedReason::kDeadline);
-      }
-      if (rep.degraded) {
-        // Degraded floor: greedy-attach via nearest, no objective scans.
-        const core::ServerIndex target = nearest_up(c);
-        if (target == core::kUnassigned) {
+    {
+      DIACA_OBS_SPAN("dia.control.arrivals");
+      for (const core::ClientIndex c : joins) {
+        member[static_cast<std::size_t>(c)] = 1;
+        if (servers_up == 0) {
+          stranded[static_cast<std::size_t>(c)] = 1;
+          continue;
+        }
+        if (!rep.degraded && params_.deadline_evals >= 0 &&
+            rep.evaluations + num_servers > params_.deadline_evals) {
+          // Not enough budget left to place this arrival properly: degrade
+          // and fall through to the greedy-attach floor.
+          degrade(DegradedReason::kDeadline);
+        }
+        if (rep.degraded) {
+          // Degraded floor: greedy-attach via nearest, no objective scans.
+          const core::ServerIndex target = nearest_up(c);
+          if (target == core::kUnassigned) {
+            stranded[static_cast<std::size_t>(c)] = 1;
+            degrade(DegradedReason::kInfeasible);
+            continue;
+          }
+          eval.AddClient(c, target);
+          continue;
+        }
+        // Healthy placement: the server whose attachment hurts the
+        // objective least (first such server on exact ties).
+        core::ServerIndex best = core::kUnassigned;
+        double best_value = std::numeric_limits<double>::infinity();
+        for (core::ServerIndex s = 0; s < num_servers; ++s) {
+          if (down[static_cast<std::size_t>(s)] != 0 || !has_room(s)) continue;
+          ++rep.evaluations;
+          const double value = eval.EvaluateAdd(c, s);
+          if (value < best_value) {
+            best_value = value;
+            best = s;
+          }
+        }
+        if (best == core::kUnassigned) {
           stranded[static_cast<std::size_t>(c)] = 1;
           degrade(DegradedReason::kInfeasible);
           continue;
         }
-        eval.AddClient(c, target);
-        continue;
+        eval.AddClient(c, best);
       }
-      // Healthy placement: the server whose attachment hurts the
-      // objective least (first such server on exact ties).
-      core::ServerIndex best = core::kUnassigned;
-      double best_value = std::numeric_limits<double>::infinity();
-      for (core::ServerIndex s = 0; s < num_servers; ++s) {
-        if (down[static_cast<std::size_t>(s)] != 0 || !has_room(s)) continue;
-        ++rep.evaluations;
-        const double value = eval.EvaluateAdd(c, s);
-        if (value < best_value) {
-          best_value = value;
-          best = s;
-        }
-      }
-      if (best == core::kUnassigned) {
-        stranded[static_cast<std::size_t>(c)] = 1;
-        degrade(DegradedReason::kInfeasible);
-        continue;
-      }
-      eval.AddClient(c, best);
     }
 
     // --- capped re-optimization under the deadline ---------------------

@@ -5,6 +5,10 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/metrics.h"
+#include "data/streaming.h"
+#include "data/waxman.h"
+#include "net/distance_oracle.h"
+#include "placement/placement.h"
 #include "../testutil.h"
 
 namespace diaca::core {
@@ -49,7 +53,8 @@ TEST(ExactTest, ReportsNodesExplored) {
   const Problem p = test::RandomProblem(6, 2, rng);
   const auto result = ExactAssign(p);
   ASSERT_TRUE(result.has_value());
-  EXPECT_GT(result->nodes_explored, 0);
+  // The greedy incumbent's bound prunes the root.
+  EXPECT_EQ(result->nodes_explored, 1);
 }
 
 TEST(ExactTest, InfeasibleCapacityThrows) {
@@ -79,8 +84,33 @@ TEST(ExactTest, PrunedSearchBeatsFullEnumerationNodeCount) {
   const auto result = ExactAssign(p);
   ASSERT_TRUE(result.has_value());
   // Full enumeration would be 3^9 = 19683 leaves plus internal nodes; the
-  // greedy incumbent plus pruning must explore far fewer nodes.
+  // greedy incumbent plus pruning must explore far fewer nodes. Pinned:
+  // the count also checks the order nodes are visited in.
   EXPECT_LT(result->nodes_explored, 19683);
+  EXPECT_EQ(result->nodes_explored, 3);
+}
+
+TEST(ExactTest, DeepSearchDoesNotOverflowTheStack) {
+  // 100k attached clients on 5 servers: the depth-first search runs one
+  // client per level, far deeper than a call stack of one frame per
+  // level could hold. It must abort at the node limit or return a
+  // consistent result.
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 24;
+  params.num_clients = 100000;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::DistanceOracle oracle = net::DistanceOracle::FromGraph(
+      data::GenerateWaxmanTopology(params.substrate, 1), opt);
+  const data::ClientCloud cloud = data::BuildClientCloud(
+      params, 1, oracle, placement::KCenterFarthest(oracle, 5));
+  ExactOptions options;
+  options.node_limit = 100000;  // deep enough to overflow one frame per client
+  const auto result = ExactAssign(cloud.problem, options);
+  if (result.has_value()) {
+    EXPECT_EQ(result->max_len,
+              MaxInteractionPathLength(cloud.problem, result->assignment));
+  }
 }
 
 }  // namespace
