@@ -169,9 +169,11 @@ if ! $skip_tsan; then
   # mutable structure on the query path; concurrent lookups must be
   # race-free and bit-deterministic.
   ctest --test-dir build-tsan -L oracle -E smoke_ --output-on-failure
-  # The churn suite under TSan: the control plane runs the parallel
-  # evaluators epoch after epoch, and the evaluator's own tests run its
-  # pool-parallel pair scans; the thread-count determinism contract must
+  # The churn suite under TSan: each control-plane run boots (and samples
+  # its oracle gap) with the pool-parallel greedy solver, then drives one
+  # serial evaluator epoch after epoch — its member lists, client slots,
+  # top-two heads and best-partner rows are copied into every
+  # re-optimization round; the thread-count determinism contract must
   # hold without races.
   ctest --test-dir build-tsan -L churn -E smoke_ --output-on-failure
 fi
@@ -187,9 +189,11 @@ if ! $skip_asan; then
   # The oracle suite under ASan+UBSan: row buffers, cache eviction, and
   # the streaming problem builders are where lifetime bugs would hide.
   ctest --test-dir build-asan -L oracle -E smoke_ --output-on-failure
-  # The churn suite under ASan+UBSan: membership add/remove inserts into
-  # and erases from the evaluator's farthest-first runs every epoch, and
-  # the evaluator's own tests drive random add/remove/move sequences —
-  # out-of-bounds territory if a run's bookkeeping is wrong.
+  # The churn suite under ASan+UBSan: every membership add/remove swaps an
+  # entry of the evaluator's per-server member lists and rewrites client
+  # slots, rescans a top two whose head or runner-up left, and patches or
+  # rebuilds best-partner rows; the evaluator's own tests drive random
+  # add/remove/move sequences against a from-scratch reference —
+  # out-of-bounds territory if a slot, a head or a partner row goes stale.
   ctest --test-dir build-asan -L churn -E smoke_ --output-on-failure
 fi

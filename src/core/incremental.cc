@@ -5,21 +5,50 @@
 
 #include "common/error.h"
 #include "common/simd/kernels.h"
-#include "common/thread_pool.h"
 #include "obs/obs.h"
 
 namespace diaca::core {
 
 namespace {
 
-// A run's order: farthest first, the lowest client first on equal
-// distances.
-bool FartherFirst(const IncrementalEvaluator::FarEntry& x,
-                  const IncrementalEvaluator::FarEntry& y) {
+using FarEntry = IncrementalEvaluator::FarEntry;
+
+// An absent member: loses to every (d >= 0, c) entry.
+constexpr FarEntry kNoEntry{-1.0, -1};
+
+// Farthest first, the lowest client first on equal distances.
+bool FartherFirst(const FarEntry& x, const FarEntry& y) {
   return x.first != y.first ? x.first > y.first : x.second < y.second;
 }
 
+// Fold one member into a server's top two.
+void FoldTopTwo(std::array<FarEntry, 2>& top, const FarEntry& entry) {
+  if (FartherFirst(entry, top[0])) {
+    top[1] = top[0];
+    top[0] = entry;
+  } else if (FartherFirst(entry, top[1])) {
+    top[1] = entry;
+  }
+}
+
 }  // namespace
+
+bool IncrementalEvaluator::Partner::Ahead(const Partner& other) const {
+  return value != other.value ? value > other.value : s2 < other.s2;
+}
+
+void IncrementalEvaluator::PartnerRow::Offer(const Partner& p) {
+  if (size == 3) {
+    if (!p.Ahead(top[2])) return;
+    top[2] = p;
+  } else {
+    top[static_cast<std::size_t>(size++)] = p;
+  }
+  for (auto i = static_cast<std::size_t>(size - 1);
+       i > 0 && top[i].Ahead(top[i - 1]); --i) {
+    std::swap(top[i], top[i - 1]);
+  }
+}
 
 IncrementalEvaluator::IncrementalEvaluator(const Problem& problem,
                                            const Assignment& initial)
@@ -31,108 +60,90 @@ IncrementalEvaluator::IncrementalEvaluator(const Problem& problem,
 IncrementalEvaluator::IncrementalEvaluator(const Problem& problem,
                                            const Assignment& initial,
                                            AllowPartial)
-    : problem_(problem), assignment_(initial) {
-  runs_.resize(static_cast<std::size_t>(problem.num_servers()));
-  // Only the assigned diagonal d(c, a_c) enters the runs: appended in
-  // client order, then each run sorted once.
+    : problem_(problem),
+      assignment_(initial),
+      members_(static_cast<std::size_t>(problem.num_servers())),
+      slot_(static_cast<std::size_t>(problem.num_clients()), -1),
+      top_(static_cast<std::size_t>(problem.num_servers()),
+           {kNoEntry, kNoEntry}),
+      far_(static_cast<std::size_t>(problem.num_servers()), -1.0),
+      partners_(static_cast<std::size_t>(problem.num_servers())) {
+  // Only the assigned diagonal d(c, a_c) enters the lists, appended in
+  // client order.
   std::vector<double> diag(static_cast<std::size_t>(problem.num_clients()));
   problem.client_block().GatherAssigned(assignment_.server_of.data(),
                                         diag.data());
   for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
     const ServerIndex s = assignment_[c];
     if (s == kUnassigned) continue;  // inactive until AddClient
-    runs_[static_cast<std::size_t>(s)].emplace_back(
-        diag[static_cast<std::size_t>(c)], c);
+    Insert(s, c, diag[static_cast<std::size_t>(c)]);
     ++active_;
   }
-  for (auto& run : runs_) std::sort(run.begin(), run.end(), FartherFirst);
-  // Initial scan with a no-op "move" (from == to short-circuits
-  // EffectiveFar to the plain run heads).
-  max_pair_ = ScanAllPairs(/*c=*/0, kUnassigned, kUnassigned);
+  for (ServerIndex s = 0; s < problem.num_servers(); ++s) RebuildRow(s);
+  max_pair_ = ScanTable(far_, kUnassigned, kUnassigned);
 }
 
-void IncrementalEvaluator::InsertInRun(ServerIndex s, ClientIndex c) {
-  auto& run = runs_[static_cast<std::size_t>(s)];
-  const FarEntry entry{problem_.client_block().cs(c, s), c};
-  run.insert(std::lower_bound(run.begin(), run.end(), entry, FartherFirst),
-             entry);
+std::vector<FarEntry> IncrementalEvaluator::FarthestFirst(
+    ServerIndex s) const {
+  std::vector<FarEntry> sorted = members_[static_cast<std::size_t>(s)];
+  std::sort(sorted.begin(), sorted.end(), FartherFirst);
+  return sorted;
 }
 
-void IncrementalEvaluator::EraseFromRun(ServerIndex s, ClientIndex c) {
-  auto& run = runs_[static_cast<std::size_t>(s)];
-  const FarEntry entry{problem_.client_block().cs(c, s), c};
-  const auto it = std::lower_bound(run.begin(), run.end(), entry, FartherFirst);
-  DIACA_CHECK(it != run.end() && it->second == c);
-  run.erase(it);
+void IncrementalEvaluator::Insert(ServerIndex s, ClientIndex c, double d) {
+  const auto si = static_cast<std::size_t>(s);
+  auto& list = members_[si];
+  slot_[static_cast<std::size_t>(c)] = static_cast<std::int32_t>(list.size());
+  list.emplace_back(d, c);
+  FoldTopTwo(top_[si], list.back());
+  far_[si] = top_[si][0].first;
 }
 
-double IncrementalEvaluator::EffectiveFar(ServerIndex s, ClientIndex c,
-                                          ServerIndex from,
-                                          ServerIndex to) const {
-  if (from == to) return Far(s);  // no-op move
-  if (s == from) {
-    // c leaves: if it is the head, the survivor max is the next entry.
-    const auto& run = runs_[static_cast<std::size_t>(from)];
-    if (run.front().second != c) return run.front().first;
-    return run.size() > 1 ? run[1].first : -1.0;
+void IncrementalEvaluator::Erase(ServerIndex s, ClientIndex c) {
+  const auto si = static_cast<std::size_t>(s);
+  auto& list = members_[si];
+  const auto slot =
+      static_cast<std::size_t>(slot_[static_cast<std::size_t>(c)]);
+  DIACA_CHECK(slot < list.size() && list[slot].second == c);
+  list[slot] = list.back();
+  slot_[static_cast<std::size_t>(list[slot].second)] =
+      static_cast<std::int32_t>(slot);
+  list.pop_back();
+  slot_[static_cast<std::size_t>(c)] = -1;
+  auto& top = top_[si];
+  if (top[0].second == c || top[1].second == c) {
+    // The head or the runner-up left: rescan for the new top two.
+    top = {kNoEntry, kNoEntry};
+    for (const FarEntry& entry : list) FoldTopTwo(top, entry);
   }
-  if (s == to) return std::max(Far(to), problem_.client_block().cs(c, to));
-  return Far(s);
+  far_[si] = top[0].first;
 }
 
-std::span<const double> IncrementalEvaluator::MaterializeEffectiveFar(
+std::span<const double> IncrementalEvaluator::EffectiveFar(
     ClientIndex c, ServerIndex from, ServerIndex to) const {
-  const auto num_servers = static_cast<std::size_t>(problem_.num_servers());
-  eff_buf_.resize(num_servers);
-  for (std::size_t s = 0; s < num_servers; ++s) {
-    eff_buf_[s] = EffectiveFar(static_cast<ServerIndex>(s), c, from, to);
+  eff_buf_ = far_;
+  if (from != kUnassigned) {
+    // c leaves: when it is the head, the runner-up takes over.
+    const auto& top = top_[static_cast<std::size_t>(from)];
+    eff_buf_[static_cast<std::size_t>(from)] =
+        top[0].second == c ? top[1].first : top[0].first;
+  }
+  if (to != kUnassigned) {
+    eff_buf_[static_cast<std::size_t>(to)] =
+        std::max(Far(to), problem_.client_block().cs(c, to));
   }
   return eff_buf_;
 }
 
-IncrementalEvaluator::PairMax IncrementalEvaluator::ScanAllPairs(
-    ClientIndex c, ServerIndex from, ServerIndex to) const {
-  const std::int32_t num_servers = problem_.num_servers();
-  // The rows of the pair scan are independent, so the full O(|U|^2)
-  // rescan fans out across the pool by anchor server s1. Each row runs
-  // the masked max-plus kernel over its s2 >= s1 subrange (first partner
-  // on value ties, like the serial strict `>` scan, with the same
-  // (f1 + d) + f2 association); the deterministic max-reduce then keeps
-  // the lowest s1 on cross-row ties — together that reproduces the serial
-  // lexicographically-first argmax pair exactly. Effective eccentricities
-  // are materialized once, not looked up per pair.
-  const std::span<const double> eff = MaterializeEffectiveFar(c, from, to);
-  std::vector<ServerIndex> best_s2(static_cast<std::size_t>(num_servers),
-                                   kUnassigned);
-  const ThreadPool::Extremum row_best = GlobalPool().ParallelMaxReduce(
-      0, num_servers, 8, [&](std::int64_t si) {
-        const auto s1 = static_cast<ServerIndex>(si);
-        const double f1 = eff[static_cast<std::size_t>(si)];
-        if (f1 < 0.0) return -std::numeric_limits<double>::infinity();
-        const simd::ArgResult r = simd::ArgMaxPlusFirst(
-            problem_.ss_row(s1) + s1, eff.data() + si,
-            static_cast<std::size_t>(num_servers - s1), f1);
-        if (r.index < 0) return -std::numeric_limits<double>::infinity();
-        best_s2[static_cast<std::size_t>(si)] =
-            s1 + static_cast<ServerIndex>(r.index);
-        return r.value;
-      });
-  if (row_best.index < 0) return PairMax{};
-  const auto s1 = static_cast<ServerIndex>(row_best.index);
-  return {row_best.value, s1, best_s2[static_cast<std::size_t>(row_best.index)]};
-}
-
 IncrementalEvaluator::PairMax IncrementalEvaluator::ScanTouching(
-    ClientIndex c, ServerIndex from, ServerIndex to) const {
+    std::span<const double> eff, ServerIndex from, ServerIndex to) const {
   PairMax best;
-  const auto num_servers = static_cast<std::size_t>(problem_.num_servers());
-  const std::span<const double> eff = MaterializeEffectiveFar(c, from, to);
   for (ServerIndex anchor : {from, to}) {
     if (anchor < 0) continue;  // attach/detach legs pass kUnassigned
     const double fa = eff[static_cast<std::size_t>(anchor)];
     if (fa < 0.0) continue;
     const simd::ArgResult r = simd::ArgMaxPlusFirst(
-        problem_.ss_row(anchor), eff.data(), num_servers, fa);
+        problem_.ss_row(anchor), eff.data(), eff.size(), fa);
     if (r.index < 0) continue;
     const auto s = static_cast<ServerIndex>(r.index);
     if (r.value > best.value || best.a == kUnassigned) {
@@ -142,43 +153,141 @@ IncrementalEvaluator::PairMax IncrementalEvaluator::ScanTouching(
   return best;
 }
 
+IncrementalEvaluator::PairMax IncrementalEvaluator::ScanTable(
+    std::span<const double> eff, ServerIndex x, ServerIndex y) const {
+  // Row r's best partner is the first s2 >= r maximizing
+  // (eff[r] + d(r, s2)) + eff[s2], and the pair is the best row, the
+  // lowest r on equal values. Rows x and y changed wholesale; every other
+  // row changed at most in columns x and y, and its first stored partner
+  // outside them is its best unchanged column: at most two of its top
+  // three are x and y, and a row holding fewer than three holds every
+  // non-empty column.
+  const auto num_servers = static_cast<ServerIndex>(eff.size());
+  PairMax best;
+  for (ServerIndex r = 0; r < num_servers; ++r) {
+    const double f1 = eff[static_cast<std::size_t>(r)];
+    if (f1 < 0.0) continue;
+    Partner p;
+    if (r == x || r == y) {
+      const simd::ArgResult res = simd::ArgMaxPlusFirst(
+          problem_.ss_row(r) + r, eff.data() + r,
+          static_cast<std::size_t>(num_servers - r), f1);
+      if (res.index < 0) continue;
+      p = {res.value, r + static_cast<ServerIndex>(res.index)};
+    } else {
+      const PartnerRow& row = partners_[static_cast<std::size_t>(r)];
+      for (std::int32_t k = 0; k < row.size; ++k) {
+        const Partner& q = row.top[static_cast<std::size_t>(k)];
+        if (q.s2 != x && q.s2 != y) {
+          p = q;
+          break;
+        }
+      }
+      for (const ServerIndex z : {x, y}) {
+        const double fz = z > r ? eff[static_cast<std::size_t>(z)] : -1.0;
+        if (fz < 0.0) continue;
+        const Partner q{(f1 + problem_.ss(r, z)) + fz, z};
+        if (p.s2 == kUnassigned || q.Ahead(p)) p = q;
+      }
+      if (p.s2 == kUnassigned) continue;
+    }
+    if (best.a == kUnassigned || p.value > best.value) {
+      best = {p.value, r, p.s2};
+    }
+  }
+  return best;
+}
+
+void IncrementalEvaluator::RebuildRow(ServerIndex s1) {
+  PartnerRow& row = partners_[static_cast<std::size_t>(s1)];
+  row.size = 0;
+  const double f1 = Far(s1);
+  if (f1 < 0.0) return;
+  const double* ss = problem_.ss_row(s1);
+  for (ServerIndex s2 = s1; s2 < problem_.num_servers(); ++s2) {
+    const double f2 = Far(s2);
+    if (f2 < 0.0) continue;
+    row.Offer({(f1 + ss[s2]) + f2, s2});
+  }
+}
+
+bool IncrementalEvaluator::PatchRow(ServerIndex r, ServerIndex x,
+                                    ServerIndex y) {
+  PartnerRow& row = partners_[static_cast<std::size_t>(r)];
+  // A row holding fewer than three entries holds every non-empty column;
+  // a full row's unstored columns all trail its third entry.
+  const bool complete = row.size < 3;
+  PartnerRow next;
+  for (std::int32_t k = 0; k < row.size; ++k) {
+    const Partner& q = row.top[static_cast<std::size_t>(k)];
+    if (q.s2 != x && q.s2 != y) {
+      next.top[static_cast<std::size_t>(next.size++)] = q;
+    }
+  }
+  // The kept entries lead every unstored unchanged column, so a new x or
+  // y value ahead of the last kept entry is certainly placed; one behind
+  // it might trail an unstored column.
+  const Partner last =
+      next.top[static_cast<std::size_t>(std::max(next.size - 1, 0))];
+  const double f1 = Far(r);
+  for (const ServerIndex z : {x, y}) {
+    if (z <= r || Far(z) < 0.0) continue;
+    const Partner q{(f1 + problem_.ss(r, z)) + Far(z), z};
+    if (complete || q.Ahead(last)) next.Offer(q);
+  }
+  if (!complete && next.size < 3) return false;
+  row = next;
+  return true;
+}
+
+void IncrementalEvaluator::RefreshColumns(ServerIndex x, ServerIndex y) {
+  for (const ServerIndex z : {x, y}) {
+    if (z != kUnassigned) RebuildRow(z);
+  }
+  const ServerIndex hi = std::max(x, y);
+  for (ServerIndex r = 0; r < hi; ++r) {
+    if (r == x || r == y || Far(r) < 0.0) continue;
+    if (!PatchRow(r, x, y)) RebuildRow(r);
+  }
+}
+
 IncrementalEvaluator::PairMax IncrementalEvaluator::Evaluate(
-    ClientIndex c, ServerIndex to, bool* used_full_rescan) const {
+    ClientIndex c, ServerIndex to) const {
   const ServerIndex from = assignment_[c];
   DIACA_CHECK_MSG(from != kUnassigned,
                   "move of inactive client " << c << " (use EvaluateAdd)");
-  if (to == from) {
-    if (used_full_rescan != nullptr) *used_full_rescan = false;
-    return max_pair_;
-  }
+  if (to == from) return max_pair_;
+  const std::span<const double> eff = EffectiveFar(c, from, to);
   const bool max_pair_touched =
       max_pair_.a == from || max_pair_.a == to || max_pair_.b == from ||
       max_pair_.b == to;
   if (!max_pair_touched) {
     // Pairs avoiding {from, to} are unchanged; the cached maximum still
     // stands among them. Only pairs touching a changed server can beat it.
-    if (used_full_rescan != nullptr) *used_full_rescan = false;
     DIACA_OBS_COUNT("core.incremental.cache_hits", 1);
-    const PairMax touching = ScanTouching(c, from, to);
+    const PairMax touching = ScanTouching(eff, from, to);
     return touching.value > max_pair_.value ? touching : max_pair_;
   }
-  if (used_full_rescan != nullptr) *used_full_rescan = true;
   ++full_rescans_;
   DIACA_OBS_COUNT("core.incremental.cache_misses", 1);
-  return ScanAllPairs(c, from, to);
+  return ScanTable(eff, from, to);
 }
 
 double IncrementalEvaluator::EvaluateMove(ClientIndex c, ServerIndex to) const {
-  return Evaluate(c, to, nullptr).value;
+  return Evaluate(c, to).value;
 }
 
 double IncrementalEvaluator::ApplyMove(ClientIndex c, ServerIndex to) {
   const ServerIndex from = assignment_[c];
   if (to == from) return max_pair_.value;
-  const PairMax new_max = Evaluate(c, to, nullptr);
-  EraseFromRun(from, c);
-  InsertInRun(to, c);
+  const PairMax new_max = Evaluate(c, to);
+  const double from_before = Far(from);
+  const double to_before = Far(to);
+  Erase(from, c);
+  Insert(to, c, problem_.client_block().cs(c, to));
   assignment_[c] = to;
+  RefreshColumns(Far(from) != from_before ? from : kUnassigned,
+                 Far(to) != to_before ? to : kUnassigned);
   max_pair_ = new_max;
   return max_pair_.value;
 }
@@ -189,23 +298,57 @@ double IncrementalEvaluator::EvaluateAdd(ClientIndex c, ServerIndex to) const {
                                                   << " (use EvaluateMove)");
   // An attachment only raises far(to); every pair avoiding `to` is
   // unchanged, so the cached maximum competes only with pairs touching
-  // `to` — no full rescan, ever. The kUnassigned "from" leg is skipped
-  // by the touching scan and matches no server in EffectiveFar.
-  const PairMax touching = ScanTouching(c, kUnassigned, to);
+  // `to`.
+  const PairMax touching =
+      ScanTouching(EffectiveFar(c, kUnassigned, to), kUnassigned, to);
   return std::max(max_pair_.value, touching.value);
+}
+
+ServerIndex IncrementalEvaluator::BestAdd(
+    ClientIndex c, std::span<const char> eligible) const {
+  DIACA_CHECK_MSG(assignment_[c] == kUnassigned,
+                  "BestAdd of active client " << c);
+  DIACA_CHECK(eligible.size() == far_.size());
+  // EvaluateAdd(c, t) is max(CurrentMax(), the touching scan's value) —
+  // the max-plus reduction of row t over far with far[t] raised to
+  // d(c, t) — so each target patches one lane of a shared far vector.
+  // Nothing scores below CurrentMax(): the first target reaching it wins.
+  eff_buf_ = far_;
+  const double floor = max_pair_.value;
+  ServerIndex best = kUnassigned;
+  double best_value = std::numeric_limits<double>::infinity();
+  for (ServerIndex t = 0; t < problem_.num_servers(); ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    if (eligible[ti] == 0) continue;
+    const double ft = std::max(far_[ti], problem_.client_block().cs(c, t));
+    eff_buf_[ti] = ft;
+    const double value =
+        std::max(floor, simd::MaxPlusReduce(problem_.ss_row(t),
+                                            eff_buf_.data(), far_.size(), ft));
+    eff_buf_[ti] = far_[ti];
+    if (value < best_value) {
+      best_value = value;
+      best = t;
+      if (value == floor) break;
+    }
+  }
+  return best;
 }
 
 double IncrementalEvaluator::AddClient(ClientIndex c, ServerIndex to) {
   DIACA_CHECK_MSG(assignment_[c] == kUnassigned,
                   "AddClient of active client " << c);
   DIACA_CHECK(to >= 0 && to < problem_.num_servers());
-  const PairMax touching = ScanTouching(c, kUnassigned, to);
+  const PairMax touching =
+      ScanTouching(EffectiveFar(c, kUnassigned, to), kUnassigned, to);
   if (max_pair_.a == kUnassigned || touching.value > max_pair_.value) {
     max_pair_ = touching;
   }
-  InsertInRun(to, c);
+  const double to_before = Far(to);
+  Insert(to, c, problem_.client_block().cs(c, to));
   assignment_[c] = to;
   ++active_;
+  if (Far(to) != to_before) RefreshColumns(to, kUnassigned);
   return max_pair_.value;
 }
 
@@ -213,18 +356,21 @@ double IncrementalEvaluator::RemoveClient(ClientIndex c) {
   const ServerIndex from = assignment_[c];
   DIACA_CHECK_MSG(from != kUnassigned, "RemoveClient of inactive client " << c);
   if (max_pair_.a == from || max_pair_.b == from) {
-    // far(from) may fall, taking the cached maximum with it: rescan with
-    // the detachment applied virtually (EffectiveFar's from-leg drops c's
-    // distance; the kUnassigned "to" matches no server).
+    // far(from) may fall, taking the cached maximum with it: read the
+    // first argmax pair off the table with the detachment applied
+    // virtually.
     ++full_rescans_;
     DIACA_OBS_COUNT("core.incremental.cache_misses", 1);
-    max_pair_ = ScanAllPairs(c, from, kUnassigned);
+    max_pair_ =
+        ScanTable(EffectiveFar(c, from, kUnassigned), from, kUnassigned);
   }
   // Otherwise pairs avoiding `from` are untouched and pairs touching it
   // only fall, so the cached maximum stands exactly.
-  EraseFromRun(from, c);
+  const double from_before = Far(from);
+  Erase(from, c);
   assignment_[c] = kUnassigned;
   --active_;
+  if (Far(from) != from_before) RefreshColumns(from, kUnassigned);
   return max_pair_.value;
 }
 

@@ -1,23 +1,37 @@
 // Incremental maintenance of the maximum interaction path length under
-// single-client moves.
+// single-client moves, attachments and detachments.
 //
-// Local search methods (steepest descent, simulated annealing) evaluate
-// huge numbers of candidate moves; recomputing
+// Local search methods (steepest descent, simulated annealing, the
+// bottleneck descent of the repair solver and the churn re-optimizer)
+// evaluate huge numbers of candidate moves; recomputing
 // D = max_{s1,s2} far(s1) + d(s1,s2) + far(s2) from scratch costs
-// O(|C| + |U|^2) each time. IncrementalEvaluator keeps each server's
-// clients as one flat run of (distance, client) entries, farthest first
-// and lowest client first on equal distances, plus the argmax server
-// pair. far(s) is the head of s's run, and the head is also the
-// bottleneck witness the repair solver and the re-optimizer move. A move
-// changes only far(from) and far(to), so:
+// O(|C| + |U|^2) each time. IncrementalEvaluator keeps, per server:
+//   * an unsorted member list of (d(c, s), c), with each client's slot in
+//     it, so inserts and erases are O(1);
+//   * the list's top two entries, farthest first and lowest client first
+//     on equal distances. far(s) is the head, and the head is also the
+//     bottleneck witness the repair solver and the re-optimizer move. The
+//     list is rescanned only when its head or runner-up leaves;
+//   * a best-partner row: the top three (value, s2) over s2 >= s with
+//     far(s2) >= 0 of (far(s) + d(s, s2)) + far(s2), by value and then
+//     the lowest s2. A real change to far(x) recomputes row x and patches
+//     column x of every other row in place; such a row is recomputed only
+//     when a stored partner x falls behind the row's other entries or
+//     empties, so that its top three are no longer known.
+// plus the cached argmax server pair. A move changes only far(from) and
+// far(to), so:
 //   * if the cached argmax pair avoids both changed servers, the new
 //     objective is max(old maximum, best pair touching a changed server)
-//     — O(|S|);
-//   * otherwise the old maximum may fall, and a full O(|U|^2) rescan runs.
-// Random/local moves rarely touch the argmax pair, so evaluation is O(|S|)
-// in the common case (measured in the evaluator microbenchmark).
+//     — one anchor-first scan per changed server, O(|S|);
+//   * otherwise the old maximum may fall, and the lexicographically-first
+//     argmax pair is read off the partner table: rows `from` and `to` are
+//     recomputed, every other row compares its first stored partner
+//     outside {from, to} with its `from` and `to` columns — O(|S|) too.
+// So every evaluation, add, remove and move costs O(|S|) amortized, and
+// the pair the evaluator reports is the one a full pair scan would.
 #pragma once
 
+#include <array>
 #include <span>
 #include <utility>
 #include <vector>
@@ -32,10 +46,10 @@ class IncrementalEvaluator {
   /// Tag selecting the partial-assignment constructor below.
   struct AllowPartial {};
 
-  /// One entry of a server's run: a client and its distance to the server.
+  /// One member of a server: a client and its distance to the server.
   using FarEntry = std::pair<double, ClientIndex>;
 
-  /// Build from a complete assignment. O(|C| log |C| + |U|^2).
+  /// Build from a complete assignment. O(|C| + |U|^2).
   IncrementalEvaluator(const Problem& problem, const Assignment& initial);
 
   /// Build from a possibly-partial assignment: kUnassigned rows are
@@ -58,16 +72,21 @@ class IncrementalEvaluator {
   double ApplyMove(ClientIndex c, ServerIndex to);
 
   /// Objective if the inactive client c were attached to `to` (no state
-  /// change). O(|S|) always: an attachment can only raise far(to), so
-  /// the cached maximum never needs a full rescan.
+  /// change). O(|S|): an attachment can only raise far(to), so the cached
+  /// maximum competes only with the pairs touching `to`.
   double EvaluateAdd(ClientIndex c, ServerIndex to) const;
+
+  /// The first server t with eligible[t] != 0 minimizing EvaluateAdd(c,
+  /// t), or kUnassigned when none is eligible. Every target is scored
+  /// against one far vector, one max-plus reduction each, and the scan
+  /// stops at the first target that keeps the objective at CurrentMax().
+  ServerIndex BestAdd(ClientIndex c, std::span<const char> eligible) const;
 
   /// Attach the inactive client c to `to` and return the new objective.
   double AddClient(ClientIndex c, ServerIndex to);
 
   /// Detach the active client c (its row becomes kUnassigned) and return
-  /// the new objective. Full rescan only when c's server is an argmax
-  /// pair endpoint.
+  /// the new objective.
   double RemoveClient(ClientIndex c);
 
   /// Whether client c currently participates in the objective.
@@ -84,15 +103,24 @@ class IncrementalEvaluator {
   ServerIndex MaxPairFirst() const { return max_pair_.a; }
   ServerIndex MaxPairSecond() const { return max_pair_.b; }
   std::int32_t LoadOf(ServerIndex s) const {
-    return static_cast<std::int32_t>(runs_[static_cast<std::size_t>(s)].size());
+    return static_cast<std::int32_t>(
+        members_[static_cast<std::size_t>(s)].size());
   }
-  /// Server s's active clients with their distances d(c, s), farthest
-  /// first and lowest client first on equal distances. The head is far(s)
-  /// and its witness. Valid until the next state change.
-  std::span<const FarEntry> FarthestFirst(ServerIndex s) const {
-    return runs_[static_cast<std::size_t>(s)];
+  /// Server s's farthest client and its distance far(s): the largest
+  /// d(c, s), the lowest client on ties. {-1.0, -1} when s is empty.
+  FarEntry Farthest(ServerIndex s) const {
+    return top_[static_cast<std::size_t>(s)][0];
   }
-  /// Full O(|U|^2) rescans triggered so far (perf introspection).
+  /// Server s's active clients with their distances d(c, s), in no
+  /// particular order. Valid until the next state change.
+  std::span<const FarEntry> Members(ServerIndex s) const {
+    return members_[static_cast<std::size_t>(s)];
+  }
+  /// A sorted copy of Members(s): farthest first, lowest client first on
+  /// equal distances. O(load log load); for tests and diagnostics.
+  std::vector<FarEntry> FarthestFirst(ServerIndex s) const;
+  /// Evaluations that touched the cached argmax pair so far (perf
+  /// introspection): the moves that read the partner table.
   std::int64_t full_rescans() const { return full_rescans_; }
 
  private:
@@ -101,46 +129,72 @@ class IncrementalEvaluator {
     ServerIndex a = kUnassigned;
     ServerIndex b = kUnassigned;
   };
+  /// One best-partner table entry: (far(s1) + d(s1, s2)) + far(s2).
+  struct Partner {
+    double value = 0.0;
+    ServerIndex s2 = kUnassigned;
+    /// The larger value first, the lower s2 first on equal values.
+    bool Ahead(const Partner& other) const;
+  };
+  /// Row s1 of the best-partner table: its top entries, best first.
+  struct PartnerRow {
+    std::array<Partner, 3> top;
+    std::int32_t size = 0;
+    /// Place p among the top three (dropped when it trails all three).
+    void Offer(const Partner& p);
+  };
 
-  /// far(s): the head of s's run (-1 when empty).
-  double Far(ServerIndex s) const {
-    const auto& run = runs_[static_cast<std::size_t>(s)];
-    return run.empty() ? -1.0 : run.front().first;
-  }
+  /// far(s): the head's distance (-1 when empty).
+  double Far(ServerIndex s) const { return far_[static_cast<std::size_t>(s)]; }
 
-  /// Insert c into, or erase it from, server s's run: a binary search on
-  /// (d(c, s), c), then an O(load(s)) shift.
-  void InsertInRun(ServerIndex s, ClientIndex c);
-  void EraseFromRun(ServerIndex s, ClientIndex c);
+  /// Insert c (at distance d = d(c, s)) into, or erase it from, server
+  /// s's member list, keeping the top two and far(s).
+  void Insert(ServerIndex s, ClientIndex c, double d);
+  void Erase(ServerIndex s, ClientIndex c);
 
-  /// Eccentricity with the move (c: from -> to) applied virtually.
-  double EffectiveFar(ServerIndex s, ClientIndex c, ServerIndex from,
-                      ServerIndex to) const;
+  /// Fill eff_buf_ with far(s) for every server, with far(from) dropping
+  /// c and far(to) taking it (kUnassigned legs skipped), and return it.
+  std::span<const double> EffectiveFar(ClientIndex c, ServerIndex from,
+                                       ServerIndex to) const;
 
-  /// Fill eff_buf_ with EffectiveFar(s, ...) for every server and return
-  /// it: the pair scans then fold contiguous doubles instead of paying a
-  /// run lookup per (s1, s2) pair.
-  std::span<const double> MaterializeEffectiveFar(ClientIndex c,
-                                                  ServerIndex from,
-                                                  ServerIndex to) const;
+  /// Best pair with at least one endpoint in {from, to} over `eff`,
+  /// scanned anchor first. O(|S|).
+  PairMax ScanTouching(std::span<const double> eff, ServerIndex from,
+                       ServerIndex to) const;
 
-  /// Full scan over server pairs with the move applied virtually.
-  PairMax ScanAllPairs(ClientIndex c, ServerIndex from, ServerIndex to) const;
+  /// The lexicographically-first argmax pair over `eff`, which differs
+  /// from the current far vector at most at servers x and y (kUnassigned
+  /// legs skipped): rows x and y are recomputed, the others read off the
+  /// partner table. O(|S|).
+  PairMax ScanTable(std::span<const double> eff, ServerIndex x,
+                    ServerIndex y) const;
 
-  /// Best pair with at least one endpoint in {from, to}, move applied
-  /// virtually. O(|S|).
-  PairMax ScanTouching(ClientIndex c, ServerIndex from, ServerIndex to) const;
+  PairMax Evaluate(ClientIndex c, ServerIndex to) const;
 
-  PairMax Evaluate(ClientIndex c, ServerIndex to,
-                   bool* used_full_rescan) const;
+  /// Recompute row s1 of the partner table from far_.
+  void RebuildRow(ServerIndex s1);
+  /// Fold the new far(x) and far(y) into row r (r not x or y); false
+  /// when the row's top three can no longer be known without a rebuild.
+  bool PatchRow(ServerIndex r, ServerIndex x, ServerIndex y);
+  /// Bring the partner table in line with far_ after far(x) and far(y)
+  /// changed (kUnassigned: unchanged).
+  void RefreshColumns(ServerIndex x, ServerIndex y);
 
   const Problem& problem_;
   Assignment assignment_;
-  /// Per-server run of (d(c, s), c), farthest first, lowest client first
-  /// on equal distances. Flat, so copying the evaluator is |S| copies.
-  std::vector<std::vector<FarEntry>> runs_;
-  /// Scratch for MaterializeEffectiveFar, reused across evaluations (the
-  /// evaluator is single-caller by contract, like the rest of its state).
+  /// Per-server unsorted member list, and each active client's slot in
+  /// its server's list.
+  std::vector<std::vector<FarEntry>> members_;
+  std::vector<std::int32_t> slot_;
+  /// Per-server top two members, {-1.0, -1} where absent.
+  std::vector<std::array<FarEntry, 2>> top_;
+  /// far(s) per server, contiguous for the max-plus kernels.
+  std::vector<double> far_;
+  /// The best-partner table, one row per server.
+  std::vector<PartnerRow> partners_;
+  /// Scratch far vector of the virtual evaluations, reused across calls
+  /// (the evaluator is single-caller by contract, like the rest of its
+  /// state).
   mutable std::vector<double> eff_buf_;
   PairMax max_pair_;
   std::int32_t active_ = 0;

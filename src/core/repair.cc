@@ -20,7 +20,7 @@ constexpr double kEps = 1e-9;
 // How RepairAssign's two phases and ProposeReoptimization differ.
 struct DescentRules {
   std::span<const char> witnesses;  ///< per client; empty: any active client
-  std::span<const char> closed;     ///< per server, never a target; empty: none
+  std::span<const char> closed;     ///< per server, never touched; empty: none
   double margin = kEps;             ///< a move must beat CurrentMax() - margin
   std::int64_t eval_budget = -1;    ///< evaluations allowed (< 0: unlimited)
 };
@@ -28,28 +28,45 @@ struct DescentRules {
 // The move step of §IV-D's distributed greedy. Moving a client off server
 // s can only lower the objective when s is an endpoint of the argmax pair
 // and the client is s's farthest, so each round scores one witness per
-// anchor (pair_a, then pair_b when it differs): the first client of the
-// anchor's farthest-first run that `rules.witnesses` admits, against every
-// open target with room, in ascending order. The round's best move is
-// applied and passed to on_move(client, from, to, gain), which returns
-// whether to go on. The descent ends at the first round without a move
-// below the margin (every applied move strictly lowers the objective, so
-// it terminates), or returns true when the budget runs out mid-round; that
-// round's partial best is discarded, since a half-scanned round could
-// differ from the full scan's choice.
+// open anchor (pair_a, then pair_b when it differs; a closed anchor keeps
+// its clients): the anchor's farthest client that `rules.witnesses`
+// admits, lowest client on equal distances, against every open target
+// with room, in ascending order. The round's best move is applied and
+// passed to on_move(client, from, to, gain), which returns whether to go
+// on. The descent ends at the first round without a move below the margin
+// (every applied move strictly lowers the objective, so it terminates), or
+// returns true when the budget runs out mid-round; that round's partial
+// best is discarded, since a half-scanned round could differ from the full
+// scan's choice.
 template <typename OnMove>
 bool DescendBottleneck(const Problem& problem, const AssignOptions& assign,
                        const DescentRules& rules, IncrementalEvaluator& eval,
                        std::int64_t& evaluations, OnMove&& on_move) {
+  auto open = [&](ServerIndex s) {
+    return rules.closed.empty() ||
+           rules.closed[static_cast<std::size_t>(s)] == 0;
+  };
   auto may_take = [&](ServerIndex s) {
-    const bool open = rules.closed.empty() ||
-                      rules.closed[static_cast<std::size_t>(s)] == 0;
-    return open &&
+    return open(s) &&
            (!assign.capacitated() || eval.LoadOf(s) < assign.CapacityOf(s));
   };
-  auto may_witness = [&](const IncrementalEvaluator::FarEntry& entry) {
+  auto may_witness = [&](ClientIndex c) {
     return rules.witnesses.empty() ||
-           rules.witnesses[static_cast<std::size_t>(entry.second)] != 0;
+           rules.witnesses[static_cast<std::size_t>(c)] != 0;
+  };
+  // The anchor's cached head when admitted, else a scan of its members.
+  auto witness_of = [&](ServerIndex anchor) {
+    const ClientIndex head = eval.Farthest(anchor).second;
+    if (head < 0 || may_witness(head)) return head;
+    IncrementalEvaluator::FarEntry best{-1.0, -1};
+    for (const auto& entry : eval.Members(anchor)) {
+      if (!may_witness(entry.second)) continue;
+      if (entry.first > best.first ||
+          (entry.first == best.first && entry.second < best.second)) {
+        best = entry;
+      }
+    }
+    return best.second;
   };
   while (true) {
     const ServerIndex pair_a = eval.MaxPairFirst();
@@ -62,10 +79,9 @@ bool DescendBottleneck(const Problem& problem, const AssignOptions& assign,
     const std::size_t num_anchors =
         pair_b != pair_a && pair_b != kUnassigned ? 2 : 1;
     for (const ServerIndex anchor : std::span(anchors, num_anchors)) {
-      const auto run = eval.FarthestFirst(anchor);
-      const auto head = std::find_if(run.begin(), run.end(), may_witness);
-      if (head == run.end()) continue;
-      const ClientIndex witness = head->second;
+      if (!open(anchor)) continue;
+      const ClientIndex witness = witness_of(anchor);
+      if (witness < 0) continue;
       for (ServerIndex s = 0; s < problem.num_servers(); ++s) {
         if (s == anchor || !may_take(s)) continue;
         if (rules.eval_budget >= 0 && evaluations >= rules.eval_budget) {

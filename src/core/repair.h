@@ -8,7 +8,7 @@
 // survivors, then improves them by bottleneck descent on an
 // IncrementalEvaluator over the surviving servers: while the objective
 // (max interaction path length) falls, an endpoint of the argmax pair
-// moves its farthest orphan, read off the evaluator's farthest-first run.
+// moves its farthest orphan, found from the evaluator's member lists.
 // Capacities, when set, are respected throughout: a placement is only
 // considered on survivors with remaining room, and survivor-only
 // feasibility is checked up front.

@@ -1,7 +1,6 @@
 #include "dia/control_plane.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <memory>
 #include <utility>
@@ -60,9 +59,22 @@ ControlPlaneReport ControlPlane::Run() const {
   const bool capacitated = params_.assign.capacitated();
 
   ControlPlaneReport report;
+  // Membership and stranding flags, with running counts so no epoch has
+  // to sum them over every trace instance.
   std::vector<char> member(static_cast<std::size_t>(num_clients), 0);
   std::vector<char> stranded(static_cast<std::size_t>(num_clients), 0);
+  std::int32_t num_members = 0;
+  std::int32_t num_stranded = 0;
+  auto set_member = [&](core::ClientIndex c, char on) {
+    num_members += on - member[static_cast<std::size_t>(c)];
+    member[static_cast<std::size_t>(c)] = on;
+  };
+  auto set_stranded = [&](core::ClientIndex c, char on) {
+    num_stranded += on - stranded[static_cast<std::size_t>(c)];
+    stranded[static_cast<std::size_t>(c)] = on;
+  };
   std::vector<char> down(static_cast<std::size_t>(num_servers), 0);
+  std::vector<char> eligible(static_cast<std::size_t>(num_servers), 0);
   // Hysteresis streaks: (client, target) -> consecutive epochs proposed.
   // std::map for deterministic iteration; entries not re-proposed drop
   // out, which is exactly the "K *consecutive* epochs" semantics.
@@ -75,7 +87,7 @@ ControlPlaneReport ControlPlane::Run() const {
       static_cast<std::size_t>(trace_.initial_count));
   for (std::int32_t i = 0; i < trace_.initial_count; ++i) {
     initial[static_cast<std::size_t>(i)] = i;
-    member[static_cast<std::size_t>(i)] = 1;
+    set_member(i, 1);
   }
   core::Assignment boot =
       FreshGreedyAssignment(problem_, initial, params_.assign);
@@ -142,9 +154,9 @@ ControlPlaneReport ControlPlane::Run() const {
       rep.departures = static_cast<std::int32_t>(events.departures.size());
       rep.mobility_moves = static_cast<std::int32_t>(events.moves.size());
       auto leave = [&](core::ClientIndex c) {
-        member[static_cast<std::size_t>(c)] = 0;
+        set_member(c, 0);
         if (stranded[static_cast<std::size_t>(c)] != 0) {
-          stranded[static_cast<std::size_t>(c)] = 0;
+          set_stranded(c, 0);
         } else {
           eval.RemoveClient(c);
         }
@@ -162,9 +174,17 @@ ControlPlaneReport ControlPlane::Run() const {
     // Mandatory moves, deliberately outside the migration cap: capping
     // them would trade liveness for the SLO. Nearest-healthy placement
     // (not best-add) — the emergency path must stay cheap and boring.
+    // Every member is either attached or stranded, so with nobody
+    // stranded and every down server empty the pass has nothing to do
+    // and skips its scan over the trace instances.
     {
       DIACA_OBS_SPAN("dia.control.liveness");
-      if (servers_up > 0) {
+      bool due = num_stranded > 0;
+      for (core::ServerIndex s = 0; s < num_servers; ++s) {
+        due = due ||
+              (down[static_cast<std::size_t>(s)] != 0 && eval.LoadOf(s) > 0);
+      }
+      if (due && servers_up > 0) {
         for (core::ClientIndex c = 0; c < num_clients; ++c) {
           if (member[static_cast<std::size_t>(c)] == 0) continue;
           if (stranded[static_cast<std::size_t>(c)] != 0) {
@@ -176,7 +196,7 @@ ControlPlaneReport ControlPlane::Run() const {
               continue;
             }
             eval.AddClient(c, target);
-            stranded[static_cast<std::size_t>(c)] = 0;
+            set_stranded(c, 0);
             ++rep.forced_moves;
             continue;
           }
@@ -188,14 +208,14 @@ ControlPlaneReport ControlPlane::Run() const {
           eval.RemoveClient(c);
           const core::ServerIndex target = nearest_up(c);
           if (target == core::kUnassigned) {
-            stranded[static_cast<std::size_t>(c)] = 1;
+            set_stranded(c, 1);
             degrade(DegradedReason::kInfeasible);
             continue;
           }
           eval.AddClient(c, target);
           ++rep.forced_moves;
         }
-      } else {
+      } else if (due) {
         // Nothing to serve onto: strand every attached member and wait for
         // recovery. Degraded already recorded above.
         for (core::ClientIndex c = 0; c < num_clients; ++c) {
@@ -204,7 +224,7 @@ ControlPlaneReport ControlPlane::Run() const {
             continue;
           }
           eval.RemoveClient(c);
-          stranded[static_cast<std::size_t>(c)] = 1;
+          set_stranded(c, 1);
         }
       }
     }
@@ -213,9 +233,9 @@ ControlPlaneReport ControlPlane::Run() const {
     {
       DIACA_OBS_SPAN("dia.control.arrivals");
       for (const core::ClientIndex c : joins) {
-        member[static_cast<std::size_t>(c)] = 1;
+        set_member(c, 1);
         if (servers_up == 0) {
-          stranded[static_cast<std::size_t>(c)] = 1;
+          set_stranded(c, 1);
           continue;
         }
         if (!rep.degraded && params_.deadline_evals >= 0 &&
@@ -228,7 +248,7 @@ ControlPlaneReport ControlPlane::Run() const {
           // Degraded floor: greedy-attach via nearest, no objective scans.
           const core::ServerIndex target = nearest_up(c);
           if (target == core::kUnassigned) {
-            stranded[static_cast<std::size_t>(c)] = 1;
+            set_stranded(c, 1);
             degrade(DegradedReason::kInfeasible);
             continue;
           }
@@ -236,20 +256,16 @@ ControlPlaneReport ControlPlane::Run() const {
           continue;
         }
         // Healthy placement: the server whose attachment hurts the
-        // objective least (first such server on exact ties).
-        core::ServerIndex best = core::kUnassigned;
-        double best_value = std::numeric_limits<double>::infinity();
+        // objective least (first such server on exact ties). Each
+        // eligible server counts as one evaluation.
         for (core::ServerIndex s = 0; s < num_servers; ++s) {
-          if (down[static_cast<std::size_t>(s)] != 0 || !has_room(s)) continue;
-          ++rep.evaluations;
-          const double value = eval.EvaluateAdd(c, s);
-          if (value < best_value) {
-            best_value = value;
-            best = s;
-          }
+          const bool ok = down[static_cast<std::size_t>(s)] == 0 && has_room(s);
+          eligible[static_cast<std::size_t>(s)] = ok ? 1 : 0;
+          rep.evaluations += ok ? 1 : 0;
         }
+        const core::ServerIndex best = eval.BestAdd(c, eligible);
         if (best == core::kUnassigned) {
-          stranded[static_cast<std::size_t>(c)] = 1;
+          set_stranded(c, 1);
           degrade(DegradedReason::kInfeasible);
           continue;
         }
@@ -317,22 +333,16 @@ ControlPlaneReport ControlPlane::Run() const {
     }
 
     // --- telemetry ------------------------------------------------------
-    std::int32_t members_now = 0;
-    std::int32_t stranded_now = 0;
-    for (core::ClientIndex c = 0; c < num_clients; ++c) {
-      members_now += member[static_cast<std::size_t>(c)];
-      stranded_now += stranded[static_cast<std::size_t>(c)];
-    }
-    rep.members = members_now;
-    rep.stranded = stranded_now;
+    rep.members = num_members;
+    rep.stranded = num_stranded;
     rep.objective = eval.CurrentMax();
     // Fresh-greedy oracle gap: pure measurement on healthy all-up epochs
     // (a fresh solve may use every server, so comparing it against a
     // degraded or partially-down plane would be apples to oranges).
     if (params_.oracle_every > 0 && e % params_.oracle_every == 0 &&
-        !rep.degraded && servers_up == num_servers && stranded_now == 0) {
+        !rep.degraded && servers_up == num_servers && num_stranded == 0) {
       std::vector<core::ClientIndex> current;
-      current.reserve(static_cast<std::size_t>(members_now));
+      current.reserve(static_cast<std::size_t>(num_members));
       for (core::ClientIndex c = 0; c < num_clients; ++c) {
         if (member[static_cast<std::size_t>(c)] != 0) current.push_back(c);
       }

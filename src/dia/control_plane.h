@@ -10,7 +10,7 @@
 //   * Migration cap — at most `migration_cap` controller-initiated moves
 //     per epoch, spent on the clients with the largest projected
 //     interactivity gain (core::ProposeReoptimization's bottleneck
-//     witnesses, each the head of its server's farthest-first run in the
+//     witnesses, each its server's farthest client, cached in the
 //     evaluator). Forced re-homes off a crashed server are liveness, not
 //     optimization, and are counted separately — a crash must never eat
 //     the optimization budget.

@@ -1,6 +1,10 @@
 #include "core/incremental.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -213,6 +217,252 @@ TEST(IncrementalPartialTest, LifecycleMisuseThrows) {
   EXPECT_THROW(eval.RemoveClient(3), Error);       // never attached
   EXPECT_THROW((void)eval.EvaluateMove(3, 1), Error);
   EXPECT_THROW(eval.ApplyMove(3, 1), Error);
+}
+
+// --- the evaluator against a from-scratch reference of its rules ----------
+//
+// ReferenceEvaluator recomputes every far(s) from the assignment at each
+// step and applies the evaluator's pair rules literally: the
+// lexicographically-first full pair scan when a move touches the cached
+// pair or a removal leaves a pair endpoint, and the anchor-first touching
+// scan on every other move and on every attach. The evaluator must report
+// the same value bits and the same pair after every step.
+
+struct RefPair {
+  double value = 0.0;
+  ServerIndex a = kUnassigned;
+  ServerIndex b = kUnassigned;
+};
+
+class ReferenceEvaluator {
+ public:
+  ReferenceEvaluator(const Problem& p, const Assignment& a)
+      : p_(p), a_(a), pair_(FullScan(Far(a))) {}
+
+  const RefPair& pair() const { return pair_; }
+
+  double EvaluateMove(ClientIndex c, ServerIndex to) const {
+    return Evaluate(c, to).value;
+  }
+  void ApplyMove(ClientIndex c, ServerIndex to) {
+    pair_ = Evaluate(c, to);
+    a_[c] = to;
+  }
+  double EvaluateAdd(ClientIndex c, ServerIndex to) const {
+    Assignment b = a_;
+    b[c] = to;
+    return std::max(pair_.value, Touching(Far(b), kUnassigned, to).value);
+  }
+  void AddClient(ClientIndex c, ServerIndex to) {
+    Assignment b = a_;
+    b[c] = to;
+    const RefPair touching = Touching(Far(b), kUnassigned, to);
+    if (pair_.a == kUnassigned || touching.value > pair_.value) {
+      pair_ = touching;
+    }
+    a_ = b;
+  }
+  void RemoveClient(ClientIndex c) {
+    const ServerIndex from = a_[c];
+    a_[c] = kUnassigned;
+    if (pair_.a == from || pair_.b == from) pair_ = FullScan(Far(a_));
+  }
+
+ private:
+  std::vector<double> Far(const Assignment& b) const {
+    std::vector<double> far(static_cast<std::size_t>(p_.num_servers()), -1.0);
+    for (ClientIndex c = 0; c < p_.num_clients(); ++c) {
+      if (b[c] == kUnassigned) continue;
+      double& f = far[static_cast<std::size_t>(b[c])];
+      f = std::max(f, p_.client_block().cs(c, b[c]));
+    }
+    return far;
+  }
+
+  // First maximum over s1 <= s2, both non-empty, in (s1, s2) order.
+  RefPair FullScan(const std::vector<double>& far) const {
+    RefPair best;
+    for (ServerIndex s1 = 0; s1 < p_.num_servers(); ++s1) {
+      const double f1 = far[static_cast<std::size_t>(s1)];
+      if (f1 < 0.0) continue;
+      for (ServerIndex s2 = s1; s2 < p_.num_servers(); ++s2) {
+        const double f2 = far[static_cast<std::size_t>(s2)];
+        if (f2 < 0.0) continue;
+        const double v = (f1 + p_.ss(s1, s2)) + f2;
+        if (best.a == kUnassigned || v > best.value) best = {v, s1, s2};
+      }
+    }
+    return best;
+  }
+
+  // Best pair touching `from` or `to`, each anchor's first maximum over
+  // every partner, the first anchor kept on equal values.
+  RefPair Touching(const std::vector<double>& far, ServerIndex from,
+                   ServerIndex to) const {
+    RefPair best;
+    for (const ServerIndex anchor : {from, to}) {
+      if (anchor < 0) continue;
+      const double fa = far[static_cast<std::size_t>(anchor)];
+      if (fa < 0.0) continue;
+      double row_best = 0.0;
+      ServerIndex partner = kUnassigned;
+      for (ServerIndex s = 0; s < p_.num_servers(); ++s) {
+        const double fs = far[static_cast<std::size_t>(s)];
+        if (fs < 0.0) continue;
+        const double v = (fa + p_.ss(anchor, s)) + fs;
+        if (partner == kUnassigned || v > row_best) {
+          row_best = v;
+          partner = s;
+        }
+      }
+      if (best.a == kUnassigned || row_best > best.value) {
+        best = {row_best, std::min(anchor, partner), std::max(anchor, partner)};
+      }
+    }
+    return best;
+  }
+
+  RefPair Evaluate(ClientIndex c, ServerIndex to) const {
+    const ServerIndex from = a_[c];
+    if (to == from) return pair_;
+    Assignment b = a_;
+    b[c] = to;
+    const std::vector<double> far = Far(b);
+    if (pair_.a == from || pair_.a == to || pair_.b == from || pair_.b == to) {
+      return FullScan(far);
+    }
+    const RefPair touching = Touching(far, from, to);
+    return touching.value > pair_.value ? touching : pair_;
+  }
+
+  const Problem& p_;
+  Assignment a_;
+  RefPair pair_;
+};
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void ExpectSameState(const IncrementalEvaluator& got,
+                     const ReferenceEvaluator& want, const std::string& at) {
+  ASSERT_EQ(Bits(got.CurrentMax()), Bits(want.pair().value)) << at;
+  ASSERT_EQ(got.MaxPairFirst(), want.pair().a) << at;
+  ASSERT_EQ(got.MaxPairSecond(), want.pair().b) << at;
+}
+
+// Random add, remove, move and evaluate steps from a partial assignment.
+// Each step scores its client against every server, then maybe applies
+// one. Targets are drawn from a shrinking prefix of the servers half the
+// time, so servers empty and refill, and a third of the steps take a
+// cached pair endpoint's farthest client, as the bottleneck descent does.
+void DriveAgainstReference(const Problem& p, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::int32_t num_servers = p.num_servers();
+  Assignment a(static_cast<std::size_t>(p.num_clients()));
+  for (ClientIndex c = 0; c < p.num_clients(); ++c) {
+    if (rng.NextBernoulli(0.6)) {
+      a[c] = static_cast<ServerIndex>(
+          rng.NextBounded(static_cast<std::uint64_t>(num_servers)));
+    }
+  }
+  IncrementalEvaluator eval(p, a, IncrementalEvaluator::AllowPartial{});
+  ReferenceEvaluator ref(p, a);
+  ExpectSameState(eval, ref, "seed " + std::to_string(seed) + " start");
+  for (int step = 0; step < 400; ++step) {
+    const std::string at =
+        "seed " + std::to_string(seed) + " step " + std::to_string(step);
+    auto c = static_cast<ClientIndex>(
+        rng.NextBounded(static_cast<std::uint64_t>(p.num_clients())));
+    if (eval.MaxPairFirst() != kUnassigned && rng.NextBernoulli(0.3)) {
+      c = eval.Farthest(rng.NextBernoulli(0.5) ? eval.MaxPairFirst()
+                                               : eval.MaxPairSecond())
+              .second;
+    }
+    const std::int32_t span =
+        rng.NextBernoulli(0.5)
+            ? num_servers
+            : 1 + (num_servers - 1) * (400 - step) / 400;
+    const auto to = static_cast<ServerIndex>(
+        rng.NextBounded(static_cast<std::uint64_t>(span)));
+    if (!eval.IsActive(c)) {
+      for (ServerIndex s = 0; s < num_servers; ++s) {
+        ASSERT_EQ(Bits(eval.EvaluateAdd(c, s)), Bits(ref.EvaluateAdd(c, s)))
+            << at << " target " << s;
+      }
+      if (rng.NextBernoulli(0.7)) {
+        eval.AddClient(c, to);
+        ref.AddClient(c, to);
+      }
+    } else if (rng.NextBernoulli(0.25)) {
+      eval.RemoveClient(c);
+      ref.RemoveClient(c);
+    } else {
+      for (ServerIndex s = 0; s < num_servers; ++s) {
+        ASSERT_EQ(Bits(eval.EvaluateMove(c, s)), Bits(ref.EvaluateMove(c, s)))
+            << at << " target " << s;
+      }
+      if (rng.NextBernoulli(0.6)) {
+        eval.ApplyMove(c, to);
+        ref.ApplyMove(c, to);
+      }
+    }
+    ExpectSameState(eval, ref, at);
+  }
+}
+
+TEST(EvaluatorReferenceTest, TieHeavyStepsMatchBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 7727);
+    const auto num_servers = static_cast<std::int32_t>(2 + rng.NextBounded(7));
+    const auto num_clients = static_cast<std::int32_t>(6 + rng.NextBounded(30));
+    DriveAgainstReference(test::TieHeavyProblem(num_clients, num_servers, rng),
+                          seed);
+  }
+}
+
+TEST(EvaluatorReferenceTest, RandomStepsMatchBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed * 6151);
+    const auto num_servers = static_cast<std::int32_t>(2 + rng.NextBounded(11));
+    const auto num_nodes =
+        num_servers + static_cast<std::int32_t>(4 + rng.NextBounded(30));
+    DriveAgainstReference(test::RandomProblem(num_nodes, num_servers, rng),
+                          seed + 100);
+  }
+}
+
+TEST(EvaluatorReferenceTest, BestAddIsTheFirstArgminOfEvaluateAdd) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed * 4241);
+    const auto num_servers = static_cast<std::int32_t>(2 + rng.NextBounded(7));
+    const Problem p = seed % 2 == 0
+                          ? test::TieHeavyProblem(40, num_servers, rng)
+                          : test::RandomProblem(40, num_servers, rng);
+    Assignment a(static_cast<std::size_t>(p.num_clients()));
+    IncrementalEvaluator eval(p, a, IncrementalEvaluator::AllowPartial{});
+    const auto capacity = static_cast<std::int32_t>(2 + rng.NextBounded(8));
+    std::vector<char> eligible(static_cast<std::size_t>(num_servers), 0);
+    ASSERT_EQ(eval.BestAdd(0, eligible), kUnassigned);  // nothing eligible
+    for (ClientIndex c = 0; c < p.num_clients(); ++c) {
+      const std::string at =
+          "seed " + std::to_string(seed) + " client " + std::to_string(c);
+      ServerIndex want = kUnassigned;
+      double want_value = 0.0;
+      for (ServerIndex s = 0; s < num_servers; ++s) {
+        const bool ok = rng.NextBernoulli(0.7) && eval.LoadOf(s) < capacity;
+        eligible[static_cast<std::size_t>(s)] = ok ? 1 : 0;
+        if (!ok) continue;
+        const double value = eval.EvaluateAdd(c, s);
+        if (want == kUnassigned || value < want_value) {
+          want = s;
+          want_value = value;
+        }
+      }
+      const ServerIndex got = eval.BestAdd(c, eligible);
+      ASSERT_EQ(got, want) << at;
+      if (got == kUnassigned) continue;
+      ASSERT_EQ(Bits(eval.AddClient(c, got)), Bits(want_value)) << at;
+    }
+  }
 }
 
 }  // namespace

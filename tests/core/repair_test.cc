@@ -17,6 +17,7 @@
 #include "core/incremental.h"
 #include "core/metrics.h"
 #include "core/nearest_server.h"
+#include "core/random_assign.h"
 #include "core/solver_registry.h"
 #include "../testutil.h"
 
@@ -224,18 +225,27 @@ TEST(ReoptimizeTest, ProposalsLowerTheObjectiveBySequentialGains) {
 }
 
 TEST(ReoptimizeTest, DownServersAreNeverTouched) {
-  Rng rng(101);
-  const Problem p = test::RandomProblem(30, 5, rng);
-  IncrementalEvaluator eval(p, NearestServerAssign(p));
-  ReoptimizeOptions options;
-  options.max_moves = 8;
-  options.down.assign(static_cast<std::size_t>(p.num_servers()), 0);
-  options.down[2] = 1;
-  const ReoptimizeResult result = ProposeReoptimization(p, eval, options);
-  for (const MoveProposal& move : result.moves) {
-    EXPECT_NE(move.to, 2);
-    EXPECT_NE(move.from, 2);  // re-homing off a dead server is repair's job
+  // The down server is the maximal pair's first server and holds clients,
+  // so its witness is the descent's natural first move.
+  std::int32_t proposing = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed * 101);
+    const Problem p = test::RandomProblem(30, 5, rng);
+    IncrementalEvaluator eval(p, RandomAssign(p, rng));
+    const ServerIndex dead = eval.MaxPairFirst();
+    ReoptimizeOptions options;
+    options.max_moves = 8;
+    options.down.assign(static_cast<std::size_t>(p.num_servers()), 0);
+    options.down[static_cast<std::size_t>(dead)] = 1;
+    const ReoptimizeResult result = ProposeReoptimization(p, eval, options);
+    proposing += result.moves.empty() ? 0 : 1;
+    for (const MoveProposal& move : result.moves) {
+      EXPECT_NE(move.to, dead) << "seed " << seed;
+      // Re-homing off a dead server is repair's job.
+      EXPECT_NE(move.from, dead) << "seed " << seed;
+    }
   }
+  EXPECT_GT(proposing, 0);
 }
 
 TEST(ReoptimizeTest, MaxMovesAndMinGainBound) {
@@ -325,33 +335,15 @@ TEST(RepairTest, RegistryRequiresInitialAndFailedSet) {
 // --- one bottleneck descent against the scan-based reference ----------------
 //
 // RepairAssign's two phases and ProposeReoptimization run one descent
-// that reads each anchor's witness off the evaluator's farthest-first run.
+// that takes each anchor's witness from the evaluator: the anchor's cached
+// farthest client, or its farthest orphan in repair's orphan phase.
 // ReferenceDescent finds it by a scan over candidate clients in a fixed
 // order (hardest-first orphans, or every client by index) that keeps the
 // first client with the largest d(c, anchor). Both must apply the same
 // moves and count the same evaluations on every input; a faster evaluator
 // must keep passing these tests unchanged.
 
-// Integer latencies in [1, 6]: most distances and pair values tie.
-Problem TieHeavyProblem(std::int32_t num_clients, std::int32_t num_servers,
-                        Rng& rng) {
-  const auto nc = static_cast<std::size_t>(num_clients);
-  const auto ns = static_cast<std::size_t>(num_servers);
-  std::vector<double> d_cs(nc * ns);
-  for (double& d : d_cs) d = static_cast<double>(1 + rng.NextBounded(6));
-  std::vector<double> d_ss(ns * ns, 0.0);
-  for (std::size_t a = 0; a < ns; ++a) {
-    for (std::size_t b = a + 1; b < ns; ++b) {
-      d_ss[a * ns + b] = d_ss[b * ns + a] =
-          static_cast<double>(1 + rng.NextBounded(6));
-    }
-  }
-  std::vector<net::NodeIndex> servers(ns);
-  std::iota(servers.begin(), servers.end(), 0);
-  std::vector<net::NodeIndex> clients(nc);
-  std::iota(clients.begin(), clients.end(), num_servers);
-  return Problem::FromBlocks(servers, clients, d_cs, d_ss);
-}
+using test::TieHeavyProblem;
 
 // A complete assignment with at most `capacity` clients per server
 // (capacity < 0: unlimited).
@@ -407,6 +399,10 @@ bool ReferenceDescent(const Problem& p, const ReferenceRules& rules,
     std::vector<ServerIndex> anchors{pair_a};
     if (pair_b != pair_a && pair_b != kUnassigned) anchors.push_back(pair_b);
     for (const ServerIndex anchor : anchors) {
+      if (!rules.closed.empty() &&
+          rules.closed[static_cast<std::size_t>(anchor)] != 0) {
+        continue;  // a closed anchor keeps its clients
+      }
       ClientIndex witness = -1;
       double witness_d = -1.0;
       for (const ClientIndex c : rules.candidates) {

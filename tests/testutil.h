@@ -84,6 +84,28 @@ inline core::Problem RandomProblem(std::int32_t num_nodes,
   return core::Problem::WithClientsEverywhere(m, servers);
 }
 
+/// Integer latencies in [1, 6] between `num_clients` clients and
+/// `num_servers` servers: most distances and pair values tie.
+inline core::Problem TieHeavyProblem(std::int32_t num_clients,
+                                     std::int32_t num_servers, Rng& rng) {
+  const auto nc = static_cast<std::size_t>(num_clients);
+  const auto ns = static_cast<std::size_t>(num_servers);
+  std::vector<double> d_cs(nc * ns);
+  for (double& d : d_cs) d = static_cast<double>(1 + rng.NextBounded(6));
+  std::vector<double> d_ss(ns * ns, 0.0);
+  for (std::size_t a = 0; a < ns; ++a) {
+    for (std::size_t b = a + 1; b < ns; ++b) {
+      d_ss[a * ns + b] = d_ss[b * ns + a] =
+          static_cast<double>(1 + rng.NextBounded(6));
+    }
+  }
+  std::vector<net::NodeIndex> servers(ns);
+  std::iota(servers.begin(), servers.end(), 0);
+  std::vector<net::NodeIndex> clients(nc);
+  std::iota(clients.begin(), clients.end(), num_servers);
+  return core::Problem::FromBlocks(servers, clients, d_cs, d_ss);
+}
+
 /// O(|C|^2) reference for the maximum interaction path length.
 inline double BruteForceMaxPath(const core::Problem& p,
                                 const core::Assignment& a) {
