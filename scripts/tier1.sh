@@ -169,12 +169,14 @@ if ! $skip_tsan; then
   # mutable structure on the query path; concurrent lookups must be
   # race-free and bit-deterministic.
   ctest --test-dir build-tsan -L oracle -E smoke_ --output-on-failure
-  # The churn suite under TSan: each control-plane run boots (and samples
-  # its oracle gap) with the pool-parallel greedy solver, then drives one
-  # serial evaluator epoch after epoch — its member lists, client slots,
-  # top-two heads and best-partner rows are copied into every
-  # re-optimization round; the thread-count determinism contract must
-  # hold without races.
+  # The churn suite under TSan: each control-plane run reads a streamed
+  # client block, boots (and samples its oracle gap) by cutting its
+  # members' rows from that view in pool-parallel chunks and running the
+  # pool-parallel greedy solver on them, then drives one serial evaluator
+  # epoch after epoch — its member lists, client slots, top-two heads and
+  # best-partner rows are copied into every re-optimization round; the
+  # thread-count determinism contract, and equality with a run on a
+  # resident cut of the same view, must hold without races.
   ctest --test-dir build-tsan -L churn -E smoke_ --output-on-failure
 fi
 
@@ -189,11 +191,13 @@ if ! $skip_asan; then
   # The oracle suite under ASan+UBSan: row buffers, cache eviction, and
   # the streaming problem builders are where lifetime bugs would hide.
   ctest --test-dir build-asan -L oracle -E smoke_ --output-on-failure
-  # The churn suite under ASan+UBSan: every membership add/remove swaps an
-  # entry of the evaluator's per-server member lists and rewrites client
-  # slots, rescans a top two whose head or runner-up left, and patches or
-  # rebuilds best-partner rows; the evaluator's own tests drive random
-  # add/remove/move sequences against a from-scratch reference —
-  # out-of-bounds territory if a slot, a head or a partner row goes stale.
+  # The churn suite under ASan+UBSan: the control plane reads a streamed
+  # client block and cuts its members' rows from it into fresh resident
+  # blocks; every membership add/remove swaps an entry of the evaluator's
+  # per-server member lists and rewrites client slots, rescans a top two
+  # whose head or runner-up left, and patches or rebuilds best-partner
+  # rows; the evaluator's own tests drive random add/remove/move
+  # sequences against a from-scratch reference — out-of-bounds territory
+  # if a row cut, a slot, a head or a partner row goes stale.
   ctest --test-dir build-asan -L churn -E smoke_ --output-on-failure
 fi

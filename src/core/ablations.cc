@@ -153,17 +153,8 @@ LocalSearchResult FullLocalSearchAssign(const Problem& problem,
       const TopTwo& top = tops[static_cast<std::size_t>(t)];
       g[static_cast<std::size_t>(t)] =
           top.first_count > 1 ? top.first : top.second;
-      double rest = 0.0;
-      for (ServerIndex s1 = 0; s1 < num_servers; ++s1) {
-        const double f1 = g[static_cast<std::size_t>(s1)];
-        if (f1 < 0.0) continue;
-        const double* row = problem.ss_row(s1);
-        for (ServerIndex s2 = s1; s2 < num_servers; ++s2) {
-          const double f2 = g[static_cast<std::size_t>(s2)];
-          if (f2 >= 0.0) rest = std::max(rest, f1 + row[s2] + f2);
-        }
-      }
-      rest_if_top_leaves[static_cast<std::size_t>(t)] = rest;
+      rest_if_top_leaves[static_cast<std::size_t>(t)] =
+          MaxPathFromEccentricities(problem, g);
     }
 
     double best_len = current;

@@ -19,29 +19,23 @@ class Search {
   Search(const Problem& problem, const ExactOptions& options)
       : problem_(problem),
         options_(options),
+        // Branch-and-bound revisits arbitrary client rows at every node,
+        // so the search holds its own copy of the block for its lifetime.
+        // Exhaustive search is only tractable at sizes where the block is
+        // small anyway; the copy trades memory the instance can afford
+        // for the random access the search needs.
+        block_(problem.client_block().MaterializeBlock()),
+        stride_(problem.server_stride()),
         far_(static_cast<std::size_t>(problem.num_servers()), -1.0),
         load_(static_cast<std::size_t>(problem.num_servers()), 0),
         current_(static_cast<std::size_t>(problem.num_clients())) {
-    // Branch-and-bound revisits arbitrary client rows at every node, so a
-    // streamed block is materialized locally for the search's lifetime.
-    // Exhaustive search is only tractable at sizes where the block is
-    // small anyway; the copy trades memory the instance can afford for
-    // the random access the recursion needs.
-    const ClientBlockView& view = problem.client_block();
-    stride_ = view.server_stride();
-    if (view.raw_block() != nullptr) {
-      block_ = view.raw_block();
-    } else {
-      local_block_ = view.MaterializeBlock();
-      block_ = local_block_.data();
-    }
     // Client order: hardest (largest nearest-server round trip) first for
     // earlier pruning.
     order_.resize(static_cast<std::size_t>(problem.num_clients()));
     std::iota(order_.begin(), order_.end(), 0);
     min_rtt_.resize(order_.size());
     for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
-      const double* row = block_ + static_cast<std::size_t>(c) * stride_;
+      const double* row = block_.data() + static_cast<std::size_t>(c) * stride_;
       double best = row[0];
       for (ServerIndex s = 1; s < problem.num_servers(); ++s) {
         best = std::min(best, row[s]);
@@ -81,7 +75,7 @@ class Search {
         --load_[static_cast<std::size_t>(s)];
         far_[static_cast<std::size_t>(s)] = f.saved_far;
       }
-      const double* row = block_ + static_cast<std::size_t>(c) * stride_;
+      const double* row = block_.data() + static_cast<std::size_t>(c) * stride_;
       double len = 0.0;
       for (; f.next < problem_.num_servers(); ++f.next) {
         const ServerIndex s = f.next;
@@ -147,8 +141,7 @@ class Search {
 
   const Problem& problem_;
   const ExactOptions& options_;
-  std::vector<double> local_block_;  // copy of a streamed block, else empty
-  const double* block_ = nullptr;    // resident or local rows, stride_ apart
+  std::vector<double> block_;  // the search's rows, stride_ apart
   std::size_t stride_ = 0;
   std::vector<ClientIndex> order_;
   std::vector<double> min_rtt_;

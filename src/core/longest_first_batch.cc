@@ -73,7 +73,6 @@ Assignment Capacitated(const Problem& problem, const AssignOptions& options,
   const std::int32_t num_clients = problem.num_clients();
   const ClientBlockView& view = problem.client_block();
   const std::size_t stride = view.server_stride();
-  const double* raw = view.raw_block();
   std::vector<std::int32_t> remaining(
       static_cast<std::size_t>(problem.num_servers()));
   for (ServerIndex s = 0; s < problem.num_servers(); ++s) {
@@ -106,15 +105,9 @@ Assignment Capacitated(const Problem& problem, const AssignOptions& options,
           if (a[c] != kUnassigned) {
             return -kInf;
           }
-          const double* row;
           thread_local std::vector<double> scratch;
-          if (raw != nullptr) {
-            row = raw + static_cast<std::size_t>(c) * stride;
-          } else {
-            scratch.resize(stride);
-            view.FillRow(c, scratch.data());
-            row = scratch.data();
-          }
+          scratch.resize(stride);
+          const double* row = view.Row(c, scratch.data());
           const simd::ArgResult best =
               simd::ArgMinPlusFirst(row, avail.data(), avail.size());
           DIACA_CHECK_MSG(best.index >= 0, "all servers saturated early");

@@ -15,18 +15,6 @@ namespace diaca::core {
 
 namespace {
 
-// Row of client c: the resident row when materialized, else filled into
-// `scratch` through the view.
-const double* RowOf(const ClientBlockView& view, ClientIndex c,
-                    std::vector<double>& scratch) {
-  if (const double* raw = view.raw_block()) {
-    return raw + static_cast<std::size_t>(c) * view.server_stride();
-  }
-  scratch.resize(view.server_stride());
-  view.FillRow(c, scratch.data());
-  return scratch.data();
-}
-
 // The pairwise bound as one certified filter-and-refine pass, the same
 // on every client-block view.
 //
@@ -79,7 +67,7 @@ LowerBoundDetail ComputePairwise(const Problem& problem) {
     // The m row keeps its +infinity pad lanes: the kernels run over the
     // |S| valid lanes only, and a relaxed pad lane could win the reduce.
     std::vector<double> m_row(stride, kInf);
-    std::vector<double> row_c, row_c2;  // lazy views fill rows here
+    std::vector<double> row_c(stride), row_c2(stride);  // Row's scratch
     std::int64_t rows_refined = 0;
     std::int64_t pairs_refined = 0;
     for (auto c = static_cast<ClientIndex>(cb); c < ce; ++c) {
@@ -91,7 +79,7 @@ LowerBoundDetail ComputePairwise(const Problem& problem) {
       for (ClientIndex c2 = c; c2 < num_clients; ++c2) {
         if (near_dist[ci] + view.cs(c2, s0) < bar) continue;
         if (!built) {
-          const double* cs_row = RowOf(view, c, row_c);
+          const double* cs_row = view.Row(c, row_c.data());
           std::fill_n(m_row.begin(), ss, kInf);
           for (ServerIndex s = 0; s < num_servers; ++s) {
             simd::MinPlusAccumulate(m_row.data(), problem.ss_row(s),
@@ -101,7 +89,7 @@ LowerBoundDetail ComputePairwise(const Problem& problem) {
           ++rows_refined;
         }
         const double value =
-            simd::MinPlusReduce(m_row.data(), RowOf(view, c2, row_c2), ss);
+            simd::MinPlusReduce(m_row.data(), view.Row(c2, row_c2.data()), ss);
         ++pairs_refined;
         // Pairs arrive in lexicographic order within the chunk, so the
         // strict `>` keeps the smallest pair attaining the chunk's max.
@@ -132,10 +120,11 @@ double TripleBound(const Problem& problem, ClientIndex a, ClientIndex b,
                    ClientIndex c, double stop_above) {
   const std::int32_t num_servers = problem.num_servers();
   const ClientBlockView& view = problem.client_block();
-  std::vector<double> scratch_a, scratch_b, scratch_c;
-  const double* da = RowOf(view, a, scratch_a);
-  const double* db = RowOf(view, b, scratch_b);
-  const double* dc = RowOf(view, c, scratch_c);
+  const std::size_t stride = view.server_stride();
+  std::vector<double> scratch(3 * stride);
+  const double* da = view.Row(a, scratch.data());
+  const double* db = view.Row(b, scratch.data() + stride);
+  const double* dc = view.Row(c, scratch.data() + 2 * stride);
   double best = std::numeric_limits<double>::infinity();
   for (ServerIndex sa = 0; sa < num_servers; ++sa) {
     if (2.0 * da[sa] >= best) continue;

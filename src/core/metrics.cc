@@ -8,20 +8,10 @@
 
 namespace diaca::core {
 
-namespace {
-
-// Below this many clients the chunked parallel paths fall back to plain
-// loops — the work wouldn't cover the fan-out cost.
-constexpr std::int64_t kClientGrain = 2048;
-
-// max over used pairs (s1, s2) of far(s1) + d(s1, s2) + far(s2), from an
-// eccentricity array already in hand. Shared by MaxInteractionPathLength
-// and CriticalClients so the eccentricities are computed exactly once per
-// caller. The subrange fold over s2 >= s1 walks the same upper triangle
-// as the former nested loop, with the same (f1 + d) + f2 association, so
-// the value is bit-identical to it.
 double MaxPathFromEccentricities(const Problem& problem,
                                  std::span<const double> far) {
+  // The subrange fold over s2 >= s1 walks the upper triangle with the
+  // (f1 + d) + f2 association.
   const std::int32_t num_servers = problem.num_servers();
   double best = 0.0;
   for (ServerIndex s1 = 0; s1 < num_servers; ++s1) {
@@ -36,8 +26,6 @@ double MaxPathFromEccentricities(const Problem& problem,
   return best;
 }
 
-}  // namespace
-
 double InteractionPathLength(const Problem& problem, const Assignment& a,
                              ClientIndex ci, ClientIndex cj) {
   const ServerIndex si = a[ci];
@@ -51,47 +39,9 @@ double InteractionPathLength(const Problem& problem, const Assignment& a,
 std::vector<double> ServerEccentricities(const Problem& problem,
                                          const Assignment& a) {
   DIACA_CHECK(a.size() == static_cast<std::size_t>(problem.num_clients()));
-  const std::int32_t num_clients = problem.num_clients();
-  const auto num_servers = static_cast<std::size_t>(problem.num_servers());
-  std::vector<double> far(num_servers, -1.0);
-  const ClientBlockView& view = problem.client_block();
-  const double* cs = view.raw_block();
-  if (cs == nullptr) {
-    // Streamed block: the view's bounds-first fold reads only the
-    // assigned diagonal (one value per client, never a synthesized row)
-    // and certified-skips whole client blocks once the running maxima
-    // dominate them — bit-identical to the full scatter because max is
-    // exact and skipped clients provably cannot raise it.
-    view.FoldAssignedMax(a.server_of.data(), far.data());
-    return far;
-  }
-  const std::size_t cs_stride = problem.server_stride();
-  ThreadPool& pool = GlobalPool();
-  if (pool.num_threads() == 1 || num_clients <= kClientGrain) {
-    simd::MaxAbsorbScatter(far.data(), a.server_of.data(), cs, cs_stride, 0,
-                           num_clients);
-    return far;
-  }
-  // Chunked max-merge: each chunk folds its clients into a private buffer
-  // owned by its chunk slot; the buffers are merged after the fork-join,
-  // in chunk order, with no lock anywhere. `max` is exact, so the merged
-  // eccentricities are bit-identical to the serial scan regardless.
-  const std::size_t num_chunks = static_cast<std::size_t>(
-      (num_clients + kClientGrain - 1) / kClientGrain);
-  std::vector<std::vector<double>> locals(num_chunks);
-  pool.ParallelFor(0, num_clients, kClientGrain,
-                   [&](std::int64_t b, std::int64_t e) {
-                     auto& local = locals[static_cast<std::size_t>(
-                         b / kClientGrain)];
-                     local.assign(num_servers, -1.0);
-                     simd::MaxAbsorbScatter(local.data(), a.server_of.data(),
-                                            cs, cs_stride, b, e);
-                   });
-  for (const std::vector<double>& local : locals) {
-    for (std::size_t s = 0; s < num_servers; ++s) {
-      far[s] = std::max(far[s], local[s]);
-    }
-  }
+  std::vector<double> far(static_cast<std::size_t>(problem.num_servers()),
+                          -1.0);
+  problem.client_block().FoldAssignedMax(a.server_of.data(), far.data());
   return far;
 }
 

@@ -25,6 +25,13 @@ double InteractionPathLength(const Problem& problem, const Assignment& a,
 std::vector<double> ServerEccentricities(const Problem& problem,
                                          const Assignment& a);
 
+/// The objective's pair fold from eccentricities already in hand: the
+/// maximum over used servers s1 <= s2 of (far(s1) + d(s1, s2)) + far(s2),
+/// starting from 0.0 (servers with far < 0 are unused). Every caller that
+/// holds far calls this instead of folding the clients again.
+double MaxPathFromEccentricities(const Problem& problem,
+                                 std::span<const double> far);
+
 /// Maximum interaction path length D over all client pairs — the paper's
 /// objective and the minimum achievable interaction time (§II-C).
 /// Computed in O(|C| + |U|^2) for U = set of used servers:

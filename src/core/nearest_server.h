@@ -25,7 +25,7 @@ Assignment NearestServerAssign(const Problem& problem,
 ServerIndex NearestServerOf(const Problem& problem, ClientIndex c);
 
 /// Client c's nearest server among those `eligible(s)` admits (lowest
-/// index wins ties) and its distance, from one row fill; {kUnassigned,
+/// index wins ties) and its distance, from one row read; {kUnassigned,
 /// +inf} when no server is eligible.
 struct NearestPick {
   ServerIndex server = kUnassigned;
@@ -34,9 +34,9 @@ struct NearestPick {
 template <typename Eligible>
 NearestPick NearestEligibleServer(const Problem& problem, ClientIndex c,
                                   Eligible&& eligible) {
-  thread_local std::vector<double> row;
-  row.resize(problem.client_block().server_stride());
-  problem.client_block().FillRow(c, row.data());
+  thread_local std::vector<double> scratch;
+  scratch.resize(problem.client_block().server_stride());
+  const double* row = problem.client_block().Row(c, scratch.data());
   NearestPick best;
   for (ServerIndex s = 0; s < problem.num_servers(); ++s) {
     const double d = row[static_cast<std::size_t>(s)];

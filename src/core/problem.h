@@ -119,9 +119,10 @@ class Problem {
                             std::span<const double> d_ss);
 
   /// Assemble a problem around an existing client-block view: an
-  /// OracleTileView that streams the block, or a MaterializedView of
-  /// some view's MaterializeBlock (every oracle-built problem, the cloud
-  /// and churn builders, the control plane's member sub-problems).
+  /// OracleTileView that streams the block (FromOracleTiled, the tiled
+  /// cloud, the churn builder), or a MaterializedView of some view's
+  /// MaterializeBlock (the oracle constructor, the materialized cloud,
+  /// the control plane's member sub-problems).
   /// `d_ss` is |S| x |S| dense row-major and validated like FromBlocks.
   /// The view's client/server counts must match the node lists.
   static Problem FromView(std::shared_ptr<const ClientBlockView> view,

@@ -283,7 +283,10 @@ ReoptimizeResult ProposeReoptimization(const Problem& problem,
   // evaluation is charged against eval_budget: serving a worse-vetted move
   // under deadline pressure is exactly what graceful degradation exists
   // to avoid.
-  IncrementalEvaluator scratch(eval);
+  IncrementalEvaluator scratch = [&] {
+    DIACA_OBS_SPAN("core.reoptimize.copy");
+    return IncrementalEvaluator(eval);
+  }();
   DescentRules rules;
   rules.closed = options.down;
   rules.margin = options.min_gain;

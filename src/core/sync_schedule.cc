@@ -10,28 +10,18 @@ namespace diaca::core {
 
 SyncSchedule ComputeSyncSchedule(const Problem& problem, const Assignment& a) {
   DIACA_CHECK_MSG(a.IsComplete(), "schedule requires a complete assignment");
-  const double max_path = MaxInteractionPathLength(problem, a);
   const std::vector<double> far = ServerEccentricities(problem, a);
+  const double max_path = MaxPathFromEccentricities(problem, far);
 
   SyncSchedule schedule;
   schedule.delta = max_path;
   schedule.server_offset.resize(static_cast<std::size_t>(problem.num_servers()));
   // Longest ingress distance to s: max over clients c' of
-  // d(c',A(c')) + d(A(c'),s) = max over used servers t of far(t) + d(t,s).
+  // d(c',A(c')) + d(A(c'),s) = max over used servers t of d(s,t) + far(t),
+  // the reach of s (f + d == d + f bit for bit).
   for (ServerIndex s = 0; s < problem.num_servers(); ++s) {
-    double longest_ingress = 0.0;
-    const double* row = problem.ss_row(s);
-    bool any = false;
-    for (ServerIndex t = 0; t < problem.num_servers(); ++t) {
-      const double f = far[static_cast<std::size_t>(t)];
-      if (f >= 0.0) {
-        longest_ingress = std::max(longest_ingress, f + row[t]);
-        any = true;
-      }
-    }
-    DIACA_CHECK(any);
     schedule.server_offset[static_cast<std::size_t>(s)] =
-        max_path - longest_ingress;
+        max_path - MaxServerReach(problem, far, s);
   }
   return schedule;
 }

@@ -55,11 +55,12 @@ struct AssignOptions {
 
   static constexpr std::int32_t kUnlimitedCapacity = -1;
 
-  /// Enables the certified bound-driven pruning inside the solvers
-  /// (cutoff-seeded candidate scans, proven-cost memos, bounds-first
-  /// block rejection). Off forces every bound-gated path to do the full exact
-  /// work — slower, bit-identical assignments — which is how the tier-1
-  /// smoke validates the certification.
+  /// Enables greedy's certified bound-driven pruning (cutoff-seeded
+  /// candidate scans, proven-cost memos, round 1 on attachment-row
+  /// floors). Off forces greedy to do the full exact work — slower,
+  /// bit-identical assignments — which is how the tier-1 smoke validates
+  /// the certification. The eccentricity fold's block rejection on a
+  /// streamed view follows TileOptions::bound_pruning instead.
   bool bound_pruning = true;
 
   bool capacitated() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <string_view>
@@ -10,6 +9,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/spec_grammar.h"
 #include "obs/obs.h"
 
 namespace diaca::data {
@@ -169,30 +169,18 @@ ChurnTrace GenerateChurnTrace(const ChurnParams& params,
 
 namespace {
 
-std::string_view TrimSpec(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+constexpr SpecKeyOwner kChurnKeyOwners[] = {{'x', "flash"}, {'a', "wave"}};
 
-[[noreturn]] void ChurnFail(std::string_view item, const std::string& why) {
-  throw Error("bad --churn item '" + std::string(item) + "': " + why +
-              " (grammar: docs/CLI.md)");
-}
+/// The tokenizer, messages and misplaced-key check --faults uses too.
+constexpr SpecGrammar kGrammar("--churn", "docs/CLI.md", kChurnKeyOwners);
 
+/// A finite number: rates, probabilities and multipliers take no inf or
+/// nan.
 double ParseChurnDouble(std::string_view text, std::string_view item,
                         const char* what) {
-  // std::from_chars<double> mirrors the fault grammar's number parsing.
-  double out = 0.0;
-  const std::string buf(text);
-  char* end = nullptr;
-  out = std::strtod(buf.c_str(), &end);
-  if (buf.empty() || end != buf.c_str() + buf.size() || !std::isfinite(out)) {
-    ChurnFail(item, std::string("expected a number for the ") + what);
+  const double out = kGrammar.ParseDouble(text, item, what);
+  if (!std::isfinite(out)) {
+    kGrammar.Fail(item, std::string("expected a number for the ") + what);
   }
   return out;
 }
@@ -201,51 +189,11 @@ std::int32_t ParseChurnEpoch(std::string_view text, std::string_view item,
                              const char* what) {
   const double value = ParseChurnDouble(text, item, what);
   if (value < 0.0 || value != std::floor(value) || value > 1e9) {
-    ChurnFail(item, std::string("expected a non-negative epoch index for the ") +
-                        what);
+    kGrammar.Fail(item,
+                  std::string("expected a non-negative epoch index for the ") +
+                      what);
   }
   return static_cast<std::int32_t>(value);
-}
-
-/// Which kinds consume each single-letter argument key (misplaced-key
-/// diagnostics, as in the --faults grammar).
-const char* ChurnKeyOwners(char key) {
-  switch (key) {
-    case 'x': return "flash";
-    case 'a': return "wave";
-    default: return nullptr;
-  }
-}
-
-void CheckChurnKeys(std::string_view item, std::string_view kind,
-                    const char* valid_keys, std::string_view allowed,
-                    std::span<const std::string_view> args) {
-  for (const std::string_view arg : args) {
-    const char key = arg.empty() ? '\0' : arg.front();
-    if (allowed.find(key) != std::string_view::npos) continue;
-    if (ChurnKeyOwners(key) != nullptr) {
-      ChurnFail(item, std::string("key '") + key + "' is not valid for " +
-                          std::string(kind) + " (valid keys: " + valid_keys +
-                          "; '" + key + "' belongs to " +
-                          ChurnKeyOwners(key) + ")");
-    }
-    ChurnFail(item, "unknown key '" + std::string(arg) + "' for " +
-                        std::string(kind) + " (valid keys: " + valid_keys +
-                        ")");
-  }
-}
-
-std::vector<std::string_view> SplitChurn(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (true) {
-    const auto pos = text.find(sep);
-    if (pos == std::string_view::npos) {
-      parts.push_back(text);
-      return parts;
-    }
-    parts.push_back(text.substr(0, pos));
-    text.remove_prefix(pos + 1);
-  }
 }
 
 }  // namespace
@@ -259,49 +207,49 @@ ChurnParams ParseChurnSpec(const std::string& spec) {
   bool seen_until = false;
   auto once = [&](bool& seen, std::string_view item, std::string_view kind) {
     if (seen) {
-      ChurnFail(item, "duplicate '" + std::string(kind) +
-                          "' item (each scalar knob may appear once)");
+      kGrammar.Fail(item, "duplicate '" + std::string(kind) +
+                              "' item (each scalar knob may appear once)");
     }
     seen = true;
   };
-  for (const std::string_view raw : SplitChurn(spec, ';')) {
-    const std::string_view item = TrimSpec(raw);
+  for (const std::string_view raw : SpecGrammar::Split(spec, ';')) {
+    const std::string_view item = SpecGrammar::Trim(raw);
     if (item.empty()) continue;
     const auto at = item.find('@');
     if (at == std::string_view::npos) {
-      ChurnFail(item, "expected KIND@...");
+      kGrammar.Fail(item, "expected KIND@...");
     }
     const std::string_view kind = item.substr(0, at);
     const std::vector<std::string_view> parts =
-        SplitChurn(item.substr(at + 1), ':');
+        SpecGrammar::Split(item.substr(at + 1), ':');
     const std::span<const std::string_view> args(parts.data() + 1,
                                                  parts.size() - 1);
     if (kind == "arrive") {
       once(seen_arrive, item, kind);
-      CheckChurnKeys(item, kind, "(none)", "", args);
-      if (!args.empty()) ChurnFail(item, "expected arrive@RATE");
+      kGrammar.CheckKeys(item, kind, "(none)", "", args);
+      if (!args.empty()) kGrammar.Fail(item, "expected arrive@RATE");
       params.arrivals_per_epoch =
           ParseChurnDouble(parts[0], item, "arrival rate");
       if (params.arrivals_per_epoch < 0.0) {
-        ChurnFail(item, "arrival rate must be >= 0");
+        kGrammar.Fail(item, "arrival rate must be >= 0");
       }
     } else if (kind == "depart" || kind == "move") {
       once(kind == "depart" ? seen_depart : seen_move, item, kind);
-      CheckChurnKeys(item, kind, "(none)", "", args);
+      kGrammar.CheckKeys(item, kind, "(none)", "", args);
       if (!args.empty()) {
-        ChurnFail(item, "expected " + std::string(kind) + "@PROB");
+        kGrammar.Fail(item, "expected " + std::string(kind) + "@PROB");
       }
       const double p = ParseChurnDouble(parts[0], item, "probability");
       if (p < 0.0 || p > 1.0) {
-        ChurnFail(item, "probability must be in [0, 1]");
+        kGrammar.Fail(item, "probability must be in [0, 1]");
       }
       (kind == "depart" ? params.departure_prob : params.move_prob) = p;
     } else if (kind == "flash") {
-      CheckChurnKeys(item, kind, "x (the rate multiplier)", "x", args);
-      if (args.size() != 1) ChurnFail(item, "expected flash@E-E:xMULT");
+      kGrammar.CheckKeys(item, kind, "x (the rate multiplier)", "x", args);
+      if (args.size() != 1) kGrammar.Fail(item, "expected flash@E-E:xMULT");
       const auto dash = parts[0].find('-');
       if (dash == std::string_view::npos) {
-        ChurnFail(item, "expected an epoch window as E-E");
+        kGrammar.Fail(item, "expected an epoch window as E-E");
       }
       FlashCrowd flash;
       flash.start_epoch =
@@ -309,37 +257,38 @@ ChurnParams ParseChurnSpec(const std::string& spec) {
       flash.end_epoch =
           ParseChurnEpoch(parts[0].substr(dash + 1), item, "window end");
       if (flash.end_epoch <= flash.start_epoch) {
-        ChurnFail(item, "flash window must have start < end");
+        kGrammar.Fail(item, "flash window must have start < end");
       }
       flash.multiplier =
           ParseChurnDouble(args[0].substr(1), item, "multiplier");
       if (flash.multiplier <= 0.0) {
-        ChurnFail(item, "flash multiplier must be positive");
+        kGrammar.Fail(item, "flash multiplier must be positive");
       }
       params.flashes.push_back(flash);
     } else if (kind == "wave") {
       once(seen_wave, item, kind);
-      CheckChurnKeys(item, kind, "a (the amplitude)", "a", args);
-      if (args.size() != 1) ChurnFail(item, "expected wave@PERIOD:aAMP");
+      kGrammar.CheckKeys(item, kind, "a (the amplitude)", "a", args);
+      if (args.size() != 1) kGrammar.Fail(item, "expected wave@PERIOD:aAMP");
       params.wave_period_epochs =
           ParseChurnEpoch(parts[0], item, "wave period");
       if (params.wave_period_epochs == 0) {
-        ChurnFail(item, "wave period must be >= 1 epoch");
+        kGrammar.Fail(item, "wave period must be >= 1 epoch");
       }
       params.wave_amplitude =
           ParseChurnDouble(args[0].substr(1), item, "amplitude");
       if (params.wave_amplitude < 0.0) {
-        ChurnFail(item, "wave amplitude must be >= 0");
+        kGrammar.Fail(item, "wave amplitude must be >= 0");
       }
     } else if (kind == "until") {
       once(seen_until, item, kind);
-      CheckChurnKeys(item, kind, "(none)", "", args);
-      if (!args.empty()) ChurnFail(item, "expected until@EPOCH");
+      kGrammar.CheckKeys(item, kind, "(none)", "", args);
+      if (!args.empty()) kGrammar.Fail(item, "expected until@EPOCH");
       params.churn_until_epoch =
           ParseChurnEpoch(parts[0], item, "quiet-tail start");
     } else {
-      ChurnFail(item, "unknown churn kind '" + std::string(kind) +
-                          "' (expected arrive|depart|move|flash|wave|until)");
+      kGrammar.Fail(item,
+                    "unknown churn kind '" + std::string(kind) +
+                        "' (expected arrive|depart|move|flash|wave|until)");
     }
   }
   return params;
@@ -358,19 +307,18 @@ ChurnProblem BuildChurnProblem(const ChurnTrace& trace,
     access_ms[c] = trace.instances[c].access_ms;
   }
   // The view validates the servers and access delays, pulls the |S|
-  // substrate server rows (the only shortest-path work) and computes
-  // d(instance, s) = access + row_s[attach]; the block is its rows, held
-  // once.
-  const auto view = core::OracleTileView::FromAttachments(
-      oracle, server_nodes, attach, access_ms);
+  // substrate server rows (the only shortest-path work) and answers
+  // d(instance, s) = access + row_s[attach] on demand; it is the
+  // problem's client block.
+  auto view = core::OracleTileView::FromAttachments(oracle, server_nodes,
+                                                    attach, access_ms);
+  const std::span<const double> d_ss = view->server_block();
   std::vector<net::NodeIndex> servers(server_nodes.begin(),
                                       server_nodes.end());
   std::vector<net::NodeIndex> client_ids(num_instances);
   std::iota(client_ids.begin(), client_ids.end(), oracle.size());
   core::Problem problem = core::Problem::FromView(
-      std::make_shared<core::MaterializedView>(
-          view->num_clients(), view->num_servers(), view->MaterializeBlock()),
-      servers, std::move(client_ids), view->server_block());
+      std::move(view), servers, std::move(client_ids), d_ss);
   return ChurnProblem{std::move(servers), std::move(problem)};
 }
 

@@ -124,11 +124,11 @@ struct ChurnProblem {
   core::Problem problem;
 };
 
-/// Materialize the |instances| x |S| block exactly like a materialized
-/// BuildClientCloud: an OracleTileView over the instances' (attach,
-/// access) pairs pulls the |S| server rows once, and its MaterializeBlock
-/// (d(c, s) = access(c) + row_s[attach(c)]) is the problem's resident
-/// block, held once. Peak memory is O(|S| * n + |instances| * |S|).
+/// The problem streams its |instances| x |S| block: an OracleTileView
+/// over the instances' (attach, access) pairs pulls the |S| server rows
+/// once and answers d(c, s) = access(c) + row_s[attach(c)], one IEEE add,
+/// on demand — the bits a resident cut of the same view holds. Memory is
+/// O(|S| * n + |instances|), never |instances| x |S|.
 /// Throws diaca::Error on an empty trace, bad server nodes, or a
 /// negative or NaN access delay.
 ChurnProblem BuildChurnProblem(const ChurnTrace& trace,

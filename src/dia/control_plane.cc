@@ -89,10 +89,12 @@ ControlPlaneReport ControlPlane::Run() const {
     initial[static_cast<std::size_t>(i)] = i;
     set_member(i, 1);
   }
-  core::Assignment boot =
-      FreshGreedyAssignment(problem_, initial, params_.assign);
-  core::IncrementalEvaluator eval(problem_, boot,
-                                  core::IncrementalEvaluator::AllowPartial{});
+  core::IncrementalEvaluator eval = [&] {
+    DIACA_OBS_SPAN("dia.control.boot");
+    return core::IncrementalEvaluator(
+        problem_, FreshGreedyAssignment(problem_, initial, params_.assign),
+        core::IncrementalEvaluator::AllowPartial{});
+  }();
 
   auto has_room = [&](core::ServerIndex s) {
     return !capacitated ||
@@ -137,6 +139,18 @@ ControlPlaneReport ControlPlane::Run() const {
         rep.degraded = true;
         rep.reason = reason;
       }
+    };
+    /// Attach c to `target`, or strand it when there is none (the epoch
+    /// then degrades as infeasible). True when c was placed.
+    auto place = [&](core::ClientIndex c, core::ServerIndex target) {
+      if (target == core::kUnassigned) {
+        set_stranded(c, 1);
+        degrade(DegradedReason::kInfeasible);
+        return false;
+      }
+      eval.AddClient(c, target);
+      set_stranded(c, 0);
+      return true;
     };
     if (servers_up == 0) degrade(DegradedReason::kAllServersDown);
     // A crash landing strictly inside the epoch: the optimizer's input
@@ -187,33 +201,17 @@ ControlPlaneReport ControlPlane::Run() const {
       if (due && servers_up > 0) {
         for (core::ClientIndex c = 0; c < num_clients; ++c) {
           if (member[static_cast<std::size_t>(c)] == 0) continue;
-          if (stranded[static_cast<std::size_t>(c)] != 0) {
-            // A previous outage left this member homeless; re-attach now
-            // that servers are back.
-            const core::ServerIndex target = nearest_up(c);
-            if (target == core::kUnassigned) {
-              degrade(DegradedReason::kInfeasible);
+          if (stranded[static_cast<std::size_t>(c)] == 0) {
+            const core::ServerIndex home = eval.ServerOf(c);
+            if (home == core::kUnassigned ||
+                down[static_cast<std::size_t>(home)] == 0) {
               continue;
             }
-            eval.AddClient(c, target);
-            set_stranded(c, 0);
-            ++rep.forced_moves;
-            continue;
+            eval.RemoveClient(c);
           }
-          const core::ServerIndex home = eval.ServerOf(c);
-          if (home == core::kUnassigned ||
-              down[static_cast<std::size_t>(home)] == 0) {
-            continue;
-          }
-          eval.RemoveClient(c);
-          const core::ServerIndex target = nearest_up(c);
-          if (target == core::kUnassigned) {
-            set_stranded(c, 1);
-            degrade(DegradedReason::kInfeasible);
-            continue;
-          }
-          eval.AddClient(c, target);
-          ++rep.forced_moves;
+          // Re-home c off its down server, or re-attach a member a
+          // previous outage left homeless now that servers are back.
+          if (place(c, nearest_up(c))) ++rep.forced_moves;
         }
       } else if (due) {
         // Nothing to serve onto: strand every attached member and wait for
@@ -246,13 +244,7 @@ ControlPlaneReport ControlPlane::Run() const {
         }
         if (rep.degraded) {
           // Degraded floor: greedy-attach via nearest, no objective scans.
-          const core::ServerIndex target = nearest_up(c);
-          if (target == core::kUnassigned) {
-            set_stranded(c, 1);
-            degrade(DegradedReason::kInfeasible);
-            continue;
-          }
-          eval.AddClient(c, target);
+          place(c, nearest_up(c));
           continue;
         }
         // Healthy placement: the server whose attachment hurts the
@@ -263,13 +255,7 @@ ControlPlaneReport ControlPlane::Run() const {
           eligible[static_cast<std::size_t>(s)] = ok ? 1 : 0;
           rep.evaluations += ok ? 1 : 0;
         }
-        const core::ServerIndex best = eval.BestAdd(c, eligible);
-        if (best == core::kUnassigned) {
-          set_stranded(c, 1);
-          degrade(DegradedReason::kInfeasible);
-          continue;
-        }
-        eval.AddClient(c, best);
+        place(c, eval.BestAdd(c, eligible));
       }
     }
 

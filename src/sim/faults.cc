@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "common/flags.h"
 #include "common/rng.h"
+#include "common/spec_grammar.h"
 
 namespace diaca::sim {
 
@@ -132,40 +133,25 @@ void FaultPlan::ValidateNodes(net::NodeIndex num_nodes) const {
 
 namespace {
 
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+constexpr SpecKeyOwner kFaultKeyOwners[] = {
+    {'n', "crash, spike, and part"}, {'x', "spike"}, {'p', "loss"}};
 
-[[noreturn]] void SpecFail(std::string_view item, const std::string& why) {
-  throw Error("bad --faults item '" + std::string(item) + "': " + why +
-              " (grammar: docs/resilience.md)");
-}
-
-double ParseSpecDouble(std::string_view text, std::string_view item,
-                       const char* what) {
-  double out = 0.0;
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    SpecFail(item, std::string("expected a number for the ") + what);
-  }
-  return out;
-}
+/// The misplaced-key diagnostic names a key's owners ("'x' belongs to
+/// spike"), mirroring the oracle spec's per-backend key ownership: a key
+/// another kind owns would otherwise fail with a generic shape error
+/// ("loss@1-2:x0.5" reads like a working loss config).
+constexpr SpecGrammar kGrammar("--faults", "docs/resilience.md",
+                               kFaultKeyOwners);
 
 net::NodeIndex ParseSpecNode(std::string_view text, std::string_view item) {
   if (text.empty() || text.front() != 'n') {
-    SpecFail(item, "expected a node as nINDEX");
+    kGrammar.Fail(item, "expected a node as nINDEX");
   }
   text.remove_prefix(1);
   net::NodeIndex out = 0;
   auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
   if (ec != std::errc{} || ptr != text.data() + text.size() || out < 0) {
-    SpecFail(item, "expected a node as nINDEX");
+    kGrammar.Fail(item, "expected a node as nINDEX");
   }
   return out;
 }
@@ -176,112 +162,70 @@ std::pair<double, double> ParseSpecRange(std::string_view text,
                                          double fallback_end) {
   const auto dash = text.find('-');
   if (dash == std::string_view::npos) {
-    const double start = ParseSpecDouble(text, item, "time");
+    const double start = kGrammar.ParseDouble(text, item, "time");
     return {start, fallback_end};
   }
   const double start =
-      ParseSpecDouble(text.substr(0, dash), item, "window start");
+      kGrammar.ParseDouble(text.substr(0, dash), item, "window start");
   const double end =
-      ParseSpecDouble(text.substr(dash + 1), item, "window end");
+      kGrammar.ParseDouble(text.substr(dash + 1), item, "window end");
   return {start, end};
-}
-
-std::vector<std::string_view> SplitSpec(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (true) {
-    const auto pos = text.find(sep);
-    if (pos == std::string_view::npos) {
-      parts.push_back(text);
-      return parts;
-    }
-    parts.push_back(text.substr(0, pos));
-    text.remove_prefix(pos + 1);
-  }
-}
-
-/// Which kinds consume a single-letter argument key — the misplaced-key
-/// diagnostic names the owner ("'x' belongs to spike"), mirroring the
-/// oracle spec's per-backend key ownership.
-const char* SpecKeyOwners(char key) {
-  switch (key) {
-    case 'n': return "crash, spike, and part";
-    case 'x': return "spike";
-    case 'p': return "loss";
-    default: return nullptr;
-  }
-}
-
-/// Reject argument keys the kind does not consume. A key another kind
-/// owns would otherwise fail with a generic shape error ("loss@1-2:x0.5"
-/// reads like a working loss config); instead the error lists the kind's
-/// own key set and where the stray key actually belongs.
-void CheckSpecKeys(std::string_view item, std::string_view kind,
-                   const char* valid_keys, std::string_view allowed,
-                   std::span<const std::string_view> args) {
-  for (const std::string_view arg : args) {
-    const char key = arg.empty() ? '\0' : arg.front();
-    if (allowed.find(key) != std::string_view::npos) continue;
-    if (SpecKeyOwners(key) != nullptr) {
-      SpecFail(item, std::string("key '") + key + "' is not valid for " +
-                         std::string(kind) + " (valid keys: " + valid_keys +
-                         "; '" + key + "' belongs to " + SpecKeyOwners(key) +
-                         ")");
-    }
-    SpecFail(item, "unknown key '" + std::string(arg) + "' for " +
-                       std::string(kind) + " (valid keys: " + valid_keys +
-                       ")");
-  }
 }
 
 void ParseSpecItem(std::string_view item, FaultPlan& plan) {
   const auto at = item.find('@');
   if (at == std::string_view::npos) {
-    SpecFail(item, "expected KIND@...");
+    kGrammar.Fail(item, "expected KIND@...");
   }
   const std::string_view kind = item.substr(0, at);
   // Everything after '@': the time range, then ':'-separated arguments.
-  const std::vector<std::string_view> parts = SplitSpec(item.substr(at + 1), ':');
+  const std::vector<std::string_view> parts =
+      SpecGrammar::Split(item.substr(at + 1), ':');
   const std::span<const std::string_view> args(parts.data() + 1,
                                                parts.size() - 1);
   if (kind == "crash") {
-    CheckSpecKeys(item, kind, "n (the crashed node)", "n", args);
-    if (args.size() != 1) SpecFail(item, "expected crash@T[-T]:nINDEX");
+    kGrammar.CheckKeys(item, kind, "n (the crashed node)", "n", args);
+    if (args.size() != 1) kGrammar.Fail(item, "expected crash@T[-T]:nINDEX");
     const auto [start, end] =
         ParseSpecRange(parts[0], item, FaultPlan::kNever);
     plan.Crash(ParseSpecNode(args[0], item), start, end);
   } else if (kind == "spike") {
-    CheckSpecKeys(item, kind,
-                  "x (the multiplier), n (the spiked node, optional)", "xn",
-                  args);
+    kGrammar.CheckKeys(item, kind,
+                       "x (the multiplier), n (the spiked node, optional)",
+                       "xn", args);
     if (args.size() != 1 && args.size() != 2) {
-      SpecFail(item, "expected spike@T-T:xMULT[:nINDEX]");
+      kGrammar.Fail(item, "expected spike@T-T:xMULT[:nINDEX]");
     }
     const auto [start, end] = ParseSpecRange(parts[0], item, -1.0);
     if (args[0].empty() || args[0].front() != 'x') {
-      SpecFail(item, "expected the multiplier as xMULT (the multiplier "
-                     "comes before the node)");
+      kGrammar.Fail(item, "expected the multiplier as xMULT (the multiplier "
+                          "comes before the node)");
     }
-    const double mult = ParseSpecDouble(args[0].substr(1), item, "multiplier");
+    const double mult =
+        kGrammar.ParseDouble(args[0].substr(1), item, "multiplier");
     const net::NodeIndex node =
         args.size() == 2 ? ParseSpecNode(args[1], item) : FaultPlan::kAllNodes;
     plan.Spike(start, end, mult, node);
   } else if (kind == "loss") {
-    CheckSpecKeys(item, kind, "p (the loss probability)", "p", args);
-    if (args.size() != 1) SpecFail(item, "expected loss@T-T:pPROB");
+    kGrammar.CheckKeys(item, kind, "p (the loss probability)", "p", args);
+    if (args.size() != 1) kGrammar.Fail(item, "expected loss@T-T:pPROB");
     const auto [start, end] = ParseSpecRange(parts[0], item, -1.0);
-    plan.LossBurst(start, end,
-                   ParseSpecDouble(args[0].substr(1), item, "probability"));
+    plan.LossBurst(
+        start, end,
+        kGrammar.ParseDouble(args[0].substr(1), item, "probability"));
   } else if (kind == "part") {
-    CheckSpecKeys(item, kind, "n,n (the partitioned node pair)", "n", args);
-    if (args.size() != 1) SpecFail(item, "expected part@T-T:nA,nB");
+    kGrammar.CheckKeys(item, kind, "n,n (the partitioned node pair)", "n",
+                       args);
+    if (args.size() != 1) kGrammar.Fail(item, "expected part@T-T:nA,nB");
     const auto [start, end] = ParseSpecRange(parts[0], item, -1.0);
-    const std::vector<std::string_view> pair = SplitSpec(args[0], ',');
-    if (pair.size() != 2) SpecFail(item, "expected two nodes as nA,nB");
+    const std::vector<std::string_view> pair =
+        SpecGrammar::Split(args[0], ',');
+    if (pair.size() != 2) kGrammar.Fail(item, "expected two nodes as nA,nB");
     plan.Partition(start, end, ParseSpecNode(pair[0], item),
                    ParseSpecNode(pair[1], item));
   } else {
-    SpecFail(item, "unknown fault kind '" + std::string(kind) +
-                       "' (expected crash|spike|loss|part)");
+    kGrammar.Fail(item, "unknown fault kind '" + std::string(kind) +
+                            "' (expected crash|spike|loss|part)");
   }
 }
 
@@ -289,8 +233,8 @@ void ParseSpecItem(std::string_view item, FaultPlan& plan) {
 
 FaultPlan ParseFaultSpec(const std::string& spec) {
   FaultPlan plan;
-  for (std::string_view raw : SplitSpec(spec, ';')) {
-    const std::string_view item = Trim(raw);
+  for (std::string_view raw : SpecGrammar::Split(spec, ';')) {
+    const std::string_view item = SpecGrammar::Trim(raw);
     if (item.empty()) continue;
     try {
       ParseSpecItem(item, plan);
@@ -299,7 +243,7 @@ FaultPlan ParseFaultSpec(const std::string& spec) {
       // grammar failures.
       const std::string what = e.what();
       if (what.find("bad --faults item") == std::string::npos) {
-        SpecFail(item, what);
+        kGrammar.Fail(item, what);
       }
       throw;
     }

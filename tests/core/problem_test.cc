@@ -33,10 +33,12 @@ TEST(ProblemTest, RowAccessorsMatchElements) {
   const std::vector<net::NodeIndex> servers{1, 4};
   const std::vector<net::NodeIndex> clients{0, 2, 6};
   const Problem p(m, servers, clients);
-  const double* raw = p.client_block().raw_block();
-  ASSERT_NE(raw, nullptr);
+  ASSERT_TRUE(p.client_block().materialized());
+  std::vector<double> scratch(p.server_stride());
   for (ClientIndex c = 0; c < p.num_clients(); ++c) {
-    const double* row = raw + static_cast<std::size_t>(c) * p.server_stride();
+    // A resident block hands out its own row and leaves scratch alone.
+    const double* row = p.client_block().Row(c, scratch.data());
+    EXPECT_NE(row, scratch.data());
     for (ServerIndex s = 0; s < p.num_servers(); ++s) {
       EXPECT_DOUBLE_EQ(row[s], p.client_block().cs(c, s));
     }
@@ -57,10 +59,10 @@ TEST(ProblemTest, RowsArePaddedToServerStride) {
   EXPECT_EQ(p.server_stride(), simd::PaddedStride(5));
   EXPECT_GT(p.server_stride(), static_cast<std::size_t>(p.num_servers()));
   // Pad lanes beyond |S| hold the 0.0 sentinel on every cs and ss row.
-  const double* raw = p.client_block().raw_block();
-  ASSERT_NE(raw, nullptr);
+  ASSERT_TRUE(p.client_block().materialized());
+  std::vector<double> scratch(p.server_stride());
   for (ClientIndex c = 0; c < p.num_clients(); ++c) {
-    const double* row = raw + static_cast<std::size_t>(c) * p.server_stride();
+    const double* row = p.client_block().Row(c, scratch.data());
     for (std::size_t lane = static_cast<std::size_t>(p.num_servers());
          lane < p.server_stride(); ++lane) {
       EXPECT_EQ(row[lane], 0.0) << "cs row " << c << " lane " << lane;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -158,7 +160,8 @@ TEST(ChurnSpecTest, MalformedItemsNameTheItem) {
        {"arrive", "arrive@abc", "arrive@-3", "depart@1.5", "move@-0.1",
         "flash@5-3:x2", "flash@5-9:x0", "flash@5-9", "wave@0:a0.5",
         "wave@24:a-1", "until@-2", "boom@5", "arrive@3; arrive@4",
-        "wave@10:a0.1; wave@12:a0.2"}) {
+        "wave@10:a0.1; wave@12:a0.2", "arrive@+5", "arrive@ 5",
+        "arrive@0x10"}) {
     try {
       ParseChurnSpec(bad);
       FAIL() << "expected Error for '" << bad << "'";
@@ -216,14 +219,20 @@ TEST(ChurnProblemTest, DistancesAreAccessPlusSubstrateRow) {
   ASSERT_EQ(instance.problem.num_clients(),
             static_cast<std::int32_t>(trace.instances.size()));
   ASSERT_EQ(instance.problem.num_servers(), 3);
+  // The problem streams its block from the substrate rows.
+  EXPECT_FALSE(instance.problem.client_block().materialized());
   std::vector<double> row(static_cast<std::size_t>(oracle.size()));
   for (core::ServerIndex s = 0; s < 3; ++s) {
     oracle.FillRow(servers[static_cast<std::size_t>(s)], row);
     for (core::ClientIndex c = 0; c < instance.problem.num_clients(); ++c) {
       const ChurnClient& inst = trace.instances[static_cast<std::size_t>(c)];
-      EXPECT_DOUBLE_EQ(
-          instance.problem.client_block().cs(c, s),
-          inst.access_ms + row[static_cast<std::size_t>(inst.attach)]);
+      // One IEEE add, access first: the bits, not an ulp window.
+      const double want =
+          inst.access_ms + row[static_cast<std::size_t>(inst.attach)];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    instance.problem.client_block().cs(c, s)),
+                std::bit_cast<std::uint64_t>(want))
+          << "client " << c << " server " << s;
     }
     for (core::ServerIndex t = 0; t < 3; ++t) {
       EXPECT_DOUBLE_EQ(
