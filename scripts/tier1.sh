@@ -118,8 +118,9 @@ prune_smoke materialized
 # Churn control-plane smoke at real scale: 10k clients over 50 epochs of
 # arrivals/departures/mobility plus a mid-run server crash, re-optimized
 # under a hard migration cap. The CLI exits non-zero if the cap is ever
-# exceeded or peak RSS breaks the budget (measured 22-25 MB, so 64 MB
-# leaves headroom); the epoch-timeline JSON must parse.
+# exceeded or peak RSS breaks the budget (measured about 16 MB, since
+# the boot and oracle-sample greedy solves read streamed member subsets,
+# so 64 MB leaves headroom); the epoch-timeline JSON must parse.
 ./build/tools/diaca churn --nodes=2000 --clients=10000 --servers=16 \
   --epochs=50 --churn="arrive@60; depart@0.004; move@0.002" \
   --migration-cap=16 --hysteresis=2 --oracle-every=10 \
@@ -167,16 +168,18 @@ if ! $skip_tsan; then
   ctest --test-dir build-tsan -L resilience -E smoke_ --output-on-failure
   # The oracle suite under TSan: the LRU row cache is the one shared
   # mutable structure on the query path; concurrent lookups must be
-  # race-free and bit-deterministic.
+  # race-free and bit-deterministic, and a streamed view's member subset
+  # reads the server rows it shares with its parent from every pool lane.
   ctest --test-dir build-tsan -L oracle -E smoke_ --output-on-failure
   # The churn suite under TSan: each control-plane run reads a streamed
-  # client block, boots (and samples its oracle gap) by cutting its
-  # members' rows from that view in pool-parallel chunks and running the
-  # pool-parallel greedy solver on them, then drives one serial evaluator
-  # epoch after epoch — its member lists, client slots, top-two heads and
-  # best-partner rows are copied into every re-optimization round; the
-  # thread-count determinism contract, and equality with a run on a
-  # resident cut of the same view, must hold without races.
+  # client block, boots (and samples its oracle gap) by running the
+  # pool-parallel greedy solver on a streamed member subset that shares
+  # the view's server rows, then drives one serial evaluator epoch after
+  # epoch — every re-optimization round checkpoints its top-two heads,
+  # far values and best-partner rows, tries its moves on the live member
+  # lists and client slots, and rolls them back; the thread-count
+  # determinism contract, and equality with a run on a resident cut of
+  # the same view, must hold without races.
   ctest --test-dir build-tsan -L churn -E smoke_ --output-on-failure
 fi
 
@@ -188,16 +191,20 @@ if ! $skip_asan; then
   cmake --build build-asan -j --target resilience_test oracle_test \
     churn_test
   ctest --test-dir build-asan -L resilience -E smoke_ --output-on-failure
-  # The oracle suite under ASan+UBSan: row buffers, cache eviction, and
-  # the streaming problem builders are where lifetime bugs would hide.
+  # The oracle suite under ASan+UBSan: row buffers, cache eviction, the
+  # streaming problem builders, and a member subset read after its parent
+  # view is gone (the server rows are shared, not copied) are where
+  # lifetime bugs would hide.
   ctest --test-dir build-asan -L oracle -E smoke_ --output-on-failure
   # The churn suite under ASan+UBSan: the control plane reads a streamed
-  # client block and cuts its members' rows from it into fresh resident
-  # blocks; every membership add/remove swaps an entry of the evaluator's
-  # per-server member lists and rewrites client slots, rescans a top two
-  # whose head or runner-up left, and patches or rebuilds best-partner
-  # rows; the evaluator's own tests drive random add/remove/move
-  # sequences against a from-scratch reference — out-of-bounds territory
-  # if a row cut, a slot, a head or a partner row goes stale.
+  # client block and solves its members on a streamed subset of it that
+  # shares the block's server rows; every membership add/remove swaps an
+  # entry of the evaluator's per-server member lists and rewrites client
+  # slots, rescans a top two whose head or runner-up left, and patches or
+  # rebuilds best-partner rows, and every rollback puts logged moves back
+  # into their old slots; the evaluator's own tests drive random
+  # add/remove/move sequences and rolled-back bursts against a
+  # from-scratch reference and an untouched copy — out-of-bounds territory
+  # if a shared row, a slot, a head or a partner row goes stale.
   ctest --test-dir build-asan -L churn -E smoke_ --output-on-failure
 fi

@@ -250,13 +250,21 @@ void MaterializedView::FillNearestImpl(ServerIndex* server_out,
   });
 }
 
+std::shared_ptr<const ClientBlockView> MaterializedView::Subset(
+    std::span<const ClientIndex> ids) const {
+  return std::make_shared<MaterializedView>(
+      static_cast<std::int32_t>(ids.size()), num_servers_,
+      MaterializeBlock(ids));
+}
+
 // ---------------------------------------------------------------------------
 // OracleTileView
 
 OracleTileView::OracleTileView(std::int32_t num_clients,
                                std::int32_t num_servers,
-                               const TileOptions& tile)
-    : ClientBlockView(num_clients, num_servers, tile) {}
+                               const TileOptions& tile,
+                               std::shared_ptr<const RowState> rows)
+    : ClientBlockView(num_clients, num_servers, tile), rows_(std::move(rows)) {}
 
 std::shared_ptr<OracleTileView> OracleTileView::FromOracle(
     const net::DistanceOracle& oracle,
@@ -296,13 +304,12 @@ std::shared_ptr<OracleTileView> OracleTileView::Build(
   }
   const auto num_clients = static_cast<std::int32_t>(attach_nodes.size());
   const auto num_servers = static_cast<std::int32_t>(server_nodes.size());
-  auto view = std::shared_ptr<OracleTileView>(
-      new OracleTileView(num_clients, num_servers, tile));
-  const std::size_t stride = view->server_stride_;
+  const std::size_t stride =
+      simd::PaddedStride(static_cast<std::size_t>(num_servers));
 
   // Distinct attachment nodes in first-appearance order: the synthesized
   // state scales with the substrate, never with |C|.
-  view->base_row_.resize(attach_nodes.size());
+  std::vector<std::int32_t> base_row(attach_nodes.size());
   std::vector<net::NodeIndex> node_of_row;
   {
     std::unordered_map<net::NodeIndex, std::int32_t> row_of;
@@ -316,20 +323,16 @@ std::shared_ptr<OracleTileView> OracleTileView::Build(
       const auto [it, inserted] = row_of.try_emplace(
           node, static_cast<std::int32_t>(node_of_row.size()));
       if (inserted) node_of_row.push_back(node);
-      view->base_row_[c] = it->second;
+      base_row[c] = it->second;
     }
   }
-  view->num_rows_ = static_cast<std::int32_t>(node_of_row.size());
-  view->access_.assign(access_ms.begin(), access_ms.end());
-
-  const auto rows = static_cast<std::size_t>(view->num_rows_);
-  view->node_rows_.assign(rows * stride, 0.0);
-  view->server_cols_.assign(static_cast<std::size_t>(num_servers) * rows, 0.0);
-  view->leg_max_.assign(static_cast<std::size_t>(num_servers), 0.0);
-  for (const double a : view->access_) {
-    view->access_max_ = std::max(view->access_max_, a);
-  }
-  view->ss_block_.assign(
+  auto state = std::make_shared<RowState>();
+  state->num_rows = static_cast<std::int32_t>(node_of_row.size());
+  const auto rows = static_cast<std::size_t>(state->num_rows);
+  state->node_rows.assign(rows * stride, 0.0);
+  state->server_cols.assign(static_cast<std::size_t>(num_servers) * rows, 0.0);
+  state->leg_max.assign(static_cast<std::size_t>(num_servers), 0.0);
+  state->ss_block.assign(
       static_cast<std::size_t>(num_servers) * static_cast<std::size_t>(num_servers),
       0.0);
 
@@ -341,16 +344,16 @@ std::shared_ptr<OracleTileView> OracleTileView::Build(
         for (std::int64_t s = sb; s < se; ++s) {
           const auto si = static_cast<std::size_t>(s);
           oracle.FillRow(server_nodes[si], row);
-          double* col = view->server_cols_.data() + si * rows;
+          double* col = state->server_cols.data() + si * rows;
           double cmax = -std::numeric_limits<double>::infinity();
           for (std::size_t r = 0; r < rows; ++r) {
             const double d = row[static_cast<std::size_t>(node_of_row[r])];
             col[r] = d;
-            view->node_rows_[r * stride + si] = d;
+            state->node_rows[r * stride + si] = d;
             cmax = std::max(cmax, d);
           }
-          view->leg_max_[si] = cmax;
-          double* ss = view->ss_block_.data() +
+          state->leg_max[si] = cmax;
+          double* ss = state->ss_block.data() +
                        si * static_cast<std::size_t>(num_servers);
           for (std::int32_t b = 0; b < num_servers; ++b) {
             ss[static_cast<std::size_t>(b)] =
@@ -361,14 +364,45 @@ std::shared_ptr<OracleTileView> OracleTileView::Build(
         }
       });
 
+  auto view = std::shared_ptr<OracleTileView>(
+      new OracleTileView(num_clients, num_servers, tile, std::move(state)));
+  view->base_row_ = std::move(base_row);
+  view->access_.assign(access_ms.begin(), access_ms.end());
+  view->row_order_.resize(rows);
+  std::iota(view->row_order_.begin(), view->row_order_.end(), 0);
+  for (const double a : view->access_) {
+    view->access_max_ = std::max(view->access_max_, a);
+  }
   return view;
 }
 
+std::shared_ptr<const ClientBlockView> OracleTileView::Subset(
+    std::span<const ClientIndex> ids) const {
+  auto sub = std::shared_ptr<OracleTileView>(new OracleTileView(
+      static_cast<std::int32_t>(ids.size()), num_servers_, tile_, rows_));
+  const bool has_access = !access_.empty();
+  sub->base_row_.resize(ids.size());
+  sub->access_.resize(has_access ? ids.size() : 0);
+  std::vector<char> seen(static_cast<std::size_t>(rows_->num_rows), 0);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const ClientIndex c = ids[i];
+    DIACA_CHECK_MSG(c >= 0 && c < num_clients_,
+                    "client " << c << " outside a block of " << num_clients_
+                              << " clients");
+    const std::int32_t r = base_row_[static_cast<std::size_t>(c)];
+    sub->base_row_[i] = r;
+    if (has_access) sub->access_[i] = access_[static_cast<std::size_t>(c)];
+    if (seen[static_cast<std::size_t>(r)] == 0) {
+      seen[static_cast<std::size_t>(r)] = 1;
+      sub->row_order_.push_back(r);
+    }
+  }
+  sub->access_max_ = access_max_;
+  return sub;
+}
+
 double OracleTileView::cs(ClientIndex c, ServerIndex s) const {
-  const double base =
-      server_cols_[static_cast<std::size_t>(s) *
-                       static_cast<std::size_t>(num_rows_) +
-                   static_cast<std::size_t>(base_row_[static_cast<std::size_t>(c)])];
+  const double base = ServerColumn(s)[base_row_[static_cast<std::size_t>(c)]];
   // Same operand order as the materialized build: access + substrate leg.
   return access_.empty() ? base
                          : access_[static_cast<std::size_t>(c)] + base;
@@ -382,10 +416,8 @@ const double* OracleTileView::Row(ClientIndex c, double* scratch) const {
 void OracleTileView::FillRowsImpl(std::span<const ClientIndex> ids,
                                   double* out) const {
   for (const ClientIndex c : ids) {
-    const double* base =
-        node_rows_.data() +
-        static_cast<std::size_t>(base_row_[static_cast<std::size_t>(c)]) *
-            server_stride_;
+    const double* base = NodeRow(
+        static_cast<std::size_t>(base_row_[static_cast<std::size_t>(c)]));
     if (access_.empty()) {
       std::memcpy(out, base, server_stride_ * sizeof(double));
     } else {
@@ -403,18 +435,12 @@ void OracleTileView::FillRowsImpl(std::span<const ClientIndex> ids,
 
 void OracleTileView::GatherColumnImpl(ServerIndex s, const ClientIndex* ids,
                                       std::size_t count, double* out) const {
-  simd::GatherPlus(out,
-                   server_cols_.data() + static_cast<std::size_t>(s) *
-                                             static_cast<std::size_t>(num_rows_),
-                   base_row_.data(),
+  simd::GatherPlus(out, ServerColumn(s), base_row_.data(),
                    access_.empty() ? nullptr : access_.data(), ids, count);
 }
 
 void OracleTileView::FillColumnImpl(ServerIndex s, double* out) const {
-  simd::GatherPlus(out,
-                   server_cols_.data() + static_cast<std::size_t>(s) *
-                                             static_cast<std::size_t>(num_rows_),
-                   base_row_.data(),
+  simd::GatherPlus(out, ServerColumn(s), base_row_.data(),
                    access_.empty() ? nullptr : access_.data(), nullptr,
                    static_cast<std::size_t>(num_clients_));
 }
@@ -430,15 +456,16 @@ void OracleTileView::GatherColumnGroupImpl(ServerIndex s0,
 void OracleTileView::FillColumnMax(double* out) const {
   // Exact substrate-leg maxima from the build, lifted by the largest
   // access delay with one monotone IEEE add each.
-  for (std::size_t s = 0; s < leg_max_.size(); ++s) {
-    out[s] = access_.empty() ? leg_max_[s] : access_max_ + leg_max_[s];
+  const std::vector<double>& leg_max = rows_->leg_max;
+  for (std::size_t s = 0; s < leg_max.size(); ++s) {
+    out[s] = access_.empty() ? leg_max[s] : access_max_ + leg_max[s];
   }
 }
 
 void OracleTileView::GatherAssignedImpl(const ServerIndex* assign,
                                         double* out) const {
-  const auto rows = static_cast<std::size_t>(num_rows_);
-  const double* cols = server_cols_.data();
+  const auto rows = static_cast<std::size_t>(rows_->num_rows);
+  const double* cols = rows_->server_cols.data();
   const std::int32_t* base = base_row_.data();
   if (access_.empty()) {
     for (std::int32_t c = 0; c < num_clients_; ++c) {
@@ -470,8 +497,9 @@ void OracleTileView::FoldAssignedMax(const ServerIndex* assign,
   // assigned gather.
   const std::int32_t tile_clients =
       std::clamp(tile_.tile_clients, 1, num_clients_);
-  const auto rows = static_cast<std::size_t>(num_rows_);
-  const double* cols = server_cols_.data();
+  const auto rows = static_cast<std::size_t>(rows_->num_rows);
+  const double* cols = rows_->server_cols.data();
+  const double* leg_max = rows_->leg_max.data();
   const std::int32_t* base = base_row_.data();
   const bool prune = bound_pruning();
   std::int64_t pruned = 0;
@@ -484,9 +512,9 @@ void OracleTileView::FoldAssignedMax(const ServerIndex* assign,
         if (s < 0) continue;
         const double hi =
             access_.empty()
-                ? leg_max_[static_cast<std::size_t>(s)]
+                ? leg_max[static_cast<std::size_t>(s)]
                 : access_[static_cast<std::size_t>(c)] +
-                      leg_max_[static_cast<std::size_t>(s)];
+                      leg_max[static_cast<std::size_t>(s)];
         if (!(hi <= far[s])) {
           skip = false;
           break;
@@ -515,7 +543,7 @@ bool OracleTileView::ForEachColumnFloors(std::span<const ClientIndex> ids,
                                          const ColumnFloorsFn& fn) const {
   // Group the clients by row: each row's client count and, with access
   // delays, its smallest one.
-  const auto rows = static_cast<std::size_t>(num_rows_);
+  const auto rows = static_cast<std::size_t>(rows_->num_rows);
   const bool has_access = !access_.empty();
   std::vector<std::int32_t> row_count(rows, 0);
   std::vector<double> row_access(has_access ? rows : 0,
@@ -529,14 +557,15 @@ bool OracleTileView::ForEachColumnFloors(std::span<const ClientIndex> ids,
           std::min(row_access[r], access_[static_cast<std::size_t>(c)]);
     }
   }
-  // Compact to the occupied rows, in row order.
+  // Compact to the occupied rows, in first-appearance order.
   std::vector<std::int32_t> occupied;
   std::vector<std::int32_t> counts;
   std::vector<double> access_floor;
-  for (std::size_t r = 0; r < rows; ++r) {
+  for (const std::int32_t row : row_order_) {
+    const auto r = static_cast<std::size_t>(row);
     if (row_count[r] == 0) continue;
     if (occupied.size() == max_rows) return false;
-    occupied.push_back(static_cast<std::int32_t>(r));
+    occupied.push_back(row);
     counts.push_back(row_count[r]);
     if (has_access) access_floor.push_back(row_access[r]);
   }
@@ -546,8 +575,7 @@ bool OracleTileView::ForEachColumnFloors(std::span<const ClientIndex> ids,
     thread_local std::vector<double> floors;
     floors.resize(m);
     for (std::int64_t s = sb; s < se; ++s) {
-      const double* col =
-          server_cols_.data() + static_cast<std::size_t>(s) * rows;
+      const double* col = ServerColumn(static_cast<ServerIndex>(s));
       for (std::size_t k = 0; k < m; ++k) {
         const double leg = col[static_cast<std::size_t>(occupied[k])];
         // cs's operands in cs's order.
@@ -568,7 +596,7 @@ void OracleTileView::BuildNearestIndex() const {
   // monotone for non-negative doubles). W doubles that bound and the
   // threshold is widened one more ulp against the rounding of m_r + W —
   // over-inclusion only costs refine time, never correctness.
-  const auto rows = static_cast<std::size_t>(num_rows_);
+  const auto rows = static_cast<std::size_t>(rows_->num_rows);
   const auto servers = static_cast<std::size_t>(num_servers_);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   node_min_.resize(rows);
@@ -576,7 +604,7 @@ void OracleTileView::BuildNearestIndex() const {
   cand_begin_.assign(rows + 1, 0);
   cand_list_.clear();
   for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = node_rows_.data() + r * server_stride_;
+    const double* row = NodeRow(r);
     const simd::ArgResult m = simd::ArgMinFirst(row, servers);
     node_min_[r] = m.value;
     node_argmin_[r] = static_cast<ServerIndex>(m.index);
@@ -618,7 +646,7 @@ void OracleTileView::FillNearestImpl(ServerIndex* server_out,
     if (e - b > 1) {
       // Lowest-index server whose rounded sum collapses onto the minimum;
       // the argmin itself is always a candidate, so the scan never fails.
-      const double* row = node_rows_.data() + r * server_stride_;
+      const double* row = NodeRow(r);
       for (std::int32_t i = b; i < e; ++i) {
         const ServerIndex s = cand_list_[static_cast<std::size_t>(i)];
         if (a + row[static_cast<std::size_t>(s)] == dmin) {

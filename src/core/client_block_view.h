@@ -27,7 +27,10 @@
 //                              lower bound's filters);
 //   * ForEachColumnFloors   — per attachment row, each column's exact
 //                              minimum and client count (greedy's
-//                              round-1 bound; lazy backends only).
+//                              round-1 bound; lazy backends only);
+//   * Subset(ids)           — the view over a client list, streamed
+//                              when this view streams (the control
+//                              plane's member sub-problems).
 //
 // Two backends implement it, and each implements every accessor:
 //
@@ -42,7 +45,9 @@
 //     (d(c,s) = access(c) + row_s[attach(c)], a single IEEE addition):
 //     every oracle-built resident block is its MaterializeBlock, so
 //     assignments are bit-identical across the two backends by
-//     construction, at every tile size and thread count.
+//     construction, at every tile size and thread count. Its subsets
+//     share those server rows with it, immutable, and hold only their
+//     members' O(|ids|) row indices and access delays.
 //
 // Dispatch: the accessors that feed the usage counters are non-virtual;
 // they count and forward to a protected *Impl hook. The rest (cs, Row,
@@ -235,8 +240,8 @@ class ClientBlockView {
   /// lanes 0.0, so it is a MaterializedView's block over those clients.
   /// The one builder of resident blocks from oracle rows: Problem's
   /// oracle constructor and the materialized client cloud cut their
-  /// block from an OracleTileView's rows, the control plane's fresh
-  /// greedy its members' sub-block, the exact solver its search copy.
+  /// block from an OracleTileView's rows, the exact solver its search
+  /// copy, a MaterializedView's Subset its members' sub-block.
   /// Rows fill in 4096-row chunks across the global pool, each chunk
   /// owning its rows; a lazy backend counts every row into rows_filled
   /// (once per chunk).
@@ -246,6 +251,18 @@ class ClientBlockView {
 
   /// MaterializeBlock over every client, in index order.
   std::vector<double> MaterializeBlock() const;
+
+  /// The view over the clients in `ids`, in that order: its client i is
+  /// ids[i], and every accessor returns the bits this view returns for
+  /// ids[i]. An OracleTileView's subset streams too: it shares this
+  /// view's substrate rows (never copied, never filled) and its
+  /// TileOptions, and copies only the members' row indices and access
+  /// delays, O(|ids|). A MaterializedView's is a MaterializedView of
+  /// MaterializeBlock(ids). The subset owns what it reads and outlives
+  /// this view. Throws diaca::Error when `ids` is empty or an id lies
+  /// outside [0, num_clients()).
+  virtual std::shared_ptr<const ClientBlockView> Subset(
+      std::span<const ClientIndex> ids) const = 0;
 
   ClientBlockStats stats() const;
 
@@ -313,6 +330,8 @@ class MaterializedView final : public ClientBlockView {
                            const ColumnFloorsFn& fn) const override;
   void FillColumnMax(double* out) const override;
   void FoldAssignedMax(const ServerIndex* assign, double* far) const override;
+  std::shared_ptr<const ClientBlockView> Subset(
+      std::span<const ClientIndex> ids) const override;
 
  protected:
   void FillRowsImpl(std::span<const ClientIndex> ids,
@@ -365,7 +384,7 @@ class OracleTileView final : public ClientBlockView {
   /// The |S| x |S| server block captured during construction (dense
   /// row-major, zero diagonal) — Problem::FromView consumes it so the
   /// oracle is queried exactly once.
-  std::span<const double> server_block() const { return ss_block_; }
+  std::span<const double> server_block() const { return rows_->ss_block; }
 
   bool materialized() const override { return false; }
   double cs(ClientIndex c, ServerIndex s) const override;
@@ -373,8 +392,11 @@ class OracleTileView final : public ClientBlockView {
   bool ForEachColumnFloors(std::span<const ClientIndex> ids,
                            std::size_t max_rows,
                            const ColumnFloorsFn& fn) const override;
+  /// A subset writes its parent's bounds: they cover every member.
   void FillColumnMax(double* out) const override;
   void FoldAssignedMax(const ServerIndex* assign, double* far) const override;
+  std::shared_ptr<const ClientBlockView> Subset(
+      std::span<const ClientIndex> ids) const override;
 
  protected:
   void FillRowsImpl(std::span<const ClientIndex> ids,
@@ -391,34 +413,56 @@ class OracleTileView final : public ClientBlockView {
                        double* dist_out) const override;
 
  private:
+  /// The substrate-row state, built once from the oracle and shared,
+  /// immutable, by a view and every subset cut from it.
+  struct RowState {
+    std::int32_t num_rows = 0;  ///< distinct attachment nodes
+    /// Node-major server distances: one padded row (server_stride
+    /// doubles, pads 0.0) per distinct attachment node — row fills
+    /// stream it.
+    std::vector<double> node_rows;
+    /// Server-major mirror: |S| rows of num_rows doubles — column gathers
+    /// stay inside one compact row instead of striding node_rows.
+    std::vector<double> server_cols;
+    /// |S| x |S| dense server block (see server_block()).
+    std::vector<double> ss_block;
+    /// Exact per-server maximum substrate leg over the attachment nodes.
+    std::vector<double> leg_max;
+  };
+
   OracleTileView(std::int32_t num_clients, std::int32_t num_servers,
-                 const TileOptions& tile);
+                 const TileOptions& tile, std::shared_ptr<const RowState> rows);
   static std::shared_ptr<OracleTileView> Build(
       const net::DistanceOracle& oracle,
       std::span<const net::NodeIndex> server_nodes,
       std::span<const net::NodeIndex> attach_nodes,
       std::span<const double> access_ms, const TileOptions& tile);
 
+  /// Server s's legs to every attachment row, and row r's padded legs
+  /// to every server.
+  const double* ServerColumn(ServerIndex s) const {
+    return rows_->server_cols.data() +
+           static_cast<std::size_t>(s) *
+               static_cast<std::size_t>(rows_->num_rows);
+  }
+  const double* NodeRow(std::size_t r) const {
+    return rows_->node_rows.data() + r * server_stride_;
+  }
+
+  std::shared_ptr<const RowState> rows_;
   /// base_row_[c]: index of client c's substrate node among the distinct
-  /// attachment nodes (first-appearance order).
+  /// attachment nodes of the view the rows were built for
+  /// (first-appearance order there).
   std::vector<std::int32_t> base_row_;
   /// Per-client access delay; empty when clients sit on substrate nodes
   /// (no addition is performed, preserving the matrix path's bits).
   std::vector<double> access_;
-  /// Node-major server distances: one padded row (server_stride doubles,
-  /// pads 0.0) per distinct attachment node — row fills stream it.
-  std::vector<double> node_rows_;
-  /// Server-major mirror: |S| rows of num_rows_ doubles — column gathers
-  /// stay inside one compact row instead of striding node_rows_.
-  std::vector<double> server_cols_;
-  /// |S| x |S| dense server block (see server_block()).
-  std::vector<double> ss_block_;
-  std::int32_t num_rows_ = 0;  ///< distinct attachment nodes
-
-  /// Exact per-server maximum substrate leg over the attachment nodes,
-  /// computed once at build, and the largest access delay (0.0 when
-  /// clients sit on substrate nodes).
-  std::vector<double> leg_max_;
+  /// The rows this view's clients occupy, in the order their nodes first
+  /// appear among them: every row for the view the rows were built for,
+  /// its members' rows for a subset. ForEachColumnFloors' row order.
+  std::vector<std::int32_t> row_order_;
+  /// The largest access delay (0.0 when clients sit on substrate nodes);
+  /// a subset keeps its parent's, which bounds every member's.
   double access_max_ = 0.0;
 
   /// Factorized nearest-server structure (FillNearest), built lazily on
@@ -430,7 +474,7 @@ class OracleTileView final : public ClientBlockView {
   mutable std::once_flag nearest_once_;
   mutable std::vector<double> node_min_;
   mutable std::vector<ServerIndex> node_argmin_;
-  mutable std::vector<std::int32_t> cand_begin_;  ///< num_rows_ + 1 offsets
+  mutable std::vector<std::int32_t> cand_begin_;  ///< num_rows + 1 offsets
   mutable std::vector<ServerIndex> cand_list_;
 };
 

@@ -281,6 +281,12 @@ double IncrementalEvaluator::ApplyMove(ClientIndex c, ServerIndex to) {
   const ServerIndex from = assignment_[c];
   if (to == from) return max_pair_.value;
   const PairMax new_max = Evaluate(c, to);
+  if (saved_.open) {
+    const std::int32_t slot = slot_[static_cast<std::size_t>(c)];
+    const auto& list = members_[static_cast<std::size_t>(from)];
+    saved_.log.push_back(
+        {c, from, slot, list[static_cast<std::size_t>(slot)].first});
+  }
   const double from_before = Far(from);
   const double to_before = Far(to);
   Erase(from, c);
@@ -336,6 +342,7 @@ ServerIndex IncrementalEvaluator::BestAdd(
 }
 
 double IncrementalEvaluator::AddClient(ClientIndex c, ServerIndex to) {
+  DIACA_CHECK_MSG(!saved_.open, "AddClient inside a checkpoint");
   DIACA_CHECK_MSG(assignment_[c] == kUnassigned,
                   "AddClient of active client " << c);
   DIACA_CHECK(to >= 0 && to < problem_.num_servers());
@@ -353,6 +360,7 @@ double IncrementalEvaluator::AddClient(ClientIndex c, ServerIndex to) {
 }
 
 double IncrementalEvaluator::RemoveClient(ClientIndex c) {
+  DIACA_CHECK_MSG(!saved_.open, "RemoveClient inside a checkpoint");
   const ServerIndex from = assignment_[c];
   DIACA_CHECK_MSG(from != kUnassigned, "RemoveClient of inactive client " << c);
   if (max_pair_.a == from || max_pair_.b == from) {
@@ -372,6 +380,45 @@ double IncrementalEvaluator::RemoveClient(ClientIndex c) {
   --active_;
   if (Far(from) != from_before) RefreshColumns(from, kUnassigned);
   return max_pair_.value;
+}
+
+void IncrementalEvaluator::Checkpoint() {
+  DIACA_CHECK_MSG(!saved_.open, "a checkpoint is already open");
+  saved_.top = top_;
+  saved_.far = far_;
+  saved_.partners = partners_;
+  saved_.max_pair = max_pair_;
+  saved_.open = true;
+}
+
+void IncrementalEvaluator::Rollback() {
+  DIACA_CHECK_MSG(saved_.open, "no checkpoint to roll back to");
+  // Newest first: each undo meets the lists exactly as its move left
+  // them, so the client is the last entry of its new server's list, and
+  // Erase had moved the old list's last entry into its slot.
+  for (auto it = saved_.log.rbegin(); it != saved_.log.rend(); ++it) {
+    auto& to_list = members_[static_cast<std::size_t>(assignment_[it->c])];
+    DIACA_CHECK(!to_list.empty() && to_list.back().second == it->c);
+    to_list.pop_back();
+    auto& list = members_[static_cast<std::size_t>(it->from)];
+    const auto slot = static_cast<std::size_t>(it->slot);
+    if (slot < list.size()) {
+      list.push_back(list[slot]);
+      slot_[static_cast<std::size_t>(list.back().second)] =
+          static_cast<std::int32_t>(list.size() - 1);
+      list[slot] = {it->d, it->c};
+    } else {
+      list.emplace_back(it->d, it->c);
+    }
+    slot_[static_cast<std::size_t>(it->c)] = it->slot;
+    assignment_[it->c] = it->from;
+  }
+  saved_.log.clear();
+  top_.swap(saved_.top);
+  far_.swap(saved_.far);
+  partners_.swap(saved_.partners);
+  max_pair_ = saved_.max_pair;
+  saved_.open = false;
 }
 
 }  // namespace diaca::core

@@ -29,6 +29,11 @@
 //     outside {from, to} with its `from` and `to` columns — O(|S|) too.
 // So every evaluation, add, remove and move costs O(|S|) amortized, and
 // the pair the evaluator reports is the one a full pair scan would.
+//
+// Trying moves needs no copy either: Checkpoint() snapshots the O(|S|)
+// per-server state, ApplyMove logs each move, and Rollback() undoes the
+// logged moves and restores the snapshot, so the churn re-optimizer
+// proposes on the live evaluator.
 #pragma once
 
 #include <array>
@@ -88,6 +93,19 @@ class IncrementalEvaluator {
   /// Detach the active client c (its row becomes kUnassigned) and return
   /// the new objective.
   double RemoveClient(ClientIndex c);
+
+  /// Open a checkpoint: snapshot the top two, far and partner row of
+  /// every server and the cached pair, O(|S|), and log every ApplyMove
+  /// from here on. Only moves are logged, so AddClient and RemoveClient
+  /// throw until Rollback(). Throws diaca::Error when one is already open.
+  void Checkpoint();
+
+  /// Undo every ApplyMove since Checkpoint(), newest first, and close the
+  /// checkpoint: each client returns to its old slot in its old server's
+  /// member list, and the snapshot comes back, so every accessor reads
+  /// what it read at Checkpoint(), bit for bit. O(|S| + moves undone).
+  /// full_rescans() keeps counting: it is telemetry, not state.
+  void Rollback();
 
   /// Whether client c currently participates in the objective.
   bool IsActive(ClientIndex c) const { return assignment_[c] != kUnassigned; }
@@ -199,6 +217,26 @@ class IncrementalEvaluator {
   PairMax max_pair_;
   std::int32_t active_ = 0;
   mutable std::int64_t full_rescans_ = 0;
+
+  /// One logged ApplyMove: client c left slot `slot` of server `from`'s
+  /// member list, where its distance was `d`.
+  struct UndoEntry {
+    ClientIndex c;
+    ServerIndex from;
+    std::int32_t slot;
+    double d;
+  };
+  /// The open checkpoint's snapshot and move log (none open: `open` is
+  /// false and the log is empty).
+  struct Saved {
+    bool open = false;
+    std::vector<std::array<FarEntry, 2>> top;
+    std::vector<double> far;
+    std::vector<PartnerRow> partners;
+    PairMax max_pair;
+    std::vector<UndoEntry> log;
+  };
+  Saved saved_;
 };
 
 }  // namespace diaca::core

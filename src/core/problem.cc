@@ -189,6 +189,25 @@ Problem Problem::FromView(std::shared_ptr<const ClientBlockView> view,
   return p;
 }
 
+Problem Problem::Subset(std::span<const ClientIndex> members) const {
+  Problem p;
+  p.client_block_ = client_block_->Subset(members);
+  std::vector<char> seen(static_cast<std::size_t>(num_clients_), 0);
+  p.client_nodes_.reserve(members.size());
+  for (const ClientIndex c : members) {
+    char& once = seen[static_cast<std::size_t>(c)];
+    DIACA_CHECK_MSG(once == 0, "duplicate member client " << c);
+    once = 1;
+    p.client_nodes_.push_back(client_node(c));
+  }
+  p.num_servers_ = num_servers_;
+  p.num_clients_ = p.client_block_->num_clients();
+  p.server_stride_ = server_stride_;
+  p.server_nodes_ = server_nodes_;
+  p.d_ss_ = d_ss_;
+  return p;
+}
+
 Problem Problem::FromOracleTiled(const net::DistanceOracle& oracle,
                                  std::span<const net::NodeIndex> server_nodes,
                                  std::span<const net::NodeIndex> client_nodes,

@@ -121,14 +121,22 @@ class Problem {
   /// Assemble a problem around an existing client-block view: an
   /// OracleTileView that streams the block (FromOracleTiled, the tiled
   /// cloud, the churn builder), or a MaterializedView of some view's
-  /// MaterializeBlock (the oracle constructor, the materialized cloud,
-  /// the control plane's member sub-problems).
+  /// MaterializeBlock (the oracle constructor, the materialized cloud).
   /// `d_ss` is |S| x |S| dense row-major and validated like FromBlocks.
   /// The view's client/server counts must match the node lists.
   static Problem FromView(std::shared_ptr<const ClientBlockView> view,
                           std::vector<net::NodeIndex> server_nodes,
                           std::vector<net::NodeIndex> client_nodes,
                           std::span<const double> d_ss);
+
+  /// The sub-problem over the clients in `members`, in that order: its
+  /// client i is members[i], with that client's label, read through
+  /// client_block().Subset(members) — streamed when this problem's block
+  /// streams, so no member row is filled. The servers and the
+  /// already-validated d_ss carry over unchanged. The control plane's
+  /// fresh greedy solves on it. Throws diaca::Error when `members` is
+  /// empty or names a client twice or outside [0, num_clients()).
+  Problem Subset(std::span<const ClientIndex> members) const;
 
   /// Oracle-backed problem whose client block is synthesized on demand
   /// instead of materializing |C| x |S| (the tiled sibling of the oracle

@@ -260,7 +260,7 @@ RepairResult RepairAssign(const Problem& problem, const Assignment& current,
 }
 
 ReoptimizeResult ProposeReoptimization(const Problem& problem,
-                                       const IncrementalEvaluator& eval,
+                                       IncrementalEvaluator& eval,
                                        const ReoptimizeOptions& options) {
   DIACA_OBS_SPAN("core.reoptimize");
   const std::int32_t num_servers = problem.num_servers();
@@ -277,28 +277,30 @@ ReoptimizeResult ProposeReoptimization(const Problem& problem,
   result.projected_max_len = eval.CurrentMax();
   if (options.max_moves <= 0) return result;
 
-  // All proposals are scored and applied on a scratch copy, so move k's
-  // gain is exact given moves 0..k-1; the caller's evaluator is untouched
-  // (hysteresis may decide not to apply anything). Every candidate
+  // All proposals are scored and applied on the caller's evaluator under
+  // a checkpoint, so move k's gain is exact given moves 0..k-1, and rolled
+  // back on every way out, so the caller gets its evaluator back as it
+  // was (hysteresis may decide not to apply anything). Every candidate
   // evaluation is charged against eval_budget: serving a worse-vetted move
   // under deadline pressure is exactly what graceful degradation exists
   // to avoid.
-  IncrementalEvaluator scratch = [&] {
-    DIACA_OBS_SPAN("core.reoptimize.copy");
-    return IncrementalEvaluator(eval);
-  }();
+  eval.Checkpoint();
+  struct RollbackOnExit {
+    IncrementalEvaluator& eval;
+    ~RollbackOnExit() { eval.Rollback(); }
+  } rollback{eval};
   DescentRules rules;
   rules.closed = options.down;
   rules.margin = options.min_gain;
   rules.eval_budget = options.eval_budget;
   result.budget_exhausted = DescendBottleneck(
-      problem, options.assign, rules, scratch, result.evaluations,
+      problem, options.assign, rules, eval, result.evaluations,
       [&](ClientIndex c, ServerIndex from, ServerIndex to, double gain) {
         result.moves.push_back(MoveProposal{c, from, to, gain});
         return static_cast<std::int32_t>(result.moves.size()) <
                options.max_moves;
       });
-  result.projected_max_len = scratch.CurrentMax();
+  result.projected_max_len = eval.CurrentMax();
   DIACA_OBS_COUNT("reoptimize.proposals",
                   static_cast<std::int64_t>(result.moves.size()));
   DIACA_OBS_COUNT("reoptimize.evaluations", result.evaluations);

@@ -17,7 +17,7 @@
 // every client, spending `migration_budget` moves of *unaffected* clients
 // on the post-repair bottleneck. Budget 0 (the default) means the
 // failure's blast radius is exactly the orphan set. ProposeReoptimization
-// is that descent again, on a copy of a live evaluator.
+// is that descent again, on a live evaluator it rolls back afterwards.
 //
 // Registered in core::SolverRegistry as "repair" (options.initial = the
 // pre-failure assignment, options.failed_servers = the crash set).
@@ -112,11 +112,13 @@ struct ReoptimizeResult {
 /// `options.min_gain`, spending the budget on the clients with the
 /// largest projected interactivity gain (the argmax-pair witnesses: the
 /// bottleneck descent of RepairAssign's bounded-migration phase, with
-/// min_gain as its margin). `eval` is copied; the caller's evaluator is
-/// not modified. Deterministic in (problem, eval state, options) at every
-/// thread count.
+/// min_gain as its margin). The descent runs on `eval` itself inside a
+/// checkpoint (IncrementalEvaluator::Checkpoint) that is rolled back on
+/// every exit, exceptions included, so `eval` reads as it did before the
+/// call; it must have no checkpoint open. Deterministic in (problem, eval
+/// state, options) at every thread count.
 ReoptimizeResult ProposeReoptimization(const Problem& problem,
-                                       const IncrementalEvaluator& eval,
+                                       IncrementalEvaluator& eval,
                                        const ReoptimizeOptions& options);
 
 }  // namespace diaca::core

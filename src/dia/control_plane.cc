@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -289,7 +288,7 @@ ControlPlaneReport ControlPlane::Run() const {
           next_streaks[key] = it == streaks.end() ? 1 : it->second + 1;
         }
         // Apply matured moves in proposal order, re-validated against
-        // the live evaluator (the proposal round ran on a scratch copy,
+        // the live evaluator (the proposal round rolled its moves back,
         // and earlier matured moves may have shifted the landscape).
         for (const core::MoveProposal& p : proposed.moves) {
           if (rep.migrations >= params_.migration_cap) break;
@@ -402,29 +401,7 @@ core::Assignment FreshGreedyAssignment(
     const core::Problem& problem, std::span<const core::ClientIndex> members,
     const core::AssignOptions& assign, double* max_len_out) {
   DIACA_CHECK_MSG(!members.empty(), "fresh greedy: no members");
-  const std::int32_t num_servers = problem.num_servers();
-  const auto ns = static_cast<std::size_t>(num_servers);
-
-  // The member rows, cut straight into a resident sub-block (node ids are
-  // labels carried through for debuggability; nothing indexes by them).
-  std::vector<net::NodeIndex> client_nodes(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    client_nodes[i] = problem.client_node(members[i]);
-  }
-  std::vector<double> d_ss(ns * ns);
-  for (core::ServerIndex a = 0; a < num_servers; ++a) {
-    for (core::ServerIndex b = 0; b < num_servers; ++b) {
-      d_ss[static_cast<std::size_t>(a) * ns + static_cast<std::size_t>(b)] =
-          problem.ss(a, b);
-    }
-  }
-  const core::Problem sub = core::Problem::FromView(
-      std::make_shared<core::MaterializedView>(
-          static_cast<std::int32_t>(members.size()), num_servers,
-          problem.client_block().MaterializeBlock(members)),
-      {problem.server_nodes().begin(), problem.server_nodes().end()},
-      std::move(client_nodes), d_ss);
-
+  const core::Problem sub = problem.Subset(members);
   core::SolveStats stats;
   const core::Assignment sub_assignment = core::GreedyAssign(sub, assign, &stats);
   if (max_len_out != nullptr) {

@@ -11,9 +11,10 @@
 //     per epoch, spent on the clients with the largest projected
 //     interactivity gain (core::ProposeReoptimization's bottleneck
 //     witnesses, each its server's farthest client, cached in the
-//     evaluator). Forced re-homes off a crashed server are liveness, not
-//     optimization, and are counted separately — a crash must never eat
-//     the optimization budget.
+//     evaluator; the proposals are tried on the live evaluator and
+//     rolled back, never on a copy). Forced re-homes off a crashed server
+//     are liveness, not optimization, and are counted separately — a
+//     crash must never eat the optimization budget.
 //   * Hysteresis — a move is applied only after being proposed with a
 //     gain of at least `hysteresis_eps` for `hysteresis_epochs`
 //     consecutive epochs, so oscillating near-ties don't churn clients.
@@ -151,13 +152,13 @@ class ControlPlane {
   ControlPlaneParams params_;
 };
 
-/// Fresh full-greedy solve over just `members`: cuts the member rows
-/// into a resident sub-problem (ClientBlockView::MaterializeBlock, in
-/// the order given), solves, and scatters back into a full-width
-/// partial assignment (kUnassigned elsewhere). The control plane's
-/// oracle baseline; also the "repeated full greedy" strategy of
-/// bench_churn. `max_len_out`, when non-null, receives the sub-problem
-/// objective.
+/// Fresh full-greedy solve over just `members`: solves the member
+/// sub-problem (core::Problem::Subset, in the order given; on a streamed
+/// churn problem its view shares the server rows and fills no member
+/// row), and scatters back into a full-width partial assignment
+/// (kUnassigned elsewhere). The control plane's boot and oracle
+/// baseline; also the "repeated full greedy" strategy of bench_churn.
+/// `max_len_out`, when non-null, receives the sub-problem objective.
 core::Assignment FreshGreedyAssignment(const core::Problem& problem,
                                        std::span<const core::ClientIndex> members,
                                        const core::AssignOptions& assign,

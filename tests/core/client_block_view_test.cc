@@ -13,8 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -754,6 +757,253 @@ Assignment HashAssignment(std::int32_t clients, std::int32_t servers) {
         static_cast<std::uint32_t>(servers));
   }
   return a;
+}
+
+// Subset(ids) is the parent read through ids, on both backends, with
+// access delays (attached) and without (clients on substrate nodes). The
+// id list is non-monotone (even clients descending, then every fourth
+// odd one ascending) and spans three 4096-row pool chunks, cut at 4
+// threads.
+// Every accessor of the subset must return the parent's bits for ids[i]:
+// cells, rows, columns (whole, gathered and grouped), the assigned
+// diagonal, its fold and nearest servers. FillColumnMax is certified on
+// both: exact over the members on a resident subset, the parent's bound
+// on a streamed one. A streamed subset's floors must match a view built
+// over the members alone (FromAttachments over their attach and access,
+// or FromOracle over their nodes), and it
+// keeps the parent's tile size: a fold under far values no cell reaches
+// skips every 7-client block. A lazy parent gives a lazy subset, and
+// neither fills a row for the cut. The subset is read only after its
+// parent is destroyed, so a dangling share reads freed memory under
+// ASan. Empty and out-of-range lists throw, naming the client.
+TEST(ClientBlockViewTest, SubsetIsTheParentReadThroughIds) {
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 50;
+  params.num_clients = 15000;
+  params.min_access_ms = 3.0;
+  params.materialize_block = false;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 37);
+  const net::DistanceOracle oracle =
+      net::DistanceOracle::FromGraph(graph, opt);
+  std::vector<net::NodeIndex> servers;
+  for (net::NodeIndex s = 1; s < 50; s += 4) servers.push_back(s);
+  const data::ClientCloud cloud =
+      data::BuildClientCloud(params, 37, oracle, servers);
+  std::vector<ClientIndex> ids;
+  for (ClientIndex c = 14998; c >= 0; c -= 2) ids.push_back(c);
+  for (ClientIndex c = 1; c < 15000; c += 4) ids.push_back(c);
+  ASSERT_GT(ids.size(), 2u * 4096u);
+  const std::size_t k = ids.size();
+  const auto num_servers = static_cast<ServerIndex>(servers.size());
+  const auto ns = static_cast<std::size_t>(num_servers);
+  TileOptions tile;
+  tile.tile_clients = 7;
+  std::vector<net::NodeIndex> member_attach;
+  std::vector<double> member_access;
+  for (const ClientIndex c : ids) {
+    member_attach.push_back(cloud.attach[static_cast<std::size_t>(c)]);
+    member_access.push_back(cloud.access_ms[static_cast<std::size_t>(c)]);
+  }
+  const auto attached_members = OracleTileView::FromAttachments(
+      oracle, servers, member_attach, member_access);
+  const auto on_node_members =
+      OracleTileView::FromOracle(oracle, servers, member_attach);
+  // Server-major floors and counts, one entry per server.
+  struct Floors {
+    std::vector<std::vector<double>> floors;
+    std::vector<std::vector<std::int32_t>> counts;
+  };
+  const auto floors_of = [&](const ClientBlockView& view,
+                             std::span<const ClientIndex> list) {
+    Floors out{std::vector<std::vector<double>>(ns),
+               std::vector<std::vector<std::int32_t>>(ns)};
+    const bool offered = view.ForEachColumnFloors(
+        list, list.size(),
+        [&](ServerIndex s, const double* f, const std::int32_t* n,
+            std::size_t m) {
+          out.floors[static_cast<std::size_t>(s)].assign(f, f + m);
+          out.counts[static_cast<std::size_t>(s)].assign(n, n + m);
+        });
+    EXPECT_EQ(offered, !view.materialized());
+    return out;
+  };
+  const Assignment assign =
+      HashAssignment(static_cast<std::int32_t>(k), num_servers);
+  std::vector<ClientIndex> local_every(k);
+  std::iota(local_every.begin(), local_every.end(), 0);
+  std::vector<ClientIndex> local_strided;
+  for (auto i = static_cast<ClientIndex>(k) - 1; i >= 3; i -= 5) {
+    local_strided.push_back(i);
+  }
+  SetGlobalThreads(4);
+
+  struct Case {
+    const char* name;
+    bool on_nodes;
+    bool resident;
+  };
+  for (const Case& tc : {Case{"attached", false, false},
+                         Case{"resident", false, true},
+                         Case{"on nodes", true, false}}) {
+    const bool resident = tc.resident;
+    const auto where = [&] { return ::testing::Message() << tc.name; };
+    // The parent's reads through ids, taken before it dies.
+    std::vector<double> cells(k * ns);
+    std::vector<double> rows;
+    std::vector<double> column_max(ns);
+    std::vector<ServerIndex> nearest(k);
+    std::vector<double> nearest_dist(k);
+    std::shared_ptr<const ClientBlockView> sub;
+    {
+      std::shared_ptr<const ClientBlockView> parent =
+          tc.on_nodes ? OracleTileView::FromOracle(oracle, servers,
+                                                   cloud.attach, tile)
+                      : OracleTileView::FromAttachments(
+                            oracle, servers, cloud.attach, cloud.access_ms,
+                            tile);
+      if (resident) {
+        parent = std::make_shared<MaterializedView>(
+            parent->num_clients(), num_servers, parent->MaterializeBlock());
+      }
+      ASSERT_EQ(parent->materialized(), resident);
+      for (std::size_t i = 0; i < k; ++i) {
+        for (ServerIndex s = 0; s < num_servers; ++s) {
+          cells[i * ns + static_cast<std::size_t>(s)] = parent->cs(ids[i], s);
+        }
+      }
+      rows = parent->MaterializeBlock(ids);
+      parent->FillColumnMax(column_max.data());
+      std::vector<ServerIndex> all_nearest(
+          static_cast<std::size_t>(parent->num_clients()));
+      std::vector<double> all_dist(all_nearest.size());
+      parent->FillNearest(all_nearest.data(), all_dist.data());
+      for (std::size_t i = 0; i < k; ++i) {
+        nearest[i] = all_nearest[static_cast<std::size_t>(ids[i])];
+        nearest_dist[i] = all_dist[static_cast<std::size_t>(ids[i])];
+      }
+      const std::int64_t filled = parent->stats().rows_filled;
+      sub = parent->Subset(ids);
+      EXPECT_EQ(parent->stats().rows_filled, filled) << where();
+      for (const ClientIndex bad : {-1, parent->num_clients()}) {
+        const std::vector<ClientIndex> bad_ids = {0, bad, 1};
+        try {
+          (void)parent->Subset(bad_ids);
+          ADD_FAILURE() << where() << " subset with client " << bad;
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find("client " + std::to_string(bad)),
+                    std::string::npos)
+              << where() << " " << e.what();
+        }
+      }
+      EXPECT_THROW((void)parent->Subset(std::span<const ClientIndex>{}), Error)
+          << where();
+    }
+
+    // The parent is gone; everything below reads the subset alone.
+    const ClientBlockView& view = *sub;
+    ASSERT_EQ(view.materialized(), resident) << where();
+    EXPECT_EQ(view.stats().rows_filled, 0) << where();
+    ASSERT_EQ(view.num_clients(), static_cast<std::int32_t>(k)) << where();
+    ASSERT_EQ(view.num_servers(), num_servers) << where();
+    const std::size_t stride = view.server_stride();
+    ASSERT_EQ(rows.size(), k * stride) << where();
+    std::vector<double> scratch(stride, std::nan(""));
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto c = static_cast<ClientIndex>(i);
+      for (ServerIndex s = 0; s < num_servers; ++s) {
+        ASSERT_EQ(view.cs(c, s), cells[i * ns + static_cast<std::size_t>(s)])
+            << where() << " i=" << i << " s=" << s;
+      }
+      ASSERT_EQ(std::memcmp(view.Row(c, scratch.data()),
+                            rows.data() + i * stride, stride * sizeof(double)),
+                0)
+          << where() << " Row " << i;
+    }
+    EXPECT_EQ(view.MaterializeBlock(), rows) << where();
+    std::vector<double> column(k);
+    std::vector<double> gathered(local_strided.size());
+    for (ServerIndex s = 0; s < num_servers; ++s) {
+      const auto si = static_cast<std::size_t>(s);
+      view.FillColumn(s, column.data());
+      view.GatherColumn(s, local_strided.data(), local_strided.size(),
+                        gathered.data());
+      for (std::size_t i = 0; i < k; ++i) {
+        ASSERT_EQ(column[i], cells[i * ns + si]) << where() << " s=" << s;
+      }
+      for (std::size_t j = 0; j < local_strided.size(); ++j) {
+        const auto i = static_cast<std::size_t>(local_strided[j]);
+        ASSERT_EQ(gathered[j], cells[i * ns + si]) << where() << " s=" << s;
+      }
+    }
+    std::vector<int> visits(ns, 0);
+    std::vector<char> column_ok(ns, 1);
+    view.ForEachColumn(local_strided, [&](ServerIndex s, const double* col) {
+      const auto si = static_cast<std::size_t>(s);
+      ++visits[si];
+      for (std::size_t j = 0; j < local_strided.size(); ++j) {
+        const auto i = static_cast<std::size_t>(local_strided[j]);
+        if (col[j] != cells[i * ns + si]) column_ok[si] = 0;
+      }
+    });
+    for (std::size_t s = 0; s < ns; ++s) {
+      EXPECT_EQ(visits[s], 1) << where() << " s=" << s;
+      EXPECT_EQ(column_ok[s], 1) << where() << " ForEachColumn s=" << s;
+    }
+
+    std::vector<double> diag(k);
+    view.GatherAssigned(assign.server_of.data(), diag.data());
+    std::vector<double> want_far(ns, -1.0);
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto s =
+          static_cast<std::size_t>(assign[static_cast<ClientIndex>(i)]);
+      ASSERT_EQ(diag[i], cells[i * ns + s]) << where() << " diag " << i;
+      want_far[s] = std::max(want_far[s], cells[i * ns + s]);
+    }
+    std::vector<double> far(ns, -1.0);
+    view.FoldAssignedMax(assign.server_of.data(), far.data());
+    EXPECT_EQ(far, want_far) << where();
+    std::vector<ServerIndex> got_nearest(k);
+    std::vector<double> got_dist(k);
+    view.FillNearest(got_nearest.data(), got_dist.data());
+    EXPECT_EQ(got_nearest, nearest) << where();
+    EXPECT_EQ(got_dist, nearest_dist) << where();
+
+    std::vector<double> got_max(ns);
+    view.FillColumnMax(got_max.data());
+    for (std::size_t s = 0; s < ns; ++s) {
+      double exact = -std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < k; ++i) {
+        exact = std::max(exact, cells[i * ns + s]);
+      }
+      EXPECT_EQ(got_max[s], resident ? exact : column_max[s])
+          << where() << " s=" << s;
+      EXPECT_GE(got_max[s], exact) << where() << " s=" << s;
+    }
+
+    for (const std::vector<ClientIndex>* list :
+         {&local_every, &local_strided}) {
+      const Floors got = floors_of(view, *list);
+      if (resident) continue;
+      const Floors want = floors_of(
+          tc.on_nodes ? *on_node_members : *attached_members, *list);
+      for (std::size_t s = 0; s < ns; ++s) {
+        EXPECT_EQ(got.floors[s], want.floors[s])
+            << where() << " list " << list->size() << " s=" << s;
+        EXPECT_EQ(got.counts[s], want.counts[s])
+            << where() << " list " << list->size() << " s=" << s;
+      }
+    }
+    if (!resident) {
+      const std::int64_t pruned = view.stats().tiles_pruned;
+      std::vector<double> high(ns, 1e300);
+      view.FoldAssignedMax(assign.server_of.data(), high.data());
+      EXPECT_EQ(view.stats().tiles_pruned - pruned,
+                static_cast<std::int64_t>((k + 6) / 7));
+    }
+  }
+  SetGlobalThreads(0);
 }
 
 // EccentricitiesExcluding against a scalar reference (far[s] = max of

@@ -349,63 +349,87 @@ void ExpectSameState(const IncrementalEvaluator& got,
   ASSERT_EQ(got.MaxPairSecond(), want.pair().b) << at;
 }
 
-// Random add, remove, move and evaluate steps from a partial assignment.
-// Each step scores its client against every server, then maybe applies
-// one. Targets are drawn from a shrinking prefix of the servers half the
-// time, so servers empty and refill, and a third of the steps take a
-// cached pair endpoint's farthest client, as the bottleneck descent does.
-void DriveAgainstReference(const Problem& p, std::uint64_t seed) {
-  Rng rng(seed);
-  const std::int32_t num_servers = p.num_servers();
+// A random partial assignment: each client is a member with probability
+// 0.6, on a uniform server.
+Assignment RandomPartial(const Problem& p, Rng& rng) {
   Assignment a(static_cast<std::size_t>(p.num_clients()));
   for (ClientIndex c = 0; c < p.num_clients(); ++c) {
     if (rng.NextBernoulli(0.6)) {
       a[c] = static_cast<ServerIndex>(
-          rng.NextBounded(static_cast<std::uint64_t>(num_servers)));
+          rng.NextBounded(static_cast<std::uint64_t>(p.num_servers())));
     }
   }
+  return a;
+}
+
+// A random client: uniform, or a third of the time a cached pair
+// endpoint's farthest client, as the bottleneck descent picks.
+ClientIndex PickClient(const IncrementalEvaluator& eval, const Problem& p,
+                       Rng& rng) {
+  auto c = static_cast<ClientIndex>(
+      rng.NextBounded(static_cast<std::uint64_t>(p.num_clients())));
+  if (eval.MaxPairFirst() != kUnassigned && rng.NextBernoulli(0.3)) {
+    c = eval.Farthest(rng.NextBernoulli(0.5) ? eval.MaxPairFirst()
+                                             : eval.MaxPairSecond())
+            .second;
+  }
+  return c;
+}
+
+// One random add, remove, move or evaluate step, step `step` of `steps`:
+// the client is scored against every server, then maybe one is applied.
+// Targets are drawn from a shrinking prefix of the servers half the time,
+// so servers empty and refill.
+void StepAgainstReference(const Problem& p, IncrementalEvaluator& eval,
+                          ReferenceEvaluator& ref, Rng& rng, int step,
+                          int steps, const std::string& at) {
+  const std::int32_t num_servers = p.num_servers();
+  const ClientIndex c = PickClient(eval, p, rng);
+  const std::int32_t span =
+      rng.NextBernoulli(0.5)
+          ? num_servers
+          : 1 + (num_servers - 1) * (steps - step) / steps;
+  const auto to = static_cast<ServerIndex>(
+      rng.NextBounded(static_cast<std::uint64_t>(span)));
+  if (!eval.IsActive(c)) {
+    for (ServerIndex s = 0; s < num_servers; ++s) {
+      ASSERT_EQ(Bits(eval.EvaluateAdd(c, s)), Bits(ref.EvaluateAdd(c, s)))
+          << at << " target " << s;
+    }
+    if (rng.NextBernoulli(0.7)) {
+      eval.AddClient(c, to);
+      ref.AddClient(c, to);
+    }
+  } else if (rng.NextBernoulli(0.25)) {
+    eval.RemoveClient(c);
+    ref.RemoveClient(c);
+  } else {
+    for (ServerIndex s = 0; s < num_servers; ++s) {
+      ASSERT_EQ(Bits(eval.EvaluateMove(c, s)), Bits(ref.EvaluateMove(c, s)))
+          << at << " target " << s;
+    }
+    if (rng.NextBernoulli(0.6)) {
+      eval.ApplyMove(c, to);
+      ref.ApplyMove(c, to);
+    }
+  }
+  ExpectSameState(eval, ref, at);
+}
+
+// Random steps from a partial assignment, a third of them moving a
+// cached pair endpoint's farthest client.
+void DriveAgainstReference(const Problem& p, std::uint64_t seed) {
+  Rng rng(seed);
+  const Assignment a = RandomPartial(p, rng);
   IncrementalEvaluator eval(p, a, IncrementalEvaluator::AllowPartial{});
   ReferenceEvaluator ref(p, a);
   ExpectSameState(eval, ref, "seed " + std::to_string(seed) + " start");
-  for (int step = 0; step < 400; ++step) {
-    const std::string at =
-        "seed " + std::to_string(seed) + " step " + std::to_string(step);
-    auto c = static_cast<ClientIndex>(
-        rng.NextBounded(static_cast<std::uint64_t>(p.num_clients())));
-    if (eval.MaxPairFirst() != kUnassigned && rng.NextBernoulli(0.3)) {
-      c = eval.Farthest(rng.NextBernoulli(0.5) ? eval.MaxPairFirst()
-                                               : eval.MaxPairSecond())
-              .second;
-    }
-    const std::int32_t span =
-        rng.NextBernoulli(0.5)
-            ? num_servers
-            : 1 + (num_servers - 1) * (400 - step) / 400;
-    const auto to = static_cast<ServerIndex>(
-        rng.NextBounded(static_cast<std::uint64_t>(span)));
-    if (!eval.IsActive(c)) {
-      for (ServerIndex s = 0; s < num_servers; ++s) {
-        ASSERT_EQ(Bits(eval.EvaluateAdd(c, s)), Bits(ref.EvaluateAdd(c, s)))
-            << at << " target " << s;
-      }
-      if (rng.NextBernoulli(0.7)) {
-        eval.AddClient(c, to);
-        ref.AddClient(c, to);
-      }
-    } else if (rng.NextBernoulli(0.25)) {
-      eval.RemoveClient(c);
-      ref.RemoveClient(c);
-    } else {
-      for (ServerIndex s = 0; s < num_servers; ++s) {
-        ASSERT_EQ(Bits(eval.EvaluateMove(c, s)), Bits(ref.EvaluateMove(c, s)))
-            << at << " target " << s;
-      }
-      if (rng.NextBernoulli(0.6)) {
-        eval.ApplyMove(c, to);
-        ref.ApplyMove(c, to);
-      }
-    }
-    ExpectSameState(eval, ref, at);
+  constexpr int kSteps = 400;
+  for (int step = 0; step < kSteps; ++step) {
+    StepAgainstReference(
+        p, eval, ref, rng, step, kSteps,
+        "seed " + std::to_string(seed) + " step " + std::to_string(step));
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -463,6 +487,109 @@ TEST(EvaluatorReferenceTest, BestAddIsTheFirstArgminOfEvaluateAdd) {
       ASSERT_EQ(Bits(eval.AddClient(c, got)), Bits(want_value)) << at;
     }
   }
+}
+
+// --- checkpoint and rollback ---------------------------------------------
+
+// Everything the evaluator reports, against an untouched copy: the
+// objective bits, the pair, the assignment, and per server the load, the
+// farthest member, the farthest-first run and the member list itself.
+void ExpectSameEvaluator(const Problem& p, const IncrementalEvaluator& got,
+                         const IncrementalEvaluator& want,
+                         const std::string& at) {
+  ASSERT_EQ(Bits(got.CurrentMax()), Bits(want.CurrentMax())) << at;
+  ASSERT_EQ(got.MaxPairFirst(), want.MaxPairFirst()) << at;
+  ASSERT_EQ(got.MaxPairSecond(), want.MaxPairSecond()) << at;
+  ASSERT_EQ(got.assignment(), want.assignment()) << at;
+  ASSERT_EQ(got.num_active(), want.num_active()) << at;
+  for (ServerIndex s = 0; s < p.num_servers(); ++s) {
+    const std::string where = at + " server " + std::to_string(s);
+    ASSERT_EQ(got.LoadOf(s), want.LoadOf(s)) << where;
+    ASSERT_EQ(Bits(got.Farthest(s).first), Bits(want.Farthest(s).first))
+        << where;
+    ASSERT_EQ(got.Farthest(s).second, want.Farthest(s).second) << where;
+    ASSERT_EQ(got.FarthestFirst(s), want.FarthestFirst(s)) << where;
+    ASSERT_TRUE(std::ranges::equal(got.Members(s), want.Members(s))) << where;
+  }
+}
+
+// Rounds of a checkpoint, a burst of up to 11 random moves (a third of
+// them off a pair endpoint's head) and a rollback, compared with a copy
+// taken at the checkpoint. Reference-checked steps follow each rollback,
+// so later evaluations read the restored top two and partner rows.
+void DriveRollbacks(const Problem& p, std::uint64_t seed) {
+  Rng rng(seed);
+  const Assignment a = RandomPartial(p, rng);
+  IncrementalEvaluator eval(p, a, IncrementalEvaluator::AllowPartial{});
+  ReferenceEvaluator ref(p, a);
+  constexpr int kRounds = 60;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string at =
+        "seed " + std::to_string(seed) + " round " + std::to_string(round);
+    const IncrementalEvaluator copy = eval;
+    eval.Checkpoint();
+    const std::uint64_t burst = rng.NextBounded(12);
+    for (std::uint64_t k = 0; k < burst; ++k) {
+      const ClientIndex c = PickClient(eval, p, rng);
+      const auto to = static_cast<ServerIndex>(
+          rng.NextBounded(static_cast<std::uint64_t>(p.num_servers())));
+      if (eval.IsActive(c)) eval.ApplyMove(c, to);
+    }
+    eval.Rollback();
+    ExpectSameEvaluator(p, eval, copy, at);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (int step = 0; step < 5; ++step) {
+      StepAgainstReference(p, eval, ref, rng, round, kRounds,
+                           at + " step " + std::to_string(step));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EvaluatorRollbackTest, TieHeavyRollbacksRestoreEveryBit) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 7727);
+    const auto num_servers = static_cast<std::int32_t>(2 + rng.NextBounded(7));
+    const auto num_clients = static_cast<std::int32_t>(6 + rng.NextBounded(30));
+    DriveRollbacks(test::TieHeavyProblem(num_clients, num_servers, rng),
+                   seed + 300);
+  }
+}
+
+TEST(EvaluatorRollbackTest, RandomRollbacksRestoreEveryBit) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed * 6151);
+    const auto num_servers = static_cast<std::int32_t>(2 + rng.NextBounded(11));
+    const auto num_nodes =
+        num_servers + static_cast<std::int32_t>(4 + rng.NextBounded(30));
+    DriveRollbacks(test::RandomProblem(num_nodes, num_servers, rng),
+                   seed + 400);
+  }
+}
+
+// Only moves are logged, so membership changes are refused while a
+// checkpoint is open, as are a second checkpoint and a rollback without
+// one; none of the refusals touches the state.
+TEST(EvaluatorRollbackTest, MembershipChangesThrowInsideACheckpoint) {
+  Rng rng(27);
+  const Problem p = test::RandomProblem(12, 3, rng);
+  Assignment a(static_cast<std::size_t>(p.num_clients()));
+  a[0] = 0;
+  a[1] = 1;
+  IncrementalEvaluator eval(p, a, IncrementalEvaluator::AllowPartial{});
+  const IncrementalEvaluator copy = eval;
+  EXPECT_THROW(eval.Rollback(), Error);
+  eval.Checkpoint();
+  EXPECT_THROW(eval.Checkpoint(), Error);
+  EXPECT_THROW(eval.AddClient(2, 0), Error);
+  EXPECT_THROW(eval.RemoveClient(0), Error);
+  eval.ApplyMove(0, 2);
+  eval.Rollback();
+  ExpectSameEvaluator(p, eval, copy, "after rollback");
+  EXPECT_THROW(eval.Rollback(), Error);
+  eval.AddClient(2, 0);
+  eval.RemoveClient(0);
+  EXPECT_EQ(eval.num_active(), 2);
 }
 
 }  // namespace

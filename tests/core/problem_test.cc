@@ -1,5 +1,7 @@
 #include "core/problem.h"
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -155,6 +157,41 @@ TEST(ProblemTest, FromBlocksValidatesShapes) {
   EXPECT_THROW(Problem::FromBlocks(servers, clients, d_cs, bad_diag), Error);
   const std::vector<net::NodeIndex> dup = {2, 2};
   EXPECT_THROW(Problem::FromBlocks(servers, dup, d_cs, d_ss), Error);
+}
+
+// Problem::Subset keeps the servers and d_ss, carries the members'
+// labels in the order given, reads every cell through the parent, and
+// rejects a member named twice or outside the problem.
+TEST(ProblemTest, SubsetCarriesMembersLabelsAndServerBlock) {
+  Rng rng(13);
+  const auto m = test::RandomMatrix(12, rng);
+  const std::vector<net::NodeIndex> servers{1, 6, 10};
+  const std::vector<net::NodeIndex> clients{0, 2, 3, 5, 7, 8, 9, 11};
+  const Problem p(m, servers, clients);
+  const std::vector<ClientIndex> members{6, 1, 4};
+  const Problem sub = p.Subset(members);
+  ASSERT_EQ(sub.num_clients(), 3);
+  ASSERT_EQ(sub.num_servers(), p.num_servers());
+  EXPECT_EQ(sub.server_stride(), p.server_stride());
+  EXPECT_TRUE(std::equal(sub.server_nodes().begin(), sub.server_nodes().end(),
+                         p.server_nodes().begin(), p.server_nodes().end()));
+  for (ClientIndex i = 0; i < sub.num_clients(); ++i) {
+    const ClientIndex c = members[static_cast<std::size_t>(i)];
+    EXPECT_EQ(sub.client_node(i), p.client_node(c));
+    for (ServerIndex s = 0; s < p.num_servers(); ++s) {
+      EXPECT_EQ(sub.client_block().cs(i, s), p.client_block().cs(c, s));
+    }
+  }
+  for (ServerIndex a = 0; a < p.num_servers(); ++a) {
+    for (ServerIndex b = 0; b < p.num_servers(); ++b) {
+      EXPECT_EQ(sub.ss(a, b), p.ss(a, b));
+    }
+  }
+  const std::vector<ClientIndex> twice{2, 5, 2};
+  EXPECT_THROW((void)p.Subset(twice), Error);
+  const std::vector<ClientIndex> outside{2, 8};
+  EXPECT_THROW((void)p.Subset(outside), Error);
+  EXPECT_THROW((void)p.Subset(std::span<const ClientIndex>{}), Error);
 }
 
 TEST(AssignmentTest, CompletenessAndEquality) {

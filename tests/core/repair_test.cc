@@ -677,8 +677,7 @@ TEST(OneDescentTest, ReoptimizeMatchesScanReference) {
     for (ClientIndex c = 0; c < num_clients; ++c) {
       if (rng.NextBernoulli(0.2)) start[c] = kUnassigned;
     }
-    const IncrementalEvaluator eval(p, start,
-                                    IncrementalEvaluator::AllowPartial{});
+    IncrementalEvaluator eval(p, start, IncrementalEvaluator::AllowPartial{});
     std::vector<char> down;
     if (seed % 3 == 0) {
       down.assign(static_cast<std::size_t>(num_servers), 0);
@@ -707,6 +706,7 @@ TEST(OneDescentTest, ReoptimizeMatchesScanReference) {
         }
       }
     }
+    // Every proposal round ran on `eval` and rolled it back.
     EXPECT_EQ(eval.assignment(), start) << "seed " << seed;
   }
   // The witness is the head of the run for every active client, and some

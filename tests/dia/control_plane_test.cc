@@ -305,8 +305,9 @@ TEST(ControlPlaneTest, BitIdenticalAcrossThreadCounts) {
 // same view holds the same bits, so the control plane must not tell the
 // two apart: same final assignment, and per epoch the same objective
 // bits, migrations, forced moves and evaluations, at 1 and 4 threads.
-// Over 4096 initial members, the boot's member cut spans several pool
-// chunks.
+// The boot's member sub-problem is a streamed subset of the first and a
+// resident cut of the second, over 4096 initial members, so the cut
+// spans several pool chunks.
 TEST(ControlPlaneTest, StreamedAndResidentBlocksRunIdentically) {
   const ChurnSetup setup = MakeSetup(BusyChurn(8), 5000, 120, 8, 31);
   const core::Problem& streamed = setup.built.problem;
@@ -409,11 +410,11 @@ TEST(FreshGreedyAssignmentTest, ScattersOntoMembersOnly) {
   EXPECT_EQ(eval.num_active(), static_cast<std::int32_t>(members.size()));
 }
 
-// FreshGreedyAssignment cuts its sub-problem with MaterializeBlock over
-// the members; the result must equal GreedyAssign on a sub-problem the
-// test builds itself from one FillRow per member, bit for bit, with the
-// members in a non-monotone order, capacitated or not, at 1 and 4
-// threads. Over 4096 members, the cut spans several pool chunks.
+// FreshGreedyAssignment solves on the members' streamed subset, where
+// greedy's round 1 runs on attachment-row floors; the result must equal
+// GreedyAssign on a resident sub-problem the test builds itself from one
+// FillRow per member, bit for bit, with more than 4096 members in a
+// non-monotone order, capacitated or not, at 1 and 4 threads.
 TEST(FreshGreedyAssignmentTest, MatchesGreedyOnMemberRows) {
   const ChurnSetup setup = MakeSetup(BusyChurn(3), 10000, 60, 5, 13);
   const core::Problem& p = setup.built.problem;
@@ -473,6 +474,28 @@ TEST(FreshGreedyAssignmentTest, MatchesGreedyOnMemberRows) {
     }
   }
   SetGlobalThreads(0);
+}
+
+// On a streamed churn problem the member sub-problem shares the parent
+// view's server rows, so solving it fills no row of the parent view; a
+// resident member cut would fill one per member.
+TEST(FreshGreedyAssignmentTest, FillsNoRowOfAStreamedProblem) {
+  const ChurnSetup setup = MakeSetup(BusyChurn(3), 6000, 60, 5, 17);
+  const core::Problem& p = setup.built.problem;
+  ASSERT_FALSE(p.client_block().materialized());
+  std::vector<core::ClientIndex> members;
+  for (core::ClientIndex c = p.num_clients() - 1; c >= 0; c -= 3) {
+    members.push_back(c);
+  }
+  const std::int64_t before = p.client_block().stats().rows_filled;
+  double max_len = -1.0;
+  const core::Assignment a =
+      FreshGreedyAssignment(p, members, core::AssignOptions{}, &max_len);
+  EXPECT_EQ(p.client_block().stats().rows_filled, before);
+  for (const core::ClientIndex c : members) {
+    EXPECT_NE(a[c], core::kUnassigned) << c;
+  }
+  EXPECT_GT(max_len, 0.0);
 }
 
 TEST(ChurnMembershipEventsTest, BridgesLeavesBeforeJoinsPerBoundary) {
