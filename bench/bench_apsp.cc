@@ -1,6 +1,6 @@
 // APSP-engine report: blocked SIMD Floyd–Warshall vs the pooled Dijkstra
-// engine vs the pre-engine per-source-allocating Dijkstra (a faithful
-// copy kept below), on Waxman substrates of increasing size.
+// engine vs the pre-engine per-source-allocating lazy-heap Dijkstra (a
+// frozen copy kept below), on Waxman substrates of increasing size.
 //
 //   bench_apsp [--nodes=0] [--alpha=A] [--beta=B] [--servers=50]
 //              [--reps=2] [--seed=2011] [--tile=64] [--json-out=path]
@@ -24,7 +24,9 @@
 #include <functional>
 #include <iostream>
 #include <limits>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util/experiment.h"
@@ -48,17 +50,45 @@ namespace {
 using namespace diaca;
 
 // ---------------------------------------------------------------------------
-// Legacy baseline: the pre-engine Graph::AllPairsShortestPaths body —
-// one ShortestPathsFrom call per source, allocating a fresh distance
-// vector and heap every time, writing through the checked Set(). This is
-// exactly what ApspEngine::SolveDijkstra replaced.
+// Legacy baseline: the pre-engine Graph::AllPairsShortestPaths body, kept
+// here frozen — one lazy binary-heap Dijkstra per source (stale entries
+// skipped on pop), allocating a fresh distance vector and heap every
+// time, writing through the checked Set(). This is the loop
+// ApspEngine::SolveDijkstra replaced, and the one Graph::ShortestPathsFrom
+// ran before both moved onto net/dijkstra.h's kernel. It reads the
+// graph's arcs in the same insertion order the historical per-node arc
+// lists held them.
 // ---------------------------------------------------------------------------
+
+std::vector<double> LegacyShortestPathsFrom(const net::Graph& graph,
+                                            net::NodeIndex source) {
+  std::vector<double> dist(static_cast<std::size_t>(graph.size()),
+                           net::Graph::kInfinity);
+  dist[static_cast<std::size_t>(source)] = 0.0;
+  using Item = std::pair<double, net::NodeIndex>;  // (distance, node)
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  heap.emplace(0.0, source);
+  while (!heap.empty()) {
+    auto [d, u] = heap.top();
+    heap.pop();
+    if (d > dist[static_cast<std::size_t>(u)]) continue;  // stale entry
+    const net::Graph::Arcs arcs = graph.OutArcs(u);
+    for (std::size_t a = 0; a < arcs.size(); ++a) {
+      const double nd = d + arcs.length[a];
+      if (nd < dist[static_cast<std::size_t>(arcs.to[a])]) {
+        dist[static_cast<std::size_t>(arcs.to[a])] = nd;
+        heap.emplace(nd, arcs.to[a]);
+      }
+    }
+  }
+  return dist;
+}
 
 net::LatencyMatrix LegacyAllPairs(const net::Graph& graph) {
   const net::NodeIndex n = graph.size();
   net::LatencyMatrix out(n);
   for (net::NodeIndex u = 0; u < n; ++u) {
-    const std::vector<double> dist = graph.ShortestPathsFrom(u);
+    const std::vector<double> dist = LegacyShortestPathsFrom(graph, u);
     for (net::NodeIndex v = u + 1; v < n; ++v) {
       out.Set(u, v, dist[static_cast<std::size_t>(v)]);
     }

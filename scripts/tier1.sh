@@ -8,8 +8,10 @@
 # determinism grid) again under ThreadSanitizer, and
 # finally the fault-tolerance suite (`resilience` label: fault plans,
 # repair solver, resilient sessions, malformed-corpus loaders) and the
-# distance-oracle suite (`oracle` label: lazy-row bit parity, LRU cache,
-# streaming clouds, concurrent queries) again under ThreadSanitizer and
+# distance-oracle suite (`oracle` label: the shortest-path kernel against
+# its lazy-heap reference, lazy-row bit parity, LRU cache, streaming
+# clouds, concurrent queries) again under ThreadSanitizer and
+# AddressSanitizer+UBSan, and the APSP engine suite again under
 # AddressSanitizer+UBSan. A bench_oracle smoke proves a 100k-client solve
 # through the rows backend stays inside a hard RSS budget, and a
 # filter-and-refine smoke proves bound pruning on the landmark backend
@@ -185,12 +187,22 @@ fi
 
 # ASan+UBSan lane: the fault-tolerance suite exercises the failure paths
 # (orphan reassignment, watchdog retries, malformed input) where lifetime
-# bugs would hide.
+# bugs would hide, and the APSP suite the heap and tile index arithmetic
+# of both APSP backends.
 if ! $skip_asan; then
   cmake -B build-asan -S . -DDIACA_SANITIZE=address
   cmake --build build-asan -j --target resilience_test oracle_test \
-    churn_test
+    churn_test apsp_test bench_apsp
   ctest --test-dir build-asan -L resilience -E smoke_ --output-on-failure
+  # The APSP suite under ASan+UBSan: every Dijkstra-backend source runs
+  # the shortest-path kernel, whose indexed 4-ary heap computes child and
+  # parent slots arithmetically, keeps sentinel slots past its last entry
+  # and writes heap positions by node id, and whose CSR scan indexes the
+  # flat arc arrays by offset; the blocked backend writes tiles by
+  # computed offsets into padded rows. An out-of-bounds write there would
+  # hide from the native lane, the only other lane that runs this label.
+  # The label's bench_apsp smoke also runs the frozen legacy loop.
+  ctest --test-dir build-asan -L apsp --output-on-failure
   # The oracle suite under ASan+UBSan: row buffers, cache eviction, the
   # streaming problem builders, and a member subset read after its parent
   # view is gone (the server rows are shared, not copied) are where

@@ -202,7 +202,7 @@ net::LatencyMatrix LoadTriplesMatrix(const std::string& path) {
 net::Graph LoadGraphTriples(const std::string& path) {
   LineReader reader(OpenForRead(path), path, "graph triples");
   std::int64_t max_id = -1;
-  std::vector<std::tuple<std::int64_t, std::int64_t, double>> edges;
+  std::vector<net::Graph::Edge> edges;
   std::string line;
   while (reader.Next(&line)) {
     std::istringstream fields(line);
@@ -223,15 +223,11 @@ net::Graph LoadGraphTriples(const std::string& path) {
                   std::to_string(length));
     }
     max_id = std::max({max_id, u, v});
-    edges.emplace_back(u, v, length);
+    edges.push_back({static_cast<net::NodeIndex>(u),
+                     static_cast<net::NodeIndex>(v), length});
   }
   if (max_id < 1) reader.FailFile("no data");
-  net::Graph g(static_cast<net::NodeIndex>(max_id + 1));
-  for (const auto& [u, v, length] : edges) {
-    g.AddEdge(static_cast<net::NodeIndex>(u), static_cast<net::NodeIndex>(v),
-              length);
-  }
-  return g;
+  return net::Graph(static_cast<net::NodeIndex>(max_id + 1), edges);
 }
 
 }  // namespace diaca::data

@@ -106,11 +106,11 @@ void ForEachWaxmanEdge(
 
 net::Graph GenerateWaxmanTopology(const WaxmanParams& params,
                                   std::uint64_t seed) {
-  net::Graph graph(params.num_nodes);
+  std::vector<net::Graph::Edge> edges;
   ForEachWaxmanEdge(params, seed,
-                    [&graph](net::NodeIndex u, net::NodeIndex v,
-                             double length) { graph.AddEdge(u, v, length); });
-  return graph;
+                    [&edges](net::NodeIndex u, net::NodeIndex v,
+                             double length) { edges.push_back({u, v, length}); });
+  return net::Graph(params.num_nodes, edges);
 }
 
 net::LatencyMatrix GenerateWaxmanMatrix(const WaxmanParams& params,

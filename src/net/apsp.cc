@@ -13,6 +13,7 @@
 #include "common/simd/simd.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "net/dijkstra.h"
 #include "net/graph.h"
 #include "obs/obs.h"
 
@@ -26,24 +27,16 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 std::atomic<int> g_default_backend{static_cast<int>(ApspBackend::kAuto)};
 
 // Measured cost of one Dijkstra heap/relaxation step relative to one
-// blocked-FW relaxation (default build, 1 thread, BENCH_apsp.json: 1.3
-// on the dense 1000-node case, 1.1 on the dense 5000-node case, 2.8 on
-// the sparse 10000-node case — see docs/performance.md). 2.0 sits above
-// the dense measurements, so near the crossover kAuto leans toward the
+// blocked-FW relaxation (default build, 1 thread, bench_apsp on the
+// net/dijkstra.h kernel: 1.1 on the dense 1000-node case, 456 against
+// 253 ms, and 1.1 on the dense 5000-node case, 83.2 against 38.0 s;
+// BENCH_apsp.json's older lazy-heap engine gave 1.3, 1.1 and 2.8 on the
+// sparse 10000-node case — see docs/performance.md). 2.0 sits above the
+// dense measurements, so near the crossover kAuto leans toward the
 // blocked engine. Only the kAuto decision depends on it — both backends
 // are correct at any size — so a miscalibration costs time, never
 // results.
 constexpr double kDijkstraStepCostRatio = 2.0;
-
-// Reusable per-chunk Dijkstra state: the generation stamp makes dist[]
-// valid only where mark[v] == generation, so consecutive sources skip the
-// O(n) reset, and the heap vector keeps its capacity across sources.
-struct DijkstraScratch {
-  std::vector<double> dist;
-  std::vector<std::uint32_t> mark;
-  std::uint32_t generation = 0;
-  std::vector<std::pair<double, NodeIndex>> heap;  // min-heap via greater<>
-};
 
 }  // namespace
 
@@ -113,10 +106,11 @@ LatencyMatrix ApspEngine::Solve(const Graph& graph) const {
     SeedInfinite(out);
     for (NodeIndex u = 0; u < n; ++u) {
       double* row = out.MutableRow(u);
-      for (const Graph::Arc& arc : graph.OutArcs(u)) {
-        // Arcs are stored in both directions, so this seeds the full
-        // symmetric adjacency; min keeps the shortest parallel edge.
-        row[arc.to] = std::min(row[arc.to], arc.length);
+      // Arcs are stored in both directions, so this seeds the full
+      // symmetric adjacency; min keeps the shortest parallel edge.
+      const Graph::Arcs arcs = graph.OutArcs(u);
+      for (std::size_t a = 0; a < arcs.size(); ++a) {
+        row[arcs.to[a]] = std::min(row[arcs.to[a]], arcs.length[a]);
       }
     }
     RunBlocked(out);
@@ -129,52 +123,27 @@ LatencyMatrix ApspEngine::Solve(const Graph& graph) const {
 void ApspEngine::SolveDijkstra(const Graph& graph, LatencyMatrix& out) const {
   DIACA_OBS_SPAN("net.apsp.dijkstra");
   const NodeIndex n = graph.size();
-  // One Dijkstra per source. Source u owns exactly the cells
-  // {(u,v), (v,u) : v > u}, so chunks never collide, and the per-source
-  // distances are the unique rounded Bellman fixpoint of the graph —
-  // independent of heap order and scheduling — so the matrix is
-  // bit-identical at every thread count and chunk grain. The grain > 1
-  // amortizes the scratch allocation over a run of sources.
+  // One kernel run per source (net/dijkstra.h). Source u owns exactly the
+  // cells {(u,v), (v,u) : v > u}, so chunks never collide, and each run
+  // is a pure function of (graph, u), so the matrix is bit-identical at
+  // every thread count and chunk grain. Each chunk owns its kernel
+  // scratch and distance row; the grain > 1 amortizes their allocation
+  // over a run of sources.
   constexpr std::int64_t kGrain = 16;
   GlobalPool().ParallelFor(0, n, kGrain, [&](std::int64_t cb,
                                              std::int64_t ce) {
-    DijkstraScratch scratch;
-    scratch.dist.resize(static_cast<std::size_t>(n));
-    scratch.mark.assign(static_cast<std::size_t>(n), 0);
+    DijkstraKernel kernel(graph);
+    std::vector<double> dist(static_cast<std::size_t>(n));
     for (std::int64_t ui = cb; ui < ce; ++ui) {
       const auto u = static_cast<NodeIndex>(ui);
-      DIACA_OBS_COUNT("net.graph.dijkstra_runs", 1);
-      const std::uint32_t gen = ++scratch.generation;
-      auto& dist = scratch.dist;
-      auto& mark = scratch.mark;
-      auto& heap = scratch.heap;
-      heap.clear();
-      dist[static_cast<std::size_t>(u)] = 0.0;
-      mark[static_cast<std::size_t>(u)] = gen;
-      heap.emplace_back(0.0, u);
-      while (!heap.empty()) {
-        const auto [d, x] = heap.front();
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-        heap.pop_back();
-        if (d > dist[static_cast<std::size_t>(x)]) continue;  // stale entry
-        for (const Graph::Arc& arc : graph.OutArcs(x)) {
-          const double nd = d + arc.length;
-          const auto to = static_cast<std::size_t>(arc.to);
-          if (mark[to] != gen || nd < dist[to]) {
-            dist[to] = nd;
-            mark[to] = gen;
-            heap.emplace_back(nd, arc.to);
-            std::push_heap(heap.begin(), heap.end(), std::greater<>());
-          }
-        }
-      }
+      kernel.Run(u, dist);
       double* row_u = out.MutableRow(u);
       for (NodeIndex v = u + 1; v < n; ++v) {
-        if (mark[static_cast<std::size_t>(v)] != gen) {
+        const double d = dist[static_cast<std::size_t>(v)];
+        if (d == Graph::kInfinity) {
           throw Error("graph is disconnected: no path " + std::to_string(u) +
                       " -> " + std::to_string(v));
         }
-        const double d = dist[static_cast<std::size_t>(v)];
         row_u[v] = d;
         out.MutableRow(v)[u] = d;
       }

@@ -2,12 +2,12 @@
 // setup stage every experiment pays before any assignment runs.
 //
 // Two interchangeable backends behind one engine:
-//   * kDijkstra — one binary-heap Dijkstra per source, fanned out over the
-//     thread pool, with per-chunk reusable scratch (distance array,
-//     generation-stamped marks, heap storage) so no per-source allocation
-//     survives in the hot loop. Output is bit-identical to the historical
-//     serial per-source code: the final distances are the unique rounded
-//     Bellman fixpoint, independent of heap or scheduling order.
+//   * kDijkstra — one run of the net/dijkstra.h kernel (flat adjacency,
+//     indexed 4-ary heap) per source, fanned out over the thread pool,
+//     with one kernel scratch and distance row per chunk, so no
+//     per-source allocation survives in the hot loop. Output is
+//     bit-identical to the historical serial per-source code: nodes
+//     settle in the same (distance, node) order over the same arc order.
 //   * kBlocked — cache-blocked Floyd–Warshall directly over the padded
 //     LatencyMatrix storage: B x B tiles (B a multiple of simd::kPadWidth),
 //     the classic diagonal -> panel -> remainder schedule per k-block, the

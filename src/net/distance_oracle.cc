@@ -209,12 +209,13 @@ struct DistanceOracle::Impl {
   // kDense.
   std::optional<LatencyMatrix> dense;
 
-  // kRows: adjacency copy + striped LRU row cache. Rows live in the
-  // shard `node % shards.size()`, most recent at the shard's front; each
-  // shard has its own mutex so concurrent traversals touching different
-  // rows do not serialize on one cache lock. Rows build outside any
-  // lock; a raced insert keeps the first copy (rows are canonical, so
-  // both copies are bit-identical anyway).
+  // kRows: a copy of the graph (its flat adjacency) + striped LRU row
+  // cache. Rows live in the shard ShardOf picks (splitmix64(node) %
+  // shards.size()), most recent at the shard's front; each shard has its
+  // own mutex so concurrent traversals touching different rows do not
+  // serialize on one cache lock. Rows build outside any lock, each with
+  // its own kernel scratch; a raced insert keeps the first copy (rows are
+  // canonical, so both copies are bit-identical anyway).
   std::optional<Graph> graph;
   struct RowShard {
     using Lru = std::list<std::pair<NodeIndex, std::vector<double>>>;
@@ -458,13 +459,14 @@ struct DistanceOracle::Impl {
         // with distance 0, so the query sees hub's side too.
         if (HubCoverQuery(labels, hub, u) <= d) continue;
         labels[static_cast<std::size_t>(u)].emplace_back(rank, d);
-        for (const Graph::Arc& arc : graph.OutArcs(u)) {
-          const double nd = d + arc.length;
-          auto& dv = dist[static_cast<std::size_t>(arc.to)];
+        const Graph::Arcs arcs = graph.OutArcs(u);
+        for (std::size_t a = 0; a < arcs.size(); ++a) {
+          const double nd = d + arcs.length[a];
+          auto& dv = dist[static_cast<std::size_t>(arcs.to[a])];
           if (nd < dv) {
-            if (!std::isfinite(dv)) touched.push_back(arc.to);
+            if (!std::isfinite(dv)) touched.push_back(arcs.to[a]);
             dv = nd;
-            heap.emplace(nd, arc.to);
+            heap.emplace(nd, arcs.to[a]);
           }
         }
       }

@@ -11,9 +11,10 @@
 //   * kDense     — adopts a complete LatencyMatrix. Exact, O(1) queries,
 //                  O(n^2) memory. The historical default; every existing
 //                  result is produced by this backend unchanged.
-//   * kRows      — lazy per-source Dijkstra rows over the sparse
-//                  substrate graph, kept in an LRU-bounded row cache.
-//                  Exact: each row is the canonical Dijkstra row (see
+//   * kRows      — lazy per-source Dijkstra rows over a copy of the
+//                  substrate graph's flat adjacency, kept in an
+//                  LRU-bounded row cache. Exact: each row is the
+//                  canonical row of net/dijkstra.h's kernel (see
 //                  Graph::CanonicalShortestPathsFrom), so the values are
 //                  bit-identical to the dense Dijkstra matrix entries.
 //                  O(m log n) per row build, O(cache * n) memory. The
@@ -106,8 +107,8 @@ struct OracleOptions {
   /// size() doubles. Capacity never affects query results, only rebuild
   /// frequency.
   std::size_t row_cache_capacity = 128;
-  /// Rows backend: number of independent LRU stripes (shard = node %
-  /// shards, one mutex each). Each shard retains
+  /// Rows backend: number of independent LRU stripes (shard =
+  /// splitmix64(node) % shards, one mutex each). Each shard retains
   /// ceil(row_cache_capacity / shards) rows. Sharding never affects query
   /// results, only lock contention and the eviction pattern.
   std::size_t row_cache_shards = 4;
@@ -191,8 +192,8 @@ class DistanceOracle {
   static DistanceOracle FromMatrix(const LatencyMatrix& matrix,
                                    const OracleOptions& options);
 
-  /// Graph-backed backends. kRows keeps an adjacency copy (O(n + m)) and
-  /// builds rows on demand; kLandmarks / kCoords run their pivot/beacon
+  /// Graph-backed backends. kRows keeps a copy of the graph's flat
+  /// adjacency (O(n + m)) and builds rows on demand; kLandmarks / kCoords run their pivot/beacon
   /// Dijkstras up front and drop the graph; kHubLabels runs its pruned
   /// labeling sweep up front and keeps only the label CSR; kDense
   /// materializes the full matrix via the default APSP engine. Throws

@@ -1,90 +1,77 @@
 #include "net/graph.h"
 
 #include <cmath>
-#include <queue>
+#include <utility>
 
 #include "common/error.h"
 #include "net/apsp.h"
+#include "net/dijkstra.h"
 #include "obs/obs.h"
 
 namespace diaca::net {
 
-Graph::Graph(NodeIndex num_nodes) : n_(num_nodes), adj_(static_cast<std::size_t>(num_nodes)) {
+Graph::Graph(NodeIndex num_nodes) : n_(num_nodes) {
   DIACA_CHECK_MSG(num_nodes > 0, "graph must have at least one node");
+  offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
 }
 
-void Graph::AddEdge(NodeIndex u, NodeIndex v, double length) {
+Graph::Graph(NodeIndex num_nodes, std::span<const Edge> edges)
+    : Graph(num_nodes) {
+  // Counting pass: degrees, then prefix offsets, then each edge's two
+  // arcs at their nodes' cursors in edge order — the arc order AddEdge
+  // would have produced.
+  for (const Edge& e : edges) {
+    CheckEdge(e.u, e.v, e.length);
+    ++offsets_[static_cast<std::size_t>(e.u) + 1];
+    ++offsets_[static_cast<std::size_t>(e.v) + 1];
+  }
+  for (std::size_t u = 0; u < static_cast<std::size_t>(n_); ++u) {
+    offsets_[u + 1] += offsets_[u];
+  }
+  targets_.resize(2 * edges.size());
+  lengths_.resize(2 * edges.size());
+  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const Edge& e : edges) {
+    const std::size_t at_u = cursor[static_cast<std::size_t>(e.u)]++;
+    targets_[at_u] = e.v;
+    lengths_[at_u] = e.length;
+    const std::size_t at_v = cursor[static_cast<std::size_t>(e.v)]++;
+    targets_[at_v] = e.u;
+    lengths_[at_v] = e.length;
+  }
+}
+
+void Graph::CheckEdge(NodeIndex u, NodeIndex v, double length) const {
   DIACA_CHECK(u >= 0 && u < n_ && v >= 0 && v < n_);
   DIACA_CHECK_MSG(u != v, "self-loops are not allowed");
   DIACA_CHECK_MSG(std::isfinite(length) && length > 0.0,
                   "link length must be positive, got " << length);
-  adj_[static_cast<std::size_t>(u)].push_back({v, length});
-  adj_[static_cast<std::size_t>(v)].push_back({u, length});
-  ++edge_count_;
+}
+
+void Graph::AddEdge(NodeIndex u, NodeIndex v, double length) {
+  CheckEdge(u, v, length);
+  // Append at the end of each endpoint's run and shift the later runs.
+  for (const auto& [from, to] : {std::pair{u, v}, std::pair{v, u}}) {
+    const auto at = static_cast<std::ptrdiff_t>(
+        offsets_[static_cast<std::size_t>(from) + 1]);
+    targets_.insert(targets_.begin() + at, to);
+    lengths_.insert(lengths_.begin() + at, length);
+    for (std::size_t w = static_cast<std::size_t>(from) + 1;
+         w < offsets_.size(); ++w) {
+      ++offsets_[w];
+    }
+  }
 }
 
 std::vector<double> Graph::ShortestPathsFrom(NodeIndex source) const {
-  DIACA_CHECK(source >= 0 && source < n_);
-  std::vector<double> dist(static_cast<std::size_t>(n_), kInfinity);
-  dist[static_cast<std::size_t>(source)] = 0.0;
-  using Item = std::pair<double, NodeIndex>;  // (distance, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;  // stale entry
-    for (const Arc& arc : adj_[static_cast<std::size_t>(u)]) {
-      const double nd = d + arc.length;
-      if (nd < dist[static_cast<std::size_t>(arc.to)]) {
-        dist[static_cast<std::size_t>(arc.to)] = nd;
-        heap.emplace(nd, arc.to);
-      }
-    }
-  }
+  std::vector<double> dist(static_cast<std::size_t>(n_));
+  DijkstraKernel(*this).Run(source, dist);
   return dist;
 }
 
 std::vector<double> Graph::CanonicalShortestPathsFrom(NodeIndex source) const {
-  DIACA_CHECK(source >= 0 && source < n_);
-  const auto n = static_cast<std::size_t>(n_);
-  std::vector<double> dist(n, kInfinity);
-  // Shortest-path tree: predecessor toward the source and the length of
-  // the arc that reached each node, for the canonical re-summation below.
-  std::vector<NodeIndex> parent(n, -1);
-  std::vector<double> arc_len(n, 0.0);
-  dist[static_cast<std::size_t>(source)] = 0.0;
-  using Item = std::pair<double, NodeIndex>;  // (distance, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;  // stale entry
-    for (const Arc& arc : adj_[static_cast<std::size_t>(u)]) {
-      const double nd = d + arc.length;
-      const auto to = static_cast<std::size_t>(arc.to);
-      if (nd < dist[to]) {
-        dist[to] = nd;
-        parent[to] = u;
-        arc_len[to] = arc.length;
-        heap.emplace(nd, arc.to);
-      }
-    }
-  }
-  // Canonical direction for v < source is v -> source: walk the tree
-  // chain from v and accumulate left-to-right, reproducing the partial
-  // sums a Dijkstra rooted at v computes along the same path.
-  for (NodeIndex v = 0; v < source; ++v) {
-    if (parent[static_cast<std::size_t>(v)] < 0) continue;  // unreachable
-    double sum = 0.0;
-    NodeIndex w = v;
-    while (w != source) {
-      sum += arc_len[static_cast<std::size_t>(w)];
-      w = parent[static_cast<std::size_t>(w)];
-    }
-    dist[static_cast<std::size_t>(v)] = sum;
-  }
+  std::vector<double> dist(static_cast<std::size_t>(n_));
+  DijkstraKernel(*this).RunCanonical(source, dist);
   return dist;
 }
 
@@ -94,7 +81,7 @@ LatencyMatrix Graph::AllPairsShortestPaths() const {
   // unless --apsp overrode it) picks between the pooled multi-source
   // Dijkstra and the blocked SIMD Floyd–Warshall. Below
   // ApspEngine::kBlockedFloor the auto choice is always Dijkstra, whose
-  // output is bit-identical to the historical per-source code here.
+  // output is bit-identical to ShortestPathsFrom per source.
   ApspOptions options;
   options.backend = DefaultApspBackend();
   return ApspEngine(options).Solve(*this);

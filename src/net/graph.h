@@ -5,10 +5,19 @@
 // that extension: Dijkstra from every node yields the complete
 // LatencyMatrix that the assignment algorithms consume. The NP-completeness
 // reduction (§III) constructs such graphs directly.
+//
+// The adjacency is one flat CSR: node u's arcs are
+// [offsets[u], offsets[u + 1]) of an int32 target array and a double
+// length array, each node's arcs in insertion order (every link appends
+// an arc both ways). It is complete after construction and after every
+// AddEdge, so concurrent readers never see a half-built graph. Copying a
+// Graph copies exactly that adjacency.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "net/latency_matrix.h"
@@ -17,29 +26,47 @@ namespace diaca::net {
 
 class Graph {
  public:
-  /// One directed half of an undirected link, as stored in the adjacency
-  /// list (every AddEdge(u, v, l) appends an Arc both ways).
-  struct Arc {
-    NodeIndex to;
+  /// One undirected link, for the bulk constructor.
+  struct Edge {
+    NodeIndex u;
+    NodeIndex v;
     double length;
   };
 
+  /// The arcs leaving one node, in insertion order: arc i goes to to[i]
+  /// and has length length[i].
+  struct Arcs {
+    std::span<const NodeIndex> to;
+    std::span<const double> length;
+    std::size_t size() const { return to.size(); }
+  };
+
+  /// A graph with no links.
   explicit Graph(NodeIndex num_nodes);
 
-  NodeIndex size() const { return n_; }
-  std::size_t num_edges() const { return edge_count_; }
+  /// A graph with the given links, in order: equal to AddEdge applied to
+  /// each edge, built in one O(n + m) counting pass. Generators and
+  /// loaders build through this; AddEdge is for small hand-built graphs.
+  Graph(NodeIndex num_nodes, std::span<const Edge> edges);
 
-  /// Arcs leaving u, for external traversals (the APSP engine, streaming
-  /// matrix seeding).
-  const std::vector<Arc>& OutArcs(NodeIndex u) const {
-    return adj_[static_cast<std::size_t>(u)];
+  NodeIndex size() const { return n_; }
+  std::size_t num_edges() const { return targets_.size() / 2; }
+
+  /// Arcs leaving u: a view into the flat adjacency, valid until the next
+  /// AddEdge.
+  Arcs OutArcs(NodeIndex u) const {
+    const auto b = offsets_[static_cast<std::size_t>(u)];
+    const auto e = offsets_[static_cast<std::size_t>(u) + 1];
+    return {{targets_.data() + b, e - b}, {lengths_.data() + b, e - b}};
   }
 
   /// Add an undirected link of the given positive length. Parallel edges
   /// are allowed (shortest wins during routing); self-loops are an error.
+  /// Inserts into the flat adjacency in O(n + m); use the edge-list
+  /// constructor for large graphs.
   void AddEdge(NodeIndex u, NodeIndex v, double length);
 
-  /// Single-source shortest path lengths (Dijkstra, binary heap).
+  /// Single-source shortest path lengths (net/dijkstra.h's kernel).
   /// Unreachable nodes get +infinity.
   std::vector<double> ShortestPathsFrom(NodeIndex source) const;
 
@@ -67,9 +94,12 @@ class Graph {
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
  private:
+  void CheckEdge(NodeIndex u, NodeIndex v, double length) const;
+
   NodeIndex n_;
-  std::size_t edge_count_ = 0;
-  std::vector<std::vector<Arc>> adj_;
+  std::vector<std::size_t> offsets_;  // n_ + 1
+  std::vector<NodeIndex> targets_;    // 2 * num_edges()
+  std::vector<double> lengths_;       // 2 * num_edges()
 };
 
 }  // namespace diaca::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "common/error.h"
 #include "core/metrics.h"
@@ -16,12 +17,12 @@ net::Graph BuildGraph(const SetCoverInstance& instance, std::int32_t k) {
   const std::int32_t n = instance.num_elements;
   const auto m = static_cast<std::int32_t>(instance.subsets.size());
   // Node layout: clients 0..n-1, then server s^l_j at n + l*m + j.
-  net::Graph graph(n + m * k);
+  std::vector<net::Graph::Edge> edges;
   // Client-to-server links: c_i — s^l_j iff p_i in Q_j, for every group l.
   for (std::int32_t j = 0; j < m; ++j) {
     for (std::int32_t e : instance.subsets[static_cast<std::size_t>(j)]) {
       for (std::int32_t l = 0; l < k; ++l) {
-        graph.AddEdge(e, n + l * m + j, kLinkLength);
+        edges.push_back({e, n + l * m + j, kLinkLength});
       }
     }
   }
@@ -30,12 +31,12 @@ net::Graph BuildGraph(const SetCoverInstance& instance, std::int32_t k) {
     for (std::int32_t l2 = l1 + 1; l2 < k; ++l2) {
       for (std::int32_t j1 = 0; j1 < m; ++j1) {
         for (std::int32_t j2 = 0; j2 < m; ++j2) {
-          graph.AddEdge(n + l1 * m + j1, n + l2 * m + j2, kLinkLength);
+          edges.push_back({n + l1 * m + j1, n + l2 * m + j2, kLinkLength});
         }
       }
     }
   }
-  return graph;
+  return net::Graph(n + m * k, edges);
 }
 
 }  // namespace

@@ -103,10 +103,10 @@ TEST(GraphTest, OutArcsExposeBothDirections) {
   g.AddEdge(0, 1, 1.5);
   g.AddEdge(0, 2, 2.5);
   ASSERT_EQ(g.OutArcs(0).size(), 2u);
-  EXPECT_EQ(g.OutArcs(0)[0].to, 1);
-  EXPECT_DOUBLE_EQ(g.OutArcs(0)[0].length, 1.5);
+  EXPECT_EQ(g.OutArcs(0).to[0], 1);
+  EXPECT_DOUBLE_EQ(g.OutArcs(0).length[0], 1.5);
   ASSERT_EQ(g.OutArcs(1).size(), 1u);
-  EXPECT_EQ(g.OutArcs(1)[0].to, 0);
+  EXPECT_EQ(g.OutArcs(1).to[0], 0);
 }
 
 TEST(GraphTest, AllPairsHonorsDefaultApspBackend) {
