@@ -162,7 +162,8 @@ core::Assignment LegacyGreedyAssign(const core::Problem& problem,
 // ---------------------------------------------------------------------------
 // Per-kernel timing at solver sizes: every row kernel over n = 16, 80 and
 // 256 lanes (the server counts the workloads span), the client-block
-// view's column gathers (32 survivor ids, one 200k-client column) and one
+// view's column gathers (32 survivor ids, one 200k-client column through
+// an identity id list) and one
 // 64^3 blocked-APSP tile. `bytes` matches the byte accounting of the
 // kernels' own simd.kernels.bytes_scanned counter.
 // ---------------------------------------------------------------------------
@@ -315,6 +316,8 @@ int main(int argc, char** argv) {
     id = static_cast<std::int32_t>(rng.NextBounded(kClients));
   }
   std::sort(ids.begin(), ids.end());
+  std::vector<std::int32_t> every(kClients);
+  std::iota(every.begin(), every.end(), 0);
   std::vector<double> column(kClients);
   std::vector<double> tile_c(kTile * kTile);
   std::vector<double> tile_a(kTile * kTile);
@@ -353,7 +356,7 @@ int main(int argc, char** argv) {
   }});
   workloads.push_back({"gather_plus_column", kClients, 24 * kClients, [&] {
     simd::GatherPlus(column.data(), col.data(), attach.data(), access.data(),
-                     nullptr, kClients);
+                     every.data(), kClients);
     return column[0];
   }});
   workloads.push_back(

@@ -93,16 +93,14 @@ void BroadcastAddScalar(double* out, const double* row, double add,
 }
 
 // The oracle-view column gather: the indirection chain ids -> rows -> col
-// with the optional access add, in the exact operand order access + leg
-// the view's scalar loops used.
+// plus the access add, in the exact operand order access + leg of the
+// view's scalar loops.
 void GatherPlusScalar(double* out, const double* col,
                       const std::int32_t* rows, const double* access,
                       const std::int32_t* ids, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c =
-        ids != nullptr ? static_cast<std::size_t>(ids[i]) : i;
-    const double leg = col[static_cast<std::size_t>(rows[c])];
-    out[i] = access != nullptr ? access[c] + leg : leg;
+    const auto c = static_cast<std::size_t>(ids[i]);
+    out[i] = access[c] + col[static_cast<std::size_t>(rows[c])];
   }
 }
 
@@ -161,34 +159,11 @@ void BroadcastAddPortable(double* out, const double* row, double add,
 void GatherPlusPortable(double* out, const double* col,
                         const std::int32_t* rows, const double* access,
                         const std::int32_t* ids, std::size_t n) {
-  // The four null-combinations are split so each loop body is
-  // branch-free and gather + at-most-one-add, which the vectorizer can
-  // widen with hardware gathers where available.
-  if (ids == nullptr) {
-    if (access == nullptr) {
-#pragma omp simd
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = col[static_cast<std::size_t>(rows[i])];
-      }
-      return;
-    }
-#pragma omp simd
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = access[i] + col[static_cast<std::size_t>(rows[i])];
-    }
-    return;
-  }
-  if (access == nullptr) {
-#pragma omp simd
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t c = static_cast<std::size_t>(ids[i]);
-      out[i] = col[static_cast<std::size_t>(rows[c])];
-    }
-    return;
-  }
+  // Branch-free gather + one add, which the vectorizer can widen with
+  // hardware gathers where available.
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c = static_cast<std::size_t>(ids[i]);
+    const auto c = static_cast<std::size_t>(ids[i]);
     out[i] = access[c] + col[static_cast<std::size_t>(rows[c])];
   }
 }

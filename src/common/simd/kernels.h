@@ -93,13 +93,11 @@ double DotProduct(const double* a, const double* b, std::size_t n);
 /// synthesizes identical bits.
 void BroadcastAdd(double* out, const double* row, double add, std::size_t n);
 
-/// Indexed gather-add, the column paths of core::OracleTileView:
-///   ids == nullptr: out[i] = access[i] + col[rows[i]]            (FillColumn)
-///   ids != nullptr: out[i] = access[ids[i]] + col[rows[ids[i]]]  (GatherColumn)
-/// access may be null, in which case the add is dropped entirely (a
-/// client attached with no access delay reads the raw substrate leg, not
-/// 0.0 + leg). Pure loads plus at most one rounded add per lane, so all
-/// backends are bit-identical.
+/// Indexed gather-add, the column gather of core::OracleTileView:
+///   out[i] = access[ids[i]] + col[rows[ids[i]]]  for i in [0, n)
+/// with client ids[i]'s access delay and attachment row (all pointers
+/// non-null). Pure loads plus one rounded add per lane in the fixed
+/// operand order access + leg, so all backends are bit-identical.
 void GatherPlus(double* out, const double* col, const std::int32_t* rows,
                 const double* access, const std::int32_t* ids, std::size_t n);
 

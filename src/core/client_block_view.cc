@@ -16,13 +16,11 @@
 namespace diaca::core {
 
 ClientBlockView::ClientBlockView(std::int32_t num_clients,
-                                 std::int32_t num_servers,
-                                 const TileOptions& tile)
+                                 std::int32_t num_servers)
     : num_clients_(num_clients),
       num_servers_(num_servers),
       server_stride_(
-          simd::PaddedStride(static_cast<std::size_t>(num_servers))),
-      tile_(tile) {
+          simd::PaddedStride(static_cast<std::size_t>(num_servers))) {
   DIACA_CHECK_MSG(num_clients > 0, "client block needs at least one client");
   DIACA_CHECK_MSG(num_servers > 0, "client block needs at least one server");
 }
@@ -34,11 +32,6 @@ void ClientBlockView::FillRow(ClientIndex c, double* out) const {
 void ClientBlockView::GatherColumn(ServerIndex s, const ClientIndex* ids,
                                    std::size_t count, double* out) const {
   GatherColumnImpl(s, ids, count, out);
-  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ClientBlockView::FillColumn(ServerIndex s, double* out) const {
-  FillColumnImpl(s, out);
   columns_gathered_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -135,7 +128,7 @@ constexpr std::int64_t kFoldGrain = 2048;
 MaterializedView::MaterializedView(std::int32_t num_clients,
                                    std::int32_t num_servers,
                                    std::vector<double> padded_block)
-    : ClientBlockView(num_clients, num_servers, TileOptions{}),
+    : ClientBlockView(num_clients, num_servers),
       block_(std::move(padded_block)) {
   DIACA_CHECK_MSG(
       block_.size() == static_cast<std::size_t>(num_clients) * server_stride_,
@@ -159,10 +152,6 @@ void MaterializedView::FillRowsImpl(std::span<const ClientIndex> ids,
 void MaterializedView::GatherColumnImpl(ServerIndex s, const ClientIndex* ids,
                                         std::size_t count, double* out) const {
   for (std::size_t i = 0; i < count; ++i) out[i] = cs(ids[i], s);
-}
-
-void MaterializedView::FillColumnImpl(ServerIndex s, double* out) const {
-  for (std::int32_t c = 0; c < num_clients_; ++c) out[c] = cs(c, s);
 }
 
 std::int32_t MaterializedView::ColumnGroupWidth() const {
@@ -262,22 +251,15 @@ std::shared_ptr<const ClientBlockView> MaterializedView::Subset(
 
 OracleTileView::OracleTileView(std::int32_t num_clients,
                                std::int32_t num_servers,
-                               const TileOptions& tile,
                                std::shared_ptr<const RowState> rows)
-    : ClientBlockView(num_clients, num_servers, tile), rows_(std::move(rows)) {}
-
-std::shared_ptr<OracleTileView> OracleTileView::FromOracle(
-    const net::DistanceOracle& oracle,
-    std::span<const net::NodeIndex> server_nodes,
-    std::span<const net::NodeIndex> client_nodes, const TileOptions& tile) {
-  return Build(oracle, server_nodes, client_nodes, {}, tile);
-}
+    : ClientBlockView(num_clients, num_servers), rows_(std::move(rows)) {}
 
 std::shared_ptr<OracleTileView> OracleTileView::FromAttachments(
     const net::DistanceOracle& oracle,
     std::span<const net::NodeIndex> server_nodes,
-    std::span<const net::NodeIndex> attach, std::span<const double> access_ms,
-    const TileOptions& tile) {
+    std::span<const net::NodeIndex> attach,
+    std::span<const double> access_ms) {
+  DIACA_OBS_SPAN("core.view.build");
   DIACA_CHECK_MSG(attach.size() == access_ms.size(),
                   "attach list has " << attach.size() << " clients but "
                                      << access_ms.size() << " access delays");
@@ -286,36 +268,27 @@ std::shared_ptr<OracleTileView> OracleTileView::FromAttachments(
                     "client " << c << " has access delay " << access_ms[c]
                               << " ms (must be a non-negative number)");
   }
-  return Build(oracle, server_nodes, attach, access_ms, tile);
-}
-
-std::shared_ptr<OracleTileView> OracleTileView::Build(
-    const net::DistanceOracle& oracle,
-    std::span<const net::NodeIndex> server_nodes,
-    std::span<const net::NodeIndex> attach_nodes,
-    std::span<const double> access_ms, const TileOptions& tile) {
-  DIACA_OBS_SPAN("core.view.build");
   const net::NodeIndex n = oracle.size();
   DIACA_CHECK_MSG(!server_nodes.empty(), "server list must not be empty");
-  DIACA_CHECK_MSG(!attach_nodes.empty(), "client list must not be empty");
+  DIACA_CHECK_MSG(!attach.empty(), "client list must not be empty");
   for (net::NodeIndex s : server_nodes) {
     DIACA_CHECK_MSG(s >= 0 && s < n,
                     "server node " << s << " outside substrate of size " << n);
   }
-  const auto num_clients = static_cast<std::int32_t>(attach_nodes.size());
+  const auto num_clients = static_cast<std::int32_t>(attach.size());
   const auto num_servers = static_cast<std::int32_t>(server_nodes.size());
   const std::size_t stride =
       simd::PaddedStride(static_cast<std::size_t>(num_servers));
 
   // Distinct attachment nodes in first-appearance order: the synthesized
   // state scales with the substrate, never with |C|.
-  std::vector<std::int32_t> base_row(attach_nodes.size());
+  std::vector<std::int32_t> base_row(attach.size());
   std::vector<net::NodeIndex> node_of_row;
   {
     std::unordered_map<net::NodeIndex, std::int32_t> row_of;
     row_of.reserve(static_cast<std::size_t>(n));
-    for (std::size_t c = 0; c < attach_nodes.size(); ++c) {
-      const net::NodeIndex node = attach_nodes[c];
+    for (std::size_t c = 0; c < attach.size(); ++c) {
+      const net::NodeIndex node = attach[c];
       DIACA_CHECK_MSG(node >= 0 && node < n, "client node "
                                                  << node
                                                  << " outside substrate of size "
@@ -365,7 +338,7 @@ std::shared_ptr<OracleTileView> OracleTileView::Build(
       });
 
   auto view = std::shared_ptr<OracleTileView>(
-      new OracleTileView(num_clients, num_servers, tile, std::move(state)));
+      new OracleTileView(num_clients, num_servers, std::move(state)));
   view->base_row_ = std::move(base_row);
   view->access_.assign(access_ms.begin(), access_ms.end());
   view->row_order_.resize(rows);
@@ -379,10 +352,9 @@ std::shared_ptr<OracleTileView> OracleTileView::Build(
 std::shared_ptr<const ClientBlockView> OracleTileView::Subset(
     std::span<const ClientIndex> ids) const {
   auto sub = std::shared_ptr<OracleTileView>(new OracleTileView(
-      static_cast<std::int32_t>(ids.size()), num_servers_, tile_, rows_));
-  const bool has_access = !access_.empty();
+      static_cast<std::int32_t>(ids.size()), num_servers_, rows_));
   sub->base_row_.resize(ids.size());
-  sub->access_.resize(has_access ? ids.size() : 0);
+  sub->access_.resize(ids.size());
   std::vector<char> seen(static_cast<std::size_t>(rows_->num_rows), 0);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const ClientIndex c = ids[i];
@@ -391,7 +363,7 @@ std::shared_ptr<const ClientBlockView> OracleTileView::Subset(
                               << " clients");
     const std::int32_t r = base_row_[static_cast<std::size_t>(c)];
     sub->base_row_[i] = r;
-    if (has_access) sub->access_[i] = access_[static_cast<std::size_t>(c)];
+    sub->access_[i] = access_[static_cast<std::size_t>(c)];
     if (seen[static_cast<std::size_t>(r)] == 0) {
       seen[static_cast<std::size_t>(r)] = 1;
       sub->row_order_.push_back(r);
@@ -402,10 +374,9 @@ std::shared_ptr<const ClientBlockView> OracleTileView::Subset(
 }
 
 double OracleTileView::cs(ClientIndex c, ServerIndex s) const {
-  const double base = ServerColumn(s)[base_row_[static_cast<std::size_t>(c)]];
   // Same operand order as the materialized build: access + substrate leg.
-  return access_.empty() ? base
-                         : access_[static_cast<std::size_t>(c)] + base;
+  return access_[static_cast<std::size_t>(c)] +
+         ServerColumn(s)[base_row_[static_cast<std::size_t>(c)]];
 }
 
 const double* OracleTileView::Row(ClientIndex c, double* scratch) const {
@@ -418,16 +389,12 @@ void OracleTileView::FillRowsImpl(std::span<const ClientIndex> ids,
   for (const ClientIndex c : ids) {
     const double* base = NodeRow(
         static_cast<std::size_t>(base_row_[static_cast<std::size_t>(c)]));
-    if (access_.empty()) {
-      std::memcpy(out, base, server_stride_ * sizeof(double));
-    } else {
-      // Broadcast-add over the whole padded row would pollute the pad
-      // lanes (access + 0.0 != 0.0), so the kernel covers the server lanes
-      // and the pads are re-zeroed — they stay inert for max/sum kernels.
-      simd::BroadcastAdd(out, base, access_[static_cast<std::size_t>(c)],
-                         static_cast<std::size_t>(num_servers_));
-      std::fill(out + num_servers_, out + server_stride_, 0.0);
-    }
+    // Broadcast-add over the whole padded row would pollute the pad lanes
+    // (access + 0.0 != 0.0), so the kernel covers the server lanes and
+    // the pads are re-zeroed — they stay inert for max/sum kernels.
+    simd::BroadcastAdd(out, base, access_[static_cast<std::size_t>(c)],
+                       static_cast<std::size_t>(num_servers_));
+    std::fill(out + num_servers_, out + server_stride_, 0.0);
     out += server_stride_;
   }
   CountRowsFilled(static_cast<std::int64_t>(ids.size()));
@@ -435,14 +402,8 @@ void OracleTileView::FillRowsImpl(std::span<const ClientIndex> ids,
 
 void OracleTileView::GatherColumnImpl(ServerIndex s, const ClientIndex* ids,
                                       std::size_t count, double* out) const {
-  simd::GatherPlus(out, ServerColumn(s), base_row_.data(),
-                   access_.empty() ? nullptr : access_.data(), ids, count);
-}
-
-void OracleTileView::FillColumnImpl(ServerIndex s, double* out) const {
-  simd::GatherPlus(out, ServerColumn(s), base_row_.data(),
-                   access_.empty() ? nullptr : access_.data(), nullptr,
-                   static_cast<std::size_t>(num_clients_));
+  simd::GatherPlus(out, ServerColumn(s), base_row_.data(), access_.data(),
+                   ids, count);
 }
 
 std::int32_t OracleTileView::ColumnGroupWidth() const { return 1; }
@@ -458,104 +419,40 @@ void OracleTileView::FillColumnMax(double* out) const {
   // access delay with one monotone IEEE add each.
   const std::vector<double>& leg_max = rows_->leg_max;
   for (std::size_t s = 0; s < leg_max.size(); ++s) {
-    out[s] = access_.empty() ? leg_max[s] : access_max_ + leg_max[s];
+    out[s] = access_max_ + leg_max[s];
   }
 }
 
 void OracleTileView::GatherAssignedImpl(const ServerIndex* assign,
                                         double* out) const {
-  const auto rows = static_cast<std::size_t>(rows_->num_rows);
-  const double* cols = rows_->server_cols.data();
-  const std::int32_t* base = base_row_.data();
-  if (access_.empty()) {
-    for (std::int32_t c = 0; c < num_clients_; ++c) {
-      const ServerIndex s = assign[c];
-      out[c] = s >= 0 ? cols[static_cast<std::size_t>(s) * rows +
-                             static_cast<std::size_t>(base[c])]
-                      : -1.0;
-    }
-    return;
-  }
   for (std::int32_t c = 0; c < num_clients_; ++c) {
     const ServerIndex s = assign[c];
-    out[c] = s >= 0 ? access_[static_cast<std::size_t>(c)] +
-                          cols[static_cast<std::size_t>(s) * rows +
-                               static_cast<std::size_t>(base[c])]
-                    : -1.0;
+    out[c] = s >= 0 ? cs(c, s) : -1.0;
   }
 }
 
 void OracleTileView::FoldAssignedMax(const ServerIndex* assign,
                                      double* far) const {
-  // Bounds-first fold over blocks of tile_clients clients. A block is
-  // skippable when every assigned client already satisfies
-  //   fl(access(c) + leg_max[a_c]) <= far[a_c]:
-  // then d(c, a_c) <= that bound <= far[a_c], and since far only grows
-  // during the fold the max is a no-op for the whole block — skipping is
-  // bit-identical. The test touches only cache-resident arrays (access,
-  // assign, leg_max, far); surviving blocks refine through the direct
-  // assigned gather.
-  const std::int32_t tile_clients =
-      std::clamp(tile_.tile_clients, 1, num_clients_);
-  const auto rows = static_cast<std::size_t>(rows_->num_rows);
-  const double* cols = rows_->server_cols.data();
-  const double* leg_max = rows_->leg_max.data();
-  const std::int32_t* base = base_row_.data();
-  const bool prune = bound_pruning();
-  std::int64_t pruned = 0;
-  for (std::int32_t begin = 0; begin < num_clients_; begin += tile_clients) {
-    const std::int32_t end = std::min(num_clients_, begin + tile_clients);
-    if (prune) {
-      bool skip = true;
-      for (std::int32_t c = begin; c < end; ++c) {
-        const ServerIndex s = assign[c];
-        if (s < 0) continue;
-        const double hi =
-            access_.empty()
-                ? leg_max[static_cast<std::size_t>(s)]
-                : access_[static_cast<std::size_t>(c)] +
-                      leg_max[static_cast<std::size_t>(s)];
-        if (!(hi <= far[s])) {
-          skip = false;
-          break;
-        }
-      }
-      if (skip) {
-        ++pruned;
-        continue;
-      }
-    }
-    for (std::int32_t c = begin; c < end; ++c) {
-      const ServerIndex s = assign[c];
-      if (s < 0) continue;
-      const double leg = cols[static_cast<std::size_t>(s) * rows +
-                              static_cast<std::size_t>(base[c])];
-      const double d =
-          access_.empty() ? leg : access_[static_cast<std::size_t>(c)] + leg;
-      far[s] = std::max(far[s], d);
-    }
+  for (std::int32_t c = 0; c < num_clients_; ++c) {
+    const ServerIndex s = assign[c];
+    if (s >= 0) far[s] = std::max(far[s], cs(c, s));
   }
-  if (pruned > 0) CountPrunedTiles(pruned);
 }
 
 bool OracleTileView::ForEachColumnFloors(std::span<const ClientIndex> ids,
                                          std::size_t max_rows,
                                          const ColumnFloorsFn& fn) const {
-  // Group the clients by row: each row's client count and, with access
-  // delays, its smallest one.
+  // Group the clients by row: each row's client count and its smallest
+  // access delay.
   const auto rows = static_cast<std::size_t>(rows_->num_rows);
-  const bool has_access = !access_.empty();
   std::vector<std::int32_t> row_count(rows, 0);
-  std::vector<double> row_access(has_access ? rows : 0,
-                                 std::numeric_limits<double>::infinity());
+  std::vector<double> row_access(rows, std::numeric_limits<double>::infinity());
   for (const ClientIndex c : ids) {
     const auto r =
         static_cast<std::size_t>(base_row_[static_cast<std::size_t>(c)]);
     ++row_count[r];
-    if (has_access) {
-      row_access[r] =
-          std::min(row_access[r], access_[static_cast<std::size_t>(c)]);
-    }
+    row_access[r] =
+        std::min(row_access[r], access_[static_cast<std::size_t>(c)]);
   }
   // Compact to the occupied rows, in first-appearance order.
   std::vector<std::int32_t> occupied;
@@ -567,7 +464,7 @@ bool OracleTileView::ForEachColumnFloors(std::span<const ClientIndex> ids,
     if (occupied.size() == max_rows) return false;
     occupied.push_back(row);
     counts.push_back(row_count[r]);
-    if (has_access) access_floor.push_back(row_access[r]);
+    access_floor.push_back(row_access[r]);
   }
   const std::size_t m = occupied.size();
   GlobalPool().ParallelFor(0, num_servers_, 1, [&](std::int64_t sb,
@@ -577,9 +474,9 @@ bool OracleTileView::ForEachColumnFloors(std::span<const ClientIndex> ids,
     for (std::int64_t s = sb; s < se; ++s) {
       const double* col = ServerColumn(static_cast<ServerIndex>(s));
       for (std::size_t k = 0; k < m; ++k) {
-        const double leg = col[static_cast<std::size_t>(occupied[k])];
         // cs's operands in cs's order.
-        floors[k] = has_access ? access_floor[k] + leg : leg;
+        floors[k] =
+            access_floor[k] + col[static_cast<std::size_t>(occupied[k])];
       }
       fn(static_cast<ServerIndex>(s), floors.data(), counts.data(), m);
     }
@@ -608,14 +505,12 @@ void OracleTileView::BuildNearestIndex() const {
     const simd::ArgResult m = simd::ArgMinFirst(row, servers);
     node_min_[r] = m.value;
     node_argmin_[r] = static_cast<ServerIndex>(m.index);
-    if (!access_.empty()) {
-      const double vmax = access_max_ + m.value;
-      const double w = 2.0 * (std::nextafter(vmax, kInf) - vmax);
-      const double threshold = std::nextafter(m.value + w, kInf);
-      for (std::size_t s = 0; s < servers; ++s) {
-        if (row[s] <= threshold) {
-          cand_list_.push_back(static_cast<ServerIndex>(s));
-        }
+    const double vmax = access_max_ + m.value;
+    const double w = 2.0 * (std::nextafter(vmax, kInf) - vmax);
+    const double threshold = std::nextafter(m.value + w, kInf);
+    for (std::size_t s = 0; s < servers; ++s) {
+      if (row[s] <= threshold) {
+        cand_list_.push_back(static_cast<ServerIndex>(s));
       }
     }
     cand_begin_[r + 1] = static_cast<std::int32_t>(cand_list_.size());
@@ -626,16 +521,6 @@ void OracleTileView::FillNearestImpl(ServerIndex* server_out,
                                      double* dist_out) const {
   std::call_once(nearest_once_, [&] { BuildNearestIndex(); });
   const std::int32_t* base = base_row_.data();
-  if (access_.empty()) {
-    // No per-client rounding: every client on node r shares its exact
-    // column minimum and first-index winner.
-    for (std::int32_t c = 0; c < num_clients_; ++c) {
-      const auto r = static_cast<std::size_t>(base[c]);
-      server_out[c] = node_argmin_[r];
-      dist_out[c] = node_min_[r];
-    }
-    return;
-  }
   for (std::int32_t c = 0; c < num_clients_; ++c) {
     const auto r = static_cast<std::size_t>(base[c]);
     const double a = access_[static_cast<std::size_t>(c)];

@@ -15,9 +15,9 @@
 //                              a client list), cut row by row: every
 //                              resident block built from an oracle is
 //                              an OracleTileView's rows;
-//   * GatherColumn / FillColumn / ForEachColumn — column access for the
-//                              server-major passes (greedy candidate
-//                              lists, LFB batch scans);
+//   * GatherColumn / ForEachColumn — column access over a client list
+//                              for the server-major passes (greedy
+//                              candidate lists, LFB batch scans);
 //   * GatherAssigned / FoldAssignedMax — the assigned diagonal
 //                              d(c, a_c), O(|C|) values: everything the
 //                              eccentricity folds, distributed greedy and
@@ -41,13 +41,16 @@
 //     O((n + |C|) + n * |S|) state, independent of |C| x |S|) and
 //     synthesizes the values a caller asks for on demand: rows by the
 //     SIMD broadcast-add kernel, columns by the gather-add kernel. It is
-//     the only code that turns oracle server rows into client distances
-//     (d(c,s) = access(c) + row_s[attach(c)], a single IEEE addition):
-//     every oracle-built resident block is its MaterializeBlock, so
-//     assignments are bit-identical across the two backends by
-//     construction, at every tile size and thread count. Its subsets
-//     share those server rows with it, immutable, and hold only their
-//     members' O(|ids|) row indices and access delays.
+//     the only code that turns oracle server rows into client distances,
+//     by one formula for every client: d(c,s) = access(c) +
+//     row_s[attach(c)], a single IEEE addition. A client on a substrate
+//     node is an attached client with access delay 0.0, and 0.0 + leg is
+//     the leg bit for bit for every leg >= +0.0. Every oracle-built
+//     resident block is its MaterializeBlock, so assignments are
+//     bit-identical across the two backends by construction, at every
+//     thread count. Its subsets share those server rows with it,
+//     immutable, and hold only their members' O(|ids|) row indices and
+//     access delays.
 //
 // Dispatch: the accessors that feed the usage counters are non-virtual;
 // they count and forward to a protected *Impl hook. The rest (cs, Row,
@@ -86,34 +89,16 @@ struct ClientBlockStats {
   /// Rows synthesized on a lazy backend (FillRow calls plus
   /// MaterializeBlock rows).
   std::int64_t rows_filled = 0;
-  /// Column accesses served (GatherColumn, FillColumn, ForEachColumn,
+  /// Column accesses served (GatherColumn, ForEachColumn,
   /// GatherAssigned, FillNearest; both backends).
   std::int64_t columns_gathered = 0;
   /// Always 0, like tiles_loaded, and kept for the same reader.
   std::int64_t tile_bytes_peak = 0;
-  /// Work units a certified bound skipped without touching their exact
-  /// values: whole tile_clients-sized client ranges rejected by the
-  /// FoldAssignedMax predicate (lazy backends only — a resident block has
-  /// nothing to synthesize) plus 512-entry candidate blocks the greedy
-  /// scans retired without gathering (every backend, credited through
-  /// CountPrunedTiles). Unlike the solver outputs this counter is
-  /// telemetry, not part of the bit-determinism contract.
+  /// 512-entry candidate blocks the greedy scans retired without
+  /// gathering, on every backend (credited through CountPrunedTiles).
+  /// Unlike the solver outputs this counter is telemetry, not part of
+  /// the bit-determinism contract.
   std::int64_t tiles_pruned = 0;
-};
-
-/// Options for lazy backends (MaterializedView ignores them).
-struct TileOptions {
-  /// Clients per certified skip block of FoldAssignedMax on
-  /// OracleTileView, clamped to [1, |C|]: the fold rejects a whole block
-  /// when none of its clients can raise its server's running maximum.
-  /// Results never depend on the value.
-  std::int32_t tile_clients = 8192;
-  /// Master switch for the certified filter-and-refine paths
-  /// (cutoff-seeded candidate scans, assigned-fold block rejection). Off
-  /// forces every bound-gated path to do the full exact work — slower,
-  /// bit-identical output — which is how the tier-1 smoke validates the
-  /// certification.
-  bool bound_pruning = true;
 };
 
 class ClientBlockView {
@@ -148,15 +133,12 @@ class ClientBlockView {
   void FillRow(ClientIndex c, double* out) const;
 
   /// out[i] = cs(ids[i], s) for i in [0, count) — the server-major gather
-  /// the greedy candidate lists stream: a bucket's lanes, a batch window,
+  /// the greedy candidate lists stream (a bucket's lanes, a batch window,
   /// and, at a list's first read, the whole column over the clients the
-  /// first build counted it over (the doubles ForEachColumn handed it).
+  /// first build counted it over: the doubles ForEachColumn handed it)
+  /// and LFB's batch scan over its still-unassigned clients.
   void GatherColumn(ServerIndex s, const ClientIndex* ids, std::size_t count,
                     double* out) const;
-
-  /// out[c] = cs(c, s) for every client — the full-column scan of the LFB
-  /// batch collection.
-  void FillColumn(ServerIndex s, double* out) const;
 
   /// Hand every column, restricted to the clients in `ids`, to fn(s, col)
   /// exactly once, with col[i] = cs(ids[i], s) for i in [0, ids.size())
@@ -217,12 +199,8 @@ class ClientBlockView {
   /// with assign[c] == s (unassigned clients, assign[c] < 0, are
   /// skipped), bit-identical to the serial MaxAbsorbScatter pass since max
   /// is exact. A resident block folds client chunks in parallel into
-  /// private maxima and merges them in chunk order. OracleTileView folds
-  /// bounds-first: a skipped block of tile_clients clients is certified
-  /// to leave every far[s] unchanged (fl(access(c) + max substrate leg of
-  /// a_c) <= far[a_c] held for each of its clients, and far only grows);
-  /// pruned blocks count into tiles_pruned, and surviving blocks refine
-  /// through the sparse assigned gather.
+  /// private maxima and merges them in chunk order; OracleTileView folds
+  /// serially through the sparse assigned gather, O(|C|) loads.
   virtual void FoldAssignedMax(const ServerIndex* assign,
                                double* far) const = 0;
 
@@ -255,12 +233,12 @@ class ClientBlockView {
   /// The view over the clients in `ids`, in that order: its client i is
   /// ids[i], and every accessor returns the bits this view returns for
   /// ids[i]. An OracleTileView's subset streams too: it shares this
-  /// view's substrate rows (never copied, never filled) and its
-  /// TileOptions, and copies only the members' row indices and access
-  /// delays, O(|ids|). A MaterializedView's is a MaterializedView of
-  /// MaterializeBlock(ids). The subset owns what it reads and outlives
-  /// this view. Throws diaca::Error when `ids` is empty or an id lies
-  /// outside [0, num_clients()).
+  /// view's substrate rows (never copied, never filled) and copies only
+  /// the members' row indices and access delays, O(|ids|). A
+  /// MaterializedView's is a MaterializedView of MaterializeBlock(ids).
+  /// The subset owns what it reads and outlives this view. Throws
+  /// diaca::Error when `ids` is empty or an id lies outside
+  /// [0, num_clients()).
   virtual std::shared_ptr<const ClientBlockView> Subset(
       std::span<const ClientIndex> ids) const = 0;
 
@@ -274,8 +252,7 @@ class ClientBlockView {
   void CountPrunedTiles(std::int64_t n) const;
 
  protected:
-  ClientBlockView(std::int32_t num_clients, std::int32_t num_servers,
-                  const TileOptions& tile);
+  ClientBlockView(std::int32_t num_clients, std::int32_t num_servers);
 
   /// Backend hooks of the counted accessors, named after them.
   /// Rows of the clients in `ids` into out (row i at out + i *
@@ -284,8 +261,6 @@ class ClientBlockView {
                             double* out) const = 0;
   virtual void GatherColumnImpl(ServerIndex s, const ClientIndex* ids,
                                 std::size_t count, double* out) const = 0;
-  /// Full column without an id list (out[c] = cs(c, s) for all clients).
-  virtual void FillColumnImpl(ServerIndex s, double* out) const = 0;
   /// ForEachColumn's task: ColumnGroupWidth() columns from s0 on over
   /// `ids`, column j at out + j * ids.size(); columns past num_servers()
   /// are never read.
@@ -299,12 +274,10 @@ class ClientBlockView {
                                double* dist_out) const = 0;
 
   void CountRowsFilled(std::int64_t n) const;
-  bool bound_pruning() const { return tile_.bound_pruning; }
 
   std::int32_t num_clients_;
   std::int32_t num_servers_;
   std::size_t server_stride_;
-  TileOptions tile_;
 
  private:
   mutable std::atomic<std::int64_t> rows_filled_{0};
@@ -338,7 +311,6 @@ class MaterializedView final : public ClientBlockView {
                     double* out) const override;
   void GatherColumnImpl(ServerIndex s, const ClientIndex* ids,
                         std::size_t count, double* out) const override;
-  void FillColumnImpl(ServerIndex s, double* out) const override;
   std::int32_t ColumnGroupWidth() const override;
   void GatherColumnGroupImpl(ServerIndex s0, std::span<const ClientIndex> ids,
                              double* out) const override;
@@ -359,27 +331,21 @@ class MaterializedView final : public ClientBlockView {
 ///-row state pulled once from a distance oracle.
 class OracleTileView final : public ClientBlockView {
  public:
-  /// Clients sitting directly on substrate nodes:
-  /// d(c, s) = d_substrate(client_nodes[c], server_nodes[s]). Matches the
-  /// matrix/oracle Problem constructors bit-for-bit (exact oracle
-  /// backends; estimated backends match an estimated materialized build).
-  /// Queries |S| oracle rows at construction, then drops the oracle.
-  static std::shared_ptr<OracleTileView> FromOracle(
-      const net::DistanceOracle& oracle,
-      std::span<const net::NodeIndex> server_nodes,
-      std::span<const net::NodeIndex> client_nodes,
-      const TileOptions& tile = {});
-
   /// Attached clients (the streaming-cloud and churn shape,
   /// data/streaming.h, data/churn.h):
   /// d(c, s) = access_ms[c] + d_substrate(attach[c], server_nodes[s]).
-  /// Throws diaca::Error naming the client when an access delay is
-  /// negative or NaN (oracle legs are >= 0, so every cell is then >= 0).
+  /// Clients sitting on substrate nodes pass access delays of 0.0
+  /// (Problem::FromOracleTiled), which matches the matrix/oracle Problem
+  /// constructors bit for bit (exact oracle backends; estimated backends
+  /// match an estimated materialized build). Queries |S| oracle rows at
+  /// construction, then drops the oracle. Throws diaca::Error naming the
+  /// client when an access delay is negative or NaN (oracle legs are
+  /// >= 0, so every cell is then >= 0).
   static std::shared_ptr<OracleTileView> FromAttachments(
       const net::DistanceOracle& oracle,
       std::span<const net::NodeIndex> server_nodes,
-      std::span<const net::NodeIndex> attach, std::span<const double> access_ms,
-      const TileOptions& tile = {});
+      std::span<const net::NodeIndex> attach,
+      std::span<const double> access_ms);
 
   /// The |S| x |S| server block captured during construction (dense
   /// row-major, zero diagonal) — Problem::FromView consumes it so the
@@ -403,7 +369,6 @@ class OracleTileView final : public ClientBlockView {
                     double* out) const override;
   void GatherColumnImpl(ServerIndex s, const ClientIndex* ids,
                         std::size_t count, double* out) const override;
-  void FillColumnImpl(ServerIndex s, double* out) const override;
   std::int32_t ColumnGroupWidth() const override;
   void GatherColumnGroupImpl(ServerIndex s0, std::span<const ClientIndex> ids,
                              double* out) const override;
@@ -431,12 +396,7 @@ class OracleTileView final : public ClientBlockView {
   };
 
   OracleTileView(std::int32_t num_clients, std::int32_t num_servers,
-                 const TileOptions& tile, std::shared_ptr<const RowState> rows);
-  static std::shared_ptr<OracleTileView> Build(
-      const net::DistanceOracle& oracle,
-      std::span<const net::NodeIndex> server_nodes,
-      std::span<const net::NodeIndex> attach_nodes,
-      std::span<const double> access_ms, const TileOptions& tile);
+                 std::shared_ptr<const RowState> rows);
 
   /// Server s's legs to every attachment row, and row r's padded legs
   /// to every server.
@@ -454,15 +414,14 @@ class OracleTileView final : public ClientBlockView {
   /// attachment nodes of the view the rows were built for
   /// (first-appearance order there).
   std::vector<std::int32_t> base_row_;
-  /// Per-client access delay; empty when clients sit on substrate nodes
-  /// (no addition is performed, preserving the matrix path's bits).
+  /// Per-client access delay (0.0 for a client on a substrate node).
   std::vector<double> access_;
   /// The rows this view's clients occupy, in the order their nodes first
   /// appear among them: every row for the view the rows were built for,
   /// its members' rows for a subset. ForEachColumnFloors' row order.
   std::vector<std::int32_t> row_order_;
-  /// The largest access delay (0.0 when clients sit on substrate nodes);
-  /// a subset keeps its parent's, which bounds every member's.
+  /// The largest access delay; a subset keeps its parent's, which bounds
+  /// every member's.
   double access_max_ = 0.0;
 
   /// Factorized nearest-server structure (FillNearest), built lazily on

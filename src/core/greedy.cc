@@ -97,8 +97,8 @@ void RebuildLadderRanks(Ladder& ladder, std::size_t len) {
 // strict-< incumbent (positions in later buckets lose cost ties by
 // construction), and every lane that can matter is evaluated with its
 // exact rank and the exact per-lane cost expression. None of this
-// depends on the view's backend: GatherColumn, FillColumn and cs return
-// the same doubles on every view.
+// depends on the view's backend: GatherColumn and cs return the same
+// doubles on every view.
 //
 // The lists follow the unassigned clients (§IV-C picks each batch from
 // the clients still unassigned). The first build covers every client;

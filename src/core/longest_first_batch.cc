@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/error.h"
@@ -22,6 +23,12 @@ struct Candidate {
   ServerIndex nearest;
   double distance;
 };
+
+std::vector<ClientIndex> AllClients(std::int32_t num_clients) {
+  std::vector<ClientIndex> all(static_cast<std::size_t>(num_clients));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
 
 Assignment Uncapacitated(const Problem& problem, SolveStats* stats) {
   const std::int32_t num_clients = problem.num_clients();
@@ -46,21 +53,29 @@ Assignment Uncapacitated(const Problem& problem, SolveStats* stats) {
   });
 
   Assignment a(static_cast<std::size_t>(num_clients));
-  std::vector<double> column(static_cast<std::size_t>(num_clients));
+  std::vector<ClientIndex> pending = AllClients(num_clients);
+  std::vector<double> column(pending.size());
   for (const Candidate& lead : order) {
     if (a[lead.client] != kUnassigned) continue;
     DIACA_OBS_SPAN("core.lfb.batch");
     // Batch: every unassigned client no farther from lead.nearest than
-    // lead. One column fill per batch keeps the lazy backend on its
-    // compact server-major path instead of a per-client virtual lookup.
-    view.FillColumn(lead.nearest, column.data());
+    // lead. One column gather per batch keeps the lazy backend on its
+    // compact server-major path instead of a per-client virtual lookup;
+    // the survivors stay pending, in ascending order.
+    view.GatherColumn(lead.nearest, pending.data(), pending.size(),
+                      column.data());
     std::int32_t batch_size = 0;
-    for (ClientIndex c = 0; c < num_clients; ++c) {
-      if (a[c] == kUnassigned && column[static_cast<std::size_t>(c)] <= lead.distance) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const ClientIndex c = pending[i];
+      if (column[i] <= lead.distance) {
         a[c] = lead.nearest;
         ++batch_size;
+      } else {
+        pending[kept++] = c;
       }
     }
+    pending.resize(kept);
     if (stats != nullptr) ++stats->iterations;
     DIACA_OBS_COUNT("core.lfb.batches", 1);
     DIACA_OBS_OBSERVE("core.lfb.batch_size", batch_size);
@@ -82,10 +97,10 @@ Assignment Capacitated(const Problem& problem, const AssignOptions& options,
   std::vector<ServerIndex> nearest(static_cast<std::size_t>(num_clients),
                                    kUnassigned);
   std::vector<double> avail(static_cast<std::size_t>(problem.num_servers()));
-  std::vector<double> column(static_cast<std::size_t>(num_clients));
-  std::int32_t unassigned = num_clients;
+  std::vector<ClientIndex> pending = AllClients(num_clients);
+  std::vector<double> column(pending.size());
 
-  while (unassigned > 0) {
+  while (!pending.empty()) {
     DIACA_OBS_SPAN("core.lfb.batch");
     // Saturation mask for this round (capacities only shrink between
     // rounds, never during the scan).
@@ -122,13 +137,14 @@ Assignment Capacitated(const Problem& problem, const AssignOptions& options,
         lead_pick.value};
     // Batch of unassigned clients within lead.distance of the server,
     // farthest first so the lead client itself is always included. One
-    // column fill serves both the membership test and the sort key.
-    view.FillColumn(lead.nearest, column.data());
+    // column gather over the pending clients serves both the membership
+    // test and the sort key.
+    view.GatherColumn(lead.nearest, pending.data(), pending.size(),
+                      column.data());
     std::vector<Candidate> batch;
-    for (ClientIndex c = 0; c < num_clients; ++c) {
-      const double d = column[static_cast<std::size_t>(c)];
-      if (a[c] == kUnassigned && d <= lead.distance) {
-        batch.push_back({c, lead.nearest, d});
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (column[i] <= lead.distance) {
+        batch.push_back({pending[i], lead.nearest, column[i]});
       }
     }
     std::sort(batch.begin(), batch.end(),
@@ -142,8 +158,8 @@ Assignment Capacitated(const Problem& problem, const AssignOptions& options,
     for (std::size_t i = 0; i < take; ++i) {
       a[batch[i].client] = lead.nearest;
       --room;
-      --unassigned;
     }
+    std::erase_if(pending, [&](ClientIndex c) { return a[c] != kUnassigned; });
     if (stats != nullptr) ++stats->iterations;
     DIACA_OBS_COUNT("core.lfb.batches", 1);
     DIACA_OBS_OBSERVE("core.lfb.batch_size", take);

@@ -210,12 +210,13 @@ Problem Problem::Subset(std::span<const ClientIndex> members) const {
 
 Problem Problem::FromOracleTiled(const net::DistanceOracle& oracle,
                                  std::span<const net::NodeIndex> server_nodes,
-                                 std::span<const net::NodeIndex> client_nodes,
-                                 const TileOptions& tile) {
+                                 std::span<const net::NodeIndex> client_nodes) {
   CheckNodes(server_nodes, oracle.size(), "server");
   CheckNodes(client_nodes, oracle.size(), "client");
-  auto view =
-      OracleTileView::FromOracle(oracle, server_nodes, client_nodes, tile);
+  // A client on a substrate node is attached there with no access delay.
+  const std::vector<double> no_access(client_nodes.size(), 0.0);
+  auto view = OracleTileView::FromAttachments(oracle, server_nodes,
+                                              client_nodes, no_access);
   const std::span<const double> d_ss = view->server_block();
   return FromView(std::move(view),
                   {server_nodes.begin(), server_nodes.end()},

@@ -140,11 +140,12 @@ class Problem {
 
   /// Oracle-backed problem whose client block is synthesized on demand
   /// instead of materializing |C| x |S| (the tiled sibling of the oracle
-  /// constructor; assignments are bit-identical to it on exact backends).
+  /// constructor; assignments are bit-identical to it on exact backends):
+  /// an OracleTileView of clients attached to their own nodes with access
+  /// delay 0.0.
   static Problem FromOracleTiled(const net::DistanceOracle& oracle,
                                  std::span<const net::NodeIndex> server_nodes,
-                                 std::span<const net::NodeIndex> client_nodes,
-                                 const TileOptions& tile = {});
+                                 std::span<const net::NodeIndex> client_nodes);
 
  private:
   Problem() = default;

@@ -57,10 +57,9 @@ struct AssignOptions {
 
   /// Enables greedy's certified bound-driven pruning (cutoff-seeded
   /// candidate scans, proven-cost memos, round 1 on attachment-row
-  /// floors). Off forces greedy to do the full exact work — slower,
-  /// bit-identical assignments — which is how the tier-1 smoke validates
-  /// the certification. The eccentricity fold's block rejection on a
-  /// streamed view follows TileOptions::bound_pruning instead.
+  /// floors), the only pruning switch. Off forces greedy to do the full
+  /// exact work — slower, bit-identical assignments — which is how the
+  /// tier-1 smoke validates the certification.
   bool bound_pruning = true;
 
   bool capacitated() const {

@@ -57,8 +57,8 @@ ClientCloud BuildClientCloud(const ClientCloudParams& params,
   // shortest-path work in the whole build — and owns the block formula.
   // A resident block is cut from its rows, so both blocks hold the same
   // bits and every solver lands on bit-identical assignments.
-  const auto tiled = core::OracleTileView::FromAttachments(
-      oracle, servers, attach, access_ms, params.tile);
+  const auto tiled =
+      core::OracleTileView::FromAttachments(oracle, servers, attach, access_ms);
   std::shared_ptr<const core::ClientBlockView> view = tiled;
   if (params.materialize_block) {
     view = std::make_shared<core::MaterializedView>(

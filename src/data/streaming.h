@@ -18,8 +18,9 @@
 //   * clients are virtual nodes (id = substrate size + client index) that
 //     exist only as rows of the |C| x |S| client block. A
 //     core::OracleTileView over the (attach, access) pairs always owns
-//     the block: it streams it, or its MaterializeBlock cuts the padded
-//     rows a core::MaterializedView adopts.
+//     the block and its one formula: it streams it, with nothing to
+//     tune, or its MaterializeBlock cuts the padded rows a
+//     core::MaterializedView adopts.
 //
 // Everything is deterministic in (params, seed): one Rng stream drives
 // attachment points and access delays in client order, and the substrate
@@ -56,8 +57,6 @@ struct ClientCloudParams {
   /// by the view either way). Peak retained memory drops from
   /// O(|C| * |S|) to O(n * |S|) when false.
   bool materialize_block = true;
-  /// Options for the streamed block (ignored when materializing).
-  core::TileOptions tile;
 };
 
 /// A fully built cloud instance. `problem` uses virtual client node ids

@@ -127,26 +127,9 @@ Epoch MakeEpoch(const net::LatencyMatrix& matrix, const Problem& full,
       assignment[static_cast<ClientIndex>(i)] =
           server_local[static_cast<std::size_t>(global)];
     }
-  } else if (failover != nullptr &&
-             failover->strategy == FailoverStrategy::kNearest) {
-    // Quality floor: survivors keep their homes, orphans take the nearest
-    // surviving server, nobody else moves and no improvement pass runs.
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const ClientIndex global = members[i];
-      ServerIndex local = core::kUnassigned;
-      if (previous != nullptr && previous->IsMember(global)) {
-        const ServerIndex old_home = previous->HomeOf(global);
-        local = server_local[static_cast<std::size_t>(old_home)];
-      }
-      if (local == core::kUnassigned || local < 0) {
-        local = core::NearestServerOf(problem, static_cast<ClientIndex>(i));
-      }
-      assignment[static_cast<ClientIndex>(i)] = local;
-    }
   } else {
-    // Membership boundaries, recovery boundaries, and the kFullResolve
-    // failover strategy: seed with carried-over homes and re-solve with
-    // distributed greedy (the session's steady-state reconfigurator).
+    // Survivors keep their homes, newcomers and orphans take the nearest
+    // surviving server.
     Assignment seed(members.size());
     for (std::size_t i = 0; i < members.size(); ++i) {
       const ClientIndex global = members[i];
@@ -160,7 +143,18 @@ Epoch MakeEpoch(const net::LatencyMatrix& matrix, const Problem& full,
       }
       seed[static_cast<ClientIndex>(i)] = local;
     }
-    assignment = core::DistributedGreedyAssign(problem, {}, &seed).assignment;
+    if (failover != nullptr &&
+        failover->strategy == FailoverStrategy::kNearest) {
+      // Quality floor: the seed itself, nobody else moves and no
+      // improvement pass runs.
+      assignment = std::move(seed);
+    } else {
+      // Membership boundaries, recovery boundaries, and the kFullResolve
+      // failover strategy: re-solve from the seed with distributed greedy
+      // (the session's steady-state reconfigurator).
+      assignment =
+          core::DistributedGreedyAssign(problem, {}, &seed).assignment;
+    }
   }
   if (solve_wall_ms != nullptr) *solve_wall_ms = timer.ElapsedMillis();
   core::SyncSchedule schedule =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -114,12 +115,12 @@ OracleOptions ParseOracleSpec(const std::string& spec) {
     }
     const std::string key = pair.substr(0, eq);
     const std::string val = pair.substr(eq + 1);
+    // All of val as a decimal int64: no sign but '-', no spaces, no
+    // wrap-around past 64 bits.
     std::int64_t num = 0;
-    try {
-      std::size_t used = 0;
-      num = std::stoll(val, &used);
-      if (used != val.size()) throw std::invalid_argument(val);
-    } catch (const std::exception&) {
+    const char* end = val.data() + val.size();
+    const auto [ptr, ec] = std::from_chars(val.data(), end, num);
+    if (ec != std::errc{} || ptr != end) {
       throw Error("oracle option '" + key + "' needs an integer, got '" + val +
                   "'");
     }
@@ -162,6 +163,12 @@ OracleOptions ParseOracleSpec(const std::string& spec) {
       throw Error("oracle option '" + key + "' is not valid for backend '" +
                   OracleBackendName(options.backend) + "' (expected " +
                   valid + ")");
+    }
+    constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+    if (key != "cache" && key != "shards" && key != "seed" &&
+        num > kInt32Max) {
+      throw Error("oracle option '" + key + "' must be at most " +
+                  std::to_string(kInt32Max) + ", got '" + val + "'");
     }
     if (key == "cache") {
       options.row_cache_capacity = static_cast<std::size_t>(num);
@@ -703,8 +710,10 @@ DistanceOracle DistanceOracle::FromGraph(const Graph& graph,
   impl->options = options;
   impl->options.row_cache_capacity =
       std::max<std::size_t>(options.row_cache_capacity, 1);
-  impl->options.row_cache_shards =
-      std::max<std::size_t>(options.row_cache_shards, 1);
+  // A stripe past the node count could never hold a row.
+  impl->options.row_cache_shards = std::clamp<std::size_t>(
+      options.row_cache_shards, 1,
+      std::max<std::size_t>(static_cast<std::size_t>(impl->n), 1));
   if (options.backend == OracleBackend::kRows) {
     impl->graph.emplace(graph);
     const std::size_t num_shards = impl->options.row_cache_shards;

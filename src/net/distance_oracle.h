@@ -110,7 +110,8 @@ struct OracleOptions {
   /// Rows backend: number of independent LRU stripes (shard =
   /// splitmix64(node) % shards, one mutex each). Each shard retains
   /// ceil(row_cache_capacity / shards) rows. Sharding never affects query
-  /// results, only lock contention and the eviction pattern.
+  /// results, only lock contention and the eviction pattern. Clamped to
+  /// [1, size()] at build.
   std::size_t row_cache_shards = 4;
   /// Landmarks backend: number of pivots (farthest-point sampled,
   /// deterministic; clamped to size()).
@@ -153,8 +154,10 @@ struct OracleOptions {
 ///              rq=N (repair_permille, 1..1000), seed=N
 ///   coords     beacons=N, rounds=N, dims=N, seed=N
 ///   hublabels  k=N (hub_order_anchors), rsamples=N, rq=N, seed=N
-/// Unknown backends, keys another backend owns, unknown keys, malformed
-/// pairs, and out-of-range values throw diaca::Error naming the
+/// Values are whole decimal integers (std::from_chars: no '+', no
+/// spaces). Unknown backends, keys another backend owns, unknown keys,
+/// malformed pairs, and out-of-range values (non-positive, beyond int64,
+/// or beyond INT32_MAX for the int32 keys) throw diaca::Error naming the
 /// offending token and listing the backend's valid keys. Examples:
 /// "dense", "rows:cache=256,shards=8", "hublabels:k=32,rq=995".
 OracleOptions ParseOracleSpec(const std::string& spec);

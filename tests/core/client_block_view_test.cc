@@ -1,7 +1,7 @@
 // Property suite for the client-block view API: the streamed
 // OracleTileView must be bit-identical to the materialized block at
-// every tile size (including degenerate and off-by-one ones), LRU
-// capacity, and thread count, for every solver that consumes the view.
+// every LRU capacity and thread count, for every solver that consumes
+// the view.
 // Also covers the view's accessors (rows with zero pads, column subsets,
 // nearest servers, the assigned-diagonal consumers), the FromBlocks/
 // FromView validation, and the --oracle spec grammar.
@@ -22,7 +22,6 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/simd/simd.h"
 #include "common/thread_pool.h"
 #include "core/distributed_greedy.h"
 #include "core/incremental.h"
@@ -69,34 +68,32 @@ Substrate MakeSubstrate(std::uint64_t seed = 5,
                    std::move(clients)};
 }
 
-// The tile sizes that exercise every boundary case: single-row tiles,
-// one SIMD pad width, exactly |C| (one tile), and |C| + 1 (clamped).
-std::vector<std::int32_t> BoundaryTileSizes(std::int32_t num_clients) {
-  return {1, static_cast<std::int32_t>(simd::kPadWidth), num_clients,
-          num_clients + 1};
+// Clients on substrate nodes, attached there with access delay 0.0.
+std::shared_ptr<OracleTileView> OnNodeView(
+    const net::DistanceOracle& oracle,
+    std::span<const net::NodeIndex> servers,
+    std::span<const net::NodeIndex> nodes) {
+  return OracleTileView::FromAttachments(
+      oracle, servers, nodes, std::vector<double>(nodes.size(), 0.0));
 }
 
 TEST(ClientBlockViewTest, CellsMatchMaterializedBitForBit) {
   const Substrate sub = MakeSubstrate();
   const Problem dense =
       Problem::WithClientsEverywhere(sub.oracle, sub.servers);
-  for (const std::int32_t tile_clients : BoundaryTileSizes(kNodes)) {
-    TileOptions tile;
-    tile.tile_clients = tile_clients;
-    const Problem tiled =
-        Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
-    EXPECT_FALSE(tiled.client_block().materialized());
-    EXPECT_TRUE(dense.client_block().materialized());
-    for (ClientIndex c = 0; c < dense.num_clients(); ++c) {
-      for (ServerIndex s = 0; s < dense.num_servers(); ++s) {
-        ASSERT_EQ(dense.client_block().cs(c, s), tiled.client_block().cs(c, s))
-            << "c=" << c << " s=" << s << " tile=" << tile_clients;
-      }
+  const Problem tiled =
+      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients);
+  EXPECT_FALSE(tiled.client_block().materialized());
+  EXPECT_TRUE(dense.client_block().materialized());
+  for (ClientIndex c = 0; c < dense.num_clients(); ++c) {
+    for (ServerIndex s = 0; s < dense.num_servers(); ++s) {
+      ASSERT_EQ(dense.client_block().cs(c, s), tiled.client_block().cs(c, s))
+          << "c=" << c << " s=" << s;
     }
-    for (ServerIndex a = 0; a < dense.num_servers(); ++a) {
-      for (ServerIndex b = 0; b < dense.num_servers(); ++b) {
-        ASSERT_EQ(dense.ss(a, b), tiled.ss(a, b));
-      }
+  }
+  for (ServerIndex a = 0; a < dense.num_servers(); ++a) {
+    for (ServerIndex b = 0; b < dense.num_servers(); ++b) {
+      ASSERT_EQ(dense.ss(a, b), tiled.ss(a, b));
     }
   }
 }
@@ -111,12 +108,10 @@ TEST(ClientBlockViewTest, DenseOracleBackendStreamsIdenticalBits) {
       net::DistanceOracle::FromMatrix(matrix);
   const Problem materialized =
       Problem::WithClientsEverywhere(matrix, sub.servers);
-  TileOptions tile;
-  tile.tile_clients = 7;  // does not divide |C|
-  const Problem via_dense = Problem::FromOracleTiled(
-      dense_oracle, sub.servers, sub.clients, tile);
+  const Problem via_dense =
+      Problem::FromOracleTiled(dense_oracle, sub.servers, sub.clients);
   const Problem via_rows =
-      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
+      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients);
   for (ClientIndex c = 0; c < materialized.num_clients(); ++c) {
     for (ServerIndex s = 0; s < materialized.num_servers(); ++s) {
       ASSERT_EQ(materialized.client_block().cs(c, s),
@@ -141,29 +136,19 @@ TEST(ClientBlockViewTest, DenseOracleBackendStreamsIdenticalBits) {
 
 // The core property: every solver lands on the identical assignment (and
 // bit-identical objective) whether the client block is materialized or
-// streamed, across tile sizes straddling every boundary.
-TEST(ClientBlockViewTest, SolversBitIdenticalAcrossBackendsAndTileSizes) {
+// streamed.
+TEST(ClientBlockViewTest, SolversBitIdenticalAcrossBackends) {
   const Substrate sub = MakeSubstrate();
   const Problem dense =
       Problem::WithClientsEverywhere(sub.oracle, sub.servers);
+  const Problem tiled =
+      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients);
   const SolverRegistry& registry = SolverRegistry::Default();
-  const std::vector<std::string> solvers = {"nearest", "lfb", "greedy", "dg",
-                                            "single"};
-  std::vector<SolveResult> baseline;
-  for (const std::string& name : solvers) {
-    baseline.push_back(registry.Solve(name, dense, SolveOptions{}));
-  }
-  for (const std::int32_t tile_clients : BoundaryTileSizes(kNodes)) {
-    TileOptions tile;
-    tile.tile_clients = tile_clients;
-    const Problem tiled =
-        Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
-    for (std::size_t i = 0; i < solvers.size(); ++i) {
-      const SolveResult got = registry.Solve(solvers[i], tiled, SolveOptions{});
-      ASSERT_EQ(baseline[i].assignment.server_of, got.assignment.server_of)
-          << solvers[i] << " tile=" << tile_clients;
-      ASSERT_EQ(baseline[i].stats.max_len, got.stats.max_len) << solvers[i];
-    }
+  for (const char* name : {"nearest", "lfb", "greedy", "dg", "single"}) {
+    const SolveResult want = registry.Solve(name, dense, SolveOptions{});
+    const SolveResult got = registry.Solve(name, tiled, SolveOptions{});
+    ASSERT_EQ(want.assignment.server_of, got.assignment.server_of) << name;
+    ASSERT_EQ(want.stats.max_len, got.stats.max_len) << name;
   }
 }
 
@@ -173,37 +158,28 @@ TEST(ClientBlockViewTest, CapacitatedSolversBitIdenticalAcrossBackends) {
       Problem::WithClientsEverywhere(sub.oracle, sub.servers);
   SolveOptions options;
   options.assign.capacity = kNodes / kServers + 2;
-  for (const std::int32_t tile_clients : BoundaryTileSizes(kNodes)) {
-    TileOptions tile;
-    tile.tile_clients = tile_clients;
-    const Problem tiled =
-        Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
-    for (const char* name : {"nearest", "lfb", "greedy"}) {
-      const SolveResult want = SolverRegistry::Default().Solve(
-          name, dense, options);
-      const SolveResult got = SolverRegistry::Default().Solve(
-          name, tiled, options);
-      ASSERT_EQ(want.assignment.server_of, got.assignment.server_of)
-          << name << " tile=" << tile_clients;
-      ASSERT_LE(MaxServerLoad(tiled, got.assignment),
-                options.assign.capacity);
-    }
+  const Problem tiled =
+      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients);
+  for (const char* name : {"nearest", "lfb", "greedy"}) {
+    const SolveResult want =
+        SolverRegistry::Default().Solve(name, dense, options);
+    const SolveResult got =
+        SolverRegistry::Default().Solve(name, tiled, options);
+    ASSERT_EQ(want.assignment.server_of, got.assignment.server_of) << name;
+    ASSERT_LE(MaxServerLoad(tiled, got.assignment), options.assign.capacity);
   }
 }
 
-// An LRU cache smaller than one tile's worth of rows (capacity 1) cannot
-// change anything: the view pulls its server rows exactly once at
-// construction, and row values never depend on cache state.
+// An LRU cache of a single row cannot change anything: the view pulls
+// its server rows exactly once at construction, and row values never
+// depend on cache state.
 TEST(ClientBlockViewTest, TinyRowCacheDoesNotChangeBits) {
   const Substrate roomy = MakeSubstrate(5, 128);
   const Substrate tiny = MakeSubstrate(5, 1);
-  TileOptions tile;
-  tile.tile_clients = 1;  // every tile needs every row again
   const Problem a =
-      Problem::FromOracleTiled(roomy.oracle, roomy.servers, roomy.clients,
-                               tile);
+      Problem::FromOracleTiled(roomy.oracle, roomy.servers, roomy.clients);
   const Problem b =
-      Problem::FromOracleTiled(tiny.oracle, tiny.servers, tiny.clients, tile);
+      Problem::FromOracleTiled(tiny.oracle, tiny.servers, tiny.clients);
   for (ClientIndex c = 0; c < a.num_clients(); ++c) {
     for (ServerIndex s = 0; s < a.num_servers(); ++s) {
       ASSERT_EQ(a.client_block().cs(c, s), b.client_block().cs(c, s));
@@ -218,10 +194,8 @@ TEST(ClientBlockViewTest, TinyRowCacheDoesNotChangeBits) {
 
 TEST(ClientBlockViewTest, SolversBitIdenticalAcrossThreadCounts) {
   const Substrate sub = MakeSubstrate();
-  TileOptions tile;
-  tile.tile_clients = static_cast<std::int32_t>(simd::kPadWidth);
   const Problem tiled =
-      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
+      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients);
   for (const char* name : {"nearest", "lfb", "greedy", "dg"}) {
     SetGlobalThreads(1);
     const SolveResult serial =
@@ -251,10 +225,7 @@ TEST(ClientBlockViewTest, ExactAndBoundsMatchAcrossBackends) {
   std::vector<net::NodeIndex> clients(12);
   std::iota(clients.begin(), clients.end(), 0);
   const Problem dense = Problem::WithClientsEverywhere(oracle, servers);
-  TileOptions tile;
-  tile.tile_clients = 5;  // does not divide 12
-  const Problem tiled =
-      Problem::FromOracleTiled(oracle, servers, clients, tile);
+  const Problem tiled = Problem::FromOracleTiled(oracle, servers, clients);
 
   EXPECT_EQ(InteractivityLowerBound(dense), InteractivityLowerBound(tiled));
   const LowerBoundDetail da = InteractivityLowerBoundDetailed(dense);
@@ -296,7 +267,6 @@ TEST(ClientBlockViewTest, FillRowAndMaterializeBlockMatchCellsWithZeroPads) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = 50;
   params.num_clients = 30000;
-  params.tile.tile_clients = 7;
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
   const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 29);
@@ -380,10 +350,8 @@ TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
   const Substrate sub = MakeSubstrate();
   const Problem dense =
       Problem::WithClientsEverywhere(sub.oracle, sub.servers);
-  TileOptions tile;
-  tile.tile_clients = static_cast<std::int32_t>(simd::kPadWidth);
   const Problem tiled =
-      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
+      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients);
   const SolveResult rd =
       SolverRegistry::Default().Solve("greedy", dense, SolveOptions{});
   // The resident solve runs the same bucket-refined scans, so its bounds
@@ -440,10 +408,8 @@ TEST(ClientBlockViewTest, GreedyGridBitIdenticalAcrossThreadsAndShards) {
         net::DistanceOracle::FromGraph(sub.graph, opt);
     for (const int threads : {1, 4}) {
       SetGlobalThreads(threads);
-      TileOptions tile;
-      tile.tile_clients = 9;  // does not divide |C|
       const Problem tiled =
-          Problem::FromOracleTiled(oracle, sub.servers, sub.clients, tile);
+          Problem::FromOracleTiled(oracle, sub.servers, sub.clients);
       before = test::GreedyRebuilds();
       const SolveResult got =
           SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
@@ -475,7 +441,6 @@ TEST(ClientBlockViewTest, CloudBuildsIdenticalProblemWithoutMaterializing) {
   const data::ClientCloud mat =
       data::BuildClientCloud(params, 13, oracle, servers);
   params.materialize_block = false;
-  params.tile.tile_clients = 33;  // does not divide 700
   const data::ClientCloud streamed =
       data::BuildClientCloud(params, 13, oracle, servers);
 
@@ -556,16 +521,75 @@ TEST(ClientBlockViewTest, FillNearestMatchesSerialScanAcrossViewsAndThreads) {
   SetGlobalThreads(0);
 }
 
+// Clients on substrate nodes take FillNearest's candidate-window path
+// like attached ones (access 0.0). On a unit-length 8x8 grid every
+// distance is a small integer, so exact ties are everywhere: node 18
+// (row 2, column 2) sees the servers on its four neighbours, indices 1
+// to 4, all at leg 1. Each client's winner must be the lowest tied
+// server index, as a serial first-minimum scan of the resident block
+// (routed independently, through the dense matrix) picks it, at 1 and 4
+// threads.
+TEST(ClientBlockViewTest, OnNodeFillNearestKeepsFirstOfExactTies) {
+  constexpr net::NodeIndex kSide = 8;
+  net::Graph grid(kSide * kSide);
+  for (net::NodeIndex r = 0; r < kSide; ++r) {
+    for (net::NodeIndex col = 0; col < kSide; ++col) {
+      const net::NodeIndex v = r * kSide + col;
+      if (col + 1 < kSide) grid.AddEdge(v, v + 1, 1.0);
+      if (r + 1 < kSide) grid.AddEdge(v, v + kSide, 1.0);
+    }
+  }
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::DistanceOracle oracle = net::DistanceOracle::FromGraph(grid, opt);
+  const std::vector<net::NodeIndex> servers = {63, 26, 17, 19, 10, 7};
+  std::vector<net::NodeIndex> clients(static_cast<std::size_t>(kSide * kSide));
+  std::iota(clients.begin(), clients.end(), 0);
+  const Problem resident =
+      Problem::WithClientsEverywhere(grid.AllPairsShortestPaths(), servers);
+  const Problem tiled = Problem::FromOracleTiled(oracle, servers, clients);
+
+  const ClientBlockView& ref = resident.client_block();
+  const auto n = static_cast<std::size_t>(ref.num_clients());
+  std::vector<ServerIndex> want_server(n);
+  std::vector<double> want_dist(n);
+  std::int32_t tied = 0;
+  for (ClientIndex c = 0; c < ref.num_clients(); ++c) {
+    ServerIndex best = 0;
+    for (ServerIndex s = 1; s < ref.num_servers(); ++s) {
+      if (ref.cs(c, s) < ref.cs(c, best)) best = s;
+    }
+    std::int32_t at_min = 0;
+    for (ServerIndex s = 0; s < ref.num_servers(); ++s) {
+      at_min += ref.cs(c, s) == ref.cs(c, best) ? 1 : 0;
+    }
+    tied += at_min > 1 ? 1 : 0;
+    want_server[static_cast<std::size_t>(c)] = best;
+    want_dist[static_cast<std::size_t>(c)] = ref.cs(c, best);
+  }
+  ASSERT_EQ(want_server[18], 1);
+  ASSERT_EQ(want_dist[18], 1.0);
+  ASSERT_GT(tied, kSide);
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    std::vector<ServerIndex> server(n);
+    std::vector<double> dist(n);
+    tiled.client_block().FillNearest(server.data(), dist.data());
+    EXPECT_EQ(server, want_server) << "threads=" << threads;
+    EXPECT_EQ(dist, want_dist) << "threads=" << threads;
+  }
+  SetGlobalThreads(0);
+}
+
 // ForEachColumn over a client subset hands every server exactly once a
 // column with col[i] == cs(ids[i], s) bit for bit, on both views (13
-// servers: one full resident 8-column group and a partial one; a tile
-// size that does not divide |C|; access delays), at 1 and 4 threads,
-// for a single client, an ascending strided subset and every client.
+// servers: one full resident 8-column group and a partial one; access
+// delays), at 1 and 4 threads, for a single client, an ascending strided
+// subset and every client.
 TEST(ClientBlockViewTest, ForEachColumnSubsetMatchesCellsAcrossViewsAndThreads) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = 50;
   params.num_clients = 1000;
-  params.tile.tile_clients = 7;
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
   const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 23);
@@ -623,11 +647,11 @@ TEST(ClientBlockViewTest, ForEachColumnSubsetMatchesCellsAcrossViewsAndThreads) 
 // the occupied rows come in the order their nodes first appear among all
 // clients, the counts sum to |ids|, and each server's floor for a row is
 // the minimum of cs(c, s) over the row's clients in `ids`, bit for bit.
-// Checked on a FromAttachments view (access delays, with a floor that
-// makes many of them equal) and a FromOracle view (several clients per
-// node), over every client and a strided subset, at 1 and 4 threads. A
-// cap below the occupied rows declines, and a resident block offers no
-// floors.
+// Checked on a view with access delays (with a floor that makes many of
+// them equal) and one of clients on nodes (access 0.0, several clients
+// per node), over every client and a strided subset, at 1 and 4
+// threads. A cap below the occupied rows declines, and a resident block
+// offers no floors.
 TEST(ClientBlockViewTest, ForEachColumnFloorsAreRowMinimaOfCells) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = 50;
@@ -649,7 +673,7 @@ TEST(ClientBlockViewTest, ForEachColumnFloorsAreRowMinimaOfCells) {
   for (std::size_t c = 0; c < on_nodes.size(); ++c) {
     on_nodes[c] = static_cast<net::NodeIndex>((c * 7 + c / 40) % 50);
   }
-  const auto node_view = OracleTileView::FromOracle(oracle, servers, on_nodes);
+  const auto node_view = OnNodeView(oracle, servers, on_nodes);
 
   struct Case {
     const ClientBlockView* view;
@@ -760,22 +784,20 @@ Assignment HashAssignment(std::int32_t clients, std::int32_t servers) {
 }
 
 // Subset(ids) is the parent read through ids, on both backends, with
-// access delays (attached) and without (clients on substrate nodes). The
-// id list is non-monotone (even clients descending, then every fourth
-// odd one ascending) and spans three 4096-row pool chunks, cut at 4
-// threads.
+// access delays (attached) and with access 0.0 (clients on substrate
+// nodes). The id list is non-monotone (even clients descending, then
+// every fourth odd one ascending) and spans three 4096-row pool chunks,
+// cut at 4 threads.
 // Every accessor of the subset must return the parent's bits for ids[i]:
 // cells, rows, columns (whole, gathered and grouped), the assigned
 // diagonal, its fold and nearest servers. FillColumnMax is certified on
 // both: exact over the members on a resident subset, the parent's bound
 // on a streamed one. A streamed subset's floors must match a view built
-// over the members alone (FromAttachments over their attach and access,
-// or FromOracle over their nodes), and it
-// keeps the parent's tile size: a fold under far values no cell reaches
-// skips every 7-client block. A lazy parent gives a lazy subset, and
-// neither fills a row for the cut. The subset is read only after its
-// parent is destroyed, so a dangling share reads freed memory under
-// ASan. Empty and out-of-range lists throw, naming the client.
+// over the members alone (their attach nodes with their access delays,
+// or with 0.0). A lazy parent gives a lazy subset, and neither fills a
+// row for the cut. The subset is read only after its parent is
+// destroyed, so a dangling share reads freed memory under ASan. Empty
+// and out-of-range lists throw, naming the client.
 TEST(ClientBlockViewTest, SubsetIsTheParentReadThroughIds) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = 50;
@@ -798,8 +820,6 @@ TEST(ClientBlockViewTest, SubsetIsTheParentReadThroughIds) {
   const std::size_t k = ids.size();
   const auto num_servers = static_cast<ServerIndex>(servers.size());
   const auto ns = static_cast<std::size_t>(num_servers);
-  TileOptions tile;
-  tile.tile_clients = 7;
   std::vector<net::NodeIndex> member_attach;
   std::vector<double> member_access;
   for (const ClientIndex c : ids) {
@@ -808,8 +828,7 @@ TEST(ClientBlockViewTest, SubsetIsTheParentReadThroughIds) {
   }
   const auto attached_members = OracleTileView::FromAttachments(
       oracle, servers, member_attach, member_access);
-  const auto on_node_members =
-      OracleTileView::FromOracle(oracle, servers, member_attach);
+  const auto on_node_members = OnNodeView(oracle, servers, member_attach);
   // Server-major floors and counts, one entry per server.
   struct Floors {
     std::vector<std::vector<double>> floors;
@@ -858,11 +877,9 @@ TEST(ClientBlockViewTest, SubsetIsTheParentReadThroughIds) {
     std::shared_ptr<const ClientBlockView> sub;
     {
       std::shared_ptr<const ClientBlockView> parent =
-          tc.on_nodes ? OracleTileView::FromOracle(oracle, servers,
-                                                   cloud.attach, tile)
+          tc.on_nodes ? OnNodeView(oracle, servers, cloud.attach)
                       : OracleTileView::FromAttachments(
-                            oracle, servers, cloud.attach, cloud.access_ms,
-                            tile);
+                            oracle, servers, cloud.attach, cloud.access_ms);
       if (resident) {
         parent = std::make_shared<MaterializedView>(
             parent->num_clients(), num_servers, parent->MaterializeBlock());
@@ -926,7 +943,7 @@ TEST(ClientBlockViewTest, SubsetIsTheParentReadThroughIds) {
     std::vector<double> gathered(local_strided.size());
     for (ServerIndex s = 0; s < num_servers; ++s) {
       const auto si = static_cast<std::size_t>(s);
-      view.FillColumn(s, column.data());
+      view.GatherColumn(s, local_every.data(), k, column.data());
       view.GatherColumn(s, local_strided.data(), local_strided.size(),
                         gathered.data());
       for (std::size_t i = 0; i < k; ++i) {
@@ -995,13 +1012,6 @@ TEST(ClientBlockViewTest, SubsetIsTheParentReadThroughIds) {
             << where() << " list " << list->size() << " s=" << s;
       }
     }
-    if (!resident) {
-      const std::int64_t pruned = view.stats().tiles_pruned;
-      std::vector<double> high(ns, 1e300);
-      view.FoldAssignedMax(assign.server_of.data(), high.data());
-      EXPECT_EQ(view.stats().tiles_pruned - pruned,
-                static_cast<std::int64_t>((k + 6) / 7));
-    }
   }
   SetGlobalThreads(0);
 }
@@ -1009,15 +1019,12 @@ TEST(ClientBlockViewTest, SubsetIsTheParentReadThroughIds) {
 // EccentricitiesExcluding against a scalar reference (far[s] = max of
 // cs(c', s) over c' != c assigned to s, starting at -1.0), bit for bit,
 // on both views at 1 and 4 threads. 5000 clients with access delays put
-// the resident fold on its chunked path at 4 threads; the 7-client skip
-// blocks (7 does not divide |C|) let the streamed fold's certified skip
-// fire. The last server holds a single client, whose exclusion must
-// leave that server at -1.0.
+// the resident fold on its chunked path at 4 threads. The last server
+// holds a single client, whose exclusion must leave that server at -1.0.
 TEST(ClientBlockViewTest, EccentricitiesExcludingMatchesScalarReference) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = 50;
   params.num_clients = 5000;
-  params.tile.tile_clients = 7;
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
   const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 31);
@@ -1051,8 +1058,6 @@ TEST(ClientBlockViewTest, EccentricitiesExcludingMatchesScalarReference) {
   std::vector<std::vector<double>> want;
   for (const ClientIndex exclude : excluded) want.push_back(reference(exclude));
   ASSERT_EQ(want.back()[static_cast<std::size_t>(lone_server)], -1.0);
-  const std::int64_t pruned_before =
-      streamed.problem.client_block().stats().tiles_pruned;
   for (const int threads : {1, 4}) {
     SetGlobalThreads(threads);
     for (std::size_t i = 0; i < excluded.size(); ++i) {
@@ -1064,8 +1069,6 @@ TEST(ClientBlockViewTest, EccentricitiesExcludingMatchesScalarReference) {
     }
   }
   SetGlobalThreads(0);
-  EXPECT_GT(streamed.problem.client_block().stats().tiles_pruned,
-            pruned_before);
 }
 
 // An IncrementalEvaluator built on the streamed view agrees bit for bit
@@ -1077,7 +1080,6 @@ TEST(ClientBlockViewTest, IncrementalEvaluatorBitIdenticalAcrossViews) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = 50;
   params.num_clients = 2000;
-  params.tile.tile_clients = 7;
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
   const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 37);
@@ -1191,7 +1193,7 @@ TEST(ClientBlockViewTest, FromAttachmentsRejectsNegativeOrNanAccessDelays) {
 
 TEST(ClientBlockViewTest, FromViewRejectsMismatchedNodeLists) {
   const Substrate sub = MakeSubstrate();
-  auto view = OracleTileView::FromOracle(sub.oracle, sub.servers, sub.clients);
+  auto view = OnNodeView(sub.oracle, sub.servers, sub.clients);
   const std::span<const double> d_ss = view->server_block();
   std::vector<net::NodeIndex> short_clients(sub.clients.begin(),
                                             sub.clients.end() - 1);
@@ -1272,6 +1274,37 @@ TEST(OracleSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW(net::ParseOracleSpec("rows:shards=0"), Error);
   EXPECT_THROW(net::ParseOracleSpec("rows:cache=1,"), Error);
   EXPECT_THROW(net::ParseOracleSpec("rows:unknown=1"), Error);
+  // Values are whole decimal integers: no sign, no spaces, no wrap past
+  // 64 bits.
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks= 16"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks=16 "), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks=+16"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("rows:cache=18446744073709551617"), Error);
+  // The int32 keys reject what would wrap (4294967297 read as 1),
+  // naming the key; the 64-bit keys take it.
+  struct TooLarge {
+    const char* spec;
+    const char* key;
+  };
+  for (const TooLarge& t :
+       {TooLarge{"landmarks:landmarks=4294967297", "'landmarks'"},
+        TooLarge{"coords:dims=2147483648", "'dims'"},
+        TooLarge{"hublabels:k=2147483648", "'k'"},
+        TooLarge{"landmarks:rsamples=4294967296", "'rsamples'"}}) {
+    try {
+      net::ParseOracleSpec(t.spec);
+      ADD_FAILURE() << t.spec << " must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(t.key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(net::ParseOracleSpec("coords:dims=2147483647").coord_dimensions,
+            2147483647);
+  EXPECT_EQ(net::ParseOracleSpec("rows:cache=4294967297").row_cache_capacity,
+            4294967297u);
+  EXPECT_EQ(net::ParseOracleSpec("rows:shards=4294967297").row_cache_shards,
+            4294967297u);
 }
 
 }  // namespace

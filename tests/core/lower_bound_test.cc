@@ -128,15 +128,13 @@ void ExpectMatchesReference(const Problem& resident, const Problem& tiled) {
   SetGlobalThreads(0);
 }
 
-// Attached clouds with access delays over a Waxman substrate: the tile
-// size 7 divides none of the client counts but 1, and the raised access
-// floor makes many clients share exact distances.
+// Attached clouds with access delays over a Waxman substrate: the raised
+// access floor makes many clients share exact distances.
 TEST(LowerBoundReferenceTest, BitIdenticalOnCloudsAcrossViews) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     data::ClientCloudParams params;
     params.substrate.num_nodes = 60;
     params.min_access_ms = 3.0;
-    params.tile.tile_clients = 7;
     const net::Graph graph =
         data::GenerateWaxmanTopology(params.substrate, seed);
     net::OracleOptions opt;
@@ -184,8 +182,6 @@ TEST(LowerBoundReferenceTest, BitIdenticalOnRealAndTieHeavyMatrices) {
         }
       }
       const net::DistanceOracle oracle = net::DistanceOracle::FromMatrix(m);
-      TileOptions tile;
-      tile.tile_clients = 7;
       for (const std::int32_t servers : {1, 2, 9, 40}) {
         std::vector<net::NodeIndex> server_nodes(
             static_cast<std::size_t>(servers));
@@ -201,8 +197,8 @@ TEST(LowerBoundReferenceTest, BitIdenticalOnRealAndTieHeavyMatrices) {
           std::iota(client_nodes.begin(), client_nodes.end(),
                     kNodes - clients);
           const Problem resident(m, server_nodes, client_nodes);
-          const Problem tiled = Problem::FromOracleTiled(
-              oracle, server_nodes, client_nodes, tile);
+          const Problem tiled =
+              Problem::FromOracleTiled(oracle, server_nodes, client_nodes);
           ExpectMatchesReference(resident, tiled);
         }
       }

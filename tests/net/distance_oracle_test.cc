@@ -160,6 +160,22 @@ TEST(DistanceOracleTest, ShardStatsSumToTotalsAndSpreadStridedIds) {
   EXPECT_GE(stripes_touched, 2);
 }
 
+// A stripe past the node count could never hold a row, so the build
+// clamps the stripe count to the substrate size instead of reserving
+// them all up front.
+TEST(DistanceOracleTest, ShardCountClampsToSubstrateSize) {
+  const Graph graph = SmallWaxman(60, 2);
+  OracleOptions opt = RowsOptions(8);
+  opt.row_cache_shards = std::size_t{1} << 40;
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, opt);
+  std::vector<double> row(60);
+  rows.FillRow(5, row);
+  const OracleStats s = rows.stats();
+  EXPECT_EQ(s.shard_hits.size(), 60u);
+  EXPECT_EQ(s.shard_misses.size(), 60u);
+  EXPECT_EQ(s.row_cache_misses, 1);
+}
+
 // Shard count is a concurrency knob, never a semantic one: answers match
 // bitwise between a single-stripe and a many-stripe cache even when both
 // churn.

@@ -96,9 +96,11 @@ if(NOT "${out}${err}" MATCHES "nearest")
   message(FATAL_ERROR "algorithm error does not list the valid set:\n${err}")
 endif()
 
-# The legacy spellings that predate --oracle, and the retired tile
-# prefetch depth, are gone: each must fail as an unknown flag.
-foreach(legacy --distances=rows --row-cache=64 --landmarks=8 --tile-depth=2)
+# The legacy spellings that predate --oracle, the retired tile prefetch
+# depth and the retired fold skip-block size are gone: each must fail as
+# an unknown flag.
+foreach(legacy --distances=rows --row-cache=64 --landmarks=8 --tile-depth=2
+               --tile-clients=8)
   execute_process(COMMAND ${DIACA_BIN} assign --matrix=world.txt
                           --servers=servers.txt --out=x.txt ${legacy}
                   WORKING_DIRECTORY ${WORK_DIR}
@@ -130,13 +132,16 @@ function(expect_failure_naming pattern)
 endfunction()
 
 # Integer flags are range-checked, not wrapped to 32 bits (a bare cast
-# would solve --servers=4294967300 with 4 servers and read
-# --tile-clients=4294967297 as 1): each run must fail, naming the flag.
+# would solve --servers=4294967300 with 4 servers): the run must fail,
+# naming the flag.
 expect_failure_naming("--servers must be in" cloud --nodes=300
                       --clients=2000 --servers=4294967300)
-expect_failure_naming("--tile-clients must be in" cloud --nodes=300
-                      --clients=2000 --block=tiled
-                      --tile-clients=4294967297)
+
+# So are --oracle spec values: landmarks=4294967297 must not build one
+# landmark; the error names the key.
+expect_failure_naming("'landmarks' must be at most" cloud --nodes=300
+                      --clients=2000 --servers=8
+                      --oracle=landmarks:landmarks=4294967297)
 
 # A bad --prune fails before the build or load it gates, naming the flag
 # (not the client-index overflow, not the missing matrix).

@@ -71,7 +71,7 @@ int Usage() {
       "           [--failover=repair|resolve|nearest]\n"
       "  cloud    [--nodes=N] [--clients=M] [--servers=K] [--seed=S]\n"
       "           [--algorithm=...] [--block=materialized|tiled]\n"
-      "           [--tile-clients=N] [--rss-budget-mb=MB] — streaming\n"
+      "           [--rss-budget-mb=MB] — streaming\n"
       "           build + solve of a client cloud attached to a Waxman\n"
       "           substrate; never holds an O(n^2) matrix (reports peak\n"
       "           RSS vs dense equivalent; --block=tiled also skips the\n"
@@ -101,12 +101,10 @@ int Usage() {
       "  (hublabels), seed=N (all; grammar in docs/CLI.md).\n"
       "  assign/evaluate/cloud accept --block=materialized|tiled\n"
       "  (tiled streams the client block through the oracle instead of\n"
-      "  materializing |C|x|S|; assignments are bit-identical),\n"
-      "  --tile-clients=N (clients per certified skip block of the\n"
-      "  streamed eccentricity fold), and --prune=on|off (bound-driven\n"
-      "  filter-and-refine in the solvers; results are bit-identical\n"
-      "  either way, off only disables the accelerator — see\n"
-      "  docs/performance.md).\n"
+      "  materializing |C|x|S|; assignments are bit-identical) and\n"
+      "  --prune=on|off (bound-driven filter-and-refine in the solvers;\n"
+      "  results are bit-identical either way, off only disables the\n"
+      "  accelerator — see docs/performance.md).\n"
       "  every command also accepts --threads=N,\n"
       "  --apsp=auto|dijkstra|blocked (all-pairs shortest-path backend\n"
       "  for graph substrates), --faults=SPEC (inject server crashes,\n"
@@ -155,24 +153,19 @@ net::OracleOptions OracleOptionsFromFlags(const Flags& flags) {
   return opt;
 }
 
-// --block=materialized|tiled (with --tile-clients sizing the streamed
-// view's skip blocks and `prune` its bound pruning); returns true for
-// tiled.
-bool TiledBlockRequested(const Flags& flags, bool prune,
-                         core::TileOptions* tile) {
+// --block=materialized|tiled; returns true for tiled.
+bool TiledBlockRequested(const Flags& flags) {
   const std::string block = flags.GetString("block", "materialized");
   if (block == "materialized") return false;
   if (block != "tiled") {
     throw Error("unknown --block mode '" + block +
                 "' (expected materialized|tiled)");
   }
-  tile->tile_clients = GetInt32(flags, "tile-clients", 8192, 1);
-  tile->bound_pruning = prune;
   return true;
 }
 
 // --prune=on|off (default on): bound-driven filter-and-refine in the
-// solvers and the tile view. A pure accelerator — results are
+// solvers. A pure accelerator — results are
 // bit-identical either way. Commands parse it once, before any load or
 // build, so a typo fails fast.
 bool PruneRequested(const Flags& flags) {
@@ -301,9 +294,8 @@ int CmdPlace(const Flags& flags) {
 // never materializes the O(n^2) closure). --block=tiled additionally
 // skips the |C| x |S| client block: the problem streams tiles from the
 // oracle's server rows instead (bit-identical assignments).
-core::Problem LoadProblemForSolve(const Flags& flags, bool prune) {
-  core::TileOptions tile;
-  const bool tiled = TiledBlockRequested(flags, prune, &tile);
+core::Problem LoadProblemForSolve(const Flags& flags) {
+  const bool tiled = TiledBlockRequested(flags);
   const std::string graph_path = flags.GetString("graph", "");
   if (!graph_path.empty()) {
     DIACA_CHECK_MSG(flags.GetString("matrix", "").empty(),
@@ -317,7 +309,7 @@ core::Problem LoadProblemForSolve(const Flags& flags, bool prune) {
       std::vector<net::NodeIndex> clients(
           static_cast<std::size_t>(oracle.size()));
       std::iota(clients.begin(), clients.end(), 0);
-      return core::Problem::FromOracleTiled(oracle, servers, clients, tile);
+      return core::Problem::FromOracleTiled(oracle, servers, clients);
     }
     return core::Problem::WithClientsEverywhere(oracle, servers);
   }
@@ -344,7 +336,7 @@ int CmdAssign(const Flags& flags) {
   const bool prune = PruneRequested(flags);
   const std::string out = flags.GetString("out", "");
   DIACA_CHECK_MSG(!out.empty(), "--out is required");
-  const core::Problem problem = LoadProblemForSolve(flags, prune);
+  const core::Problem problem = LoadProblemForSolve(flags);
   core::SolveOptions options;
   options.assign.capacity =
       GetInt32(flags, "capacity", core::AssignOptions::kUnlimitedCapacity,
@@ -359,8 +351,10 @@ int CmdAssign(const Flags& flags) {
 }
 
 int CmdEvaluate(const Flags& flags) {
-  const core::Problem problem =
-      LoadProblemForSolve(flags, PruneRequested(flags));
+  // evaluate runs no solver, so --prune changes nothing here, but a
+  // typo still fails like it does for assign.
+  (void)PruneRequested(flags);
+  const core::Problem problem = LoadProblemForSolve(flags);
   const core::Assignment a =
       LoadAssignment(flags.GetString("assignment", ""), problem);
   const double d = core::MaxInteractionPathLength(problem, a);
@@ -529,7 +523,7 @@ int CmdCloud(const Flags& flags) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = GetInt32(flags, "nodes", 2000, 2);
   params.num_clients = flags.GetInt("clients", 100000);
-  params.materialize_block = !TiledBlockRequested(flags, prune, &params.tile);
+  params.materialize_block = !TiledBlockRequested(flags);
   const std::int32_t k = GetInt32(flags, "servers", 16, 1);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
 
@@ -726,8 +720,7 @@ int main(int argc, char** argv) {
                        "servers", "method", "algorithm", "capacity",
                        "assignment", "duration-ms", "ops-per-second", "apsp",
                        "failover", "graph", "clients", "oracle", "block",
-                       "tile-clients", "prune",
-                       "rss-budget-mb", "epochs", "epoch-ms", "churn",
+                       "prune", "rss-budget-mb", "epochs", "epoch-ms", "churn",
                        "migration-cap", "hysteresis", "hysteresis-eps",
                        "deadline-evals", "oracle-every", "json-out"});
     net::SetDefaultApspBackend(
