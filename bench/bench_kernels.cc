@@ -163,14 +163,13 @@ core::Assignment LegacyGreedyAssign(const core::Problem& problem,
 // Per-kernel timing at solver sizes: every row kernel over n = 16, 80 and
 // 256 lanes (the server counts the workloads span), the client-block
 // view's column gathers (32 survivor ids, one 200k-client column through
-// an identity id list) and one
-// 64^3 blocked-APSP tile. `bytes` matches the byte accounting of the
+// an identity id list). `bytes` matches the byte accounting of the
 // kernels' own simd.kernels.bytes_scanned counter.
 // ---------------------------------------------------------------------------
 
 struct KernelWorkload {
   const char* name;
-  std::size_t n;                       // lanes (the tile's edge) per call
+  std::size_t n;                       // lanes per call
   std::size_t bytes;                   // per invocation
   std::function<double()> run;         // returns a value to keep live
 };
@@ -290,7 +289,6 @@ int main(int argc, char** argv) {
   constexpr std::size_t kClients = 200000;
   constexpr std::size_t kSubstrateNodes = 2000;
   constexpr std::size_t kIdGather = 32;
-  constexpr std::size_t kTile = 64;
   Rng rng(seed);
   const std::size_t padded = simd::PaddedStride(kMaxRow);
   std::vector<double> row(padded, 0.0);
@@ -319,14 +317,6 @@ int main(int argc, char** argv) {
   std::vector<std::int32_t> every(kClients);
   std::iota(every.begin(), every.end(), 0);
   std::vector<double> column(kClients);
-  std::vector<double> tile_c(kTile * kTile);
-  std::vector<double> tile_a(kTile * kTile);
-  std::vector<double> tile_b(kTile * kTile);
-  for (std::size_t i = 0; i < kTile * kTile; ++i) {
-    tile_c[i] = rng.NextUniform(0.0, 500.0);
-    tile_a[i] = rng.NextUniform(0.0, 250.0);
-    tile_b[i] = rng.NextUniform(0.0, 250.0);
-  }
 
   std::vector<KernelWorkload> workloads;
   for (const std::size_t n : kRowSizes) {
@@ -359,12 +349,6 @@ int main(int argc, char** argv) {
                      every.data(), kClients);
     return column[0];
   }});
-  workloads.push_back(
-      {"min_plus_tile_update", kTile, 24 * kTile * kTile * kTile, [&] {
-         simd::MinPlusTileUpdate(tile_c.data(), kTile, tile_a.data(), kTile,
-                                 tile_b.data(), kTile, kTile, kTile, kTile);
-         return tile_c[0];
-       }});
 
   std::vector<KernelRow> rows;
   double sink = 0.0;

@@ -15,7 +15,6 @@
 #include "core/nearest_server.h"
 #include "data/synthetic.h"
 #include "data/waxman.h"
-#include "net/apsp.h"
 #include "placement/placement.h"
 
 namespace {
@@ -54,7 +53,7 @@ const net::Graph& MakeWaxman(std::int32_t nodes) {
   if (it == cache.end()) {
     data::WaxmanParams params;
     params.num_nodes = nodes;
-    params.alpha = 0.8;  // dense-ish: where the engine crossover lives
+    params.alpha = 0.8;  // dense-ish
     it = cache.emplace(nodes, data::GenerateWaxmanTopology(params, 7)).first;
   }
   return it->second;
@@ -137,32 +136,15 @@ void BM_KCenterGreedyPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_KCenterGreedyPlacement)->Args({200, 10})->Args({400, 10});
 
-// APSP size scaling: the same Waxman substrate through both engines, so
-// the O(n^3 / B) blocked vs O(n (m + n log n)) Dijkstra crossover is
-// measurable from one report.
+// APSP size scaling: O(n (m + n log n)), one Dijkstra per source.
 void BM_ApspDijkstra(benchmark::State& state) {
   const net::Graph& graph = MakeWaxman(static_cast<std::int32_t>(state.range(0)));
-  net::ApspOptions options;
-  options.backend = net::ApspBackend::kDijkstra;
-  const net::ApspEngine engine(options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Solve(graph));
+    benchmark::DoNotOptimize(graph.AllPairsShortestPaths());
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ApspDijkstra)->Arg(256)->Arg(512)->Arg(1024)->Complexity();
-
-void BM_ApspBlocked(benchmark::State& state) {
-  const net::Graph& graph = MakeWaxman(static_cast<std::int32_t>(state.range(0)));
-  net::ApspOptions options;
-  options.backend = net::ApspBackend::kBlocked;
-  const net::ApspEngine engine(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Solve(graph));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ApspBlocked)->Arg(256)->Arg(512)->Arg(1024)->Complexity();
 
 }  // namespace
 

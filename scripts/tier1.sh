@@ -2,7 +2,7 @@
 # Tier-1 verification: full build + test suite (portable-SIMD kernels), an
 # observability-artifact smoke (one bench run with
 # --metrics-out/--trace-out, outputs validated as JSON), the kernel
-# property suite, the APSP engine suite and the determinism grid again
+# property suite, the APSP suite and the determinism grid again
 # under a -march=native build with a bench_kernels smoke
 # (JSON-validated), then the concurrency tests (thread pool + parallel
 # determinism grid) again under ThreadSanitizer, and
@@ -11,7 +11,7 @@
 # distance-oracle suite (`oracle` label: the shortest-path kernel against
 # its lazy-heap reference, lazy-row bit parity, LRU cache, streaming
 # clouds, concurrent queries) again under ThreadSanitizer and
-# AddressSanitizer+UBSan, and the APSP engine suite again under
+# AddressSanitizer+UBSan, and the APSP suite again under
 # AddressSanitizer+UBSan. A bench_oracle smoke proves a 100k-client solve
 # through the rows backend stays inside a hard RSS budget, and a
 # filter-and-refine smoke proves bound pruning on the landmark backend
@@ -48,10 +48,10 @@ mkdir -p "$obs_dir"
 cmake -DJSON_FILE="$obs_dir/metrics.json" -P scripts/check_json.cmake
 cmake -DJSON_FILE="$obs_dir/trace.json" -P scripts/check_json.cmake
 
-# APSP-engine smoke on a small instance: both backends compared (legacy
-# vs engine Dijkstra bitwise, blocked vs Dijkstra to 1e-9) and the JSON
-# report validated.
-./build/bench/bench_apsp --nodes=256 --servers=10 --reps=1 --tile=32 \
+# APSP smoke on a small instance: Graph::AllPairsShortestPaths against
+# the frozen legacy per-source loop, bitwise, and the JSON report
+# validated.
+./build/bench/bench_apsp --nodes=256 --servers=10 --reps=1 \
   --json-out="$obs_dir/bench_apsp_smoke.json" > "$obs_dir/bench_apsp.log"
 cmake -DJSON_FILE="$obs_dir/bench_apsp_smoke.json" -P scripts/check_json.cmake
 
@@ -134,10 +134,11 @@ if ! grep -q 'migration cap honored' "$obs_dir/churn_smoke.log"; then
   exit 1
 fi
 
-# Native lane: the kernel property suite, the APSP engine suite, and the
-# backend/thread determinism grid must also pass with the portable
-# kernels widened to the build machine's ISA (-march=native), and
-# bench_kernels must emit a parseable JSON report.
+# Native lane: the kernel property suite, the APSP suite (the
+# shortest-path kernel and the pooled all-pairs route at -march=native),
+# and the backend/thread determinism grid must also pass with the
+# portable kernels widened to the build machine's ISA, and bench_kernels
+# must emit a parseable JSON report.
 cmake -B build-native -S . -DDIACA_NATIVE=ON
 cmake --build build-native -j --target kernels_test parallel_test \
   apsp_test bench_apsp bench_kernels
@@ -186,22 +187,22 @@ if ! $skip_tsan; then
 fi
 
 # ASan+UBSan lane: the fault-tolerance suite exercises the failure paths
-# (orphan reassignment, watchdog retries, malformed input) where lifetime
-# bugs would hide, and the APSP suite the heap and tile index arithmetic
-# of both APSP backends.
+# (orphan reassignment, watchdog retries, malformed input, out-of-range
+# node ids) where lifetime bugs would hide, and the APSP suite the heap
+# and CSR index arithmetic of the shortest-path kernel.
 if ! $skip_asan; then
   cmake -B build-asan -S . -DDIACA_SANITIZE=address
   cmake --build build-asan -j --target resilience_test oracle_test \
     churn_test apsp_test bench_apsp
   ctest --test-dir build-asan -L resilience -E smoke_ --output-on-failure
-  # The APSP suite under ASan+UBSan: every Dijkstra-backend source runs
-  # the shortest-path kernel, whose indexed 4-ary heap computes child and
+  # The APSP suite under ASan+UBSan: every all-pairs source runs the
+  # shortest-path kernel, whose indexed 4-ary heap computes child and
   # parent slots arithmetically, keeps sentinel slots past its last entry
   # and writes heap positions by node id, and whose CSR scan indexes the
-  # flat arc arrays by offset; the blocked backend writes tiles by
-  # computed offsets into padded rows. An out-of-bounds write there would
-  # hide from the native lane, the only other lane that runs this label.
-  # The label's bench_apsp smoke also runs the frozen legacy loop.
+  # flat arc arrays by offset; each source writes its row and column of
+  # the padded matrix. An out-of-bounds write there would hide from the
+  # native lane, the only other lane that runs this label. The label's
+  # bench_apsp smoke also runs the frozen legacy loop.
   ctest --test-dir build-asan -L apsp --output-on-failure
   # The oracle suite under ASan+UBSan: row buffers, cache eviction, the
   # streaming problem builders, and a member subset read after its parent

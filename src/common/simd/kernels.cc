@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -66,25 +65,6 @@ double MinPlusReduceScalar(const double* a, const double* b, std::size_t n) {
   double best = kInf;
   for (std::size_t i = 0; i < n; ++i) best = std::min(best, a[i] + b[i]);
   return best;
-}
-
-void MinPlusTileUpdateScalar(double* c, std::size_t c_stride, const double* a,
-                             std::size_t a_stride, const double* b,
-                             std::size_t b_stride, std::size_t rows,
-                             std::size_t cols, std::size_t depth) {
-  for (std::size_t k = 0; k < depth; ++k) {
-    const double* brow = b + k * b_stride;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double aik = a[i * a_stride + k];
-      // Value-preserving: inf + x == inf and min(c, inf) == c for the
-      // non-negative-or-inf entries the contract allows.
-      if (std::isinf(aik)) continue;
-      double* crow = c + i * c_stride;
-      for (std::size_t j = 0; j < cols; ++j) {
-        crow[j] = std::min(crow[j], aik + brow[j]);
-      }
-    }
-  }
 }
 
 void BroadcastAddScalar(double* out, const double* row, double add,
@@ -168,26 +148,6 @@ void GatherPlusPortable(double* out, const double* col,
   }
 }
 
-void MinPlusTileUpdatePortable(double* c, std::size_t c_stride,
-                               const double* a, std::size_t a_stride,
-                               const double* b, std::size_t b_stride,
-                               std::size_t rows, std::size_t cols,
-                               std::size_t depth) {
-  for (std::size_t k = 0; k < depth; ++k) {
-    const double* brow = b + k * b_stride;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double aik = a[i * a_stride + k];
-      if (std::isinf(aik)) continue;
-      double* crow = c + i * c_stride;
-#pragma omp simd
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double t = aik + brow[j];
-        crow[j] = t < crow[j] ? t : crow[j];
-      }
-    }
-  }
-}
-
 }  // namespace
 
 Backend ActiveBackend() { return Resolve(); }
@@ -238,18 +198,6 @@ double MinPlusReduce(const double* a, const double* b, std::size_t n) {
   CountScan(16 * n);
   DIACA_SIMD_DISPATCH(MinPlusReduceScalar(a, b, n),
                       MinPlusReducePortable(a, b, n));
-}
-
-void MinPlusTileUpdate(double* c, std::size_t c_stride, const double* a,
-                       std::size_t a_stride, const double* b,
-                       std::size_t b_stride, std::size_t rows,
-                       std::size_t cols, std::size_t depth) {
-  CountScan(24 * rows * cols * depth);
-  DIACA_SIMD_DISPATCH(
-      MinPlusTileUpdateScalar(c, c_stride, a, a_stride, b, b_stride, rows,
-                              cols, depth),
-      MinPlusTileUpdatePortable(c, c_stride, a, a_stride, b, b_stride, rows,
-                                cols, depth));
 }
 
 void BroadcastAdd(double* out, const double* row, double add, std::size_t n) {

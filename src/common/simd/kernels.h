@@ -101,26 +101,6 @@ void BroadcastAdd(double* out, const double* row, double add, std::size_t n);
 void GatherPlus(double* out, const double* col, const std::int32_t* rows,
                 const double* access, const std::int32_t* ids, std::size_t n);
 
-/// Blocked min-plus (tropical) tile update, the inner kernel of the
-/// cache-blocked Floyd–Warshall engine (net::ApspEngine):
-///   for k in [0, depth):            // k OUTERMOST — the FW dependence
-///     for i in [0, rows):
-///       aik = a[i*a_stride + k]     // hoisted once per (k, i)
-///       for j in [0, cols):
-///         c[i*c_stride + j] = min(c[i*c_stride + j], aik + b[k*b_stride + j])
-/// Each candidate is a single rounded add folded with exact min, so every
-/// backend is bit-identical for any input. Aliasing c == a, c == b and
-/// c == a == b is supported (the diagonal / panel phases of blocked FW);
-/// the backends then reproduce the literal loop order above exactly.
-/// Entries must be >= 0 or +infinity (never -infinity / NaN): lanes with
-/// aik == +infinity are skipped, which is value-preserving under that
-/// precondition, and +infinity sentinel columns (matrix pad lanes during
-/// FW) stay +infinity.
-void MinPlusTileUpdate(double* c, std::size_t c_stride, const double* a,
-                       std::size_t a_stride, const double* b,
-                       std::size_t b_stride, std::size_t rows,
-                       std::size_t cols, std::size_t depth);
-
 /// Eccentricity fold ("max-absorb scatter"): for c in [c_begin, c_end)
 /// with assign[c] >= 0, far[assign[c]] = max(far[assign[c]],
 /// cs[c * cs_stride + assign[c]]). The scatter is conflict-bound, so this

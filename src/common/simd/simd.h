@@ -30,8 +30,9 @@ inline constexpr std::size_t kPadWidth = 8;
 /// of 512 doubles (one page) makes every row-(i+1) load false-alias the
 /// row-i store issued at the same column — the store buffer only compares
 /// address bits [11:0] — and 256 mod 512 does the same for rows two apart;
-/// both serialize the blocked min-plus and max-plus row kernels (measured
-/// 3.6x on a 2048-node Floyd–Warshall, see docs/performance.md). One extra
+/// both serialize row kernels that load one row while storing another
+/// (measured 3.6x on a 2048-node blocked Floyd–Warshall, an all-pairs
+/// engine since retired; see docs/performance.md). One extra
 /// pad quantum per row removes the hazard for any window of four
 /// consecutive rows.
 constexpr std::size_t PaddedStride(std::size_t n) {

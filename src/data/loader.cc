@@ -20,6 +20,10 @@ namespace {
 // measurement set: 65536 nodes already means a 34 GB double matrix.
 constexpr std::int64_t kMaxDenseNodes = 65536;
 
+// A graph's node count is a NodeIndex.
+constexpr std::int64_t kMaxGraphNodes =
+    std::numeric_limits<net::NodeIndex>::max();
+
 std::ifstream OpenForRead(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw Error("cannot open '" + path + "' for reading");
@@ -59,6 +63,18 @@ class LineReader {
   std::string kind_;
   std::int64_t line_no_ = 0;
 };
+
+/// Rejects a line whose ids fall outside [0, limit): the node count
+/// max id + 1 must not exceed `limit`.
+void CheckNodeIds(const LineReader& reader, std::int64_t u, std::int64_t v,
+                  std::int64_t limit) {
+  if (u < 0 || v < 0) reader.Fail("negative node id");
+  const std::int64_t id = std::max(u, v);
+  if (id >= limit) {
+    reader.Fail("node id " + std::to_string(id) + " out of range (max " +
+                std::to_string(limit - 1) + ")");
+  }
+}
 
 }  // namespace
 
@@ -165,7 +181,9 @@ net::LatencyMatrix LoadTriplesMatrix(const std::string& path) {
     if (fields >> extra) {
       reader.Fail("trailing tokens after 'u v latency' in '" + line + "'");
     }
-    if (u < 0 || v < 0) reader.Fail("negative node id");
+    // n = max id + 1 stays inside the dense cap, or n * n would wrap (or
+    // ask for terabytes) before any pair is checked.
+    CheckNodeIds(reader, u, v, kMaxDenseNodes);
     if (u == v) reader.Fail("self-pair (" + std::to_string(u) + ")");
     if (!std::isfinite(latency) || latency <= 0.0) {
       reader.Fail("latency must be finite and positive, got " +
@@ -216,7 +234,7 @@ net::Graph LoadGraphTriples(const std::string& path) {
     if (fields >> extra) {
       reader.Fail("trailing tokens after 'u v length_ms' in '" + line + "'");
     }
-    if (u < 0 || v < 0) reader.Fail("negative node id");
+    CheckNodeIds(reader, u, v, kMaxGraphNodes);
     if (u == v) reader.Fail("self-loop (" + std::to_string(u) + ")");
     if (!std::isfinite(length) || length <= 0.0) {
       reader.Fail("length must be finite and positive, got " +

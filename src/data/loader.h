@@ -24,8 +24,9 @@ net::LatencyMatrix LoadDenseMatrix(const std::string& path);
 /// Save in dense format (row-major, one row per line).
 void SaveDenseMatrix(const net::LatencyMatrix& m, const std::string& path);
 
-/// Load a triples-format matrix. Throws diaca::Error on IO/format errors
-/// or if any pair is missing.
+/// Load a triples-format matrix. Throws diaca::Error on IO/format errors,
+/// on a node id above 65535 (the dense loader's 65536-node cap) or if any
+/// pair is missing.
 net::LatencyMatrix LoadTriplesMatrix(const std::string& path);
 
 /// Load a *sparse* graph from the same `u v length_ms` triples layout:
@@ -34,7 +35,8 @@ net::LatencyMatrix LoadTriplesMatrix(const std::string& path);
 /// become parallel links (shortest wins during routing). The node count
 /// is one more than the largest id seen. This is the substrate input for
 /// the sublinear distance-oracle backends, which never want the routed
-/// closure materialized. Throws diaca::Error on IO/format errors.
+/// closure materialized. Throws diaca::Error on IO/format errors and on a
+/// node id above 2147483646 (the node count must fit a NodeIndex).
 net::Graph LoadGraphTriples(const std::string& path);
 
 }  // namespace diaca::data

@@ -1,6 +1,5 @@
 #include "data/waxman.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -49,11 +48,11 @@ class DisjointSets {
   std::vector<std::size_t> parent_;
 };
 
-}  // namespace
-
-void ForEachWaxmanEdge(
-    const WaxmanParams& params, std::uint64_t seed,
-    const std::function<void(net::NodeIndex, net::NodeIndex, double)>& edge) {
+/// The topology's links in generation order: the main Waxman pass, then
+/// the connectivity-repair links. O(n) working memory besides the list
+/// (points + union-find).
+std::vector<net::Graph::Edge> WaxmanEdges(const WaxmanParams& params,
+                                          std::uint64_t seed) {
   DIACA_CHECK(params.num_nodes >= 2);
   DIACA_CHECK(params.alpha > 0.0 && params.alpha <= 1.0);
   DIACA_CHECK(params.beta > 0.0 && params.beta <= 1.0);
@@ -70,6 +69,7 @@ void ForEachWaxmanEdge(
   // Maximum possible distance L in the Waxman probability.
   const double max_dist = params.extent_ms * std::sqrt(2.0);
 
+  std::vector<net::Graph::Edge> edges;
   DisjointSets components(n);
   for (std::size_t u = 0; u < n; ++u) {
     for (std::size_t v = u + 1; v < n; ++v) {
@@ -77,8 +77,9 @@ void ForEachWaxmanEdge(
       const double probability =
           params.alpha * std::exp(-dist / (params.beta * max_dist));
       if (rng.NextBernoulli(probability)) {
-        edge(static_cast<net::NodeIndex>(u), static_cast<net::NodeIndex>(v),
-             dist + params.hop_cost_ms);
+        edges.push_back({static_cast<net::NodeIndex>(u),
+                         static_cast<net::NodeIndex>(v),
+                         dist + params.hop_cost_ms});
         components.Union(u, v);
       }
     }
@@ -98,59 +99,24 @@ void ForEachWaxmanEdge(
       }
     }
     DIACA_CHECK(best < n);
-    edge(static_cast<net::NodeIndex>(u), static_cast<net::NodeIndex>(best),
-         best_dist + params.hop_cost_ms);
+    edges.push_back({static_cast<net::NodeIndex>(u),
+                     static_cast<net::NodeIndex>(best),
+                     best_dist + params.hop_cost_ms});
     components.Union(u, best);
   }
+  return edges;
 }
+
+}  // namespace
 
 net::Graph GenerateWaxmanTopology(const WaxmanParams& params,
                                   std::uint64_t seed) {
-  std::vector<net::Graph::Edge> edges;
-  ForEachWaxmanEdge(params, seed,
-                    [&edges](net::NodeIndex u, net::NodeIndex v,
-                             double length) { edges.push_back({u, v, length}); });
-  return net::Graph(params.num_nodes, edges);
+  return net::Graph(params.num_nodes, WaxmanEdges(params, seed));
 }
 
 net::LatencyMatrix GenerateWaxmanMatrix(const WaxmanParams& params,
                                         std::uint64_t seed) {
   return GenerateWaxmanTopology(params, seed).AllPairsShortestPaths();
-}
-
-net::LatencyMatrix GenerateWaxmanMatrix(const WaxmanParams& params,
-                                        std::uint64_t seed,
-                                        const net::ApspOptions& apsp) {
-  const net::ApspEngine engine(apsp);
-  net::ApspBackend backend = apsp.backend;
-  if (backend == net::ApspBackend::kAuto) {
-    // Resolving kAuto needs the edge count; a counting pass is O(n) memory
-    // and keeps the peak at one matrix either way.
-    std::size_t num_edges = 0;
-    ForEachWaxmanEdge(params, seed,
-                      [&num_edges](net::NodeIndex, net::NodeIndex, double) {
-                        ++num_edges;
-                      });
-    backend = engine.ResolveBackend(params.num_nodes, num_edges);
-  }
-  if (backend == net::ApspBackend::kBlocked) {
-    // Streaming path: edges land directly in the seeded matrix and the
-    // elimination runs in place — no Graph, no second O(n^2) buffer.
-    net::LatencyMatrix matrix(params.num_nodes);
-    net::ApspEngine::SeedInfinite(matrix);
-    ForEachWaxmanEdge(
-        params, seed,
-        [&matrix](net::NodeIndex u, net::NodeIndex v, double length) {
-          double* row_u = matrix.MutableRow(u);
-          row_u[v] = std::min(row_u[v], length);
-          matrix.MutableRow(v)[u] = row_u[v];
-        });
-    engine.RunBlocked(matrix);
-    return matrix;
-  }
-  net::ApspOptions dijkstra = apsp;
-  dijkstra.backend = net::ApspBackend::kDijkstra;
-  return net::ApspEngine(dijkstra).Solve(GenerateWaxmanTopology(params, seed));
 }
 
 }  // namespace diaca::data

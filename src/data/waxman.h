@@ -12,9 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
-#include "net/apsp.h"
 #include "net/graph.h"
 #include "net/latency_matrix.h"
 
@@ -32,36 +30,15 @@ struct WaxmanParams {
   double hop_cost_ms = 0.3;
 };
 
-/// Stream the exact edge sequence of GenerateWaxmanTopology(params, seed)
-/// — main Waxman pass, then connectivity-repair links — to `edge` as
-/// (u, v, length_ms), without materializing a Graph. Both the Graph
-/// builder and the streaming matrix path below are thin wrappers over
-/// this, so the sequence is bit-identical between them by construction.
-/// O(n) working memory (points + union-find).
-void ForEachWaxmanEdge(
-    const WaxmanParams& params, std::uint64_t seed,
-    const std::function<void(net::NodeIndex, net::NodeIndex, double)>& edge);
-
 /// Generate the topology. The graph is made connected by linking each
 /// stranded component to its geometrically nearest neighbour.
 /// Deterministic in (params, seed).
 net::Graph GenerateWaxmanTopology(const WaxmanParams& params,
                                   std::uint64_t seed);
 
-/// Convenience: topology + all-pairs shortest-path latency matrix (routed
-/// through the process-default APSP backend).
+/// Convenience: topology + all-pairs shortest-path latency matrix
+/// (Graph::AllPairsShortestPaths).
 net::LatencyMatrix GenerateWaxmanMatrix(const WaxmanParams& params,
                                         std::uint64_t seed);
-
-/// Same, with explicit APSP options. When the resolved backend is
-/// kBlocked, edges stream straight into the seeded matrix and the blocked
-/// elimination runs in place — peak memory is the one padded matrix, so
-/// 10k+-node substrates never hold two O(n^2) buffers at once. When it
-/// resolves to kDijkstra the historical Graph route runs instead
-/// (bit-identical to GenerateWaxmanMatrix(params, seed) under the default
-/// backend).
-net::LatencyMatrix GenerateWaxmanMatrix(const WaxmanParams& params,
-                                        std::uint64_t seed,
-                                        const net::ApspOptions& apsp);
 
 }  // namespace diaca::data

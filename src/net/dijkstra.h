@@ -1,5 +1,5 @@
 // The one single-source shortest-path kernel in net: every Dijkstra row
-// the library computes runs here — ApspEngine's Dijkstra backend (one run
+// the library computes runs here — Graph::AllPairsShortestPaths (one run
 // per source), Graph::ShortestPathsFrom / CanonicalShortestPathsFrom, and
 // through the latter the rows oracle's row builds (K-center placement,
 // the client-block view's server rows) and the sketch backends' pivot,

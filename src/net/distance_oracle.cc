@@ -19,7 +19,6 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "net/apsp.h"
 #include "net/graph.h"
 #include "net/vivaldi.h"
 #include "obs/obs.h"
@@ -27,9 +26,6 @@
 namespace diaca::net {
 
 namespace {
-
-// Process default, kDense until overridden (the CLI's --oracle, benches).
-std::atomic<int> g_default_oracle{static_cast<int>(OracleBackend::kDense)};
 
 using RowProvider = std::function<std::vector<double>(NodeIndex)>;
 
@@ -197,15 +193,6 @@ OracleOptions ParseOracleSpec(const std::string& spec) {
     }
   }
   return options;
-}
-
-OracleBackend DefaultOracleBackend() {
-  return static_cast<OracleBackend>(
-      g_default_oracle.load(std::memory_order_relaxed));
-}
-
-void SetDefaultOracleBackend(OracleBackend backend) {
-  g_default_oracle.store(static_cast<int>(backend), std::memory_order_relaxed);
 }
 
 struct DistanceOracle::Impl {

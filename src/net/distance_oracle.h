@@ -95,12 +95,6 @@ const char* OracleBackendName(OracleBackend backend);
 /// listing the valid set.
 OracleBackend ParseOracleBackend(const std::string& name);
 
-/// Process-wide default consumed by oracle-aware front ends (the CLI's
-/// --oracle flag, benches). kDense until overridden, mirroring the
-/// SetDefaultApspBackend pattern.
-OracleBackend DefaultOracleBackend();
-void SetDefaultOracleBackend(OracleBackend backend);
-
 struct OracleOptions {
   OracleBackend backend = OracleBackend::kRows;
   /// Rows backend: number of rows the LRU cache retains. Each row is
@@ -199,7 +193,7 @@ class DistanceOracle {
   /// adjacency (O(n + m)) and builds rows on demand; kLandmarks / kCoords run their pivot/beacon
   /// Dijkstras up front and drop the graph; kHubLabels runs its pruned
   /// labeling sweep up front and keeps only the label CSR; kDense
-  /// materializes the full matrix via the default APSP engine. Throws
+  /// materializes the full matrix via Graph::AllPairsShortestPaths. Throws
   /// diaca::Error if the graph is disconnected (detected lazily for
   /// kRows, at the first row build).
   static DistanceOracle FromGraph(const Graph& graph,

@@ -1,10 +1,12 @@
 #include "net/graph.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
-#include "net/apsp.h"
+#include "common/thread_pool.h"
 #include "net/dijkstra.h"
 #include "obs/obs.h"
 
@@ -77,14 +79,34 @@ std::vector<double> Graph::CanonicalShortestPathsFrom(NodeIndex source) const {
 
 LatencyMatrix Graph::AllPairsShortestPaths() const {
   DIACA_OBS_SPAN("net.graph.apsp");
-  // Routed through the APSP engine: the process-default backend (kAuto
-  // unless --apsp overrode it) picks between the pooled multi-source
-  // Dijkstra and the blocked SIMD Floyd–Warshall. Below
-  // ApspEngine::kBlockedFloor the auto choice is always Dijkstra, whose
-  // output is bit-identical to ShortestPathsFrom per source.
-  ApspOptions options;
-  options.backend = DefaultApspBackend();
-  return ApspEngine(options).Solve(*this);
+  LatencyMatrix out(n_);
+  // One kernel run per source. Source u owns exactly the cells
+  // {(u,v), (v,u) : v > u}, so chunks never collide, and each run is a
+  // pure function of (graph, u), so the matrix is bit-identical at every
+  // thread count and chunk grain. Each chunk owns its kernel scratch and
+  // distance row; the grain > 1 amortizes their allocation over a run of
+  // sources.
+  constexpr std::int64_t kGrain = 16;
+  GlobalPool().ParallelFor(0, n_, kGrain, [&](std::int64_t cb,
+                                              std::int64_t ce) {
+    DijkstraKernel kernel(*this);
+    std::vector<double> dist(static_cast<std::size_t>(n_));
+    for (std::int64_t ui = cb; ui < ce; ++ui) {
+      const auto u = static_cast<NodeIndex>(ui);
+      kernel.Run(u, dist);
+      double* row_u = out.MutableRow(u);
+      for (NodeIndex v = u + 1; v < n_; ++v) {
+        const double d = dist[static_cast<std::size_t>(v)];
+        if (d == kInfinity) {
+          throw Error("graph is disconnected: no path " + std::to_string(u) +
+                      " -> " + std::to_string(v));
+        }
+        row_u[v] = d;
+        out.MutableRow(v)[u] = d;
+      }
+    }
+  });
+  return out;
 }
 
 bool Graph::IsConnected() const {

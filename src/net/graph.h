@@ -72,7 +72,7 @@ class Graph {
 
   /// ShortestPathsFrom with canonical rounding: entry v carries the path
   /// sum accumulated from the lower-indexed endpoint of {source, v} —
-  /// exactly the association order the dense APSP Dijkstra uses when it
+  /// exactly the association order AllPairsShortestPaths uses when it
   /// fills the (min, max) cell from source min. For v > source that is
   /// the plain Dijkstra value; for v < source the shortest-path-tree arc
   /// chain is re-summed from v's end. The two directions differ only in
@@ -83,9 +83,12 @@ class Graph {
   /// distance-oracle backend is built on this.
   std::vector<double> CanonicalShortestPathsFrom(NodeIndex source) const;
 
-  /// All-pairs shortest paths as a LatencyMatrix. Throws diaca::Error if
-  /// the graph is disconnected (the system model requires every pair of
-  /// nodes to be able to communicate).
+  /// All-pairs shortest paths as a LatencyMatrix: one kernel run per
+  /// source, fanned out over the thread pool, with cells (u, v) and
+  /// (v, u) taken from source min(u, v)'s ShortestPathsFrom row, so the
+  /// matrix is bit-identical at every thread count. Throws diaca::Error
+  /// if the graph is disconnected (the system model requires every pair
+  /// of nodes to be able to communicate).
   LatencyMatrix AllPairsShortestPaths() const;
 
   /// True if every node can reach every other node.

@@ -54,9 +54,9 @@ class LatencyMatrix {
     return d_.data() + static_cast<std::size_t>(u) * stride_;
   }
 
-  /// Writable row pointer for bulk in-place builders (the APSP engine,
-  /// streaming generators). Bypasses the per-cell checks of Set(): the
-  /// caller owns the invariants — symmetry, zero diagonal, finite
+  /// Writable row pointer for code that fills a matrix in place
+  /// (Graph::AllPairsShortestPaths). Bypasses the per-cell checks of
+  /// Set(): the caller owns the invariants — symmetry, zero diagonal, finite
   /// non-negative entries and 0.0 pad lanes — by the time the matrix is
   /// handed to anyone else (Validate() still enforces them).
   double* MutableRow(NodeIndex u) {

@@ -271,131 +271,6 @@ TEST(KernelsTest, DotProductIsIdenticalAcrossBackends) {
   }
 }
 
-// The contract's literal loop order, written independently: k outermost,
-// a[i][k] hoisted once per (k, i), j elementwise.
-void RefMinPlusTile(double* c, std::size_t cs, const double* a, std::size_t as,
-                    const double* b, std::size_t bs, std::size_t rows,
-                    std::size_t cols, std::size_t depth) {
-  for (std::size_t k = 0; k < depth; ++k) {
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double aik = a[i * as + k];
-      if (std::isinf(aik)) continue;
-      for (std::size_t j = 0; j < cols; ++j) {
-        c[i * cs + j] = std::min(c[i * cs + j], aik + b[k * bs + j]);
-      }
-    }
-  }
-}
-
-std::vector<double> RandomTile(Rng& rng, std::size_t rows, std::size_t stride,
-                               double inf_prob) {
-  std::vector<double> v(rows * stride);
-  for (double& x : v) {
-    x = rng.NextBernoulli(inf_prob) ? kInf : rng.NextUniform(0.0, 250.0);
-  }
-  return v;
-}
-
-TEST(KernelsTest, MinPlusTileUpdateMatchesReferenceOnEveryBackend) {
-  Rng rng(43);
-  const std::vector<std::size_t> dims{1, 2, 3, 4, 5, 7, 8, 13, 17};
-  for (const std::size_t rows : dims) {
-    for (const std::size_t cols : dims) {
-      const std::size_t depth = dims[(rows + cols) % dims.size()];
-      const std::size_t cs = cols + 3;  // unaligned, distinct strides
-      const std::size_t as = depth + 1;
-      const std::size_t bs = cols + 5;
-      const auto c0 = RandomTile(rng, rows, cs, 0.15);
-      const auto a = RandomTile(rng, rows, as, 0.25);
-      const auto b = RandomTile(rng, depth, bs, 0.15);
-      std::vector<double> want = c0;
-      RefMinPlusTile(want.data(), cs, a.data(), as, b.data(), bs, rows, cols,
-                     depth);
-      for (const Backend bk : kBackends) {
-        BackendGuard guard(bk);
-        std::vector<double> c = c0;
-        MinPlusTileUpdate(c.data(), cs, a.data(), as, b.data(), bs, rows,
-                          cols, depth);
-        EXPECT_EQ(c, want) << "rows=" << rows << " cols=" << cols
-                           << " depth=" << depth
-                           << " backend=" << BackendName(bk);
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, MinPlusTileUpdateAliasedIsIdenticalAcrossBackends) {
-  // The Floyd–Warshall phases alias freely: the diagonal tile has
-  // c == a == b, row panels c == b, column panels c == a. The contract
-  // promises bit-identity across backends for ARBITRARY inputs (not just
-  // zero-diagonal ones), so test both a zero-diagonal tile and raw random
-  // data, against the independently-written reference.
-  Rng rng(47);
-  for (const std::size_t n : {1ul, 3ul, 4ul, 5ul, 8ul, 13ul, 16ul, 31ul}) {
-    const std::size_t stride = n + (n % 3);
-    for (const bool zero_diag : {true, false}) {
-      auto t0 = RandomTile(rng, n, stride, 0.2);
-      if (zero_diag) {
-        for (std::size_t i = 0; i < n; ++i) t0[i * stride + i] = 0.0;
-      }
-      for (const int mode : {0, 1, 2}) {  // 0: c==a==b, 1: c==b, 2: c==a
-        auto other = RandomTile(rng, n, stride, 0.2);
-        std::vector<double> want = t0;
-        if (mode == 0) {
-          RefMinPlusTile(want.data(), stride, want.data(), stride,
-                         want.data(), stride, n, n, n);
-        } else if (mode == 1) {
-          RefMinPlusTile(want.data(), stride, other.data(), stride,
-                         want.data(), stride, n, n, n);
-        } else {
-          RefMinPlusTile(want.data(), stride, want.data(), stride,
-                         other.data(), stride, n, n, n);
-        }
-        for (const Backend bk : kBackends) {
-          BackendGuard guard(bk);
-          std::vector<double> t = t0;
-          if (mode == 0) {
-            MinPlusTileUpdate(t.data(), stride, t.data(), stride, t.data(),
-                              stride, n, n, n);
-          } else if (mode == 1) {
-            MinPlusTileUpdate(t.data(), stride, other.data(), stride,
-                              t.data(), stride, n, n, n);
-          } else {
-            MinPlusTileUpdate(t.data(), stride, t.data(), stride,
-                              other.data(), stride, n, n, n);
-          }
-          EXPECT_EQ(t, want) << "n=" << n << " mode=" << mode
-                             << " zero_diag=" << zero_diag
-                             << " backend=" << BackendName(bk);
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, MinPlusTileUpdatePreservesInfinitePadColumns) {
-  // A +inf column (a pad lane mid-elimination) must stay +inf: every
-  // update adds a finite aik to the +inf b entry.
-  const std::size_t n = 8;
-  Rng rng(53);
-  auto c = RandomTile(rng, n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    c[i * n + i] = 0.0;
-    c[i * n + (n - 1)] = kInf;  // pad column
-    c[(n - 1) * n + i] = kInf;  // pad row (b side)
-  }
-  c[(n - 1) * n + (n - 1)] = 0.0;
-  for (const Backend bk : kBackends) {
-    BackendGuard guard(bk);
-    auto t = c;
-    MinPlusTileUpdate(t.data(), n, t.data(), n, t.data(), n, n, n, n);
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      EXPECT_TRUE(std::isinf(t[i * n + (n - 1)]))
-          << "i=" << i << " backend=" << BackendName(bk);
-    }
-  }
-}
-
 TEST(KernelsTest, BroadcastAddMatchesReferenceOnEveryBackend) {
   Rng rng(61);
   for (const std::size_t n : kSizes) {

@@ -140,6 +140,27 @@ TEST_F(MalformedTest, TriplesNegativeLatency) {
               "finite and positive");
 }
 
+TEST_F(MalformedTest, TriplesIdAboveDenseCapNamesTheLine) {
+  // Node count 2^32 would wrap n * n to an empty pair table; 65536 is the
+  // first id past the dense loader's 65536-node cap.
+  ExpectError(LoadTriplesMatrix, Write("tw.txt", "4294967295 0 1.0\n"),
+              "line 1: node id 4294967295 out of range (max 65535)");
+  ExpectError(LoadTriplesMatrix, Write("tcap.txt", "0 1 1.0\n0 65536 1.0\n"),
+              "line 2: node id 65536 out of range (max 65535)");
+}
+
+TEST_F(MalformedTest, GraphTriplesIdAboveNodeIndexNamesTheLine) {
+  // An int32 cast would load this line as the link 0-1 of a 2-node
+  // graph; 2147483647 is the first id whose node count a NodeIndex
+  // cannot hold.
+  ExpectError(LoadGraphTriples,
+              Write("gw.txt", "4294967296 4294967297 5.0\n"),
+              "line 1: node id 4294967297 out of range (max 2147483646)");
+  ExpectError(LoadGraphTriples,
+              Write("gcap.txt", "0 1 1.0\n2147483647 0 1.0\n"),
+              "line 2: node id 2147483647 out of range (max 2147483646)");
+}
+
 TEST_F(MalformedTest, TriplesEmptyFile) {
   ExpectError(LoadTriplesMatrix, Write("te.txt", "# only a comment\n"),
               "no data");

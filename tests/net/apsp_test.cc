@@ -1,219 +1,79 @@
-// ApspEngine: backend equivalence, pad/invariant preservation, the kAuto
-// heuristic, and the streaming seeding path.
-#include "net/apsp.h"
-
-#include <cmath>
-#include <limits>
+// Graph::AllPairsShortestPaths, the one all-pairs route: parallel edges,
+// disconnected graphs, and bit-identity with the per-source rows on a
+// dense graph at 1 and 4 threads.
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "data/waxman.h"
 #include "net/graph.h"
 
 namespace diaca::net {
 namespace {
 
-Graph SmallWaxman(std::int32_t nodes, std::uint64_t seed) {
-  data::WaxmanParams params;
-  params.num_nodes = nodes;
-  params.alpha = 0.6;
-  return data::GenerateWaxmanTopology(params, seed);
-}
-
-bool BitwiseEqual(const LatencyMatrix& a, const LatencyMatrix& b) {
-  if (a.size() != b.size()) return false;
-  for (NodeIndex u = 0; u < a.size(); ++u) {
-    const double* ra = a.Row(u);
-    const double* rb = b.Row(u);
-    for (std::size_t j = 0; j < a.stride(); ++j) {
-      if (ra[j] != rb[j]) return false;
-    }
-  }
-  return true;
-}
-
-TEST(ApspBackendTest, NameParseRoundTrip) {
-  for (ApspBackend b : {ApspBackend::kAuto, ApspBackend::kDijkstra,
-                        ApspBackend::kBlocked}) {
-    EXPECT_EQ(ParseApspBackend(ApspBackendName(b)), b);
-  }
-  EXPECT_THROW(ParseApspBackend("floyd"), Error);
-  EXPECT_THROW(ParseApspBackend(""), Error);
-}
-
-TEST(ApspBackendTest, DefaultIsAutoAndSettable) {
-  EXPECT_EQ(DefaultApspBackend(), ApspBackend::kAuto);
-  SetDefaultApspBackend(ApspBackend::kBlocked);
-  EXPECT_EQ(DefaultApspBackend(), ApspBackend::kBlocked);
-  SetDefaultApspBackend(ApspBackend::kAuto);
-}
-
-TEST(ApspEngineTest, RejectsBadTile) {
-  ApspOptions options;
-  options.tile = 0;
-  EXPECT_THROW(ApspEngine{options}, Error);
-  options.tile = 12;  // not a multiple of kPadWidth
-  EXPECT_THROW(ApspEngine{options}, Error);
-}
-
-TEST(ApspEngineTest, ChooseBackendRespectsFloorAndDensity) {
-  // Below the floor: always Dijkstra, whatever the density (this is what
-  // keeps historical small-instance results bit-exact under kAuto).
-  EXPECT_EQ(ApspEngine::ChooseBackend(600, 600 * 599 / 2),
-            ApspBackend::kDijkstra);
-  EXPECT_EQ(ApspEngine::ChooseBackend(ApspEngine::kBlockedFloor - 1, 1 << 20),
-            ApspBackend::kDijkstra);
-  // Large and dense: blocked. Large and tree-sparse: Dijkstra.
-  EXPECT_EQ(ApspEngine::ChooseBackend(4096, 4096ull * 400),
-            ApspBackend::kBlocked);
-  EXPECT_EQ(ApspEngine::ChooseBackend(65536, 65536 + 10),
-            ApspBackend::kDijkstra);
-}
-
-TEST(ApspEngineTest, DijkstraMatchesGraphRouteBitwise) {
-  const Graph g = SmallWaxman(97, 11);
-  ApspOptions options;
-  options.backend = ApspBackend::kDijkstra;
-  const LatencyMatrix engine = ApspEngine(options).Solve(g);
-  const LatencyMatrix graph_route = g.AllPairsShortestPaths();
-  EXPECT_TRUE(BitwiseEqual(engine, graph_route));
-}
-
-TEST(ApspEngineTest, BlockedAgreesWithDijkstraOnNonTileSizes) {
-  // Sizes straddling tile boundaries (tile 32): exact multiple, one off
-  // either side, and smaller than one tile.
-  for (const std::int32_t nodes : {17, 31, 32, 33, 64, 97}) {
-    const Graph g = SmallWaxman(nodes, 23 + static_cast<std::uint64_t>(nodes));
-    ApspOptions dij;
-    dij.backend = ApspBackend::kDijkstra;
-    ApspOptions blk;
-    blk.backend = ApspBackend::kBlocked;
-    blk.tile = 32;
-    const LatencyMatrix a = ApspEngine(dij).Solve(g);
-    const LatencyMatrix b = ApspEngine(blk).Solve(g);
-    for (NodeIndex u = 0; u < nodes; ++u) {
-      for (NodeIndex v = 0; v < nodes; ++v) {
-        const double scale = std::max({std::abs(a(u, v)), std::abs(b(u, v)),
-                                       1.0});
-        EXPECT_LE(std::abs(a(u, v) - b(u, v)) / scale, 1e-9)
-            << "nodes=" << nodes << " (" << u << "," << v << ")";
-      }
-    }
-  }
-}
-
-TEST(ApspEngineTest, BlockedResultValidatesOnNonTileMultiple) {
-  // 61 nodes pad to stride 64 but tile 32 splits rows 32..60 + pads into
-  // a ragged last block; Validate() checks symmetry, the zero diagonal,
-  // and that the pad lanes came back as 0.0.
-  const Graph g = SmallWaxman(61, 5);
-  ApspOptions options;
-  options.backend = ApspBackend::kBlocked;
-  options.tile = 32;
-  const LatencyMatrix m = ApspEngine(options).Solve(g);
-  EXPECT_NO_THROW(m.Validate());
-  EXPECT_TRUE(m.IsComplete());
-  for (NodeIndex u = 0; u < m.size(); ++u) {
-    const double* row = m.Row(u);
-    for (std::size_t j = static_cast<std::size_t>(m.size()); j < m.stride();
-         ++j) {
-      EXPECT_EQ(row[j], 0.0);
-    }
-  }
-}
-
-TEST(ApspEngineTest, TileSizesAgreeWithinTolerance) {
-  // Different tiles reassociate path sums, so only ~1e-9 relative (not
-  // bitwise) agreement is promised across tile sizes.
-  const Graph g = SmallWaxman(90, 31);
-  ApspOptions a8;
-  a8.backend = ApspBackend::kBlocked;
-  a8.tile = 8;
-  ApspOptions a64;
-  a64.backend = ApspBackend::kBlocked;
-  a64.tile = 64;
-  const LatencyMatrix a = ApspEngine(a8).Solve(g);
-  const LatencyMatrix b = ApspEngine(a64).Solve(g);
-  for (NodeIndex u = 0; u < 90; ++u) {
-    for (NodeIndex v = 0; v < 90; ++v) {
-      const double scale =
-          std::max({std::abs(a(u, v)), std::abs(b(u, v)), 1.0});
-      EXPECT_LE(std::abs(a(u, v) - b(u, v)) / scale, 1e-9);
-    }
-  }
-}
-
-TEST(ApspEngineTest, ParallelEdgesShortestWinsBothBackends) {
+TEST(AllPairsTest, ParallelEdgesShortestWins) {
   Graph g(3);
   g.AddEdge(0, 1, 5.0);
-  g.AddEdge(0, 1, 2.0);  // parallel, shorter: must win in both engines
+  g.AddEdge(0, 1, 2.0);  // parallel, shorter: must win
   g.AddEdge(1, 2, 1.0);
-  for (ApspBackend backend : {ApspBackend::kDijkstra, ApspBackend::kBlocked}) {
-    ApspOptions options;
-    options.backend = backend;
-    const LatencyMatrix m = ApspEngine(options).Solve(g);
-    EXPECT_DOUBLE_EQ(m(0, 1), 2.0) << ApspBackendName(backend);
-    EXPECT_DOUBLE_EQ(m(0, 2), 3.0) << ApspBackendName(backend);
-  }
+  const LatencyMatrix m = g.AllPairsShortestPaths();
+  EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(m(0, 2), 3.0);
 }
 
-TEST(ApspEngineTest, DisconnectedThrowsBothBackends) {
+TEST(AllPairsTest, DisconnectedThrows) {
   Graph g(4);
   g.AddEdge(0, 1, 1.0);
   g.AddEdge(2, 3, 1.0);
-  for (ApspBackend backend : {ApspBackend::kDijkstra, ApspBackend::kBlocked}) {
-    ApspOptions options;
-    options.backend = backend;
-    EXPECT_THROW(ApspEngine(options).Solve(g), Error)
-        << ApspBackendName(backend);
-  }
+  EXPECT_THROW(g.AllPairsShortestPaths(), Error);
 }
 
-TEST(ApspEngineTest, SeedInfiniteSetsIdentityEverywhere) {
-  LatencyMatrix m(5);
-  ApspEngine::SeedInfinite(m);
-  for (NodeIndex u = 0; u < 5; ++u) {
-    const double* row = m.Row(u);
-    for (std::size_t j = 0; j < m.stride(); ++j) {
-      if (j == static_cast<std::size_t>(u)) {
-        EXPECT_EQ(row[j], 0.0);
-      } else {
-        EXPECT_TRUE(std::isinf(row[j])) << u << "," << j;
+TEST(AllPairsTest, DenseGraphCellsAreThePerSourceRowsBitwise) {
+  // 1024 nodes and 62,400 links, so n^2 < 2(m + n) log2 n: density must
+  // not change the route. An engine that associates path sums another
+  // way (blocked Floyd–Warshall did) differs here in the last ulp.
+  data::WaxmanParams params;
+  params.num_nodes = 1024;
+  params.alpha = 0.3;
+  params.beta = 0.35;
+  const Graph graph = data::GenerateWaxmanTopology(params, 2011);
+  ASSERT_EQ(graph.num_edges(), 62400u);
+  const NodeIndex n = graph.size();
+  std::vector<std::vector<double>> rows;
+  for (NodeIndex u = 0; u < n; ++u) rows.push_back(graph.ShortestPathsFrom(u));
+
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    const LatencyMatrix m = graph.AllPairsShortestPaths();
+    std::int64_t mismatches = 0;
+    std::int64_t nonzero_pads = 0;
+    std::string first;
+    for (NodeIndex u = 0; u < n; ++u) {
+      const double* row = m.Row(u);
+      for (NodeIndex v = 0; v < n; ++v) {
+        const double want = rows[static_cast<std::size_t>(std::min(u, v))]
+                                [static_cast<std::size_t>(std::max(u, v))];
+        if (std::bit_cast<std::uint64_t>(row[v]) !=
+                std::bit_cast<std::uint64_t>(want) &&
+            mismatches++ == 0) {
+          first = "(" + std::to_string(u) + "," + std::to_string(v) + ")";
+        }
+      }
+      for (std::size_t j = static_cast<std::size_t>(n); j < m.stride(); ++j) {
+        nonzero_pads += std::bit_cast<std::uint64_t>(row[j]) != 0;
       }
     }
+    EXPECT_EQ(mismatches, 0) << "first at cell " << first << ", " << threads
+                             << " threads";
+    EXPECT_EQ(nonzero_pads, 0) << threads << " threads";
   }
-}
-
-TEST(ApspEngineTest, StreamingWaxmanMatchesGraphRouteBitwise) {
-  // The streaming generator path (edges straight into the seeded matrix)
-  // must produce the exact bits of building the Graph first and running
-  // the same blocked engine over it.
-  data::WaxmanParams params;
-  params.num_nodes = 83;
-  params.alpha = 0.6;
-  const std::uint64_t seed = 77;
-  ApspOptions options;
-  options.backend = ApspBackend::kBlocked;
-  options.tile = 32;
-  const LatencyMatrix streamed =
-      data::GenerateWaxmanMatrix(params, seed, options);
-  const LatencyMatrix via_graph =
-      ApspEngine(options).Solve(data::GenerateWaxmanTopology(params, seed));
-  EXPECT_TRUE(BitwiseEqual(streamed, via_graph));
-  EXPECT_NO_THROW(streamed.Validate());
-}
-
-TEST(ApspEngineTest, StreamingWaxmanAutoMatchesDefaultRoute) {
-  // Below the floor, the kAuto streaming overload must fall back to the
-  // historical Graph + Dijkstra route, bit-exactly.
-  data::WaxmanParams params;
-  params.num_nodes = 64;
-  params.alpha = 0.6;
-  const LatencyMatrix via_auto = data::GenerateWaxmanMatrix(params, 3, {});
-  const LatencyMatrix historical = data::GenerateWaxmanMatrix(params, 3);
-  EXPECT_TRUE(BitwiseEqual(via_auto, historical));
+  SetGlobalThreads(0);
 }
 
 }  // namespace

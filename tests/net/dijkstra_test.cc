@@ -1,6 +1,6 @@
 // The single-source kernel (net/dijkstra.h) against a copy of the lazy
 // binary-heap loops it replaced, bit for bit: plain rows, canonical rows,
-// the ApspEngine Dijkstra matrix at 1 and 4 threads, and the rows
+// Graph::AllPairsShortestPaths at 1 and 4 threads, and the rows
 // oracle's FillRow. The random graphs draw from a handful of non-dyadic
 // weights and repeat edges, so equal-length paths tie often and many
 // canonical cells depend on which parent the settle order picked.
@@ -21,7 +21,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "data/waxman.h"
-#include "net/apsp.h"
 #include "net/distance_oracle.h"
 #include "net/graph.h"
 
@@ -98,13 +97,11 @@ std::int64_t ExpectKernelMatchesReference(const Graph& graph,
     }
   }
 
-  // The dense Dijkstra engine fills (u, v) and (v, u) from source
-  // min(u, v)'s plain row.
-  ApspOptions dijkstra;
-  dijkstra.backend = ApspBackend::kDijkstra;
+  // The all-pairs route fills (u, v) and (v, u) from source min(u, v)'s
+  // plain row.
   for (const int threads : {1, 4}) {
     SetGlobalThreads(threads);
-    const LatencyMatrix m = ApspEngine(dijkstra).Solve(graph);
+    const LatencyMatrix m = graph.AllPairsShortestPaths();
     for (NodeIndex u = 0; u < n; ++u) {
       for (NodeIndex v = 0; v < n; ++v) {
         const NodeIndex lo = std::min(u, v);
@@ -239,11 +236,9 @@ TEST(DijkstraKernelTest, DisconnectedGraphsKeepTheirErrors) {
   EXPECT_EQ(canonical[1], Graph::kInfinity);
   EXPECT_EQ(canonical[2], 0.7);
 
-  ApspOptions dijkstra;
-  dijkstra.backend = ApspBackend::kDijkstra;
   for (const int threads : {1, 4}) {
     SetGlobalThreads(threads);
-    EXPECT_EQ(ErrorOf([&] { ApspEngine(dijkstra).Solve(graph); }),
+    EXPECT_EQ(ErrorOf([&] { graph.AllPairsShortestPaths(); }),
               "graph is disconnected: no path 0 -> 2");
   }
   SetGlobalThreads(0);

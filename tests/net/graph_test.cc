@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "net/apsp.h"
 
 namespace diaca::net {
 namespace {
@@ -107,26 +106,6 @@ TEST(GraphTest, OutArcsExposeBothDirections) {
   EXPECT_DOUBLE_EQ(g.OutArcs(0).length[0], 1.5);
   ASSERT_EQ(g.OutArcs(1).size(), 1u);
   EXPECT_EQ(g.OutArcs(1).to[0], 0);
-}
-
-TEST(GraphTest, AllPairsHonorsDefaultApspBackend) {
-  Graph g(5);
-  g.AddEdge(0, 1, 1.0);
-  g.AddEdge(1, 2, 2.0);
-  g.AddEdge(2, 3, 3.0);
-  g.AddEdge(3, 4, 4.0);
-  g.AddEdge(0, 4, 20.0);
-  const LatencyMatrix via_auto = g.AllPairsShortestPaths();
-  SetDefaultApspBackend(ApspBackend::kBlocked);
-  const LatencyMatrix via_blocked = g.AllPairsShortestPaths();
-  SetDefaultApspBackend(ApspBackend::kAuto);
-  EXPECT_NO_THROW(via_blocked.Validate());
-  for (NodeIndex u = 0; u < 5; ++u) {
-    for (NodeIndex v = 0; v < 5; ++v) {
-      EXPECT_NEAR(via_blocked(u, v), via_auto(u, v),
-                  1e-9 * std::max(1.0, via_auto(u, v)));
-    }
-  }
 }
 
 TEST(GraphTest, ShortestPathsSatisfyTriangleInequality) {

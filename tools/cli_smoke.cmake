@@ -97,10 +97,10 @@ if(NOT "${out}${err}" MATCHES "nearest")
 endif()
 
 # The legacy spellings that predate --oracle, the retired tile prefetch
-# depth and the retired fold skip-block size are gone: each must fail as
-# an unknown flag.
+# depth, the retired fold skip-block size and the retired APSP backend
+# switch are gone: each must fail as an unknown flag.
 foreach(legacy --distances=rows --row-cache=64 --landmarks=8 --tile-depth=2
-               --tile-clients=8)
+               --tile-clients=8 --apsp=blocked)
   execute_process(COMMAND ${DIACA_BIN} assign --matrix=world.txt
                           --servers=servers.txt --out=x.txt ${legacy}
                   WORKING_DIRECTORY ${WORK_DIR}

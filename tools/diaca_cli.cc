@@ -41,7 +41,6 @@
 #include "dia/dynamic_session.h"
 #include "dia/session.h"
 #include "obs/json.h"
-#include "net/apsp.h"
 #include "net/distance_oracle.h"
 #include "data/synthetic.h"
 #include "placement/placement.h"
@@ -105,13 +104,12 @@ int Usage() {
       "  --prune=on|off (bound-driven filter-and-refine in the solvers;\n"
       "  results are bit-identical either way, off only disables the\n"
       "  accelerator — see docs/performance.md).\n"
-      "  every command also accepts --threads=N,\n"
-      "  --apsp=auto|dijkstra|blocked (all-pairs shortest-path backend\n"
-      "  for graph substrates), --faults=SPEC (inject server crashes,\n"
-      "  latency spikes, loss bursts, and partitions — see\n"
-      "  docs/resilience.md; simulate then runs the fault-aware session\n"
-      "  and reports the degradation timeline), --metrics-out=FILE\n"
-      "  (metrics JSON at exit) and --trace-out=FILE (Chrome trace)\n";
+      "  every command also accepts --threads=N, --faults=SPEC (inject\n"
+      "  server crashes, latency spikes, loss bursts, and partitions —\n"
+      "  see docs/resilience.md; simulate then runs the fault-aware\n"
+      "  session and reports the degradation timeline),\n"
+      "  --metrics-out=FILE (metrics JSON at exit) and --trace-out=FILE\n"
+      "  (Chrome trace)\n";
   return 2;
 }
 
@@ -137,15 +135,15 @@ bool OracleConfiguredExplicitly(const Flags& flags) {
 }
 
 // Oracle configuration from --oracle BACKEND[:key=val,...]. Without it:
-// the process-default backend with the OracleOptions defaults for every
-// key. The sketch seed follows --seed unless the spec pins its own.
+// the dense backend with the OracleOptions defaults for every key. The
+// sketch seed follows --seed unless the spec pins its own.
 net::OracleOptions OracleOptionsFromFlags(const Flags& flags) {
   const std::string spec = flags.GetString("oracle", "");
   net::OracleOptions opt;
   if (flags.Has("oracle")) {
     opt = net::ParseOracleSpec(spec);
   } else {
-    opt.backend = net::DefaultOracleBackend();
+    opt.backend = net::OracleBackend::kDense;
   }
   if (spec.find("seed=") == std::string::npos) {
     opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
@@ -362,17 +360,18 @@ int CmdEvaluate(const Flags& flags) {
   // is the *planned* objective; score the plan against ground truth with
   // exact rows over the same graph (|S| Dijkstras, no matrix).
   double true_d = d;
+  bool estimated = false;
   const std::string graph_path = flags.GetString("graph", "");
-  const bool estimated =
-      !graph_path.empty() &&
-      net::DefaultOracleBackend() != net::OracleBackend::kDense &&
-      net::DefaultOracleBackend() != net::OracleBackend::kRows;
-  if (estimated) {
+  if (!graph_path.empty()) {
     net::OracleOptions rows = OracleOptionsFromFlags(flags);
-    rows.backend = net::OracleBackend::kRows;
-    const net::DistanceOracle truth = net::DistanceOracle::FromGraph(
-        data::LoadGraphTriples(graph_path), rows);
-    true_d = core::MaxInteractionPathLengthExact(truth, problem, a);
+    estimated = rows.backend != net::OracleBackend::kDense &&
+                rows.backend != net::OracleBackend::kRows;
+    if (estimated) {
+      rows.backend = net::OracleBackend::kRows;
+      const net::DistanceOracle truth = net::DistanceOracle::FromGraph(
+          data::LoadGraphTriples(graph_path), rows);
+      true_d = core::MaxInteractionPathLengthExact(truth, problem, a);
+    }
   }
   const double lb = core::InteractivityLowerBound(problem);
   const double lb3 = core::TripleEnhancedLowerBound(problem);
@@ -718,16 +717,14 @@ int main(int argc, char** argv) {
     const Flags flags(argc - 1, argv + 1,
                       {"out", "dataset", "nodes", "clusters", "seed", "matrix",
                        "servers", "method", "algorithm", "capacity",
-                       "assignment", "duration-ms", "ops-per-second", "apsp",
+                       "assignment", "duration-ms", "ops-per-second",
                        "failover", "graph", "clients", "oracle", "block",
                        "prune", "rss-budget-mb", "epochs", "epoch-ms", "churn",
                        "migration-cap", "hysteresis", "hysteresis-eps",
                        "deadline-evals", "oracle-every", "json-out"});
-    net::SetDefaultApspBackend(
-        net::ParseApspBackend(flags.GetString("apsp", "auto")));
+    // A malformed --oracle spec fails up front, whichever command runs.
     if (flags.Has("oracle")) {
-      net::SetDefaultOracleBackend(
-          net::ParseOracleSpec(flags.GetString("oracle", "dense")).backend);
+      (void)net::ParseOracleSpec(flags.GetString("oracle", ""));
     }
     if (command == "generate") return CmdGenerate(flags);
     if (command == "place") return CmdPlace(flags);
