@@ -11,12 +11,13 @@
 # distance-oracle suite (`oracle` label: the shortest-path kernel against
 # its lazy-heap reference, lazy-row bit parity, LRU cache, streaming
 # clouds, concurrent queries) again under ThreadSanitizer and
-# AddressSanitizer+UBSan, and the APSP suite again under
-# AddressSanitizer+UBSan. A bench_oracle smoke proves a 100k-client solve
-# through the rows backend stays inside a hard RSS budget, and a
-# filter-and-refine smoke proves bound pruning on the landmark backend
-# changes nothing but the wall clock (objective stable, tiles pruned) on
-# both the tiled and the materialized client block.
+# AddressSanitizer+UBSan, and the APSP suite and the solver suite
+# (`algos` label) again under AddressSanitizer+UBSan. A bench_oracle
+# smoke proves a 100k-client solve through the rows backend stays inside
+# a hard RSS budget, and a filter-and-refine smoke proves bound pruning
+# on the landmark backend changes nothing but the wall clock (objective
+# stable, tiles pruned) on both the tiled and the materialized client
+# block.
 # A churn control-plane smoke re-optimizes 10k clients across 50 churn
 # epochs (plus a server crash) under a hard migration cap, and the churn
 # suite (`churn` label: traces, the incremental evaluator, the control
@@ -193,7 +194,7 @@ fi
 if ! $skip_asan; then
   cmake -B build-asan -S . -DDIACA_SANITIZE=address
   cmake --build build-asan -j --target resilience_test oracle_test \
-    churn_test apsp_test bench_apsp
+    churn_test apsp_test bench_apsp core_algos_test
   ctest --test-dir build-asan -L resilience -E smoke_ --output-on-failure
   # The APSP suite under ASan+UBSan: every all-pairs source runs the
   # shortest-path kernel, whose indexed 4-ary heap computes child and
@@ -220,4 +221,12 @@ if ! $skip_asan; then
   # from-scratch reference and an untouched copy — out-of-bounds territory
   # if a shared row, a slot, a head or a partner row goes stale.
   ctest --test-dir build-asan -L churn -E smoke_ --output-on-failure
+  # The solver suite under ASan+UBSan: greedy's lists and reach cache,
+  # LFB's pending list, the exact solver's frame stack, and distributed
+  # greedy and full local search, which build an incremental evaluator
+  # over their seed and apply every move through it, swapping entries of
+  # its member lists, rewriting client slots, rescanning a top two whose
+  # head left and patching partner rows, while their candidate scans
+  # read its far vector and loads from every pool lane.
+  ctest --test-dir build-asan -L algos --output-on-failure
 fi

@@ -91,15 +91,27 @@ void GatherPlusScalar(double* out, const double* col,
 // (std::min(x, t) == (t < x ? t : x)): GCC does not if-convert the
 // reference-returning std::min/std::max, so those loops would stay scalar.
 
+// The two reductions keep four independent accumulators instead of a
+// pragma: with one running max or min every lane waits out the previous
+// lane's latency, and GCC 12's -O2 vector loop still carried one chain
+// and read slower than the scalar reference. Max and min are exact, so
+// splitting the lanes changes no bit.
 double MaxPlusReducePortable(const double* row, const double* far,
                              std::size_t n, double base) {
-  double best = -kInf;
-#pragma omp simd reduction(max : best)
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = far[i] < 0.0 ? -kInf : (base + row[i]) + far[i];
-    best = std::max(best, t);
+  const auto lane = [&](std::size_t i) {
+    return far[i] < 0.0 ? -kInf : (base + row[i]) + far[i];
+  };
+  const auto fold = [](double best, double t) { return best < t ? t : best; };
+  double b0 = -kInf, b1 = -kInf, b2 = -kInf, b3 = -kInf;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    b0 = fold(b0, lane(i));
+    b1 = fold(b1, lane(i + 1));
+    b2 = fold(b2, lane(i + 2));
+    b3 = fold(b3, lane(i + 3));
   }
-  return best;
+  for (; i < n; ++i) b0 = fold(b0, lane(i));
+  return fold(fold(b0, b1), fold(b2, b3));
 }
 
 void MaxAccumulatePlusPortable(double* acc, const double* row, double add,
@@ -122,12 +134,17 @@ void MinPlusAccumulatePortable(double* acc, const double* row, double add,
 
 double MinPlusReducePortable(const double* a, const double* b,
                              std::size_t n) {
-  double best = kInf;
-#pragma omp simd reduction(min : best)
-  for (std::size_t i = 0; i < n; ++i) {
-    best = std::min(best, a[i] + b[i]);
+  const auto fold = [](double best, double t) { return t < best ? t : best; };
+  double b0 = kInf, b1 = kInf, b2 = kInf, b3 = kInf;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    b0 = fold(b0, a[i] + b[i]);
+    b1 = fold(b1, a[i + 1] + b[i + 1]);
+    b2 = fold(b2, a[i + 2] + b[i + 2]);
+    b3 = fold(b3, a[i + 3] + b[i + 3]);
   }
-  return best;
+  for (; i < n; ++i) b0 = fold(b0, a[i] + b[i]);
+  return fold(fold(b0, b1), fold(b2, b3));
 }
 
 void BroadcastAddPortable(double* out, const double* row, double add,

@@ -3,7 +3,10 @@
 // lower bound, mean-path pair sum).
 //
 // Two backends (simd.h): the scalar reference loops and the portable
-// pragma-omp-simd loops. Four kernels have one implementation that every
+// pragma-omp-simd loops, except that the portable MaxPlusReduce and
+// MinPlusReduce split their reduction over four accumulators, which ran
+// faster than either single-chain loop at every width measured
+// (docs/performance.md). Four kernels have one implementation that every
 // backend runs, because a vector variant measured no faster at the
 // |S| <= 256 widths the solvers scan (docs/performance.md): the three
 // arg-reductions (ArgMinFirst, ArgMinPlusFirst, ArgMaxPlusFirst), a

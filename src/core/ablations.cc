@@ -90,93 +90,49 @@ Assignment SingleClientGreedyAssign(const Problem& problem,
   return a;
 }
 
-namespace {
-
-/// Top-2 client distances per server (for O(1) "eccentricity excluding one
-/// client" queries).
-struct TopTwo {
-  double first = -1.0;   // largest distance
-  std::int32_t first_count = 0;
-  double second = -1.0;  // largest distance strictly below `first`
-};
-
-std::vector<TopTwo> ComputeTopTwo(const Problem& problem, const Assignment& a) {
-  std::vector<TopTwo> tops(static_cast<std::size_t>(problem.num_servers()));
-  for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
-    TopTwo& top = tops[static_cast<std::size_t>(a[c])];
-    const double d = problem.client_block().cs(c, a[c]);
-    if (d > top.first) {
-      top.second = top.first;
-      top.first = d;
-      top.first_count = 1;
-    } else if (d == top.first) {
-      ++top.first_count;
-    } else if (d > top.second) {
-      top.second = d;
-    }
-  }
-  return tops;
-}
-
-}  // namespace
-
 LocalSearchResult FullLocalSearchAssign(const Problem& problem,
                                         const LocalSearchOptions& options,
                                         const Assignment* initial) {
   CheckCapacityFeasible(problem, options.assign);
-  LocalSearchResult result;
-  result.assignment = initial != nullptr
-                          ? *initial
-                          : NearestServerAssign(problem, options.assign);
-  DIACA_CHECK(result.assignment.IsComplete());
-  Assignment& a = result.assignment;
+  const Assignment seed = initial != nullptr
+                              ? *initial
+                              : NearestServerAssign(problem, options.assign);
+  DIACA_CHECK(seed.IsComplete());
+  IncrementalEvaluator evaluator(problem, seed);
   const std::int32_t num_servers = problem.num_servers();
 
-  std::vector<std::int32_t> load(static_cast<std::size_t>(num_servers), 0);
-  for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
-    ++load[static_cast<std::size_t>(a[c])];
-  }
-
-  double current = MaxInteractionPathLength(problem, a);
+  LocalSearchResult result;
+  double current =
+      MaxPathFromEccentricities(problem, evaluator.Eccentricities());
+  std::vector<double> far_excl;
+  std::vector<double> rest_if_top_leaves(static_cast<std::size_t>(num_servers));
   while (result.moves < options.max_moves) {
-    const std::vector<TopTwo> tops = ComputeTopTwo(problem, a);
-    std::vector<double> far(static_cast<std::size_t>(num_servers));
-    for (ServerIndex s = 0; s < num_servers; ++s) {
-      far[static_cast<std::size_t>(s)] = tops[static_cast<std::size_t>(s)].first;
-    }
-    // D over paths not touching server t's top client (far(t) -> second):
-    // shared by every client attaining far(t).
-    std::vector<double> rest_if_top_leaves(
-        static_cast<std::size_t>(num_servers));
+    const std::span<const double> far = evaluator.Eccentricities();
+    far_excl.assign(far.begin(), far.end());
+    // D over paths not touching server t's head (far(t) -> far without
+    // it): shared by every client attaining far(t).
     for (ServerIndex t = 0; t < num_servers; ++t) {
-      std::vector<double> g = far;
-      const TopTwo& top = tops[static_cast<std::size_t>(t)];
-      g[static_cast<std::size_t>(t)] =
-          top.first_count > 1 ? top.first : top.second;
-      rest_if_top_leaves[static_cast<std::size_t>(t)] =
-          MaxPathFromEccentricities(problem, g);
+      const auto ti = static_cast<std::size_t>(t);
+      const ClientIndex head = evaluator.Farthest(t).second;
+      if (head != kUnassigned) far_excl[ti] = evaluator.FarWithout(head);
+      rest_if_top_leaves[ti] = MaxPathFromEccentricities(problem, far_excl);
+      far_excl[ti] = far[ti];
     }
 
     double best_len = current;
     ClientIndex best_client = kUnassigned;
     ServerIndex best_server = kUnassigned;
-    std::vector<double> far_excl = far;  // patched per client below
     for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
-      const ServerIndex home = a[c];
-      const TopTwo& top = tops[static_cast<std::size_t>(home)];
-      const double d_home = problem.client_block().cs(c, home);
-      const bool is_top = d_home >= top.first;
+      const ServerIndex home = evaluator.ServerOf(c);
+      const auto hi = static_cast<std::size_t>(home);
+      const bool is_top = problem.client_block().cs(c, home) >= far[hi];
       // Eccentricities with c removed (only c's home entry can change).
-      const double home_far_excl =
-          is_top ? (top.first_count > 1 ? top.first : top.second) : top.first;
-      far_excl[static_cast<std::size_t>(home)] = home_far_excl;
-      const double rest = is_top ? rest_if_top_leaves[static_cast<std::size_t>(home)]
-                                 : current;
+      far_excl[hi] = evaluator.FarWithout(c);
+      const double rest = is_top ? rest_if_top_leaves[hi] : current;
       for (ServerIndex s = 0; s < num_servers; ++s) {
         if (s == home) continue;
         if (options.assign.capacitated() &&
-            load[static_cast<std::size_t>(s)] >=
-                options.assign.CapacityOf(s)) {
+            evaluator.LoadOf(s) >= options.assign.CapacityOf(s)) {
           continue;
         }
         ++result.moves_evaluated;
@@ -188,20 +144,19 @@ LocalSearchResult FullLocalSearchAssign(const Problem& problem,
           best_server = s;
         }
       }
-      far_excl[static_cast<std::size_t>(home)] =
-          far[static_cast<std::size_t>(home)];  // restore patch
+      far_excl[hi] = far[hi];  // restore patch
     }
     if (best_client == kUnassigned) {
       result.reached_local_optimum = true;
       break;
     }
-    --load[static_cast<std::size_t>(a[best_client])];
-    ++load[static_cast<std::size_t>(best_server)];
-    a[best_client] = best_server;
+    evaluator.ApplyMove(best_client, best_server);
     current = best_len;
     ++result.moves;
   }
-  result.max_len = MaxInteractionPathLength(problem, a);
+  result.assignment = evaluator.assignment();
+  result.max_len =
+      MaxPathFromEccentricities(problem, evaluator.Eccentricities());
   DIACA_CHECK(std::abs(result.max_len - current) < 1e-6);
   return result;
 }

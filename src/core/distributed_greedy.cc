@@ -7,6 +7,7 @@
 #include "common/simd/kernels.h"
 #include "common/thread_pool.h"
 #include "core/capacity.h"
+#include "core/incremental.h"
 #include "core/metrics.h"
 #include "core/nearest_server.h"
 #include "obs/obs.h"
@@ -15,17 +16,6 @@ namespace diaca::core {
 
 namespace {
 constexpr double kEps = 1e-9;
-}
-
-std::vector<double> EccentricitiesExcluding(const Problem& problem,
-                                            const Assignment& a,
-                                            ClientIndex exclude) {
-  // The eccentricity fold skips unassigned clients, and max is exact, so
-  // unassigning `exclude` in a copy gives the same bits as folding around
-  // it — through the view's assigned-diagonal fold, never a row.
-  Assignment rest = a;
-  rest[exclude] = kUnassigned;
-  return ServerEccentricities(problem, rest);
 }
 
 double PathLengthIfMoved(const Problem& problem, ClientIndex c,
@@ -44,59 +34,59 @@ DgResult DistributedGreedyAssign(const Problem& problem,
                                  const AssignOptions& options,
                                  const Assignment* initial) {
   DIACA_OBS_SPAN("core.dg.solve");
-  DgResult result;
   if (initial != nullptr) {
     DIACA_CHECK_MSG(initial->size() ==
                         static_cast<std::size_t>(problem.num_clients()),
                     "initial assignment size mismatch");
     DIACA_CHECK_MSG(initial->IsComplete(), "initial assignment incomplete");
-    result.assignment = *initial;
-  } else {
-    result.assignment = NearestServerAssign(problem, options);
   }
-  Assignment& a = result.assignment;
-
-  std::vector<std::int32_t> load(static_cast<std::size_t>(problem.num_servers()), 0);
-  for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
-    ++load[static_cast<std::size_t>(a[c])];
-  }
+  // The evaluator keeps far(s) and each server's top two, so a critical
+  // client's re-check, its far-without-c and every move cost O(|S|)
+  // instead of a fold over all clients.
+  IncrementalEvaluator evaluator(
+      problem, initial != nullptr ? *initial
+                                  : NearestServerAssign(problem, options));
   if (options.capacitated()) {
     CheckCapacityFeasible(problem, options);
     for (ServerIndex s = 0; s < problem.num_servers(); ++s) {
-      DIACA_CHECK_MSG(load[static_cast<std::size_t>(s)] <=
-                          options.CapacityOf(s),
+      DIACA_CHECK_MSG(evaluator.LoadOf(s) <= options.CapacityOf(s),
                       "initial assignment violates capacity of server " << s);
     }
   }
 
-  double max_len = MaxInteractionPathLength(problem, a);
+  // D is always the pair fold over the evaluator's exact far(s), the
+  // association MaxInteractionPathLength uses; CurrentMax() may sum the
+  // maximal pair the other way and differ in the last bit.
+  double max_len =
+      MaxPathFromEccentricities(problem, evaluator.Eccentricities());
+  DgResult result;
   std::int32_t mod_count = 0;
   // Safety valve: D is non-increasing and each round must strictly reduce
   // it to continue, but guard against pathological float plateaus anyway.
   const std::int64_t mod_limit =
       64LL * (problem.num_clients() + problem.num_servers() + 64);
 
+  std::vector<double> far_excl;
   for (;;) {
     DIACA_OBS_SPAN("core.dg.round");
     ++result.rounds;
     DIACA_OBS_COUNT("core.dg.rounds", 1);
     const double round_start_len = max_len;
-    const std::vector<ClientIndex> critical = CriticalClients(problem, a, kEps);
+    const std::vector<ClientIndex> critical =
+        CriticalClients(problem, evaluator.assignment(), kEps);
     DIACA_OBS_OBSERVE("core.dg.critical_set_size",
                       static_cast<double>(critical.size()));
     for (ClientIndex c : critical) {
       // The assignment may have changed since the critical set was taken;
       // re-check that c still lies on a longest path.
-      const ServerIndex current = a[c];
-      {
-        const std::vector<double> far = ServerEccentricities(problem, a);
-        const double d = problem.client_block().cs(c, current);
-        const double via_c =
-            std::max(2.0 * d, d + MaxServerReach(problem, far, current));
-        if (via_c < max_len - kEps) continue;
-      }
-      const std::vector<double> far_excl =
-          EccentricitiesExcluding(problem, a, c);
+      const ServerIndex current = evaluator.ServerOf(c);
+      const std::span<const double> far = evaluator.Eccentricities();
+      const double d = problem.client_block().cs(c, current);
+      const double via_c =
+          std::max(2.0 * d, d + MaxServerReach(problem, far, current));
+      if (via_c < max_len - kEps) continue;
+      far_excl.assign(far.begin(), far.end());
+      far_excl[static_cast<std::size_t>(current)] = evaluator.FarWithout(c);
       // Candidate servers are scored independently (O(|S|) each), so the
       // scan fans out across the pool; the deterministic min-reduce keeps
       // the lowest-index server on ties, exactly like the serial ascending
@@ -106,7 +96,7 @@ DgResult DistributedGreedyAssign(const Problem& problem,
             const auto s = static_cast<ServerIndex>(si);
             if (s == current) return std::numeric_limits<double>::infinity();
             if (options.capacitated() &&
-                load[static_cast<std::size_t>(s)] >= options.CapacityOf(s)) {
+                evaluator.LoadOf(s) >= options.CapacityOf(s)) {
               return std::numeric_limits<double>::infinity();
             }
             return PathLengthIfMoved(problem, c, s, far_excl);
@@ -119,10 +109,9 @@ DgResult DistributedGreedyAssign(const Problem& problem,
 
       // Reassign c. Paths not involving c cannot grow, so D is
       // non-increasing by construction.
-      --load[static_cast<std::size_t>(current)];
-      ++load[static_cast<std::size_t>(best_server)];
-      a[c] = best_server;
-      const double new_len = MaxInteractionPathLength(problem, a);
+      evaluator.ApplyMove(c, best_server);
+      const double new_len =
+          MaxPathFromEccentricities(problem, evaluator.Eccentricities());
       DIACA_CHECK_MSG(new_len <= max_len + kEps,
                       "modification increased the objective");
       max_len = new_len;
@@ -134,6 +123,7 @@ DgResult DistributedGreedyAssign(const Problem& problem,
     }
     if (max_len >= round_start_len - kEps) break;  // no strict reduction
   }
+  result.assignment = evaluator.assignment();
   result.max_len = max_len;
   return result;
 }

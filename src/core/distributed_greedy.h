@@ -60,9 +60,4 @@ double PathLengthIfMoved(const Problem& problem, ClientIndex c,
                          ServerIndex candidate,
                          std::span<const double> far_excl);
 
-/// Per-server eccentricities over all assigned clients except `exclude`.
-std::vector<double> EccentricitiesExcluding(const Problem& problem,
-                                            const Assignment& a,
-                                            ClientIndex exclude);
-
 }  // namespace diaca::core

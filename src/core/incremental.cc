@@ -119,14 +119,19 @@ void IncrementalEvaluator::Erase(ServerIndex s, ClientIndex c) {
   far_[si] = top[0].first;
 }
 
+double IncrementalEvaluator::FarWithout(ClientIndex c) const {
+  const ServerIndex s = assignment_[c];
+  DIACA_CHECK_MSG(s != kUnassigned, "FarWithout of inactive client " << c);
+  // When c is the head, the runner-up takes over.
+  const auto& top = top_[static_cast<std::size_t>(s)];
+  return top[0].second == c ? top[1].first : top[0].first;
+}
+
 std::span<const double> IncrementalEvaluator::EffectiveFar(
     ClientIndex c, ServerIndex from, ServerIndex to) const {
   eff_buf_ = far_;
   if (from != kUnassigned) {
-    // c leaves: when it is the head, the runner-up takes over.
-    const auto& top = top_[static_cast<std::size_t>(from)];
-    eff_buf_[static_cast<std::size_t>(from)] =
-        top[0].second == c ? top[1].first : top[0].first;
+    eff_buf_[static_cast<std::size_t>(from)] = FarWithout(c);
   }
   if (to != kUnassigned) {
     eff_buf_[static_cast<std::size_t>(to)] =

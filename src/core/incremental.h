@@ -1,9 +1,9 @@
 // Incremental maintenance of the maximum interaction path length under
 // single-client moves, attachments and detachments.
 //
-// Local search methods (steepest descent, simulated annealing, the
-// bottleneck descent of the repair solver and the churn re-optimizer)
-// evaluate huge numbers of candidate moves; recomputing
+// Local search methods (distributed greedy, steepest descent, simulated
+// annealing, the bottleneck descent of the repair solver and the churn
+// re-optimizer) evaluate huge numbers of candidate moves; recomputing
 // D = max_{s1,s2} far(s1) + d(s1,s2) + far(s2) from scratch costs
 // O(|C| + |U|^2) each time. IncrementalEvaluator keeps, per server:
 //   * an unsorted member list of (d(c, s), c), with each client's slot in
@@ -129,6 +129,15 @@ class IncrementalEvaluator {
   FarEntry Farthest(ServerIndex s) const {
     return top_[static_cast<std::size_t>(s)][0];
   }
+  /// far(s) for every server, -1 where s is empty: the exact maxima a
+  /// full client fold would find, so MaxPathFromEccentricities over them
+  /// is that fold's objective bit for bit. Valid until the next state
+  /// change.
+  std::span<const double> Eccentricities() const { return far_; }
+  /// far(a_c) with the active client c left out: the runner-up's
+  /// distance when c is the head (-1 when c is alone), far(a_c)
+  /// otherwise. O(1).
+  double FarWithout(ClientIndex c) const;
   /// Server s's active clients with their distances d(c, s), in no
   /// particular order. Valid until the next state change.
   std::span<const FarEntry> Members(ServerIndex s) const {

@@ -245,6 +245,14 @@ net::Graph LoadGraphTriples(const std::string& path) {
                      static_cast<net::NodeIndex>(v), length});
   }
   if (max_id < 1) reader.FailFile("no data");
+  // Every consumer needs a connected graph, which on n nodes takes at
+  // least n - 1 links; checking that before the CSR is sized keeps one
+  // large id from allocating offsets for nodes no link reaches.
+  if (max_id > static_cast<std::int64_t>(edges.size())) {
+    reader.FailFile(std::to_string(max_id + 1) + " nodes need at least " +
+                    std::to_string(max_id) + " links to be connected, got " +
+                    std::to_string(edges.size()));
+  }
   return net::Graph(static_cast<net::NodeIndex>(max_id + 1), edges);
 }
 

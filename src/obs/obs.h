@@ -19,7 +19,6 @@
 // process — they are cached in function-local statics):
 //
 //   DIACA_OBS_SPAN("core.greedy.solve");        // traces this scope
-//   DIACA_OBS_TIMER("net.graph.apsp_ms");       // scope duration -> hist
 //   DIACA_OBS_COUNT("core.greedy.iterations", 1);
 //   DIACA_OBS_GAUGE_SET("common.pool.queue_depth", depth);
 //   DIACA_OBS_OBSERVE("core.greedy.batch_size", batch);
@@ -29,32 +28,12 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 
 namespace diaca::obs {
 
 namespace internal {
 extern std::atomic<bool> g_metrics_enabled;
-
-/// ScopedTimer that tolerates a null histogram (disabled path).
-class MaybeScopedTimer {
- public:
-  explicit MaybeScopedTimer(Histogram* histogram) : histogram_(histogram) {
-    if (histogram_ != nullptr) start_ns_ = NowNs();
-  }
-  ~MaybeScopedTimer() {
-    if (histogram_ != nullptr) {
-      histogram_->Record(static_cast<double>(NowNs() - start_ns_) / 1e6);
-    }
-  }
-  MaybeScopedTimer(const MaybeScopedTimer&) = delete;
-  MaybeScopedTimer& operator=(const MaybeScopedTimer&) = delete;
-
- private:
-  Histogram* histogram_;
-  std::int64_t start_ns_ = 0;
-};
 }  // namespace internal
 
 /// Runtime switch for metric recording (see file comment).
@@ -89,19 +68,6 @@ void WriteChromeTraceAtExit(std::string path);
   ::diaca::obs::TraceSpan DIACA_OBS_CONCAT(          \
       diaca_obs_span_, __LINE__) { name_literal }
 
-/// Record the rest of the scope's duration (ms) into the named histogram.
-#define DIACA_OBS_TIMER(name_literal)                                     \
-  ::diaca::obs::internal::MaybeScopedTimer DIACA_OBS_CONCAT(              \
-      diaca_obs_timer_,                                                   \
-      __LINE__)(::diaca::obs::MetricsEnabled()                            \
-                    ? []() -> ::diaca::obs::Histogram* {                  \
-                        static ::diaca::obs::Histogram& diaca_obs_h =     \
-                            ::diaca::obs::Registry::Default().GetHistogram( \
-                                name_literal);                            \
-                        return &diaca_obs_h;                              \
-                      }()                                                 \
-                    : nullptr)
-
 #define DIACA_OBS_COUNT(name_literal, delta)                           \
   do {                                                                 \
     if (::diaca::obs::MetricsEnabled()) {                              \
@@ -132,7 +98,6 @@ void WriteChromeTraceAtExit(std::string path);
 #else  // DIACA_OBS == 0
 
 #define DIACA_OBS_SPAN(name_literal) static_cast<void>(0)
-#define DIACA_OBS_TIMER(name_literal) static_cast<void>(0)
 #define DIACA_OBS_COUNT(name_literal, delta) \
   do {                                       \
   } while (false)

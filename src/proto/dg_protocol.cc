@@ -125,30 +125,11 @@ class Runner {
     return far;
   }
 
-  double ComputeD(const Token& token) const {
-    double best = 0.0;
-    for (ServerIndex a = 0; a < NumServers(); ++a) {
-      const double fa = token.l[static_cast<std::size_t>(a)];
-      if (fa < 0.0) continue;
-      const double* row = problem_.ss_row(a);
-      for (ServerIndex b = a; b < NumServers(); ++b) {
-        const double fb = token.l[static_cast<std::size_t>(b)];
-        if (fb >= 0.0) best = std::max(best, fa + row[b] + fb);
-      }
-    }
-    return best;
-  }
-
   /// Longest path through a client of server s at distance `dist`, under
   /// the token's tables.
   double LongestVia(const Token& token, ServerIndex s, double dist) const {
-    double reach = 0.0;
-    const double* row = problem_.ss_row(s);
-    for (ServerIndex t = 0; t < NumServers(); ++t) {
-      const double f = token.l[static_cast<std::size_t>(t)];
-      if (f >= 0.0) reach = std::max(reach, row[t] + f);
-    }
-    return std::max(2.0 * dist, dist + reach);
+    return std::max(2.0 * dist,
+                    dist + core::MaxServerReach(problem_, token.l, s));
   }
 
   // ---- token visit state machine ----------------------------------------
@@ -156,7 +137,8 @@ class Runner {
   void StartVisit(ServerIndex holder, std::shared_ptr<Token> token) {
     visit_holder_ = holder;
     visit_token_ = std::move(token);
-    visit_start_len_ = ComputeD(*visit_token_);
+    visit_start_len_ =
+        core::MaxPathFromEccentricities(problem_, visit_token_->l);
     // Critical clients hosted here (all at the server's eccentricity).
     pending_critical_.clear();
     const double f = visit_token_->l[static_cast<std::size_t>(holder)];
@@ -176,7 +158,8 @@ class Runner {
       pending_critical_.erase(pending_critical_.begin());
       // Re-check criticality: earlier moves in this visit may have changed
       // the tables (the client itself can only be moved by this holder).
-      const double current_len = ComputeD(*visit_token_);
+      const double current_len =
+          core::MaxPathFromEccentricities(problem_, visit_token_->l);
       const double dist = problem_.client_block().cs(c, holder);
       if (LongestVia(*visit_token_, holder, dist) < current_len - kEps) {
         continue;
@@ -226,7 +209,8 @@ class Runner {
     }
     if (--replies_pending_ > 0) return;
 
-    const double current_len = ComputeD(*visit_token_);
+    const double current_len =
+        core::MaxPathFromEccentricities(problem_, visit_token_->l);
     if (best_candidate_ != kUnassigned &&
         best_candidate_len_ < current_len - kEps) {
       // Improvement found: hand the client over.
@@ -261,13 +245,15 @@ class Runner {
     visit_token_->l[static_cast<std::size_t>(winner)] = far;
     visit_token_->load[static_cast<std::size_t>(winner)] = load;
     ++visit_token_->modifications;
-    const double new_len = ComputeD(*visit_token_);
+    const double new_len =
+        core::MaxPathFromEccentricities(problem_, visit_token_->l);
     visit_token_->trace.push_back(new_len);
     ProcessNextCritical();
   }
 
   void FinishVisit() {
-    const double end_len = ComputeD(*visit_token_);
+    const double end_len =
+        core::MaxPathFromEccentricities(problem_, visit_token_->l);
     if (end_len < visit_start_len_ - kEps) {
       visit_token_->visits_without_improvement = 0;
     } else {

@@ -1,5 +1,9 @@
 #include "core/ablations.h"
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -146,6 +150,87 @@ TEST(FullLocalSearchTest, CountsEvaluations) {
   EXPECT_GE(result.moves_evaluated,
             static_cast<std::int64_t>(p.num_clients()) *
                 (p.num_servers() - 1));
+}
+
+// FNV-1a over each client's server index, four little-endian bytes each.
+std::uint64_t AssignmentHash(const Assignment& a) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const ServerIndex s : a.server_of) {
+    const auto v = static_cast<std::uint32_t>(s);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+// Every output of the steepest descent, pinned bit for bit on a random
+// instance from the Nearest-Server seed, a tie-heavy one (integer
+// latencies, so many clients share their server's far distance) from a
+// random start, a capacitated one, and a random start under a two-move
+// budget and without one.
+TEST(FullLocalSearchTest, OutputsPinnedBitForBit) {
+  struct Pin {
+    const char* name;
+    LocalSearchResult result;
+    std::uint64_t hash;
+    std::uint64_t max_len_bits;
+    std::int32_t moves;
+    std::int64_t moves_evaluated;
+    bool reached_local_optimum;
+  };
+  std::vector<Pin> pins;
+  {
+    Rng rng(21);
+    const Problem p = test::RandomProblem(25, 5, rng);
+    const Assignment nsa = NearestServerAssign(p);
+    pins.push_back({"random", FullLocalSearchAssign(p, {}, &nsa),
+                    0xb34a973c9adf3ea4ull, 0x406153996ba4af9cull, 7, 800,
+                    true});
+  }
+  {
+    Rng rng(6 * 7727);
+    const Problem p = test::TieHeavyProblem(30, 5, rng);
+    Rng arng(6);
+    const Assignment start = RandomAssign(p, arng);
+    pins.push_back({"tie-heavy", FullLocalSearchAssign(p, {}, &start),
+                    0x88935163111896a3ull, 0x4031000000000000ull, 1, 240,
+                    true});
+  }
+  {
+    Rng rng(7);
+    const Problem p = test::RandomProblem(30, 6, rng);
+    LocalSearchOptions options;
+    options.assign.capacity = 6;
+    pins.push_back({"capacitated", FullLocalSearchAssign(p, options),
+                    0x784059eab2007eb0ull, 0x40648374ae07001aull, 4, 342,
+                    true});
+  }
+  {
+    Rng rng(9);
+    const Problem p = test::RandomProblem(40, 8, rng);
+    Rng arng(10);
+    const Assignment start = RandomAssign(p, arng);
+    LocalSearchOptions options;
+    options.max_moves = 2;
+    pins.push_back({"budget", FullLocalSearchAssign(p, options, &start),
+                    0x9bfcd6aba4a80e22ull, 0x40706ccdf539b396ull, 2, 560,
+                    false});
+    pins.push_back({"unbounded", FullLocalSearchAssign(p, {}, &start),
+                    0xb476f7ea4b2086b6ull, 0x405da6b4e442e6e0ull, 42, 12040,
+                    true});
+  }
+  for (const Pin& pin : pins) {
+    const LocalSearchResult& r = pin.result;
+    EXPECT_EQ(AssignmentHash(r.assignment), pin.hash) << pin.name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.max_len), pin.max_len_bits)
+        << pin.name;
+    EXPECT_EQ(r.moves, pin.moves) << pin.name;
+    EXPECT_EQ(r.moves_evaluated, pin.moves_evaluated) << pin.name;
+    EXPECT_EQ(r.reached_local_optimum, pin.reached_local_optimum)
+        << pin.name;
+  }
 }
 
 TEST(PerServerCapacityTest, HeterogeneousCapacitiesRespected) {

@@ -1016,11 +1016,13 @@ TEST(ClientBlockViewTest, SubsetIsTheParentReadThroughIds) {
   SetGlobalThreads(0);
 }
 
-// EccentricitiesExcluding against a scalar reference (far[s] = max of
-// cs(c', s) over c' != c assigned to s, starting at -1.0), bit for bit,
-// on both views at 1 and 4 threads. 5000 clients with access delays put
-// the resident fold on its chunked path at 4 threads. The last server
-// holds a single client, whose exclusion must leave that server at -1.0.
+// The evaluator's far vector with one client left out (Eccentricities()
+// with a_c's entry replaced by FarWithout(c)) against a scalar reference
+// (far[s] = max of cs(c', s) over c' != c assigned to s, starting at
+// -1.0), bit for bit, on both views at 1 and 4 threads; the full vector
+// also equals ServerEccentricities, whose resident fold takes its chunked
+// path at 4 threads with these 5000 clients. The last server holds a
+// single client, whose exclusion must leave that server at -1.0.
 TEST(ClientBlockViewTest, EccentricitiesExcludingMatchesScalarReference) {
   data::ClientCloudParams params;
   params.substrate.num_nodes = 50;
@@ -1055,16 +1057,26 @@ TEST(ClientBlockViewTest, EccentricitiesExcludingMatchesScalarReference) {
     }
     return far;
   };
+  const std::vector<double> full = reference(kUnassigned);
   std::vector<std::vector<double>> want;
   for (const ClientIndex exclude : excluded) want.push_back(reference(exclude));
   ASSERT_EQ(want.back()[static_cast<std::size_t>(lone_server)], -1.0);
   for (const int threads : {1, 4}) {
     SetGlobalThreads(threads);
-    for (std::size_t i = 0; i < excluded.size(); ++i) {
-      for (const Problem* p : {&mat.problem, &streamed.problem}) {
-        ASSERT_EQ(EccentricitiesExcluding(*p, a, excluded[i]), want[i])
-            << "materialized=" << p->client_block().materialized()
-            << " threads=" << threads << " exclude=" << excluded[i];
+    for (const Problem* p : {&mat.problem, &streamed.problem}) {
+      const std::string where =
+          "materialized=" + std::to_string(p->client_block().materialized()) +
+          " threads=" + std::to_string(threads);
+      const IncrementalEvaluator eval(*p, a);
+      const std::vector<double> far(eval.Eccentricities().begin(),
+                                    eval.Eccentricities().end());
+      ASSERT_EQ(far, full) << where;
+      ASSERT_EQ(ServerEccentricities(*p, a), full) << where;
+      for (std::size_t i = 0; i < excluded.size(); ++i) {
+        std::vector<double> got = far;
+        got[static_cast<std::size_t>(a[excluded[i]])] =
+            eval.FarWithout(excluded[i]);
+        ASSERT_EQ(got, want[i]) << where << " exclude=" << excluded[i];
       }
     }
   }

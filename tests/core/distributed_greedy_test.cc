@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "core/incremental.h"
 #include "core/metrics.h"
 #include "core/nearest_server.h"
 #include "core/random_assign.h"
@@ -56,8 +57,11 @@ TEST(DistributedGreedyTest, TerminatesAtLocalOptimum) {
   const Problem p = test::RandomProblem(25, 5, rng);
   const DgResult result = DistributedGreedyAssign(p);
   const Assignment& a = result.assignment;
+  const IncrementalEvaluator eval(p, a);
   for (ClientIndex c : CriticalClients(p, a)) {
-    const auto far_excl = EccentricitiesExcluding(p, a, c);
+    std::vector<double> far_excl(eval.Eccentricities().begin(),
+                                 eval.Eccentricities().end());
+    far_excl[static_cast<std::size_t>(a[c])] = eval.FarWithout(c);
     for (ServerIndex s = 0; s < p.num_servers(); ++s) {
       if (s == a[c]) continue;
       EXPECT_GE(PathLengthIfMoved(p, c, s, far_excl), result.max_len - 1e-9);

@@ -349,6 +349,29 @@ void ExpectSameState(const IncrementalEvaluator& got,
   ASSERT_EQ(got.MaxPairSecond(), want.pair().b) << at;
 }
 
+// The two far accessors against full folds: Eccentricities() is
+// ServerEccentricities of the current assignment, and FarWithout(c) is the
+// fold with c unassigned, read at c's server, for every active client.
+void ExpectFarsMatchFolds(const Problem& p, const IncrementalEvaluator& eval,
+                          const std::string& at) {
+  const std::vector<double> far = ServerEccentricities(p, eval.assignment());
+  for (ServerIndex s = 0; s < p.num_servers(); ++s) {
+    const auto si = static_cast<std::size_t>(s);
+    ASSERT_EQ(Bits(eval.Eccentricities()[si]), Bits(far[si]))
+        << at << " server " << s;
+  }
+  Assignment rest = eval.assignment();
+  for (ClientIndex c = 0; c < p.num_clients(); ++c) {
+    const ServerIndex s = rest[c];
+    if (s == kUnassigned) continue;
+    rest[c] = kUnassigned;
+    ASSERT_EQ(Bits(eval.FarWithout(c)),
+              Bits(ServerEccentricities(p, rest)[static_cast<std::size_t>(s)]))
+        << at << " client " << c;
+    rest[c] = s;
+  }
+}
+
 // A random partial assignment: each client is a member with probability
 // 0.6, on a uniform server.
 Assignment RandomPartial(const Problem& p, Rng& rng) {
@@ -377,9 +400,10 @@ ClientIndex PickClient(const IncrementalEvaluator& eval, const Problem& p,
 }
 
 // One random add, remove, move or evaluate step, step `step` of `steps`:
-// the client is scored against every server, then maybe one is applied.
-// Targets are drawn from a shrinking prefix of the servers half the time,
-// so servers empty and refill.
+// the client is scored against every server, then maybe one is applied,
+// and the pair and both far accessors are checked. Targets are drawn from
+// a shrinking prefix of the servers half the time, so servers empty and
+// refill.
 void StepAgainstReference(const Problem& p, IncrementalEvaluator& eval,
                           ReferenceEvaluator& ref, Rng& rng, int step,
                           int steps, const std::string& at) {
@@ -414,6 +438,7 @@ void StepAgainstReference(const Problem& p, IncrementalEvaluator& eval,
     }
   }
   ExpectSameState(eval, ref, at);
+  ExpectFarsMatchFolds(p, eval, at);
 }
 
 // Random steps from a partial assignment, a third of them moving a

@@ -5,6 +5,10 @@
 // (value, index) reductions, and kernels whose vector lanes perform the
 // exact scalar IEEE expressions (common/simd/kernels.h), so this grid is
 // the regression net for both designs.
+#include <cstddef>
+#include <cstring>
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/simd/simd.h"
@@ -30,6 +34,28 @@ struct GridCase {
   std::int32_t capacity;  // 0 = uncapacitated
   std::uint64_t seed;
 };
+
+// gtest names each case after its printed parameter. Its default printer
+// dumps all 24 bytes, the 4 uninitialised padding bytes after `capacity`
+// included, so the names differed between build trees. This prints the
+// four fields in that same byte layout with the padding as zeros: every
+// build lists the same names, under the prefixes they always had.
+void PrintTo(const GridCase& g, std::ostream* os) {
+  unsigned char bytes[sizeof(GridCase)] = {};
+  std::memcpy(bytes + offsetof(GridCase, nodes), &g.nodes, sizeof g.nodes);
+  std::memcpy(bytes + offsetof(GridCase, servers), &g.servers,
+              sizeof g.servers);
+  std::memcpy(bytes + offsetof(GridCase, capacity), &g.capacity,
+              sizeof g.capacity);
+  std::memcpy(bytes + offsetof(GridCase, seed), &g.seed, sizeof g.seed);
+  constexpr char kHex[] = "0123456789ABCDEF";
+  *os << sizeof bytes << "-byte object <";
+  for (std::size_t i = 0; i < sizeof bytes; ++i) {
+    if (i > 0) *os << (i % 2 == 0 ? ' ' : '-');
+    *os << kHex[bytes[i] >> 4] << kHex[bytes[i] & 0xf];
+  }
+  *os << '>';
+}
 
 constexpr simd::Backend kBackends[] = {simd::Backend::kScalar,
                                        simd::Backend::kPortable};

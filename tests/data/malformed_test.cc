@@ -161,6 +161,16 @@ TEST_F(MalformedTest, GraphTriplesIdAboveNodeIndexNamesTheLine) {
               "line 2: node id 2147483647 out of range (max 2147483646)");
 }
 
+TEST_F(MalformedTest, GraphTriplesWithTooFewLinksNamesBothCounts) {
+  // One link cannot connect 2147483647 nodes; the loader refuses before
+  // sizing a graph for them.
+  ExpectError(LoadGraphTriples, Write("gsparse.txt", "0 2147483646 1.0\n"),
+              "2147483647 nodes need at least 2147483646 links to be "
+              "connected, got 1");
+  ExpectError(LoadGraphTriples, Write("ggap.txt", "0 1 1.0\n1 3 1.0\n"),
+              "4 nodes need at least 3 links to be connected, got 2");
+}
+
 TEST_F(MalformedTest, TriplesEmptyFile) {
   ExpectError(LoadTriplesMatrix, Write("te.txt", "# only a comment\n"),
               "no data");

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "core/distributed_greedy.h"
+#include "core/incremental.h"
 #include "core/metrics.h"
 #include "core/nearest_server.h"
 #include "core/random_assign.h"
@@ -64,8 +65,11 @@ TEST(DgProtocolTest, TerminatesAtLocalOptimum) {
   const DgProtocolResult result =
       RunDistributedGreedyProtocol(inst.matrix, inst.problem);
   const core::Assignment& a = result.assignment;
+  const core::IncrementalEvaluator eval(inst.problem, a);
   for (core::ClientIndex c : core::CriticalClients(inst.problem, a)) {
-    const auto far_excl = core::EccentricitiesExcluding(inst.problem, a, c);
+    std::vector<double> far_excl(eval.Eccentricities().begin(),
+                                 eval.Eccentricities().end());
+    far_excl[static_cast<std::size_t>(a[c])] = eval.FarWithout(c);
     for (core::ServerIndex s = 0; s < inst.problem.num_servers(); ++s) {
       if (s == a[c]) continue;
       EXPECT_GE(core::PathLengthIfMoved(inst.problem, c, s, far_excl),
@@ -128,17 +132,14 @@ TEST(DgProtocolTest, CapacitatedTerminatesAtCapacitatedLocalOptimum) {
   const DgProtocolResult result =
       RunDistributedGreedyProtocol(inst.matrix, inst.problem, options);
   const core::Assignment& a = result.assignment;
-  std::vector<std::int32_t> load(6, 0);
-  for (core::ClientIndex c = 0; c < inst.problem.num_clients(); ++c) {
-    ++load[static_cast<std::size_t>(a[c])];
-  }
   // No critical client has an improving move to an *unsaturated* server.
+  const core::IncrementalEvaluator eval(inst.problem, a);
   for (core::ClientIndex c : core::CriticalClients(inst.problem, a)) {
-    const auto far_excl = core::EccentricitiesExcluding(inst.problem, a, c);
+    std::vector<double> far_excl(eval.Eccentricities().begin(),
+                                 eval.Eccentricities().end());
+    far_excl[static_cast<std::size_t>(a[c])] = eval.FarWithout(c);
     for (core::ServerIndex s = 0; s < inst.problem.num_servers(); ++s) {
-      if (s == a[c] || load[static_cast<std::size_t>(s)] >= options.capacity) {
-        continue;
-      }
+      if (s == a[c] || eval.LoadOf(s) >= options.capacity) continue;
       EXPECT_GE(core::PathLengthIfMoved(inst.problem, c, s, far_excl),
                 result.max_len - 1e-9);
     }
