@@ -160,11 +160,10 @@ core::Assignment LegacyGreedyAssign(const core::Problem& problem,
 }
 
 // ---------------------------------------------------------------------------
-// Per-kernel timing at solver sizes: every row kernel over n = 16, 80 and
-// 256 lanes (the server counts the workloads span), the client-block
-// view's column gathers (32 survivor ids, one 200k-client column through
-// an identity id list). `bytes` matches the byte accounting of the
-// kernels' own simd.kernels.bytes_scanned counter.
+// Per-kernel timing at solver sizes: every dispatched row kernel over
+// n = 16, 80 and 256 lanes (the server counts the workloads span).
+// `bytes` matches the byte accounting of the kernels' own
+// simd.kernels.bytes_scanned counter.
 // ---------------------------------------------------------------------------
 
 struct KernelWorkload {
@@ -282,13 +281,9 @@ int main(int argc, char** argv) {
   SetGlobalThreads(1);
 
   // --- Per-kernel ns per call at solver sizes. Row buffers are padded
-  // like a client-block row; the gathers read one substrate column of a
-  // 2000-node graph through 200k client attachments.
+  // like a client-block row.
   constexpr std::size_t kRowSizes[] = {16, 80, 256};
   constexpr std::size_t kMaxRow = 256;
-  constexpr std::size_t kClients = 200000;
-  constexpr std::size_t kSubstrateNodes = 2000;
-  constexpr std::size_t kIdGather = 32;
   Rng rng(seed);
   const std::size_t padded = simd::PaddedStride(kMaxRow);
   std::vector<double> row(padded, 0.0);
@@ -301,22 +296,6 @@ int main(int argc, char** argv) {
                                              : rng.NextUniform(0.0, 250.0);
     acc[i] = rng.NextUniform(0.0, 250.0);
   }
-  std::vector<double> col(kSubstrateNodes);
-  for (double& x : col) x = rng.NextUniform(0.0, 250.0);
-  std::vector<std::int32_t> attach(kClients);
-  std::vector<double> access(kClients);
-  for (std::size_t c = 0; c < kClients; ++c) {
-    attach[c] = static_cast<std::int32_t>(rng.NextBounded(kSubstrateNodes));
-    access[c] = rng.NextUniform(0.0, 20.0);
-  }
-  std::vector<std::int32_t> ids(kIdGather);
-  for (std::int32_t& id : ids) {
-    id = static_cast<std::int32_t>(rng.NextBounded(kClients));
-  }
-  std::sort(ids.begin(), ids.end());
-  std::vector<std::int32_t> every(kClients);
-  std::iota(every.begin(), every.end(), 0);
-  std::vector<double> column(kClients);
 
   std::vector<KernelWorkload> workloads;
   for (const std::size_t n : kRowSizes) {
@@ -339,16 +318,6 @@ int main(int argc, char** argv) {
       return out[0];
     }});
   }
-  workloads.push_back({"gather_plus_ids", kIdGather, 24 * kIdGather, [&] {
-    simd::GatherPlus(column.data(), col.data(), attach.data(), access.data(),
-                     ids.data(), kIdGather);
-    return column[0];
-  }});
-  workloads.push_back({"gather_plus_column", kClients, 24 * kClients, [&] {
-    simd::GatherPlus(column.data(), col.data(), attach.data(), access.data(),
-                     every.data(), kClients);
-    return column[0];
-  }});
 
   std::vector<KernelRow> rows;
   double sink = 0.0;

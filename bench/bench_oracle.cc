@@ -148,7 +148,6 @@ ParityResult RunParity(std::int32_t nodes, std::uint64_t seed) {
 
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
-  opt.row_cache_capacity = 8;  // force evictions: results must not care
   const net::DistanceOracle rows = net::DistanceOracle::FromGraph(graph, opt);
 
   const std::vector<net::NodeIndex> servers =
@@ -269,10 +268,6 @@ struct TiledResult {
   double unpruned_greedy_ms = 0.0;
   double prune_speedup = 0.0;  // unpruned greedy / pruned greedy
   bool prune_identical = false;
-  // Per-stripe row-cache traffic during the tiled stage (build + greedy),
-  // one entry per shard of the rows oracle's striped LRU.
-  std::vector<std::int64_t> shard_hits;
-  std::vector<std::int64_t> shard_misses;
   bool assignment_identical = false;
   bool objective_bitwise = false;
 };
@@ -294,14 +289,12 @@ TiledResult RunTiled(std::int32_t substrate_nodes, std::int64_t clients,
       data::GenerateWaxmanTopology(params.substrate, seed);
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
-  opt.row_cache_capacity = static_cast<std::size_t>(k) + 1;
   const net::DistanceOracle oracle = net::DistanceOracle::FromGraph(graph, opt);
   const std::vector<net::NodeIndex> servers =
       placement::KCenterFarthest(oracle, k);
 
   core::Assignment tiled_a(0);
   double tiled_d = 0.0;
-  const net::OracleStats before = oracle.stats();  // placement traffic
   {
     Timer build;
     const data::ClientCloud cloud =
@@ -332,19 +325,6 @@ TiledResult RunTiled(std::int32_t substrate_nodes, std::int64_t clients,
     obs::SetMetricsEnabled(metrics_were_on);
     tiled_d = core::MaxInteractionPathLength(cloud.problem, tiled_a);
     r.tiles_pruned = cloud.problem.client_block().stats().tiles_pruned;
-    // The tiled stage's own per-shard row-cache traffic, with the
-    // placement phase's warmup subtracted out.
-    const net::OracleStats after = oracle.stats();
-    for (std::size_t i = 0; i < after.shard_hits.size(); ++i) {
-      r.shard_hits.push_back(after.shard_hits[i] -
-                             (i < before.shard_hits.size()
-                                  ? before.shard_hits[i]
-                                  : 0));
-      r.shard_misses.push_back(after.shard_misses[i] -
-                               (i < before.shard_misses.size()
-                                    ? before.shard_misses[i]
-                                    : 0));
-    }
   }
   r.tiled_rss_mb = benchutil::PeakRssMb();
 
@@ -394,7 +374,6 @@ ScaleResult RunScale(const data::ClientCloudParams& params, std::int32_t k,
       data::GenerateWaxmanTopology(params.substrate, seed);
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
-  opt.row_cache_capacity = static_cast<std::size_t>(k) + 1;
   const net::DistanceOracle oracle = net::DistanceOracle::FromGraph(graph, opt);
   const std::vector<net::NodeIndex> servers =
       placement::KCenterFarthest(oracle, k);
@@ -495,22 +474,7 @@ void WriteJson(const std::string& path, std::uint64_t seed,
   AppendJsonNumber(os, tiled.prune_speedup);
   os << ", \"pruned_vs_unpruned_identical\": "
      << (tiled.prune_identical ? "true" : "false");
-  os << ",\n   \"shard_hits\": [";
-  for (std::size_t i = 0; i < tiled.shard_hits.size(); ++i) {
-    os << (i ? ", " : "") << tiled.shard_hits[i];
-  }
-  os << "], \"shard_misses\": [";
-  for (std::size_t i = 0; i < tiled.shard_misses.size(); ++i) {
-    os << (i ? ", " : "") << tiled.shard_misses[i];
-  }
-  os << "], \"shard_hit_rate\": [";
-  for (std::size_t i = 0; i < tiled.shard_hits.size(); ++i) {
-    const double total =
-        static_cast<double>(tiled.shard_hits[i] + tiled.shard_misses[i]);
-    os << (i ? ", " : "");
-    AppendJsonNumber(os, total > 0.0 ? tiled.shard_hits[i] / total : 0.0);
-  }
-  os << "],\n   \"assignment_identical\": "
+  os << ",\n   \"assignment_identical\": "
      << (tiled.assignment_identical ? "true" : "false")
      << ", \"objective_bitwise\": "
      << (tiled.objective_bitwise ? "true" : "false") << "},\n";
@@ -587,7 +551,6 @@ int main(int argc, char** argv) {
     const net::Graph graph = data::GenerateWaxmanTopology(params, seed + 1);
     net::OracleOptions rows_opt;
     rows_opt.backend = net::OracleBackend::kRows;
-    rows_opt.row_cache_capacity = static_cast<std::size_t>(quality_nodes);
     const net::DistanceOracle truth =
         net::DistanceOracle::FromGraph(graph, rows_opt);
     const std::vector<net::NodeIndex> sv =
@@ -763,11 +726,6 @@ int main(int argc, char** argv) {
             << FormatDouble(tiled.unpruned_greedy_ms / 1e3, 2) << " s ("
             << FormatDouble(tiled.prune_speedup, 2) << "x speedup), results "
             << (tiled.prune_identical ? "identical" : "DIFFER") << "\n";
-  std::cout << "  row-cache shards hit/miss:";
-  for (std::size_t i = 0; i < tiled.shard_hits.size(); ++i) {
-    std::cout << " " << tiled.shard_hits[i] << "/" << tiled.shard_misses[i];
-  }
-  std::cout << "\n";
   ok &= benchutil::CheckShape(
       tiled.assignment_identical && tiled.objective_bitwise,
       "greedy on the streamed client block reproduces the materialized "

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   double high_churn_divergence = 0.0;
   double final_delta = 0.0;
   for (std::int32_t waves : {1, 5, 15}) {
-    std::vector<dia::JoinEvent> joins;
+    std::vector<dia::MembershipEvent> joins;
     for (std::int32_t j = 0; j < joiners; ++j) {
       const std::int32_t wave = j % waves;
       joins.push_back({500.0 + (duration / 2.0 - 500.0) * wave /
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
                        pool[static_cast<std::size_t>(j)]});
     }
     std::sort(joins.begin(), joins.end(),
-              [](const dia::JoinEvent& a, const dia::JoinEvent& b) {
+              [](const dia::MembershipEvent& a, const dia::MembershipEvent& b) {
                 return a.at_ms < b.at_ms;
               });
     // Collapse same-time joins into shared epochs? The session builds one

@@ -6,10 +6,9 @@
 # Code side: every string literal passed to DIACA_OBS_{COUNT,SPAN,
 # GAUGE_SET,OBSERVE,TIMER} or to Registry::Get{Counter,Gauge,Histogram}
 # in src/, bench/ and tools/, skipping comment lines (obs.h's usage
-# examples), plus the two name families built at run time:
+# examples), plus the one name family built at run time:
 # SolverRegistry's "solver." + name labels and their prefix + ".x"
-# metrics (solver.<name> and solver.<name>.x), and the rows oracle's
-# "net.oracle.shard" + i + ".x" counters (net.oracle.shard<i>.x).
+# metrics (solver.<name> and solver.<name>.x).
 #
 # Doc side: the backticked names in the first column of every table row
 # under "## Metric naming". A bare `y` after `a.b.x` in one cell is
@@ -46,14 +45,6 @@ foreach(_file IN LISTS _files)
          _calls "${_text}")
   foreach(_call IN LISTS _calls)
     string(REGEX REPLACE "^.*\"\\.([a-z_]+)\"\\)$" "solver.<name>.\\1"
-           _name "${_call}")
-    list(APPEND _code "${_name}")
-  endforeach()
-  string(REGEX MATCHALL
-         "\"net\\.oracle\\.shard\" \\+ std::to_string\\(i\\) \\+ \"\\.[a-z_]+\""
-         _calls "${_text}")
-  foreach(_call IN LISTS _calls)
-    string(REGEX REPLACE "^.*\"\\.([a-z_]+)\"$" "net.oracle.shard<i>.\\1"
            _name "${_call}")
     list(APPEND _code "${_name}")
   endforeach()

@@ -9,7 +9,7 @@
 # finally the fault-tolerance suite (`resilience` label: fault plans,
 # repair solver, resilient sessions, malformed-corpus loaders) and the
 # distance-oracle suite (`oracle` label: the shortest-path kernel against
-# its lazy-heap reference, lazy-row bit parity, LRU cache, streaming
+# its lazy-heap reference, lazy-row bit parity, the row store, streaming
 # clouds, concurrent queries) again under ThreadSanitizer and
 # AddressSanitizer+UBSan, and the APSP suite and the solver suite
 # (`algos` label) again under AddressSanitizer+UBSan. A bench_oracle
@@ -170,10 +170,11 @@ if ! $skip_tsan; then
   # The fault-injection suite under TSan: faulted sessions must stay
   # bit-deterministic across thread counts without data races.
   ctest --test-dir build-tsan -L resilience -E smoke_ --output-on-failure
-  # The oracle suite under TSan: the LRU row cache is the one shared
-  # mutable structure on the query path; concurrent lookups must be
-  # race-free and bit-deterministic, and a streamed view's member subset
-  # reads the server rows it shares with its parent from every pool lane.
+  # The oracle suite under TSan: the row store is the one shared mutable
+  # structure on the query path; lanes asking for the same row at once
+  # must build it once and read it race-free, every answer must stay
+  # bit-deterministic, and a streamed view's member subset reads the
+  # server rows it shares with its parent from every pool lane.
   ctest --test-dir build-tsan -L oracle -E smoke_ --output-on-failure
   # The churn suite under TSan: each control-plane run reads a streamed
   # client block, boots (and samples its oracle gap) by running the
@@ -205,10 +206,10 @@ if ! $skip_asan; then
   # native lane, the only other lane that runs this label. The label's
   # bench_apsp smoke also runs the frozen legacy loop.
   ctest --test-dir build-asan -L apsp --output-on-failure
-  # The oracle suite under ASan+UBSan: row buffers, cache eviction, the
-  # streaming problem builders, and a member subset read after its parent
-  # view is gone (the server rows are shared, not copied) are where
-  # lifetime bugs would hide.
+  # The oracle suite under ASan+UBSan: the row store's per-source slots,
+  # row buffers, the streaming problem builders, and a member subset read
+  # after its parent view is gone (the server rows are shared, not
+  # copied) are where lifetime bugs would hide.
   ctest --test-dir build-asan -L oracle -E smoke_ --output-on-failure
   # The churn suite under ASan+UBSan: the control plane reads a streamed
   # client block and solves its members on a streamed subset of it that

@@ -72,18 +72,6 @@ void BroadcastAddScalar(double* out, const double* row, double add,
   for (std::size_t i = 0; i < n; ++i) out[i] = add + row[i];
 }
 
-// The oracle-view column gather: the indirection chain ids -> rows -> col
-// plus the access add, in the exact operand order access + leg of the
-// view's scalar loops.
-void GatherPlusScalar(double* out, const double* col,
-                      const std::int32_t* rows, const double* access,
-                      const std::int32_t* ids, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto c = static_cast<std::size_t>(ids[i]);
-    out[i] = access[c] + col[static_cast<std::size_t>(rows[c])];
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Portable vector backend: pragma-omp-simd loops the compiler can widen to
 // whatever the target ISA offers. The element-wise min/max loops spell
@@ -153,18 +141,6 @@ void BroadcastAddPortable(double* out, const double* row, double add,
   for (std::size_t i = 0; i < n; ++i) out[i] = add + row[i];
 }
 
-void GatherPlusPortable(double* out, const double* col,
-                        const std::int32_t* rows, const double* access,
-                        const std::int32_t* ids, std::size_t n) {
-  // Branch-free gather + one add, which the vectorizer can widen with
-  // hardware gathers where available.
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto c = static_cast<std::size_t>(ids[i]);
-    out[i] = access[c] + col[static_cast<std::size_t>(rows[c])];
-  }
-}
-
 }  // namespace
 
 Backend ActiveBackend() { return Resolve(); }
@@ -223,13 +199,6 @@ void BroadcastAdd(double* out, const double* row, double add, std::size_t n) {
                       BroadcastAddPortable(out, row, add, n));
 }
 
-void GatherPlus(double* out, const double* col, const std::int32_t* rows,
-                const double* access, const std::int32_t* ids, std::size_t n) {
-  CountScan(24 * n);
-  DIACA_SIMD_DISPATCH(GatherPlusScalar(out, col, rows, access, ids, n),
-                      GatherPlusPortable(out, col, rows, access, ids, n));
-}
-
 #undef DIACA_SIMD_DISPATCH
 
 // ---------------------------------------------------------------------------
@@ -285,6 +254,20 @@ double DotProduct(const double* a, const double* b, std::size_t n) {
   }
   for (; i < n; ++i) acc[i % 4] += a[i] * b[i];
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+// The oracle-view column gather, one loop for every backend: the
+// indirection chain ids -> rows -> col plus one add in the operand order
+// access + leg. Branch-free, so the vectorizer can widen it with
+// hardware gathers where the target has them.
+void GatherPlus(double* out, const double* col, const std::int32_t* rows,
+                const double* access, const std::int32_t* ids, std::size_t n) {
+  CountScan(24 * n);
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<std::size_t>(ids[i]);
+    out[i] = access[c] + col[static_cast<std::size_t>(rows[c])];
+  }
 }
 
 void MaxAbsorbScatter(double* far, const std::int32_t* assign,

@@ -6,13 +6,15 @@
 // pragma-omp-simd loops, except that the portable MaxPlusReduce and
 // MinPlusReduce split their reduction over four accumulators, which ran
 // faster than either single-chain loop at every width measured
-// (docs/performance.md). Four kernels have one implementation that every
-// backend runs, because a vector variant measured no faster at the
-// |S| <= 256 widths the solvers scan (docs/performance.md): the three
-// arg-reductions (ArgMinFirst, ArgMinPlusFirst, ArgMaxPlusFirst), a
-// one-pass serial loop, where a vector min/max followed by a second pass
-// for the first index was slower; and DotProduct, a 4-accumulator loop,
-// whose vectorized spelling ran at about 1x.
+// (docs/performance.md). Five kernels have one implementation that every
+// backend runs, because a second variant measured no faster
+// (docs/performance.md): the three arg-reductions (ArgMinFirst,
+// ArgMinPlusFirst, ArgMaxPlusFirst), a one-pass serial loop, where a
+// vector min/max followed by a second pass for the first index was
+// slower at the |S| <= 256 widths the solvers scan; DotProduct, a
+// 4-accumulator loop, whose vectorized spelling ran at about 1x; and
+// GatherPlus, whose scalar and pragma loops computed the same
+// expression at 0.97-1.05x of each other.
 //
 // Determinism contract: every kernel computes a FIXED re-association of
 // IEEE double operations, identical across both backends and across
@@ -100,7 +102,7 @@ void BroadcastAdd(double* out, const double* row, double add, std::size_t n);
 ///   out[i] = access[ids[i]] + col[rows[ids[i]]]  for i in [0, n)
 /// with client ids[i]'s access delay and attachment row (all pointers
 /// non-null). Pure loads plus one rounded add per lane in the fixed
-/// operand order access + leg, so all backends are bit-identical.
+/// operand order access + leg. One loop that every backend runs.
 void GatherPlus(double* out, const double* col, const std::int32_t* rows,
                 const double* access, const std::int32_t* ids, std::size_t n);
 

@@ -71,6 +71,12 @@ void ClientBlockView::GatherAssigned(const ServerIndex* assign,
   columns_gathered_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void ClientBlockView::FoldAssignedMax(const ServerIndex* assign,
+                                      double* far) const {
+  FoldAssignedMaxImpl(assign, far);
+  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void ClientBlockView::FillNearest(ServerIndex* server_out,
                                   double* dist_out) const {
   FillNearestImpl(server_out, dist_out);
@@ -196,8 +202,8 @@ void MaterializedView::GatherAssignedImpl(const ServerIndex* assign,
   }
 }
 
-void MaterializedView::FoldAssignedMax(const ServerIndex* assign,
-                                       double* far) const {
+void MaterializedView::FoldAssignedMaxImpl(const ServerIndex* assign,
+                                           double* far) const {
   ThreadPool& pool = GlobalPool();
   if (pool.num_threads() == 1 || num_clients_ <= kFoldGrain) {
     simd::MaxAbsorbScatter(far, assign, block_.data(), server_stride_, 0,
@@ -431,8 +437,8 @@ void OracleTileView::GatherAssignedImpl(const ServerIndex* assign,
   }
 }
 
-void OracleTileView::FoldAssignedMax(const ServerIndex* assign,
-                                     double* far) const {
+void OracleTileView::FoldAssignedMaxImpl(const ServerIndex* assign,
+                                         double* far) const {
   for (std::int32_t c = 0; c < num_clients_; ++c) {
     const ServerIndex s = assign[c];
     if (s >= 0) far[s] = std::max(far[s], cs(c, s));

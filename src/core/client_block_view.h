@@ -54,8 +54,8 @@
 //
 // Dispatch: the accessors that feed the usage counters are non-virtual;
 // they count and forward to a protected *Impl hook. The rest (cs, Row,
-// ForEachColumnFloors, FillColumnMax, FoldAssignedMax, materialized)
-// are virtual themselves. The base class never branches on residency.
+// ForEachColumnFloors, FillColumnMax, materialized) are virtual
+// themselves. The base class never branches on residency.
 // cs() on a resident block is a virtual call, not an inline load: with
 // an inline load, paper-sweep pairs read no faster (docs/performance.md).
 //
@@ -90,7 +90,8 @@ struct ClientBlockStats {
   /// MaterializeBlock rows).
   std::int64_t rows_filled = 0;
   /// Column accesses served (GatherColumn, ForEachColumn,
-  /// GatherAssigned, FillNearest; both backends).
+  /// GatherAssigned, FoldAssignedMax, FillNearest; both backends). The
+  /// O(|C|) diagonal accessors and FillNearest count one each.
   std::int64_t columns_gathered = 0;
   /// Always 0, like tiles_loaded, and kept for the same reader.
   std::int64_t tile_bytes_peak = 0;
@@ -201,8 +202,7 @@ class ClientBlockView {
   /// is exact. A resident block folds client chunks in parallel into
   /// private maxima and merges them in chunk order; OracleTileView folds
   /// serially through the sparse assigned gather, O(|C|) loads.
-  virtual void FoldAssignedMax(const ServerIndex* assign,
-                               double* far) const = 0;
+  void FoldAssignedMax(const ServerIndex* assign, double* far) const;
 
   /// Per-client nearest server, bit-identical to running
   /// simd::ArgMinFirst over every exact row: server_out[c] = the LOWEST
@@ -270,6 +270,8 @@ class ClientBlockView {
                                      double* out) const = 0;
   virtual void GatherAssignedImpl(const ServerIndex* assign,
                                   double* out) const = 0;
+  virtual void FoldAssignedMaxImpl(const ServerIndex* assign,
+                                   double* far) const = 0;
   virtual void FillNearestImpl(ServerIndex* server_out,
                                double* dist_out) const = 0;
 
@@ -302,7 +304,6 @@ class MaterializedView final : public ClientBlockView {
                            std::size_t max_rows,
                            const ColumnFloorsFn& fn) const override;
   void FillColumnMax(double* out) const override;
-  void FoldAssignedMax(const ServerIndex* assign, double* far) const override;
   std::shared_ptr<const ClientBlockView> Subset(
       std::span<const ClientIndex> ids) const override;
 
@@ -316,6 +317,8 @@ class MaterializedView final : public ClientBlockView {
                              double* out) const override;
   void GatherAssignedImpl(const ServerIndex* assign,
                           double* out) const override;
+  void FoldAssignedMaxImpl(const ServerIndex* assign,
+                           double* far) const override;
   void FillNearestImpl(ServerIndex* server_out,
                        double* dist_out) const override;
 
@@ -360,7 +363,6 @@ class OracleTileView final : public ClientBlockView {
                            const ColumnFloorsFn& fn) const override;
   /// A subset writes its parent's bounds: they cover every member.
   void FillColumnMax(double* out) const override;
-  void FoldAssignedMax(const ServerIndex* assign, double* far) const override;
   std::shared_ptr<const ClientBlockView> Subset(
       std::span<const ClientIndex> ids) const override;
 
@@ -374,6 +376,8 @@ class OracleTileView final : public ClientBlockView {
                              double* out) const override;
   void GatherAssignedImpl(const ServerIndex* assign,
                           double* out) const override;
+  void FoldAssignedMaxImpl(const ServerIndex* assign,
+                           double* far) const override;
   void FillNearestImpl(ServerIndex* server_out,
                        double* dist_out) const override;
 

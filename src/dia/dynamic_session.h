@@ -5,10 +5,13 @@
 // but the client population and the assignment change mid-flight through
 // *epochs*. Each epoch e carries its own member set, assignment A_e and
 // synchronization schedule (δ_e, Δ_e); an operation belongs to the epoch
-// of its issue simulation time. Reconfigurations are announced
-// `reconfiguration_lead_ms` of simulation time before their epoch
-// boundary, so in-flight operations of the old epoch drain under the old
-// schedule while new-epoch operations already use the new one.
+// of its issue simulation time. Epoch boundaries come from the events
+// themselves (membership changes, server failures, the crash windows of
+// an attached fault plan), and the new epoch's operations use the new
+// schedule from its boundary on. Old-epoch operations still in flight
+// drain through the overlap delivery: a server pushes each operation it
+// executes to the members homed at it both in the operation's epoch and
+// in the current one.
 //
 // Joining clients bootstrap with a state snapshot (their new home server's
 // op log) and then ride the normal update stream; clients whose home
@@ -17,19 +20,19 @@
 // operation is ever missed. What *can* happen during a transition is a
 // timewarp artifact: an old-epoch straggler executing against a server
 // whose new-epoch offset ran ahead. The session counts exactly that
-// disruption, which shrinks as the lead time grows — the knob the
-// reconfiguration bench sweeps.
+// disruption.
 //
 // Fault tolerance: server crashes — explicit ServerFailure events or
 // crash windows of an attached sim::FaultPlan — trigger an *emergency*
-// reconfiguration (lead time 0) whose assignment comes from the selected
-// FailoverStrategy (default: the core "repair" solver, which re-homes
-// only the orphans). The session records a degradation timeline (the
-// fraction of members with an intact interaction path), per-failover
-// repair statistics, and time-to-restore; with a plan attached the
-// transport switches to reliable (retransmitting) sends so transient
-// faults cost latency and traffic, never acknowledged history. Without a
-// plan, behavior and traces are bit-identical to the fault-free session.
+// reconfiguration at the crash time, whose assignment comes from the
+// selected FailoverStrategy (default: the core "repair" solver, which
+// re-homes only the orphans). The session records a degradation
+// timeline (the fraction of members with an intact interaction path),
+// per-failover repair statistics, and time-to-restore; with a plan
+// attached the transport switches to reliable (retransmitting) sends so
+// transient faults cost latency and traffic, never acknowledged history.
+// Without a plan, behavior and traces are bit-identical to the
+// fault-free session.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +63,6 @@ struct MembershipEvent {
   core::ClientIndex client = 0;
   MembershipKind kind = MembershipKind::kJoin;
 };
-
-/// Backwards-friendly name for join-only scenarios.
-using JoinEvent = MembershipEvent;
 
 /// A server failing permanently at `at_ms`: it stops executing and
 /// delivering from that moment; the epoch starting at the same time
@@ -96,12 +96,6 @@ struct DynamicSessionParams {
   WorkloadParams workload;
   double consistency_sample_interval_ms = 250.0;
   std::uint64_t seed = 42;
-  /// Simulation-time lead between computing a reconfiguration and its
-  /// epoch boundary. The boundary is at join.at_ms; the announcement
-  /// (and the start of the overlap machinery) precedes it by this much.
-  /// Only used for reporting symmetry today: the boundary timing itself
-  /// comes from the events.
-  double reconfiguration_lead_ms = 400.0;
   /// Assignment policy for server-failure epochs.
   FailoverStrategy failover = FailoverStrategy::kRepair;
   /// Bounded-migration budget handed to the repair solver: how many

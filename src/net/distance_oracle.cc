@@ -7,13 +7,11 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -94,6 +92,26 @@ OracleOptions ParseOracleSpec(const std::string& spec) {
   options.backend = ParseOracleBackend(spec.substr(0, colon));
   if (colon == std::string::npos) return options;
   const std::string args = spec.substr(colon + 1);
+  // Each backend accepts only the keys it actually consumes: a key that
+  // configures nothing ("rows:landmarks=32", "dense:seed=1") would
+  // otherwise be swallowed silently and read like a working config.
+  const char* valid = nullptr;
+  switch (options.backend) {
+    case OracleBackend::kDense:
+    case OracleBackend::kRows:
+      throw Error("oracle backend '" +
+                  std::string(OracleBackendName(options.backend)) +
+                  "' takes no options, got '" + args + "'");
+    case OracleBackend::kLandmarks:
+      valid = "landmarks|rsamples|rq|seed";
+      break;
+    case OracleBackend::kCoords:
+      valid = "beacons|rounds|dims|seed";
+      break;
+    case OracleBackend::kHubLabels:
+      valid = "k|rsamples|rq|seed";
+      break;
+  }
   if (args.empty()) {
     throw Error("oracle spec '" + spec +
                 "' has a ':' but no key=val arguments");
@@ -124,53 +142,18 @@ OracleOptions ParseOracleSpec(const std::string& spec) {
       throw Error("oracle option '" + key + "' must be positive, got '" + val +
                   "'");
     }
-    // Each backend accepts only the keys it actually consumes: a key
-    // another backend owns would otherwise be swallowed silently
-    // ("rows:landmarks=32" configuring nothing), which reads like a
-    // working config. Reject with the backend's own key list.
-    const char* valid = nullptr;
-    bool known = true;
-    switch (options.backend) {
-      case OracleBackend::kDense:
-        valid = "seed";
-        known = key == "seed";
-        break;
-      case OracleBackend::kRows:
-        valid = "cache|shards|seed";
-        known = key == "cache" || key == "shards" || key == "seed";
-        break;
-      case OracleBackend::kLandmarks:
-        valid = "landmarks|rsamples|rq|seed";
-        known = key == "landmarks" || key == "rsamples" || key == "rq" ||
-                key == "seed";
-        break;
-      case OracleBackend::kCoords:
-        valid = "beacons|rounds|dims|seed";
-        known = key == "beacons" || key == "rounds" || key == "dims" ||
-                key == "seed";
-        break;
-      case OracleBackend::kHubLabels:
-        valid = "k|rsamples|rq|seed";
-        known = key == "k" || key == "rsamples" || key == "rq" ||
-                key == "seed";
-        break;
-    }
-    if (!known) {
+    if (("|" + std::string(valid) + "|").find("|" + key + "|") ==
+        std::string::npos) {
       throw Error("oracle option '" + key + "' is not valid for backend '" +
                   OracleBackendName(options.backend) + "' (expected " +
                   valid + ")");
     }
     constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
-    if (key != "cache" && key != "shards" && key != "seed" &&
-        num > kInt32Max) {
+    if (key != "seed" && num > kInt32Max) {
       throw Error("oracle option '" + key + "' must be at most " +
                   std::to_string(kInt32Max) + ", got '" + val + "'");
     }
-    if (key == "cache") {
-      options.row_cache_capacity = static_cast<std::size_t>(num);
-    } else if (key == "shards") {
-      options.row_cache_shards = static_cast<std::size_t>(num);
-    } else if (key == "landmarks") {
+    if (key == "landmarks") {
       options.num_landmarks = static_cast<std::int32_t>(num);
     } else if (key == "beacons") {
       options.coord_beacons = static_cast<std::int32_t>(num);
@@ -203,28 +186,19 @@ struct DistanceOracle::Impl {
   // kDense.
   std::optional<LatencyMatrix> dense;
 
-  // kRows: a copy of the graph (its flat adjacency) + striped LRU row
-  // cache. Rows live in the shard ShardOf picks (splitmix64(node) %
-  // shards.size()), most recent at the shard's front; each shard has its
-  // own mutex so concurrent traversals touching different rows do not
-  // serialize on one cache lock. Rows build outside any lock, each with
-  // its own kernel scratch; a raced insert keeps the first copy (rows are
-  // canonical, so both copies are bit-identical anyway).
+  // kRows: a copy of the graph (its flat adjacency) and one row slot per
+  // source. A slot's canonical row is built on its first request, under
+  // the slot's mutex, so two lanes asking at once build it once; it is
+  // kept for the oracle's life and read without a lock once `ready` is
+  // set. A build that throws (a disconnected graph) leaves the slot
+  // empty, so the next request throws again.
   std::optional<Graph> graph;
-  struct RowShard {
-    using Lru = std::list<std::pair<NodeIndex, std::vector<double>>>;
+  struct RowSlot {
     std::mutex mu;
-    Lru lru;
-    std::unordered_map<NodeIndex, Lru::iterator> index;
-    std::atomic<std::int64_t> hits{0};
-    std::atomic<std::int64_t> misses{0};
-    // Pre-built net.oracle.shard<k>.cache_{hits,misses} metric names so
-    // the hot path never formats strings.
-    std::string hits_metric;
-    std::string misses_metric;
+    std::atomic<bool> ready{false};
+    std::vector<double> row;
   };
-  mutable std::vector<std::unique_ptr<RowShard>> shards;
-  std::size_t shard_capacity = 0;
+  std::unique_ptr<RowSlot[]> slots;
 
   // kLandmarks / kCoords pivot and beacon ids; landmark_rows is k rows of
   // n doubles, row-major, only populated for kLandmarks.
@@ -248,7 +222,6 @@ struct DistanceOracle::Impl {
   mutable std::atomic<std::int64_t> hits{0};
   mutable std::atomic<std::int64_t> misses{0};
   mutable std::atomic<std::int64_t> builds{0};
-  mutable std::atomic<std::int64_t> evictions{0};
 
   std::vector<double> BuildRow(NodeIndex u) const {
     builds.fetch_add(1, std::memory_order_relaxed);
@@ -263,95 +236,36 @@ struct DistanceOracle::Impl {
     return row;
   }
 
-  RowShard& ShardOf(NodeIndex u) const {
-    // splitmix64 finalizer before the modulo: solver row sets are often
-    // strided (every k-th node id hosts a server), and a plain
-    // `u % shards` maps an aligned stride onto one or two stripes,
-    // serializing every traversal on their mutexes. The mix spreads any
-    // arithmetic pattern uniformly; the mapping still never affects
-    // query results, only contention and eviction grouping.
-    std::uint64_t x = static_cast<std::uint64_t>(u) + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return *shards[x % shards.size()];
+  bool RowReady(NodeIndex u) const {
+    return slots[static_cast<std::size_t>(u)].ready.load();
   }
 
-  void CountHit(RowShard& shard) const {
-    hits.fetch_add(1, std::memory_order_relaxed);
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    DIACA_OBS_COUNT("net.oracle.cache_hits", 1);
-    if (obs::MetricsEnabled()) {
-      obs::Registry::Default().GetCounter(shard.hits_metric).Add(1);
-    }
-  }
-
-  void CountMiss(RowShard& shard) const {
-    misses.fetch_add(1, std::memory_order_relaxed);
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    DIACA_OBS_COUNT("net.oracle.cache_misses", 1);
-    if (obs::MetricsEnabled()) {
-      obs::Registry::Default().GetCounter(shard.misses_metric).Add(1);
-    }
-  }
-
-  // Insert a freshly built row into its shard; a raced duplicate keeps
-  // the first copy. Evicts from the shard's own tail past its stripe
-  // capacity.
-  void InsertRow(RowShard& shard, NodeIndex u, std::vector<double> row) const {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.index.find(u) != shard.index.end()) return;  // raced: keep theirs
-    shard.lru.emplace_front(u, std::move(row));
-    shard.index.emplace(u, shard.lru.begin());
-    while (shard.lru.size() > shard_capacity) {
-      evictions.fetch_add(1, std::memory_order_relaxed);
-      DIACA_OBS_COUNT("net.oracle.cache_evictions", 1);
-      shard.index.erase(shard.lru.back().first);
-      shard.lru.pop_back();
-    }
-  }
-
-  // Copy row u into out, serving from / refreshing the LRU cache.
-  void RowsFill(NodeIndex u, std::span<double> out) const {
-    RowShard& shard = ShardOf(u);
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.index.find(u);
-      if (it != shard.index.end()) {
-        CountHit(shard);
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        std::copy(it->second->second.begin(), it->second->second.end(),
-                  out.begin());
-        return;
+  // Row u, built on its first request and kept. A request that builds
+  // the row counts a miss, every other request a hit.
+  const std::vector<double>& Row(NodeIndex u) const {
+    RowSlot& slot = slots[static_cast<std::size_t>(u)];
+    if (!slot.ready.load()) {
+      std::lock_guard<std::mutex> lock(slot.mu);
+      if (!slot.ready.load()) {
+        misses.fetch_add(1, std::memory_order_relaxed);
+        DIACA_OBS_COUNT("net.oracle.cache_misses", 1);
+        slot.row = BuildRow(u);
+        slot.ready.store(true);
+        return slot.row;
       }
     }
-    CountMiss(shard);
-    std::vector<double> row = BuildRow(u);  // outside the lock
-    std::copy(row.begin(), row.end(), out.begin());
-    InsertRow(shard, u, std::move(row));
+    hits.fetch_add(1, std::memory_order_relaxed);
+    DIACA_OBS_COUNT("net.oracle.cache_hits", 1);
+    return slot.row;
   }
 
   double RowsDistance(NodeIndex u, NodeIndex v) const {
-    // Serve from either endpoint's cached row (rows are canonical, so
-    // row_u[v] == row_v[u] bit-for-bit); build u's row on a double miss.
-    // The endpoints live in (possibly) different shards, locked one at a
-    // time — never nested, so shard order cannot deadlock.
-    for (const NodeIndex w : {u, v}) {
-      RowShard& shard = ShardOf(w);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.index.find(w);
-      if (it != shard.index.end()) {
-        CountHit(shard);
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return it->second->second[static_cast<std::size_t>(w == u ? v : u)];
-      }
+    // Read whichever endpoint's row is built (rows are canonical, so
+    // row_u[v] == row_v[u] bit for bit); build u's when neither is.
+    if (!RowReady(u) && RowReady(v)) {
+      return Row(v)[static_cast<std::size_t>(u)];
     }
-    RowShard& shard = ShardOf(u);
-    CountMiss(shard);
-    std::vector<double> row = BuildRow(u);
-    const double d = row[static_cast<std::size_t>(v)];
-    InsertRow(shard, u, std::move(row));
-    return d;
+    return Row(u)[static_cast<std::size_t>(v)];
   }
 
   DistanceOracle::Bounds LandmarkBounds(NodeIndex u, NodeIndex v) const {
@@ -695,26 +609,10 @@ DistanceOracle DistanceOracle::FromGraph(const Graph& graph,
   impl->backend = options.backend;
   impl->n = graph.size();
   impl->options = options;
-  impl->options.row_cache_capacity =
-      std::max<std::size_t>(options.row_cache_capacity, 1);
-  // A stripe past the node count could never hold a row.
-  impl->options.row_cache_shards = std::clamp<std::size_t>(
-      options.row_cache_shards, 1,
-      std::max<std::size_t>(static_cast<std::size_t>(impl->n), 1));
   if (options.backend == OracleBackend::kRows) {
     impl->graph.emplace(graph);
-    const std::size_t num_shards = impl->options.row_cache_shards;
-    impl->shard_capacity =
-        (impl->options.row_cache_capacity + num_shards - 1) / num_shards;
-    impl->shards.reserve(num_shards);
-    for (std::size_t i = 0; i < num_shards; ++i) {
-      auto shard = std::make_unique<Impl::RowShard>();
-      shard->hits_metric =
-          "net.oracle.shard" + std::to_string(i) + ".cache_hits";
-      shard->misses_metric =
-          "net.oracle.shard" + std::to_string(i) + ".cache_misses";
-      impl->shards.push_back(std::move(shard));
-    }
+    impl->slots = std::make_unique<Impl::RowSlot[]>(
+        static_cast<std::size_t>(impl->n));
     return DistanceOracle(std::move(impl));
   }
   const RowProvider row_of = [&graph](NodeIndex u) {
@@ -773,9 +671,11 @@ void DistanceOracle::FillRow(NodeIndex u, std::span<double> out) const {
       std::copy(row, row + impl_->n, out.begin());
       return;
     }
-    case OracleBackend::kRows:
-      impl_->RowsFill(u, out);
+    case OracleBackend::kRows: {
+      const std::vector<double>& row = impl_->Row(u);
+      std::copy(row.begin(), row.end(), out.begin());
       return;
+    }
     case OracleBackend::kLandmarks: {
       for (NodeIndex v = 0; v < impl_->n; ++v) {
         out[static_cast<std::size_t>(v)] =
@@ -851,13 +751,6 @@ OracleStats DistanceOracle::stats() const {
   s.row_cache_hits = impl_->hits.load(std::memory_order_relaxed);
   s.row_cache_misses = impl_->misses.load(std::memory_order_relaxed);
   s.row_builds = impl_->builds.load(std::memory_order_relaxed);
-  s.row_evictions = impl_->evictions.load(std::memory_order_relaxed);
-  s.shard_hits.reserve(impl_->shards.size());
-  s.shard_misses.reserve(impl_->shards.size());
-  for (const auto& shard : impl_->shards) {
-    s.shard_hits.push_back(shard->hits.load(std::memory_order_relaxed));
-    s.shard_misses.push_back(shard->misses.load(std::memory_order_relaxed));
-  }
   s.repair_upper_scale = impl_->repair_upper;
   s.repair_lower_scale = impl_->repair_lower;
   s.hub_label_entries = static_cast<std::int64_t>(impl_->label_hubs.size());

@@ -12,14 +12,17 @@
 //                  O(n^2) memory. The historical default; every existing
 //                  result is produced by this backend unchanged.
 //   * kRows      — lazy per-source Dijkstra rows over a copy of the
-//                  substrate graph's flat adjacency, kept in an
-//                  LRU-bounded row cache. Exact: each row is the
-//                  canonical row of net/dijkstra.h's kernel (see
-//                  Graph::CanonicalShortestPathsFrom), so the values are
-//                  bit-identical to the dense Dijkstra matrix entries.
-//                  O(m log n) per row build, O(cache * n) memory. The
-//                  backend assignment solves run on: s server rows cost
-//                  O(s * n) instead of O(n^2).
+//                  substrate graph's flat adjacency. Each source's row
+//                  is built on its first request and kept. Exact: each
+//                  row is the canonical row of net/dijkstra.h's kernel
+//                  (see Graph::CanonicalShortestPathsFrom), so the
+//                  values are bit-identical to the dense Dijkstra matrix
+//                  entries. O(m log n) per row build; memory is the graph
+//                  plus one row per source asked for. The backend
+//                  assignment solves run on: they ask only for the s
+//                  server rows, O(s * n) instead of O(n^2). Exact point
+//                  queries over arbitrary sources at sublinear memory
+//                  are kHubLabels' job.
 //   * kLandmarks — k pivot nodes (farthest-point sampled) with
 //                  precomputed exact rows. Queries return the classic
 //                  triangle-inequality sandwich: upper bound
@@ -57,14 +60,12 @@
 // query distribution (the bench reports the achieved rate per
 // substrate). Distance() always reports the raw point estimate.
 //
-// Thread safety: all query methods are safe to call concurrently; the
-// rows backend stripes its LRU across row_cache_shards independent
-// shards (shard = splitmix64(node) % shards, one mutex each — the hash
-// keeps strided node sets, e.g. every-k-th server ids, from piling onto
-// one stripe) and builds rows outside any lock, so concurrent
-// traversals touching different rows do not serialize on a single cache
-// lock. Query results never depend on cache state, shard count, thread
-// count, or query order, so everything downstream stays
+// Thread safety: all query methods are safe to call concurrently. The
+// rows backend builds each row exactly once, under that row's own
+// mutex, so lanes asking for different rows build them in parallel and
+// lanes asking for the same row wait for the one build; a built row is
+// read without a lock. Query results never depend on which rows are
+// built, thread count, or query order, so everything downstream stays
 // bit-deterministic.
 #pragma once
 
@@ -72,7 +73,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "net/latency_matrix.h"
 
@@ -82,7 +82,7 @@ class Graph;
 
 enum class OracleBackend {
   kDense = 0,      ///< Full matrix in memory (exact, the historical path).
-  kRows = 1,       ///< Lazy per-source Dijkstra rows + LRU cache (exact).
+  kRows = 1,       ///< Lazy per-source Dijkstra rows, each kept (exact).
   kLandmarks = 2,  ///< k-pivot sketch with upper/lower bounds.
   kCoords = 3,     ///< Vivaldi coordinate estimates.
   kHubLabels = 4,  ///< Pruned 2-hop hub labeling (graph substrates).
@@ -97,16 +97,6 @@ OracleBackend ParseOracleBackend(const std::string& name);
 
 struct OracleOptions {
   OracleBackend backend = OracleBackend::kRows;
-  /// Rows backend: number of rows the LRU cache retains. Each row is
-  /// size() doubles. Capacity never affects query results, only rebuild
-  /// frequency.
-  std::size_t row_cache_capacity = 128;
-  /// Rows backend: number of independent LRU stripes (shard =
-  /// splitmix64(node) % shards, one mutex each). Each shard retains
-  /// ceil(row_cache_capacity / shards) rows. Sharding never affects query
-  /// results, only lock contention and the eviction pattern. Clamped to
-  /// [1, size()] at build.
-  std::size_t row_cache_shards = 4;
   /// Landmarks backend: number of pivots (farthest-point sampled,
   /// deterministic; clamped to size()).
   std::int32_t num_landmarks = 16;
@@ -140,10 +130,7 @@ struct OracleOptions {
 ///   backend[:key=val[,key=val...]]
 ///
 /// into OracleOptions. `backend` is an OracleBackendName; each backend
-/// accepts only the keys it consumes:
-///   dense      seed=N
-///   rows       cache=N (row_cache_capacity), shards=N (row_cache_shards),
-///              seed=N
+/// accepts only the keys it consumes (dense and rows consume none):
 ///   landmarks  landmarks=K, rsamples=N (repair_samples),
 ///              rq=N (repair_permille, 1..1000), seed=N
 ///   coords     beacons=N, rounds=N, dims=N, seed=N
@@ -152,23 +139,19 @@ struct OracleOptions {
 /// spaces). Unknown backends, keys another backend owns, unknown keys,
 /// malformed pairs, and out-of-range values (non-positive, beyond int64,
 /// or beyond INT32_MAX for the int32 keys) throw diaca::Error naming the
-/// offending token and listing the backend's valid keys. Examples:
-/// "dense", "rows:cache=256,shards=8", "hublabels:k=32,rq=995".
+/// offending token and listing the backend's valid keys; any key on
+/// dense or rows throws naming the backend. Examples:
+/// "rows", "landmarks:landmarks=32", "hublabels:k=32,rq=995".
 OracleOptions ParseOracleSpec(const std::string& spec);
 
 /// Monotonic query-layer counters (also exported as net.oracle.* obs
-/// metrics; per-shard splits additionally as
-/// net.oracle.shard<k>.cache_{hits,misses}). Hits/misses only move on
-/// the rows backend.
+/// metrics). They only move on the rows backend: a request that builds
+/// its row is a miss and every other request a hit, so builds equal
+/// misses. A row is built once, unless its build threw.
 struct OracleStats {
   std::int64_t row_cache_hits = 0;
   std::int64_t row_cache_misses = 0;
   std::int64_t row_builds = 0;
-  std::int64_t row_evictions = 0;
-  /// Per-stripe hit/miss splits (rows backend: one entry per cache
-  /// shard, summing to the totals above; empty otherwise).
-  std::vector<std::int64_t> shard_hits;
-  std::vector<std::int64_t> shard_misses;
   /// Calibrated sandwich-repair scales (landmarks / hublabels; 1.0 when
   /// the substrate is metric or the backend carries no certificate).
   double repair_upper_scale = 1.0;
@@ -222,8 +205,8 @@ class DistanceOracle {
   double Distance(NodeIndex u, NodeIndex v) const;
 
   /// All distances from u, written to out[0..size()). For the rows
-  /// backend this is the primary bulk interface: one cache lookup or one
-  /// row build, then a copy.
+  /// backend this is the primary bulk interface: u's row (built on the
+  /// first request), copied.
   void FillRow(NodeIndex u, std::span<double> out) const;
 
   struct Bounds {

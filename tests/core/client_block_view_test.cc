@@ -1,7 +1,7 @@
 // Property suite for the client-block view API: the streamed
-// OracleTileView must be bit-identical to the materialized block at
-// every LRU capacity and thread count, for every solver that consumes
-// the view.
+// OracleTileView must be bit-identical to the materialized block from
+// a cold or warm row store and at every thread count, for every solver
+// that consumes the view.
 // Also covers the view's accessors (rows with zero pads, column subsets,
 // nearest servers, the assigned-diagonal consumers), the FromBlocks/
 // FromView validation, and the --oracle spec grammar.
@@ -49,14 +49,12 @@ struct Substrate {
   std::vector<net::NodeIndex> clients;
 };
 
-Substrate MakeSubstrate(std::uint64_t seed = 5,
-                        std::size_t row_cache_capacity = 128) {
+Substrate MakeSubstrate(std::uint64_t seed = 5) {
   data::WaxmanParams wp;
   wp.num_nodes = kNodes;
   net::Graph graph = data::GenerateWaxmanTopology(wp, seed);
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
-  opt.row_cache_capacity = row_cache_capacity;
   net::DistanceOracle oracle = net::DistanceOracle::FromGraph(graph, opt);
   std::vector<net::NodeIndex> servers(static_cast<std::size_t>(kServers));
   for (std::size_t s = 0; s < servers.size(); ++s) {
@@ -170,16 +168,23 @@ TEST(ClientBlockViewTest, CapacitatedSolversBitIdenticalAcrossBackends) {
   }
 }
 
-// An LRU cache of a single row cannot change anything: the view pulls
-// its server rows exactly once at construction, and row values never
-// depend on cache state.
-TEST(ClientBlockViewTest, TinyRowCacheDoesNotChangeBits) {
-  const Substrate roomy = MakeSubstrate(5, 128);
-  const Substrate tiny = MakeSubstrate(5, 1);
+// The view pulls its server rows once, at construction. From a row
+// store that already holds them (placement built them, as in the cloud
+// setup) it builds none again and reads the same bits as from a fresh
+// store.
+TEST(ClientBlockViewTest, WarmRowStoreDoesNotChangeBits) {
+  const Substrate cold = MakeSubstrate();
+  const Substrate warm = MakeSubstrate();
+  std::vector<double> row(static_cast<std::size_t>(kNodes));
+  for (const net::NodeIndex s : warm.servers) warm.oracle.FillRow(s, row);
+  ASSERT_EQ(warm.oracle.stats().row_builds, kServers);
   const Problem a =
-      Problem::FromOracleTiled(roomy.oracle, roomy.servers, roomy.clients);
+      Problem::FromOracleTiled(cold.oracle, cold.servers, cold.clients);
   const Problem b =
-      Problem::FromOracleTiled(tiny.oracle, tiny.servers, tiny.clients);
+      Problem::FromOracleTiled(warm.oracle, warm.servers, warm.clients);
+  EXPECT_EQ(cold.oracle.stats().row_builds, kServers);
+  EXPECT_EQ(warm.oracle.stats().row_builds, kServers);
+  EXPECT_EQ(warm.oracle.stats().row_cache_hits, kServers);
   for (ClientIndex c = 0; c < a.num_clients(); ++c) {
     for (ServerIndex s = 0; s < a.num_servers(); ++s) {
       ASSERT_EQ(a.client_block().cs(c, s), b.client_block().cs(c, s));
@@ -346,6 +351,32 @@ TEST(ClientBlockViewTest, FillRowAndMaterializeBlockMatchCellsWithZeroPads) {
   }
 }
 
+// An eccentricity fold reads the assigned diagonal, an O(|C|) column
+// access like GatherAssigned, and counts as exactly one on both views.
+TEST(ClientBlockViewTest, FoldAssignedMaxCountsOneColumnAccess) {
+  const Substrate sub = MakeSubstrate();
+  const Problem dense =
+      Problem::WithClientsEverywhere(sub.oracle, sub.servers);
+  const Problem tiled =
+      Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients);
+  ASSERT_TRUE(dense.client_block().materialized());
+  ASSERT_FALSE(tiled.client_block().materialized());
+  const SolveResult solved =
+      SolverRegistry::Default().Solve("greedy", dense, SolveOptions{});
+  for (const Problem* p : {&dense, &tiled}) {
+    const ClientBlockView& view = p->client_block();
+    std::vector<double> far(static_cast<std::size_t>(view.num_servers()),
+                            -1.0);
+    const ClientBlockStats before = view.stats();
+    view.FoldAssignedMax(solved.assignment.server_of.data(), far.data());
+    const ClientBlockStats after = view.stats();
+    EXPECT_EQ(after.columns_gathered - before.columns_gathered, 1)
+        << "materialized=" << view.materialized();
+    EXPECT_EQ(after.rows_filled, before.rows_filled);
+    EXPECT_EQ(far, ServerEccentricities(dense, solved.assignment));
+  }
+}
+
 TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
   const Substrate sub = MakeSubstrate();
   const Problem dense =
@@ -378,12 +409,13 @@ TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
   EXPECT_EQ(rt.stats.max_len, rd.stats.max_len);
 }
 
-// The greedy determinism grid: every combination of thread count and
-// row-cache shard count must produce the identical greedy assignment,
-// bit-identical objective, and bit-identical eccentricity fold. Every
-// solve rebuilds its candidate lists over the survivors the same number
-// of times, so the 4-thread runs put the rebuild's concurrent per-server
-// writes under the oracle label's sanitizer lanes.
+// The greedy determinism grid: every thread count must produce the
+// identical greedy assignment, bit-identical objective, and
+// bit-identical eccentricity fold. Each thread count gets a fresh row
+// store, so the 4-thread view build runs its row builds concurrently.
+// Every solve rebuilds its candidate lists over the survivors the same
+// number of times, so the 4-thread runs put the rebuild's concurrent
+// per-server writes under the oracle label's sanitizer lanes.
 TEST(ClientBlockViewTest, GreedyGridBitIdenticalAcrossThreadsAndShards) {
   const Substrate sub = MakeSubstrate();
   const Problem dense =
@@ -399,29 +431,24 @@ TEST(ClientBlockViewTest, GreedyGridBitIdenticalAcrossThreadsAndShards) {
 #endif
   const std::vector<double> want_ecc =
       ServerEccentricities(dense, want.assignment);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    net::OracleOptions opt;
-    opt.backend = net::OracleBackend::kRows;
-    opt.row_cache_capacity = 8;  // force eviction churn under the grid
-    opt.row_cache_shards = shards;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
     const net::DistanceOracle oracle =
         net::DistanceOracle::FromGraph(sub.graph, opt);
-    for (const int threads : {1, 4}) {
-      SetGlobalThreads(threads);
-      const Problem tiled =
-          Problem::FromOracleTiled(oracle, sub.servers, sub.clients);
-      before = test::GreedyRebuilds();
-      const SolveResult got =
-          SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
-      EXPECT_EQ(test::GreedyRebuilds() - before, want_rebuilds)
-          << "shards=" << shards << " threads=" << threads;
-      ASSERT_EQ(want.assignment.server_of, got.assignment.server_of)
-          << "shards=" << shards << " threads=" << threads;
-      ASSERT_EQ(want.stats.max_len, got.stats.max_len)
-          << "shards=" << shards << " threads=" << threads;
-      ASSERT_EQ(want_ecc, ServerEccentricities(tiled, got.assignment))
-          << "shards=" << shards << " threads=" << threads;
-    }
+    const Problem tiled =
+        Problem::FromOracleTiled(oracle, sub.servers, sub.clients);
+    before = test::GreedyRebuilds();
+    const SolveResult got =
+        SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
+    EXPECT_EQ(test::GreedyRebuilds() - before, want_rebuilds)
+        << "threads=" << threads;
+    ASSERT_EQ(want.assignment.server_of, got.assignment.server_of)
+        << "threads=" << threads;
+    ASSERT_EQ(want.stats.max_len, got.stats.max_len) << "threads=" << threads;
+    ASSERT_EQ(want_ecc, ServerEccentricities(tiled, got.assignment))
+        << "threads=" << threads;
   }
   obs::SetMetricsEnabled(metrics_were_on);
   SetGlobalThreads(0);
@@ -1224,11 +1251,7 @@ TEST(OracleSpecTest, ParsesBackendsAndOptions) {
   const net::OracleOptions dense = net::ParseOracleSpec("dense");
   EXPECT_EQ(dense.backend, net::OracleBackend::kDense);
 
-  const net::OracleOptions rows =
-      net::ParseOracleSpec("rows:cache=256,shards=8");
-  EXPECT_EQ(rows.backend, net::OracleBackend::kRows);
-  EXPECT_EQ(rows.row_cache_capacity, 256u);
-  EXPECT_EQ(rows.row_cache_shards, 8u);
+  EXPECT_EQ(net::ParseOracleSpec("rows").backend, net::OracleBackend::kRows);
 
   const net::OracleOptions lm = net::ParseOracleSpec("landmarks:landmarks=4");
   EXPECT_EQ(lm.backend, net::OracleBackend::kLandmarks);
@@ -1251,49 +1274,67 @@ TEST(OracleSpecTest, ParsesBackendsAndOptions) {
   EXPECT_EQ(hl.seed, 9u);
 }
 
-// A key another backend owns must not be swallowed silently —
-// "rows:landmarks=32" configures nothing and would read like a working
-// sketch config. The error names the backend's own key list.
+// A key the backend does not consume must not be swallowed silently —
+// "landmarks:beacons=32" or "dense:seed=1" configures nothing and would
+// read like a working config. The error names the backend, and its own
+// key list where it has one; dense and rows take no keys at all.
 TEST(OracleSpecTest, RejectsKeysOwnedByOtherBackends) {
-  EXPECT_THROW(net::ParseOracleSpec("rows:landmarks=4"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("dense:cache=8"), Error);
   EXPECT_THROW(net::ParseOracleSpec("landmarks:cache=8"), Error);
   EXPECT_THROW(net::ParseOracleSpec("coords:k=4"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("coords:rsamples=4"), Error);
   EXPECT_THROW(net::ParseOracleSpec("hublabels:landmarks=4"), Error);
   EXPECT_THROW(net::ParseOracleSpec("hublabels:beacons=4"), Error);
   EXPECT_THROW(net::ParseOracleSpec("landmarks:rq=1001"), Error);
+  for (const char* spec : {"rows:cache=8", "rows:shards=4", "rows:seed=1",
+                           "rows:landmarks=4", "rows:", "dense:seed=1",
+                           "dense:cache=8"}) {
+    try {
+      net::ParseOracleSpec(spec);
+      ADD_FAILURE() << spec << " must throw";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      const std::string backend =
+          std::string(spec).substr(0, std::string(spec).find(':'));
+      EXPECT_NE(msg.find("'" + backend + "' takes no options"),
+                std::string::npos)
+          << msg;
+    }
+  }
   try {
-    net::ParseOracleSpec("rows:landmarks=4");
+    net::ParseOracleSpec("landmarks:beacons=4");
     FAIL() << "expected Error";
   } catch (const Error& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("cache|shards|seed"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("rows"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("landmarks|rsamples|rq|seed"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("'landmarks'"), std::string::npos) << msg;
   }
 }
 
 TEST(OracleSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW(net::ParseOracleSpec(""), Error);
   EXPECT_THROW(net::ParseOracleSpec("bogus"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:cache"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:cache="), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:=256"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:cache=abc"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:cache=12x"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:cache=0"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:cache=-3"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:shards=0"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:cache=1,"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:unknown=1"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks="), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:=16"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks=abc"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks=12x"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks=0"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks=-3"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("coords:seed=0"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("hublabels:seed=-1"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks=1,"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("coords:unknown=1"), Error);
   // Values are whole decimal integers: no sign, no spaces, no wrap past
   // 64 bits.
   EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks= 16"), Error);
   EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks=16 "), Error);
   EXPECT_THROW(net::ParseOracleSpec("landmarks:landmarks=+16"), Error);
-  EXPECT_THROW(net::ParseOracleSpec("rows:cache=18446744073709551617"), Error);
+  EXPECT_THROW(net::ParseOracleSpec("landmarks:seed=18446744073709551617"),
+               Error);
   // The int32 keys reject what would wrap (4294967297 read as 1),
-  // naming the key; the 64-bit keys take it.
+  // naming the key; the 64-bit seed takes it.
   struct TooLarge {
     const char* spec;
     const char* key;
@@ -1313,10 +1354,10 @@ TEST(OracleSpecTest, RejectsMalformedSpecs) {
   }
   EXPECT_EQ(net::ParseOracleSpec("coords:dims=2147483647").coord_dimensions,
             2147483647);
-  EXPECT_EQ(net::ParseOracleSpec("rows:cache=4294967297").row_cache_capacity,
+  EXPECT_EQ(net::ParseOracleSpec("landmarks:seed=4294967297").seed,
             4294967297u);
-  EXPECT_EQ(net::ParseOracleSpec("rows:shards=4294967297").row_cache_shards,
-            4294967297u);
+  EXPECT_EQ(net::ParseOracleSpec("hublabels:seed=9223372036854775807").seed,
+            9223372036854775807u);
 }
 
 }  // namespace

@@ -37,7 +37,6 @@ Built Build(const ClientCloudParams& params, std::int32_t k,
   net::Graph graph = GenerateWaxmanTopology(params.substrate, seed);
   net::OracleOptions opt;
   opt.backend = net::OracleBackend::kRows;
-  opt.row_cache_capacity = static_cast<std::size_t>(k) + 1;
   net::DistanceOracle oracle = net::DistanceOracle::FromGraph(graph, opt);
   std::vector<net::NodeIndex> servers = placement::KCenterFarthest(oracle, k);
   ClientCloud cloud = BuildClientCloud(params, seed, oracle, servers);

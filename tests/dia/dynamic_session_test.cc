@@ -68,7 +68,7 @@ TEST(DynamicSessionTest, JoiningClientBecomesConsistent) {
   auto members = f.AllClients();
   const core::ClientIndex joiner = members.back();
   members.pop_back();
-  std::vector<JoinEvent> joins{{2000.0, joiner}};
+  std::vector<MembershipEvent> joins{{2000.0, joiner}};
   const DynamicDiaSession session(f.matrix, f.problem, members, joins,
                                   f.Params());
   const DynamicSessionReport report = session.Run();
@@ -82,14 +82,14 @@ TEST(DynamicSessionTest, JoiningClientBecomesConsistent) {
 TEST(DynamicSessionTest, MultipleJoinsAllClean) {
   const Fixture f(3, /*nodes=*/16, /*servers=*/3);
   auto members = f.AllClients();
-  std::vector<JoinEvent> joins;
+  std::vector<MembershipEvent> joins;
   for (int k = 0; k < 3; ++k) {
     joins.push_back({1000.0 + 800.0 * k, members.back()});
     members.pop_back();
   }
   std::reverse(joins.begin(), joins.end());
   std::sort(joins.begin(), joins.end(),
-            [](const JoinEvent& a, const JoinEvent& b) {
+            [](const MembershipEvent& a, const MembershipEvent& b) {
               return a.at_ms < b.at_ms;
             });
   const DynamicDiaSession session(f.matrix, f.problem, members, joins,
@@ -105,7 +105,7 @@ TEST(DynamicSessionTest, FinalEpochSteadyStateEqualsItsDelta) {
   auto members = f.AllClients();
   const core::ClientIndex joiner = members.back();
   members.pop_back();
-  std::vector<JoinEvent> joins{{1500.0, joiner}};
+  std::vector<MembershipEvent> joins{{1500.0, joiner}};
   DynamicSessionParams params = f.Params();
   params.workload.duration_ms = 6000.0;
   const DynamicDiaSession session(f.matrix, f.problem, members, joins,
@@ -125,7 +125,7 @@ TEST(DynamicSessionTest, HandoverProducesDuplicatesNotGaps) {
   auto members = f.AllClients();
   const core::ClientIndex joiner = members.back();
   members.pop_back();
-  std::vector<JoinEvent> joins{{2000.0, joiner}};
+  std::vector<MembershipEvent> joins{{2000.0, joiner}};
   const DynamicDiaSession session(f.matrix, f.problem, members, joins,
                                   f.Params());
   const DynamicSessionReport report = session.Run();
@@ -141,7 +141,7 @@ TEST(DynamicSessionTest, ValidatesInputs) {
   EXPECT_THROW(DynamicDiaSession(f.matrix, f.problem, dup, {}, f.Params()),
                Error);
   // Join of an already-initial client.
-  std::vector<JoinEvent> bad{{100.0, members.front()}};
+  std::vector<MembershipEvent> bad{{100.0, members.front()}};
   EXPECT_THROW(
       DynamicDiaSession(f.matrix, f.problem, members, bad, f.Params()),
       Error);
@@ -151,7 +151,7 @@ TEST(DynamicSessionTest, ValidatesInputs) {
   some.pop_back();
   const auto b = some.back();
   some.pop_back();
-  std::vector<JoinEvent> unsorted{{500.0, a}, {100.0, b}};
+  std::vector<MembershipEvent> unsorted{{500.0, a}, {100.0, b}};
   EXPECT_THROW(
       DynamicDiaSession(f.matrix, f.problem, some, unsorted, f.Params()),
       Error);
@@ -295,13 +295,13 @@ class DynamicSessionPropertyTest
 TEST_P(DynamicSessionPropertyTest, ChurnNeverBreaksConsistency) {
   const Fixture f(GetParam() + 30, /*nodes=*/15, /*servers=*/3);
   auto members = f.AllClients();
-  std::vector<JoinEvent> joins;
+  std::vector<MembershipEvent> joins;
   joins.push_back({1200.0, members.back()});
   members.pop_back();
   joins.push_back({2400.0, members.back()});
   members.pop_back();
   std::sort(joins.begin(), joins.end(),
-            [](const JoinEvent& a, const JoinEvent& b) {
+            [](const MembershipEvent& a, const MembershipEvent& b) {
               return a.at_ms < b.at_ms;
             });
   DynamicSessionParams params;

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/error.h"
@@ -26,17 +27,16 @@ Graph SmallWaxman(std::int32_t nodes, std::uint64_t seed) {
   return data::GenerateWaxmanTopology(params, seed);
 }
 
-OracleOptions RowsOptions(std::size_t cache) {
+OracleOptions RowsOptions() {
   OracleOptions opt;
   opt.backend = OracleBackend::kRows;
-  opt.row_cache_capacity = cache;
   return opt;
 }
 
 TEST(DistanceOracleTest, BackendNamesRoundTrip) {
   for (const OracleBackend b :
        {OracleBackend::kDense, OracleBackend::kRows, OracleBackend::kLandmarks,
-        OracleBackend::kCoords}) {
+        OracleBackend::kCoords, OracleBackend::kHubLabels}) {
     EXPECT_EQ(ParseOracleBackend(OracleBackendName(b)), b);
   }
   EXPECT_THROW(ParseOracleBackend("florbs"), Error);
@@ -45,7 +45,7 @@ TEST(DistanceOracleTest, BackendNamesRoundTrip) {
 TEST(DistanceOracleTest, FromMatrixRejectsRowsBackend) {
   Rng rng(1);
   const LatencyMatrix m = test::RandomMatrix(8, rng);
-  EXPECT_THROW(DistanceOracle::FromMatrix(m, RowsOptions(4)), Error);
+  EXPECT_THROW(DistanceOracle::FromMatrix(m, RowsOptions()), Error);
 }
 
 // The load-bearing property of the whole PR: lazy rows are bit-identical
@@ -54,7 +54,7 @@ TEST(DistanceOracleTest, RowsBitwiseEqualsDenseOnWaxman) {
   for (const std::uint64_t seed : {1ull, 7ull, 2011ull}) {
     const Graph graph = SmallWaxman(120, seed);
     const LatencyMatrix dense = graph.AllPairsShortestPaths();
-    const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(4));
+    const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
     for (NodeIndex u = 0; u < graph.size(); ++u) {
       for (NodeIndex v = 0; v < graph.size(); ++v) {
         ASSERT_EQ(rows.Distance(u, v), dense(u, v))
@@ -67,7 +67,7 @@ TEST(DistanceOracleTest, RowsBitwiseEqualsDenseOnWaxman) {
 TEST(DistanceOracleTest, RowsFillRowBitwiseEqualsDenseRow) {
   const Graph graph = SmallWaxman(90, 3);
   const LatencyMatrix dense = graph.AllPairsShortestPaths();
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(2));
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
   std::vector<double> row(static_cast<std::size_t>(graph.size()));
   for (NodeIndex u = 0; u < graph.size(); ++u) {
     rows.FillRow(u, row);
@@ -87,7 +87,7 @@ TEST(DistanceOracleTest, RowsBitwiseEqualsDenseOnDyadicWeights) {
     graph.AddEdge(u, (u + 5) % 16, 0.25 * (1 + rng.NextBounded(8)));
   }
   const LatencyMatrix dense = graph.AllPairsShortestPaths();
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(3));
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
   for (NodeIndex u = 0; u < 16; ++u) {
     for (NodeIndex v = 0; v < 16; ++v) {
       ASSERT_EQ(rows.Distance(u, v), dense(u, v));
@@ -95,104 +95,20 @@ TEST(DistanceOracleTest, RowsBitwiseEqualsDenseOnDyadicWeights) {
   }
 }
 
-TEST(DistanceOracleTest, TinyLruCapacityNeverChangesAnswers) {
-  const Graph graph = SmallWaxman(80, 5);
-  // One stripe so capacity 80 provably retains all 80 rows: the hashed
-  // stripe routing does not split a multi-stripe cache's capacity evenly
-  // across node ids, only per stripe.
-  OracleOptions big_opt = RowsOptions(80);
-  big_opt.row_cache_shards = 1;
-  const DistanceOracle big = DistanceOracle::FromGraph(graph, big_opt);
-  const DistanceOracle tiny = DistanceOracle::FromGraph(graph, RowsOptions(1));
-  Rng rng(9);
-  for (int i = 0; i < 2000; ++i) {
-    const auto u = static_cast<NodeIndex>(rng.NextBounded(80));
-    const auto v = static_cast<NodeIndex>(rng.NextBounded(80));
-    ASSERT_EQ(tiny.Distance(u, v), big.Distance(u, v));
-  }
-  EXPECT_GT(tiny.stats().row_evictions, 0);
-  EXPECT_EQ(big.stats().row_evictions, 0);
-}
-
 TEST(DistanceOracleTest, StatsCountersTrackCacheBehavior) {
   const Graph graph = SmallWaxman(60, 2);
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(8));
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
   std::vector<double> row(60);
   rows.FillRow(0, row);
   rows.FillRow(0, row);
   rows.FillRow(1, row);
+  // A point query reads whichever endpoint's row is built: this one
+  // reads row 1 instead of building row 7.
+  EXPECT_EQ(rows.Distance(7, 1), row[7]);
   const OracleStats s = rows.stats();
   EXPECT_EQ(s.row_builds, 2);
   EXPECT_EQ(s.row_cache_misses, 2);
-  EXPECT_GE(s.row_cache_hits, 1);
-}
-
-// The striped cache routes node u to stripe splitmix64(u) % shards; the
-// per-shard splits must account for every hit and miss the totals
-// report, and a strided node set must spread across stripes (the old
-// u % shards routing piled every shards-th id onto stripe 0, which
-// serialized the typical every-k-th-server access pattern on one lock).
-TEST(DistanceOracleTest, ShardStatsSumToTotalsAndSpreadStridedIds) {
-  const Graph graph = SmallWaxman(60, 2);
-  OracleOptions opt = RowsOptions(60);
-  opt.row_cache_shards = 4;
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, opt);
-  std::vector<double> row(60);
-  for (NodeIndex u = 0; u < 60; u += 4) rows.FillRow(u, row);  // 15 misses
-  for (NodeIndex u = 0; u < 60; u += 4) rows.FillRow(u, row);  // 15 hits
-  const OracleStats s = rows.stats();
-  ASSERT_EQ(s.shard_hits.size(), 4u);
-  ASSERT_EQ(s.shard_misses.size(), 4u);
-  std::int64_t hit_sum = 0;
-  std::int64_t miss_sum = 0;
-  std::int32_t stripes_touched = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    hit_sum += s.shard_hits[i];
-    miss_sum += s.shard_misses[i];
-    stripes_touched += s.shard_misses[i] > 0 ? 1 : 0;
-  }
-  EXPECT_EQ(hit_sum, s.row_cache_hits);
-  EXPECT_EQ(miss_sum, s.row_cache_misses);
-  EXPECT_EQ(s.row_cache_misses, 15);
-  EXPECT_EQ(s.row_cache_hits, 15);
-  // Every probed id is 0 mod 4; modulo routing would put all 15 rows on
-  // stripe 0. The mixed hash must touch more than one stripe.
-  EXPECT_GE(stripes_touched, 2);
-}
-
-// A stripe past the node count could never hold a row, so the build
-// clamps the stripe count to the substrate size instead of reserving
-// them all up front.
-TEST(DistanceOracleTest, ShardCountClampsToSubstrateSize) {
-  const Graph graph = SmallWaxman(60, 2);
-  OracleOptions opt = RowsOptions(8);
-  opt.row_cache_shards = std::size_t{1} << 40;
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, opt);
-  std::vector<double> row(60);
-  rows.FillRow(5, row);
-  const OracleStats s = rows.stats();
-  EXPECT_EQ(s.shard_hits.size(), 60u);
-  EXPECT_EQ(s.shard_misses.size(), 60u);
-  EXPECT_EQ(s.row_cache_misses, 1);
-}
-
-// Shard count is a concurrency knob, never a semantic one: answers match
-// bitwise between a single-stripe and a many-stripe cache even when both
-// churn.
-TEST(DistanceOracleTest, ShardCountNeverChangesAnswers) {
-  const Graph graph = SmallWaxman(80, 5);
-  OracleOptions one = RowsOptions(4);
-  one.row_cache_shards = 1;
-  OracleOptions many = RowsOptions(4);
-  many.row_cache_shards = 8;
-  const DistanceOracle a = DistanceOracle::FromGraph(graph, one);
-  const DistanceOracle b = DistanceOracle::FromGraph(graph, many);
-  Rng rng(21);
-  for (int i = 0; i < 2000; ++i) {
-    const auto u = static_cast<NodeIndex>(rng.NextBounded(80));
-    const auto v = static_cast<NodeIndex>(rng.NextBounded(80));
-    ASSERT_EQ(a.Distance(u, v), b.Distance(u, v));
-  }
+  EXPECT_EQ(s.row_cache_hits, 2);
 }
 
 TEST(DistanceOracleTest, ExactnessFlagPerBackend) {
@@ -200,7 +116,7 @@ TEST(DistanceOracleTest, ExactnessFlagPerBackend) {
   OracleOptions opt;
   opt.backend = OracleBackend::kDense;
   EXPECT_TRUE(DistanceOracle::FromGraph(graph, opt).exact());
-  EXPECT_TRUE(DistanceOracle::FromGraph(graph, RowsOptions(4)).exact());
+  EXPECT_TRUE(DistanceOracle::FromGraph(graph, RowsOptions()).exact());
   opt.backend = OracleBackend::kLandmarks;
   EXPECT_FALSE(DistanceOracle::FromGraph(graph, opt).exact());
   opt.backend = OracleBackend::kCoords;
@@ -262,8 +178,12 @@ TEST(DistanceOracleTest, RowsDetectsDisconnectedGraphs) {
   Graph graph(4);
   graph.AddEdge(0, 1, 1.0);
   graph.AddEdge(2, 3, 1.0);
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(2));
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
   EXPECT_THROW(rows.Distance(0, 3), Error);
+  // The failed build leaves row 0 unbuilt, so asking again throws again.
+  std::vector<double> row(4);
+  EXPECT_THROW(rows.FillRow(0, row), Error);
+  EXPECT_EQ(rows.stats().row_builds, 2);
   OracleOptions opt;
   opt.backend = OracleBackend::kLandmarks;
   EXPECT_THROW(DistanceOracle::FromGraph(graph, opt), Error);
@@ -272,7 +192,7 @@ TEST(DistanceOracleTest, RowsDetectsDisconnectedGraphs) {
 TEST(DistanceOracleTest, ProblemFromRowsOracleBitwiseEqualsDense) {
   const Graph graph = SmallWaxman(110, 12);
   const LatencyMatrix dense = graph.AllPairsShortestPaths();
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(4));
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
   const std::vector<NodeIndex> servers = placement::KCenterGreedy(dense, 10);
 
   const core::Problem pd = core::Problem::WithClientsEverywhere(dense, servers);
@@ -307,7 +227,7 @@ TEST(DistanceOracleTest, ProblemFromRowsOracleBitwiseEqualsDense) {
 TEST(DistanceOracleTest, GreedySolveIdenticalAcrossExactBackends) {
   const Graph graph = SmallWaxman(100, 14);
   const LatencyMatrix dense = graph.AllPairsShortestPaths();
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(6));
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
   const std::vector<NodeIndex> servers = placement::KCenterGreedy(dense, 8);
   const core::Problem pd = core::Problem::WithClientsEverywhere(dense, servers);
   const core::Problem pr = core::Problem::WithClientsEverywhere(rows, servers);
@@ -321,7 +241,7 @@ TEST(DistanceOracleTest, GreedySolveIdenticalAcrossExactBackends) {
 TEST(DistanceOracleTest, KCenterFarthestMatchesDenseSelection) {
   const Graph graph = SmallWaxman(90, 15);
   const LatencyMatrix dense = graph.AllPairsShortestPaths();
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(4));
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
   OracleOptions dense_opt;
   dense_opt.backend = OracleBackend::kDense;
   const DistanceOracle dense_oracle =
@@ -333,7 +253,7 @@ TEST(DistanceOracleTest, KCenterFarthestMatchesDenseSelection) {
 TEST(DistanceOracleTest, ExactMetricMatchesMatrixEvaluator) {
   const Graph graph = SmallWaxman(80, 16);
   const LatencyMatrix dense = graph.AllPairsShortestPaths();
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(4));
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
   const std::vector<NodeIndex> servers = placement::KCenterGreedy(dense, 6);
   const core::Problem p = core::Problem::WithClientsEverywhere(dense, servers);
   const core::Assignment a = core::GreedyAssign(p);
@@ -342,12 +262,12 @@ TEST(DistanceOracleTest, ExactMetricMatchesMatrixEvaluator) {
 }
 
 // Concurrency suite entry (oracle label runs under TSan): hammer one
-// small-cache oracle from every pool lane; answers must match a serial
-// replay exactly and counters must account for every lookup.
+// oracle from every pool lane; answers must match a serial replay
+// exactly and counters must account for every lookup.
 TEST(DistanceOracleTest, ConcurrentQueriesAreExactAndRaceFree) {
   const Graph graph = SmallWaxman(64, 17);
   const LatencyMatrix dense = graph.AllPairsShortestPaths();
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions(2));
+  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
   constexpr std::int64_t kQueries = 4096;
   std::vector<std::uint8_t> match(kQueries, 0);
   GlobalPool().ParallelFor(0, kQueries, 64, [&](std::int64_t lo,
@@ -364,12 +284,52 @@ TEST(DistanceOracleTest, ConcurrentQueriesAreExactAndRaceFree) {
     ASSERT_EQ(match[static_cast<std::size_t>(i)], 1) << "query " << i;
   }
   const OracleStats s = rows.stats();
-  // Every miss builds a row (raced builds each count), and the tiny cache
-  // must have both churned and been reused.
+  // Every miss builds a row, at most one per source, and built rows
+  // serve the other queries.
   EXPECT_EQ(s.row_builds, s.row_cache_misses);
   EXPECT_GE(s.row_builds, 1);
+  EXPECT_LE(s.row_builds, 64);
   EXPECT_GE(s.row_cache_hits, 1);
-  EXPECT_GE(s.row_evictions, 1);
+}
+
+// The row store builds each source's row once, however many lanes ask
+// for it at the same time. Every row is requested twice from the pool,
+// the two requests adjacent so they run on different lanes at once; each
+// copy must equal the dense row bit for bit, and the build count must be
+// the number of distinct sources, at 1 and at 4 threads.
+TEST(DistanceOracleTest, RowStoreBuildsEachRowOnceAcrossThreads) {
+  const Graph graph = SmallWaxman(64, 19);
+  const LatencyMatrix dense = graph.AllPairsShortestPaths();
+  const auto n = static_cast<std::size_t>(graph.size());
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    const DistanceOracle rows =
+        DistanceOracle::FromGraph(graph, RowsOptions());
+    std::vector<std::uint8_t> match(2 * n, 0);
+    GlobalPool().ParallelFor(
+        0, static_cast<std::int64_t>(2 * n), 1,
+        [&](std::int64_t lo, std::int64_t hi) {
+          std::vector<double> row(n);
+          for (std::int64_t i = lo; i < hi; ++i) {
+            const auto u = static_cast<NodeIndex>(i / 2);
+            rows.FillRow(u, row);
+            match[static_cast<std::size_t>(i)] =
+                std::memcmp(row.data(), dense.Row(u), n * sizeof(double)) ==
+                        0
+                    ? 1
+                    : 0;
+          }
+        });
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+      ASSERT_EQ(match[i], 1) << "request " << i << " threads=" << threads;
+    }
+    const OracleStats s = rows.stats();
+    EXPECT_EQ(s.row_builds, static_cast<std::int64_t>(n))
+        << "threads=" << threads;
+    EXPECT_EQ(s.row_cache_misses, static_cast<std::int64_t>(n));
+    EXPECT_EQ(s.row_cache_hits, static_cast<std::int64_t>(n));
+  }
+  SetGlobalThreads(0);
 }
 
 // Pruned labeling is complete on connected graphs: every query must land

@@ -116,7 +116,6 @@ TEST(OraclePruningPropsTest, PrunedGreedyBitIdenticalAcrossGrid) {
       const Graph graph = PropsWaxman(200, seed);
       OracleOptions opt;
       opt.backend = OracleBackend::kRows;
-      opt.row_cache_capacity = 16;
       const DistanceOracle oracle = DistanceOracle::FromGraph(graph, opt);
       std::vector<NodeIndex> servers;
       for (NodeIndex s = 0; s < 200; s += 17) servers.push_back(s);

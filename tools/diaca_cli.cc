@@ -91,13 +91,13 @@ int Usage() {
       "  matrix:\n"
       "  --oracle=BACKEND[:key=val,...] with BACKEND one of\n"
       "  dense|rows|landmarks|coords|hublabels (dense: historical full\n"
-      "  matrix; rows: exact lazy Dijkstra rows, sublinear memory;\n"
+      "  matrix; rows: exact lazy Dijkstra rows, one kept per source;\n"
       "  hublabels: pruned 2-hop labels, exact up to re-association;\n"
       "  landmarks/coords: estimates — evaluate also reports the true\n"
-      "  path length). Each backend takes only its own keys: cache=N,\n"
-      "  shards=N (rows), landmarks=K, rsamples=N, rq=N (landmarks),\n"
+      "  path length). dense and rows take no keys; the others only\n"
+      "  their own: landmarks=K, rsamples=N, rq=N (landmarks),\n"
       "  beacons=N, rounds=N, dims=N (coords), k=N, rsamples=N, rq=N\n"
-      "  (hublabels), seed=N (all; grammar in docs/CLI.md).\n"
+      "  (hublabels), seed=N (these three; grammar in docs/CLI.md).\n"
       "  assign/evaluate/cloud accept --block=materialized|tiled\n"
       "  (tiled streams the client block through the oracle instead of\n"
       "  materializing |C|x|S|; assignments are bit-identical) and\n"
