@@ -9,8 +9,9 @@
 # finally the fault-tolerance suite (`resilience` label: fault plans,
 # repair solver, resilient sessions, malformed-corpus loaders) and the
 # distance-oracle suite (`oracle` label: the shortest-path kernel against
-# its lazy-heap reference, lazy-row bit parity, the row store, streaming
-# clouds, concurrent queries) again under ThreadSanitizer and
+# its lazy-heap reference, its bounded mode against whole-row folds over
+# full farthest-point sweeps, lazy-row bit parity, the row store,
+# streaming clouds, concurrent queries) again under ThreadSanitizer and
 # AddressSanitizer+UBSan, and the APSP suite and the solver suite
 # (`algos` label) again under AddressSanitizer+UBSan. A bench_oracle
 # smoke proves a 100k-client solve through the rows backend stays inside
@@ -209,7 +210,10 @@ if ! $skip_asan; then
   # The oracle suite under ASan+UBSan: the row store's per-source slots,
   # row buffers, the streaming problem builders, and a member subset read
   # after its parent view is gone (the server rows are shared, not
-  # copied) are where lifetime bugs would hide.
+  # copied) are where lifetime bugs would hide. The bounded-mode sweep
+  # tests (DijkstraKernelTest.BoundedRunsMatchFullRowFold*) drive the
+  # kernel's settled list, tree arrays and the running minimum it lowers
+  # in place through every step of a k = n farthest-point order.
   ctest --test-dir build-asan -L oracle -E smoke_ --output-on-failure
   # The churn suite under ASan+UBSan: the control plane reads a streamed
   # client block and solves its members on a streamed subset of it that

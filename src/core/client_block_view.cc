@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/error.h"
 #include "common/simd/kernels.h"
@@ -255,6 +254,15 @@ std::shared_ptr<const ClientBlockView> MaterializedView::Subset(
 // ---------------------------------------------------------------------------
 // OracleTileView
 
+namespace {
+
+// Attachment rows per task of FromAttachments' column-to-row transpose:
+// the block's destination lines stay cache-resident across the server
+// loop.
+constexpr std::int64_t kTransposeRows = 64;
+
+}  // namespace
+
 OracleTileView::OracleTileView(std::int32_t num_clients,
                                std::int32_t num_servers,
                                std::shared_ptr<const RowState> rows)
@@ -291,18 +299,19 @@ std::shared_ptr<OracleTileView> OracleTileView::FromAttachments(
   std::vector<std::int32_t> base_row(attach.size());
   std::vector<net::NodeIndex> node_of_row;
   {
-    std::unordered_map<net::NodeIndex, std::int32_t> row_of;
-    row_of.reserve(static_cast<std::size_t>(n));
+    std::vector<std::int32_t> row_of(static_cast<std::size_t>(n), -1);
     for (std::size_t c = 0; c < attach.size(); ++c) {
       const net::NodeIndex node = attach[c];
       DIACA_CHECK_MSG(node >= 0 && node < n, "client node "
                                                  << node
                                                  << " outside substrate of size "
                                                  << n);
-      const auto [it, inserted] = row_of.try_emplace(
-          node, static_cast<std::int32_t>(node_of_row.size()));
-      if (inserted) node_of_row.push_back(node);
-      base_row[c] = it->second;
+      std::int32_t& r = row_of[static_cast<std::size_t>(node)];
+      if (r < 0) {
+        r = static_cast<std::int32_t>(node_of_row.size());
+        node_of_row.push_back(node);
+      }
+      base_row[c] = r;
     }
   }
   auto state = std::make_shared<RowState>();
@@ -315,8 +324,10 @@ std::shared_ptr<OracleTileView> OracleTileView::FromAttachments(
       static_cast<std::size_t>(num_servers) * static_cast<std::size_t>(num_servers),
       0.0);
 
-  // One oracle row per server — the only shortest-path work. Each task
-  // owns its server's column/row slots, so the fan-out is write-disjoint.
+  // One oracle row per server — the only shortest-path work. On the
+  // rows backend this is each server row's first request, so the pool's
+  // lanes build the rows in parallel. Each task owns its server's column,
+  // leg bound and server-block row, so the fan-out is write-disjoint.
   GlobalPool().ParallelFor(
       0, num_servers, 1, [&](std::int64_t sb, std::int64_t se) {
         std::vector<double> row(static_cast<std::size_t>(n));
@@ -328,7 +339,6 @@ std::shared_ptr<OracleTileView> OracleTileView::FromAttachments(
           for (std::size_t r = 0; r < rows; ++r) {
             const double d = row[static_cast<std::size_t>(node_of_row[r])];
             col[r] = d;
-            state->node_rows[r * stride + si] = d;
             cmax = std::max(cmax, d);
           }
           state->leg_max[si] = cmax;
@@ -339,6 +349,23 @@ std::shared_ptr<OracleTileView> OracleTileView::FromAttachments(
                 s == b ? 0.0
                        : row[static_cast<std::size_t>(
                              server_nodes[static_cast<std::size_t>(b)])];
+          }
+        }
+      });
+  // The node-major mirror, transposed from the columns in blocks of rows:
+  // each lane writes whole rows of its own. Writing it from the
+  // per-server tasks above would have every lane storing into every
+  // row's cache lines.
+  GlobalPool().ParallelFor(
+      0, static_cast<std::int64_t>(rows), kTransposeRows,
+      [&](std::int64_t rb, std::int64_t re) {
+        const auto r0 = static_cast<std::size_t>(rb);
+        const auto r1 = static_cast<std::size_t>(re);
+        for (std::size_t s = 0; s < static_cast<std::size_t>(num_servers);
+             ++s) {
+          const double* col = state->server_cols.data() + s * rows;
+          for (std::size_t r = r0; r < r1; ++r) {
+            state->node_rows[r * stride + s] = col[r];
           }
         }
       });

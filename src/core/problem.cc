@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
+#include <vector>
 
 #include "common/error.h"
 
@@ -13,20 +13,25 @@ namespace {
 void CheckNodes(std::span<const net::NodeIndex> nodes, net::NodeIndex n,
                 const char* kind) {
   DIACA_CHECK_MSG(!nodes.empty(), kind << " list must not be empty");
-  std::unordered_set<net::NodeIndex> seen;
+  std::vector<bool> seen(static_cast<std::size_t>(n));
   for (net::NodeIndex v : nodes) {
     DIACA_CHECK_MSG(v >= 0 && v < n,
                     kind << " node " << v << " outside matrix of size " << n);
-    DIACA_CHECK_MSG(seen.insert(v).second, "duplicate " << kind << " node " << v);
+    DIACA_CHECK_MSG(!seen[static_cast<std::size_t>(v)],
+                    "duplicate " << kind << " node " << v);
+    seen[static_cast<std::size_t>(v)] = true;
   }
 }
 
+// Node ids here are labels of any size, so duplicates are found by
+// sorting a copy; the error names the smallest duplicated id.
 void CheckDistinct(std::span<const net::NodeIndex> nodes, const char* kind) {
   DIACA_CHECK_MSG(!nodes.empty(), kind << " list must not be empty");
-  std::unordered_set<net::NodeIndex> seen;
-  for (net::NodeIndex v : nodes) {
-    DIACA_CHECK_MSG(seen.insert(v).second, "duplicate " << kind << " node " << v);
-  }
+  std::vector<net::NodeIndex> sorted(nodes.begin(), nodes.end());
+  std::sort(sorted.begin(), sorted.end());
+  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+  DIACA_CHECK_MSG(dup == sorted.end(),
+                  "duplicate " << kind << " node " << *dup);
 }
 
 }  // namespace

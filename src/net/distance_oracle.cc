@@ -17,6 +17,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "net/dijkstra.h"
 #include "net/graph.h"
 #include "net/vivaldi.h"
 #include "obs/obs.h"
@@ -27,35 +28,48 @@ namespace {
 
 using RowProvider = std::function<std::vector<double>(NodeIndex)>;
 
-// Deterministic farthest-point (maxmin) pivot selection: start at node 0,
-// repeatedly add the node maximizing the distance to the chosen set (ties
-// to the lowest index). Returns the pivots and their rows. Seed-free and
-// thread-free, so the pivot set is a pure function of the distances.
-void SelectFarthestPoints(NodeIndex n, std::int32_t k,
-                          const RowProvider& row_of,
-                          std::vector<NodeIndex>* pivots,
-                          std::vector<std::vector<double>>* rows) {
-  pivots->clear();
-  rows->clear();
+// Gonzalez's farthest-point order: node 0 first, then repeatedly the
+// node farthest from those chosen (ties to the lowest id), k nodes in
+// selection order. fold(c, to_set) lowers each to_set[v] to c's distance
+// to v where that is smaller, so to_set holds every node's distance to
+// the chosen set. Seed-free and thread-free: the order is a pure
+// function of the distances.
+template <class Fold>
+std::vector<NodeIndex> FarthestPointOrder(NodeIndex n, std::int32_t k,
+                                          const Fold& fold) {
+  std::vector<NodeIndex> order;
+  order.reserve(static_cast<std::size_t>(k));
   std::vector<double> to_set(static_cast<std::size_t>(n),
                              std::numeric_limits<double>::infinity());
   NodeIndex next = 0;
   for (std::int32_t i = 0; i < k; ++i) {
-    pivots->push_back(next);
-    rows->push_back(row_of(next));
-    const std::vector<double>& row = rows->back();
-    NodeIndex best = -1;
-    double best_dist = -1.0;
-    for (NodeIndex v = 0; v < n; ++v) {
-      auto& d = to_set[static_cast<std::size_t>(v)];
-      d = std::min(d, row[static_cast<std::size_t>(v)]);
-      if (d > best_dist) {
-        best_dist = d;
-        best = v;
-      }
-    }
-    next = best;
+    order.push_back(next);
+    fold(next, std::span<double>(to_set));
+    // max_element returns the first of equal maxima: the lowest id.
+    next = static_cast<NodeIndex>(
+        std::max_element(to_set.begin(), to_set.end()) - to_set.begin());
   }
+  return order;
+}
+
+void FoldMin(std::span<const double> row, std::span<double> to_set) {
+  for (std::size_t v = 0; v < to_set.size(); ++v) {
+    to_set[v] = std::min(to_set[v], row[v]);
+  }
+}
+
+// Farthest-point pivots (landmark pivots, coords beacons, hub-label
+// anchors) together with their rows, which the sketches keep.
+void SelectFarthestPoints(NodeIndex n, std::int32_t k,
+                          const RowProvider& row_of,
+                          std::vector<NodeIndex>* pivots,
+                          std::vector<std::vector<double>>* rows) {
+  rows->clear();
+  *pivots = FarthestPointOrder(
+      n, k, [&](NodeIndex c, std::span<double> to_set) {
+        rows->push_back(row_of(c));
+        FoldMin(rows->back(), to_set);
+      });
 }
 
 }  // namespace
@@ -698,6 +712,47 @@ void DistanceOracle::FillRow(NodeIndex u, std::span<double> out) const {
       return;
     }
   }
+}
+
+std::vector<NodeIndex> DistanceOracle::FarthestPoints(std::int32_t k) const {
+  const NodeIndex n = impl_->n;
+  DIACA_CHECK_MSG(k >= 1 && k <= n,
+                  "farthest-point count " << k << " out of range for " << n
+                                          << " nodes");
+  DIACA_OBS_SPAN("net.oracle.farthest_points");
+  if (impl_->backend != OracleBackend::kRows) {
+    // The other backends keep no graph to sweep, and sketch estimates
+    // are no shortest-path metric, so nothing may be pruned: fold every
+    // chosen node's whole row.
+    std::vector<double> row(static_cast<std::size_t>(n));
+    return FarthestPointOrder(n, k,
+                              [&](NodeIndex c, std::span<double> to_set) {
+                                FillRow(c, row);
+                                FoldMin(row, to_set);
+                              });
+  }
+  // The rows backend folds each chosen node with a bounded canonical run,
+  // which lowers to_set exactly as the node's row would: to_set starts at
+  // +infinity and only ever holds minima of canonical rows, the run's
+  // precondition. No row is stored. The first fold, from node 0, reaches
+  // every node of a connected graph.
+  DijkstraKernel kernel(*impl_->graph);
+  std::int64_t settled = 0;
+  bool first = true;
+  std::vector<NodeIndex> order = FarthestPointOrder(
+      n, k, [&](NodeIndex c, std::span<double> to_set) {
+        settled += static_cast<std::int64_t>(
+            kernel.RunBoundedCanonical(c, to_set));
+        if (!std::exchange(first, false)) return;
+        const auto hole =
+            std::find(to_set.begin(), to_set.end(), Graph::kInfinity);
+        if (hole != to_set.end()) {
+          throw Error("graph is disconnected: no path " + std::to_string(c) +
+                      " -> " + std::to_string(hole - to_set.begin()));
+        }
+      });
+  DIACA_OBS_COUNT("net.oracle.sweep_settled", settled);
+  return order;
 }
 
 DistanceOracle::Bounds DistanceOracle::DistanceBounds(NodeIndex u,

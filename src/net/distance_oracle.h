@@ -19,10 +19,13 @@
 //                  values are bit-identical to the dense Dijkstra matrix
 //                  entries. O(m log n) per row build; memory is the graph
 //                  plus one row per source asked for. The backend
-//                  assignment solves run on: they ask only for the s
-//                  server rows, O(s * n) instead of O(n^2). Exact point
-//                  queries over arbitrary sources at sublinear memory
-//                  are kHubLabels' job.
+//                  assignment solves run on: K-center placement
+//                  (FarthestPoints) builds no row, since its sweep
+//                  settles only the nodes whose distance to the chosen
+//                  set can still fall, and the client-block view then
+//                  asks for the s server rows, O(s * n) instead of
+//                  O(n^2). Exact point queries over arbitrary sources at
+//                  sublinear memory are kHubLabels' job.
 //   * kLandmarks — k pivot nodes (farthest-point sampled) with
 //                  precomputed exact rows. Queries return the classic
 //                  triangle-inequality sandwich: upper bound
@@ -73,6 +76,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "net/latency_matrix.h"
 
@@ -208,6 +212,18 @@ class DistanceOracle {
   /// backend this is the primary bulk interface: u's row (built on the
   /// first request), copied.
   void FillRow(NodeIndex u, std::span<double> out) const;
+
+  /// Gonzalez's farthest-point order (placement::KCenterFarthest): node
+  /// 0 first, then repeatedly the node farthest from those already
+  /// chosen (ties to the lowest id); the first k nodes in selection
+  /// order. Requires 1 <= k <= size(). Every backend but kRows folds each
+  /// chosen node's FillRow into the distances to the chosen set. kRows
+  /// gets the same order bit for bit from a pruned sweep
+  /// (DijkstraKernel::RunBoundedCanonical) that settles only the nodes
+  /// whose distance to the set can still fall, and builds no row; it
+  /// throws diaca::Error naming the first node that node 0 cannot reach
+  /// when the graph is disconnected.
+  std::vector<NodeIndex> FarthestPoints(std::int32_t k) const;
 
   struct Bounds {
     double lower;

@@ -177,27 +177,7 @@ std::vector<NodeIndex> KCenterFarthest(const net::DistanceOracle& oracle,
   const NodeIndex n = oracle.size();
   DIACA_CHECK_MSG(k >= 1 && k <= n, "server budget " << k << " out of range for "
                                                      << n << " nodes");
-  std::vector<NodeIndex> centers;
-  centers.reserve(static_cast<std::size_t>(k));
-  std::vector<double> dist(static_cast<std::size_t>(n),
-                           std::numeric_limits<double>::infinity());
-  std::vector<double> row(static_cast<std::size_t>(n));
-  NodeIndex next = 0;
-  for (std::int32_t step = 0; step < k; ++step) {
-    centers.push_back(next);
-    oracle.FillRow(next, row);
-    NodeIndex farthest = -1;
-    double best = -1.0;
-    for (NodeIndex u = 0; u < n; ++u) {
-      auto& d = dist[static_cast<std::size_t>(u)];
-      d = std::min(d, row[static_cast<std::size_t>(u)]);
-      if (d > best) {
-        best = d;
-        farthest = u;
-      }
-    }
-    next = farthest;
-  }
+  std::vector<NodeIndex> centers = oracle.FarthestPoints(k);
   std::sort(centers.begin(), centers.end());
   return centers;
 }

@@ -46,10 +46,14 @@ double KCenterObjective(const net::LatencyMatrix& m,
 
 /// Farthest-point K-center over a distance oracle (Gonzalez's classic
 /// 2-approximation): start at node 0, repeatedly add the node farthest
-/// from the chosen set (ties toward the lower id). Needs only k oracle
-/// rows — O(k * n) time and transient memory, no matrix — so it is the
-/// placement used on substrates too large to materialize. With a dense
-/// oracle it matches farthest-point selection on the matrix exactly.
+/// from the chosen set (ties toward the lower id); the centres come back
+/// sorted. DistanceOracle::FarthestPoints runs the loop in O(n) memory
+/// and no matrix, so it is the placement used on substrates too large to
+/// materialize. The rows backend builds no row for it: its sweep settles
+/// only the nodes whose distance to the chosen set can still fall, about
+/// 2% of k * n on the benchmark's 2000-node clouds. Other backends fold
+/// k full oracle rows. With a dense oracle it matches farthest-point
+/// selection on the matrix exactly.
 std::vector<net::NodeIndex> KCenterFarthest(const net::DistanceOracle& oracle,
                                             std::int32_t k);
 

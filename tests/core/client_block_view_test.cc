@@ -169,9 +169,9 @@ TEST(ClientBlockViewTest, CapacitatedSolversBitIdenticalAcrossBackends) {
 }
 
 // The view pulls its server rows once, at construction. From a row
-// store that already holds them (placement built them, as in the cloud
-// setup) it builds none again and reads the same bits as from a fresh
-// store.
+// store that already holds them (a caller's FillRow or an earlier view
+// built them; cloud placement builds none) it builds none again and
+// reads the same bits as from a fresh store.
 TEST(ClientBlockViewTest, WarmRowStoreDoesNotChangeBits) {
   const Substrate cold = MakeSubstrate();
   const Substrate warm = MakeSubstrate();

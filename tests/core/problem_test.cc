@@ -116,16 +116,35 @@ TEST(ProblemTest, RejectsEmptyLists) {
   EXPECT_THROW(Problem(m, some, empty), Error);
 }
 
+// The error names the offending node, both for node lists that index a
+// matrix and for node lists that are labels only (FromBlocks, FromView).
 TEST(ProblemTest, RejectsDuplicatesAndOutOfRange) {
   Rng rng(6);
   const auto m = test::RandomMatrix(4, rng);
-  const std::vector<net::NodeIndex> dup{1, 1};
+  const std::vector<net::NodeIndex> dup{1, 3, 1};
   const std::vector<net::NodeIndex> oob{0, 7};
   const std::vector<net::NodeIndex> ok{0, 1};
-  EXPECT_THROW(Problem(m, dup, ok), Error);
-  EXPECT_THROW(Problem(m, ok, dup), Error);
-  EXPECT_THROW(Problem(m, oob, ok), Error);
-  EXPECT_THROW(Problem(m, ok, oob), Error);
+  EXPECT_PRED_FORMAT2(testing::IsSubstring, "duplicate server node 1",
+                      test::ErrorOf([&] { Problem(m, dup, ok); }));
+  EXPECT_PRED_FORMAT2(testing::IsSubstring, "duplicate client node 1",
+                      test::ErrorOf([&] { Problem(m, ok, dup); }));
+  EXPECT_PRED_FORMAT2(testing::IsSubstring,
+                      "server node 7 outside matrix of size 4",
+                      test::ErrorOf([&] { Problem(m, oob, ok); }));
+  EXPECT_PRED_FORMAT2(testing::IsSubstring,
+                      "client node 7 outside matrix of size 4",
+                      test::ErrorOf([&] { Problem(m, ok, oob); }));
+
+  const std::vector<net::NodeIndex> labels{100, 5, 100, 101};
+  const std::vector<double> d_cs(8, 1.0);
+  const std::vector<double> d_ss = {0.0, 1.0, 1.0, 0.0};
+  EXPECT_PRED_FORMAT2(
+      testing::IsSubstring, "duplicate client node 100",
+      test::ErrorOf([&] { Problem::FromBlocks({0, 1}, labels, d_cs, d_ss); }));
+  EXPECT_PRED_FORMAT2(
+      testing::IsSubstring, "duplicate server node 3",
+      test::ErrorOf(
+          [&] { Problem::FromBlocks({3, 3}, {100, 101}, {}, d_ss); }));
 }
 
 TEST(ProblemTest, FromBlocksBuildsStreamedProblems) {

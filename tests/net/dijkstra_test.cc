@@ -1,9 +1,11 @@
 // The single-source kernel (net/dijkstra.h) against a copy of the lazy
 // binary-heap loops it replaced, bit for bit: plain rows, canonical rows,
 // Graph::AllPairsShortestPaths at 1 and 4 threads, and the rows
-// oracle's FillRow. The random graphs draw from a handful of non-dyadic
-// weights and repeat edges, so equal-length paths tie often and many
-// canonical cells depend on which parent the settle order picked.
+// oracle's FillRow; and its bounded mode against folding whole canonical
+// rows over a full farthest-point order. The random graphs draw from a
+// handful of non-dyadic weights and repeat edges, so equal-length paths
+// tie often and many canonical cells depend on which parent the settle
+// order picked.
 #include "net/dijkstra.h"
 
 #include <algorithm>
@@ -23,6 +25,8 @@
 #include "data/waxman.h"
 #include "net/distance_oracle.h"
 #include "net/graph.h"
+#include "placement/placement.h"
+#include "../testutil.h"
 
 namespace diaca::net {
 namespace {
@@ -195,6 +199,85 @@ TEST(DijkstraKernelTest, MatchesLazyHeapReferenceOnTieHeavyRandomGraphs) {
   EXPECT_GT(resummed, 1000);
 }
 
+// Folded farthest-point sweeps over all n nodes of `graph`, in the order
+// the full fold chooses: after each step, `full` is the running minimum
+// of RunCanonical rows and `bounded` the same minimum kept by
+// RunBoundedCanonical. Counts the steps whose minima differ in any bit,
+// and the steps where the two would choose different next centers.
+struct SweepDiff {
+  std::int64_t best_steps = 0;
+  std::int64_t center_steps = 0;
+  std::int64_t settled = 0;
+};
+
+NodeIndex Farthest(const std::vector<double>& to_set) {
+  return static_cast<NodeIndex>(
+      std::max_element(to_set.begin(), to_set.end()) - to_set.begin());
+}
+
+SweepDiff BoundedAgainstFullFold(const Graph& graph) {
+  const auto n = static_cast<std::size_t>(graph.size());
+  DijkstraKernel full_kernel(graph);
+  DijkstraKernel bounded_kernel(graph);
+  std::vector<double> full(n, Graph::kInfinity);
+  std::vector<double> bounded(n, Graph::kInfinity);
+  std::vector<double> row(n);
+  SweepDiff diff;
+  NodeIndex next = 0;
+  for (std::size_t step = 0; step < n; ++step) {
+    full_kernel.RunCanonical(next, row);
+    for (std::size_t v = 0; v < n; ++v) full[v] = std::min(full[v], row[v]);
+    diff.settled += static_cast<std::int64_t>(
+        bounded_kernel.RunBoundedCanonical(next, bounded));
+    bool same = true;
+    for (std::size_t v = 0; v < n; ++v) {
+      same &= Bits(full[v]) == Bits(bounded[v]);
+    }
+    diff.best_steps += same ? 0 : 1;
+    next = Farthest(full);
+    diff.center_steps += Farthest(bounded) == next ? 0 : 1;
+  }
+  return diff;
+}
+
+// The bounded mode keeps a farthest-point sweep's running minimum bit
+// for bit equal to folding whole canonical rows, at every step of a full
+// (k = n) order, while settling a fraction of the nodes.
+TEST(DijkstraKernelTest, BoundedRunsMatchFullRowFoldOnBenchmarkWaxman) {
+  data::WaxmanParams params;  // the benchmark substrate's shape
+  params.num_nodes = 400;
+  const Graph graph = data::GenerateWaxmanTopology(params, 2011);
+  const SweepDiff diff = BoundedAgainstFullFold(graph);
+  EXPECT_EQ(diff.best_steps, 0);
+  EXPECT_EQ(diff.center_steps, 0);
+  // Only the first step builds a whole row; the pruning must bite.
+  EXPECT_LT(diff.settled, 400 * 400 / 4);
+}
+
+// Tie-heavy graphs give the slack teeth: equal-length paths make many
+// canonical entries depend on which tree the settle order built, and
+// pruning a node whose entry ties its running minimum must not change a
+// bit. With the slack set to 0 this test fails (checked on a scratch
+// copy).
+TEST(DijkstraKernelTest, BoundedRunsMatchFullRowFoldOnTieHeavyRandomGraphs) {
+  Rng rng(2031);
+  SweepDiff total;
+  std::int64_t cells = 0;
+  for (int g = 0; g < 200; ++g) {
+    const Graph graph = TieHeavyGraph(rng);
+    const SweepDiff diff = BoundedAgainstFullFold(graph);
+    EXPECT_EQ(diff.best_steps, 0) << "graph " << g;
+    EXPECT_EQ(diff.center_steps, 0) << "graph " << g;
+    total.best_steps += diff.best_steps;
+    total.center_steps += diff.center_steps;
+    total.settled += diff.settled;
+    cells += static_cast<std::int64_t>(graph.size()) * graph.size();
+  }
+  EXPECT_EQ(total.best_steps, 0);
+  EXPECT_EQ(total.center_steps, 0);
+  EXPECT_LT(total.settled, cells / 2);
+}
+
 TEST(DijkstraKernelTest, AddEdgeEqualsEdgeListBuild) {
   Rng rng(7);
   NodeIndex n = 0;
@@ -215,15 +298,6 @@ TEST(DijkstraKernelTest, AddEdgeEqualsEdgeListBuild) {
   }
 }
 
-std::string ErrorOf(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "no error";
-}
-
 TEST(DijkstraKernelTest, DisconnectedGraphsKeepTheirErrors) {
   Graph graph(4);
   graph.AddEdge(0, 1, 0.3);
@@ -238,7 +312,7 @@ TEST(DijkstraKernelTest, DisconnectedGraphsKeepTheirErrors) {
 
   for (const int threads : {1, 4}) {
     SetGlobalThreads(threads);
-    EXPECT_EQ(ErrorOf([&] { graph.AllPairsShortestPaths(); }),
+    EXPECT_EQ(test::ErrorOf([&] { graph.AllPairsShortestPaths(); }),
               "graph is disconnected: no path 0 -> 2");
   }
   SetGlobalThreads(0);
@@ -247,14 +321,20 @@ TEST(DijkstraKernelTest, DisconnectedGraphsKeepTheirErrors) {
   rows.backend = OracleBackend::kRows;
   const DistanceOracle oracle = DistanceOracle::FromGraph(graph, rows);
   std::vector<double> row(4);
-  EXPECT_EQ(ErrorOf([&] { oracle.FillRow(3, row); }),
+  EXPECT_EQ(test::ErrorOf([&] { oracle.FillRow(3, row); }),
             "graph is disconnected: no path 3 -> 0");
-  EXPECT_EQ(ErrorOf([&] { oracle.Distance(1, 2); }),
+  EXPECT_EQ(test::ErrorOf([&] { oracle.Distance(1, 2); }),
             "graph is disconnected: no path 1 -> 2");
+
+  // The farthest-point sweep builds no row, yet fails as node 0's row
+  // would after its first step.
+  EXPECT_EQ(test::ErrorOf([&] { placement::KCenterFarthest(oracle, 2); }),
+            "graph is disconnected: no path 0 -> 2");
 
   OracleOptions landmarks;
   landmarks.backend = OracleBackend::kLandmarks;
-  EXPECT_EQ(ErrorOf([&] { DistanceOracle::FromGraph(graph, landmarks); }),
+  EXPECT_EQ(
+      test::ErrorOf([&] { DistanceOracle::FromGraph(graph, landmarks); }),
             "graph is disconnected: no path from 0");
 }
 

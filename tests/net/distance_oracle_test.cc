@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -238,16 +239,58 @@ TEST(DistanceOracleTest, GreedySolveIdenticalAcrossExactBackends) {
             core::MaxInteractionPathLength(pr, ar));
 }
 
+// The rows backend's pruned sweep chooses what farthest-point selection
+// on the dense matrix chooses, in the same order, up to k = n.
 TEST(DistanceOracleTest, KCenterFarthestMatchesDenseSelection) {
-  const Graph graph = SmallWaxman(90, 15);
-  const LatencyMatrix dense = graph.AllPairsShortestPaths();
-  const DistanceOracle rows = DistanceOracle::FromGraph(graph, RowsOptions());
-  OracleOptions dense_opt;
-  dense_opt.backend = OracleBackend::kDense;
-  const DistanceOracle dense_oracle =
-      DistanceOracle::FromGraph(graph, dense_opt);
-  EXPECT_EQ(placement::KCenterFarthest(rows, 7),
-            placement::KCenterFarthest(dense_oracle, 7));
+  for (const auto& [nodes, seed] :
+       {std::pair{90, 15ull}, std::pair{60, 1ull}, std::pair{120, 7ull},
+        std::pair{150, 2011ull}}) {
+    const Graph graph = SmallWaxman(nodes, seed);
+    const DistanceOracle rows =
+        DistanceOracle::FromGraph(graph, RowsOptions());
+    OracleOptions dense_opt;
+    dense_opt.backend = OracleBackend::kDense;
+    const DistanceOracle dense_oracle =
+        DistanceOracle::FromGraph(graph, dense_opt);
+    const NodeIndex n = graph.size();
+    EXPECT_EQ(rows.FarthestPoints(n), dense_oracle.FarthestPoints(n))
+        << "seed " << seed;
+    for (const std::int32_t k : {1, 7, n / 2, n}) {
+      EXPECT_EQ(placement::KCenterFarthest(rows, k),
+                placement::KCenterFarthest(dense_oracle, k))
+          << "seed " << seed << " k " << k;
+    }
+    // The sweep stored no row.
+    EXPECT_EQ(rows.stats().row_builds, 0) << "seed " << seed;
+  }
+}
+
+// Cloud setup's row traffic: placement builds no row, and the
+// client-block view's pull is each server row's first request, so every
+// server row is built once, on the view's pool lanes, and none is read
+// back from the store.
+TEST(DistanceOracleTest, PlacementLeavesServerRowsToTheView) {
+  const Graph graph = SmallWaxman(80, 21);
+  constexpr std::int32_t kServers = 9;
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    const DistanceOracle rows =
+        DistanceOracle::FromGraph(graph, RowsOptions());
+    const std::vector<NodeIndex> servers =
+        placement::KCenterFarthest(rows, kServers);
+    EXPECT_EQ(rows.stats().row_builds, 0) << "threads=" << threads;
+    std::vector<NodeIndex> clients(static_cast<std::size_t>(graph.size()));
+    for (NodeIndex v = 0; v < graph.size(); ++v) {
+      clients[static_cast<std::size_t>(v)] = v;
+    }
+    const core::Problem p =
+        core::Problem::FromOracleTiled(rows, servers, clients);
+    const OracleStats s = rows.stats();
+    EXPECT_EQ(s.row_builds, kServers) << "threads=" << threads;
+    EXPECT_EQ(s.row_cache_hits, 0) << "threads=" << threads;
+    EXPECT_EQ(p.num_servers(), kServers);
+  }
+  SetGlobalThreads(0);
 }
 
 TEST(DistanceOracleTest, ExactMetricMatchesMatrixEvaluator) {

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/lower_bound.h"
 #include "core/metrics.h"
@@ -18,6 +21,16 @@
 #include "obs/obs.h"
 
 namespace diaca::test {
+
+/// The message of the diaca::Error `fn` throws, or "no error".
+inline std::string ErrorOf(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
 
 /// Greedy candidate-list rebuilds recorded so far: the
 /// core.greedy.rebuilds counter, which advances only while metrics are

@@ -154,6 +154,35 @@ expect_failure_naming(--prune assign --matrix=missing.txt
 expect_failure_naming(--rss-budget-mb churn --nodes=300 --clients=500
                       --servers=4 --epochs=2 --rss-budget-mb=1)
 
+# K-center placement on the default rows backend is a pruned sweep that
+# builds no row; on the dense backend it folds whole matrix rows. The
+# same cloud must come out with the same plan either way, checked here
+# through the printed objective.
+set(cloud_objectives "")
+foreach(oracle_flag "" --oracle=dense)
+  execute_process(COMMAND ${DIACA_BIN} cloud --nodes=300 --clients=3000
+                          --servers=24 --block=tiled ${oracle_flag}
+                  WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR
+            "cloud ${oracle_flag} failed (${code}):\n${out}\n${err}")
+  endif()
+  string(REGEX MATCH "max interaction path \\(ms\\)[^\n]*" line "${out}")
+  if(line STREQUAL "")
+    message(FATAL_ERROR "cloud ${oracle_flag} printed no objective:\n${out}")
+  endif()
+  list(APPEND cloud_objectives "${line}")
+endforeach()
+list(GET cloud_objectives 0 rows_objective)
+list(GET cloud_objectives 1 dense_objective)
+if(NOT rows_objective STREQUAL dense_objective)
+  message(FATAL_ERROR "cloud objective differs between the rows and the "
+                      "dense backend:\n${rows_objective}\n${dense_objective}")
+endif()
+
 # Simulate the session end to end from the produced files.
 run_step(${DIACA_BIN} simulate --matrix=world.txt --servers=servers.txt
          --assignment=assignment.txt --duration-ms=1500)
